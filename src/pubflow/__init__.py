@@ -32,7 +32,8 @@ from .adapt import (
     sequential_oracle,
     solve_field,
 )
-from .bus import CHANNEL_CATALOG, Channel, Envelope, EventLog, InProcessBus
+from .bus import (CHANNEL_CATALOG, Channel, Envelope, EventLog,
+                  InProcessBus, LogTally)
 from .errors import (
     EngineError,
     GuardFailed,

@@ -10,9 +10,9 @@ actor's state.  One batch flows like this:
   workers      volunteer for open tasks they are capable of, execute
                assignments, heartbeat while running, and push results to
                TasksToCheck
-  monitor      watches assigned tasks; when heartbeats go stale it
-               re-publishes the task with the attempt bumped and emits a
-               data-policy event on DLC
+  monitor      watches assigned tasks until their result or ok verdict;
+               when heartbeats go stale it re-publishes the task with the
+               attempt bumped and emits a data-policy event on DLC
   checker      validates results and publishes verdicts on FinishedTasks,
                re-publishing failed tasks until their attempt budget runs
                out
@@ -34,7 +34,7 @@ from typing import Callable, Mapping, Optional, Sequence
 
 from .bus import Channel, Envelope, InProcessBus
 from .errors import GuardFailed, ValidationError
-from .execution import EMConfig, Workspace, em_negotiate, execute_kernel
+from .execution import Workspace, execute_kernel
 from .graph import ready_tasks, unfold, validate_structure
 from .model import (
     ResourceSnapshot,
@@ -163,16 +163,14 @@ class Coordinator:
     def __init__(self, bus: InProcessBus, config: EngineConfig = EngineConfig(),
                  actor_id: str = "coordinator",
                  dataset_sizes: Optional[Callable[[], dict[str, int]]] = None,
-                 abort_on_failure: bool = True) -> None:
+                 ) -> None:
         self.bus = bus
         self.id = actor_id
         self.config = config
         self.dataset_sizes = dataset_sizes
-        self.abort_on_failure = abort_on_failure
         bus.register(actor_id)
         for channel in (Channel.WAITING_TASKS, Channel.TASKS_TO_DO,
-                        Channel.VOLUNTEER_WORKERS, Channel.FINISHED_TASKS,
-                        Channel.EM):
+                        Channel.VOLUNTEER_WORKERS, Channel.FINISHED_TASKS):
             bus.subscribe(actor_id, channel)
         self.batch: Optional[WorkflowBatch] = None
         self.status: dict[str, tuple[TaskState, int]] = {}
@@ -182,10 +180,8 @@ class Coordinator:
         self.busy: dict[str, str] = {}          # worker -> task
         self.released: set[str] = set()
         self.finished: set[str] = set()
-        self.failed: set[str] = set()
         self.seen_waiting: set[str] = set()
         self.unfold_done: set[str] = set()
-        self.em_configs: dict[str, dict] = {}
         self.emergency_seq: Optional[int] = None
         self.halted = False
 
@@ -222,9 +218,6 @@ class Coordinator:
             elif env.channel == Channel.FINISHED_TASKS.value \
                     and env.kind == "verdict":
                 self._on_verdict(env)
-            elif env.channel == Channel.EM.value and env.kind == "em":
-                wid = env.payload.get("worker_id", env.sender)
-                self.em_configs[wid] = dict(env.payload)
         if self.halted:
             return
         self._sweep_assignments()
@@ -348,8 +341,7 @@ class Coordinator:
                     self._release(nid)
             return
         log.warning("task %s failed permanently", tid)
-        self.failed.add(tid)
-        if self.abort_on_failure and self.emergency_seq is None:
+        if self.emergency_seq is None:
             assert self.batch is not None
             self.emergency_seq = self.bus.publish(
                 self.id, Channel.EMERGENCY, "emergency",
@@ -411,8 +403,7 @@ class WorkerActor:
                  heartbeat_period: int = 5,
                  volunteer_latency: int = 0,
                  volunteer_jitter: int = 0,
-                 rng: Optional[Random] = None,
-                 em_probe: Optional[EMConfig] = None) -> None:
+                 rng: Optional[Random] = None) -> None:
         self.bus = bus
         self.profile = profile
         self.id = profile.worker_id
@@ -421,8 +412,6 @@ class WorkerActor:
         self.volunteer_latency = volunteer_latency
         self.volunteer_jitter = volunteer_jitter
         self.rng = rng or Random(0)
-        self.em_probe = em_probe
-        self.em = EMConfig()
         bus.register(self.id)
         bus.subscribe(self.id, Channel.TASKS_TO_DO)
         bus.subscribe(self.id, Channel.EMERGENCY)
@@ -432,7 +421,6 @@ class WorkerActor:
         self.pending: dict[str, int] = {}
         self.running: Optional[_Job] = None
         self.executed_ticks = 0
-        self._announced_em = False
 
     def _due(self, now: int) -> int:
         jitter = self.rng.randint(0, self.volunteer_jitter) \
@@ -442,12 +430,6 @@ class WorkerActor:
     def step(self, now: int) -> None:
         if self.halted or not self.alive:
             return
-        if self.em_probe is not None and not self._announced_em:
-            self._announced_em = True
-            self.em = em_negotiate(self.em_probe)
-            payload = self.em.to_payload()
-            payload["worker_id"] = self.id
-            self.bus.publish(self.id, Channel.EM, "em", payload)
         for env in self.bus.drain(self.id):
             if env.channel == Channel.EMERGENCY.value:
                 self.halted = True
@@ -515,7 +497,7 @@ class WorkerActor:
             "spec": job.spec,
         }
         try:
-            result = execute_kernel(task.kernel, self.workspace, self.em,
+            result = execute_kernel(task.kernel, self.workspace,
                                     speed=self.profile.speed)
         except Exception as exc:  # MissingInput: ask the data policy for help
             self.bus.publish(self.id, Channel.DLC, "dlc",
@@ -563,9 +545,10 @@ class Monitor:
 
     The watch starts at the assignment (so a worker that dies before its
     first message is still covered) and is refreshed by started and
-    heartbeat envelopes.  A watch whose task went k*H ticks without news
-    triggers a re-publication with the attempt bumped, plus a
-    transmission-failure event for the data policy.
+    heartbeat envelopes.  It ends with the watched attempt's result, or
+    with an ok verdict for any attempt of the task.  A watch whose task
+    went k*H ticks without news triggers a re-publication with the
+    attempt bumped, plus a transmission-failure event for the data policy.
     """
 
     def __init__(self, bus: InProcessBus, heartbeat_period: int = 5,
@@ -577,7 +560,8 @@ class Monitor:
         self.timeout_multiplier = timeout_multiplier
         bus.register(actor_id)
         for channel in (Channel.TASKS_TO_DO, Channel.TASKS_IN_PROGRESS,
-                        Channel.TASKS_TO_CHECK, Channel.EMERGENCY):
+                        Channel.TASKS_TO_CHECK, Channel.FINISHED_TASKS,
+                        Channel.EMERGENCY):
             bus.subscribe(actor_id, channel)
         self.specs: dict[str, tuple[int, dict]] = {}
         self.watch: dict[str, _Watch] = {}
@@ -613,6 +597,8 @@ class Monitor:
                 watch = self.watch.get(tid)
                 if watch is not None and watch.attempt == payload["attempt"]:
                     del self.watch[tid]
+            elif kind == "verdict" and payload["ok"]:
+                self.watch.pop(tid, None)
         deadline = self.timeout_multiplier * self.heartbeat_period
         for tid in sorted(self.watch):
             watch = self.watch[tid]

@@ -34,7 +34,6 @@ import numpy as np
 
 from .errors import InvalidGeometry, SchemaError, SingularSystem
 from .execution import (
-    EMConfig,
     Workspace,
     decode_dataset,
     encode_dataset,
@@ -336,24 +335,21 @@ def _require(spec: KernelSpec, key: str):
 
 
 @register_kernel("metis")
-def kernel_metis(spec: KernelSpec, ws: Workspace,
-                 em: EMConfig) -> Mapping[str, bytes]:
+def kernel_metis(spec: KernelSpec, ws: Workspace) -> Mapping[str, bytes]:
     cells = int(_require(spec, "cells"))
     parts = int(_require(spec, "partitions"))
     return {"partitions": partition_table_bytes(cells, parts)}
 
 
 @register_kernel("matrix")
-def kernel_matrix(spec: KernelSpec, ws: Workspace,
-                  em: EMConfig) -> Mapping[str, bytes]:
+def kernel_matrix(spec: KernelSpec, ws: Workspace) -> Mapping[str, bytes]:
     cells = int(_require(spec, "cells"))
     bc = str(_require(spec, "bc"))
     return {"matrix": operator_matrix_bytes(cells, bc)}
 
 
 @register_kernel("mumps")
-def kernel_mumps(spec: KernelSpec, ws: Workspace,
-                 em: EMConfig) -> Mapping[str, bytes]:
+def kernel_mumps(spec: KernelSpec, ws: Workspace) -> Mapping[str, bytes]:
     cells, bc, _, _, _ = _read_operator(ws.get("matrix"))
     source = spec.params.get("source")
     q = np.zeros(cells) if source is None else np.asarray(source, dtype=float)
@@ -363,14 +359,13 @@ def kernel_mumps(spec: KernelSpec, ws: Workspace,
 
 
 @register_kernel("mumps_factorize")
-def kernel_mumps_factorize(spec: KernelSpec, ws: Workspace,
-                           em: EMConfig) -> Mapping[str, bytes]:
+def kernel_mumps_factorize(spec: KernelSpec,
+                           ws: Workspace) -> Mapping[str, bytes]:
     return {"pfactor": factor_operator_bytes(ws.get("matrix"))}
 
 
 @register_kernel("mumps_solve")
-def kernel_mumps_solve(spec: KernelSpec, ws: Workspace,
-                       em: EMConfig) -> Mapping[str, bytes]:
+def kernel_mumps_solve(spec: KernelSpec, ws: Workspace) -> Mapping[str, bytes]:
     factor = ws.get("pfactor")
     cells = int(decode_dataset(factor)[0])
     source = spec.params.get("source")
@@ -379,8 +374,7 @@ def kernel_mumps_solve(spec: KernelSpec, ws: Workspace,
 
 
 @register_kernel("init")
-def kernel_init(spec: KernelSpec, ws: Workspace,
-                em: EMConfig) -> Mapping[str, bytes]:
+def kernel_init(spec: KernelSpec, ws: Workspace) -> Mapping[str, bytes]:
     p = int(_require(spec, "partition"))
     cells, parts, bounds = _read_partition_table(ws.get("partitions"))
     if not 0 <= p < parts:
@@ -402,8 +396,7 @@ def _halo(ws: Workspace, step: int, parts: int, p: int, bc: str,
 
 
 @register_kernel("iter")
-def kernel_iter(spec: KernelSpec, ws: Workspace,
-                em: EMConfig) -> Mapping[str, bytes]:
+def kernel_iter(spec: KernelSpec, ws: Workspace) -> Mapping[str, bytes]:
     step = int(_require(spec, "step"))
     p = int(_require(spec, "partition"))
     dt = float(_require(spec, "dt"))
@@ -428,8 +421,7 @@ def kernel_iter(spec: KernelSpec, ws: Workspace,
 
 
 @register_kernel("save")
-def kernel_save(spec: KernelSpec, ws: Workspace,
-                em: EMConfig) -> Mapping[str, bytes]:
+def kernel_save(spec: KernelSpec, ws: Workspace) -> Mapping[str, bytes]:
     step = int(_require(spec, "step"))
     cells, parts, bounds = _read_partition_table(ws.get("partitions"))
     pieces = [decode_dataset(ws.get(f"w{step + 1}_{p}"))

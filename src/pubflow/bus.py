@@ -72,10 +72,49 @@ class Subscription(NamedTuple):
 
 
 @dataclass
+class LogTally:
+    """Every count a report shows, folded one log record at a time: from
+    EventLog.append as a run writes them, or from a parsed log file."""
+
+    by_channel: dict[str, int] = field(default_factory=dict)
+    by_kind: dict[str, int] = field(default_factory=dict)
+    attempts: dict[str, int] = field(default_factory=dict)  # highest per task
+    makespan: int = 0                # highest ts seen
+    reason: Optional[str] = None     # of the Emergency envelope, if any
+
+    def add(self, record: dict) -> None:
+        channel, kind = record["channel"], record["kind"]
+        self.by_channel[channel] = self.by_channel.get(channel, 0) + 1
+        self.by_kind[kind] = self.by_kind.get(kind, 0) + 1
+        self.makespan = max(self.makespan, record["ts"])
+        payload = record["payload"]
+        if kind == "task":
+            tid = payload["task_id"]
+            self.attempts[tid] = max(self.attempts.get(tid, 1),
+                                     payload["attempt"])
+        elif kind == "emergency":
+            self.reason = payload.get("reason")
+
+    @property
+    def messages_total(self) -> int:
+        return sum(self.by_kind.values())
+
+    @property
+    def re_executions(self) -> int:
+        return sum(a - 1 for a in self.attempts.values())
+
+    @property
+    def completed(self) -> bool:
+        return self.reason == "complete"
+
+
+@dataclass
 class EventLog:
-    """Accumulates serialized envelopes; one JSON line each."""
+    """Accumulates serialized envelopes, one JSON line each, and their
+    tally."""
 
     lines: list[str] = field(default_factory=list)
+    tally: LogTally = field(default_factory=LogTally)
 
     def append(self, env: Envelope) -> None:
         record = {
@@ -87,6 +126,7 @@ class EventLog:
             "payload": env.payload,
         }
         self.lines.append(json.dumps(record, separators=(",", ":")))
+        self.tally.add(record)
 
     def dumps(self) -> str:
         return "".join(line + "\n" for line in self.lines)
@@ -162,7 +202,4 @@ class InProcessBus:
         return self._seq
 
     def messages_by_channel(self) -> dict[str, int]:
-        counts = {c: 0 for c in CHANNEL_CATALOG}
-        for line in self.log.lines:
-            counts[json.loads(line)["channel"]] += 1
-        return {c: n for c, n in counts.items() if n}
+        return dict(self.log.tally.by_channel)

@@ -22,6 +22,7 @@ from pathlib import Path
 
 from .actors import EngineConfig
 from .adapt import SimParams, generate_adapt_workflow
+from .bus import LogTally
 from .errors import (
     EngineError,
     InvalidGeometry,
@@ -32,7 +33,6 @@ from .errors import (
 )
 from .graph import validate_structure
 from .simulator import (
-    Scenario,
     lifecycle_audit,
     load_scenario,
     parse_log,
@@ -179,43 +179,29 @@ def cmd_report(args: argparse.Namespace) -> int:
         records = parse_log(text)
     except MalformedLog as exc:
         raise FileError(f"{args.log}: {exc}") from exc
-    by_channel: dict[str, int] = {}
-    by_kind: dict[str, int] = {}
-    attempts: dict[str, int] = {}
-    completed = False
-    failed = False
-    makespan = 0
+    tally = LogTally()
     for record in records:
-        by_channel[record["channel"]] = by_channel.get(record["channel"], 0) + 1
-        by_kind[record["kind"]] = by_kind.get(record["kind"], 0) + 1
-        makespan = max(makespan, record["ts"])
-        payload = record["payload"]
-        if record["kind"] == "task":
-            tid = payload["task_id"]
-            attempts[tid] = max(attempts.get(tid, 1), payload["attempt"])
-        elif record["kind"] == "emergency":
-            completed = payload.get("reason") == "complete"
-            failed = payload.get("reason") == "failed"
+        tally.add(record)
     doc = {
-        "messages_total": len(records),
-        "messages_by_channel": dict(sorted(by_channel.items())),
-        "messages_by_kind": dict(sorted(by_kind.items())),
-        "tasks_seen": len(attempts),
-        "re_executions": sum(a - 1 for a in attempts.values()),
-        "makespan": makespan,
-        "completed": completed,
-        "failed": failed,
+        "messages_total": tally.messages_total,
+        "messages_by_channel": dict(sorted(tally.by_channel.items())),
+        "messages_by_kind": dict(sorted(tally.by_kind.items())),
+        "tasks_seen": len(tally.attempts),
+        "re_executions": tally.re_executions,
+        "makespan": tally.makespan,
+        "completed": tally.completed,
+        "failed": tally.reason == "failed",
     }
     if args.json:
         print(json.dumps(doc, indent=2))
     else:
         print(f"messages: {doc['messages_total']}")
-        for channel in sorted(by_channel):
-            print(f"  {channel}: {by_channel[channel]}")
+        for channel, count in doc["messages_by_channel"].items():
+            print(f"  {channel}: {count}")
         print(f"tasks seen: {doc['tasks_seen']}")
         print(f"re-executions: {doc['re_executions']}")
         print(f"makespan: {doc['makespan']}")
-        print(f"completed: {'yes' if completed else 'no'}")
+        print(f"completed: {'yes' if doc['completed'] else 'no'}")
     return 0
 
 

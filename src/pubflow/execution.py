@@ -317,7 +317,7 @@ class TaskResult:
     error: Optional[str] = None
 
 
-KernelFn = Callable[[KernelSpec, Workspace, EMConfig], Mapping[str, bytes]]
+KernelFn = Callable[[KernelSpec, Workspace], Mapping[str, bytes]]
 KERNELS: dict[str, KernelFn] = {}
 
 
@@ -329,7 +329,6 @@ def register_kernel(name: str) -> Callable[[KernelFn], KernelFn]:
 
 
 def execute_kernel(spec: KernelSpec, workspace: Workspace,
-                   em: EMConfig = EMConfig(),
                    speed: float = 1.0) -> TaskResult:
     """Run a registered kernel against the workspace.
 
@@ -346,7 +345,7 @@ def execute_kernel(spec: KernelSpec, workspace: Workspace,
         return TaskResult(exit_status=127, outputs={}, elapsed=elapsed,
                           error=f"kernel {spec.name!r} is not registered")
     try:
-        produced = fn(spec, workspace, em)
+        produced = fn(spec, workspace)
     except MissingInput:
         raise
     except Exception as exc:  # kernel panic: encoded, not propagated
@@ -364,8 +363,8 @@ def execute_kernel(spec: KernelSpec, workspace: Workspace,
 
 
 @register_kernel("noop")
-def _kernel_noop(spec: KernelSpec, workspace: Workspace,
-                 em: EMConfig) -> Mapping[str, bytes]:
+def _kernel_noop(spec: KernelSpec,
+                 workspace: Workspace) -> Mapping[str, bytes]:
     """Does nothing; may still declare constant outputs via params.
 
     params["values"] maps dataset id to a list of numbers; outputs not
@@ -381,8 +380,8 @@ def _kernel_noop(spec: KernelSpec, workspace: Workspace,
 
 
 @register_kernel("shell")
-def _kernel_shell(spec: KernelSpec, workspace: Workspace,
-                  em: EMConfig) -> Mapping[str, bytes]:
+def _kernel_shell(spec: KernelSpec,
+                  workspace: Workspace) -> Mapping[str, bytes]:
     """Subprocess adapter for live deployments; not used in simulation.
 
     params: argv (list of strings).  Declared outputs must be written by

@@ -27,7 +27,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from random import Random
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 from .actors import Broker, Checker, Coordinator, EngineConfig, Monitor, \
     WorkerActor
@@ -199,7 +199,6 @@ def run_simulation(batch: WorkflowBatch, scenario: Scenario, *,
         coordinator.adopt(batch)
         broker.queue(batch)
 
-        emergency_tick: Optional[int] = None
         alive_ticks: dict[str, int] = {ws.worker_id: 0 for ws, _ in roster}
 
         for now in range(scenario.horizon + 1):
@@ -226,25 +225,23 @@ def run_simulation(batch: WorkflowBatch, scenario: Scenario, *,
                     continue
                 actor.step(now)
             if coordinator.emergency_seq is not None:
-                emergency_tick = now
                 break
 
-        completed = emergency_tick is not None and not coordinator.failed
-        final_batch = coordinator.batch or batch
-        re_exec = sum(max(0, attempt - 1)
-                      for _state, attempt in coordinator.status.values())
+        # Counts come from the log; the engine adds only what the log cannot
+        # carry: the final batch, utilization, an unfinished run's horizon.
+        tally = bus.log.tally
         utilization = {}
         for ws, actor in roster:
             span = alive_ticks[ws.worker_id]
             utilization[ws.worker_id] = (
                 actor.executed_ticks / span if span else 0.0)
         report = SimReport(
-            completed=completed,
-            makespan=emergency_tick if emergency_tick is not None
+            completed=tally.completed,
+            makespan=tally.makespan if tally.reason is not None
             else scenario.horizon,
-            tasks_total=len(final_batch.tasks),
-            re_executions=re_exec,
-            messages_total=bus.messages_total,
+            tasks_total=len((coordinator.batch or batch).tasks),
+            re_executions=tally.re_executions,
+            messages_total=tally.messages_total,
             messages_by_channel=bus.messages_by_channel(),
             per_worker_utilization=utilization,
         )

@@ -191,6 +191,24 @@ class TestEventLog:
         assert counts["WaitingTasks"] == 1
         assert counts["TasksToDo"] == 2
 
+    def test_tally_folds_each_record_as_it_is_written(self):
+        bus = fresh()
+        bus.publish("a", Channel.WAITING_TASKS, "task", task_payload())
+        bus.now = 7
+        bus.publish("a", Channel.TASKS_TO_DO, "task", task_payload(attempt=3))
+        bus.publish("a", Channel.TASKS_TO_DO, "task", task_payload(attempt=2))
+        bus.publish("a", Channel.EMERGENCY, "emergency",
+                    {"reason": "failed", "batch_id": "b"})
+        tally = bus.log.tally
+        assert tally.by_channel == {"WaitingTasks": 1, "TasksToDo": 2,
+                                    "Emergency": 1}
+        assert tally.by_kind == {"task": 3, "emergency": 1}
+        assert tally.messages_total == bus.messages_total == 4
+        assert tally.attempts == {"t1": 3}  # the highest attempt counts
+        assert tally.re_executions == 2
+        assert tally.makespan == 7
+        assert tally.reason == "failed" and not tally.completed
+
     def test_write_trailing_newline(self, tmp_path):
         bus = fresh()
         bus.publish("a", Channel.WAITING_TASKS, "task", task_payload())

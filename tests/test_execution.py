@@ -310,7 +310,7 @@ class TestExecuteKernel:
 
     def test_kernel_exception_becomes_exit_1(self, tmp_path):
         @register_kernel("boom")
-        def _boom(spec, ws, em):
+        def _boom(spec, ws):
             raise RuntimeError("kaboom")
         ws = Workspace(tmp_path)
         result = execute_kernel(KernelSpec(name="boom"), ws)
@@ -319,7 +319,7 @@ class TestExecuteKernel:
 
     def test_undeclared_output_is_failure(self, tmp_path):
         @register_kernel("forgets")
-        def _forgets(spec, ws, em):
+        def _forgets(spec, ws):
             return {}
         ws = Workspace(tmp_path)
         result = execute_kernel(KernelSpec(name="forgets",

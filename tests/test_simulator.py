@@ -7,6 +7,7 @@ import pytest
 from pubflow import (
     EngineConfig,
     KernelSpec,
+    LogTally,
     MalformedLog,
     SimParams,
     Scenario,
@@ -22,6 +23,7 @@ from pubflow import (
     scenario_from_dict,
     scenario_to_dict,
 )
+from pubflow import cli
 from pubflow.simulator import load_scenario
 
 
@@ -212,6 +214,34 @@ class TestCrashRecovery:
         assert emergency[0]["payload"]["reason"] == "failed"
         assert report.re_executions == 1
 
+    def test_verified_task_is_not_republished_by_the_monitor(
+            self, tmp_path, capsys):
+        """w0 stalls on a's attempt 1, the monitor republishes it and the
+        slow w1 takes attempt 2, w0 wakes and gets attempt 1 verified, then
+        w1 dies mid-attempt 2.  The watch on attempt 2 ends with the ok verdict,
+        so the monitor never republishes the verified task."""
+        batch = batch_of(noop_task("a", duration=30.0),
+                         noop_task("b", deps=["a"], duration=30.0))
+        scenario = Scenario(seed=1, horizon=300, workers=(
+            WorkerSpec(worker_id="w0", stall=(5, 40)),
+            WorkerSpec(worker_id="w1", speed=0.5, crash=75)))
+        path = tmp_path / "events.jsonl"
+        report, log = run_simulation(batch, scenario, log_path=path)
+        assert report.completed
+        records = records_of(log)
+        ok_a = next(r["seq"] for r in records if r["kind"] == "verdict"
+                    and r["payload"]["task_id"] == "a")
+        late = [r for r in records if r["seq"] > ok_a
+                and r["sender"] == "monitor"
+                and r["kind"] in ("task", "dlc")
+                and r["payload"]["task_id"] == "a"]
+        assert late == []
+        assert report.re_executions == 1
+        assert cli.main(["report", str(path), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["re_executions"] == 1
+        assert lifecycle_audit(log) == []
+        assert precedence_audit(log, batch) == []
+
 
 class TestScheduling:
     def test_dependencies_run_in_order(self):
@@ -280,6 +310,61 @@ class TestScheduling:
         assert starters == ["turbo"]
 
 
+# Runs whose simulated report must count exactly what their log holds:
+# a crash, a stall, a seeded random death, an unfolded ADAPT batch, a
+# validator that fails until the batch aborts, and a horizon cut-off.
+
+def _faulty_workers():
+    batch = batch_of(noop_task("a", duration=12.0),
+                     noop_task("b", deps=["a"], duration=12.0),
+                     noop_task("c", deps=["a"], duration=6.0),
+                     noop_task("d", deps=["b", "c"], duration=4.0))
+    scenario = Scenario(seed=4, horizon=400, heartbeat_period=3,
+                        timeout_multiplier=2, volunteer_jitter=2, workers=(
+                            WorkerSpec(worker_id="w1", crash=5),
+                            WorkerSpec(worker_id="w2", stall=(20, 15)),
+                            WorkerSpec(worker_id="w3", crash_prob=0.05),
+                            WorkerSpec(worker_id="w4", speed=0.5)))
+    return batch, scenario, None
+
+
+def _adapt_unfold():
+    params = SimParams(dt=1e-4, advection=1.0, diffusion=0.05,
+                       steps=2, bc="dirichlet0")
+    batch = generate_adapt_workflow(2, 2, 16, params, unfold_solver=True)
+    scenario = Scenario(seed=2, horizon=300, workers=(
+        WorkerSpec(worker_id="w1", crash=6), WorkerSpec(worker_id="w2"),
+        WorkerSpec(worker_id="w3", speed=2.0)))
+    return batch, scenario, None
+
+
+def _validator_aborts():
+    batch = batch_of(noop_task("a"), noop_task("t", deps=["a"],
+                                               max_attempts=3))
+    scenario = Scenario(seed=1, horizon=100, workers=(
+        WorkerSpec(worker_id="w1"), WorkerSpec(worker_id="w2")))
+    return batch, scenario, {"default": lambda s, r, w: s["id"] == "a"}
+
+
+def _horizon_cut():
+    batch = batch_of(noop_task("a", duration=20.0),
+                     noop_task("b", deps=["a"], duration=20.0))
+    scenario = Scenario(seed=1, horizon=30, heartbeat_period=3,
+                        timeout_multiplier=2, workers=(
+                            WorkerSpec(worker_id="w1", crash=10),
+                            WorkerSpec(worker_id="w2")))
+    return batch, scenario, None
+
+
+# case -> (inputs, the reason of the run's Emergency envelope)
+FOLD_CORPUS = {
+    "faulty-workers": (_faulty_workers, "complete"),
+    "adapt-unfold": (_adapt_unfold, "complete"),
+    "validator-aborts": (_validator_aborts, "failed"),
+    "horizon-cut": (_horizon_cut, None),
+}
+
+
 class TestReportMetrics:
     def test_message_accounting(self):
         report, log = run_simulation(batch_of(noop_task("t")), ONE_WORKER)
@@ -311,6 +396,26 @@ class TestReportMetrics:
         assert set(use) == {"w1", "zz-idle"}
         assert 0.0 < use["w1"] <= 1.0
         assert use["zz-idle"] == 0.0
+
+    @pytest.mark.parametrize("case", sorted(FOLD_CORPUS))
+    def test_report_equals_the_fold_of_its_written_log(self, case):
+        inputs, reason = FOLD_CORPUS[case]
+        batch, scenario, validators = inputs()
+        report, log = run_simulation(batch, scenario, validators=validators)
+        tally = LogTally()
+        for record in parse_log(log.dumps()):
+            tally.add(record)
+        assert tally.reason == reason
+        assert tally.re_executions > 0
+        assert report.completed == tally.completed
+        assert report.re_executions == tally.re_executions
+        assert report.messages_total == tally.messages_total
+        assert report.messages_by_channel == tally.by_channel
+        if tally.reason is not None:
+            assert report.makespan == tally.makespan
+        else:
+            assert report.makespan == scenario.horizon
+
 
 
 class TestScenarioFiles:
