@@ -17,10 +17,12 @@ actor's state.  One batch flows like this:
                re-publishing failed tasks until their attempt budget runs
                out
 
-Workers volunteer only while idle and re-volunteer for still-open tasks
-whenever they become idle; the coordinator deduplicates volunteers per
-(worker, task, attempt) and re-runs selection every step, so a freed
-worker is reconsidered without any extra traffic.
+Workers volunteer only while idle, and at most once per (task, attempt):
+a task that arrives while a worker runs is offered when it becomes idle,
+and a re-publication with a higher attempt is a new offer.  The
+coordinator keeps each offer until the attempt is assigned and re-runs
+selection every step, so a freed worker is reconsidered without any
+extra traffic.
 """
 
 from __future__ import annotations
@@ -178,6 +180,7 @@ class Coordinator:
         self.profiles: dict[str, WorkerProfile] = {}
         self.assignments: dict[str, str] = {}   # task -> worker
         self.busy: dict[str, str] = {}          # worker -> task
+        self.todo: set[str] = set()             # unassigned ToDo tasks
         self.released: set[str] = set()
         self.finished: set[str] = set()
         self.seen_waiting: set[str] = set()
@@ -277,6 +280,7 @@ class Coordinator:
     def _publish_todo(self, tid: str, attempt: int) -> None:
         assert self.batch is not None
         self.status[tid] = (TaskState.TODO, attempt)
+        self.todo.add(tid)
         self.released.add(tid)
         self.volunteers.setdefault(tid, [])
         self.bus.publish(self.id, Channel.TASKS_TO_DO, "task",
@@ -299,6 +303,7 @@ class Coordinator:
                      tid, attempt, cur_attempt)
             return
         self.status[tid] = (TaskState.TODO, attempt)
+        self.todo.add(tid)
         self.volunteers[tid] = []
         worker = self.assignments.pop(tid, None)
         if worker is not None:
@@ -329,6 +334,7 @@ class Coordinator:
             if tid in self.finished:
                 return
             self.finished.add(tid)
+            self.todo.discard(tid)
             self.status[tid] = (TaskState.FINISHED,
                                 self.status.get(tid, (None, 1))[1])
             worker = self.assignments.pop(tid, None)
@@ -351,13 +357,14 @@ class Coordinator:
     # -- per-step passes ----------------------------------------------------
 
     def _sweep_assignments(self) -> None:
-        """Try to assign every unassigned ToDo task; one envelope per
-        (task, attempt), first verified winner keeps the slot."""
-        for tid in sorted(self.status):
-            state, attempt = self.status[tid]
-            if state is not TaskState.TODO or tid in self.assignments:
-                continue
+        """Try to assign every task in `todo`, the unassigned ToDo tasks,
+        in id order; one envelope per (task, attempt), first verified
+        winner keeps the slot.  Stops once every known worker is busy."""
+        for tid in sorted(self.todo):
+            if len(self.busy) >= len(self.profiles):
+                return
             assert self.batch is not None
+            attempt = self.status[tid][1]
             task = self.batch.tasks[tid]
             candidates = [self.profiles[w]
                           for w in self.volunteers.get(tid, ())
@@ -366,6 +373,7 @@ class Coordinator:
             if winner is None:
                 continue
             self.status[tid] = (TaskState.IN_PROGRESS, attempt)
+            self.todo.discard(tid)
             self.assignments[tid] = winner
             self.busy[winner] = tid
             self.bus.publish(self.id, Channel.TASKS_TO_DO, "assignment",
@@ -419,6 +427,8 @@ class WorkerActor:
         self.halted = False
         self.open: dict[str, tuple[int, dict]] = {}
         self.pending: dict[str, int] = {}
+        self.deferred: set[str] = set()   # arrived while running
+        self.offered: set[tuple[str, int]] = set()  # (task, attempt)
         self.running: Optional[_Job] = None
         self.executed_ticks = 0
 
@@ -449,7 +459,9 @@ class WorkerActor:
         if not caps <= self.profile.capabilities:
             return
         self.open[tid] = (env.payload["attempt"], env.payload["spec"])
-        if self.running is None and tid not in self.pending:
+        if self.running is not None:
+            self.deferred.add(tid)
+        elif tid not in self.pending:
             self.pending[tid] = self._due(now)
 
     def _on_assignment(self, env: Envelope, now: int) -> None:
@@ -512,9 +524,10 @@ class WorkerActor:
             if result.error is not None:
                 payload["error"] = result.error
         self.bus.publish(self.id, Channel.TASKS_TO_CHECK, "result", payload)
-        for tid in sorted(self.open):
-            if tid not in self.pending:
+        for tid in sorted(self.deferred):
+            if tid in self.open and tid not in self.pending:
                 self.pending[tid] = self._due(now)
+        self.deferred.clear()
 
     def _flush_volunteers(self, now: int) -> None:
         for tid in sorted(self.pending):
@@ -525,6 +538,9 @@ class WorkerActor:
             if entry is None:
                 continue
             attempt, _spec = entry
+            if (tid, attempt) in self.offered:
+                continue
+            self.offered.add((tid, attempt))
             self.bus.publish(self.id, Channel.VOLUNTEER_WORKERS, "volunteer",
                              {"task_id": tid, "worker_id": self.id,
                               "attempt": attempt,

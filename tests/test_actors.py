@@ -534,6 +534,30 @@ class TestWorker:
                 if json.loads(line)["kind"] == "volunteer"]
         assert [v["task_id"] for v in vols] == ["a", "b"]
 
+    def test_offers_each_task_attempt_once(self, tmp_path):
+        """b stays open while the worker runs a; finishing a does not
+        repeat the offer for b's attempt 1, but b's attempt 2, published
+        while a runs, is offered once the worker is idle again."""
+        bus, actor = worker_rig(tmp_path)
+        publish_task(bus, noop_task("a", outputs=("d",), duration=2.0))
+        publish_task(bus, noop_task("b"))
+        actor.step(0)
+        assign(bus, "a", "w1")
+        actor.step(1)
+        actor.step(2)
+        actor.step(3)  # completes a; b attempt 1 was already offered
+        publish_task(bus, noop_task("c", outputs=("e",), duration=2.0))
+        actor.step(4)
+        assign(bus, "c", "w1")
+        actor.step(5)
+        publish_task(bus, noop_task("b"), attempt=2, sender="monitor")
+        actor.step(6)
+        actor.step(7)  # completes c; offers b attempt 2
+        records = [json.loads(line) for line in bus.log.dumps().splitlines()]
+        vols = [(r["payload"]["task_id"], r["payload"]["attempt"])
+                for r in records if r["kind"] == "volunteer"]
+        assert vols == [("a", 1), ("b", 1), ("c", 1), ("b", 2)]
+
     def test_assignment_to_other_worker_clears_interest(self, tmp_path):
         bus, actor = worker_rig(tmp_path)
         publish_task(bus, noop_task("a", duration=2.0))

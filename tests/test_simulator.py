@@ -1,5 +1,7 @@
 """Whole-protocol runs under the deterministic tick simulator."""
 
+import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -583,3 +585,133 @@ class TestAudits:
         assert report.completed
         assert lifecycle_audit(log) == []
         assert precedence_audit(log, batch) == []
+
+
+# ------------------------------------------------------- volunteer traffic
+
+# Jitter-0 runs whose assignment schedule is pinned: a flat batch with two
+# stalls, a crash, a chain, and the small ADAPT unfold run above (which
+# also crashes a worker).  The same runs also serve with jitter 2.
+
+def _flat_two_stalls():
+    batch = batch_of(*[noop_task(f"t{i:02d}", duration=4.0)
+                       for i in range(12)])
+    scenario = Scenario(seed=3, horizon=300, heartbeat_period=3,
+                        timeout_multiplier=2,
+                        workers=(WorkerSpec(worker_id="w1", stall=(2, 20)),
+                                 WorkerSpec(worker_id="w2", stall=(9, 20)),
+                                 WorkerSpec(worker_id="w3"),
+                                 WorkerSpec(worker_id="w4")))
+    return batch, scenario, None
+
+
+def _flat_crash():
+    batch = batch_of(noop_task("a", duration=12.0),
+                     noop_task("b", duration=12.0),
+                     noop_task("c", duration=6.0),
+                     noop_task("d", duration=3.0))
+    scenario = Scenario(seed=5, horizon=300, heartbeat_period=3,
+                        timeout_multiplier=2,
+                        workers=(WorkerSpec(worker_id="w1", crash=5),
+                                 WorkerSpec(worker_id="w2"),
+                                 WorkerSpec(worker_id="w3", speed=0.5)))
+    return batch, scenario, None
+
+
+def _chain():
+    batch = batch_of(noop_task("a", duration=5.0),
+                     noop_task("b", deps=["a"], duration=5.0),
+                     noop_task("c", deps=["b"], duration=5.0),
+                     noop_task("d", deps=["c"], duration=5.0))
+    scenario = Scenario(seed=7, horizon=300,
+                        workers=(WorkerSpec(worker_id="w1"),
+                                 WorkerSpec(worker_id="w2", speed=2.0),
+                                 WorkerSpec(worker_id="w3")))
+    return batch, scenario, None
+
+
+# case -> sha256 of the run's (task, worker, attempt, ts) assignments at
+# jitter 0
+ASSIGNMENT_GOLDEN = {
+    "flat-two-stalls": (
+        _flat_two_stalls,
+        "efe3ba7f62ddcda25c77f4ffad6ca8e1448d66f3bc0f21a7bdfddfcac772c64f"),
+    "flat-crash": (
+        _flat_crash,
+        "bb3f668dd57167b1b532b5bcc4d7feb77dddbf67aefc908aa0b518633e895b9f"),
+    "chain": (
+        _chain,
+        "cee849737b5ddd604b3f6e2677b5ef5b33bcd897449930d2ab379cd84969c525"),
+    "adapt-unfold": (
+        _adapt_unfold,
+        "c61af5bcf0507eb2e8ea0c8167dc037934babbed470bab00c18c878790d6622d"),
+}
+
+
+def assignments_digest(records):
+    rows = [[r["payload"]["task_id"], r["payload"]["worker_id"],
+             r["payload"]["attempt"], r["ts"]]
+            for r in records if r["kind"] == "assignment"]
+    return hashlib.sha256(json.dumps(rows).encode("utf-8")).hexdigest()
+
+
+def offers_of(records):
+    return [(r["payload"]["task_id"], r["payload"]["attempt"],
+             r["payload"]["worker_id"])
+            for r in records if r["kind"] == "volunteer"]
+
+
+class TestVolunteerTraffic:
+    @pytest.mark.parametrize("case", sorted(ASSIGNMENT_GOLDEN))
+    def test_assignments_match_the_golden_schedule(self, case):
+        build, digest = ASSIGNMENT_GOLDEN[case]
+        batch, scenario, _ = build()
+        report, log = run_simulation(batch, scenario)
+        assert report.completed
+        assert assignments_digest(records_of(log)) == digest
+
+    @pytest.mark.parametrize("jitter", [0, 2])
+    @pytest.mark.parametrize("case", sorted(ASSIGNMENT_GOLDEN))
+    def test_no_worker_offers_the_same_attempt_twice(self, case, jitter):
+        batch, scenario, _ = ASSIGNMENT_GOLDEN[case][0]()
+        scenario = dataclasses.replace(scenario, volunteer_jitter=jitter)
+        report, log = run_simulation(batch, scenario)
+        assert report.completed
+        offers = offers_of(records_of(log))
+        assert offers
+        assert len(offers) == len(set(offers))
+        assert precedence_audit(log, batch) == []
+        assert lifecycle_audit(log) == []
+
+    @pytest.mark.parametrize("tasks,workers", [(10, 4), (25, 3), (6, 8)])
+    def test_flat_batch_logs_one_offer_per_task_and_worker(self, tasks,
+                                                           workers):
+        batch = batch_of(*[noop_task(f"t{i:02d}") for i in range(tasks)])
+        scenario = Scenario(seed=1, horizon=200, workers=tuple(
+            WorkerSpec(worker_id=f"w{i}") for i in range(workers)))
+        report, log = run_simulation(batch, scenario)
+        assert report.completed
+        assert report.messages_by_channel["VolunteerWorkers"] == \
+            tasks * workers
+
+    def test_republished_attempt_gets_a_fresh_offer(self):
+        """w1 wins t and stalls past the horizon; the monitor republishes
+        t as attempt 2, and w2, which offered for attempt 1, offers again
+        and runs attempt 2."""
+        batch = batch_of(noop_task("t", duration=10.0))
+        scenario = Scenario(seed=1, horizon=120, heartbeat_period=3,
+                            timeout_multiplier=2, workers=(
+                                WorkerSpec(worker_id="w1", stall=(2, 200)),
+                                WorkerSpec(worker_id="w2")))
+        report, log = run_simulation(batch, scenario)
+        assert report.completed
+        records = records_of(log)
+        assert [o for o in offers_of(records) if o[2] == "w2"] == \
+            [("t", 1, "w2"), ("t", 2, "w2")]
+        assigned = [(r["payload"]["worker_id"], r["payload"]["attempt"])
+                    for r in records if r["kind"] == "assignment"]
+        assert assigned == [("w1", 1), ("w2", 2)]
+        verdicts = [r["payload"] for r in records if r["kind"] == "verdict"]
+        assert [(v["attempt"], v["ok"]) for v in verdicts] == [(2, True)]
+        assert precedence_audit(log, batch) == []
+        assert lifecycle_audit(log) == []
