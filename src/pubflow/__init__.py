@@ -11,7 +11,6 @@ from .actors import (
     Broker,
     Checker,
     Coordinator,
-    EngineConfig,
     Monitor,
     SlaPolicy,
     WorkerActor,

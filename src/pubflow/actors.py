@@ -14,8 +14,8 @@ actor's state.  One batch flows like this:
                when heartbeats go stale it re-publishes the task with the
                attempt bumped and emits a data-policy event on DLC
   checker      validates results and publishes verdicts on FinishedTasks,
-               re-publishing failed tasks until their attempt budget runs
-               out
+               re-publishing a failed task until its spec's max_attempts
+               runs out
 
 Workers volunteer only while idle, and at most once per (task, attempt):
 a task that arrives while a worker runs is offered when it becomes idle,
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from random import Random
 from typing import Callable, Mapping, Optional, Sequence
@@ -60,6 +60,28 @@ class SlaPolicy:
     w_s: float = 0.3
     s_cap: float = 4.0
 
+    @classmethod
+    def from_dict(cls, doc: Mapping) -> "SlaPolicy":
+        """Read an engine config, {"sla": {"w_r": .., "w_s": .., "s_cap": ..}}.
+
+        Any other key is refused rather than ignored: heartbeat timing
+        belongs to the scenario and the attempt budget to each task.
+        """
+        sla = doc.get("sla", {}) if isinstance(doc, Mapping) else None
+        if not isinstance(sla, Mapping):
+            raise ValueError('engine config must be {"sla": {...}}')
+        names = {f.name for f in fields(cls)}
+        unknown = sorted(set(doc) - {"sla"}) \
+            + sorted(f"sla.{key}" for key in set(sla) - names)
+        if unknown:
+            raise ValueError("unknown engine config key(s): "
+                             + ", ".join(map(repr, unknown)))
+        return cls(**{key: float(value) for key, value in sla.items()})
+
+    @classmethod
+    def from_file(cls, path: str | Path) -> "SlaPolicy":
+        return cls.from_dict(json.loads(Path(path).read_text("utf-8")))
+
 
 def sla_score(profile: WorkerProfile, policy: SlaPolicy = SlaPolicy()) -> float:
     return (policy.w_r * profile.reliability
@@ -80,33 +102,6 @@ def select_worker(task: Task, volunteers: Sequence[WorkerProfile],
     best = min(eligible,
                key=lambda w: (-sla_score(w, policy), w.worker_id))
     return best.worker_id
-
-
-@dataclass(frozen=True)
-class EngineConfig:
-    sla: SlaPolicy = SlaPolicy()
-    heartbeat_period: int = 5    # H: ticks between heartbeats
-    timeout_multiplier: int = 3  # k: stale after k * H silent ticks
-    max_attempts_default: int = 3
-
-    @classmethod
-    def from_dict(cls, doc: Mapping) -> "EngineConfig":
-        sla = doc.get("sla", {})
-        hb = doc.get("heartbeat", {})
-        return cls(
-            sla=SlaPolicy(
-                w_r=float(sla.get("w_r", 0.7)),
-                w_s=float(sla.get("w_s", 0.3)),
-                s_cap=float(sla.get("s_cap", 4.0)),
-            ),
-            heartbeat_period=int(hb.get("H", 5)),
-            timeout_multiplier=int(hb.get("k", 3)),
-            max_attempts_default=int(doc.get("max_attempts_default", 3)),
-        )
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "EngineConfig":
-        return cls.from_dict(json.loads(Path(path).read_text("utf-8")))
 
 
 def _task_payload(task: Task, attempt: int) -> dict:
@@ -162,13 +157,13 @@ class Broker:
 class Coordinator:
     """Owns task lifecycle state and worker selection for one batch."""
 
-    def __init__(self, bus: InProcessBus, config: EngineConfig = EngineConfig(),
+    def __init__(self, bus: InProcessBus, sla: SlaPolicy = SlaPolicy(),
                  actor_id: str = "coordinator",
                  dataset_sizes: Optional[Callable[[], dict[str, int]]] = None,
                  ) -> None:
         self.bus = bus
         self.id = actor_id
-        self.config = config
+        self.sla = sla
         self.dataset_sizes = dataset_sizes
         bus.register(actor_id)
         for channel in (Channel.WAITING_TASKS, Channel.TASKS_TO_DO,
@@ -183,8 +178,6 @@ class Coordinator:
         self.todo: set[str] = set()             # unassigned ToDo tasks
         self.released: set[str] = set()
         self.finished: set[str] = set()
-        self.seen_waiting: set[str] = set()
-        self.unfold_done: set[str] = set()
         self.emergency_seq: Optional[int] = None
         self.halted = False
 
@@ -207,9 +200,6 @@ class Coordinator:
         if self.halted:
             return
         for env in self.bus.drain(self.id):
-            if env.channel == Channel.EMERGENCY.value:
-                self.halted = True
-                return
             if env.channel == Channel.WAITING_TASKS.value and env.kind == "task":
                 self._on_waiting(env)
             elif env.channel == Channel.TASKS_TO_DO.value and env.kind == "task" \
@@ -231,13 +221,12 @@ class Coordinator:
         if self.batch is None:
             log.warning("coordinator has no batch; dropping task %s", tid)
             return
-        if tid in self.seen_waiting:
+        if tid in self.status:
             log.info("duplicate task publication %s ignored", tid)
             return
         if tid not in self.batch.tasks:
             log.warning("unknown task %s on WaitingTasks", tid)
             return
-        self.seen_waiting.add(tid)
         self.status[tid] = (TaskState.WAITING, 1)
         if self.batch.tasks[tid].deps <= self.finished:
             self._release(tid)
@@ -251,9 +240,7 @@ class Coordinator:
         assert self.batch is not None
         task = self.batch.tasks[tid]
         rule_id = task.unfold_rule
-        if rule_id and rule_id in self.batch.rules \
-                and tid not in self.unfold_done:
-            self.unfold_done.add(tid)
+        if rule_id and rule_id in self.batch.rules:
             state = self.status.get(tid, (TaskState.WAITING, 1))[0]
             try:
                 unfolded = unfold(self.batch, tid,
@@ -369,7 +356,7 @@ class Coordinator:
             candidates = [self.profiles[w]
                           for w in self.volunteers.get(tid, ())
                           if w not in self.busy]
-            winner = select_worker(task, candidates, self.config.sla)
+            winner = select_worker(task, candidates, self.sla)
             if winner is None:
                 continue
             self.status[tid] = (TaskState.IN_PROGRESS, attempt)
@@ -408,7 +395,7 @@ class WorkerActor:
 
     def __init__(self, bus: InProcessBus, profile: WorkerProfile,
                  workspace: Workspace,
-                 heartbeat_period: int = 5,
+                 heartbeat_period: int,
                  volunteer_latency: int = 0,
                  volunteer_jitter: int = 0,
                  rng: Optional[Random] = None) -> None:
@@ -567,8 +554,8 @@ class Monitor:
     attempt bumped, plus a transmission-failure event for the data policy.
     """
 
-    def __init__(self, bus: InProcessBus, heartbeat_period: int = 5,
-                 timeout_multiplier: int = 3,
+    def __init__(self, bus: InProcessBus, heartbeat_period: int,
+                 timeout_multiplier: int,
                  actor_id: str = "monitor") -> None:
         self.bus = bus
         self.id = actor_id
@@ -668,7 +655,6 @@ class Checker:
     def __init__(self, bus: InProcessBus,
                  workspace: Optional[Workspace] = None,
                  validators: Optional[dict[str, ValidatorFn]] = None,
-                 max_attempts_default: int = 3,
                  actor_id: str = "checker") -> None:
         self.bus = bus
         self.id = actor_id
@@ -676,7 +662,6 @@ class Checker:
         self.registry: dict[str, ValidatorFn] = {"default": default_validator}
         if validators:
             self.registry.update(validators)
-        self.max_attempts_default = max_attempts_default
         bus.register(actor_id)
         bus.subscribe(actor_id, Channel.TASKS_TO_CHECK)
         bus.subscribe(actor_id, Channel.EMERGENCY)
@@ -723,8 +708,7 @@ class Checker:
                               "ok": True, "outputs": payload["outputs"]})
             return
         self.fails[tid] = self.fails.get(tid, 0) + 1
-        budget = int(spec.get("max_attempts") or self.max_attempts_default)
-        if self.fails[tid] < budget:
+        if self.fails[tid] < spec["max_attempts"]:
             self.bus.publish(self.id, Channel.TASKS_TO_DO, "task",
                              {"task_id": tid,
                               "attempt": payload["attempt"] + 1,

@@ -20,17 +20,11 @@ import json
 import sys
 from pathlib import Path
 
-from .actors import EngineConfig
+from .actors import SlaPolicy
 from .adapt import SimParams, generate_adapt_workflow
 from .bus import LogTally
-from .errors import (
-    EngineError,
-    InvalidGeometry,
-    MalformedLog,
-    SchemaError,
-    ValidationError,
-    WorkflowSyntaxError,
-)
+from .errors import EngineError, MalformedLog, SchemaError, \
+    WorkflowSyntaxError
 from .graph import validate_structure
 from .simulator import (
     lifecycle_audit,
@@ -95,11 +89,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise FileError(f"{args.scenario}: {exc}") from exc
     if args.seed is not None:
         scenario = dataclasses.replace(scenario, seed=args.seed)
-    config = None
+    sla = SlaPolicy()
     if args.config:
         try:
-            config = EngineConfig.from_file(args.config)
-        except (OSError, json.JSONDecodeError, ValueError) as exc:
+            sla = SlaPolicy.from_file(args.config)
+        except (OSError, TypeError, ValueError) as exc:
             raise FileError(f"{args.config}: {exc}") from exc
     workspace = None
     if args.workspace:
@@ -107,7 +101,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         root.mkdir(parents=True, exist_ok=True)
         workspace = Workspace(root)
     report, _log = run_simulation(
-        batch, scenario, config=config, workspace=workspace,
+        batch, scenario, sla=sla, workspace=workspace,
         log_path=args.log)
     if args.json:
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
@@ -223,7 +217,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("workflow")
     p.add_argument("scenario")
     p.add_argument("--format", choices=("json", "xml"), default="json")
-    p.add_argument("--config", help="engine config JSON")
+    p.add_argument("--config", help='SLA weights JSON, {"sla": {"w_r", '
+                   '"w_s", "s_cap"}}; heartbeat timing is in the scenario')
     p.add_argument("--seed", type=int, help="override the scenario seed")
     p.add_argument("--log", help="write the event log (JSONL) here")
     p.add_argument("--workspace", help="dataset directory (default: temp)")
@@ -269,10 +264,7 @@ def main(argv=None) -> int:
     except FileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValidationError, InvalidGeometry, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except EngineError as exc:
+    except (EngineError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -61,13 +61,5 @@ class SingularSystem(EngineError):
     """The linear operator cannot be solved (incompatible or singular)."""
 
 
-class HaloMissing(EngineError):
-    """A stencil update is missing a neighbour value it requires."""
-
-
 class MalformedLog(EngineError):
     """An event log could not be parsed (truncated or corrupt)."""
-
-
-class UnknownValidator(EngineError):
-    """A task names a result validator that is not registered."""

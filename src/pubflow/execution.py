@@ -14,8 +14,8 @@ parameters; a reacquired dataset must hash identically (all producers are
 deterministic).
 
 The EM policy reconciles logical against physical accelerator counts and
-picks a scheduling flavour; it is a pure function, published on the EM
-channel by whoever ran it.
+picks a scheduling flavour.  It is a pure function; nothing in the
+engine or the simulator publishes its result on the EM channel.
 """
 
 from __future__ import annotations
@@ -397,7 +397,7 @@ def _kernel_shell(spec: KernelSpec,
             f"command exited {proc.returncode}: {proc.stderr.decode()[:200]}")
     out = {}
     for dataset_id in spec.outputs:
-        path = workspace.root / (quote(dataset_id, safe="") + ".dat")
+        path = workspace._data_path(dataset_id)
         if not path.exists():
             raise RuntimeError(f"command did not write {dataset_id!r}")
         out[dataset_id] = path.read_bytes()

@@ -2,8 +2,9 @@
 
 validate_structure: acyclicity (with a cycle witness) and a series-parallel
 verdict computed by iterated series/parallel reduction of the two-terminal
-closure.  General DAGs are accepted; the verdict is informational and is
-mirrored into batch metadata by the parser as general_dag=true.
+closure.  General DAGs are accepted; the verdict is informational.  Only
+generate_adapt_workflow mirrors it into batch metadata (general_dag); the
+workflow parser does not.
 
 ready_tasks: the release frontier given a finished set.
 

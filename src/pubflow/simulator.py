@@ -29,7 +29,7 @@ from pathlib import Path
 from random import Random
 from typing import Mapping, Optional
 
-from .actors import Broker, Checker, Coordinator, EngineConfig, Monitor, \
+from .actors import Broker, Checker, Coordinator, Monitor, SlaPolicy, \
     WorkerActor
 from .bus import CHANNEL_CATALOG, EventLog, InProcessBus
 from .errors import MalformedLog, SchemaError
@@ -66,6 +66,8 @@ class Scenario:
 
 
 def scenario_from_dict(doc: Mapping) -> Scenario:
+    """Missing keys take the Scenario and WorkerSpec defaults."""
+    base, worker = Scenario(), WorkerSpec("")
     try:
         hb = doc.get("heartbeat", {})
         workers = []
@@ -74,21 +76,23 @@ def scenario_from_dict(doc: Mapping) -> Scenario:
             workers.append(WorkerSpec(
                 worker_id=item["worker_id"],
                 capabilities=frozenset(item.get("capabilities", ())),
-                speed=float(item.get("speed", 1.0)),
-                reliability=float(item.get("reliability", 1.0)),
-                arrival=int(item.get("arrival", 0)),
+                speed=float(item.get("speed", worker.speed)),
+                reliability=float(item.get("reliability", worker.reliability)),
+                arrival=int(item.get("arrival", worker.arrival)),
                 departure=item.get("departure"),
                 crash=item.get("crash"),
-                crash_prob=float(item.get("crash_prob", 0.0)),
+                crash_prob=float(item.get("crash_prob", worker.crash_prob)),
                 stall=(int(stall[0]), int(stall[1])) if stall else None,
             ))
         return Scenario(
-            seed=int(doc.get("seed", 0)),
-            horizon=int(doc.get("horizon", 1000)),
-            heartbeat_period=int(hb.get("H", 5)),
-            timeout_multiplier=int(hb.get("k", 3)),
-            volunteer_latency=int(doc.get("volunteer_latency", 0)),
-            volunteer_jitter=int(doc.get("volunteer_jitter", 0)),
+            seed=int(doc.get("seed", base.seed)),
+            horizon=int(doc.get("horizon", base.horizon)),
+            heartbeat_period=int(hb.get("H", base.heartbeat_period)),
+            timeout_multiplier=int(hb.get("k", base.timeout_multiplier)),
+            volunteer_latency=int(doc.get("volunteer_latency",
+                                          base.volunteer_latency)),
+            volunteer_jitter=int(doc.get("volunteer_jitter",
+                                         base.volunteer_jitter)),
             workers=tuple(workers),
         )
     except (KeyError, TypeError, ValueError, IndexError) as exc:
@@ -158,16 +162,16 @@ class SimReport:
 # ------------------------------------------------------------ simulation
 
 def run_simulation(batch: WorkflowBatch, scenario: Scenario, *,
-                   config: Optional[EngineConfig] = None,
+                   sla: SlaPolicy = SlaPolicy(),
                    workspace: Optional[Workspace] = None,
                    validators: Optional[dict] = None,
                    log_path: Optional[str | Path] = None,
                    ) -> tuple[SimReport, EventLog]:
-    """Play the batch to completion, failure, or the horizon."""
-    if config is None:
-        config = EngineConfig(
-            heartbeat_period=scenario.heartbeat_period,
-            timeout_multiplier=scenario.timeout_multiplier)
+    """Play the batch to completion, failure, or the horizon.
+
+    Heartbeat timing comes from the scenario, the attempt budget from
+    each task's max_attempts, and worker selection weighs by `sla`.
+    """
     own_tmp = None
     if workspace is None:
         import tempfile
@@ -177,12 +181,10 @@ def run_simulation(batch: WorkflowBatch, scenario: Scenario, *,
         bus = InProcessBus()
         rng = Random(scenario.seed)
         broker = Broker(bus)
-        coordinator = Coordinator(bus, config,
-                                  dataset_sizes=workspace.sizes)
-        monitor = Monitor(bus, config.heartbeat_period,
-                          config.timeout_multiplier)
-        checker = Checker(bus, workspace, validators,
-                          config.max_attempts_default)
+        coordinator = Coordinator(bus, sla, dataset_sizes=workspace.sizes)
+        monitor = Monitor(bus, scenario.heartbeat_period,
+                          scenario.timeout_multiplier)
+        checker = Checker(bus, workspace, validators)
         roster = []
         for ws in sorted(scenario.workers, key=lambda w: w.worker_id):
             profile = WorkerProfile(
@@ -190,7 +192,7 @@ def run_simulation(batch: WorkflowBatch, scenario: Scenario, *,
                 speed=ws.speed, reliability=ws.reliability)
             actor = WorkerActor(
                 bus, profile, workspace,
-                heartbeat_period=config.heartbeat_period,
+                heartbeat_period=scenario.heartbeat_period,
                 volunteer_latency=scenario.volunteer_latency,
                 volunteer_jitter=scenario.volunteer_jitter,
                 rng=rng)

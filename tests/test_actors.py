@@ -10,7 +10,6 @@ from pubflow import (
     Channel,
     Checker,
     Coordinator,
-    EngineConfig,
     GuardPredicate,
     InProcessBus,
     KernelSpec,
@@ -173,10 +172,10 @@ class TestBroker:
 
 # -------------------------------------------------------------- coordinator
 
-def wire(batch, config=None):
+def wire(batch):
     """Bus with coordinator and the batch already on WaitingTasks."""
     bus = InProcessBus()
-    coord = Coordinator(bus, config or EngineConfig())
+    coord = Coordinator(bus)
     broker = Broker(bus)
     coord.adopt(batch)
     broker.submit(batch)
@@ -695,10 +694,10 @@ class TestMonitor:
 
 # ----------------------------------------------------------------- checker
 
-def checker_rig(tmp_path, validators=None, max_attempts=3):
+def checker_rig(tmp_path, validators=None):
     bus = InProcessBus()
     ws = Workspace(tmp_path)
-    chk = Checker(bus, ws, validators, max_attempts)
+    chk = Checker(bus, ws, validators)
     return bus, ws, chk
 
 

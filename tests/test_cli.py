@@ -232,7 +232,7 @@ class TestSimulate:
         assert logs["a"] == logs["b"]
         assert logs["a"] != logs["c"]
 
-    def test_config_changes_heartbeat_cadence(self, tmp_path, capsys):
+    def test_scenario_heartbeat_survives_sla_config(self, tmp_path, capsys):
         doc = {
             "schema": "pubflow/1", "batch_id": "one",
             "tasks": [{"id": "t", "kernel": {
@@ -242,18 +242,34 @@ class TestSimulate:
         wf = tmp_path / "one.json"
         wf.write_text(json.dumps(doc), "utf-8")
         scenario = scenario_file(
-            tmp_path, workers=[{"worker_id": "w1"}])
+            tmp_path, workers=[{"worker_id": "w1"}],
+            heartbeat={"H": 2, "k": 3})
         config = tmp_path / "engine.json"
-        config.write_text(json.dumps({"heartbeat": {"H": 2, "k": 3}}),
+        config.write_text(json.dumps({"sla": {"w_r": 0.5, "w_s": 0.5}}),
                           "utf-8")
-        for args, expected_beats in (((), 1), (("--config", str(config)), 4)):
+        # H=2 over a 9-tick run beats at 2, 4, 6 and 8, config or not
+        for args in ((), ("--config", str(config))):
             log = tmp_path / f"hb{len(args)}.jsonl"
             assert run_cli("simulate", str(wf), str(scenario),
                            "--log", str(log), *args) == 0
             beats = sum(1 for line in log.read_text("utf-8").splitlines()
                         if json.loads(line)["kind"] == "heartbeat")
-            assert beats == expected_beats
+            assert beats == 4
         capsys.readouterr()
+
+    @pytest.mark.parametrize("doc, named", [
+        ({"sla": {}, "heartbeat": {"H": 2}}, "'heartbeat'"),
+        ({"sla": {}, "retries": 1}, "'retries'"),
+        ({"sla": {"w_r": None}}, "NoneType"),
+    ])
+    def test_refused_config_exits_two(self, tmp_path, capsys,
+                                      chain_workflow, doc, named):
+        scenario = scenario_file(tmp_path)
+        config = tmp_path / "engine.json"
+        config.write_text(json.dumps(doc), "utf-8")
+        assert run_cli("simulate", str(chain_workflow), str(scenario),
+                       "--config", str(config)) == 2
+        assert named in capsys.readouterr().err
 
     def test_incomplete_run_exits_one(self, tmp_path, capsys,
                                       chain_workflow):

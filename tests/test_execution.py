@@ -329,15 +329,25 @@ class TestExecuteKernel:
 
     def test_shell_kernel_smoke(self, tmp_path):
         ws = Workspace(tmp_path)
-        out_name = "out.dat"  # quote("out", safe="") + ".dat" is out.dat
+        out_name = "run%2Fout.dat"  # the workspace file of id "run/out"
         spec = KernelSpec(
             name="shell",
             params={"argv": [sys.executable, "-c",
                              f"open({out_name!r}, 'wb').write(b'ok')"]},
-            outputs=("out",))
+            outputs=("run/out",))
         result = execute_kernel(spec, ws)
         assert result.exit_status == 0
-        assert ws.get("out") == b"ok"
+        assert result.outputs == {"run/out": checksum_hex(b"ok")}
+        assert ws.get("run/out") == b"ok"
+
+    def test_shell_kernel_missing_output(self, tmp_path):
+        ws = Workspace(tmp_path)
+        spec = KernelSpec(name="shell",
+                          params={"argv": [sys.executable, "-c", "pass"]},
+                          outputs=("out",))
+        result = execute_kernel(spec, ws)
+        assert result.exit_status == 1
+        assert "did not write 'out'" in result.error
 
     def test_shell_kernel_failure(self, tmp_path):
         ws = Workspace(tmp_path)

@@ -7,12 +7,12 @@ import json
 import pytest
 
 from pubflow import (
-    EngineConfig,
     KernelSpec,
     LogTally,
     MalformedLog,
     SimParams,
     Scenario,
+    SlaPolicy,
     Task,
     WorkerSpec,
     WorkflowBatch,
@@ -451,17 +451,26 @@ class TestScenarioFiles:
         with pytest.raises(SchemaError):
             scenario_from_dict({"workers": [{"speed": 2.0}]})  # no id
 
-    def test_engine_config_from_dict(self):
-        config = EngineConfig.from_dict({
-            "sla": {"w_r": 0.5, "w_s": 0.5, "s_cap": 2.0},
-            "heartbeat": {"H": 7, "k": 4},
-            "max_attempts_default": 9,
-        })
-        assert config.sla.w_r == 0.5
-        assert config.heartbeat_period == 7
-        assert config.timeout_multiplier == 4
-        assert config.max_attempts_default == 9
-        assert EngineConfig.from_dict({}) == EngineConfig()
+    def test_missing_keys_take_defaults(self):
+        assert scenario_from_dict({}) == Scenario()
+        assert scenario_from_dict({"workers": [{"worker_id": "w1"}]}) \
+            == Scenario(workers=(WorkerSpec(worker_id="w1"),))
+
+    def test_sla_policy_from_dict(self):
+        policy = SlaPolicy.from_dict(
+            {"sla": {"w_r": 0.5, "w_s": 0.5, "s_cap": 2}})
+        assert policy == SlaPolicy(w_r=0.5, w_s=0.5, s_cap=2.0)
+        assert SlaPolicy.from_dict({"sla": {"w_s": 0.1}}) \
+            == SlaPolicy(w_s=0.1)
+        assert SlaPolicy.from_dict({}) == SlaPolicy()
+        # heartbeat timing is the scenario's, the attempt budget the task's
+        for doc, named in (({"heartbeat": {"H": 7, "k": 4}}, "heartbeat"),
+                           ({"sla": {}, "retries": 9}, "retries"),
+                           ({"sla": {"w_x": 1.0}}, "sla.w_x"),
+                           ([], "must be"),
+                           ({"sla": [0.5]}, "must be")):
+            with pytest.raises(ValueError, match=named):
+                SlaPolicy.from_dict(doc)
 
 
 # ------------------------------------------------------------- log audits
