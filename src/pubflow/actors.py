@@ -27,10 +27,8 @@ extra traffic.
 
 from __future__ import annotations
 
-import json
 import logging
-from dataclasses import dataclass, fields
-from pathlib import Path
+from dataclasses import dataclass
 from random import Random
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -44,6 +42,7 @@ from .model import (
     TaskState,
     WorkerProfile,
     WorkflowBatch,
+    load,
 )
 from .workflow_io import task_from_obj, task_to_obj
 
@@ -60,27 +59,16 @@ class SlaPolicy:
     w_s: float = 0.3
     s_cap: float = 4.0
 
+    _doc_keys = {"w_r": "sla.w_r", "w_s": "sla.w_s", "s_cap": "sla.s_cap"}
+
     @classmethod
-    def from_dict(cls, doc: Mapping) -> "SlaPolicy":
+    def from_dict(cls, doc: object) -> "SlaPolicy":
         """Read an engine config, {"sla": {"w_r": .., "w_s": .., "s_cap": ..}}.
 
         Any other key is refused rather than ignored: heartbeat timing
         belongs to the scenario and the attempt budget to each task.
         """
-        sla = doc.get("sla", {}) if isinstance(doc, Mapping) else None
-        if not isinstance(sla, Mapping):
-            raise ValueError('engine config must be {"sla": {...}}')
-        names = {f.name for f in fields(cls)}
-        unknown = sorted(set(doc) - {"sla"}) \
-            + sorted(f"sla.{key}" for key in set(sla) - names)
-        if unknown:
-            raise ValueError("unknown engine config key(s): "
-                             + ", ".join(map(repr, unknown)))
-        return cls(**{key: float(value) for key, value in sla.items()})
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "SlaPolicy":
-        return cls.from_dict(json.loads(Path(path).read_text("utf-8")))
+        return load(cls, doc, "engine config")
 
 
 def sla_score(profile: WorkerProfile, policy: SlaPolicy = SlaPolicy()) -> float:
@@ -467,7 +455,7 @@ class WorkerActor:
         attempt, spec = entry
         self.running = _Job(
             task_id=tid, attempt=attempt, spec=spec, started=now,
-            remaining=float(spec["kernel"].get("duration", 1.0)))
+            remaining=float(spec["kernel"]["duration"]))
         self.bus.publish(self.id, Channel.TASKS_IN_PROGRESS, "started",
                          {"task_id": tid, "worker_id": self.id,
                           "attempt": attempt})

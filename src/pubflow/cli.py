@@ -28,10 +28,10 @@ from .errors import EngineError, MalformedLog, SchemaError, \
 from .graph import validate_structure
 from .simulator import (
     lifecycle_audit,
-    load_scenario,
     parse_log,
     precedence_audit,
     run_simulation,
+    scenario_from_dict,
 )
 from .execution import Workspace
 from .workflow_io import parse_workflow, serialize_workflow
@@ -42,18 +42,29 @@ def _read(path: str) -> str:
         return Path(path).read_text("utf-8")
     except OSError as exc:
         raise FileError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise FileError(f"cannot read {path}: not UTF-8 text ({exc})") from exc
 
 
 class FileError(Exception):
     """Unreadable or unparseable input file; maps to exit code 2."""
 
 
-def _load_workflow(path: str, fmt: str):
-    text = _read(path)
+def _load(path: str, parse):
+    """Every input file is read and parsed here; each failure exits 2."""
     try:
-        return parse_workflow(text, format=fmt)
-    except (WorkflowSyntaxError, SchemaError) as exc:
+        return parse(_read(path))
+    except (json.JSONDecodeError, WorkflowSyntaxError, SchemaError,
+            MalformedLog) as exc:
         raise FileError(f"{path}: {exc}") from exc
+
+
+def _load_workflow(path: str, fmt: str):
+    return _load(path, lambda text: parse_workflow(text, format=fmt))
+
+
+def _load_json(path: str, load):
+    return _load(path, lambda text: load(json.loads(text)))
 
 
 # ---------------------------------------------------------------- commands
@@ -83,18 +94,12 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     batch = _load_workflow(args.workflow, args.format)
-    try:
-        scenario = load_scenario(args.scenario)
-    except (OSError, json.JSONDecodeError, SchemaError) as exc:
-        raise FileError(f"{args.scenario}: {exc}") from exc
+    scenario = _load_json(args.scenario, scenario_from_dict)
     if args.seed is not None:
         scenario = dataclasses.replace(scenario, seed=args.seed)
     sla = SlaPolicy()
     if args.config:
-        try:
-            sla = SlaPolicy.from_file(args.config)
-        except (OSError, TypeError, ValueError) as exc:
-            raise FileError(f"{args.config}: {exc}") from exc
+        sla = _load_json(args.config, SlaPolicy.from_dict)
     workspace = None
     if args.workspace:
         root = Path(args.workspace)
@@ -168,11 +173,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    text = _read(args.log)
-    try:
-        records = parse_log(text)
-    except MalformedLog as exc:
-        raise FileError(f"{args.log}: {exc}") from exc
+    records = _load(args.log, parse_log)
     tally = LogTally()
     for record in records:
         tally.add(record)

@@ -7,11 +7,14 @@ treat them as values; mutation happens by building new instances
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import abc
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from enum import Enum
-from typing import Mapping, Optional
+from functools import cache
+from typing import Mapping, Optional, Union, get_args, get_origin, \
+    get_type_hints
 
-from .errors import StateError
+from .errors import SchemaError, StateError
 
 
 class TaskState(Enum):
@@ -64,6 +67,8 @@ class KernelSpec:
     inputs: tuple[str, ...] = ()
     outputs: tuple[str, ...] = ()
     declared_duration: float = 1.0
+
+    _doc_keys = {"declared_duration": "duration"}
 
     def __post_init__(self) -> None:
         if self.declared_duration <= 0:
@@ -138,6 +143,8 @@ class UnfoldRule:
     entries: frozenset[str]
     exits: frozenset[str]
     guard: GuardPredicate = GuardPredicate()
+
+    _doc_keys = {"rule_id": "id"}
 
     def __post_init__(self) -> None:
         ids = {t.id for t in self.body}
@@ -214,9 +221,99 @@ class WorkerProfile:
 
     @classmethod
     def from_payload(cls, worker_id: str, payload: Mapping) -> "WorkerProfile":
-        return cls(
-            worker_id=worker_id,
-            capabilities=frozenset(payload.get("capabilities", ())),
-            speed=float(payload.get("speed", 1.0)),
-            reliability=float(payload.get("reliability", 1.0)),
-        )
+        return cls(worker_id, frozenset(payload["capabilities"]),
+                   payload["speed"], payload["reliability"])
+
+
+# --------------------------------------------------------------- loading
+
+def load(cls, doc: object, where: str, extra: Optional[dict] = None):
+    """Build the dataclass `cls` from the JSON object `doc`, named `where`.
+
+    Keys are the field names, renamed by the class's `_doc_keys` (a dotted
+    name sits one object deep); a missing key takes the field's default.
+    Anything else raises SchemaError naming `where` and the key, except
+    that unknown top-level keys go to `extra` when it is given."""
+    keys, groups, required = _schema(cls)
+    if not isinstance(doc, dict):
+        raise _wrong(where, "an object", doc)
+    for group in groups:
+        if group in doc:
+            doc = dict(doc)
+            value = doc.pop(group)
+            if not isinstance(value, dict):
+                raise _wrong(f"{where}: {group}", "an object", value)
+            doc.update((f"{group}.{sub}", v) for sub, v in value.items())
+    args = {}
+    for key, value in doc.items():
+        if key in keys:
+            name, convert = keys[key]
+            args[name] = convert(value, where, key)
+        elif extra is None:
+            raise SchemaError(f"{where}: unknown key {key!r}")
+        else:
+            extra[key] = value
+    if missing := [key for key in required if key not in doc]:
+        raise SchemaError(f"{where}: missing key {missing[0]!r}")
+    try:
+        return cls(**args)
+    except ValueError as exc:
+        raise SchemaError(f"{where}: {exc}") from exc
+
+
+# JSON types accepted for a hint: (description, types, constructor)
+_SCALARS = {int: ("an integer", {int}, int),
+            float: ("a number", {int, float}, float),
+            str: ("a string", {str}, str),
+            abc.Mapping: ("an object", {dict}, dict)}
+
+
+@cache
+def _schema(cls) -> tuple[dict, tuple, list]:
+    """doc key -> (field name, converter), the dotted groups, required keys."""
+    hints, renames = get_type_hints(cls), getattr(cls, "_doc_keys", {})
+    keys = {renames.get(f.name, f.name): (f.name, _converter(hints[f.name]))
+            for f in fields(cls)}
+    required = sorted(renames.get(f.name, f.name) for f in fields(cls)
+                      if f.default is f.default_factory is MISSING)
+    return keys, tuple({k.split(".")[0] for k in keys if "." in k}), required
+
+
+def _converter(hint):
+    """A function (value, where, key) -> field value for one type hint; a
+    fixed-length tuple holds one type, as in tuple[int, int]."""
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is Union:  # Optional[X]
+        inner = _converter(args[0])
+        return lambda v, where, key: \
+            None if v is None else inner(v, where, key)
+    if is_dataclass(hint):
+        return lambda v, where, key: load(hint, v, f"{where}.{key}")
+    if hint is object:
+        return lambda v, where, key: v
+    if origin in (tuple, frozenset):
+        size = len(args) if origin is tuple and args[-1] is not ... else None
+        item, same = _converter(args[0]), {args[0]}
+        what = f"a list of {size}" if size else "a list"
+
+        def convert(v, where, key):
+            if not isinstance(v, list) or size not in (None, len(v)):
+                raise _wrong(f"{where}: {key}", what, v)
+            if set(map(type, v)) <= same:
+                return origin(v)
+            return origin(item(x, where, f"{key}[{i}]")
+                          for i, x in enumerate(v))
+        return convert
+    what, types, build = _SCALARS[origin or hint]
+
+    def convert(v, where, key):
+        if type(v) not in types:
+            raise _wrong(f"{where}: {key}", what, v)
+        return build(v)
+    return convert
+
+
+def _wrong(name: str, what: str, value: object) -> SchemaError:
+    got = f"a list of {len(value)}" if isinstance(value, list) \
+        else type(value).__name__
+    return SchemaError(f"{name} must be {what}, got {got}")

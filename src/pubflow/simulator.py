@@ -27,14 +27,14 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from random import Random
-from typing import Mapping, Optional
+from typing import Optional
 
 from .actors import Broker, Checker, Coordinator, Monitor, SlaPolicy, \
     WorkerActor
 from .bus import CHANNEL_CATALOG, EventLog, InProcessBus
-from .errors import MalformedLog, SchemaError
+from .errors import MalformedLog
 from .execution import Workspace
-from .model import WorkerProfile, WorkflowBatch
+from .model import WorkerProfile, WorkflowBatch, load
 
 
 # ------------------------------------------------------------- scenarios
@@ -44,7 +44,7 @@ class WorkerSpec:
     """One worker's lifecycle inside a scenario."""
 
     worker_id: str
-    capabilities: frozenset = frozenset()
+    capabilities: frozenset[str] = frozenset()
     speed: float = 1.0
     reliability: float = 1.0
     arrival: int = 0
@@ -52,6 +52,15 @@ class WorkerSpec:
     crash: Optional[int] = None       # dies at this tick
     crash_prob: float = 0.0           # per-tick seeded death chance
     stall: Optional[tuple[int, int]] = None  # frozen for (from, ticks)
+
+    def __post_init__(self) -> None:
+        self.profile()  # runs WorkerProfile's checks
+        if not 0.0 <= self.crash_prob <= 1.0:
+            raise ValueError("crash_prob must be in [0, 1]")
+
+    def profile(self) -> WorkerProfile:
+        return WorkerProfile(self.worker_id, self.capabilities, self.speed,
+                             self.reliability)
 
 
 @dataclass(frozen=True)
@@ -64,39 +73,23 @@ class Scenario:
     volunteer_jitter: int = 0
     workers: tuple[WorkerSpec, ...] = ()
 
+    _doc_keys = {"heartbeat_period": "heartbeat.H",
+                 "timeout_multiplier": "heartbeat.k"}
 
-def scenario_from_dict(doc: Mapping) -> Scenario:
-    """Missing keys take the Scenario and WorkerSpec defaults."""
-    base, worker = Scenario(), WorkerSpec("")
-    try:
-        hb = doc.get("heartbeat", {})
-        workers = []
-        for item in doc.get("workers", []):
-            stall = item.get("stall")
-            workers.append(WorkerSpec(
-                worker_id=item["worker_id"],
-                capabilities=frozenset(item.get("capabilities", ())),
-                speed=float(item.get("speed", worker.speed)),
-                reliability=float(item.get("reliability", worker.reliability)),
-                arrival=int(item.get("arrival", worker.arrival)),
-                departure=item.get("departure"),
-                crash=item.get("crash"),
-                crash_prob=float(item.get("crash_prob", worker.crash_prob)),
-                stall=(int(stall[0]), int(stall[1])) if stall else None,
-            ))
-        return Scenario(
-            seed=int(doc.get("seed", base.seed)),
-            horizon=int(doc.get("horizon", base.horizon)),
-            heartbeat_period=int(hb.get("H", base.heartbeat_period)),
-            timeout_multiplier=int(hb.get("k", base.timeout_multiplier)),
-            volunteer_latency=int(doc.get("volunteer_latency",
-                                          base.volunteer_latency)),
-            volunteer_jitter=int(doc.get("volunteer_jitter",
-                                         base.volunteer_jitter)),
-            workers=tuple(workers),
-        )
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
-        raise SchemaError(f"bad scenario document: {exc}") from exc
+    def __post_init__(self) -> None:
+        if min(self.heartbeat_period, self.timeout_multiplier) < 1:
+            raise ValueError("heartbeat.H and heartbeat.k must be >= 1")
+        if self.horizon < 0:
+            raise ValueError("horizon must be >= 0")
+        ids = [ws.worker_id for ws in self.workers]
+        for wid in ids:
+            if ids.count(wid) > 1:
+                raise ValueError(f"duplicate worker_id {wid!r}")
+
+
+def scenario_from_dict(doc: object) -> Scenario:
+    """Read a scenario document through model.load (see README)."""
+    return load(Scenario, doc, "scenario")
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
@@ -187,11 +180,8 @@ def run_simulation(batch: WorkflowBatch, scenario: Scenario, *,
         checker = Checker(bus, workspace, validators)
         roster = []
         for ws in sorted(scenario.workers, key=lambda w: w.worker_id):
-            profile = WorkerProfile(
-                worker_id=ws.worker_id, capabilities=ws.capabilities,
-                speed=ws.speed, reliability=ws.reliability)
             actor = WorkerActor(
-                bus, profile, workspace,
+                bus, ws.profile(), workspace,
                 heartbeat_period=scenario.heartbeat_period,
                 volunteer_latency=scenario.volunteer_latency,
                 volunteer_jitter=scenario.volunteer_jitter,

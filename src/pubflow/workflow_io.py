@@ -7,8 +7,10 @@ schema = "pubflow/1".
 serialize_workflow emits a canonical form: fixed key order, tasks and
 rules sorted by id, dependency and capability lists sorted.  Parsing a
 canonical document and serializing the result reproduces it byte for byte.
-Unknown fields are not dropped: they are preserved in batch metadata
-(top-level key as-is, task-level as "task:<id>:<field>").
+Tasks, kernels, rules and guards are read by model.load, so their keys,
+defaults and types are their dataclasses'.  Unknown keys of the document
+and its tasks go to batch metadata (as-is and as "task:<id>:<field>");
+kernels, rules, guards and a rule's body tasks refuse them.
 """
 
 from __future__ import annotations
@@ -18,13 +20,9 @@ import xml.etree.ElementTree as ET
 from typing import Mapping, Optional
 
 from .errors import SchemaError, WorkflowSyntaxError
-from .model import GuardPredicate, KernelSpec, Task, UnfoldRule, WorkflowBatch
+from .model import Task, UnfoldRule, WorkflowBatch, load
 
 SCHEMA_MARK = "pubflow/1"
-
-_TASK_KEYS = {"id", "kernel", "deps", "required_caps", "validator",
-              "max_attempts", "unfold_rule"}
-_KERNEL_KEYS = {"name", "params", "inputs", "outputs", "duration"}
 
 
 # ---------------------------------------------------------------- parsing
@@ -110,36 +108,11 @@ def _task_from_obj(obj: object, metadata: Optional[dict] = None) -> Task:
     tid = obj.get("id")
     if not isinstance(tid, str) or not tid:
         raise SchemaError("task missing id")
-    kernel_obj = obj.get("kernel")
-    if not isinstance(kernel_obj, dict) or "name" not in kernel_obj:
-        raise SchemaError(f"task {tid!r} missing kernel name")
-    kernel = KernelSpec(
-        name=str(kernel_obj["name"]),
-        params=dict(kernel_obj.get("params", {})),
-        inputs=tuple(kernel_obj.get("inputs", [])),
-        outputs=tuple(kernel_obj.get("outputs", [])),
-        declared_duration=float(kernel_obj.get("duration", 1.0)),
-    )
-    deps = obj.get("deps", [])
-    caps = obj.get("required_caps", [])
-    if not isinstance(deps, list) or not isinstance(caps, list):
-        raise SchemaError(f"task {tid!r}: deps/required_caps must be lists")
-    if metadata is not None:
-        for key in obj:
-            if key not in _TASK_KEYS:
-                metadata[f"task:{tid}:{key}"] = obj[key]
-    try:
-        return Task(
-            id=tid,
-            kernel=kernel,
-            deps=frozenset(deps),
-            required_caps=frozenset(caps),
-            validator=obj.get("validator"),
-            max_attempts=int(obj.get("max_attempts", 3)),
-            unfold_rule=obj.get("unfold_rule"),
-        )
-    except ValueError as exc:
-        raise SchemaError(f"task {tid!r}: {exc}") from exc
+    extra = None if metadata is None else {}
+    task = load(Task, obj, f"task {tid!r}", extra)
+    for key, value in (extra or {}).items():
+        metadata[f"task:{tid}:{key}"] = value
+    return task
 
 
 def _rule_from_obj(obj: object) -> UnfoldRule:
@@ -148,31 +121,7 @@ def _rule_from_obj(obj: object) -> UnfoldRule:
     rid = obj.get("id")
     if not isinstance(rid, str) or not rid:
         raise SchemaError("rule missing id")
-    if "head" not in obj:
-        raise SchemaError(f"rule {rid!r} missing head")
-    guard_obj = obj.get("guard", {})
-    if not isinstance(guard_obj, dict):
-        raise SchemaError(f"rule {rid!r}: guard must be an object")
-    guard = GuardPredicate(
-        min_workers=int(guard_obj.get("min_workers", 0)),
-        required_cap=guard_obj.get("required_cap"),
-        dataset_id=guard_obj.get("dataset_id"),
-        min_dataset_size=(
-            None if guard_obj.get("min_dataset_size") is None
-            else int(guard_obj["min_dataset_size"])),
-    )
-    body = tuple(_task_from_obj(entry) for entry in obj.get("body", []))
-    try:
-        return UnfoldRule(
-            rule_id=rid,
-            head=str(obj["head"]),
-            body=body,
-            entries=frozenset(obj.get("entries", [])),
-            exits=frozenset(obj.get("exits", [])),
-            guard=guard,
-        )
-    except ValueError as exc:
-        raise SchemaError(f"rule {rid!r}: {exc}") from exc
+    return load(UnfoldRule, obj, f"rule {rid!r}")
 
 
 # ----------------------------------------------------------------- XML
@@ -215,14 +164,23 @@ def _json_text(elem: ET.Element, what: str) -> object:
         raise SchemaError(f"<{what}> value is not valid JSON: {raw!r}") from exc
 
 
+def _xml_attrs(elem: ET.Element, obj: dict, attrs: Mapping) -> dict:
+    """Copy elem's present attributes into obj: attribute -> (key, type)."""
+    for attr, (key, kind) in attrs.items():
+        if (raw := elem.get(attr)) is not None:
+            try:
+                obj[key] = kind(raw)
+            except ValueError:
+                raise SchemaError(f"<{elem.tag}> attribute {attr}={raw!r} "
+                                  f"is not a valid {kind.__name__}") from None
+    return obj
+
+
 def _xml_task(elem: ET.Element) -> dict:
-    obj: dict[str, object] = {"id": elem.get("id")}
-    if elem.get("validator") is not None:
-        obj["validator"] = elem.get("validator")
-    if elem.get("max-attempts") is not None:
-        obj["max_attempts"] = int(elem.get("max-attempts"))
-    if elem.get("unfold-rule") is not None:
-        obj["unfold_rule"] = elem.get("unfold-rule")
+    obj = _xml_attrs(elem, {"id": elem.get("id")}, {
+        "validator": ("validator", str),
+        "max-attempts": ("max_attempts", int),
+        "unfold-rule": ("unfold_rule", str)})
     deps, caps = [], []
     for child in elem:
         if child.tag == "kernel":
@@ -240,13 +198,9 @@ def _xml_task(elem: ET.Element) -> dict:
                     outputs.append(k.get("ref"))
                 else:
                     raise SchemaError(f"unexpected element <{k.tag}> in <kernel>")
-            obj["kernel"] = {
-                "name": child.get("name"),
-                "params": params,
-                "inputs": inputs,
-                "outputs": outputs,
-                "duration": float(child.get("duration", "1.0")),
-            }
+            obj["kernel"] = _xml_attrs(child, {
+                "params": params, "inputs": inputs, "outputs": outputs,
+            }, {"name": ("name", str), "duration": ("duration", float)})
         elif child.tag == "dep":
             ref = child.get("ref")
             if ref is None:
@@ -274,16 +228,11 @@ def _xml_rule(elem: ET.Element) -> dict:
     }
     for child in elem:
         if child.tag == "guard":
-            guard: dict[str, object] = {}
-            if child.get("min-workers") is not None:
-                guard["min_workers"] = int(child.get("min-workers"))
-            if child.get("required-cap") is not None:
-                guard["required_cap"] = child.get("required-cap")
-            if child.get("dataset-id") is not None:
-                guard["dataset_id"] = child.get("dataset-id")
-            if child.get("min-dataset-size") is not None:
-                guard["min_dataset_size"] = int(child.get("min-dataset-size"))
-            obj["guard"] = guard
+            obj["guard"] = _xml_attrs(child, {}, {
+                "min-workers": ("min_workers", int),
+                "required-cap": ("required_cap", str),
+                "dataset-id": ("dataset_id", str),
+                "min-dataset-size": ("min_dataset_size", int)})
         elif child.tag == "entry":
             obj["entries"].append(child.get("ref"))
         elif child.tag == "exit":

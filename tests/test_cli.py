@@ -292,6 +292,121 @@ class TestSimulate:
                        "--config", str(config)) == 2
 
 
+def one_task(task=None, **kernel):
+    return {"schema": "pubflow/1", "batch_id": "b",
+            "tasks": [{"id": "a", "kernel": {"name": "noop", **kernel},
+                       **(task or {})}]}
+
+
+def guarded(**guard):
+    return {"schema": "pubflow/1", "batch_id": "b",
+            "tasks": [{"id": "a", "kernel": {"name": "solver"},
+                       "unfold_rule": "r"}],
+            "rules": [{"id": "r", "head": "solver", "guard": guard,
+                       "entries": ["x"], "exits": ["x"],
+                       "body": [{"id": "x", "kernel": {"name": "noop"}}]}]}
+
+
+def pool(**over):
+    return {"horizon": 50, "workers": [{"worker_id": "w1"}], **over}
+
+
+def worker(**over):
+    return pool(workers=[{"worker_id": "w1", **over}])
+
+
+def xml(task="", kernel="", guard='min-workers="1"'):
+    return ('<workflow schema="pubflow/1" batch_id="b">'
+            f'<task id="a" unfold-rule="r"{task}>'
+            f'<kernel name="solver"{kernel}/></task><rule id="r" head="solver">'
+            f'<guard {guard}/><entry ref="x"/><exit ref="x"/>'
+            '<body><task id="x"><kernel name="noop"/></task></body>'
+            '</rule></workflow>')
+
+
+LATIN1 = b'{"schema": "pubflow/1", "batch_id": "caf\xe9", "tasks": []}'
+
+# How each kind of input file is handed to the CLI: {bad} is the malformed
+# file, {wf} and {sc} a good workflow and scenario.
+COMMANDS = {
+    "workflow": "validate {bad}",
+    "xml": "validate --format xml {bad}",
+    "simulated": "simulate {bad} {sc}",
+    "scenario": "simulate {wf} {bad}",
+    "config": "simulate {wf} {sc} --config {bad}",
+    "audit": "audit {bad}",
+    "report": "report {bad}",
+}
+
+MALFORMED = [
+    # (case, command, document, what stderr must name besides the file)
+    ("misspelt-heartbeat", "scenario", pool(hearbeat={"H": 2}), "'hearbeat'"),
+    ("misspelt-speed", "scenario", worker(sped=3), "'sped'"),
+    ("misspelt-duration", "workflow", one_task(durration=5), "'durration'"),
+    ("capabilities-string", "scenario", worker(capabilities="gpu"),
+     "capabilities must be a list"),
+    ("heartbeat-H-zero", "scenario", pool(heartbeat={"H": 0}), "heartbeat.H"),
+    ("heartbeat-k-zero", "scenario", pool(heartbeat={"k": 0}), "heartbeat.k"),
+    ("heartbeat-list", "scenario", pool(heartbeat=[1]), "heartbeat must be"),
+    ("heartbeat-unknown", "scenario", pool(heartbeat={"h": 2}),
+     "'heartbeat.h'"),
+    ("horizon-negative", "scenario", pool(horizon=-1), "horizon"),
+    ("horizon-bool", "scenario", pool(horizon=True), "horizon must be"),
+    ("seed-string", "scenario", pool(seed="7"), "seed must be"),
+    ("root-list", "scenario", [1, 2], "scenario must be an object"),
+    ("speed-zero", "scenario", worker(speed=0), "speed"),
+    ("speed-string", "scenario", worker(speed="3"), "speed must be"),
+    ("reliability-two", "scenario", worker(reliability=2), "reliability"),
+    ("crash-prob-two", "scenario", worker(crash_prob=2), "crash_prob"),
+    ("stall-one-number", "scenario", worker(stall=[3]), "stall must be"),
+    ("duplicate-worker", "scenario",
+     pool(workers=[{"worker_id": "w1"}, {"worker_id": "w1"}]),
+     "duplicate worker_id 'w1'"),
+    ("inputs-string", "workflow", one_task(inputs="abc"), "inputs must be"),
+    ("params-list", "workflow", one_task(params=[1]), "params must be"),
+    ("duration-string", "workflow", one_task(duration="x"),
+     "duration must be"),
+    ("max-attempts-string", "workflow", one_task({"max_attempts": "3"}),
+     "max_attempts must be"),
+    ("min-workers-string", "workflow", guarded(min_workers="x"),
+     "min_workers must be"),
+    ("guard-unknown", "workflow", guarded(min_worker=2), "'min_worker'"),
+    ("xml-duration", "xml", xml(kernel=' duration="abc"'),
+     "<kernel> attribute duration"),
+    ("xml-max-attempts", "xml", xml(task=' max-attempts="x"'),
+     "<task> attribute max-attempts"),
+    ("xml-min-workers", "xml", xml(guard='min-workers="many"'),
+     "<guard> attribute min-workers"),
+    ("xml-min-dataset-size", "xml", xml(guard='min-dataset-size="big"'),
+     "<guard> attribute min-dataset-size"),
+    ("config-string", "config", {"sla": {"w_r": "0.5"}}, "sla.w_r must be"),
+    ("latin1-workflow", "workflow", LATIN1, "not UTF-8"),
+    ("latin1-simulated-workflow", "simulated", LATIN1, "not UTF-8"),
+    ("latin1-scenario", "scenario", LATIN1, "not UTF-8"),
+    ("latin1-config", "config", LATIN1, "not UTF-8"),
+    ("latin1-audit-log", "audit", LATIN1, "not UTF-8"),
+    ("latin1-report-log", "report", LATIN1, "not UTF-8"),
+]
+
+
+@pytest.mark.parametrize("command, document, named",
+                         [case[1:] for case in MALFORMED],
+                         ids=[case[0] for case in MALFORMED])
+def test_malformed_input_exits_two(tmp_path, capsys, chain_workflow,
+                                   command, document, named):
+    bad = tmp_path / "bad.input"
+    if isinstance(document, bytes):
+        bad.write_bytes(document)
+    else:
+        bad.write_text(document if isinstance(document, str)
+                       else json.dumps(document), "utf-8")
+    paths = {"bad": bad, "wf": chain_workflow, "sc": scenario_file(tmp_path)}
+    argv = [arg.format(**paths) for arg in COMMANDS[command].split()]
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and named in err, err
+
+
 class TestAuditCommand:
     def logged_run(self, tmp_path, capsys, chain_workflow):
         scenario = scenario_file(tmp_path)

@@ -4,16 +4,32 @@ document, so a documented key cannot drift away from its effect."""
 import json
 from pathlib import Path
 
-from pubflow import SlaPolicy, scenario_from_dict, scenario_to_dict
+from pubflow import SlaPolicy, parse_workflow, scenario_from_dict, \
+    scenario_to_dict
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
-def json_block(section):
-    """The first ```json block under the README heading `## <section>`."""
+def block(section, language):
+    """The first fenced block of `language` under `## <section>`."""
     text = README.read_text("utf-8")
     body = text.split(f"\n## {section}\n", 1)[1].split("\n## ", 1)[0]
-    return json.loads(body.split("```json\n", 1)[1].split("```", 1)[0])
+    return body.split(f"```{language}\n", 1)[1].split("```", 1)[0]
+
+
+def json_block(section):
+    return json.loads(block(section, "json"))
+
+
+def test_workflow_example_parses():
+    # the strict loaders refuse a documented key they do not read
+    batch = parse_workflow(block("Workflow files", "json"))
+    assert sorted(batch.tasks) == ["crunch", "prep"]
+    assert batch.tasks["crunch"].kernel.declared_duration == 2.0
+
+
+def test_python_api_example_runs():
+    exec(compile(block("Python API", "python"), str(README), "exec"), {})
 
 
 def test_scenario_example_round_trips():

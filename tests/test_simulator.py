@@ -5,11 +5,14 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pubflow import (
     KernelSpec,
     LogTally,
     MalformedLog,
+    SchemaError,
     SimParams,
     Scenario,
     SlaPolicy,
@@ -420,6 +423,30 @@ class TestReportMetrics:
 
 
 
+ticks = st.integers(min_value=0, max_value=10_000)
+unit = st.floats(min_value=0.0, max_value=1.0)
+
+
+@st.composite
+def scenarios(draw):
+    ids = draw(st.lists(st.text("wxyz0123", min_size=1, max_size=4),
+                        max_size=4, unique=True))
+    workers = tuple(WorkerSpec(
+        worker_id=wid,
+        capabilities=draw(st.frozensets(st.sampled_from(["gpu", "ssd"]))),
+        speed=draw(st.floats(min_value=0.01, max_value=64.0)),
+        reliability=draw(unit), arrival=draw(ticks),
+        departure=draw(st.none() | ticks), crash=draw(st.none() | ticks),
+        crash_prob=draw(unit), stall=draw(st.none() | st.tuples(ticks, ticks)),
+    ) for wid in ids)
+    return Scenario(
+        seed=draw(st.integers(-2**63, 2**63)), horizon=draw(ticks),
+        heartbeat_period=draw(st.integers(1, 50)),
+        timeout_multiplier=draw(st.integers(1, 9)),
+        volunteer_latency=draw(ticks), volunteer_jitter=draw(ticks),
+        workers=workers)
+
+
 class TestScenarioFiles:
     def sample(self):
         return Scenario(
@@ -447,9 +474,13 @@ class TestScenarioFiles:
         assert load_scenario(path) == self.sample()
 
     def test_bad_scenario_rejected(self):
-        from pubflow import SchemaError
         with pytest.raises(SchemaError):
             scenario_from_dict({"workers": [{"speed": 2.0}]})  # no id
+
+    @given(scenarios())
+    @settings(max_examples=60, deadline=None)
+    def test_generated_scenarios_round_trip(self, scenario):
+        assert scenario_from_dict(scenario_to_dict(scenario)) == scenario
 
     def test_missing_keys_take_defaults(self):
         assert scenario_from_dict({}) == Scenario()
@@ -469,7 +500,7 @@ class TestScenarioFiles:
                            ({"sla": {"w_x": 1.0}}, "sla.w_x"),
                            ([], "must be"),
                            ({"sla": [0.5]}, "must be")):
-            with pytest.raises(ValueError, match=named):
+            with pytest.raises(SchemaError, match=named):
                 SlaPolicy.from_dict(doc)
 
 
