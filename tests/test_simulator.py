@@ -19,6 +19,7 @@ from pubflow import (
     Task,
     WorkerSpec,
     WorkflowBatch,
+    Workspace,
     generate_adapt_workflow,
     lifecycle_audit,
     parse_log,
@@ -699,6 +700,62 @@ def offers_of(records):
     return [(r["payload"]["task_id"], r["payload"]["attempt"],
              r["payload"]["worker_id"])
             for r in records if r["kind"] == "volunteer"]
+
+
+# (case, jitter) -> sha256 of the run's log.dumps().  Any change to these
+# bytes must say which bytes changed and why.
+LOG_GOLDEN = {
+    ("adapt-unfold", 0):
+        "e17c3a61374432704b6ffeaf727846dac8be168aa55c8f750c5c552e4fa2767f",
+    ("adapt-unfold", 2):
+        "1975fdc480b39175136616b050237ea68b10cb49898794b83c4ec6e13390d8f5",
+    ("chain", 0):
+        "da26f020f8eff1542eafad7f468300566546df926c792bddc15b4511ee73b134",
+    ("chain", 2):
+        "c24bff253578ea42f3f89ed61ff995695152700b39fe06245ff409754c6a3185",
+    ("flat-crash", 0):
+        "141cbae46f16e79cc7f19bf9aeaa3f249d8547d343dbda8b531667f54eac531b",
+    ("flat-crash", 2):
+        "09686ef9c7e2c39c12e08f0915ac1d2823993a34b854d6f4b0cf9b29d7de17c5",
+    ("flat-two-stalls", 0):
+        "aee75bb5f57a0fad15ce6cfda3053dca0effc383dc03706d5afeaac820136234",
+    ("flat-two-stalls", 2):
+        "7276b1cb2578a5054d5d12b9431ad02aa304c53dd3d7a39ef96b3cddc0a4ac3e",
+}
+
+# (case, jitter) -> sha256 of the run workspace's files, see
+# workspace_digest
+WORKSPACE_GOLDEN = {
+    ("adapt-unfold", 0):
+        "944f70d0b683267afbe7237c993a0d4f84d7cdfef232950dec9e5ed9a69542b8",
+    ("adapt-unfold", 2):
+        "944f70d0b683267afbe7237c993a0d4f84d7cdfef232950dec9e5ed9a69542b8",
+}
+
+
+def workspace_digest(root):
+    """sha256 over the directory's files in name order: each file's
+    [name, size] as JSON, then its bytes."""
+    digest = hashlib.sha256()
+    for path in sorted(root.iterdir()):
+        digest.update(json.dumps([path.name, path.stat().st_size]).encode())
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
+class TestGoldenBytes:
+    @pytest.mark.parametrize("case, jitter", sorted(LOG_GOLDEN))
+    def test_log_and_workspace_match_the_golden_digests(self, tmp_path,
+                                                        case, jitter):
+        batch, scenario, _ = ASSIGNMENT_GOLDEN[case][0]()
+        scenario = dataclasses.replace(scenario, volunteer_jitter=jitter)
+        _, log = run_simulation(batch, scenario,
+                                workspace=Workspace(tmp_path))
+        text = log.dumps().encode("utf-8")
+        assert hashlib.sha256(text).hexdigest() == LOG_GOLDEN[case, jitter]
+        if (case, jitter) in WORKSPACE_GOLDEN:
+            assert workspace_digest(tmp_path) == \
+                WORKSPACE_GOLDEN[case, jitter]
 
 
 class TestVolunteerTraffic:
