@@ -61,6 +61,10 @@ class SlaPolicy:
 
     _doc_keys = {"w_r": "sla.w_r", "w_s": "sla.w_s", "s_cap": "sla.s_cap"}
 
+    def __post_init__(self) -> None:
+        if self.s_cap <= 0:
+            raise ValueError("sla.s_cap must be positive")
+
     @classmethod
     def from_dict(cls, doc: object) -> "SlaPolicy":
         """Read an engine config, {"sla": {"w_r": .., "w_s": .., "s_cap": ..}}.

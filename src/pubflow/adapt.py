@@ -350,10 +350,11 @@ def kernel_matrix(spec: KernelSpec, ws: Workspace) -> Mapping[str, bytes]:
 
 @register_kernel("mumps")
 def kernel_mumps(spec: KernelSpec, ws: Workspace) -> Mapping[str, bytes]:
-    cells, bc, _, _, _ = _read_operator(ws.get("matrix"))
+    matrix = ws.get("matrix")
+    cells, bc, _, _, _ = _read_operator(matrix)
     source = spec.params.get("source")
     q = np.zeros(cells) if source is None else np.asarray(source, dtype=float)
-    factor = factor_operator_bytes(ws.get("matrix"))
+    factor = factor_operator_bytes(matrix)
     pfield = solve_with_factor(factor, q)
     return {"pfield": encode_dataset(pfield)}
 

@@ -100,11 +100,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     sla = SlaPolicy()
     if args.config:
         sla = _load_json(args.config, SlaPolicy.from_dict)
-    workspace = None
-    if args.workspace:
-        root = Path(args.workspace)
-        root.mkdir(parents=True, exist_ok=True)
-        workspace = Workspace(root)
+    workspace = Workspace(args.workspace) if args.workspace else None
     report, _log = run_simulation(
         batch, scenario, sla=sla, workspace=workspace,
         log_path=args.log)
@@ -151,15 +147,11 @@ def cmd_generate_adapt(args: argparse.Namespace) -> int:
 
 
 def cmd_audit(args: argparse.Namespace) -> int:
-    text = _read(args.log)
+    records = _load(args.log, parse_log)
     batch = None
     if args.workflow:
         batch = _load_workflow(args.workflow, args.format)
-    try:
-        violations = precedence_audit(text, batch)
-        violations += lifecycle_audit(text)
-    except MalformedLog as exc:
-        raise FileError(f"{args.log}: {exc}") from exc
+    violations = precedence_audit(records, batch) + lifecycle_audit(records)
     if args.json:
         print(json.dumps({"ok": not violations, "violations": violations},
                          indent=2))

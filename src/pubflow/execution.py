@@ -7,7 +7,10 @@ FNV-1a over the full container bytes, rendered as 16 hex digits wherever
 they appear in JSON.
 
 The workspace is one directory per run: one data file per dataset id plus
-a JSON sidecar {dataset_id, acquisition_params, checksum, stage}.  The DLC
+a JSON sidecar {dataset_id, acquisition_params, checksum, stage}.  Records
+live in memory and each change is written through to its sidecar; a
+Workspace reads a directory's sidecars once, when it opens it, so only
+that Workspace may write them while it is open.  The DLC
 policy reacts to a transmission failure by dropping the local copy,
 removing its metadata, and reacquiring from the recorded acquisition
 parameters; a reacquired dataset must hash identically (all producers are
@@ -20,6 +23,7 @@ engine or the simulator publishes its result on the EM channel.
 
 from __future__ import annotations
 
+import json
 import os
 import struct
 import subprocess
@@ -27,7 +31,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 from typing import Callable, Mapping, Optional
-from urllib.parse import quote, unquote
+from urllib.parse import quote
 
 import numpy as np
 
@@ -104,11 +108,17 @@ def register_acquirer(name: str) -> Callable[[AcquirerFn], AcquirerFn]:
 
 
 class Workspace:
-    """Per-run dataset store backed by one directory."""
+    """Per-run dataset store: records in memory, mirrored to one directory."""
 
     def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
+        self._records: dict[str, DatasetRecord] = {}
+        for path in sorted(self.root.glob("*.meta.json")):
+            meta = json.loads(path.read_text(encoding="utf-8"))
+            self._records[meta["dataset_id"]] = DatasetRecord(
+                meta["dataset_id"], meta.get("acquisition_params", {}),
+                meta.get("checksum"), DatasetStage(meta["stage"]))
 
     def _data_path(self, dataset_id: str) -> Path:
         return self.root / (quote(dataset_id, safe="") + ".dat")
@@ -129,7 +139,6 @@ class Workspace:
         return record
 
     def _write_meta(self, record: DatasetRecord) -> None:
-        import json
         meta = {
             "dataset_id": record.dataset_id,
             "acquisition_params": record.acquisition_params,
@@ -138,19 +147,10 @@ class Workspace:
         }
         self._meta_path(record.dataset_id).write_text(
             json.dumps(meta, indent=2) + "\n", encoding="utf-8")
+        self._records[record.dataset_id] = record
 
     def record(self, dataset_id: str) -> Optional[DatasetRecord]:
-        import json
-        path = self._meta_path(dataset_id)
-        if not path.exists():
-            return None
-        meta = json.loads(path.read_text(encoding="utf-8"))
-        return DatasetRecord(
-            dataset_id=meta["dataset_id"],
-            acquisition_params=meta.get("acquisition_params", {}),
-            checksum=meta.get("checksum"),
-            stage=DatasetStage(meta["stage"]),
-        )
+        return self._records.get(dataset_id)
 
     def has_ready(self, dataset_id: str) -> bool:
         record = self.record(dataset_id)
@@ -162,18 +162,9 @@ class Workspace:
             raise MissingInput(f"dataset {dataset_id!r} is not ready")
         return self._data_path(dataset_id).read_bytes()
 
-    def size(self, dataset_id: str) -> int:
-        if not self.has_ready(dataset_id):
-            return 0
-        return self._data_path(dataset_id).stat().st_size
-
     def sizes(self) -> dict[str, int]:
-        out = {}
-        for meta in sorted(self.root.glob("*.meta.json")):
-            dataset_id = unquote(meta.name[:-len(".meta.json")])
-            if self.has_ready(dataset_id):
-                out[dataset_id] = self.size(dataset_id)
-        return out
+        return {dataset_id: self._data_path(dataset_id).stat().st_size
+                for dataset_id in self._records if self.has_ready(dataset_id)}
 
     def checksum(self, dataset_id: str) -> Optional[str]:
         record = self.record(dataset_id)
@@ -232,10 +223,6 @@ def dlc_apply(workspace: Workspace, dataset_id: str,
     """
     if event not in DLC_EVENTS:
         raise SchemaError(f"unrecognized DLC event {event!r}")
-    record = workspace.record(dataset_id)
-    if record is None or record.stage is not DatasetStage.READY:
-        raise InvalidStage(
-            f"DLC policy needs a ready dataset, {dataset_id!r} is not")
     actions = [("drop", dataset_id)]
     workspace.drop(dataset_id)
     actions.append(("remove_metadata", dataset_id))

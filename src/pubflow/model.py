@@ -7,6 +7,7 @@ treat them as values; mutation happens by building new instances
 
 from __future__ import annotations
 
+import math
 from collections import abc
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from enum import Enum
@@ -261,9 +262,10 @@ def load(cls, doc: object, where: str, extra: Optional[dict] = None):
         raise SchemaError(f"{where}: {exc}") from exc
 
 
-# JSON types accepted for a hint: (description, types, constructor)
+# JSON types accepted for a hint: (description, types, constructor); a
+# float value must also be finite (Python's json reads NaN and Infinity)
 _SCALARS = {int: ("an integer", {int}, int),
-            float: ("a number", {int, float}, float),
+            float: ("a finite number", {int, float}, float),
             str: ("a string", {str}, str),
             abc.Mapping: ("an object", {dict}, dict)}
 
@@ -307,7 +309,7 @@ def _converter(hint):
     what, types, build = _SCALARS[origin or hint]
 
     def convert(v, where, key):
-        if type(v) not in types:
+        if type(v) not in types or type(v) is float and not math.isfinite(v):
             raise _wrong(f"{where}: {key}", what, v)
         return build(v)
     return convert
@@ -315,5 +317,6 @@ def _converter(hint):
 
 def _wrong(name: str, what: str, value: object) -> SchemaError:
     got = f"a list of {len(value)}" if isinstance(value, list) \
+        else repr(value) if isinstance(value, float) \
         else type(value).__name__
     return SchemaError(f"{name} must be {what}, got {got}")

@@ -282,7 +282,14 @@ def parse_log(text: str) -> list[dict]:
     return records
 
 
-def precedence_audit(log: EventLog | str,
+def _records(log: EventLog | str | list[dict]) -> list[dict]:
+    """The audits take a log, its JSONL text, or parse_log's records."""
+    if isinstance(log, list):
+        return log
+    return parse_log(log.dumps() if isinstance(log, EventLog) else log)
+
+
+def precedence_audit(log: EventLog | str | list[dict],
                      batch: Optional[WorkflowBatch] = None) -> list[str]:
     """Check that no task started before all its dependencies were
     verified.
@@ -292,8 +299,7 @@ def precedence_audit(log: EventLog | str,
     without knowing the rules that produced them.  Returns a list of
     violation descriptions; an empty list means the order was clean.
     """
-    text = log.dumps() if isinstance(log, EventLog) else log
-    records = parse_log(text)
+    records = _records(log)
     deps: dict[str, frozenset] = {}
     ok_seq: dict[str, int] = {}
     started: list[tuple[int, str]] = []
@@ -331,7 +337,7 @@ def precedence_audit(log: EventLog | str,
     return violations
 
 
-def lifecycle_audit(log: EventLog | str) -> list[str]:
+def lifecycle_audit(log: EventLog | str | list[dict]) -> list[str]:
     """Check per-(task, attempt) message ordering and verdict uniqueness.
 
     Rules enforced:
@@ -341,8 +347,7 @@ def lifecycle_audit(log: EventLog | str) -> list[str]:
         after assignment, results after started
       * at most one ok verdict per task id
     """
-    text = log.dumps() if isinstance(log, EventLog) else log
-    records = parse_log(text)
+    records = _records(log)
     waiting: set[str] = set()
     todo: dict[tuple[str, int], int] = {}
     assigned: dict[tuple[str, int], int] = {}

@@ -356,6 +356,8 @@ MALFORMED = [
     ("root-list", "scenario", [1, 2], "scenario must be an object"),
     ("speed-zero", "scenario", worker(speed=0), "speed"),
     ("speed-string", "scenario", worker(speed="3"), "speed must be"),
+    ("speed-infinity", "scenario", worker(speed=float("inf")),
+     "speed must be a finite number"),
     ("reliability-two", "scenario", worker(reliability=2), "reliability"),
     ("crash-prob-two", "scenario", worker(crash_prob=2), "crash_prob"),
     ("stall-one-number", "scenario", worker(stall=[3]), "stall must be"),
@@ -366,6 +368,8 @@ MALFORMED = [
     ("params-list", "workflow", one_task(params=[1]), "params must be"),
     ("duration-string", "workflow", one_task(duration="x"),
      "duration must be"),
+    ("duration-nan", "workflow", one_task(duration=float("nan")),
+     "duration must be a finite number"),
     ("max-attempts-string", "workflow", one_task({"max_attempts": "3"}),
      "max_attempts must be"),
     ("min-workers-string", "workflow", guarded(min_workers="x"),
@@ -373,6 +377,8 @@ MALFORMED = [
     ("guard-unknown", "workflow", guarded(min_worker=2), "'min_worker'"),
     ("xml-duration", "xml", xml(kernel=' duration="abc"'),
      "<kernel> attribute duration"),
+    ("xml-duration-nan", "xml", xml(kernel=' duration="nan"'),
+     "duration must be a finite number"),
     ("xml-max-attempts", "xml", xml(task=' max-attempts="x"'),
      "<task> attribute max-attempts"),
     ("xml-min-workers", "xml", xml(guard='min-workers="many"'),
@@ -380,6 +386,9 @@ MALFORMED = [
     ("xml-min-dataset-size", "xml", xml(guard='min-dataset-size="big"'),
      "<guard> attribute min-dataset-size"),
     ("config-string", "config", {"sla": {"w_r": "0.5"}}, "sla.w_r must be"),
+    ("config-nan", "config", {"sla": {"w_r": float("nan")}},
+     "sla.w_r must be a finite number"),
+    ("config-s-cap-zero", "config", {"sla": {"s_cap": 0}}, "sla.s_cap"),
     ("latin1-workflow", "workflow", LATIN1, "not UTF-8"),
     ("latin1-simulated-workflow", "simulated", LATIN1, "not UTF-8"),
     ("latin1-scenario", "scenario", LATIN1, "not UTF-8"),

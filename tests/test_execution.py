@@ -117,7 +117,7 @@ class TestWorkspace:
         assert record.stage is DatasetStage.READY
         assert record.checksum == checksum_hex(b"abc")
         assert ws.get("d1") == b"abc"
-        assert ws.size("d1") == 3
+        assert ws.sizes() == {"d1": 3}
         assert ws.has_ready("d1")
 
     def test_get_missing_raises(self, tmp_path):
@@ -130,6 +130,15 @@ class TestWorkspace:
         ws.put("a", b"xx")
         ws.put("b", b"yyy")
         assert ws.sizes() == {"a": 2, "b": 3}
+
+    def test_deleted_data_file_is_not_ready(self, tmp_path):
+        ws = Workspace(tmp_path)
+        ws.put("d", b"abc")
+        (tmp_path / "d.dat").unlink()
+        assert not ws.has_ready("d")
+        assert ws.sizes() == {}
+        with pytest.raises(MissingInput):
+            ws.get("d")
 
     def test_slash_in_dataset_id_is_safe(self, tmp_path):
         ws = Workspace(tmp_path)
@@ -197,6 +206,19 @@ class TestDlcApply:
                            ("reacquire", "d")]
         assert ws.has_ready("d")
         assert ws.checksum("d") == before
+
+    def test_round_trip_on_the_on_disk_state(self, tmp_path):
+        """Put, apply the policy and read back through three Workspaces
+        opened on one directory, so every step goes through the files."""
+        register_acquirer("const-abc")(lambda: b"abc")
+        before = Workspace(tmp_path).put(
+            "d", b"abc", {"acquirer": "const-abc"}).checksum
+        dlc_apply(Workspace(tmp_path), "d", "transmission_failure")
+        reopened = Workspace(tmp_path)
+        record = reopened.record("d")
+        assert record.stage is DatasetStage.READY
+        assert record.checksum == before
+        assert reopened.get("d") == b"abc"
 
     def test_acquirer_receives_params(self, tmp_path):
         @register_acquirer("ramp")

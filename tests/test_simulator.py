@@ -534,6 +534,14 @@ class TestAudits:
         assert precedence_audit(text, batch) == []
         assert lifecycle_audit(text) == []
 
+    def test_parsed_records_audit_like_their_text(self):
+        batch, records = chain_run()
+        text = renumbered([r for r in records if r["kind"] != "started"])
+        parsed = parse_log(text)
+        assert precedence_audit(parsed, batch) == \
+            precedence_audit(text, batch)
+        assert lifecycle_audit(parsed) == lifecycle_audit(text) != []
+
     def test_truncated_line_is_malformed(self):
         _, records = chain_run()
         text = renumbered(records)[:-20]
@@ -756,6 +764,20 @@ class TestGoldenBytes:
         if (case, jitter) in WORKSPACE_GOLDEN:
             assert workspace_digest(tmp_path) == \
                 WORKSPACE_GOLDEN[case, jitter]
+
+
+def test_reopened_workspace_answers_like_the_one_that_ran(tmp_path):
+    batch, scenario, _ = _adapt_unfold()
+    ran = Workspace(tmp_path)
+    report, _ = run_simulation(batch, scenario, workspace=ran)
+    assert report.completed
+    reopened = Workspace(tmp_path)
+    assert len(ran.sizes()) > 10
+    assert reopened.sizes() == ran.sizes()
+    for dataset_id in [*ran.sizes(), "ghost"]:
+        assert reopened.record(dataset_id) == ran.record(dataset_id)
+        assert reopened.has_ready(dataset_id) == ran.has_ready(dataset_id)
+        assert reopened.checksum(dataset_id) == ran.checksum(dataset_id)
 
 
 class TestVolunteerTraffic:
