@@ -766,6 +766,178 @@ class TestGoldenBytes:
                 WORKSPACE_GOLDEN[case, jitter]
 
 
+# Runs through the tick loop's edge paths: who is stepped, when a worker
+# dies, and how long it counts as alive.
+
+def _late_arrival():
+    batch = batch_of(*[noop_task(f"t{i}", duration=6.0) for i in range(4)])
+    scenario = Scenario(seed=2, horizon=200, workers=(
+        WorkerSpec(worker_id="w1"),
+        WorkerSpec(worker_id="w2", arrival=7),
+        WorkerSpec(worker_id="w3", arrival=15, speed=2.0)))
+    return batch, scenario, None
+
+
+def _departure_not_after_arrival():
+    batch = batch_of(*[noop_task(f"t{i}", duration=5.0) for i in range(3)])
+    scenario = Scenario(seed=2, horizon=200, workers=(
+        WorkerSpec(worker_id="w1", arrival=3, departure=3, speed=3.0),
+        WorkerSpec(worker_id="w2", arrival=6, departure=2, speed=3.0),
+        WorkerSpec(worker_id="w3"),
+        WorkerSpec(worker_id="w4", arrival=4)))
+    return batch, scenario, None
+
+
+def _crash_mid_job():
+    batch = batch_of(noop_task("a", duration=10.0),
+                     noop_task("b", deps=["a"], duration=8.0))
+    scenario = Scenario(seed=3, horizon=200, heartbeat_period=2,
+                        timeout_multiplier=2, workers=(
+                            WorkerSpec(worker_id="w1", speed=2.0, crash=4),
+                            WorkerSpec(worker_id="w2"),
+                            WorkerSpec(worker_id="w3", crash=30)))
+    return batch, scenario, None
+
+
+def _crash_prob_and_departure():
+    batch = batch_of(*[noop_task(f"t{i}", duration=6.0) for i in range(6)])
+    scenario = Scenario(seed=9, horizon=400, heartbeat_period=2,
+                        timeout_multiplier=2, workers=(
+                            WorkerSpec(worker_id="w1", crash_prob=0.04,
+                                       departure=12),
+                            WorkerSpec(worker_id="w2", crash_prob=0.03,
+                                       arrival=3),
+                            WorkerSpec(worker_id="w3", crash_prob=0.02,
+                                       departure=10),
+                            WorkerSpec(worker_id="w4")))
+    return batch, scenario, None
+
+
+def _stall_over_assignment():
+    """w1 and w2 are assigned at tick 1, inside their stalls."""
+    batch = batch_of(noop_task("a", duration=4.0),
+                     noop_task("b", duration=4.0))
+    scenario = Scenario(seed=1, horizon=200, workers=(
+        WorkerSpec(worker_id="w1", speed=2.0, stall=(1, 6)),
+        WorkerSpec(worker_id="w2", stall=(1, 3)),
+        WorkerSpec(worker_id="w3", reliability=0.5)))
+    return batch, scenario, None
+
+
+def _offers_due_while_running():
+    """z is released while both workers run; offers pend past their
+    due tick until the worker is idle again."""
+    batch = batch_of(*[noop_task(f"t{i}", duration=5.0) for i in range(5)],
+                     noop_task("z", deps=["t0"], duration=3.0))
+    scenario = Scenario(seed=6, horizon=300, volunteer_latency=2, workers=(
+        WorkerSpec(worker_id="w1"), WorkerSpec(worker_id="w2", speed=2.0)))
+    return batch, scenario, None
+
+
+def _cut_by_horizon():
+    batch = batch_of(noop_task("a", duration=12.0),
+                     noop_task("b", deps=["a"], duration=12.0))
+    scenario = Scenario(seed=1, horizon=18, heartbeat_period=3,
+                        timeout_multiplier=2, workers=(
+                            WorkerSpec(worker_id="w1", crash=7),
+                            WorkerSpec(worker_id="w2", arrival=2),
+                            WorkerSpec(worker_id="w3", stall=(10, 20))))
+    return batch, scenario, None
+
+
+def _attempts_run_out():
+    batch = batch_of(noop_task("a", duration=3.0),
+                     noop_task("t", deps=["a"], duration=3.0,
+                               max_attempts=2))
+    scenario = Scenario(seed=4, horizon=200, workers=(
+        WorkerSpec(worker_id="w1"), WorkerSpec(worker_id="w2", arrival=5),
+        WorkerSpec(worker_id="w3", crash_prob=0.01)))
+    return batch, scenario, {"default": lambda s, r, w: s["id"] == "a"}
+
+
+EDGE_CASES = {
+    "late-arrival": _late_arrival,
+    "departure-not-after-arrival": _departure_not_after_arrival,
+    "crash-mid-job": _crash_mid_job,
+    "crash-prob-and-departure": _crash_prob_and_departure,
+    "stall-over-assignment": _stall_over_assignment,
+    "offers-due-while-running": _offers_due_while_running,
+    "cut-by-horizon": _cut_by_horizon,
+    "attempts-run-out": _attempts_run_out,
+}
+
+# (case, jitter) -> (sha256 of log.dumps(), sha256 of report_fields)
+EDGE_GOLDEN = {
+    ("attempts-run-out", 0): (
+        "ff20642feb6c3e41c9bb84f3f363087618e76af7a257ad0c75e4807c52733ae8",
+        "27265b1d3bae9f09e164b492b420aae20eb411f8af9ccf0164ae300f6328a2d4"),
+    ("attempts-run-out", 2): (
+        "e93c3a76c9a77881ccb9555b7b6cb8dca1b285a5e0f3c8b0e14f78ce3b9384c2",
+        "f7c7f1d9493bb32e4bcd9e774432e654a0c6887934bcc7151da50e79ad0b3a6b"),
+    ("crash-mid-job", 0): (
+        "c5567570108e99557d5a29b2c6510dba9a5d79a2aed1e9b40f08d0a976e477f9",
+        "b7333ba8782e97b3d89e8e953044f8e3a6712966cc329ed2e2a2e7e906a7e031"),
+    ("crash-mid-job", 2): (
+        "fc20a3952a1290fc7794724515e840ec93bc9d02abd6d5fb4a02ffceba37e9b3",
+        "945d151d6750e903f340f6b906a6e137c1a9da21c7a7cd05b41d7ca7440edc04"),
+    ("crash-prob-and-departure", 0): (
+        "064aa366bb980cd6094da8686c1dfd1b13fc67420fd42310ea26d26493747143",
+        "1f2c5ebd9e5caaf35f28b3505c6a8c64b51eccfbe68a93ae745fc9243633a180"),
+    ("crash-prob-and-departure", 2): (
+        "c470137ac1a53215d191b1047948ab573e212351c9751013c3c7d882447ee505",
+        "60dab176c72b7ce4ad1ea48d8025f885009905c1a8da5ed1e03858ab284e50ff"),
+    ("cut-by-horizon", 0): (
+        "6977dd7ed7cc2307f259afe1c41b99d9798306fa1e4d657e8d5c704357c6ffb8",
+        "a215e90cc7ce0a58f21358393c366c361df4284adbacfc2c0a28bd540aedb871"),
+    ("cut-by-horizon", 2): (
+        "83b0b7c35b263e1cdcdb40a97054f0df24f9cbd1c618c926f0007deb74946deb",
+        "57b58e2b5cecb036e6a31b33ee641d8f916606fc9e531cab01984260d8501b8c"),
+    ("departure-not-after-arrival", 0): (
+        "4678a57c2ab52a587e809d1d7109eafdf22897c45296caaa52461d8d203bb7e8",
+        "cfc4d8f83ed53bf645846c2e7e2418c0591469d2d3c955fad045befb92aa41de"),
+    ("departure-not-after-arrival", 2): (
+        "133f6f54618bd53595e5cfde153f9a70a142e4182623bb70a815fcee56cd55ab",
+        "cfc4d8f83ed53bf645846c2e7e2418c0591469d2d3c955fad045befb92aa41de"),
+    ("late-arrival", 0): (
+        "ecacc38dd393298345158b119bae44c85d46f6c498ebefd8f9defb76063399f3",
+        "87681b5819471fc2bad4ab2b6ca1fb6c0825f00f19764ad799c140474c8ec8aa"),
+    ("late-arrival", 2): (
+        "5866055779afaf8c542dced46c75495ef1568972425d19a5b5de6d0f62173c52",
+        "87681b5819471fc2bad4ab2b6ca1fb6c0825f00f19764ad799c140474c8ec8aa"),
+    ("offers-due-while-running", 0): (
+        "c5f39fdead6e360a65981c24df14123fb83be241d4d4abab0dbdbef647a06105",
+        "50295df6a089c1a4e2b0fe8e6720f6a69ee98b7cf772e3edd2be27255df1b29d"),
+    ("offers-due-while-running", 2): (
+        "fc5e59e681b1794ca4625d5e3b7f2fede17ae1ad13738cea4ff900c2d713b063",
+        "50295df6a089c1a4e2b0fe8e6720f6a69ee98b7cf772e3edd2be27255df1b29d"),
+    ("stall-over-assignment", 0): (
+        "eaafa21a647c59fd305b7035246724fa5003dfea0c0914b3fca910d9941b8d00",
+        "89a8490b8864db02d753776f4cdd68525aba70469f2e4011f5f1b91d55dbeaf6"),
+    ("stall-over-assignment", 2): (
+        "9e591da2e1c3e236243dcd59b59478ec93b5d50cbed61c2b43e4eebe7c499750",
+        "4973880b878a132bd0aa2f98ba46b81b1ca90b9d482e7db7c8817c5e2c521db7"),
+}
+
+
+def report_fields(report):
+    """The report fields the engine computes outside the log, as JSON."""
+    return json.dumps([report.makespan, report.tasks_total,
+                       sorted(report.per_worker_utilization.items())])
+
+
+class TestEdgeGolden:
+    @pytest.mark.parametrize("case, jitter", sorted(EDGE_GOLDEN))
+    def test_log_and_report_match_the_golden_digests(self, case, jitter):
+        batch, scenario, validators = EDGE_CASES[case]()
+        scenario = dataclasses.replace(scenario, volunteer_jitter=jitter)
+        report, log = run_simulation(batch, scenario, validators=validators)
+        digests = tuple(hashlib.sha256(text.encode("utf-8")).hexdigest()
+                        for text in (log.dumps(), report_fields(report)))
+        assert digests == EDGE_GOLDEN[case, jitter]
+        assert precedence_audit(log, batch) == []
+        assert lifecycle_audit(log) == []
+
+
 def test_reopened_workspace_answers_like_the_one_that_ran(tmp_path):
     batch, scenario, _ = _adapt_unfold()
     ran = Workspace(tmp_path)
