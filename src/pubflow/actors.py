@@ -23,11 +23,15 @@ and a re-publication with a higher attempt is a new offer.  The
 coordinator keeps each offer until the attempt is assigned and re-runs
 selection every step, so a freed worker is reconsidered without any
 extra traffic.
+
+Each actor's `wake` is the earliest tick at which its step does
+something without new mail (math.inf: never).
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from random import Random
 from typing import Callable, Mapping, Optional, Sequence
@@ -116,6 +120,10 @@ class Broker:
     def queue(self, batch: WorkflowBatch) -> None:
         self._pending = batch
 
+    @property
+    def wake(self) -> float:
+        return math.inf if self._pending is None else 0
+
     def submit(self, batch: WorkflowBatch) -> list[int]:
         """Publish every task on WaitingTasks, lexicographic id order.
 
@@ -172,6 +180,10 @@ class Coordinator:
         self.finished: set[str] = set()
         self.emergency_seq: Optional[int] = None
         self.halted = False
+
+    # The sweep and the completion check change only through mail, and a
+    # second sweep without new mail assigns nothing.
+    wake = math.inf
 
     # -- snapshots ---------------------------------------------------------
 
@@ -402,7 +414,6 @@ class WorkerActor:
         bus.register(self.id)
         bus.subscribe(self.id, Channel.TASKS_TO_DO)
         bus.subscribe(self.id, Channel.EMERGENCY)
-        self.alive = True
         self.halted = False
         self.open: dict[str, tuple[int, dict]] = {}
         self.pending: dict[str, int] = {}
@@ -416,8 +427,16 @@ class WorkerActor:
             if self.volunteer_jitter > 0 else 0
         return now + self.volunteer_latency + jitter
 
+    @property
+    def wake(self) -> float:  # each tick after its job started, or an offer
+        if self.halted:
+            return math.inf
+        if self.running is not None:
+            return self.running.started + 1
+        return min(self.pending.values(), default=math.inf)
+
     def step(self, now: int) -> None:
-        if self.halted or not self.alive:
+        if self.halted:
             return
         for env in self.bus.drain(self.id):
             if env.channel == Channel.EMERGENCY.value:
@@ -563,6 +582,12 @@ class Monitor:
         self.timeouts = 0
         self.halted = False
 
+    @property
+    def wake(self) -> float:  # when the oldest watch passes k*H ticks
+        oldest = min((w.last_seen for w in self.watch.values()),
+                     default=math.inf)
+        return oldest + self.timeout_multiplier * self.heartbeat_period + 1
+
     def step(self, now: int) -> None:
         if self.halted:
             return
@@ -661,6 +686,8 @@ class Checker:
         self.fails: dict[str, int] = {}
         self.duplicates = 0
         self.halted = False
+
+    wake = math.inf  # acts only on mail
 
     def step(self, now: int) -> None:
         if self.halted:

@@ -5,7 +5,8 @@ Every publish gets a bus-global monotonically increasing sequence number,
 so the event log is a total order of everything any actor said.  Delivery
 is pull-based: subscribers call drain() and receive, in seq order, every
 envelope published to their channels after they subscribed.  There is no
-replay for late subscribers.
+replay for late subscribers.  The bus's `mail` set names the actors with
+undrained envelopes, so a scheduler need not ask every actor.
 
 The log is line-oriented JSON, one object per envelope:
 {"seq": ..., "ts": ..., "channel": ..., "kind": ..., "sender": ..., "payload": ...}
@@ -81,6 +82,7 @@ class LogTally:
     attempts: dict[str, int] = field(default_factory=dict)  # highest per task
     makespan: int = 0                # highest ts seen
     reason: Optional[str] = None     # of the Emergency envelope, if any
+    timeouts: int = 0                # tasks the monitor republished
 
     def add(self, record: dict) -> None:
         channel, kind = record["channel"], record["kind"]
@@ -92,6 +94,8 @@ class LogTally:
             tid = payload["task_id"]
             self.attempts[tid] = max(self.attempts.get(tid, 1),
                                      payload["attempt"])
+            if record["sender"] == "monitor":  # a k*H timeout
+                self.timeouts += 1
         elif kind == "emergency":
             self.reason = payload.get("reason")
 
@@ -150,6 +154,7 @@ class InProcessBus:
         self._seq = 0
         self._queues: dict[str, deque[Envelope]] = {}
         self._subs: dict[str, list[str]] = {c: [] for c in CHANNEL_CATALOG}
+        self.mail: set[str] = set()  # actors with undrained envelopes
         self.log = EventLog()
 
     # -- registry ---------------------------------------------------------
@@ -167,6 +172,13 @@ class InProcessBus:
             self._subs[value].append(actor_id)
         return Subscription(actor_id, value)
 
+    def leave(self, actor_id: str) -> None:
+        """Unsubscribe everywhere and drop the queue, unread."""
+        for subs in self._subs.values():
+            subs[:] = [a for a in subs if a != actor_id]
+        del self._queues[actor_id]
+        self.mail.discard(actor_id)
+
     # -- traffic ----------------------------------------------------------
 
     def publish(self, sender: str, channel: str | Channel, kind: str,
@@ -183,8 +195,10 @@ class InProcessBus:
         env = Envelope(channel=value, kind=kind, seq=self._seq,
                        sender=sender, ts=self.now, payload=payload)
         self.log.append(env)  # also validates JSON-serializability
-        for actor_id in self._subs[value]:
+        subs = self._subs[value]
+        for actor_id in subs:
             self._queues[actor_id].append(env)
+        self.mail.update(subs)
         return self._seq
 
     def drain(self, actor_id: str) -> list[Envelope]:
@@ -193,6 +207,7 @@ class InProcessBus:
         queue = self._queues[actor_id]
         out = list(queue)
         queue.clear()
+        self.mail.discard(actor_id)
         return out
 
     # -- accounting -------------------------------------------------------

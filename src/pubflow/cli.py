@@ -111,6 +111,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         print(f"makespan: {report.makespan}")
         print(f"tasks: {report.tasks_total}")
         print(f"re-executions: {report.re_executions}")
+        print(f"timeouts: {report.timeouts}")
         print(f"messages: {report.messages_total}")
         for channel in sorted(report.messages_by_channel):
             print(f"  {channel}: {report.messages_by_channel[channel]}")
@@ -175,6 +176,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         "messages_by_kind": dict(sorted(tally.by_kind.items())),
         "tasks_seen": len(tally.attempts),
         "re_executions": tally.re_executions,
+        "timeouts": tally.timeouts,
         "makespan": tally.makespan,
         "completed": tally.completed,
         "failed": tally.reason == "failed",
@@ -187,6 +189,7 @@ def cmd_report(args: argparse.Namespace) -> int:
             print(f"  {channel}: {count}")
         print(f"tasks seen: {doc['tasks_seen']}")
         print(f"re-executions: {doc['re_executions']}")
+        print(f"timeouts: {doc['timeouts']}")
         print(f"makespan: {doc['makespan']}")
         print(f"completed: {'yes' if doc['completed'] else 'no'}")
     return 0

@@ -309,9 +309,13 @@ def _converter(hint):
     what, types, build = _SCALARS[origin or hint]
 
     def convert(v, where, key):
-        if type(v) not in types or type(v) is float and not math.isfinite(v):
+        try:
+            value = build(v) if type(v) in types else None
+        except OverflowError:  # an integer too large for a float
+            value = None
+        if value is None or type(value) is float and not math.isfinite(value):
             raise _wrong(f"{where}: {key}", what, v)
-        return build(v)
+        return value
     return convert
 
 

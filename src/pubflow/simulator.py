@@ -3,12 +3,18 @@
 One call to run_simulation plays a whole batch against a scenario of
 workers.  Per tick, in this exact order:
 
-  1. population events: scheduled arrivals, departures, crashes, and
-     seeded random crashes (one draw per alive at-risk worker, sorted
-     by worker id)
+  1. population events: the departures and crashes scheduled for this
+     tick (a departure at or before arrival takes effect at arrival),
+     then seeded random crashes (one draw per arrived, alive at-risk
+     worker, sorted by worker id)
   2. broker, coordinator, monitor, checker
   3. workers, sorted by worker id (skipped while not yet arrived or
      inside a stall window)
+
+An actor is stepped only when the bus holds mail for it or its `wake`
+tick (see actors.py) has come, as any other step would do nothing; a
+dead worker leaves the bus.  So a tick costs the actors with work, not
+the size of the pool.
 
 All randomness flows through a single random.Random(seed), so identical
 inputs produce byte-identical event logs; the loop ends after the tick
@@ -24,6 +30,7 @@ their queue just waits for them.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from random import Random
@@ -134,6 +141,7 @@ class SimReport:
     makespan: int
     tasks_total: int
     re_executions: int
+    timeouts: int
     messages_total: int
     messages_by_channel: dict[str, int] = field(default_factory=dict)
     per_worker_utilization: dict[str, float] = field(default_factory=dict)
@@ -144,6 +152,7 @@ class SimReport:
             "makespan": self.makespan,
             "tasks_total": self.tasks_total,
             "re_executions": self.re_executions,
+            "timeouts": self.timeouts,
             "messages_total": self.messages_total,
             "messages_by_channel": dict(sorted(
                 self.messages_by_channel.items())),
@@ -178,44 +187,58 @@ def run_simulation(batch: WorkflowBatch, scenario: Scenario, *,
         monitor = Monitor(bus, scenario.heartbeat_period,
                           scenario.timeout_multiplier)
         checker = Checker(bus, workspace, validators)
-        roster = []
+        roster = {}  # worker id -> (spec, actor), in id order
         for ws in sorted(scenario.workers, key=lambda w: w.worker_id):
-            actor = WorkerActor(
+            roster[ws.worker_id] = (ws, WorkerActor(
                 bus, ws.profile(), workspace,
                 heartbeat_period=scenario.heartbeat_period,
                 volunteer_latency=scenario.volunteer_latency,
                 volunteer_jitter=scenario.volunteer_jitter,
-                rng=rng)
-            roster.append((ws, actor))
+                rng=rng))
 
         coordinator.adopt(batch)
         broker.queue(batch)
 
-        alive_ticks: dict[str, int] = {ws.worker_id: 0 for ws, _ in roster}
+        ends: dict[int, list[str]] = {}  # tick -> workers leaving or crashing
+        for wid, (ws, _) in roster.items():
+            edges = [t for t in (ws.departure, ws.crash) if t is not None]
+            if edges:
+                ends.setdefault(max(ws.arrival, min(edges)), []).append(wid)
+        risky = [wid for wid, (ws, _) in roster.items() if ws.crash_prob > 0]
+        wake: dict[str, float] = {}  # worker -> its finite wake tick
+        died: dict[str, int] = {}
+
+        def kill(wid: str, now: int) -> None:
+            died[wid] = now
+            bus.leave(wid)
+            wake.pop(wid, None)
 
         for now in range(scenario.horizon + 1):
             bus.now = now
-            for ws, actor in roster:
-                if now < ws.arrival or not actor.alive:
-                    continue
-                if ws.departure is not None and now >= ws.departure:
-                    actor.alive = False
-                elif ws.crash is not None and now >= ws.crash:
-                    actor.alive = False
-                elif ws.crash_prob > 0.0 and rng.random() < ws.crash_prob:
-                    actor.alive = False
-            broker.step(now)
-            coordinator.step(now)
-            monitor.step(now)
-            checker.step(now)
-            for ws, actor in roster:
-                if now < ws.arrival or not actor.alive:
-                    continue
-                alive_ticks[ws.worker_id] += 1
-                if ws.stall is not None \
+            for wid in ends.pop(now, ()):
+                if wid not in died:
+                    kill(wid, now)
+            for wid in risky:
+                ws = roster[wid][0]
+                if wid not in died and now >= ws.arrival \
+                        and rng.random() < ws.crash_prob:
+                    kill(wid, now)
+            for service in (broker, coordinator, monitor, checker):
+                if service.id in bus.mail or service.wake <= now:
+                    service.step(now)
+            due = {wid for wid in bus.mail if wid in roster}
+            due.update(wid for wid, tick in wake.items() if tick <= now)
+            for wid in sorted(due):
+                ws, actor = roster[wid]
+                if now < ws.arrival or ws.stall is not None \
                         and ws.stall[0] <= now < ws.stall[0] + ws.stall[1]:
                     continue
                 actor.step(now)
+                tick = actor.wake
+                if tick < math.inf:
+                    wake[wid] = tick
+                else:
+                    wake.pop(wid, None)
             if coordinator.emergency_seq is not None:
                 break
 
@@ -223,16 +246,16 @@ def run_simulation(batch: WorkflowBatch, scenario: Scenario, *,
         # carry: the final batch, utilization, an unfinished run's horizon.
         tally = bus.log.tally
         utilization = {}
-        for ws, actor in roster:
-            span = alive_ticks[ws.worker_id]
-            utilization[ws.worker_id] = (
-                actor.executed_ticks / span if span else 0.0)
+        for wid, (ws, actor) in roster.items():
+            span = max(0, died.get(wid, now + 1) - ws.arrival)
+            utilization[wid] = actor.executed_ticks / span if span else 0.0
         report = SimReport(
             completed=tally.completed,
             makespan=tally.makespan if tally.reason is not None
             else scenario.horizon,
             tasks_total=len((coordinator.batch or batch).tasks),
             re_executions=tally.re_executions,
+            timeouts=tally.timeouts,
             messages_total=tally.messages_total,
             messages_by_channel=bus.messages_by_channel(),
             per_worker_utilization=utilization,

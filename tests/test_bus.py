@@ -114,6 +114,29 @@ class TestDelivery:
         bus.publish("b", Channel.WAITING_TASKS, "task", task_payload())
         assert bus.drain("a") == []
 
+    def test_mail_names_the_actors_with_undrained_envelopes(self):
+        bus = fresh()
+        bus.subscribe("a", Channel.TASKS_TO_DO)
+        bus.subscribe("b", Channel.WAITING_TASKS)
+        assert bus.mail == set()
+        bus.publish("a", Channel.TASKS_TO_DO, "task", task_payload())
+        assert bus.mail == {"a"}
+        bus.drain("a")
+        assert bus.mail == set()
+
+    def test_an_actor_that_leaves_gets_nothing_more(self):
+        bus = fresh()
+        for actor in ("a", "b"):
+            bus.subscribe(actor, Channel.TASKS_TO_DO)
+        bus.publish("a", Channel.TASKS_TO_DO, "task", task_payload("t1"))
+        bus.leave("a")
+        assert bus.mail == {"b"}
+        bus.publish("b", Channel.TASKS_TO_DO, "task", task_payload("t2"))
+        assert bus.mail == {"b"}
+        assert [env.seq for env in bus.drain("b")] == [1, 2]
+        with pytest.raises(UnknownActor):
+            bus.drain("a")
+
 
 class TestPayloadSchemas:
     def test_unknown_kind_rejected(self):

@@ -370,6 +370,10 @@ MALFORMED = [
      "duration must be"),
     ("duration-nan", "workflow", one_task(duration=float("nan")),
      "duration must be a finite number"),
+    ("duration-huge-int", "workflow", one_task(duration=10 ** 400),
+     "duration must be a finite number"),
+    ("speed-huge-int", "scenario", worker(speed=10 ** 400),
+     "speed must be a finite number"),
     ("max-attempts-string", "workflow", one_task({"max_attempts": "3"}),
      "max_attempts must be"),
     ("min-workers-string", "workflow", guarded(min_workers="x"),

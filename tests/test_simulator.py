@@ -29,7 +29,8 @@ from pubflow import (
     scenario_from_dict,
     scenario_to_dict,
 )
-from pubflow import cli
+from pubflow import actors, cli
+from pubflow.bus import InProcessBus
 from pubflow.simulator import load_scenario
 
 
@@ -404,7 +405,16 @@ class TestReportMetrics:
         assert use["zz-idle"] == 0.0
 
     @pytest.mark.parametrize("case", sorted(FOLD_CORPUS))
-    def test_report_equals_the_fold_of_its_written_log(self, case):
+    def test_report_equals_the_fold_of_its_written_log(self, case,
+                                                        monkeypatch):
+        monitors = []
+        init = actors.Monitor.__init__
+
+        def keep(self, *args, **kwargs):
+            monitors.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(actors.Monitor, "__init__", keep)
         inputs, reason = FOLD_CORPUS[case]
         batch, scenario, validators = inputs()
         report, log = run_simulation(batch, scenario, validators=validators)
@@ -415,6 +425,7 @@ class TestReportMetrics:
         assert tally.re_executions > 0
         assert report.completed == tally.completed
         assert report.re_executions == tally.re_executions
+        assert report.timeouts == tally.timeouts == monitors[0].timeouts
         assert report.messages_total == tally.messages_total
         assert report.messages_by_channel == tally.by_channel
         if tally.reason is not None:
@@ -422,6 +433,36 @@ class TestReportMetrics:
         else:
             assert report.makespan == scenario.horizon
 
+
+
+def test_idle_workers_are_not_stepped(monkeypatch):
+    """A worker is stepped for mail or for its own work (a running job, a
+    due offer), so steps stay within ticks plus deliveries to workers;
+    stepping every worker on every tick would make them 32 x ticks."""
+    steps, deliveries = [0], [0]
+    step, drain = actors.WorkerActor.step, InProcessBus.drain
+
+    def counting_step(self, now):
+        steps[0] += 1
+        step(self, now)
+
+    def counting_drain(self, actor_id):
+        out = drain(self, actor_id)
+        if actor_id in workers:
+            deliveries[0] += len(out)
+        return out
+
+    monkeypatch.setattr(actors.WorkerActor, "step", counting_step)
+    monkeypatch.setattr(InProcessBus, "drain", counting_drain)
+    batch = batch_of(noop_task("a", duration=20.0),
+                     noop_task("b", deps=["a"], duration=20.0),
+                     noop_task("c", deps=["b"], duration=20.0))
+    workers = {f"w{i:02d}" for i in range(32)}
+    scenario = Scenario(seed=1, horizon=500, workers=tuple(
+        WorkerSpec(worker_id=wid) for wid in sorted(workers)))
+    report, _ = run_simulation(batch, scenario)
+    assert report.completed
+    assert steps[0] <= report.makespan + 1 + deliveries[0]
 
 
 ticks = st.integers(min_value=0, max_value=10_000)
