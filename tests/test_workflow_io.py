@@ -1,5 +1,6 @@
 """Workflow file parsing: JSON, XML, canonical serialization."""
 
+import hashlib
 import json
 
 import pytest
@@ -17,6 +18,7 @@ from pubflow import (
     parse_workflow,
     serialize_workflow,
 )
+from pubflow.adapt import SimParams, generate_adapt_workflow
 
 MINIMAL = {
     "schema": "pubflow/1",
@@ -251,6 +253,16 @@ class TestSerialization:
 
     def test_output_ends_with_newline(self):
         assert serialize_workflow(self.sample()).endswith("\n")
+
+    def test_canonical_bytes_of_a_rule_free_batch(self):
+        # the canonical text of a batch without rules is pinned byte for
+        # byte: key order, sorting, indentation and number formatting
+        batch = generate_adapt_workflow(
+            4, 3, 32, SimParams(dt=1e-4, advection=1.0, diffusion=0.1,
+                                steps=3))
+        text = serialize_workflow(batch).encode("utf-8")
+        assert hashlib.sha256(text).hexdigest() == (
+            "96aaa069fc614c4acd87bcf34844a5128b37ca7b63f25079a69e58e845e952a1")
 
 
 # ------------------------------------------------- property: round trips
