@@ -86,6 +86,8 @@ from .model import (
     WorkerProfile,
     WorkflowBatch,
     check_transition,
+    dump,
+    load,
 )
 from .simulator import (
     Scenario,
@@ -98,7 +100,6 @@ from .simulator import (
     replay_check,
     run_simulation,
     scenario_from_dict,
-    scenario_to_dict,
 )
 from .workflow_io import parse_workflow, serialize_workflow
 

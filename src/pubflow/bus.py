@@ -21,7 +21,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .errors import SchemaError, UnknownActor, UnknownChannel
 
@@ -40,7 +40,8 @@ class Channel(str, Enum):
 
 CHANNEL_CATALOG = tuple(c.value for c in Channel)
 
-# Required payload fields per message kind; publish refuses anything else.
+# Required payload fields per message kind; publish refuses anything else,
+# and simulator.parse_log refuses a log record that lacks them.
 KIND_FIELDS: dict[str, frozenset[str]] = {
     "task": frozenset({"task_id", "attempt", "spec"}),
     "assignment": frozenset({"task_id", "worker_id", "attempt"}),
@@ -65,11 +66,6 @@ class Envelope:
     sender: str
     ts: int
     payload: dict
-
-
-class Subscription(NamedTuple):
-    actor: str
-    channel: str
 
 
 @dataclass
@@ -164,13 +160,12 @@ class InProcessBus:
             raise SchemaError(f"actor {actor_id!r} already registered")
         self._queues[actor_id] = deque()
 
-    def subscribe(self, actor_id: str, channel: str | Channel) -> Subscription:
+    def subscribe(self, actor_id: str, channel: str | Channel) -> None:
         if actor_id not in self._queues:
             raise UnknownActor(f"actor {actor_id!r} is not registered")
         value = _normalize_channel(channel)
         if actor_id not in self._subs[value]:
             self._subs[value].append(actor_id)
-        return Subscription(actor_id, value)
 
     def leave(self, actor_id: str) -> None:
         """Unsubscribe everywhere and drop the queue, unread."""

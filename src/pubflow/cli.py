@@ -26,6 +26,7 @@ from .bus import LogTally
 from .errors import EngineError, MalformedLog, SchemaError, \
     WorkflowSyntaxError
 from .graph import validate_structure
+from .model import dump
 from .simulator import (
     lifecycle_audit,
     parse_log,
@@ -105,7 +106,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         batch, scenario, sla=sla, workspace=workspace,
         log_path=args.log)
     if args.json:
-        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
+        print(json.dumps(dump(report), indent=2, sort_keys=True))
     else:
         print(f"completed: {'yes' if report.completed else 'no'}")
         print(f"makespan: {report.makespan}")

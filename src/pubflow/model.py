@@ -3,6 +3,11 @@
 These are plain immutable dataclasses.  All graph and engine operations
 treat them as values; mutation happens by building new instances
 (see graph.unfold), never in place.
+
+They are also the schema of every document pubflow reads or writes:
+`load` builds an instance from a JSON object and `dump` is its inverse.
+Both take a field's key from its name, renamed by the class's
+`_doc_keys`, and its JSON form from its type hint.
 """
 
 from __future__ import annotations
@@ -235,7 +240,7 @@ def load(cls, doc: object, where: str, extra: Optional[dict] = None):
     name sits one object deep); a missing key takes the field's default.
     Anything else raises SchemaError naming `where` and the key, except
     that unknown top-level keys go to `extra` when it is given."""
-    keys, groups, required = _schema(cls)
+    keys, groups, required, _ = _schema(cls)
     if not isinstance(doc, dict):
         raise _wrong(where, "an object", doc)
     for group in groups:
@@ -248,7 +253,7 @@ def load(cls, doc: object, where: str, extra: Optional[dict] = None):
     args = {}
     for key, value in doc.items():
         if key in keys:
-            name, convert = keys[key]
+            name, _, convert = keys[key]
             args[name] = convert(value, where, key)
         elif extra is None:
             raise SchemaError(f"{where}: unknown key {key!r}")
@@ -262,23 +267,71 @@ def load(cls, doc: object, where: str, extra: Optional[dict] = None):
         raise SchemaError(f"{where}: {exc}") from exc
 
 
+def dump(obj) -> dict:
+    """The JSON object for the dataclass instance `obj`; load's inverse.
+
+    Every field is written, None included, in field order: frozensets as
+    sorted lists, tuples as lists, mappings with their keys sorted and
+    dataclasses as objects.  A dotted key sits one object deep."""
+    doc: dict = {}
+    for name, group, key, encode in _schema(type(obj))[3]:
+        value = getattr(obj, name)
+        if encode is not None and value is not None:
+            value = encode(value)
+        (doc.setdefault(group, {}) if group else doc)[key] = value
+    return doc
+
+
+def key_type(cls, key: str) -> object:
+    """The type the document key `key` of `cls` holds, Optional[X] as X;
+    None for a key that `cls` does not read."""
+    hint = _schema(cls)[0].get(key, (None, None))[1]
+    return get_args(hint)[0] if get_origin(hint) is Union else hint
+
+
 # JSON types accepted for a hint: (description, types, constructor); a
 # float value must also be finite (Python's json reads NaN and Infinity)
-_SCALARS = {int: ("an integer", {int}, int),
+_SCALARS = {bool: ("a boolean", {bool}, bool),
+            int: ("an integer", {int}, int),
             float: ("a finite number", {int, float}, float),
             str: ("a string", {str}, str),
-            abc.Mapping: ("an object", {dict}, dict)}
+            abc.Mapping: ("an object", {dict}, dict),
+            dict: ("an object", {dict}, dict)}
 
 
 @cache
-def _schema(cls) -> tuple[dict, tuple, list]:
-    """doc key -> (field name, converter), the dotted groups, required keys."""
+def _schema(cls) -> tuple[dict, tuple, list, tuple]:
+    """doc key -> (field name, type hint, converter), in field order; the
+    dotted groups; the required keys; and for dump, (field name, group,
+    key, encoder) per field."""
     hints, renames = get_type_hints(cls), getattr(cls, "_doc_keys", {})
-    keys = {renames.get(f.name, f.name): (f.name, _converter(hints[f.name]))
+    keys = {renames.get(f.name, f.name):
+            (f.name, hints[f.name], _converter(hints[f.name]))
             for f in fields(cls)}
     required = sorted(renames.get(f.name, f.name) for f in fields(cls)
                       if f.default is f.default_factory is MISSING)
-    return keys, tuple({k.split(".")[0] for k in keys if "." in k}), required
+    writers = tuple((name, *key.rpartition(".")[::2], _encoder(hint))
+                    for key, (name, hint, _) in keys.items())
+    return keys, tuple({k.split(".")[0] for k in keys if "." in k}), \
+        required, writers
+
+
+def _encoder(hint):
+    """A function field value -> JSON value for one type hint, or None
+    where the value is already its JSON form."""
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is Union:  # Optional[X]; dump passes None through
+        return _encoder(args[0])
+    if is_dataclass(hint):
+        return dump
+    if origin is frozenset:
+        return sorted
+    if origin is tuple:
+        item = _encoder(args[0])
+        return list if item is None else lambda v: [item(x) for x in v]
+    if origin in (abc.Mapping, dict):
+        return lambda v: {k: v[k] for k in sorted(v)}
+    return None
 
 
 def _converter(hint):

@@ -38,7 +38,7 @@ from typing import Optional
 
 from .actors import Broker, Checker, Coordinator, Monitor, SlaPolicy, \
     WorkerActor
-from .bus import CHANNEL_CATALOG, EventLog, InProcessBus
+from .bus import CHANNEL_CATALOG, KIND_FIELDS, EventLog, InProcessBus
 from .errors import MalformedLog
 from .execution import Workspace
 from .model import WorkerProfile, WorkflowBatch, load
@@ -99,36 +99,6 @@ def scenario_from_dict(doc: object) -> Scenario:
     return load(Scenario, doc, "scenario")
 
 
-def scenario_to_dict(scenario: Scenario) -> dict:
-    workers = []
-    for ws in scenario.workers:
-        item: dict = {
-            "worker_id": ws.worker_id,
-            "capabilities": sorted(ws.capabilities),
-            "speed": ws.speed,
-            "reliability": ws.reliability,
-            "arrival": ws.arrival,
-        }
-        if ws.departure is not None:
-            item["departure"] = ws.departure
-        if ws.crash is not None:
-            item["crash"] = ws.crash
-        if ws.crash_prob:
-            item["crash_prob"] = ws.crash_prob
-        if ws.stall is not None:
-            item["stall"] = list(ws.stall)
-        workers.append(item)
-    return {
-        "seed": scenario.seed,
-        "horizon": scenario.horizon,
-        "heartbeat": {"H": scenario.heartbeat_period,
-                      "k": scenario.timeout_multiplier},
-        "volunteer_latency": scenario.volunteer_latency,
-        "volunteer_jitter": scenario.volunteer_jitter,
-        "workers": workers,
-    }
-
-
 def load_scenario(path: str | Path) -> Scenario:
     return scenario_from_dict(json.loads(Path(path).read_text("utf-8")))
 
@@ -145,20 +115,6 @@ class SimReport:
     messages_total: int
     messages_by_channel: dict[str, int] = field(default_factory=dict)
     per_worker_utilization: dict[str, float] = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "completed": self.completed,
-            "makespan": self.makespan,
-            "tasks_total": self.tasks_total,
-            "re_executions": self.re_executions,
-            "timeouts": self.timeouts,
-            "messages_total": self.messages_total,
-            "messages_by_channel": dict(sorted(
-                self.messages_by_channel.items())),
-            "per_worker_utilization": dict(sorted(
-                self.per_worker_utilization.items())),
-        }
 
 
 # ------------------------------------------------------------ simulation
@@ -279,7 +235,8 @@ _RECORD_KEYS = ("seq", "ts", "channel", "kind", "sender", "payload")
 
 
 def parse_log(text: str) -> list[dict]:
-    """Parse a JSONL event log, checking shape and seq continuity."""
+    """Parse a JSONL event log, checking each record's shape, its kind's
+    payload fields (bus.KIND_FIELDS) and seq continuity."""
     records = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
@@ -296,6 +253,16 @@ def parse_log(text: str) -> list[dict]:
         if record["channel"] not in CHANNEL_CATALOG:
             raise MalformedLog(
                 f"line {lineno}: unknown channel {record['channel']!r}")
+        kind, payload = record["kind"], record["payload"]
+        required = KIND_FIELDS.get(kind) if type(kind) is str else None
+        if required is None:
+            raise MalformedLog(f"line {lineno}: unknown kind {kind!r}")
+        if type(payload) is not dict:
+            raise MalformedLog(
+                f"line {lineno}: {kind} payload must be an object")
+        if not payload.keys() >= required:
+            raise MalformedLog(f"line {lineno}: {kind} payload missing "
+                               f"{sorted(required - payload.keys())}")
         records.append(record)
     for index, record in enumerate(records, start=1):
         if record["seq"] != index:

@@ -4,13 +4,16 @@ JSON is the canonical on-disk form; XML is accepted as an alternate input
 syntax mapping onto the same schema.  Every document must carry
 schema = "pubflow/1".
 
-serialize_workflow emits a canonical form: fixed key order, tasks and
+Tasks, kernels, rules and guards are read by model.load and written by
+model.dump, so their keys, defaults and types are their dataclasses'.
+Unknown keys of the document and its tasks go to batch metadata (as-is
+and as "task:<id>:<key>"); kernels, rules, guards and a rule's body
+tasks refuse them.  An XML attribute is the JSON key with '-' for '_',
+and its element then goes through the same loader.
+
+serialize_workflow emits a canonical form: keys in field order, tasks and
 rules sorted by id, dependency and capability lists sorted.  Parsing a
 canonical document and serializing the result reproduces it byte for byte.
-Tasks, kernels, rules and guards are read by model.load, so their keys,
-defaults and types are their dataclasses'.  Unknown keys of the document
-and its tasks go to batch metadata (as-is and as "task:<id>:<field>");
-kernels, rules, guards and a rule's body tasks refuse them.
 """
 
 from __future__ import annotations
@@ -20,7 +23,8 @@ import xml.etree.ElementTree as ET
 from typing import Mapping, Optional
 
 from .errors import SchemaError, WorkflowSyntaxError
-from .model import Task, UnfoldRule, WorkflowBatch, load
+from .model import GuardPredicate, KernelSpec, Task, UnfoldRule, \
+    WorkflowBatch, dump, key_type, load
 
 SCHEMA_MARK = "pubflow/1"
 
@@ -71,23 +75,8 @@ def _build_batch(doc: Mapping) -> WorkflowBatch:
         if key not in {"schema", "batch_id", "metadata", "tasks", "rules"}:
             metadata[key] = doc[key]
 
-    raw_tasks = doc.get("tasks")
-    if not isinstance(raw_tasks, list):
-        raise SchemaError("tasks missing or not a list")
-    tasks: dict[str, Task] = {}
-    for entry in raw_tasks:
-        task = _task_from_obj(entry, metadata)
-        if task.id in tasks:
-            raise SchemaError(f"duplicate task id {task.id!r}")
-        tasks[task.id] = task
-
-    rules: dict[str, UnfoldRule] = {}
-    for entry in doc.get("rules", []):
-        rule = _rule_from_obj(entry)
-        if rule.rule_id in rules:
-            raise SchemaError(f"duplicate rule id {rule.rule_id!r}")
-        rules[rule.rule_id] = rule
-
+    tasks = _by_id(Task, "task", doc.get("tasks"), metadata)
+    rules = _by_id(UnfoldRule, "rule", doc.get("rules", []))
     for task in tasks.values():
         for dep in sorted(task.deps):
             if dep not in tasks:
@@ -102,26 +91,26 @@ def _build_batch(doc: Mapping) -> WorkflowBatch:
                          metadata=metadata)
 
 
-def _task_from_obj(obj: object, metadata: Optional[dict] = None) -> Task:
-    if not isinstance(obj, dict):
-        raise SchemaError("task entry must be an object")
-    tid = obj.get("id")
-    if not isinstance(tid, str) or not tid:
-        raise SchemaError("task missing id")
-    extra = None if metadata is None else {}
-    task = load(Task, obj, f"task {tid!r}", extra)
-    for key, value in (extra or {}).items():
-        metadata[f"task:{tid}:{key}"] = value
-    return task
-
-
-def _rule_from_obj(obj: object) -> UnfoldRule:
-    if not isinstance(obj, dict):
-        raise SchemaError("rule entry must be an object")
-    rid = obj.get("id")
-    if not isinstance(rid, str) or not rid:
-        raise SchemaError("rule missing id")
-    return load(UnfoldRule, obj, f"rule {rid!r}")
+def _by_id(cls: type, what: str, entries: object,
+           metadata: Optional[dict] = None) -> dict:
+    """A document's list of tasks or rules as an id -> object map; with
+    `metadata`, an entry's unknown keys go there as "<what>:<id>:<key>"."""
+    if not isinstance(entries, list):
+        raise SchemaError(f"{what}s missing or not a list")
+    out = {}
+    for obj in entries:
+        if not isinstance(obj, dict):
+            raise SchemaError(f"{what} entry must be an object")
+        oid = obj.get("id")
+        if not isinstance(oid, str) or not oid:
+            raise SchemaError(f"{what} missing id")
+        if oid in out:
+            raise SchemaError(f"duplicate {what} id {oid!r}")
+        extra = None if metadata is None else {}
+        out[oid] = load(cls, obj, f"{what} {oid!r}", extra)
+        if extra:
+            metadata.update((f"{what}:{oid}:{k}", v) for k, v in extra.items())
+    return out
 
 
 # ----------------------------------------------------------------- XML
@@ -134,157 +123,119 @@ def _parse_xml(text: str) -> WorkflowBatch:
     if root.tag != "workflow":
         raise SchemaError(f"root element must be <workflow>, got <{root.tag}>")
 
-    doc: dict[str, object] = {
-        "schema": root.get("schema"),
-        "batch_id": root.get("batch_id"),
-        "metadata": {},
-        "tasks": [],
-        "rules": [],
-    }
+    doc = _xml_attrs(root, WorkflowBatch)
+    doc.update(metadata={}, tasks=[], rules=[])
     for child in root:
         if child.tag == "meta":
-            key = child.get("key")
-            if key is None:
-                raise SchemaError("<meta> element missing key attribute")
-            doc["metadata"][key] = _json_text(child, "meta")
+            doc["metadata"][_xml_get(child, "key")] = _json_text(child)
         elif child.tag == "task":
             doc["tasks"].append(_xml_task(child))
         elif child.tag == "rule":
             doc["rules"].append(_xml_rule(child))
         else:
-            raise SchemaError(f"unexpected element <{child.tag}> in <workflow>")
+            raise _unexpected(child, root)
     return _build_batch(doc)
 
 
-def _json_text(elem: ET.Element, what: str) -> object:
+def _xml_attrs(elem: ET.Element, cls: type) -> dict:
+    """elem's attributes as the JSON keys of `cls`, '-' read as '_'.  The
+    text of an int or float key is converted; a key that holds a list,
+    an object or a map comes from child elements, never an attribute."""
+    obj: dict[str, object] = {}
+    for attr, raw in elem.attrib.items():
+        key = attr.replace("-", "_")
+        kind = key_type(cls, key)
+        if kind in (int, float):
+            try:
+                raw = kind(raw)
+            except ValueError:
+                raise SchemaError(f"<{elem.tag}> attribute {attr}={raw!r} "
+                                  f"is not a valid {kind.__name__}") from None
+        elif kind not in (None, str):
+            raise SchemaError(f"<{elem.tag}> attribute {attr} is not "
+                              f"allowed: child elements give {key}")
+        obj[key] = raw
+    return obj
+
+
+def _xml_get(elem: ET.Element, attr: str) -> str:
+    value = elem.get(attr)
+    if value is None:
+        raise SchemaError(f"<{elem.tag}> element missing {attr}")
+    return value
+
+
+def _json_text(elem: ET.Element) -> object:
     raw = elem.text if elem.text is not None else "null"
     try:
         return json.loads(raw)
     except json.JSONDecodeError as exc:
-        raise SchemaError(f"<{what}> value is not valid JSON: {raw!r}") from exc
+        raise SchemaError(
+            f"<{elem.tag}> value is not valid JSON: {raw!r}") from exc
 
 
-def _xml_attrs(elem: ET.Element, obj: dict, attrs: Mapping) -> dict:
-    """Copy elem's present attributes into obj: attribute -> (key, type)."""
-    for attr, (key, kind) in attrs.items():
-        if (raw := elem.get(attr)) is not None:
-            try:
-                obj[key] = kind(raw)
-            except ValueError:
-                raise SchemaError(f"<{elem.tag}> attribute {attr}={raw!r} "
-                                  f"is not a valid {kind.__name__}") from None
-    return obj
+def _unexpected(child: ET.Element, parent: ET.Element) -> SchemaError:
+    return SchemaError(f"unexpected element <{child.tag}> in <{parent.tag}>")
 
 
 def _xml_task(elem: ET.Element) -> dict:
-    obj = _xml_attrs(elem, {"id": elem.get("id")}, {
-        "validator": ("validator", str),
-        "max-attempts": ("max_attempts", int),
-        "unfold-rule": ("unfold_rule", str)})
-    deps, caps = [], []
+    obj = _xml_attrs(elem, Task)
     for child in elem:
         if child.tag == "kernel":
-            params = {}
-            inputs, outputs = [], []
-            for k in child:
-                if k.tag == "param":
-                    key = k.get("key")
-                    if key is None:
-                        raise SchemaError("<param> element missing key")
-                    params[key] = _json_text(k, "param")
-                elif k.tag == "input":
-                    inputs.append(k.get("ref"))
-                elif k.tag == "output":
-                    outputs.append(k.get("ref"))
-                else:
-                    raise SchemaError(f"unexpected element <{k.tag}> in <kernel>")
-            obj["kernel"] = _xml_attrs(child, {
-                "params": params, "inputs": inputs, "outputs": outputs,
-            }, {"name": ("name", str), "duration": ("duration", float)})
+            obj["kernel"] = _xml_kernel(child)
         elif child.tag == "dep":
-            ref = child.get("ref")
-            if ref is None:
-                raise SchemaError("<dep> element missing ref")
-            deps.append(ref)
+            obj.setdefault("deps", []).append(_xml_get(child, "ref"))
         elif child.tag == "cap":
-            tag = child.get("tag")
-            if tag is None:
-                raise SchemaError("<cap> element missing tag")
-            caps.append(tag)
+            obj.setdefault("required_caps", []).append(_xml_get(child, "tag"))
         else:
-            raise SchemaError(f"unexpected element <{child.tag}> in <task>")
-    obj["deps"] = deps
-    obj["required_caps"] = caps
+            raise _unexpected(child, elem)
+    return obj
+
+
+def _xml_kernel(elem: ET.Element) -> dict:
+    obj = _xml_attrs(elem, KernelSpec)
+    for child in elem:
+        if child.tag == "param":
+            obj.setdefault("params", {})[_xml_get(child, "key")] = \
+                _json_text(child)
+        elif child.tag == "input":
+            obj.setdefault("inputs", []).append(_xml_get(child, "ref"))
+        elif child.tag == "output":
+            obj.setdefault("outputs", []).append(_xml_get(child, "ref"))
+        else:
+            raise _unexpected(child, elem)
     return obj
 
 
 def _xml_rule(elem: ET.Element) -> dict:
-    obj: dict[str, object] = {
-        "id": elem.get("id"),
-        "head": elem.get("head"),
-        "entries": [],
-        "exits": [],
-        "body": [],
-    }
+    obj = _xml_attrs(elem, UnfoldRule)
     for child in elem:
         if child.tag == "guard":
-            obj["guard"] = _xml_attrs(child, {}, {
-                "min-workers": ("min_workers", int),
-                "required-cap": ("required_cap", str),
-                "dataset-id": ("dataset_id", str),
-                "min-dataset-size": ("min_dataset_size", int)})
+            if len(child):
+                raise _unexpected(child[0], child)
+            obj["guard"] = _xml_attrs(child, GuardPredicate)
         elif child.tag == "entry":
-            obj["entries"].append(child.get("ref"))
+            obj.setdefault("entries", []).append(_xml_get(child, "ref"))
         elif child.tag == "exit":
-            obj["exits"].append(child.get("ref"))
+            obj.setdefault("exits", []).append(_xml_get(child, "ref"))
         elif child.tag == "body":
-            obj["body"] = [_xml_task(t) for t in child if t.tag == "task"]
+            if stray := [task for task in child if task.tag != "task"]:
+                raise _unexpected(stray[0], child)
+            obj["body"] = [_xml_task(task) for task in child]
         else:
-            raise SchemaError(f"unexpected element <{child.tag}> in <rule>")
+            raise _unexpected(child, elem)
     return obj
 
 
 # ------------------------------------------------------------- serializing
 
-def task_to_obj(task: Task) -> dict:
-    """Canonical JSON object for one task (also the bus payload form)."""
-    return {
-        "id": task.id,
-        "kernel": {
-            "name": task.kernel.name,
-            "params": {k: task.kernel.params[k]
-                       for k in sorted(task.kernel.params)},
-            "inputs": list(task.kernel.inputs),
-            "outputs": list(task.kernel.outputs),
-            "duration": task.kernel.declared_duration,
-        },
-        "deps": sorted(task.deps),
-        "required_caps": sorted(task.required_caps),
-        "validator": task.validator,
-        "max_attempts": task.max_attempts,
-        "unfold_rule": task.unfold_rule,
-    }
+# The canonical JSON object for one task, which is also its bus payload.
+task_to_obj = dump
 
 
 def task_from_obj(obj: Mapping) -> Task:
     """Inverse of task_to_obj; used when decoding bus payloads."""
-    return _task_from_obj(dict(obj))
-
-
-def _rule_to_obj(rule: UnfoldRule) -> dict:
-    return {
-        "id": rule.rule_id,
-        "head": rule.head,
-        "guard": {
-            "min_workers": rule.guard.min_workers,
-            "required_cap": rule.guard.required_cap,
-            "dataset_id": rule.guard.dataset_id,
-            "min_dataset_size": rule.guard.min_dataset_size,
-        },
-        "entries": sorted(rule.entries),
-        "exits": sorted(rule.exits),
-        "body": [task_to_obj(t) for t in rule.body],
-    }
+    return load(Task, obj, f"task {obj.get('id')!r}")
 
 
 def serialize_workflow(batch: WorkflowBatch) -> str:
@@ -293,7 +244,7 @@ def serialize_workflow(batch: WorkflowBatch) -> str:
         "schema": SCHEMA_MARK,
         "batch_id": batch.batch_id,
         "metadata": {k: batch.metadata[k] for k in sorted(batch.metadata)},
-        "tasks": [task_to_obj(batch.tasks[tid]) for tid in sorted(batch.tasks)],
-        "rules": [_rule_to_obj(batch.rules[rid]) for rid in sorted(batch.rules)],
+        "tasks": [dump(batch.tasks[tid]) for tid in sorted(batch.tasks)],
+        "rules": [dump(batch.rules[rid]) for rid in sorted(batch.rules)],
     }
     return json.dumps(doc, indent=2) + "\n"

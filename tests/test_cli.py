@@ -315,13 +315,19 @@ def worker(**over):
     return pool(workers=[{"worker_id": "w1", **over}])
 
 
-def xml(task="", kernel="", guard='min-workers="1"'):
+def xml(task="", kernel="", guard='min-workers="1"', rule="",
+        body='<task id="x"><kernel name="noop"/></task>'):
     return ('<workflow schema="pubflow/1" batch_id="b">'
             f'<task id="a" unfold-rule="r"{task}>'
-            f'<kernel name="solver"{kernel}/></task><rule id="r" head="solver">'
+            f'<kernel name="solver"{kernel}/></task>'
+            f'<rule id="r" head="solver"{rule}>'
             f'<guard {guard}/><entry ref="x"/><exit ref="x"/>'
-            '<body><task id="x"><kernel name="noop"/></task></body>'
-            '</rule></workflow>')
+            f'<body>{body}</body></rule></workflow>')
+
+
+# One log record whose payload lacks every field its kind requires.
+SHORT_PAYLOAD = ('{"seq":1,"ts":0,"channel":"TasksToDo","kind":"task",'
+                 '"sender":"a","payload":{}}\n')
 
 
 LATIN1 = b'{"schema": "pubflow/1", "batch_id": "caf\xe9", "tasks": []}'
@@ -389,6 +395,20 @@ MALFORMED = [
      "<guard> attribute min-workers"),
     ("xml-min-dataset-size", "xml", xml(guard='min-dataset-size="big"'),
      "<guard> attribute min-dataset-size"),
+    ("xml-kernel-unknown", "xml", xml(kernel=' duraton="5"'),
+     "kernel: unknown key 'duraton'"),
+    ("xml-guard-unknown", "xml", xml(guard='min-wrkers="2"'),
+     "guard: unknown key 'min_wrkers'"),
+    ("xml-rule-unknown", "xml", xml(rule=' priority="2"'),
+     "rule 'r': unknown key 'priority'"),
+    ("xml-body-task-unknown", "xml",
+     xml(body='<task id="x" priority="2"><kernel name="noop"/></task>'),
+     "body[0]: unknown key 'priority'"),
+    ("xml-body-stray-element", "xml",
+     xml(body='<task id="x"><kernel name="noop"/></task><tsak/>'),
+     "unexpected element <tsak> in <body>"),
+    ("xml-child-key-attribute", "xml", xml(task=' deps="b"'),
+     "<task> attribute deps"),
     ("config-string", "config", {"sla": {"w_r": "0.5"}}, "sla.w_r must be"),
     ("config-nan", "config", {"sla": {"w_r": float("nan")}},
      "sla.w_r must be a finite number"),
@@ -399,6 +419,15 @@ MALFORMED = [
     ("latin1-config", "config", LATIN1, "not UTF-8"),
     ("latin1-audit-log", "audit", LATIN1, "not UTF-8"),
     ("latin1-report-log", "report", LATIN1, "not UTF-8"),
+    ("audit-short-payload", "audit", SHORT_PAYLOAD,
+     "line 1: task payload missing ['attempt', 'spec', 'task_id']"),
+    ("report-short-payload", "report", SHORT_PAYLOAD,
+     "line 1: task payload missing ['attempt', 'spec', 'task_id']"),
+    ("report-unknown-kind", "report",
+     SHORT_PAYLOAD.replace('"task"', '"gossip"'),
+     "line 1: unknown kind 'gossip'"),
+    ("audit-payload-list", "audit",
+     SHORT_PAYLOAD.replace('{}', '[]'), "line 1: task payload must be"),
 ]
 
 

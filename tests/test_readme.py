@@ -4,8 +4,7 @@ document, so a documented key cannot drift away from its effect."""
 import json
 from pathlib import Path
 
-from pubflow import SlaPolicy, parse_workflow, scenario_from_dict, \
-    scenario_to_dict
+from pubflow import SlaPolicy, dump, parse_workflow, scenario_from_dict
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -28,6 +27,11 @@ def test_workflow_example_parses():
     assert batch.tasks["crunch"].kernel.declared_duration == 2.0
 
 
+def test_workflow_xml_example_is_the_json_example():
+    assert parse_workflow(block("Workflow files", "xml"), format="xml") \
+        == parse_workflow(block("Workflow files", "json"))
+
+
 def test_python_api_example_runs():
     exec(compile(block("Python API", "python"), str(README), "exec"), {})
 
@@ -35,7 +39,7 @@ def test_python_api_example_runs():
 def test_scenario_example_round_trips():
     # a key the loader ignored would be missing from the round trip
     doc = json_block("Scenarios")
-    assert scenario_to_dict(scenario_from_dict(doc)) == doc
+    assert dump(scenario_from_dict(doc)) == doc
 
 
 def test_engine_configuration_example_is_the_default():

@@ -4,7 +4,7 @@ import hashlib
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pubflow import (
@@ -15,6 +15,8 @@ from pubflow import (
     UnfoldRule,
     WorkflowBatch,
     WorkflowSyntaxError,
+    dump,
+    load,
     parse_workflow,
     serialize_workflow,
 )
@@ -145,7 +147,7 @@ class TestJsonParsing:
 
 
 XML_DOC = """
-<workflow schema="pubflow/1" batch_id="demo">
+<workflow schema="pubflow/1" batch_id="demo" owner="ana">
   <meta key="note">"hello"</meta>
   <task id="a">
     <kernel name="noop" duration="2.0">
@@ -153,7 +155,7 @@ XML_DOC = """
       <output ref="d"/>
     </kernel>
   </task>
-  <task id="b" validator="default" max-attempts="2">
+  <task id="b" validator="default" max-attempts="2" queue-hint="fast">
     <kernel name="noop">
       <input ref="d"/>
     </kernel>
@@ -167,20 +169,24 @@ JSON_DOC = json.dumps({
     "schema": "pubflow/1",
     "batch_id": "demo",
     "metadata": {"note": "hello"},
+    "owner": "ana",
     "tasks": [
         {"id": "a", "kernel": {"name": "noop", "params": {"n": 3},
                                "outputs": ["d"], "duration": 2.0}},
         {"id": "b", "kernel": {"name": "noop", "inputs": ["d"]},
          "deps": ["a"], "required_caps": ["gpu"],
-         "validator": "default", "max_attempts": 2},
+         "validator": "default", "max_attempts": 2, "queue_hint": "fast"},
     ],
 })
 
 
 class TestXmlParsing:
     def test_xml_equals_json(self):
-        assert parse_workflow(XML_DOC, format="xml") == \
-            parse_workflow(JSON_DOC)
+        batch = parse_workflow(XML_DOC, format="xml")
+        assert batch == parse_workflow(JSON_DOC)
+        # unknown attributes land where the same JSON keys do
+        assert batch.metadata == {"note": "hello", "owner": "ana",
+                                  "task:b:queue_hint": "fast"}
 
     def test_invalid_xml_raises_syntax_error(self):
         with pytest.raises(WorkflowSyntaxError):
@@ -303,7 +309,38 @@ def batches(draw):
     return WorkflowBatch(batch_id=draw(ident), tasks=tasks)
 
 
+def example_batch():
+    """Hand-picked values: nested params, every optional field set, and
+    a rule whose body has an edge and whose guard sets every field."""
+    rule = UnfoldRule(
+        rule_id="split", head="solver",
+        body=(Task(id="f", kernel=KernelSpec(name="factorize",
+                                             outputs=("lu",))),
+              Task(id="s", kernel=KernelSpec(name="solve", inputs=("lu",)),
+                   deps=frozenset({"f"}), max_attempts=5)),
+        entries=frozenset({"f"}), exits=frozenset({"s"}),
+        guard=GuardPredicate(min_workers=2, required_cap="gpu",
+                             dataset_id="matrix", min_dataset_size=64))
+    tasks = {
+        "prep": Task(id="prep", kernel=KernelSpec(
+            name="init", params={"grid": {"nx": 4, "h": [0.5, 0.25]},
+                                 "bc": None, "tag": "x"},
+            outputs=("matrix",), declared_duration=0.5)),
+        "big": Task(id="big", kernel=KernelSpec(name="solver",
+                                                inputs=("matrix",)),
+                    deps=frozenset({"prep"}),
+                    required_caps=frozenset({"gpu", "ssd"}),
+                    validator="default", max_attempts=1,
+                    unfold_rule="split"),
+    }
+    return WorkflowBatch(batch_id="examples", tasks=tasks,
+                         rules={"split": rule})
+
+
 @given(batches())
+@example(example_batch())
 @settings(max_examples=40, deadline=None)
 def test_parse_serialize_round_trip(batch):
     assert parse_workflow(serialize_workflow(batch)) == batch
+    for value in [*batch.tasks.values(), *batch.rules.values()]:
+        assert load(type(value), dump(value), "value") == value
