@@ -6,7 +6,9 @@ actor's state.  One batch flows like this:
   broker       publishes every task on WaitingTasks, in id order
   coordinator  releases dependency-satisfied tasks to TasksToDo, collects
                volunteers, assigns the best-scoring one per task attempt,
-               and declares the batch finished on Emergency
+               and declares the batch finished on Emergency; an ok verdict
+               releases only the finished task's dependents, and every
+               task row change passes model.check_transition
   workers      volunteer for open tasks they are capable of, execute
                assignments, heartbeat while running, and push results to
                TasksToCheck
@@ -39,6 +41,7 @@ from typing import Callable, Mapping, Optional, Sequence
 from .bus import Channel, Envelope, InProcessBus
 from .errors import GuardFailed, ValidationError
 from .execution import Workspace, execute_kernel
+# ready_tasks is not called here; perfbench's tracer patches it by name
 from .graph import ready_tasks, unfold, validate_structure
 from .model import (
     ResourceSnapshot,
@@ -46,6 +49,7 @@ from .model import (
     TaskState,
     WorkerProfile,
     WorkflowBatch,
+    check_transition,
     load,
 )
 from .workflow_io import task_from_obj, task_to_obj
@@ -176,9 +180,7 @@ class Coordinator:
         self.assignments: dict[str, str] = {}   # task -> worker
         self.busy: dict[str, str] = {}          # worker -> task
         self.todo: set[str] = set()             # unassigned ToDo tasks
-        self.released: set[str] = set()
         self.finished: set[str] = set()
-        self.emergency_seq: Optional[int] = None
         self.halted = False
 
     # The sweep and the completion check change only through mail, and a
@@ -231,7 +233,7 @@ class Coordinator:
         if tid not in self.batch.tasks:
             log.warning("unknown task %s on WaitingTasks", tid)
             return
-        self.status[tid] = (TaskState.WAITING, 1)
+        self._move(tid, TaskState.WAITING, 1)
         if self.batch.tasks[tid].deps <= self.finished:
             self._release(tid)
 
@@ -242,40 +244,55 @@ class Coordinator:
     def _release(self, tid: str) -> None:
         """First publication of a task: unfold it if its rule says so."""
         assert self.batch is not None
-        task = self.batch.tasks[tid]
-        rule_id = task.unfold_rule
-        if rule_id and rule_id in self.batch.rules:
-            state = self.status.get(tid, (TaskState.WAITING, 1))[0]
+        rule = self.batch.rules.get(self.batch.tasks[tid].unfold_rule)
+        if rule is not None:
             try:
-                unfolded = unfold(self.batch, tid,
-                                  self.batch.rules[rule_id],
-                                  self._snapshot(), state=state)
+                unfolded = unfold(self.batch, tid, rule, self._snapshot())
             except GuardFailed as exc:
                 log.info("unfold skipped: %s", exc)
             except Exception as exc:
                 log.warning("unfold of %s failed (%s); running as-is",
                             tid, exc)
             else:
+                spliced = sorted(unfolded.tasks.keys()
+                                 - self.batch.tasks.keys())
                 self.batch = unfolded
                 self.status.pop(tid, None)
-                spliced = sorted(
-                    t for t in unfolded.tasks if t.startswith(tid + "/"))
                 for nid in spliced:
-                    self.status[nid] = (TaskState.WAITING, 1)
+                    self._move(nid, TaskState.WAITING, 1)
                 for nid in spliced:
                     if unfolded.tasks[nid].deps <= self.finished:
-                        self._publish_todo(nid, 1)
+                        self._publish_todo(nid)
                 return
-        self._publish_todo(tid, self.status.get(tid, (None, 1))[1])
+        self._publish_todo(tid)
 
-    def _publish_todo(self, tid: str, attempt: int) -> None:
+    def _publish_todo(self, tid: str) -> None:
         assert self.batch is not None
-        self.status[tid] = (TaskState.TODO, attempt)
-        self.todo.add(tid)
-        self.released.add(tid)
-        self.volunteers.setdefault(tid, [])
+        self._move(tid, TaskState.TODO, 1)
         self.bus.publish(self.id, Channel.TASKS_TO_DO, "task",
-                         _task_payload(self.batch.tasks[tid], attempt))
+                         _task_payload(self.batch.tasks[tid], 1))
+
+    def _move(self, tid: str, state: TaskState, attempt: int,
+              worker: Optional[str] = None) -> None:
+        """The one writer of a task's row, through check_transition once it
+        exists; keeps `todo`, `finished`, the volunteer list and the task's
+        worker (freed by every move, named by an assignment) in step."""
+        if tid in self.status:
+            current, current_attempt = self.status[tid]
+            check_transition(current, state, current_attempt, attempt)
+        self.status[tid] = (state, attempt)
+        self.busy.pop(self.assignments.pop(tid, None), None)
+        if worker is not None:
+            self.assignments[tid] = worker
+            self.busy[worker] = tid
+        if state is TaskState.TODO:
+            self.todo.add(tid)
+            self.volunteers[tid] = []
+        else:
+            self.todo.discard(tid)
+        if state is TaskState.FINISHED:
+            self.finished.add(tid)
+            self.volunteers.pop(tid, None)
 
     def _on_republished(self, env: Envelope) -> None:
         """Monitor or checker pushed a task back to ToDo with attempt+1."""
@@ -293,12 +310,7 @@ class Coordinator:
             log.info("stale re-publication of %s (attempt %d <= %d) ignored",
                      tid, attempt, cur_attempt)
             return
-        self.status[tid] = (TaskState.TODO, attempt)
-        self.todo.add(tid)
-        self.volunteers[tid] = []
-        worker = self.assignments.pop(tid, None)
-        if worker is not None:
-            self.busy.pop(worker, None)
+        self._move(tid, TaskState.TODO, attempt)
 
     def _on_volunteer(self, env: Envelope) -> None:
         tid = env.payload["task_id"]
@@ -315,35 +327,37 @@ class Coordinator:
             log.info("stale volunteer %s for %s (state %s, attempt %d)",
                      wid, tid, state.name, attempt)
             return
-        queue = self.volunteers.setdefault(tid, [])
+        queue = self.volunteers[tid]
         if wid not in queue:  # once per worker per task per attempt
             queue.append(wid)
 
     def _on_verdict(self, env: Envelope) -> None:
+        """An ok verdict releases, in id order, each Waiting dependent whose
+        deps are all finished (Kahn); a failed one ends the batch."""
         tid = env.payload["task_id"]
-        if env.payload["ok"]:
-            if tid in self.finished:
-                return
-            self.finished.add(tid)
-            self.todo.discard(tid)
-            self.status[tid] = (TaskState.FINISHED,
-                                self.status.get(tid, (None, 1))[1])
-            worker = self.assignments.pop(tid, None)
-            if worker is not None:
-                self.busy.pop(worker, None)
-            self.volunteers.pop(tid, None)
-            if self.batch is not None and tid in self.batch.tasks:
-                for nid in ready_tasks(self.batch, self.finished,
-                                       self.released):
-                    self._release(nid)
+        if not env.payload["ok"]:
+            log.warning("task %s failed permanently", tid)
+            if not self.halted:
+                self._emergency("failed")
             return
-        log.warning("task %s failed permanently", tid)
-        if self.emergency_seq is None:
-            assert self.batch is not None
-            self.emergency_seq = self.bus.publish(
-                self.id, Channel.EMERGENCY, "emergency",
-                {"reason": "failed", "batch_id": self.batch.batch_id})
-            self.halted = True
+        if tid in self.finished:
+            return
+        self._move(tid, TaskState.FINISHED,
+                   self.status.get(tid, (None, 1))[1])
+        if self.batch is None or tid not in self.batch.tasks:
+            return
+        waiting = (TaskState.WAITING, 1)
+        ready = [nid for nid in self.batch.dependents[tid]
+                 if self.status.get(nid, waiting)[0] is TaskState.WAITING
+                 and self.batch.tasks[nid].deps <= self.finished]
+        for nid in ready:
+            self._release(nid)
+
+    def _emergency(self, reason: str) -> None:
+        assert self.batch is not None
+        self.bus.publish(self.id, Channel.EMERGENCY, "emergency",
+                         {"reason": reason, "batch_id": self.batch.batch_id})
+        self.halted = True
 
     # -- per-step passes ----------------------------------------------------
 
@@ -363,24 +377,15 @@ class Coordinator:
             winner = select_worker(task, candidates, self.sla)
             if winner is None:
                 continue
-            self.status[tid] = (TaskState.IN_PROGRESS, attempt)
-            self.todo.discard(tid)
-            self.assignments[tid] = winner
-            self.busy[winner] = tid
+            self._move(tid, TaskState.IN_PROGRESS, attempt, winner)
             self.bus.publish(self.id, Channel.TASKS_TO_DO, "assignment",
                              {"task_id": tid, "worker_id": winner,
                               "attempt": attempt})
 
     def _check_complete(self) -> None:
-        if self.batch is None or self.emergency_seq is not None:
-            return
-        if not self.batch.tasks:
-            return
-        if self.finished >= set(self.batch.tasks):
-            self.emergency_seq = self.bus.publish(
-                self.id, Channel.EMERGENCY, "emergency",
-                {"reason": "complete", "batch_id": self.batch.batch_id})
-            self.halted = True
+        if self.batch is not None and self.batch.tasks \
+                and self.finished >= self.batch.tasks.keys():
+            self._emergency("complete")
 
 
 # ---------------------------------------------------------------- worker

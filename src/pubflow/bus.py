@@ -40,21 +40,22 @@ class Channel(str, Enum):
 
 CHANNEL_CATALOG = tuple(c.value for c in Channel)
 
-# Required payload fields per message kind; publish refuses anything else,
-# and simulator.parse_log refuses a log record that lacks them.
-KIND_FIELDS: dict[str, frozenset[str]] = {
-    "task": frozenset({"task_id", "attempt", "spec"}),
-    "assignment": frozenset({"task_id", "worker_id", "attempt"}),
-    "volunteer": frozenset({"task_id", "worker_id", "attempt", "profile"}),
-    "started": frozenset({"task_id", "worker_id", "attempt"}),
-    "heartbeat": frozenset({"task_id", "worker_id", "attempt"}),
-    "result": frozenset({"task_id", "worker_id", "attempt", "exit_status",
-                         "outputs", "spec"}),
-    "verdict": frozenset({"task_id", "attempt", "ok", "outputs"}),
-    "emergency": frozenset({"reason", "batch_id"}),
-    "dlc": frozenset({"task_id", "event"}),
-    "em": frozenset({"logical_gpus", "physical_gpus", "scheduling_policy",
-                     "performance_model_available"}),
+# Each kind's payload fields and their exact JSON types (true is no int):
+# publish checks that they are there, simulator.parse_log their types too.
+KIND_FIELDS: dict[str, dict[str, type]] = {
+    "task": {"task_id": str, "attempt": int, "spec": dict},
+    "assignment": {"task_id": str, "worker_id": str, "attempt": int},
+    "volunteer": {"task_id": str, "worker_id": str, "attempt": int,
+                  "profile": dict},
+    "started": {"task_id": str, "worker_id": str, "attempt": int},
+    "heartbeat": {"task_id": str, "worker_id": str, "attempt": int},
+    "result": {"task_id": str, "worker_id": str, "attempt": int,
+               "exit_status": int, "outputs": dict, "spec": dict},
+    "verdict": {"task_id": str, "attempt": int, "ok": bool, "outputs": dict},
+    "emergency": {"reason": str, "batch_id": str},
+    "dlc": {"task_id": str, "event": str},
+    "em": {"logical_gpus": int, "physical_gpus": int,
+           "scheduling_policy": str, "performance_model_available": bool},
 }
 
 
@@ -182,7 +183,7 @@ class InProcessBus:
         required = KIND_FIELDS.get(kind)
         if required is None:
             raise SchemaError(f"unknown message kind {kind!r}")
-        missing = required - payload.keys()
+        missing = required.keys() - payload.keys()
         if missing:
             raise SchemaError(
                 f"payload for kind {kind!r} missing {sorted(missing)}")

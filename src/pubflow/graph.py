@@ -6,12 +6,15 @@ closure.  General DAGs are accepted; the verdict is informational.  Only
 generate_adapt_workflow mirrors it into batch metadata (general_dag); the
 workflow parser does not.
 
-ready_tasks: the release frontier given a finished set.
+ready_tasks: the release frontier given a finished set, by a whole-batch
+scan; the engine instead releases a finished task's dependents.
 
 unfold: splice a rule body in place of one node, rewiring incoming edges to
 the entry nodes and outgoing edges from the exit nodes.  Body ids are
 namespaced "<parent>/<child>" so spliced tasks can never collide with or be
 mistaken for broker-submitted ones.
+
+Successors always come from `WorkflowBatch.dependents`.
 """
 
 from __future__ import annotations
@@ -20,14 +23,7 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Optional
 
 from .errors import GuardFailed, HeadMismatch, SchemaError, StateError, UnknownId
-from .model import (
-    GuardPredicate,
-    ResourceSnapshot,
-    Task,
-    TaskState,
-    UnfoldRule,
-    WorkflowBatch,
-)
+from .model import ResourceSnapshot, TaskState, UnfoldRule, WorkflowBatch
 
 
 @dataclass(frozen=True)
@@ -147,19 +143,11 @@ def _is_series_parallel(nodes: set[str], edges: list[tuple[str, str]]) -> bool:
 
 
 def validate_structure(batch: WorkflowBatch) -> StructureReport:
-    """Check acyclicity and compute the series-parallel verdict.
-
-    Dangling dependency ids are a parse-time error and are ignored here.
-    """
-    adjacency: dict[str, list[str]] = {tid: [] for tid in batch.tasks}
-    for dep, tid in batch.edges():
-        if dep in adjacency:
-            adjacency[dep].append(tid)
-    cycle = find_cycle(adjacency)
+    """Check acyclicity and compute the series-parallel verdict."""
+    cycle = find_cycle(batch.dependents)
     if cycle is not None:
         return StructureReport(ok=False, cycle=cycle, series_parallel=False)
-    edges = [(u, v) for u, v in batch.edges() if u in batch.tasks]
-    sp = _is_series_parallel(set(batch.tasks), edges)
+    sp = _is_series_parallel(set(batch.tasks), batch.edges())
     return StructureReport(ok=True, cycle=None, series_parallel=sp)
 
 
@@ -172,17 +160,11 @@ def ready_tasks(batch: WorkflowBatch, finished: Iterable[str],
     batch does not contain is a protocol corruption we refuse to mask.
     """
     finished_set = set(finished)
-    for fid in finished_set:
-        if fid not in batch.tasks:
-            raise UnknownId(f"finished id {fid!r} not in batch")
-    released_set = set(released)
-    out = []
-    for tid in sorted(batch.tasks):
-        if tid in finished_set or tid in released_set:
-            continue
-        if batch.tasks[tid].deps <= finished_set:
-            out.append(tid)
-    return out
+    if unknown := sorted(finished_set - batch.tasks.keys()):
+        raise UnknownId(f"finished id {unknown[0]!r} not in batch")
+    skip = finished_set.union(released)
+    return [tid for tid in sorted(batch.tasks) if tid not in skip
+            and batch.tasks[tid].deps <= finished_set]
 
 
 def unfold(batch: WorkflowBatch, task_id: str, rule: UnfoldRule,
@@ -217,16 +199,12 @@ def unfold(batch: WorkflowBatch, task_id: str, rule: UnfoldRule,
         if new_id in batch.tasks:
             raise SchemaError(f"unfold would duplicate task id {new_id!r}")
 
-    new_tasks: dict[str, Task] = {}
+    new_tasks = dict(batch.tasks)
+    del new_tasks[task_id]
     exits = {namespaced[x] for x in rule.exits}
-    for tid in sorted(batch.tasks):
-        if tid == task_id:
-            continue
-        task = batch.tasks[tid]
-        if task_id in task.deps:
-            deps = frozenset(task.deps - {task_id}) | exits
-            task = replace(task, deps=frozenset(deps))
-        new_tasks[tid] = task
+    for tid in batch.dependents[task_id]:
+        task = new_tasks[tid]
+        new_tasks[tid] = replace(task, deps=(task.deps - {task_id}) | exits)
 
     for local in rule.body:
         deps = {namespaced[d] for d in local.deps}
@@ -236,29 +214,21 @@ def unfold(batch: WorkflowBatch, task_id: str, rule: UnfoldRule,
             local, id=namespaced[local.id], deps=frozenset(deps),
             unfold_rule=None)
 
-    return WorkflowBatch(
-        batch_id=batch.batch_id,
-        tasks=new_tasks,
-        rules=dict(batch.rules),
-        metadata=dict(batch.metadata),
-    )
+    return replace(batch, tasks=new_tasks, rules=dict(batch.rules),
+                   metadata=dict(batch.metadata))
 
 
 def transitive_closure(batch: WorkflowBatch) -> set[tuple[str, str]]:
     """All ordered pairs (u, v) with a dependency path u -> v."""
-    succ: dict[str, set[str]] = {tid: set() for tid in batch.tasks}
-    for dep, tid in batch.edges():
-        if dep in succ:
-            succ[dep].add(tid)
     closure: set[tuple[str, str]] = set()
     for start in batch.tasks:
         seen: set[str] = set()
-        stack = list(succ[start])
+        stack = list(batch.dependents[start])
         while stack:
             node = stack.pop()
             if node in seen:
                 continue
             seen.add(node)
             closure.add((start, node))
-            stack.extend(succ[node])
+            stack.extend(batch.dependents[node])
     return closure

@@ -16,7 +16,7 @@ import math
 from collections import abc
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from enum import Enum
-from functools import cache
+from functools import cache, cached_property
 from typing import Mapping, Optional, Union, get_args, get_origin, \
     get_type_hints
 
@@ -193,10 +193,15 @@ class WorkflowBatch:
 
     def edges(self) -> list[tuple[str, str]]:
         """Dependency edges as (dep, task) pairs, deterministic order."""
-        out = []
-        for tid in sorted(self.tasks):
-            for dep in sorted(self.tasks[tid].deps):
-                out.append((dep, tid))
+        return [(dep, tid) for tid in sorted(self.tasks)
+                for dep in sorted(self.tasks[tid].deps)]
+
+    @cached_property
+    def dependents(self) -> dict[str, list[str]]:
+        """Task id -> the ids that depend on it, in id order; read-only."""
+        out: dict[str, list[str]] = {tid: [] for tid in self.tasks}
+        for dep, tid in self.edges():
+            out[dep].append(tid)
         return out
 
 

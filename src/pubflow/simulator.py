@@ -41,7 +41,7 @@ from .actors import Broker, Checker, Coordinator, Monitor, SlaPolicy, \
 from .bus import CHANNEL_CATALOG, KIND_FIELDS, EventLog, InProcessBus
 from .errors import MalformedLog
 from .execution import Workspace
-from .model import WorkerProfile, WorkflowBatch, load
+from .model import _SCALARS, WorkerProfile, WorkflowBatch, _wrong, load
 
 
 # ------------------------------------------------------------- scenarios
@@ -195,7 +195,7 @@ def run_simulation(batch: WorkflowBatch, scenario: Scenario, *,
                     wake[wid] = tick
                 else:
                     wake.pop(wid, None)
-            if coordinator.emergency_seq is not None:
+            if coordinator.halted:
                 break
 
         # Counts come from the log; the engine adds only what the log cannot
@@ -231,38 +231,56 @@ def replay_check(log_a: EventLog, log_b: EventLog) -> bool:
 
 # ----------------------------------------------------------------- audits
 
-_RECORD_KEYS = ("seq", "ts", "channel", "kind", "sender", "payload")
+# each record key's JSON type, as bus.KIND_FIELDS gives each payload's
+_RECORD_KEYS = {"seq": int, "ts": int, "channel": str, "kind": str,
+                "sender": str}
+_DECODE = json.JSONDecoder().raw_decode
+
+
+def _check(lineno: int, what: str, obj: dict, fields: dict) -> None:
+    """Refuse `obj` unless each of `fields` is in it with exactly its type."""
+    for name, want in fields.items():
+        if type(obj.get(name)) is not want:
+            if missing := sorted(fields.keys() - obj.keys()):
+                raise MalformedLog(f"line {lineno}: {what} missing {missing}")
+            raise MalformedLog(str(_wrong(f"line {lineno}: {what} {name}",
+                                          _SCALARS[want][0], obj[name])))
 
 
 def parse_log(text: str) -> list[dict]:
-    """Parse a JSONL event log, checking each record's shape, its kind's
-    payload fields (bus.KIND_FIELDS) and seq continuity."""
+    """Parse a JSONL event log, checking the types of each record's keys,
+    its payload's fields and a spec's deps (the spec key the audits read),
+    and seq continuity."""
     records = []
     for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
+        line = line.strip()
+        if not line:
             continue
-        try:
-            record = json.loads(line)
+        try:  # json.loads without its two whitespace scans
+            record, end = _DECODE(line)
+            if end < len(line):
+                raise json.JSONDecodeError("Extra data", line, end)
         except json.JSONDecodeError as exc:
             raise MalformedLog(f"line {lineno}: not JSON ({exc})") from exc
         if not isinstance(record, dict):
             raise MalformedLog(f"line {lineno}: not an object")
-        for key in _RECORD_KEYS:
-            if key not in record:
-                raise MalformedLog(f"line {lineno}: missing key {key!r}")
+        _check(lineno, "record", record, _RECORD_KEYS)
         if record["channel"] not in CHANNEL_CATALOG:
             raise MalformedLog(
                 f"line {lineno}: unknown channel {record['channel']!r}")
-        kind, payload = record["kind"], record["payload"]
-        required = KIND_FIELDS.get(kind) if type(kind) is str else None
+        kind, payload = record["kind"], record.get("payload")
+        required = KIND_FIELDS.get(kind)
         if required is None:
             raise MalformedLog(f"line {lineno}: unknown kind {kind!r}")
         if type(payload) is not dict:
             raise MalformedLog(
                 f"line {lineno}: {kind} payload must be an object")
-        if not payload.keys() >= required:
-            raise MalformedLog(f"line {lineno}: {kind} payload missing "
-                               f"{sorted(required - payload.keys())}")
+        _check(lineno, kind + " payload", payload, required)
+        if "spec" in required:
+            deps = payload["spec"].get("deps", [])
+            if type(deps) is not list or not set(map(type, deps)) <= {str}:
+                raise MalformedLog(f"line {lineno}: {kind} spec.deps must "
+                                   "be a list of strings")
         records.append(record)
     for index, record in enumerate(records, start=1):
         if record["seq"] != index:

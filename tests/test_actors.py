@@ -15,6 +15,7 @@ from pubflow import (
     KernelSpec,
     Monitor,
     SlaPolicy,
+    StateError,
     Task,
     TaskState,
     UnfoldRule,
@@ -353,6 +354,24 @@ class TestCoordinator:
         volunteer(bus, "w1", "a", attempt=1)  # arrived too late
         coord.step(2)
         assert assignments_in(bus) == []
+
+    def test_move_refuses_what_check_transition_refuses(self):
+        batch = batch_of(noop_task("a"), noop_task("b"))
+        bus, coord = wire(batch)
+        coord.step(0)
+        spec = json.loads(bus.log.dumps().splitlines()[1]
+                          )["payload"]["spec"]
+        bus.publish("monitor", Channel.TASKS_TO_DO, "task",
+                    {"task_id": "b", "attempt": 2, "spec": spec})
+        verdict(bus, "a")
+        coord.step(1)
+        with pytest.raises(StateError):
+            coord._move("a", TaskState.TODO, 2)  # Finished never moves
+        with pytest.raises(StateError):
+            coord._move("b", TaskState.TODO, 1)  # attempt 2 -> 1
+        assert coord.status == {"a": (TaskState.FINISHED, 1),
+                                "b": (TaskState.TODO, 2)}
+        assert coord.todo == {"b"} and coord.finished == {"a"}
 
 
 class TestCoordinatorUnfold:

@@ -330,6 +330,12 @@ SHORT_PAYLOAD = ('{"seq":1,"ts":0,"channel":"TasksToDo","kind":"task",'
                  '"sender":"a","payload":{}}\n')
 
 
+def one_record(old, new):
+    """A well-formed one-record task log with `old` replaced by `new`."""
+    return SHORT_PAYLOAD.replace(
+        "{}", '{"task_id":"t","attempt":1,"spec":{}}').replace(old, new)
+
+
 LATIN1 = b'{"schema": "pubflow/1", "batch_id": "caf\xe9", "tasks": []}'
 
 # How each kind of input file is handed to the CLI: {bad} is the malformed
@@ -428,6 +434,28 @@ MALFORMED = [
      "line 1: unknown kind 'gossip'"),
     ("audit-payload-list", "audit",
      SHORT_PAYLOAD.replace('{}', '[]'), "line 1: task payload must be"),
+    ("audit-spec-number", "audit", one_record('"spec":{}', '"spec":1'),
+     "line 1: task payload spec must be an object"),
+    ("report-ts-string", "report", one_record('"ts":0', '"ts":"x"'),
+     "line 1: record ts must be an integer"),
+    ("report-attempt-string", "report",
+     one_record('"attempt":1', '"attempt":"2"'),
+     "line 1: task payload attempt must be an integer"),
+    ("report-attempt-bool", "report",
+     one_record('"attempt":1', '"attempt":true'),
+     "line 1: task payload attempt must be an integer, got bool"),
+    ("audit-task-id-list", "audit",
+     one_record('"task_id":"t"', '"task_id":["t"]'),
+     "line 1: task payload task_id must be a string"),
+    ("report-task-id-list", "report",
+     one_record('"task_id":"t"', '"task_id":["t"]'),
+     "line 1: task payload task_id must be a string"),
+    ("audit-deps-string", "audit",
+     one_record('"spec":{}', '"spec":{"deps":"a"}'),
+     "line 1: task spec.deps must be a list of strings"),
+    ("audit-deps-numbers", "audit",
+     one_record('"spec":{}', '"spec":{"deps":[1]}'),
+     "line 1: task spec.deps must be a list of strings"),
 ]
 
 

@@ -393,3 +393,16 @@ def test_random_unfolds_keep_structure_valid(seed):
     assert len(spliced) == len(rule.body)
     expected = len(batch.tasks) - 1 + len(rule.body)
     assert len(out.tasks) == expected
+    inverse = {tid: [] for tid in sorted(out.tasks)}
+    for tid in sorted(out.tasks):
+        for dep in sorted(out.tasks[tid].deps):
+            inverse[dep].append(tid)
+    assert out.dependents == inverse
+    exits = {f"{victim}/{x}" for x in rule.exits}
+    for tid, task in batch.tasks.items():
+        if tid == victim:
+            continue
+        if victim in task.deps:
+            assert out.tasks[tid].deps == (task.deps - {victim}) | exits
+        else:
+            assert out.tasks[tid].deps == task.deps

@@ -17,6 +17,7 @@ from pubflow import (
     Scenario,
     SlaPolicy,
     Task,
+    TaskState,
     WorkerSpec,
     WorkflowBatch,
     Workspace,
@@ -808,6 +809,29 @@ class TestGoldenBytes:
         if (case, jitter) in WORKSPACE_GOLDEN:
             assert workspace_digest(tmp_path) == \
                 WORKSPACE_GOLDEN[case, jitter]
+
+    def test_coordinator_moves_pass_check_transition(self, tmp_path,
+                                                     monkeypatch):
+        """The crash run's task rows change only through check_transition,
+        which passes every move, and the log bytes stay golden."""
+        moves, check = [], actors.check_transition
+
+        def spy(*args):
+            moves.append(args)
+            check(*args)
+
+        monkeypatch.setattr(actors, "check_transition", spy)
+        batch, scenario, _ = ASSIGNMENT_GOLDEN["flat-crash"][0]()
+        scenario = dataclasses.replace(scenario, volunteer_jitter=0)
+        _, log = run_simulation(batch, scenario,
+                                workspace=Workspace(tmp_path))
+        text = log.dumps().encode("utf-8")
+        assert hashlib.sha256(text).hexdigest() == LOG_GOLDEN["flat-crash", 0]
+        states = {(old, new) for old, new, _, _ in moves}
+        assert (TaskState.TODO, TaskState.IN_PROGRESS) in states
+        assert (TaskState.IN_PROGRESS, TaskState.FINISHED) in states
+        assert any(new_attempt > old_attempt
+                   for _, _, old_attempt, new_attempt in moves)
 
 
 # Runs through the tick loop's edge paths: who is stepped, when a worker
