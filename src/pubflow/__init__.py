@@ -63,7 +63,6 @@ from .execution import (
     em_negotiate,
     encode_dataset,
     execute_kernel,
-    fnv1a64,
     probe_environment,
     register_acquirer,
     register_kernel,

@@ -15,9 +15,10 @@ actor's state.  One batch flows like this:
   monitor      watches assigned tasks until their result or ok verdict;
                when heartbeats go stale it re-publishes the task with the
                attempt bumped and emits a data-policy event on DLC
-  checker      validates results and publishes verdicts on FinishedTasks,
-               re-publishing a failed task until its spec's max_attempts
-               runs out
+  checker      validates results against the spec it last saw on
+               TasksToDo (a result carries no spec) and publishes verdicts
+               on FinishedTasks, re-publishing a failed task until its
+               spec's max_attempts runs out
 
 Workers volunteer only while idle, and at most once per (task, attempt):
 a task that arrives while a worker runs is offered when it becomes idle,
@@ -509,7 +510,6 @@ class WorkerActor:
             "task_id": job.task_id,
             "worker_id": self.id,
             "attempt": job.attempt,
-            "spec": job.spec,
         }
         try:
             result = execute_kernel(task.kernel, self.workspace,
@@ -663,11 +663,6 @@ def default_validator(spec: Mapping, result: Mapping,
                 return False
             if workspace.checksum(dataset_id) != outputs[dataset_id]:
                 return False
-    expected = spec["kernel"].get("params", {}).get("expected_checksums")
-    if isinstance(expected, dict):
-        for dataset_id in sorted(expected):
-            if outputs.get(dataset_id) != expected[dataset_id]:
-                return False
     return True
 
 
@@ -685,8 +680,10 @@ class Checker:
         if validators:
             self.registry.update(validators)
         bus.register(actor_id)
-        bus.subscribe(actor_id, Channel.TASKS_TO_CHECK)
-        bus.subscribe(actor_id, Channel.EMERGENCY)
+        for channel in (Channel.TASKS_TO_DO, Channel.TASKS_TO_CHECK,
+                        Channel.EMERGENCY):
+            bus.subscribe(actor_id, channel)
+        self.specs: dict[str, dict] = {}  # task id -> its latest spec
         self.finished: set[str] = set()
         self.fails: dict[str, int] = {}
         self.duplicates = 0
@@ -701,9 +698,10 @@ class Checker:
             if env.channel == Channel.EMERGENCY.value:
                 self.halted = True
                 return
-            if env.kind != "result":
-                continue
-            self._on_result(env)
+            if env.kind == "task":
+                self.specs[env.payload["task_id"]] = env.payload["spec"]
+            elif env.kind == "result":
+                self._on_result(env)
 
     def _on_result(self, env: Envelope) -> None:
         payload = env.payload
@@ -712,7 +710,10 @@ class Checker:
             self.duplicates += 1
             log.info("duplicate result for finished task %s discarded", tid)
             return
-        spec = payload["spec"]
+        spec = self.specs.get(tid)
+        if spec is None:
+            log.warning("result for unknown task %s discarded", tid)
+            return
         name = spec.get("validator") or "default"
         fn = self.registry.get(name)
         if fn is None:

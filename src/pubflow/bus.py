@@ -50,7 +50,7 @@ KIND_FIELDS: dict[str, dict[str, type]] = {
     "started": {"task_id": str, "worker_id": str, "attempt": int},
     "heartbeat": {"task_id": str, "worker_id": str, "attempt": int},
     "result": {"task_id": str, "worker_id": str, "attempt": int,
-               "exit_status": int, "outputs": dict, "spec": dict},
+               "exit_status": int, "outputs": dict},
     "verdict": {"task_id": str, "attempt": int, "ok": bool, "outputs": dict},
     "emergency": {"reason": str, "batch_id": str},
     "dlc": {"task_id": str, "event": str},

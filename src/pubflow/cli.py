@@ -101,7 +101,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     sla = SlaPolicy()
     if args.config:
         sla = _load_json(args.config, SlaPolicy.from_dict)
-    workspace = Workspace(args.workspace) if args.workspace else None
+    try:
+        workspace = Workspace(args.workspace) if args.workspace else None
+    except SchemaError as exc:  # a workspace of another format
+        raise FileError(str(exc)) from exc
     report, _log = run_simulation(
         batch, scenario, sla=sla, workspace=workspace,
         log_path=args.log)

@@ -2,17 +2,21 @@
 
 Datasets are little-endian float64 arrays in a 16-byte-header container:
 4 magic bytes "PFLW", 4 pad bytes, then the element count as an unsigned
-64-bit little-endian integer, then the raw array.  Checksums are 64-bit
-FNV-1a over the full container bytes, rendered as 16 hex digits wherever
-they appear in JSON.
+64-bit little-endian integer, then the raw array.  Checksums are BLAKE2b
+with an 8-byte digest over the full container bytes, rendered as 16
+lowercase hex digits wherever they appear in JSON.
 
 The workspace is one directory per run: one data file per dataset id plus
-a JSON sidecar {dataset_id, acquisition_params, checksum, stage}.  Records
-live in memory and each change is written through to its sidecar; a
-Workspace reads a directory's sidecars once, when it opens it, so only
-that Workspace may write them while it is open.  The DLC
-policy reacts to a transmission failure by dropping the local copy,
-removing its metadata, and reacquiring from the recorded acquisition
+one append-only manifest, workspace.jsonl.  The manifest's first line
+names its format and hash, {"format": 2, "hash": "blake2b-64"}; each put,
+drop, metadata removal or reacquisition then appends the dataset's record
+{dataset_id, acquisition_params, checksum, stage}, and the last line for
+an id wins.  Records and the payloads put since opening live in memory, so
+a read opens no file; a Workspace folds the manifest once, when it opens
+the directory, so only that Workspace may write it while it is open.  A
+directory in the older layout, one JSON sidecar per dataset, is refused.
+The DLC policy reacts to a transmission failure by dropping the local
+copy, removing its metadata, and reacquiring from the recorded acquisition
 parameters; a reacquired dataset must hash identically (all producers are
 deterministic).
 
@@ -29,6 +33,7 @@ import struct
 import subprocess
 from dataclasses import dataclass, replace
 from enum import Enum
+from hashlib import blake2b
 from pathlib import Path
 from typing import Callable, Mapping, Optional
 from urllib.parse import quote
@@ -36,26 +41,15 @@ from urllib.parse import quote
 import numpy as np
 
 from .errors import InvalidStage, MissingInput, SchemaError
-from .model import KernelSpec
+from .model import KernelSpec, dump, load
 
 DATASET_MAGIC = b"PFLW"
 _HEADER = struct.Struct("<4s4xQ")
 
-FNV64_OFFSET = 0xCBF29CE484222325
-FNV64_PRIME = 0x100000001B3
-
-
-def fnv1a64(data: bytes) -> int:
-    """64-bit FNV-1a over a byte string."""
-    h = FNV64_OFFSET
-    for byte in data:
-        h ^= byte
-        h = (h * FNV64_PRIME) & 0xFFFFFFFFFFFFFFFF
-    return h
-
 
 def checksum_hex(data: bytes) -> str:
-    return format(fnv1a64(data), "016x")
+    """BLAKE2b-64 of a byte string as 16 lowercase hex digits."""
+    return blake2b(data, digest_size=8).hexdigest()
 
 
 def encode_dataset(values) -> bytes:
@@ -107,24 +101,70 @@ def register_acquirer(name: str) -> Callable[[AcquirerFn], AcquirerFn]:
     return deco
 
 
+MANIFEST = "workspace.jsonl"
+MANIFEST_HEADER = {"format": 2, "hash": "blake2b-64"}
+
+
 class Workspace:
-    """Per-run dataset store: records in memory, mirrored to one directory."""
+    """Per-run dataset store: records and payloads in memory, mirrored to
+    one directory as a manifest plus one data file per dataset."""
 
     def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
+        self._root = str(self.root)
+        self._manifest = os.path.join(self._root, MANIFEST)
         self._records: dict[str, DatasetRecord] = {}
-        for path in sorted(self.root.glob("*.meta.json")):
-            meta = json.loads(path.read_text(encoding="utf-8"))
-            self._records[meta["dataset_id"]] = DatasetRecord(
-                meta["dataset_id"], meta.get("acquisition_params", {}),
-                meta.get("checksum"), DatasetStage(meta["stage"]))
+        self._data: dict[str, bytes] = {}   # payloads read or put
+        self._paths: dict[str, str] = {}
+        if os.path.exists(self._manifest):
+            self._fold()
+            return
+        sidecar = next(self.root.glob("*.meta.json"), None)
+        if sidecar is not None:
+            raise SchemaError(
+                f"{sidecar}: a format-1 dataset sidecar; this workspace "
+                f"format keeps its records in {MANIFEST}")
+        self._append(MANIFEST_HEADER)
 
-    def _data_path(self, dataset_id: str) -> Path:
-        return self.root / (quote(dataset_id, safe="") + ".dat")
+    def _fold(self) -> None:
+        """Read the manifest: its header, then each record; last wins."""
+        with open(self._manifest, encoding="utf-8") as f:
+            text = f.read()
+        lines = text.split("\n")
+        if lines.pop():
+            raise SchemaError(f"{self._manifest}: line {len(lines) + 1}: "
+                              "truncated (no line end)")
+        if not lines:
+            raise SchemaError(f"{self._manifest}: no header line")
+        for lineno, line in enumerate(lines, start=1):
+            where = f"{self._manifest}: line {lineno}"
+            try:
+                doc = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise SchemaError(f"{where}: not JSON ({exc.msg})") from exc
+            if lineno > 1:
+                record = load(DatasetRecord, doc, where)
+                self._records[record.dataset_id] = record
+            elif doc != MANIFEST_HEADER:
+                raise SchemaError(
+                    f"{where}: header must be {json.dumps(MANIFEST_HEADER)}")
 
-    def _meta_path(self, dataset_id: str) -> Path:
-        return self.root / (quote(dataset_id, safe="") + ".meta.json")
+    def _append(self, doc: dict) -> None:
+        with open(self._manifest, "a", encoding="utf-8") as f:
+            f.write(json.dumps(doc) + "\n")
+
+    def _write(self, record: DatasetRecord) -> DatasetRecord:
+        self._append(dump(record))
+        self._records[record.dataset_id] = record
+        return record
+
+    def _data_path(self, dataset_id: str) -> str:
+        path = self._paths.get(dataset_id)
+        if path is None:
+            path = self._paths[dataset_id] = os.path.join(
+                self._root, quote(dataset_id, safe="") + ".dat")
+        return path
 
     def put(self, dataset_id: str, data: bytes,
             acquisition_params: Optional[dict] = None) -> DatasetRecord:
@@ -134,20 +174,10 @@ class Workspace:
             checksum=checksum_hex(data),
             stage=DatasetStage.READY,
         )
-        self._data_path(dataset_id).write_bytes(data)
-        self._write_meta(record)
-        return record
-
-    def _write_meta(self, record: DatasetRecord) -> None:
-        meta = {
-            "dataset_id": record.dataset_id,
-            "acquisition_params": record.acquisition_params,
-            "checksum": record.checksum,
-            "stage": record.stage.value,
-        }
-        self._meta_path(record.dataset_id).write_text(
-            json.dumps(meta, indent=2) + "\n", encoding="utf-8")
-        self._records[record.dataset_id] = record
+        with open(self._data_path(dataset_id), "wb") as f:
+            f.write(data)
+        self._data[dataset_id] = data
+        return self._write(record)
 
     def record(self, dataset_id: str) -> Optional[DatasetRecord]:
         return self._records.get(dataset_id)
@@ -155,15 +185,19 @@ class Workspace:
     def has_ready(self, dataset_id: str) -> bool:
         record = self.record(dataset_id)
         return record is not None and record.stage is DatasetStage.READY \
-            and self._data_path(dataset_id).exists()
+            and os.path.exists(self._data_path(dataset_id))
 
     def get(self, dataset_id: str) -> bytes:
         if not self.has_ready(dataset_id):
             raise MissingInput(f"dataset {dataset_id!r} is not ready")
-        return self._data_path(dataset_id).read_bytes()
+        data = self._data.get(dataset_id)
+        if data is None:  # put before this Workspace opened the directory
+            with open(self._data_path(dataset_id), "rb") as f:
+                data = self._data[dataset_id] = f.read()
+        return data
 
     def sizes(self) -> dict[str, int]:
-        return {dataset_id: self._data_path(dataset_id).stat().st_size
+        return {dataset_id: os.path.getsize(self._data_path(dataset_id))
                 for dataset_id in self._records if self.has_ready(dataset_id)}
 
     def checksum(self, dataset_id: str) -> Optional[str]:
@@ -177,10 +211,9 @@ class Workspace:
         if record is None or record.stage is not DatasetStage.READY:
             raise InvalidStage(
                 f"cannot drop {dataset_id!r}: not a ready dataset")
-        self._data_path(dataset_id).unlink(missing_ok=True)
-        record = replace(record, stage=DatasetStage.DROPPED)
-        self._write_meta(record)
-        return record
+        Path(self._data_path(dataset_id)).unlink(missing_ok=True)
+        self._data.pop(dataset_id, None)
+        return self._write(replace(record, stage=DatasetStage.DROPPED))
 
     def remove_metadata(self, dataset_id: str) -> DatasetRecord:
         record = self.record(dataset_id)
@@ -189,9 +222,8 @@ class Workspace:
                 f"cannot remove metadata of {dataset_id!r}: not dropped")
         # the record itself survives (we need the acquisition params);
         # the published checksum is forgotten with the payload
-        record = replace(record, checksum=None, stage=DatasetStage.ACQUIRING)
-        self._write_meta(record)
-        return record
+        return self._write(
+            replace(record, checksum=None, stage=DatasetStage.ACQUIRING))
 
     def reacquire(self, dataset_id: str) -> DatasetRecord:
         record = self.record(dataset_id)
@@ -384,7 +416,7 @@ def _kernel_shell(spec: KernelSpec,
             f"command exited {proc.returncode}: {proc.stderr.decode()[:200]}")
     out = {}
     for dataset_id in spec.outputs:
-        path = workspace._data_path(dataset_id)
+        path = Path(workspace._data_path(dataset_id))
         if not path.exists():
             raise RuntimeError(f"command did not write {dataset_id!r}")
         out[dataset_id] = path.read_bytes()

@@ -336,6 +336,8 @@ def _encoder(hint):
         return list if item is None else lambda v: [item(x) for x in v]
     if origin in (abc.Mapping, dict):
         return lambda v: {k: v[k] for k in sorted(v)}
+    if isinstance(hint, type) and issubclass(hint, Enum):
+        return lambda v: v.value
     return None
 
 
@@ -351,6 +353,15 @@ def _converter(hint):
         return lambda v, where, key: load(hint, v, f"{where}.{key}")
     if hint is object:
         return lambda v, where, key: v
+    if isinstance(hint, type) and issubclass(hint, Enum):
+        values = [member.value for member in hint]
+
+        def convert_member(v, where, key):
+            if type(v) is not type(values[0]) or v not in values:
+                raise SchemaError(
+                    f"{where}: {key} must be one of {values}, got {v!r}")
+            return hint(v)
+        return convert_member
     if origin in (tuple, frozenset):
         size = len(args) if origin is tuple and args[-1] is not ... else None
         item, same = _converter(args[0]), {args[0]}

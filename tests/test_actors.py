@@ -516,7 +516,7 @@ class TestWorker:
                   if json.loads(line)["kind"] == "result"][0]
         assert result["exit_status"] == 0
         assert result["outputs"]["d"] == actor.workspace.checksum("d")
-        assert result["spec"]["id"] == "a"
+        assert "spec" not in result
 
     def test_missing_input_reports_dlc_and_exit_2(self, tmp_path):
         bus, actor = worker_rig(tmp_path)
@@ -670,7 +670,7 @@ class TestMonitor:
         feed_assignment(bus, ts=0)
         bus.publish("w1", Channel.TASKS_TO_CHECK, "result",
                     {"task_id": "a", "worker_id": "w1", "attempt": 1,
-                     "exit_status": 0, "outputs": {}, "spec": {}})
+                     "exit_status": 0, "outputs": {}})
         mon.step(0)
         for now in range(1, 50):
             bus.now = now
@@ -721,7 +721,8 @@ def checker_rig(tmp_path, validators=None):
 
 
 def push_result(bus, ws, task, attempt=1, exit_status=0, produce=True):
-    from pubflow.workflow_io import task_to_obj
+    """Publish the task, as the coordinator would, then a result for it."""
+    publish_task(bus, task, attempt)
     outputs = {}
     if produce:
         for out in task.kernel.outputs:
@@ -730,7 +731,14 @@ def push_result(bus, ws, task, attempt=1, exit_status=0, produce=True):
     bus.publish("w1", Channel.TASKS_TO_CHECK, "result",
                 {"task_id": task.id, "worker_id": "w1",
                  "attempt": attempt, "exit_status": exit_status,
-                 "outputs": outputs, "spec": task_to_obj(task)})
+                 "outputs": outputs})
+
+
+def checker_tasks(bus):
+    """Payloads of the tasks the checker re-published."""
+    return [record["payload"] for record in map(
+        json.loads, bus.log.dumps().splitlines())
+        if record["kind"] == "task" and record["sender"] == "checker"]
 
 
 class TestChecker:
@@ -752,10 +760,7 @@ class TestChecker:
         chk.step(0)
         kinds = [k for k, _ in log_kinds(bus)]
         assert "verdict" not in kinds
-        republished = [json.loads(line)["payload"]
-                       for line in bus.log.dumps().splitlines()
-                       if json.loads(line)["kind"] == "task"]
-        assert republished[0]["attempt"] == 2
+        assert checker_tasks(bus)[0]["attempt"] == 2
 
     def test_missing_output_fails_validation(self, tmp_path):
         bus, ws, chk = checker_rig(tmp_path)
@@ -767,14 +772,35 @@ class TestChecker:
     def test_checksum_mismatch_fails_validation(self, tmp_path):
         bus, ws, chk = checker_rig(tmp_path)
         task = noop_task("a", outputs=("d",))
-        from pubflow.workflow_io import task_to_obj
+        publish_task(bus, task)
         ws.put("d", b"\x01" * 8)
         bus.publish("w1", Channel.TASKS_TO_CHECK, "result",
                     {"task_id": "a", "worker_id": "w1", "attempt": 1,
                      "exit_status": 0,
-                     "outputs": {"d": "0" * 16},  # wrong checksum
-                     "spec": task_to_obj(task)})
+                     "outputs": {"d": "0" * 16}})  # wrong checksum
         chk.step(0)
+        assert chk.fails["a"] == 1
+
+    def test_result_for_an_unseen_task_is_discarded(self, tmp_path):
+        bus, ws, chk = checker_rig(tmp_path)
+        bus.publish("w1", Channel.TASKS_TO_CHECK, "result",
+                    {"task_id": "a", "worker_id": "w1", "attempt": 1,
+                     "exit_status": 0, "outputs": {}})
+        chk.step(0)
+        assert [k for k, _ in log_kinds(bus)] == ["result"]
+        assert chk.fails == {} and chk.finished == set()
+
+    def test_validates_against_the_spec_seen_on_tasks_to_do(self,
+                                                            tmp_path):
+        """A result names no spec; the checker validates it against the
+        latest spec published for its task."""
+        bus, ws, chk = checker_rig(
+            tmp_path, validators={"never": lambda s, r, w: False})
+        publish_task(bus, noop_task("a", outputs=("d",)))
+        push_result(bus, ws, noop_task("a", outputs=("d",),
+                                       validator="never"), attempt=2)
+        chk.step(0)
+        assert chk.specs["a"]["validator"] == "never"
         assert chk.fails["a"] == 1
 
     def test_attempt_budget_exhaustion_gives_failed_verdict(self, tmp_path):
@@ -789,10 +815,7 @@ class TestChecker:
                     if json.loads(line)["kind"] == "verdict"]
         assert verdicts == [{"task_id": "a", "attempt": 2, "ok": False,
                              "outputs": {}}]
-        republished = [json.loads(line)["payload"]
-                       for line in bus.log.dumps().splitlines()
-                       if json.loads(line)["kind"] == "task"]
-        assert len(republished) == 1  # only the first failure re-queues
+        assert len(checker_tasks(bus)) == 1  # only the first failure re-queues
 
     def test_duplicate_result_for_finished_task_discarded(self, tmp_path):
         bus, ws, chk = checker_rig(tmp_path)

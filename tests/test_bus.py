@@ -168,7 +168,7 @@ class TestPayloadSchemas:
                            "attempt": 1}),
             "result": (Channel.TASKS_TO_CHECK,
                        {"task_id": "t", "worker_id": "w", "attempt": 1,
-                        "exit_status": 0, "outputs": {}, "spec": {}}),
+                        "exit_status": 0, "outputs": {}}),
             "verdict": (Channel.FINISHED_TASKS,
                         {"task_id": "t", "attempt": 1, "ok": True,
                          "outputs": {}}),

@@ -218,6 +218,17 @@ class TestSimulate:
                        "--workspace", str(space)) == 0
         assert list(space.glob("*.dat"))
 
+    def test_format_1_workspace_exits_two(self, tmp_path, capsys):
+        wf = self.generated(tmp_path, capsys)
+        scenario = scenario_file(tmp_path)
+        space = tmp_path / "space"
+        space.mkdir()
+        (space / "mesh.meta.json").write_text("{}", "utf-8")
+        assert run_cli("simulate", str(wf), str(scenario),
+                       "--workspace", str(space)) == 2
+        err = capsys.readouterr().err
+        assert "mesh.meta.json" in err and "workspace.jsonl" in err
+
     def test_seed_override_reproducible_and_sensitive(self, tmp_path,
                                                       capsys):
         wf = self.generated(tmp_path, capsys)

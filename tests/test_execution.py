@@ -1,6 +1,7 @@
 """Datasets, checksums, workspace lifecycle, data-loss handling,
 execution-model negotiation, and kernel running."""
 
+import hashlib
 import json
 import struct
 import sys
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pubflow import (
+    DatasetRecord,
     DatasetStage,
     EMConfig,
     InvalidStage,
@@ -25,7 +27,6 @@ from pubflow import (
     em_negotiate,
     encode_dataset,
     execute_kernel,
-    fnv1a64,
     probe_environment,
     register_acquirer,
     register_kernel,
@@ -34,39 +35,31 @@ from pubflow import (
 
 # ------------------------------------------------------------- checksums
 
-def fnv_oracle(data: bytes) -> int:
-    """Definitional byte loop, independent of the production code."""
-    value = 0xCBF29CE484222325
-    for byte in data:
-        value = value ^ byte
-        value = (value * 0x100000001B3) % (1 << 64)
-    return value
+def blake2b_64(data: bytes) -> str:
+    return hashlib.blake2b(data, digest_size=8).hexdigest()
 
 
-class TestFnv1a64:
-    def test_empty_is_offset_basis(self):
-        assert fnv1a64(b"") == 0xCBF29CE484222325
-
-    def test_known_single_byte(self):
-        assert fnv1a64(b"a") == fnv_oracle(b"a")
-
+class TestChecksumHex:
     @given(st.binary(max_size=200))
     @settings(max_examples=80, deadline=None)
-    def test_matches_definitional_oracle(self, data):
-        assert fnv1a64(data) == fnv_oracle(data)
+    def test_matches_hashlib_blake2b_64(self, data):
+        assert checksum_hex(b"") == "e4a6a0577479b2b4"
+        assert checksum_hex(b"abc") == "d8bb14d833d59559"
+        assert checksum_hex(data) == blake2b_64(data)
 
     def test_hex_form_is_16_lowercase_chars(self):
         text = checksum_hex(b"hello world")
         assert len(text) == 16
         assert text == text.lower()
-        assert int(text, 16) == fnv_oracle(b"hello world")
+        assert text == blake2b_64(b"hello world")
 
     def test_hex_keeps_leading_zeros(self):
         # find some payload whose hash has a high nibble of zero
         for i in range(4096):
             data = i.to_bytes(2, "little")
-            if fnv1a64(data) >> 60 == 0:
+            if int(blake2b_64(data), 16) >> 60 == 0:
                 assert checksum_hex(data).startswith("0")
+                assert len(checksum_hex(data)) == 16
                 return
         pytest.skip("no zero-leading hash in probe range")
 
@@ -152,6 +145,93 @@ class TestWorkspace:
         record = Workspace(tmp_path).record("d")
         assert record.acquisition_params == {"acquirer": "x", "n": 1}
         assert record.checksum == checksum_hex(b"abc")
+
+    def test_get_serves_payloads_from_memory(self, tmp_path):
+        payload = b"abc"
+        ws = Workspace(tmp_path)
+        ws.put("d", payload)
+        assert ws.get("d") is payload
+        reopened = Workspace(tmp_path)
+        first = reopened.get("d")  # the one read of the data file
+        assert first == payload
+        assert reopened.get("d") is first
+
+    def test_manifest_is_a_header_and_one_line_per_change(self, tmp_path):
+        register_acquirer("const-xyz")(lambda: b"xyz")
+        ws = Workspace(tmp_path)
+        ws.put("d", b"xyz", {"acquirer": "const-xyz"})
+        dlc_apply(ws, "d")
+        lines = (tmp_path / "workspace.jsonl").read_text("utf-8") \
+            .splitlines()
+        assert json.loads(lines[0]) == {"format": 2, "hash": "blake2b-64"}
+        assert [json.loads(line)["stage"] for line in lines[1:]] == \
+            ["ready", "dropped", "acquiring", "ready"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["d.dat", "workspace.jsonl"]
+
+    def test_reopen_folds_drop_remove_metadata_reacquire(self, tmp_path):
+        """Each step runs on a Workspace freshly opened on the directory,
+        so each sees only what the manifest folds to."""
+        register_acquirer("const-xyz")(lambda: b"xyz")
+        params = {"acquirer": "const-xyz"}
+        before = Workspace(tmp_path).put("d", b"xyz", params).checksum
+        Workspace(tmp_path).drop("d")
+        dropped = Workspace(tmp_path)
+        assert dropped.record("d").stage is DatasetStage.DROPPED
+        assert dropped.checksum("d") == before
+        assert not dropped.has_ready("d")
+        dropped.remove_metadata("d")
+        acquiring = Workspace(tmp_path).record("d")
+        assert acquiring.stage is DatasetStage.ACQUIRING
+        assert acquiring.checksum is None
+        assert acquiring.acquisition_params == params
+        Workspace(tmp_path).reacquire("d")
+        ready = Workspace(tmp_path)
+        assert ready.record("d") == DatasetRecord(
+            "d", params, before, DatasetStage.READY)
+        assert ready.get("d") == b"xyz"
+
+    @pytest.mark.parametrize("tail, where", [
+        ('{"dataset_id": "e", "acqui\n', "line 3: not JSON"),
+        ('{"dataset_id": "e", "acquisition_params": {}, "checksum": null, '
+         '"stage": "ready"}', "line 3: truncated"),
+        ('{"dataset_id": "e", "acquisition_params": {}, "checksum": 7, '
+         '"stage": "ready"}\n', "line 3: checksum must be a string"),
+        ('{"dataset_id": "e", "acquisition_params": {}, "checksum": null, '
+         '"stage": "lost"}\n', "line 3: stage must be one of"),
+        ('{"dataset_id": "e", "acquisition_params": {}, "checksum": null}\n',
+         "line 3: missing key 'stage'"),
+        ('\n', "line 3: not JSON"),
+    ])
+    def test_bad_manifest_line_is_refused_naming_it(self, tmp_path, tail,
+                                                      where):
+        Workspace(tmp_path).put("d", b"abc")
+        with open(tmp_path / "workspace.jsonl", "a", encoding="utf-8") as f:
+            f.write(tail)
+        with pytest.raises(SchemaError,
+                           match=f"workspace.jsonl: {where}"):
+            Workspace(tmp_path)
+
+    @pytest.mark.parametrize("header, where", [
+        ('{"format": 2, "hash": "fnv1a-64"}\n', "line 1: header must be"),
+        ('{"format": 1, "hash": "blake2b-64"}\n', "line 1: header must be"),
+        ("", "no header line"),
+    ])
+    def test_manifest_of_another_format_is_refused(self, tmp_path, header,
+                                                   where):
+        (tmp_path / "workspace.jsonl").write_text(header, "utf-8")
+        with pytest.raises(SchemaError,
+                           match=f"workspace.jsonl: {where}"):
+            Workspace(tmp_path)
+
+    def test_format_1_sidecars_are_refused(self, tmp_path):
+        (tmp_path / "d.dat").write_bytes(b"abc")
+        (tmp_path / "d.meta.json").write_text(json.dumps({
+            "dataset_id": "d", "acquisition_params": {},
+            "checksum": "0" * 16, "stage": "ready"}), "utf-8")
+        with pytest.raises(SchemaError, match="d.meta.json"):
+            Workspace(tmp_path)
+        assert not (tmp_path / "workspace.jsonl").exists()
 
     def test_stage_machine_happy_path(self, tmp_path):
         register_acquirer("const-xyz")(lambda: b"xyz")

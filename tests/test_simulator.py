@@ -3,12 +3,14 @@
 import dataclasses
 import hashlib
 import json
+from urllib.parse import quote
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pubflow import (
+    DatasetStage,
     KernelSpec,
     LogTally,
     MalformedLog,
@@ -759,30 +761,30 @@ def offers_of(records):
 # bytes must say which bytes changed and why.
 LOG_GOLDEN = {
     ("adapt-unfold", 0):
-        "e17c3a61374432704b6ffeaf727846dac8be168aa55c8f750c5c552e4fa2767f",
+        "3d0c8358b4bbd2f92eccce8259897a8d07fede403e3a98b7464414b2042affd5",
     ("adapt-unfold", 2):
-        "1975fdc480b39175136616b050237ea68b10cb49898794b83c4ec6e13390d8f5",
+        "fcc35714677de7aad46dfd4b859523c88eed6347c0570965e3b79d81a1a0fde0",
     ("chain", 0):
-        "da26f020f8eff1542eafad7f468300566546df926c792bddc15b4511ee73b134",
+        "e90b93b405fbed2748312fc5aa6545a8a54577863ca87938cf6a1339ceb62e63",
     ("chain", 2):
-        "c24bff253578ea42f3f89ed61ff995695152700b39fe06245ff409754c6a3185",
+        "1faf88c35a58d92a000f17a9d7628d12bdf6506a4b3f367eddd054ed8341abc5",
     ("flat-crash", 0):
-        "141cbae46f16e79cc7f19bf9aeaa3f249d8547d343dbda8b531667f54eac531b",
+        "7dc370c3f521552ff232e30358fcad8009cbaf46d89e5a2cd20c37738f619eb6",
     ("flat-crash", 2):
-        "09686ef9c7e2c39c12e08f0915ac1d2823993a34b854d6f4b0cf9b29d7de17c5",
+        "be0d09da96d4f455afb683ee618ebf65280c503719b9d4b8d70e50214efc6e0e",
     ("flat-two-stalls", 0):
-        "aee75bb5f57a0fad15ce6cfda3053dca0effc383dc03706d5afeaac820136234",
+        "fa1ed036fcf2b1423765792194bd11f5dbc23c0eb2ebd49d0e005395d059d800",
     ("flat-two-stalls", 2):
-        "7276b1cb2578a5054d5d12b9431ad02aa304c53dd3d7a39ef96b3cddc0a4ac3e",
+        "853eabb92124d7a6609c63420b8e94098b7869bbc5c7996c180dd84c06c969bc",
 }
 
 # (case, jitter) -> sha256 of the run workspace's files, see
 # workspace_digest
 WORKSPACE_GOLDEN = {
     ("adapt-unfold", 0):
-        "944f70d0b683267afbe7237c993a0d4f84d7cdfef232950dec9e5ed9a69542b8",
+        "240734f837e7c2ec3998dda9c7c609c4cbe145c0ba76be9d046acd7327cf60ae",
     ("adapt-unfold", 2):
-        "944f70d0b683267afbe7237c993a0d4f84d7cdfef232950dec9e5ed9a69542b8",
+        "11099394f1193acedad65df8c5964bdaa081443641b82cd8437f66df3cc87c87",
 }
 
 
@@ -937,22 +939,22 @@ EDGE_CASES = {
 # (case, jitter) -> (sha256 of log.dumps(), sha256 of report_fields)
 EDGE_GOLDEN = {
     ("attempts-run-out", 0): (
-        "ff20642feb6c3e41c9bb84f3f363087618e76af7a257ad0c75e4807c52733ae8",
+        "7b5bd7cd1ddaf1ba0834ccbae51afcb5238e17f3b641117ca93009e3d2f60878",
         "27265b1d3bae9f09e164b492b420aae20eb411f8af9ccf0164ae300f6328a2d4"),
     ("attempts-run-out", 2): (
-        "e93c3a76c9a77881ccb9555b7b6cb8dca1b285a5e0f3c8b0e14f78ce3b9384c2",
+        "97c2fe113a45e6271559c34f14a0d3ecc9eebf03456652f799a3b07ab272a335",
         "f7c7f1d9493bb32e4bcd9e774432e654a0c6887934bcc7151da50e79ad0b3a6b"),
     ("crash-mid-job", 0): (
-        "c5567570108e99557d5a29b2c6510dba9a5d79a2aed1e9b40f08d0a976e477f9",
+        "31f85018e0b3515b8ec6f1d848913116bb98613ce0e5fb668eef858c2345caed",
         "b7333ba8782e97b3d89e8e953044f8e3a6712966cc329ed2e2a2e7e906a7e031"),
     ("crash-mid-job", 2): (
-        "fc20a3952a1290fc7794724515e840ec93bc9d02abd6d5fb4a02ffceba37e9b3",
+        "ad109ad3739f899aa00c3e3857da72caa634989b2b79a3e0b19079150c7c9993",
         "945d151d6750e903f340f6b906a6e137c1a9da21c7a7cd05b41d7ca7440edc04"),
     ("crash-prob-and-departure", 0): (
-        "064aa366bb980cd6094da8686c1dfd1b13fc67420fd42310ea26d26493747143",
+        "7b08d4efe76e696d8cf20ab7861f0070803988f06b5f59d6cc9f4be36a6db588",
         "1f2c5ebd9e5caaf35f28b3505c6a8c64b51eccfbe68a93ae745fc9243633a180"),
     ("crash-prob-and-departure", 2): (
-        "c470137ac1a53215d191b1047948ab573e212351c9751013c3c7d882447ee505",
+        "abd2c5c40c769ff251cdcb0559ce403c661520125e630d3e275d5327783bf634",
         "60dab176c72b7ce4ad1ea48d8025f885009905c1a8da5ed1e03858ab284e50ff"),
     ("cut-by-horizon", 0): (
         "6977dd7ed7cc2307f259afe1c41b99d9798306fa1e4d657e8d5c704357c6ffb8",
@@ -961,28 +963,28 @@ EDGE_GOLDEN = {
         "83b0b7c35b263e1cdcdb40a97054f0df24f9cbd1c618c926f0007deb74946deb",
         "57b58e2b5cecb036e6a31b33ee641d8f916606fc9e531cab01984260d8501b8c"),
     ("departure-not-after-arrival", 0): (
-        "4678a57c2ab52a587e809d1d7109eafdf22897c45296caaa52461d8d203bb7e8",
+        "73bf3d3c1e245e49445dbf9f8162fe83a494c2361b8c9d1c4afe1a664a97074d",
         "cfc4d8f83ed53bf645846c2e7e2418c0591469d2d3c955fad045befb92aa41de"),
     ("departure-not-after-arrival", 2): (
-        "133f6f54618bd53595e5cfde153f9a70a142e4182623bb70a815fcee56cd55ab",
+        "a42c1f07efdb95a5a2383fbaf57256672747dafa3ba34cc5501654740e11bad6",
         "cfc4d8f83ed53bf645846c2e7e2418c0591469d2d3c955fad045befb92aa41de"),
     ("late-arrival", 0): (
-        "ecacc38dd393298345158b119bae44c85d46f6c498ebefd8f9defb76063399f3",
+        "5f500aa2c63a78fae2d2b9da58494ae92a587cfc7326e143a93010bc723dfed1",
         "87681b5819471fc2bad4ab2b6ca1fb6c0825f00f19764ad799c140474c8ec8aa"),
     ("late-arrival", 2): (
-        "5866055779afaf8c542dced46c75495ef1568972425d19a5b5de6d0f62173c52",
+        "3d9d4929676c5653f0a054d7bcfe81a847068e02cc96afc0cd9edc439049094a",
         "87681b5819471fc2bad4ab2b6ca1fb6c0825f00f19764ad799c140474c8ec8aa"),
     ("offers-due-while-running", 0): (
-        "c5f39fdead6e360a65981c24df14123fb83be241d4d4abab0dbdbef647a06105",
+        "f82a80c1c2cb749b905a1de3e674403d4af6d1a87d5a5a655344d0fdf894f44d",
         "50295df6a089c1a4e2b0fe8e6720f6a69ee98b7cf772e3edd2be27255df1b29d"),
     ("offers-due-while-running", 2): (
-        "fc5e59e681b1794ca4625d5e3b7f2fede17ae1ad13738cea4ff900c2d713b063",
+        "bb285b840345440120e9680768ef3985a8bbf251614ada94a152a90be9b3ed19",
         "50295df6a089c1a4e2b0fe8e6720f6a69ee98b7cf772e3edd2be27255df1b29d"),
     ("stall-over-assignment", 0): (
-        "eaafa21a647c59fd305b7035246724fa5003dfea0c0914b3fca910d9941b8d00",
+        "928d782beca4c1b4b965edd01b7ccf8659b58c5d2827749a18c89e65a5e82d17",
         "89a8490b8864db02d753776f4cdd68525aba70469f2e4011f5f1b91d55dbeaf6"),
     ("stall-over-assignment", 2): (
-        "9e591da2e1c3e236243dcd59b59478ec93b5d50cbed61c2b43e4eebe7c499750",
+        "1af23512a214a5f455a25e45a1cefa3ff12196a4ca124dde40863ef478baaf22",
         "4973880b878a132bd0aa2f98ba46b81b1ca90b9d482e7db7c8817c5e2c521db7"),
 }
 
@@ -1018,6 +1020,22 @@ def test_reopened_workspace_answers_like_the_one_that_ran(tmp_path):
         assert reopened.record(dataset_id) == ran.record(dataset_id)
         assert reopened.has_ready(dataset_id) == ran.has_ready(dataset_id)
         assert reopened.checksum(dataset_id) == ran.checksum(dataset_id)
+
+
+def test_run_leaves_one_manifest_and_one_file_per_ready_dataset(tmp_path):
+    """A dataset costs one file creation: the directory holds the
+    manifest and each ready dataset's data file, nothing else."""
+    batch, scenario, _ = _adapt_unfold()
+    ran = Workspace(tmp_path)
+    report, log = run_simulation(batch, scenario, workspace=ran)
+    assert report.completed
+    verified = {dataset_id for r in records_of(log)
+                if r["kind"] == "verdict" and r["payload"]["ok"]
+                for dataset_id in r["payload"]["outputs"]}
+    assert len(verified) > 10
+    assert all(ran.record(d).stage is DatasetStage.READY for d in verified)
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(
+        ["workspace.jsonl", *(f"{quote(d, safe='')}.dat" for d in verified)])
 
 
 class TestVolunteerTraffic:
