@@ -4,14 +4,15 @@ Everything coordinates through bus messages; no actor touches another
 actor's state.  One batch flows like this:
 
   broker       publishes every task on WaitingTasks, in id order
-  coordinator  releases dependency-satisfied tasks to TasksToDo, collects
-               volunteers, assigns the best-scoring one per task attempt,
-               and declares the batch finished on Emergency; an ok verdict
-               releases only the finished task's dependents, and every
-               task row change passes model.check_transition
-  workers      volunteer for open tasks they are capable of, execute
-               assignments, heartbeat while running, and push results to
-               TasksToCheck
+  coordinator  releases dependency-satisfied tasks to TasksToDo, keeps a
+               pool of idle workers, assigns each ToDo task the
+               best-scoring idle one, and declares the batch finished on
+               Emergency; an ok verdict releases only the finished task's
+               dependents, and every task row change passes
+               model.check_transition
+  workers      volunteer once, when they first see an open task they are
+               capable of, execute assignments, heartbeat while running,
+               and push results to TasksToCheck
   monitor      watches assigned tasks until their result or ok verdict;
                when heartbeats go stale it re-publishes the task with the
                attempt bumped and emits a data-policy event on DLC
@@ -20,12 +21,13 @@ actor's state.  One batch flows like this:
                on FinishedTasks, re-publishing a failed task until its
                spec's max_attempts runs out
 
-Workers volunteer only while idle, and at most once per (task, attempt):
-a task that arrives while a worker runs is offered when it becomes idle,
-and a re-publication with a higher attempt is a new offer.  The
-coordinator keeps each offer until the attempt is assigned and re-runs
-selection every step, so a freed worker is reconsidered without any
-extra traffic.
+A worker offers itself to the pool once, not once per task: its first
+volunteer puts it in the coordinator's idle pool, each assignment takes
+it out, and each result it sends puts it back, as a BOINC client's
+report of a finished job also asks for the next one.  A worker that
+went silent (stalled or dead) therefore stays out of the pool until it
+speaks again.  A worker that ignores an assignment, for lack of that
+attempt's spec, volunteers again so it does not drop out of the pool.
 
 Each actor's `wake` is the earliest tick at which its step does
 something without new mail (math.inf: never).
@@ -172,14 +174,13 @@ class Coordinator:
         self.dataset_sizes = dataset_sizes
         bus.register(actor_id)
         for channel in (Channel.WAITING_TASKS, Channel.TASKS_TO_DO,
-                        Channel.VOLUNTEER_WORKERS, Channel.FINISHED_TASKS):
+                        Channel.TASKS_TO_CHECK, Channel.VOLUNTEER_WORKERS,
+                        Channel.FINISHED_TASKS):
             bus.subscribe(actor_id, channel)
         self.batch: Optional[WorkflowBatch] = None
         self.status: dict[str, tuple[TaskState, int]] = {}
-        self.volunteers: dict[str, list[str]] = {}
         self.profiles: dict[str, WorkerProfile] = {}
-        self.assignments: dict[str, str] = {}   # task -> worker
-        self.busy: dict[str, str] = {}          # worker -> task
+        self.idle: set[str] = set()             # workers free for a task
         self.todo: set[str] = set()             # unassigned ToDo tasks
         self.finished: set[str] = set()
         self.halted = False
@@ -212,9 +213,14 @@ class Coordinator:
             elif env.channel == Channel.TASKS_TO_DO.value and env.kind == "task" \
                     and env.sender != self.id:
                 self._on_republished(env)
-            elif env.channel == Channel.VOLUNTEER_WORKERS.value \
-                    and env.kind == "volunteer":
-                self._on_volunteer(env)
+            elif env.kind == "volunteer":
+                wid = env.payload["worker_id"]
+                self.profiles[wid] = WorkerProfile.from_payload(
+                    wid, env.payload["profile"])
+                self.idle.add(wid)
+            elif env.kind == "result" and \
+                    env.payload["worker_id"] in self.profiles:
+                self.idle.add(env.payload["worker_id"])
             elif env.channel == Channel.FINISHED_TASKS.value \
                     and env.kind == "verdict":
                 self._on_verdict(env)
@@ -273,27 +279,19 @@ class Coordinator:
         self.bus.publish(self.id, Channel.TASKS_TO_DO, "task",
                          _task_payload(self.batch.tasks[tid], 1))
 
-    def _move(self, tid: str, state: TaskState, attempt: int,
-              worker: Optional[str] = None) -> None:
+    def _move(self, tid: str, state: TaskState, attempt: int) -> None:
         """The one writer of a task's row, through check_transition once it
-        exists; keeps `todo`, `finished`, the volunteer list and the task's
-        worker (freed by every move, named by an assignment) in step."""
+        exists; keeps `todo` and `finished` in step."""
         if tid in self.status:
             current, current_attempt = self.status[tid]
             check_transition(current, state, current_attempt, attempt)
         self.status[tid] = (state, attempt)
-        self.busy.pop(self.assignments.pop(tid, None), None)
-        if worker is not None:
-            self.assignments[tid] = worker
-            self.busy[worker] = tid
         if state is TaskState.TODO:
             self.todo.add(tid)
-            self.volunteers[tid] = []
         else:
             self.todo.discard(tid)
         if state is TaskState.FINISHED:
             self.finished.add(tid)
-            self.volunteers.pop(tid, None)
 
     def _on_republished(self, env: Envelope) -> None:
         """Monitor or checker pushed a task back to ToDo with attempt+1."""
@@ -312,25 +310,6 @@ class Coordinator:
                      tid, attempt, cur_attempt)
             return
         self._move(tid, TaskState.TODO, attempt)
-
-    def _on_volunteer(self, env: Envelope) -> None:
-        tid = env.payload["task_id"]
-        wid = env.payload["worker_id"]
-        attempt = env.payload["attempt"]
-        profile = WorkerProfile.from_payload(wid, env.payload["profile"])
-        self.profiles[wid] = profile
-        current = self.status.get(tid)
-        if current is None:
-            log.info("volunteer %s for unknown task %s ignored", wid, tid)
-            return
-        state, cur_attempt = current
-        if state is not TaskState.TODO or attempt != cur_attempt:
-            log.info("stale volunteer %s for %s (state %s, attempt %d)",
-                     wid, tid, state.name, attempt)
-            return
-        queue = self.volunteers[tid]
-        if wid not in queue:  # once per worker per task per attempt
-            queue.append(wid)
 
     def _on_verdict(self, env: Envelope) -> None:
         """An ok verdict releases, in id order, each Waiting dependent whose
@@ -363,22 +342,21 @@ class Coordinator:
     # -- per-step passes ----------------------------------------------------
 
     def _sweep_assignments(self) -> None:
-        """Try to assign every task in `todo`, the unassigned ToDo tasks,
-        in id order; one envelope per (task, attempt), first verified
-        winner keeps the slot.  Stops once every known worker is busy."""
+        """Match every task in `todo`, the unassigned ToDo tasks, in id
+        order, against the idle pool; each winner leaves the pool.  Stops
+        once the pool is empty."""
         for tid in sorted(self.todo):
-            if len(self.busy) >= len(self.profiles):
+            if not self.idle:
                 return
             assert self.batch is not None
             attempt = self.status[tid][1]
-            task = self.batch.tasks[tid]
-            candidates = [self.profiles[w]
-                          for w in self.volunteers.get(tid, ())
-                          if w not in self.busy]
-            winner = select_worker(task, candidates, self.sla)
+            winner = select_worker(self.batch.tasks[tid],
+                                   [self.profiles[w] for w in self.idle],
+                                   self.sla)
             if winner is None:
                 continue
-            self._move(tid, TaskState.IN_PROGRESS, attempt, winner)
+            self.idle.remove(winner)
+            self._move(tid, TaskState.IN_PROGRESS, attempt)
             self.bus.publish(self.id, Channel.TASKS_TO_DO, "assignment",
                              {"task_id": tid, "worker_id": winner,
                               "attempt": attempt})
@@ -422,13 +400,13 @@ class WorkerActor:
         bus.subscribe(self.id, Channel.EMERGENCY)
         self.halted = False
         self.open: dict[str, tuple[int, dict]] = {}
-        self.pending: dict[str, int] = {}
-        self.deferred: set[str] = set()   # arrived while running
-        self.offered: set[tuple[str, int]] = set()  # (task, attempt)
+        self.joined = False   # has offered itself to the pool
+        self.offer: Optional[tuple[int, str, int]] = None  # due, task, attempt
         self.running: Optional[_Job] = None
         self.executed_ticks = 0
 
     def _due(self, now: int) -> int:
+        """When an offer made now goes out: latency plus seeded jitter."""
         jitter = self.rng.randint(0, self.volunteer_jitter) \
             if self.volunteer_jitter > 0 else 0
         return now + self.volunteer_latency + jitter
@@ -439,7 +417,7 @@ class WorkerActor:
             return math.inf
         if self.running is not None:
             return self.running.started + 1
-        return min(self.pending.values(), default=math.inf)
+        return math.inf if self.offer is None else self.offer[0]
 
     def step(self, now: int) -> None:
         if self.halted:
@@ -454,8 +432,13 @@ class WorkerActor:
                 self._on_assignment(env, now)
         if self.running is not None and self.running.started < now:
             self._advance(now)
-        if self.running is None:
-            self._flush_volunteers(now)
+        if self.offer is not None and self.offer[0] <= now:
+            _due, tid, attempt = self.offer
+            self.offer = None
+            self.bus.publish(self.id, Channel.VOLUNTEER_WORKERS, "volunteer",
+                             {"task_id": tid, "worker_id": self.id,
+                              "attempt": attempt,
+                              "profile": self.profile.to_payload()})
 
     def _on_task(self, env: Envelope, now: int) -> None:
         tid = env.payload["task_id"]
@@ -463,14 +446,12 @@ class WorkerActor:
         if not caps <= self.profile.capabilities:
             return
         self.open[tid] = (env.payload["attempt"], env.payload["spec"])
-        if self.running is not None:
-            self.deferred.add(tid)
-        elif tid not in self.pending:
-            self.pending[tid] = self._due(now)
+        if not self.joined:  # the one offer names the task that prompted it
+            self.joined = True
+            self.offer = (self._due(now), tid, env.payload["attempt"])
 
     def _on_assignment(self, env: Envelope, now: int) -> None:
         tid = env.payload["task_id"]
-        self.pending.pop(tid, None)
         entry = self.open.pop(tid, None)
         if env.payload["worker_id"] != self.id:
             return
@@ -480,6 +461,7 @@ class WorkerActor:
         if entry is None or entry[0] != env.payload["attempt"]:
             log.warning("%s assigned %s attempt %d without its spec",
                         self.id, tid, env.payload["attempt"])
+            self.offer = (self._due(now), tid, env.payload["attempt"])
             return
         attempt, spec = entry
         self.running = _Job(
@@ -527,27 +509,6 @@ class WorkerActor:
             if result.error is not None:
                 payload["error"] = result.error
         self.bus.publish(self.id, Channel.TASKS_TO_CHECK, "result", payload)
-        for tid in sorted(self.deferred):
-            if tid in self.open and tid not in self.pending:
-                self.pending[tid] = self._due(now)
-        self.deferred.clear()
-
-    def _flush_volunteers(self, now: int) -> None:
-        for tid in sorted(self.pending):
-            if self.pending[tid] > now:
-                continue
-            del self.pending[tid]
-            entry = self.open.get(tid)
-            if entry is None:
-                continue
-            attempt, _spec = entry
-            if (tid, attempt) in self.offered:
-                continue
-            self.offered.add((tid, attempt))
-            self.bus.publish(self.id, Channel.VOLUNTEER_WORKERS, "volunteer",
-                             {"task_id": tid, "worker_id": self.id,
-                              "attempt": attempt,
-                              "profile": self.profile.to_payload()})
 
 
 # ---------------------------------------------------------------- monitor

@@ -80,6 +80,12 @@ class LogTally:
     makespan: int = 0                # highest ts seen
     reason: Optional[str] = None     # of the Emergency envelope, if any
     timeouts: int = 0                # tasks the monitor republished
+    duplicates: int = 0              # results the checker discarded
+    # task -> the attempts of its results, in log order, until its ok
+    # verdict; the checker discards each one after the result it verified
+    unverified: dict[str, list[int]] = field(default_factory=dict,
+                                             repr=False)
+    verified: set[str] = field(default_factory=set, repr=False)
 
     def add(self, record: dict) -> None:
         channel, kind = record["channel"], record["kind"]
@@ -93,6 +99,22 @@ class LogTally:
                                      payload["attempt"])
             if record["sender"] == "monitor":  # a k*H timeout
                 self.timeouts += 1
+        elif kind == "result" and self.reason is None:
+            # the checker reads no result after the Emergency
+            tid = payload["task_id"]
+            if tid in self.verified:
+                self.duplicates += 1
+            else:
+                self.unverified.setdefault(tid, []).append(
+                    payload["attempt"])
+        elif kind == "verdict" and payload["ok"] \
+                and payload["task_id"] not in self.verified:
+            tid = payload["task_id"]
+            self.verified.add(tid)
+            seen = self.unverified.pop(tid, [])
+            if payload["attempt"] in seen:
+                self.duplicates += \
+                    len(seen) - 1 - seen.index(payload["attempt"])
         elif kind == "emergency":
             self.reason = payload.get("reason")
 

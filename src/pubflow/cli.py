@@ -116,6 +116,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         print(f"tasks: {report.tasks_total}")
         print(f"re-executions: {report.re_executions}")
         print(f"timeouts: {report.timeouts}")
+        print(f"duplicates: {report.duplicates}")
         print(f"messages: {report.messages_total}")
         for channel in sorted(report.messages_by_channel):
             print(f"  {channel}: {report.messages_by_channel[channel]}")
@@ -181,6 +182,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         "tasks_seen": len(tally.attempts),
         "re_executions": tally.re_executions,
         "timeouts": tally.timeouts,
+        "duplicates": tally.duplicates,
         "makespan": tally.makespan,
         "completed": tally.completed,
         "failed": tally.reason == "failed",
@@ -194,6 +196,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         print(f"tasks seen: {doc['tasks_seen']}")
         print(f"re-executions: {doc['re_executions']}")
         print(f"timeouts: {doc['timeouts']}")
+        print(f"duplicates: {doc['duplicates']}")
         print(f"makespan: {doc['makespan']}")
         print(f"completed: {'yes' if doc['completed'] else 'no'}")
     return 0

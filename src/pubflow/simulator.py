@@ -112,6 +112,7 @@ class SimReport:
     tasks_total: int
     re_executions: int
     timeouts: int
+    duplicates: int
     messages_total: int
     messages_by_channel: dict[str, int] = field(default_factory=dict)
     per_worker_utilization: dict[str, float] = field(default_factory=dict)
@@ -212,6 +213,7 @@ def run_simulation(batch: WorkflowBatch, scenario: Scenario, *,
             tasks_total=len((coordinator.batch or batch).tasks),
             re_executions=tally.re_executions,
             timeouts=tally.timeouts,
+            duplicates=tally.duplicates,
             messages_total=tally.messages_total,
             messages_by_channel=bus.messages_by_channel(),
             per_worker_utilization=utilization,

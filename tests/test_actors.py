@@ -195,6 +195,12 @@ def verdict(bus, tid, attempt=1, ok=True):
                  "outputs": {}})
 
 
+def result(bus, wid, tid, attempt=1):
+    bus.publish(wid, Channel.TASKS_TO_CHECK, "result",
+                {"task_id": tid, "worker_id": wid, "attempt": attempt,
+                 "exit_status": 0, "outputs": {}})
+
+
 def assignments_in(bus):
     return [json.loads(line)["payload"]
             for line in bus.log.dumps().splitlines()
@@ -243,7 +249,9 @@ class TestCoordinator:
         coord.step(2)
         assert len(assignments_in(bus)) == 1
 
-    def test_busy_worker_not_assigned_second_task(self):
+    def test_assigned_worker_waits_for_its_result(self):
+        """An assignment takes the worker out of the pool; its verdict does
+        not put it back, its result does."""
         batch = batch_of(noop_task("a"), noop_task("b"))
         bus, coord = wire(batch)
         coord.step(0)
@@ -252,10 +260,37 @@ class TestCoordinator:
         coord.step(1)
         got = assignments_in(bus)
         assert len(got) == 1 and got[0]["task_id"] == "a"
+        assert coord.idle == set()
         verdict(bus, "a")
         coord.step(2)
+        assert len(assignments_in(bus)) == 1
+        result(bus, "w1", "a")
+        coord.step(3)
         got = assignments_in(bus)
         assert len(got) == 2 and got[1]["task_id"] == "b"
+        assert got[1]["worker_id"] == "w1"
+
+    def test_one_offer_serves_many_tasks(self):
+        """A single volunteer keeps the worker in the pool across tasks:
+        every result refills it, in id order of the ToDo tasks."""
+        batch = batch_of(noop_task("a"), noop_task("b"), noop_task("c"))
+        bus, coord = wire(batch)
+        coord.step(0)
+        volunteer(bus, "w1", "b")
+        coord.step(1)
+        for now, tid in enumerate(("a", "b"), start=2):
+            result(bus, "w1", tid)
+            coord.step(now)
+        assert [(a["task_id"], a["worker_id"]) for a in assignments_in(bus)] \
+            == [("a", "w1"), ("b", "w1"), ("c", "w1")]
+
+    def test_result_from_a_worker_that_never_offered_is_ignored(self):
+        batch = batch_of(noop_task("a"))
+        bus, coord = wire(batch)
+        coord.step(0)
+        result(bus, "ghost", "a")
+        coord.step(1)
+        assert coord.idle == set() and assignments_in(bus) == []
 
     def test_verdict_releases_dependents(self):
         batch = batch_of(noop_task("a"), noop_task("b", deps=["a"]))
@@ -295,22 +330,25 @@ class TestCoordinator:
                  if json.loads(line)["kind"] == "emergency"]
         assert found == [{"reason": "failed", "batch_id": "b"}]
 
-    def test_republication_bumps_attempt_and_frees_worker(self):
+    def test_republication_bumps_attempt_and_keeps_worker_out(self):
+        """The silent worker of a republished task stays out of the pool
+        (it may be stalled or dead) until it sends again."""
         batch = batch_of(noop_task("a"))
         bus, coord = wire(batch)
         coord.step(0)
         volunteer(bus, "w1", "a")
         coord.step(1)
-        assert coord.busy == {"w1": "a"}
+        assert coord.idle == set()
         spec = json.loads(bus.log.dumps().splitlines()[0]
                           )["payload"]["spec"]
         bus.publish("monitor", Channel.TASKS_TO_DO, "task",
                     {"task_id": "a", "attempt": 2, "spec": spec})
         coord.step(2)
         assert coord.status["a"] == (TaskState.TODO, 2)
-        assert coord.busy == {}
-        # a fresh volunteer for attempt 2 gets a fresh assignment
-        volunteer(bus, "w2", "a", attempt=2)
+        assert coord.idle == set()
+        assert len(assignments_in(bus)) == 1
+        # another worker joining the pool gets attempt 2
+        volunteer(bus, "w2", "a", attempt=1)
         coord.step(3)
         got = assignments_in(bus)
         assert got[-1] == {"task_id": "a", "worker_id": "w2", "attempt": 2}
@@ -340,9 +378,12 @@ class TestCoordinator:
         assert coord.status["a"][0] is TaskState.FINISHED
         volunteer(bus, "w9", "a", attempt=5)
         coord.step(3)
-        assert assignments_in(bus) == []
+        assert [(a["task_id"], a["attempt"]) for a in assignments_in(bus)] \
+            == [("b", 1)]
 
-    def test_stale_volunteer_for_old_attempt_ignored(self):
+    def test_volunteer_naming_an_old_attempt_still_joins_the_pool(self):
+        """An offer joins the pool whatever task it names; the assignment
+        carries the task's current attempt."""
         batch = batch_of(noop_task("a"))
         bus, coord = wire(batch)
         coord.step(0)
@@ -351,9 +392,10 @@ class TestCoordinator:
         bus.publish("monitor", Channel.TASKS_TO_DO, "task",
                     {"task_id": "a", "attempt": 2, "spec": spec})
         coord.step(1)
-        volunteer(bus, "w1", "a", attempt=1)  # arrived too late
+        volunteer(bus, "w1", "a", attempt=1)  # sent before the republish
         coord.step(2)
-        assert assignments_in(bus) == []
+        assert assignments_in(bus) == [
+            {"task_id": "a", "worker_id": "w1", "attempt": 2}]
 
     def test_move_refuses_what_check_transition_refuses(self):
         batch = batch_of(noop_task("a"), noop_task("b"))
@@ -535,27 +577,24 @@ class TestWorker:
         assert result["exit_status"] == 2
         assert "ghost" in result["error"]
 
-    def test_busy_worker_queues_volunteering_until_idle(self, tmp_path):
+    def test_result_is_the_only_offer_after_a_job(self, tmp_path):
+        """b arrives while the worker runs a; finishing a sends the
+        result and no volunteer, as the result refills the pool."""
         bus, actor = worker_rig(tmp_path)
         publish_task(bus, noop_task("a", outputs=("d",), duration=3.0))
         actor.step(0)
         assign(bus, "a", "w1")
         actor.step(1)
         publish_task(bus, noop_task("b"))
-        actor.step(2)  # running a; must not volunteer for b yet
+        for now in range(2, 6):
+            actor.step(now)
         kinds = [k for k, _ in log_kinds(bus)]
-        assert kinds.count("volunteer") == 1
-        actor.step(3)
-        actor.step(4)  # completes a, result, then re-volunteers for b
-        vols = [json.loads(line)["payload"]
-                for line in bus.log.dumps().splitlines()
-                if json.loads(line)["kind"] == "volunteer"]
-        assert [v["task_id"] for v in vols] == ["a", "b"]
+        assert kinds.count("volunteer") == 1 and kinds.count("result") == 1
+        assert actor.wake == float("inf")
 
-    def test_offers_each_task_attempt_once(self, tmp_path):
-        """b stays open while the worker runs a; finishing a does not
-        repeat the offer for b's attempt 1, but b's attempt 2, published
-        while a runs, is offered once the worker is idle again."""
+    def test_offers_once_whatever_tasks_follow(self, tmp_path):
+        """The first open task prompts the one offer; later tasks and a
+        republished attempt prompt none."""
         bus, actor = worker_rig(tmp_path)
         publish_task(bus, noop_task("a", outputs=("d",), duration=2.0))
         publish_task(bus, noop_task("b"))
@@ -563,18 +602,52 @@ class TestWorker:
         assign(bus, "a", "w1")
         actor.step(1)
         actor.step(2)
-        actor.step(3)  # completes a; b attempt 1 was already offered
+        actor.step(3)  # completes a
         publish_task(bus, noop_task("c", outputs=("e",), duration=2.0))
         actor.step(4)
         assign(bus, "c", "w1")
         actor.step(5)
         publish_task(bus, noop_task("b"), attempt=2, sender="monitor")
         actor.step(6)
-        actor.step(7)  # completes c; offers b attempt 2
+        actor.step(7)  # completes c
         records = [json.loads(line) for line in bus.log.dumps().splitlines()]
         vols = [(r["payload"]["task_id"], r["payload"]["attempt"])
                 for r in records if r["kind"] == "volunteer"]
-        assert vols == [("a", 1), ("b", 1), ("c", 1), ("b", 2)]
+        assert vols == [("a", 1)]
+        assert actor.open["b"][0] == 2
+
+    def test_offer_waits_for_latency_and_jitter(self, tmp_path):
+        bus = InProcessBus()
+        actor = WorkerActor(bus, profile("w1"), Workspace(tmp_path),
+                            heartbeat_period=5, volunteer_latency=3,
+                            volunteer_jitter=2, rng=random.Random(4))
+        due = 3 + random.Random(4).randint(0, 2)
+        publish_task(bus, noop_task("a"))
+        publish_task(bus, noop_task("b"))
+        actor.step(0)
+        assert actor.wake == due
+        for now in range(1, due + 1):
+            bus.now = now
+            actor.step(now)
+        records = [json.loads(line) for line in bus.log.dumps().splitlines()]
+        vols = [(r["ts"], r["payload"]["task_id"])
+                for r in records if r["kind"] == "volunteer"]
+        assert vols == [(due, "a")]
+
+    def test_ignored_assignment_sends_a_fresh_offer(self, tmp_path, caplog):
+        """An assignment the worker holds no spec for is ignored, and the
+        worker volunteers again, naming it, so it stays in the pool."""
+        bus, actor = worker_rig(tmp_path)
+        publish_task(bus, noop_task("a"))
+        actor.step(0)
+        assign(bus, "ghost", "w1", attempt=2)
+        actor.step(1)
+        records = [json.loads(line) for line in bus.log.dumps().splitlines()]
+        vols = [(r["payload"]["task_id"], r["payload"]["attempt"])
+                for r in records if r["kind"] == "volunteer"]
+        assert vols == [("a", 1), ("ghost", 2)]
+        assert actor.running is None
+        assert "w1 assigned ghost attempt 2 without its spec" in caplog.text
 
     def test_assignment_to_other_worker_clears_interest(self, tmp_path):
         bus, actor = worker_rig(tmp_path)

@@ -232,6 +232,36 @@ class TestEventLog:
         assert tally.makespan == 7
         assert tally.reason == "failed" and not tally.completed
 
+    def test_tally_counts_the_results_the_checker_discards(self):
+        """As Checker.duplicates: every result of a task after the one it
+        verified (even one logged before that verdict), up to the
+        Emergency."""
+        bus = fresh()
+
+        def result(tid, attempt, wid="w1"):
+            bus.publish(wid, Channel.TASKS_TO_CHECK, "result",
+                        {"task_id": tid, "worker_id": wid,
+                         "attempt": attempt, "exit_status": 0,
+                         "outputs": {}})
+
+        def verdict(tid, attempt, ok=True):
+            bus.publish("checker", Channel.FINISHED_TASKS, "verdict",
+                        {"task_id": tid, "attempt": attempt, "ok": ok,
+                         "outputs": {}})
+
+        result("a", 1)            # failed its check
+        result("a", 2)            # verified below
+        result("a", 1, "w2")      # read after the verified one: discarded
+        verdict("a", 1, ok=False)
+        verdict("a", 2)
+        result("a", 3)            # discarded
+        result("b", 1)            # never verified
+        verdict("a", 3)           # a second ok verdict changes nothing
+        bus.publish("coordinator", Channel.EMERGENCY, "emergency",
+                    {"reason": "complete", "batch_id": "b"})
+        result("a", 4)            # the checker has stopped
+        assert bus.log.tally.duplicates == 2
+
     def test_write_trailing_newline(self, tmp_path):
         bus = fresh()
         bus.publish("a", Channel.WAITING_TASKS, "task", task_payload())

@@ -3,6 +3,8 @@
 import dataclasses
 import hashlib
 import json
+import logging
+import random
 from urllib.parse import quote
 
 import pytest
@@ -32,6 +34,7 @@ from pubflow import (
     replay_check,
     run_simulation,
     scenario_from_dict,
+    serialize_workflow,
 )
 from pubflow import actors, cli
 from pubflow.bus import InProcessBus
@@ -411,14 +414,19 @@ class TestReportMetrics:
     @pytest.mark.parametrize("case", sorted(FOLD_CORPUS))
     def test_report_equals_the_fold_of_its_written_log(self, case,
                                                         monkeypatch):
-        monitors = []
-        init = actors.Monitor.__init__
+        made = {}  # actor class -> its instance in the run
 
-        def keep(self, *args, **kwargs):
-            monitors.append(self)
-            init(self, *args, **kwargs)
+        def keep(cls):
+            init = cls.__init__
 
-        monkeypatch.setattr(actors.Monitor, "__init__", keep)
+            def kept(self, *args, **kwargs):
+                made[cls] = self
+                init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", kept)
+
+        keep(actors.Monitor)
+        keep(actors.Checker)
         inputs, reason = FOLD_CORPUS[case]
         batch, scenario, validators = inputs()
         report, log = run_simulation(batch, scenario, validators=validators)
@@ -429,7 +437,10 @@ class TestReportMetrics:
         assert tally.re_executions > 0
         assert report.completed == tally.completed
         assert report.re_executions == tally.re_executions
-        assert report.timeouts == tally.timeouts == monitors[0].timeouts
+        assert report.timeouts == tally.timeouts \
+            == made[actors.Monitor].timeouts
+        assert report.duplicates == tally.duplicates \
+            == made[actors.Checker].duplicates
         assert report.messages_total == tally.messages_total
         assert report.messages_by_channel == tally.by_channel
         if tally.reason is not None:
@@ -437,6 +448,25 @@ class TestReportMetrics:
         else:
             assert report.makespan == scenario.horizon
 
+
+
+def test_simulate_and_report_print_the_discarded_results(tmp_path, capsys):
+    """The faulty-workers run's stalled w2 sends a result for a task
+    already verified; simulate and report both show it, text and JSON."""
+    batch, scenario, _ = _faulty_workers()
+    workflow, scenario_path, log = (tmp_path / name for name in (
+        "wf.json", "scenario.json", "events.jsonl"))
+    workflow.write_text(serialize_workflow(batch), "utf-8")
+    scenario_path.write_text(json.dumps(dump(scenario)), "utf-8")
+    files = [str(workflow), str(scenario_path)]
+    assert cli.main(["simulate", *files, "--log", str(log)]) == 0
+    assert "\nduplicates: 1\n" in capsys.readouterr().out
+    assert cli.main(["simulate", "--json", *files]) == 0
+    assert json.loads(capsys.readouterr().out)["duplicates"] == 1
+    assert cli.main(["report", str(log)]) == 0
+    assert "\nduplicates: 1\n" in capsys.readouterr().out
+    assert cli.main(["report", str(log), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["duplicates"] == 1
 
 
 def test_idle_workers_are_not_stepped(monkeypatch):
@@ -469,28 +499,62 @@ def test_idle_workers_are_not_stepped(monkeypatch):
     assert steps[0] <= report.makespan + 1 + deliveries[0]
 
 
-ticks = st.integers(min_value=0, max_value=10_000)
 unit = st.floats(min_value=0.0, max_value=1.0)
 
 
 @st.composite
-def scenarios(draw):
+def scenarios(draw, max_tick=10_000, max_crash_prob=1.0, max_heartbeat=50,
+              min_workers=0):
+    """Valid scenarios of up to 4 workers, every tick and delay at most
+    max_tick."""
+    ticks = st.integers(min_value=0, max_value=max_tick)
     ids = draw(st.lists(st.text("wxyz0123", min_size=1, max_size=4),
-                        max_size=4, unique=True))
+                        min_size=min_workers, max_size=4, unique=True))
     workers = tuple(WorkerSpec(
         worker_id=wid,
         capabilities=draw(st.frozensets(st.sampled_from(["gpu", "ssd"]))),
         speed=draw(st.floats(min_value=0.01, max_value=64.0)),
         reliability=draw(unit), arrival=draw(ticks),
         departure=draw(st.none() | ticks), crash=draw(st.none() | ticks),
-        crash_prob=draw(unit), stall=draw(st.none() | st.tuples(ticks, ticks)),
+        crash_prob=draw(st.floats(min_value=0.0, max_value=max_crash_prob)),
+        stall=draw(st.none() | st.tuples(ticks, ticks)),
     ) for wid in ids)
     return Scenario(
         seed=draw(st.integers(-2**63, 2**63)), horizon=draw(ticks),
-        heartbeat_period=draw(st.integers(1, 50)),
+        heartbeat_period=draw(st.integers(1, max_heartbeat)),
         timeout_multiplier=draw(st.integers(1, 9)),
         volunteer_latency=draw(ticks), volunteer_jitter=draw(ticks),
         workers=workers)
+
+
+@st.composite
+def noop_dags(draw, max_tasks=12):
+    """Noop tasks t00, t01, ..., each depending on some earlier ones."""
+    tasks = []
+    for i in range(draw(st.integers(1, max_tasks))):
+        earlier = [t.id for t in tasks]
+        tasks.append(noop_task(
+            f"t{i:02d}",
+            deps=draw(st.sets(st.sampled_from(earlier))) if earlier else (),
+            duration=float(draw(st.integers(1, 6))),
+            required_caps=draw(st.frozensets(st.sampled_from(["gpu", "ssd"]),
+                                             max_size=1)),
+            max_attempts=draw(st.integers(1, 4))))
+    return batch_of(*tasks)
+
+
+def tamed(scenario):
+    """The scenario with a pool that must finish any noop_dags batch of
+    a (max_tick=50, min_workers=1) scenario by tick 400: no worker
+    crashes, departs or stalls, each has every capability and a speed of
+    at least 0.5.  The last offer then goes out by tick 150, and a chain
+    of 12 six-tick tasks takes under 12 * (12 + 5) ticks after it."""
+    return dataclasses.replace(
+        scenario, horizon=400, workers=tuple(dataclasses.replace(
+            ws, capabilities=frozenset({"gpu", "ssd"}),
+            speed=max(ws.speed, 0.5), departure=None, crash=None,
+            crash_prob=0.0, stall=None)
+            for ws in scenario.workers))
 
 
 class TestScenarioFiles:
@@ -731,16 +795,16 @@ def _chain():
 ASSIGNMENT_GOLDEN = {
     "flat-two-stalls": (
         _flat_two_stalls,
-        "efe3ba7f62ddcda25c77f4ffad6ca8e1448d66f3bc0f21a7bdfddfcac772c64f"),
+        "eb1a9ad77bde921e4e40fb4b5e0f0ef39bc80598bd1b71fbbabc5cca46b95f45"),
     "flat-crash": (
         _flat_crash,
-        "bb3f668dd57167b1b532b5bcc4d7feb77dddbf67aefc908aa0b518633e895b9f"),
+        "c26b3d1fc6b01efa857c8660dee0c422c8fb3e97be0797d897dcc53f90113c77"),
     "chain": (
         _chain,
-        "cee849737b5ddd604b3f6e2677b5ef5b33bcd897449930d2ab379cd84969c525"),
+        "d09894c6269b407fb9cd72a23df3b93b4cb7dcf3a5b3a4999e83dfc36501eb1b"),
     "adapt-unfold": (
         _adapt_unfold,
-        "c61af5bcf0507eb2e8ea0c8167dc037934babbed470bab00c18c878790d6622d"),
+        "d9a4254cb263859b486562345af20a2c5d67d213682b28f9149264e05c47bd56"),
 }
 
 
@@ -761,28 +825,28 @@ def offers_of(records):
 # bytes must say which bytes changed and why.
 LOG_GOLDEN = {
     ("adapt-unfold", 0):
-        "3d0c8358b4bbd2f92eccce8259897a8d07fede403e3a98b7464414b2042affd5",
+        "55485d85d6ab3efdefa63b14a6a16dd9a66521303c1a1f908c8071e39a9b1bc7",
     ("adapt-unfold", 2):
-        "fcc35714677de7aad46dfd4b859523c88eed6347c0570965e3b79d81a1a0fde0",
+        "55485d85d6ab3efdefa63b14a6a16dd9a66521303c1a1f908c8071e39a9b1bc7",
     ("chain", 0):
-        "e90b93b405fbed2748312fc5aa6545a8a54577863ca87938cf6a1339ceb62e63",
+        "4d2750a4da888e565a02fc2f061d0f2e0f3167b4a66995b5721746d9a60f1067",
     ("chain", 2):
-        "1faf88c35a58d92a000f17a9d7628d12bdf6506a4b3f367eddd054ed8341abc5",
+        "10fd6f9c7608ec4e19241176f15544c3837efbb8ea4ef07572745b491e672a7b",
     ("flat-crash", 0):
-        "7dc370c3f521552ff232e30358fcad8009cbaf46d89e5a2cd20c37738f619eb6",
+        "0679c90ce9548aa0376e32503ff4855422b3b2b702e340ac69f097b1e1ad535a",
     ("flat-crash", 2):
-        "be0d09da96d4f455afb683ee618ebf65280c503719b9d4b8d70e50214efc6e0e",
+        "13c56eea94df8b031e00dde7786fe5c7c60d0b833ffc1567140f138eccf1d590",
     ("flat-two-stalls", 0):
-        "fa1ed036fcf2b1423765792194bd11f5dbc23c0eb2ebd49d0e005395d059d800",
+        "f962898a69916130f5ee4b239794caaf7d63a1bb0cbd9b0da07fed3b0fd756fe",
     ("flat-two-stalls", 2):
-        "853eabb92124d7a6609c63420b8e94098b7869bbc5c7996c180dd84c06c969bc",
+        "6b79b482b758fe976bba19ed318c930ce242f9534301277fc070a1fc361023d9",
 }
 
 # (case, jitter) -> sha256 of the run workspace's files, see
 # workspace_digest
 WORKSPACE_GOLDEN = {
     ("adapt-unfold", 0):
-        "240734f837e7c2ec3998dda9c7c609c4cbe145c0ba76be9d046acd7327cf60ae",
+        "11099394f1193acedad65df8c5964bdaa081443641b82cd8437f66df3cc87c87",
     ("adapt-unfold", 2):
         "11099394f1193acedad65df8c5964bdaa081443641b82cd8437f66df3cc87c87",
 }
@@ -895,8 +959,9 @@ def _stall_over_assignment():
 
 
 def _offers_due_while_running():
-    """z is released while both workers run; offers pend past their
-    due tick until the worker is idle again."""
+    """z is released while both workers run; each worker's one offer
+    goes out at tick 2, after the volunteer latency, and later only
+    results return the workers to the idle pool."""
     batch = batch_of(*[noop_task(f"t{i}", duration=5.0) for i in range(5)],
                      noop_task("z", deps=["t0"], duration=3.0))
     scenario = Scenario(seed=6, horizon=300, volunteer_latency=2, workers=(
@@ -939,52 +1004,52 @@ EDGE_CASES = {
 # (case, jitter) -> (sha256 of log.dumps(), sha256 of report_fields)
 EDGE_GOLDEN = {
     ("attempts-run-out", 0): (
-        "7b5bd7cd1ddaf1ba0834ccbae51afcb5238e17f3b641117ca93009e3d2f60878",
-        "27265b1d3bae9f09e164b492b420aae20eb411f8af9ccf0164ae300f6328a2d4"),
+        "844d90a9b1a3d5d0f5d6deab0d543eaca33861ebe5deec784ed5a7f061849537",
+        "2e72f81ee3bd803154d01e61d3aea7591cfc1d353e557460e0df1b205bf7eed9"),
     ("attempts-run-out", 2): (
-        "97c2fe113a45e6271559c34f14a0d3ecc9eebf03456652f799a3b07ab272a335",
-        "f7c7f1d9493bb32e4bcd9e774432e654a0c6887934bcc7151da50e79ad0b3a6b"),
+        "3ce5d1d6387e7ce5561ceb3bc00221185e58d1eb70187fac1ad3f9d0f30419a7",
+        "2e72f81ee3bd803154d01e61d3aea7591cfc1d353e557460e0df1b205bf7eed9"),
     ("crash-mid-job", 0): (
-        "31f85018e0b3515b8ec6f1d848913116bb98613ce0e5fb668eef858c2345caed",
-        "b7333ba8782e97b3d89e8e953044f8e3a6712966cc329ed2e2a2e7e906a7e031"),
+        "8ea7146b2c0070d7e80a994af3ec262813e914f67d0cf7354900e282e6654cd2",
+        "3fccdb28c2074bd9adf5a76af3a0260fc39ef6ed0a4f24784401f33a89636766"),
     ("crash-mid-job", 2): (
-        "ad109ad3739f899aa00c3e3857da72caa634989b2b79a3e0b19079150c7c9993",
-        "945d151d6750e903f340f6b906a6e137c1a9da21c7a7cd05b41d7ca7440edc04"),
+        "d2396ed0ccf1c204102b10f7f84cc8252b554a0b4d71822ca81c1f65ad45b51a",
+        "3fccdb28c2074bd9adf5a76af3a0260fc39ef6ed0a4f24784401f33a89636766"),
     ("crash-prob-and-departure", 0): (
-        "7b08d4efe76e696d8cf20ab7861f0070803988f06b5f59d6cc9f4be36a6db588",
-        "1f2c5ebd9e5caaf35f28b3505c6a8c64b51eccfbe68a93ae745fc9243633a180"),
+        "fd887047f3356895f4462e70211324e7f0af25ede49f38a725c2b5b2ed37250b",
+        "9ce05a15872b96d929f25fbebdcd2e67f14a18701c9ca172e261a7a018156633"),
     ("crash-prob-and-departure", 2): (
-        "abd2c5c40c769ff251cdcb0559ce403c661520125e630d3e275d5327783bf634",
-        "60dab176c72b7ce4ad1ea48d8025f885009905c1a8da5ed1e03858ab284e50ff"),
+        "0145b06a0759aa7c15c437554dc6aa5f6f003a77e0871fce9bb0940f18dbea7c",
+        "5b66576cc4f04a3c1aa2e14d2d41f3312a97611392377c56f01c5018295a2cf7"),
     ("cut-by-horizon", 0): (
-        "6977dd7ed7cc2307f259afe1c41b99d9798306fa1e4d657e8d5c704357c6ffb8",
+        "29bdca0c253f1b9f8925f81c92a759071adff7e8488acae92ae9b9c267b5a641",
         "a215e90cc7ce0a58f21358393c366c361df4284adbacfc2c0a28bd540aedb871"),
     ("cut-by-horizon", 2): (
-        "83b0b7c35b263e1cdcdb40a97054f0df24f9cbd1c618c926f0007deb74946deb",
-        "57b58e2b5cecb036e6a31b33ee641d8f916606fc9e531cab01984260d8501b8c"),
+        "39855786c832f0f55fce12f4178d35814bff8b00510320598654391508af877b",
+        "a215e90cc7ce0a58f21358393c366c361df4284adbacfc2c0a28bd540aedb871"),
     ("departure-not-after-arrival", 0): (
-        "73bf3d3c1e245e49445dbf9f8162fe83a494c2361b8c9d1c4afe1a664a97074d",
-        "cfc4d8f83ed53bf645846c2e7e2418c0591469d2d3c955fad045befb92aa41de"),
+        "bda89ad105f6c8128a179994c99217d41a460fdf14d9f996201a242adb16b64c",
+        "87211ca760b15a932fc1e29289c0eadaa7984b347669ec2c28001f080cfac87f"),
     ("departure-not-after-arrival", 2): (
-        "a42c1f07efdb95a5a2383fbaf57256672747dafa3ba34cc5501654740e11bad6",
-        "cfc4d8f83ed53bf645846c2e7e2418c0591469d2d3c955fad045befb92aa41de"),
+        "bda89ad105f6c8128a179994c99217d41a460fdf14d9f996201a242adb16b64c",
+        "87211ca760b15a932fc1e29289c0eadaa7984b347669ec2c28001f080cfac87f"),
     ("late-arrival", 0): (
-        "5f500aa2c63a78fae2d2b9da58494ae92a587cfc7326e143a93010bc723dfed1",
-        "87681b5819471fc2bad4ab2b6ca1fb6c0825f00f19764ad799c140474c8ec8aa"),
+        "3544713160760fddfde01e3a302ffe9a17ea009381a3e06d601289acd80ca62d",
+        "963fcffecd7ea0b490d47b9d625416a44049d15dbde75e94c171e993e1cddcb1"),
     ("late-arrival", 2): (
-        "3d9d4929676c5653f0a054d7bcfe81a847068e02cc96afc0cd9edc439049094a",
-        "87681b5819471fc2bad4ab2b6ca1fb6c0825f00f19764ad799c140474c8ec8aa"),
+        "3544713160760fddfde01e3a302ffe9a17ea009381a3e06d601289acd80ca62d",
+        "963fcffecd7ea0b490d47b9d625416a44049d15dbde75e94c171e993e1cddcb1"),
     ("offers-due-while-running", 0): (
-        "f82a80c1c2cb749b905a1de3e674403d4af6d1a87d5a5a655344d0fdf894f44d",
-        "50295df6a089c1a4e2b0fe8e6720f6a69ee98b7cf772e3edd2be27255df1b29d"),
+        "445f384b39dea211c1a825614c8e393503ad946bece239c0b267524c109f95f4",
+        "c9515c28c023dfaab658843c8442707fc3c96d227bb181f2ab919c52d4c193b8"),
     ("offers-due-while-running", 2): (
-        "bb285b840345440120e9680768ef3985a8bbf251614ada94a152a90be9b3ed19",
-        "50295df6a089c1a4e2b0fe8e6720f6a69ee98b7cf772e3edd2be27255df1b29d"),
+        "70ad3983e603fe1688c8f7e5c47bdb4276118e6e7f81db717e78f259b637eef1",
+        "c9515c28c023dfaab658843c8442707fc3c96d227bb181f2ab919c52d4c193b8"),
     ("stall-over-assignment", 0): (
-        "928d782beca4c1b4b965edd01b7ccf8659b58c5d2827749a18c89e65a5e82d17",
+        "569930bbe66e2243e6fee6fdbefe5087b2fdf25f82d0f317494a3d6d860b0b65",
         "89a8490b8864db02d753776f4cdd68525aba70469f2e4011f5f1b91d55dbeaf6"),
     ("stall-over-assignment", 2): (
-        "1af23512a214a5f455a25e45a1cefa3ff12196a4ca124dde40863ef478baaf22",
+        "b72d7ae8d4995472c7cd8cc1699198679af16da953788a045a888023bcbc221b",
         "4973880b878a132bd0aa2f98ba46b81b1ca90b9d482e7db7c8817c5e2c521db7"),
 }
 
@@ -1049,32 +1114,37 @@ class TestVolunteerTraffic:
 
     @pytest.mark.parametrize("jitter", [0, 2])
     @pytest.mark.parametrize("case", sorted(ASSIGNMENT_GOLDEN))
-    def test_no_worker_offers_the_same_attempt_twice(self, case, jitter):
+    def test_each_worker_offers_once(self, case, jitter):
         batch, scenario, _ = ASSIGNMENT_GOLDEN[case][0]()
         scenario = dataclasses.replace(scenario, volunteer_jitter=jitter)
         report, log = run_simulation(batch, scenario)
         assert report.completed
-        offers = offers_of(records_of(log))
-        assert offers
-        assert len(offers) == len(set(offers))
+        records = records_of(log)
+        offerers = [worker for _, _, worker in offers_of(records)]
+        assert offerers
+        assert len(offerers) == len(set(offerers))
+        assert pool_violations(records) == []
         assert precedence_audit(log, batch) == []
         assert lifecycle_audit(log) == []
 
-    @pytest.mark.parametrize("tasks,workers", [(10, 4), (25, 3), (6, 8)])
-    def test_flat_batch_logs_one_offer_per_task_and_worker(self, tasks,
-                                                           workers):
-        batch = batch_of(*[noop_task(f"t{i:02d}") for i in range(tasks)])
-        scenario = Scenario(seed=1, horizon=200, workers=tuple(
-            WorkerSpec(worker_id=f"w{i}") for i in range(workers)))
+    @pytest.mark.parametrize("tasks,workers",
+                             [(10, 4), (25, 3), (6, 8), (200, 64), (800, 16)])
+    def test_flat_batch_envelopes_are_linear_in_tasks(self, tasks, workers):
+        """Fault-free duration-1 noops: per task its WaitingTasks and
+        TasksToDo publications, assignment, started, result and verdict;
+        one offer per worker; one Emergency."""
+        batch = batch_of(*[noop_task(f"t{i:03d}") for i in range(tasks)])
+        scenario = Scenario(seed=1, horizon=1000, workers=tuple(
+            WorkerSpec(worker_id=f"w{i:02d}") for i in range(workers)))
         report, log = run_simulation(batch, scenario)
         assert report.completed
-        assert report.messages_by_channel["VolunteerWorkers"] == \
-            tasks * workers
+        assert report.messages_total == 6 * tasks + workers + 1
+        assert report.messages_by_channel["VolunteerWorkers"] == workers
 
-    def test_republished_attempt_gets_a_fresh_offer(self):
+    def test_republished_attempt_goes_to_the_pool(self):
         """w1 wins t and stalls past the horizon; the monitor republishes
-        t as attempt 2, and w2, which offered for attempt 1, offers again
-        and runs attempt 2."""
+        t as attempt 2, and w2, idle since its one offer, runs it without
+        offering again."""
         batch = batch_of(noop_task("t", duration=10.0))
         scenario = Scenario(seed=1, horizon=120, heartbeat_period=3,
                             timeout_multiplier=2, workers=(
@@ -1083,8 +1153,7 @@ class TestVolunteerTraffic:
         report, log = run_simulation(batch, scenario)
         assert report.completed
         records = records_of(log)
-        assert [o for o in offers_of(records) if o[2] == "w2"] == \
-            [("t", 1, "w2"), ("t", 2, "w2")]
+        assert offers_of(records) == [("t", 1, "w1"), ("t", 1, "w2")]
         assigned = [(r["payload"]["worker_id"], r["payload"]["attempt"])
                     for r in records if r["kind"] == "assignment"]
         assert assigned == [("w1", 1), ("w2", 2)]
@@ -1092,3 +1161,102 @@ class TestVolunteerTraffic:
         assert [(v["attempt"], v["ok"]) for v in verdicts] == [(2, True)]
         assert precedence_audit(log, batch) == []
         assert lifecycle_audit(log) == []
+
+
+def pool_violations(records):
+    """Assignments made to a worker between its timed-out assignment and
+    its next result or volunteer, as (seq, task, worker): such a worker
+    is stalled or dead and must stay out of the idle pool."""
+    latest: dict[str, str] = {}  # task -> worker of its last assignment
+    silent: set[str] = set()
+    violations = []
+    for record in records:
+        kind, payload = record["kind"], record["payload"]
+        if kind == "assignment":
+            if payload["worker_id"] in silent:
+                violations.append((record["seq"], payload["task_id"],
+                                   payload["worker_id"]))
+            latest[payload["task_id"]] = payload["worker_id"]
+        elif kind == "task" and record["sender"] == "monitor":
+            silent.add(latest[payload["task_id"]])
+        elif kind in ("result", "volunteer"):
+            silent.discard(payload["worker_id"])
+    return violations
+
+
+def _flat_noop_seed_2():
+    """The benchmark's flat-noop workload at seed 2: 200 duration-1 noops
+    with random ids on 16 workers; w03 stalls while running a task."""
+    rng = random.Random(2)
+    ids = sorted(f"t{n:08x}" for n in rng.sample(range(1 << 32), 200))
+    batch = batch_of(*[noop_task(tid, outputs=()) for tid in ids])
+    stalls = {"w03": (20, 24), "w06": (31, 24)}
+    scenario = Scenario(seed=2, horizon=20000, heartbeat_period=5,
+                        timeout_multiplier=3, workers=tuple(
+                            WorkerSpec(worker_id=f"w{i:02d}",
+                                       stall=stalls.get(f"w{i:02d}"))
+                            for i in range(16)))
+    return batch, scenario
+
+
+class TestSilentWorkersStayOutOfThePool:
+    """A monitor timeout once freed the silent worker, so the coordinator
+    handed a stalled or dead worker a task it could not run, and only a
+    second k*H timeout recovered that task."""
+
+    def test_stalled_worker_is_not_assigned_until_its_result(self, caplog):
+        batch, scenario = _flat_noop_seed_2()
+        assert "tef232a32" in batch.tasks
+        with caplog.at_level(logging.WARNING, logger="pubflow.actors"):
+            report, log = run_simulation(batch, scenario)
+        assert report.completed
+        records = records_of(log)
+        assert pool_violations(records) == []
+        assert "while busy" not in caplog.text
+        timed_out = {r["payload"]["task_id"] for r in records
+                     if r["kind"] == "task" and r["sender"] == "monitor"}
+        w03 = [r["payload"]["task_id"] for r in records
+               if r["kind"] == "assignment"
+               and r["payload"]["worker_id"] == "w03"]
+        # w03 stalls from tick 20 to 44 inside its last job, which times
+        # out; the batch finishes before w03 speaks again
+        assert w03[-1] in timed_out
+        assert report.makespan < 44
+
+    @pytest.mark.parametrize("jitter", [0, 2])
+    def test_dead_worker_wins_no_task(self, jitter, caplog):
+        batch, scenario, validators = _crash_prob_and_departure()
+        scenario = dataclasses.replace(scenario, volunteer_jitter=jitter)
+        with caplog.at_level(logging.WARNING, logger="pubflow.actors"):
+            report, log = run_simulation(batch, scenario,
+                                         validators=validators)
+        assert report.completed
+        records = records_of(log)
+        assert any(r["kind"] == "task" and r["sender"] == "monitor"
+                   for r in records)
+        assert pool_violations(records) == []
+        assert "while busy" not in caplog.text
+
+
+@given(batch=noop_dags(),
+       scenario=scenarios(max_tick=50, max_crash_prob=0.05,
+                          max_heartbeat=4, min_workers=1),
+       horizon=st.integers(100, 400), tame=st.booleans())
+@settings(max_examples=50, deadline=None)
+def test_random_runs_are_clean_deterministic_and_finish(batch, scenario,
+                                                         horizon, tame):
+    """Random noop DAGs under random scenarios whose faults fall in the
+    first 100 ticks: both audits pass, a second run gives the same
+    bytes, no silent worker re-enters the pool, and a pool without
+    faults finishes the batch."""
+    scenario = tamed(scenario) if tame else \
+        dataclasses.replace(scenario, horizon=horizon)
+    report, log = run_simulation(batch, scenario)
+    _, again = run_simulation(batch, scenario)
+    assert replay_check(log, again)
+    records = records_of(log)
+    assert precedence_audit(records, batch) == []
+    assert lifecycle_audit(records) == []
+    assert pool_violations(records) == []
+    if tame:
+        assert report.completed
