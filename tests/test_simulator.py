@@ -990,6 +990,33 @@ def _attempts_run_out():
     return batch, scenario, {"default": lambda s, r, w: s["id"] == "a"}
 
 
+def _stall_mid_job():
+    """w1 runs a at speed 0.7 and freezes from tick 4 to 8, over the
+    heartbeat ticks 5 and 7; its heartbeats resume on their phase at 9
+    and its result comes five ticks late."""
+    batch = batch_of(noop_task("a", duration=8.0),
+                     noop_task("b", deps=["a"], duration=4.0))
+    scenario = Scenario(seed=5, horizon=200, heartbeat_period=2,
+                        timeout_multiplier=4, workers=(
+                            WorkerSpec(worker_id="w1", speed=0.7,
+                                       stall=(4, 5)),
+                            WorkerSpec(worker_id="w2", speed=0.7,
+                                       reliability=0.5)))
+    return batch, scenario, None
+
+
+def _emergency_while_running():
+    """w1 stalls past the timeout, so w2 runs attempt 2; w1 still
+    finishes attempt 1 first, and the Emergency halts w2 mid-job."""
+    batch = batch_of(noop_task("a", duration=10.0))
+    scenario = Scenario(seed=8, horizon=200, heartbeat_period=2,
+                        timeout_multiplier=2, workers=(
+                            WorkerSpec(worker_id="w1", stall=(3, 6)),
+                            WorkerSpec(worker_id="w2", speed=0.5,
+                                       reliability=0.5)))
+    return batch, scenario, None
+
+
 EDGE_CASES = {
     "late-arrival": _late_arrival,
     "departure-not-after-arrival": _departure_not_after_arrival,
@@ -999,6 +1026,8 @@ EDGE_CASES = {
     "offers-due-while-running": _offers_due_while_running,
     "cut-by-horizon": _cut_by_horizon,
     "attempts-run-out": _attempts_run_out,
+    "stall-mid-job": _stall_mid_job,
+    "emergency-while-running": _emergency_while_running,
 }
 
 # (case, jitter) -> (sha256 of log.dumps(), sha256 of report_fields)
@@ -1033,6 +1062,12 @@ EDGE_GOLDEN = {
     ("departure-not-after-arrival", 2): (
         "bda89ad105f6c8128a179994c99217d41a460fdf14d9f996201a242adb16b64c",
         "87211ca760b15a932fc1e29289c0eadaa7984b347669ec2c28001f080cfac87f"),
+    ("emergency-while-running", 0): (
+        "3ba54c2f14101698ac36a684cd086e1ff317692051a41b375a75a5a82807b061",
+        "a8effcf96e2d2b5c0ad77c765b58c7531fdc7d4eafdc77546fcacdb4c972c77a"),
+    ("emergency-while-running", 2): (
+        "ed63a19246db7aa102f03c485d3b0daf66e3f41ec9f0ff93f66e1a500bd228a5",
+        "a8effcf96e2d2b5c0ad77c765b58c7531fdc7d4eafdc77546fcacdb4c972c77a"),
     ("late-arrival", 0): (
         "3544713160760fddfde01e3a302ffe9a17ea009381a3e06d601289acd80ca62d",
         "963fcffecd7ea0b490d47b9d625416a44049d15dbde75e94c171e993e1cddcb1"),
@@ -1045,6 +1080,12 @@ EDGE_GOLDEN = {
     ("offers-due-while-running", 2): (
         "70ad3983e603fe1688c8f7e5c47bdb4276118e6e7f81db717e78f259b637eef1",
         "c9515c28c023dfaab658843c8442707fc3c96d227bb181f2ab919c52d4c193b8"),
+    ("stall-mid-job", 0): (
+        "d93e0aab32349f904b562f5ee9632795f873c2f6aa8b2f4b5082d7417069d006",
+        "84252679e8d2044ff3d1f1d32e612e2cd860ba747f1cf47680f63e02c76ca6c7"),
+    ("stall-mid-job", 2): (
+        "a128278b9daee8bd9a47947fd16db2c04a8f5a0cc758339d646c1e906e75d9b2",
+        "a83a65a78b8512a575dd9079fcc0331ed90874071305c0101c24dcc66b66bfd4"),
     ("stall-over-assignment", 0): (
         "569930bbe66e2243e6fee6fdbefe5087b2fdf25f82d0f317494a3d6d860b0b65",
         "89a8490b8864db02d753776f4cdd68525aba70469f2e4011f5f1b91d55dbeaf6"),
