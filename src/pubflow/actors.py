@@ -30,7 +30,9 @@ speaks again.  A worker that ignores an assignment, for lack of that
 attempt's spec, volunteers again so it does not drop out of the pool.
 
 Each actor's `wake` is the earliest tick at which its step does
-something without new mail (math.inf: never).
+something without new mail (math.inf: never).  For a running worker
+that is its job's next heartbeat or its result, not the next tick: the
+step then counts the quiet ticks in between, skipping its stall window.
 """
 
 from __future__ import annotations
@@ -41,7 +43,9 @@ from dataclasses import dataclass
 from random import Random
 from typing import Callable, Mapping, Optional, Sequence
 
-from .bus import Channel, Envelope, InProcessBus
+from .bus import (DLC, EMERGENCY, FINISHED_TASKS, TASKS_IN_PROGRESS,
+                  TASKS_TO_CHECK, TASKS_TO_DO, VOLUNTEER_WORKERS,
+                  WAITING_TASKS, Envelope, InProcessBus)
 from .errors import GuardFailed, ValidationError
 from .execution import Workspace, execute_kernel
 # ready_tasks is not called here; perfbench's tracer patches it by name
@@ -120,7 +124,7 @@ class Broker:
         self.bus = bus
         self.id = actor_id
         bus.register(actor_id)
-        bus.subscribe(actor_id, Channel.EMERGENCY)
+        bus.subscribe(actor_id, EMERGENCY)
         self.halted = False
         self._pending: Optional[WorkflowBatch] = None
 
@@ -142,7 +146,7 @@ class Broker:
             raise ValidationError(
                 "cyclic batch: " + " -> ".join(report.cycle or []))
         return [
-            self.bus.publish(self.id, Channel.WAITING_TASKS, "task",
+            self.bus.publish(self.id, WAITING_TASKS, "task",
                              _task_payload(batch.tasks[tid], 1))
             for tid in sorted(batch.tasks)
         ]
@@ -151,7 +155,7 @@ class Broker:
         if self.halted:
             return
         for env in self.bus.drain(self.id):
-            if env.channel == Channel.EMERGENCY.value:
+            if env.channel == EMERGENCY:
                 self.halted = True
                 return
         if self._pending is not None:
@@ -173,9 +177,9 @@ class Coordinator:
         self.sla = sla
         self.dataset_sizes = dataset_sizes
         bus.register(actor_id)
-        for channel in (Channel.WAITING_TASKS, Channel.TASKS_TO_DO,
-                        Channel.TASKS_TO_CHECK, Channel.VOLUNTEER_WORKERS,
-                        Channel.FINISHED_TASKS):
+        for channel in (WAITING_TASKS, TASKS_TO_DO,
+                        TASKS_TO_CHECK, VOLUNTEER_WORKERS,
+                        FINISHED_TASKS):
             bus.subscribe(actor_id, channel)
         self.batch: Optional[WorkflowBatch] = None
         self.status: dict[str, tuple[TaskState, int]] = {}
@@ -208,9 +212,9 @@ class Coordinator:
         if self.halted:
             return
         for env in self.bus.drain(self.id):
-            if env.channel == Channel.WAITING_TASKS.value and env.kind == "task":
+            if env.channel == WAITING_TASKS and env.kind == "task":
                 self._on_waiting(env)
-            elif env.channel == Channel.TASKS_TO_DO.value and env.kind == "task" \
+            elif env.channel == TASKS_TO_DO and env.kind == "task" \
                     and env.sender != self.id:
                 self._on_republished(env)
             elif env.kind == "volunteer":
@@ -221,7 +225,7 @@ class Coordinator:
             elif env.kind == "result" and \
                     env.payload["worker_id"] in self.profiles:
                 self.idle.add(env.payload["worker_id"])
-            elif env.channel == Channel.FINISHED_TASKS.value \
+            elif env.channel == FINISHED_TASKS \
                     and env.kind == "verdict":
                 self._on_verdict(env)
         if self.halted:
@@ -276,7 +280,7 @@ class Coordinator:
     def _publish_todo(self, tid: str) -> None:
         assert self.batch is not None
         self._move(tid, TaskState.TODO, 1)
-        self.bus.publish(self.id, Channel.TASKS_TO_DO, "task",
+        self.bus.publish(self.id, TASKS_TO_DO, "task",
                          _task_payload(self.batch.tasks[tid], 1))
 
     def _move(self, tid: str, state: TaskState, attempt: int) -> None:
@@ -335,7 +339,7 @@ class Coordinator:
 
     def _emergency(self, reason: str) -> None:
         assert self.batch is not None
-        self.bus.publish(self.id, Channel.EMERGENCY, "emergency",
+        self.bus.publish(self.id, EMERGENCY, "emergency",
                          {"reason": reason, "batch_id": self.batch.batch_id})
         self.halted = True
 
@@ -357,7 +361,7 @@ class Coordinator:
                 continue
             self.idle.remove(winner)
             self._move(tid, TaskState.IN_PROGRESS, attempt)
-            self.bus.publish(self.id, Channel.TASKS_TO_DO, "assignment",
+            self.bus.publish(self.id, TASKS_TO_DO, "assignment",
                              {"task_id": tid, "worker_id": winner,
                               "attempt": attempt})
 
@@ -369,24 +373,47 @@ class Coordinator:
 
 # ---------------------------------------------------------------- worker
 
+def _run_ticks(duration: float, speed: float, limit: float) -> float:
+    """Ticks a job of `duration` runs at `speed`: the count of
+    `remaining -= speed` steps until remaining <= 1e-9, so float rounding
+    decides the last tick as it would tick by tick; math.inf once the
+    count passes `limit`."""
+    remaining, ticks = duration - speed, 1
+    while remaining > 1e-9:
+        if ticks > limit:
+            return math.inf
+        remaining -= speed
+        ticks += 1
+    return ticks
+
+
 @dataclass
 class _Job:
     task_id: str
     attempt: int
     spec: dict
     started: int
-    remaining: float
+    left: float    # run ticks until the result; math.inf: past the horizon
+    settled: int   # the last tick counted into `left` and executed_ticks
 
 
 class WorkerActor:
-    """A volunteer node: sees tasks, offers itself, runs what it wins."""
+    """A volunteer node: sees tasks, offers itself, runs what it wins.
+
+    A job runs one tick of work on every tick after it started outside
+    the worker's stall window, during which the worker is frozen: it
+    reads no mail and runs nothing.  The worker wakes only for a job's
+    heartbeat or result; a step counts the quiet ticks in between.
+    """
 
     def __init__(self, bus: InProcessBus, profile: WorkerProfile,
                  workspace: Workspace,
                  heartbeat_period: int,
                  volunteer_latency: int = 0,
                  volunteer_jitter: int = 0,
-                 rng: Optional[Random] = None) -> None:
+                 rng: Optional[Random] = None,
+                 stall: Optional[tuple[int, int]] = None,
+                 horizon: float = math.inf) -> None:
         self.bus = bus
         self.profile = profile
         self.id = profile.worker_id
@@ -395,9 +422,13 @@ class WorkerActor:
         self.volunteer_latency = volunteer_latency
         self.volunteer_jitter = volunteer_jitter
         self.rng = rng or Random(0)
+        # frozen for (from, ticks): the ticks [from, from + ticks)
+        self.stall_window = None if stall is None \
+            else (stall[0], stall[0] + stall[1])
+        self.horizon = horizon  # no job needs counting past it
         bus.register(self.id)
-        bus.subscribe(self.id, Channel.TASKS_TO_DO)
-        bus.subscribe(self.id, Channel.EMERGENCY)
+        bus.subscribe(self.id, TASKS_TO_DO)
+        bus.subscribe(self.id, EMERGENCY)
         self.halted = False
         self.open: dict[str, tuple[int, dict]] = {}
         self.joined = False   # has offered itself to the pool
@@ -411,34 +442,83 @@ class WorkerActor:
             if self.volunteer_jitter > 0 else 0
         return now + self.volunteer_latency + jitter
 
+    def _stalled(self, tick: float) -> bool:
+        return self.stall_window is not None \
+            and self.stall_window[0] <= tick < self.stall_window[1]
+
+    def _next_event(self, job: _Job) -> float:
+        """The job's next heartbeat tick, on its phase outside the stall,
+        or the tick of its result, whichever comes first."""
+        period, after = self.heartbeat_period, job.settled
+        beat = after + period - (after - job.started) % period
+        done = after + job.left
+        if self.stall_window is not None:
+            lo, hi = self.stall_window
+            if lo <= beat < hi:
+                beat = hi + (job.started - hi) % period
+            if done >= lo:
+                done += max(0, hi - max(lo, after + 1))
+        return min(beat, done)
+
     @property
-    def wake(self) -> float:  # each tick after its job started, or an offer
+    def wake(self) -> float:  # a due offer or the job's next event
         if self.halted:
             return math.inf
+        tick = math.inf if self.offer is None else self.offer[0]
         if self.running is not None:
-            return self.running.started + 1
-        return math.inf if self.offer is None else self.offer[0]
+            tick = min(tick, self._next_event(self.running))
+        return self.stall_window[1] if self._stalled(tick) else tick
 
     def step(self, now: int) -> None:
-        if self.halted:
+        if self.halted or self._stalled(now):
             return
         for env in self.bus.drain(self.id):
-            if env.channel == Channel.EMERGENCY.value:
-                self.halted = True
+            if env.channel == EMERGENCY:
+                self.stop(now - 1)
                 return
             if env.kind == "task":
                 self._on_task(env, now)
             elif env.kind == "assignment":
                 self._on_assignment(env, now)
-        if self.running is not None and self.running.started < now:
-            self._advance(now)
+        job = self.running
+        if job is not None and job.settled < now:
+            self._settle(now)
+            if job.left <= 0:
+                self._complete(now)
+            elif (now - job.started) % self.heartbeat_period == 0:
+                self.bus.publish(self.id, TASKS_IN_PROGRESS, "heartbeat",
+                                 {"task_id": job.task_id,
+                                  "worker_id": self.id,
+                                  "attempt": job.attempt})
         if self.offer is not None and self.offer[0] <= now:
             _due, tid, attempt = self.offer
             self.offer = None
-            self.bus.publish(self.id, Channel.VOLUNTEER_WORKERS, "volunteer",
+            self.bus.publish(self.id, VOLUNTEER_WORKERS, "volunteer",
                              {"task_id": tid, "worker_id": self.id,
                               "attempt": attempt,
                               "profile": self.profile.to_payload()})
+
+    def _settle(self, upto: int) -> None:
+        """Count the job's run ticks up to `upto`: every tick after the
+        last one counted, outside the stall window."""
+        job = self.running
+        assert job is not None
+        ran = upto - job.settled
+        if self.stall_window is not None:
+            lo, hi = self.stall_window
+            ran -= max(0, min(hi, upto + 1) - max(lo, job.settled + 1))
+        job.left -= ran
+        job.settled = upto
+        self.executed_ticks += ran
+
+    def stop(self, tick: int) -> None:
+        """Halt for good, the running job having run up to `tick`: on the
+        Emergency, at death, and at the end of a run."""
+        if self.halted:
+            return
+        if self.running is not None and self.running.settled < tick:
+            self._settle(tick)
+        self.halted = True
 
     def _on_task(self, env: Envelope, now: int) -> None:
         tid = env.payload["task_id"]
@@ -466,22 +546,12 @@ class WorkerActor:
         attempt, spec = entry
         self.running = _Job(
             task_id=tid, attempt=attempt, spec=spec, started=now,
-            remaining=float(spec["kernel"]["duration"]))
-        self.bus.publish(self.id, Channel.TASKS_IN_PROGRESS, "started",
+            left=_run_ticks(float(spec["kernel"]["duration"]),
+                            self.profile.speed, self.horizon - now),
+            settled=now)
+        self.bus.publish(self.id, TASKS_IN_PROGRESS, "started",
                          {"task_id": tid, "worker_id": self.id,
                           "attempt": attempt})
-
-    def _advance(self, now: int) -> None:
-        job = self.running
-        assert job is not None
-        job.remaining -= self.profile.speed
-        self.executed_ticks += 1
-        if job.remaining <= 1e-9:
-            self._complete(now)
-        elif (now - job.started) % self.heartbeat_period == 0:
-            self.bus.publish(self.id, Channel.TASKS_IN_PROGRESS, "heartbeat",
-                             {"task_id": job.task_id, "worker_id": self.id,
-                              "attempt": job.attempt})
 
     def _complete(self, now: int) -> None:
         job = self.running
@@ -497,7 +567,7 @@ class WorkerActor:
             result = execute_kernel(task.kernel, self.workspace,
                                     speed=self.profile.speed)
         except Exception as exc:  # MissingInput: ask the data policy for help
-            self.bus.publish(self.id, Channel.DLC, "dlc",
+            self.bus.publish(self.id, DLC, "dlc",
                              {"task_id": job.task_id,
                               "event": "transmission_failure"})
             payload.update(exit_status=2, outputs={},
@@ -508,7 +578,7 @@ class WorkerActor:
                            outputs=result.outputs, elapsed=result.elapsed)
             if result.error is not None:
                 payload["error"] = result.error
-        self.bus.publish(self.id, Channel.TASKS_TO_CHECK, "result", payload)
+        self.bus.publish(self.id, TASKS_TO_CHECK, "result", payload)
 
 
 # ---------------------------------------------------------------- monitor
@@ -539,9 +609,9 @@ class Monitor:
         self.heartbeat_period = heartbeat_period
         self.timeout_multiplier = timeout_multiplier
         bus.register(actor_id)
-        for channel in (Channel.TASKS_TO_DO, Channel.TASKS_IN_PROGRESS,
-                        Channel.TASKS_TO_CHECK, Channel.FINISHED_TASKS,
-                        Channel.EMERGENCY):
+        for channel in (TASKS_TO_DO, TASKS_IN_PROGRESS,
+                        TASKS_TO_CHECK, FINISHED_TASKS,
+                        EMERGENCY):
             bus.subscribe(actor_id, channel)
         self.specs: dict[str, tuple[int, dict]] = {}
         self.watch: dict[str, _Watch] = {}
@@ -558,7 +628,7 @@ class Monitor:
         if self.halted:
             return
         for env in self.bus.drain(self.id):
-            if env.channel == Channel.EMERGENCY.value:
+            if env.channel == EMERGENCY:
                 self.halted = True
                 return
             kind = env.kind
@@ -595,10 +665,10 @@ class Monitor:
             log.info("task %s stale (worker %s, %d ticks); re-publishing "
                      "as attempt %d", tid, watch.worker_id,
                      now - watch.last_seen, next_attempt)
-            self.bus.publish(self.id, Channel.TASKS_TO_DO, "task",
+            self.bus.publish(self.id, TASKS_TO_DO, "task",
                              {"task_id": tid, "attempt": next_attempt,
                               "spec": spec})
-            self.bus.publish(self.id, Channel.DLC, "dlc",
+            self.bus.publish(self.id, DLC, "dlc",
                              {"task_id": tid,
                               "event": "transmission_failure"})
             del self.watch[tid]
@@ -641,8 +711,8 @@ class Checker:
         if validators:
             self.registry.update(validators)
         bus.register(actor_id)
-        for channel in (Channel.TASKS_TO_DO, Channel.TASKS_TO_CHECK,
-                        Channel.EMERGENCY):
+        for channel in (TASKS_TO_DO, TASKS_TO_CHECK,
+                        EMERGENCY):
             bus.subscribe(actor_id, channel)
         self.specs: dict[str, dict] = {}  # task id -> its latest spec
         self.finished: set[str] = set()
@@ -656,7 +726,7 @@ class Checker:
         if self.halted:
             return
         for env in self.bus.drain(self.id):
-            if env.channel == Channel.EMERGENCY.value:
+            if env.channel == EMERGENCY:
                 self.halted = True
                 return
             if env.kind == "task":
@@ -689,17 +759,17 @@ class Checker:
                 ok = False
         if ok:
             self.finished.add(tid)
-            self.bus.publish(self.id, Channel.FINISHED_TASKS, "verdict",
+            self.bus.publish(self.id, FINISHED_TASKS, "verdict",
                              {"task_id": tid, "attempt": payload["attempt"],
                               "ok": True, "outputs": payload["outputs"]})
             return
         self.fails[tid] = self.fails.get(tid, 0) + 1
         if self.fails[tid] < spec["max_attempts"]:
-            self.bus.publish(self.id, Channel.TASKS_TO_DO, "task",
+            self.bus.publish(self.id, TASKS_TO_DO, "task",
                              {"task_id": tid,
                               "attempt": payload["attempt"] + 1,
                               "spec": spec})
         else:
-            self.bus.publish(self.id, Channel.FINISHED_TASKS, "verdict",
+            self.bus.publish(self.id, FINISHED_TASKS, "verdict",
                              {"task_id": tid, "attempt": payload["attempt"],
                               "ok": False, "outputs": {}})

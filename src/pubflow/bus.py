@@ -39,6 +39,12 @@ class Channel(str, Enum):
 
 
 CHANNEL_CATALOG = tuple(c.value for c in Channel)
+# The names as plain strings for the hot paths, where reading a member's
+# .value is a descriptor call.  A member hashes and compares as its name,
+# so _CHANNEL_NAMES maps a member and its name alike.
+WAITING_TASKS, TASKS_TO_DO, TASKS_IN_PROGRESS, TASKS_TO_CHECK, \
+    FINISHED_TASKS, VOLUNTEER_WORKERS, EMERGENCY, DLC, EM = CHANNEL_CATALOG
+_CHANNEL_NAMES = {c: c.value for c in Channel}
 
 # Each kind's payload fields and their exact JSON types (true is no int):
 # publish checks that they are there, simulator.parse_log their types too.
@@ -131,6 +137,10 @@ class LogTally:
         return self.reason == "complete"
 
 
+# json.dumps builds a JSONEncoder per call; the log needs one, compact.
+_ENCODE = json.JSONEncoder(separators=(",", ":")).encode
+
+
 @dataclass
 class EventLog:
     """Accumulates serialized envelopes, one JSON line each, and their
@@ -148,7 +158,7 @@ class EventLog:
             "sender": env.sender,
             "payload": env.payload,
         }
-        self.lines.append(json.dumps(record, separators=(",", ":")))
+        self.lines.append(_ENCODE(record))
         self.tally.add(record)
 
     def dumps(self) -> str:
@@ -159,9 +169,9 @@ class EventLog:
 
 
 def _normalize_channel(channel: str | Channel) -> str:
-    value = channel.value if isinstance(channel, Channel) else channel
-    if value not in CHANNEL_CATALOG:
-        raise UnknownChannel(f"no channel {value!r} in the catalog")
+    value = _CHANNEL_NAMES.get(channel)
+    if value is None:
+        raise UnknownChannel(f"no channel {channel!r} in the catalog")
     return value
 
 

@@ -117,6 +117,7 @@ class Workspace:
         self._records: dict[str, DatasetRecord] = {}
         self._data: dict[str, bytes] = {}   # payloads read or put
         self._paths: dict[str, str] = {}
+        self._checked: tuple[str, ...] = ()  # inputs of the running kernel
         if os.path.exists(self._manifest):
             self._fold()
             return
@@ -188,7 +189,7 @@ class Workspace:
             and os.path.exists(self._data_path(dataset_id))
 
     def get(self, dataset_id: str) -> bytes:
-        if not self.has_ready(dataset_id):
+        if dataset_id not in self._checked and not self.has_ready(dataset_id):
             raise MissingInput(f"dataset {dataset_id!r} is not ready")
         data = self._data.get(dataset_id)
         if data is None:  # put before this Workspace opened the directory
@@ -363,6 +364,7 @@ def execute_kernel(spec: KernelSpec, workspace: Workspace,
     if fn is None:
         return TaskResult(exit_status=127, outputs={}, elapsed=elapsed,
                           error=f"kernel {spec.name!r} is not registered")
+    workspace._checked = spec.inputs  # the kernel's gets need no new stat
     try:
         produced = fn(spec, workspace)
     except MissingInput:
@@ -370,6 +372,8 @@ def execute_kernel(spec: KernelSpec, workspace: Workspace,
     except Exception as exc:  # kernel panic: encoded, not propagated
         return TaskResult(exit_status=1, outputs={}, elapsed=elapsed,
                           error=f"{type(exc).__name__}: {exc}")
+    finally:
+        workspace._checked = ()
     outputs: dict[str, str] = {}
     for dataset_id in spec.outputs:
         if dataset_id not in produced:

@@ -8,13 +8,20 @@ workers.  Per tick, in this exact order:
      then seeded random crashes (one draw per arrived, alive at-risk
      worker, sorted by worker id)
   2. broker, coordinator, monitor, checker
-  3. workers, sorted by worker id (skipped while not yet arrived or
-     inside a stall window)
+  3. workers, sorted by worker id (skipped while not yet arrived; a
+     worker in its stall window is frozen and its step does nothing)
 
 An actor is stepped only when the bus holds mail for it or its `wake`
 tick (see actors.py) has come, as any other step would do nothing; a
 dead worker leaves the bus.  So a tick costs the actors with work, not
-the size of the pool.
+the size of the pool.  Nor does the loop visit a tick where nothing is
+due: after a tick with mail left on the bus it goes on to the next
+tick, and otherwise it jumps to the earliest wake, scheduled departure
+or crash, or the horizon.  A running job wakes its worker only for a
+heartbeat or its result, so a long job costs its heartbeats, not its
+ticks.  The exception is a live worker with a crash_prob: its death
+roll is one RNG draw per tick from its arrival on, so while it lives
+the loop visits every tick.
 
 All randomness flows through a single random.Random(seed), so identical
 inputs produce byte-identical event logs; the loop ends after the tick
@@ -151,7 +158,8 @@ def run_simulation(batch: WorkflowBatch, scenario: Scenario, *,
                 heartbeat_period=scenario.heartbeat_period,
                 volunteer_latency=scenario.volunteer_latency,
                 volunteer_jitter=scenario.volunteer_jitter,
-                rng=rng))
+                rng=rng, stall=ws.stall, horizon=scenario.horizon))
+        services = (broker, coordinator, monitor, checker)
 
         coordinator.adopt(batch)
         broker.queue(batch)
@@ -169,8 +177,10 @@ def run_simulation(batch: WorkflowBatch, scenario: Scenario, *,
             died[wid] = now
             bus.leave(wid)
             wake.pop(wid, None)
+            roster[wid][1].stop(now - 1)
 
-        for now in range(scenario.horizon + 1):
+        now = 0
+        while True:
             bus.now = now
             for wid in ends.pop(now, ()):
                 if wid not in died:
@@ -180,15 +190,14 @@ def run_simulation(batch: WorkflowBatch, scenario: Scenario, *,
                 if wid not in died and now >= ws.arrival \
                         and rng.random() < ws.crash_prob:
                     kill(wid, now)
-            for service in (broker, coordinator, monitor, checker):
+            for service in services:
                 if service.id in bus.mail or service.wake <= now:
                     service.step(now)
             due = {wid for wid in bus.mail if wid in roster}
             due.update(wid for wid, tick in wake.items() if tick <= now)
             for wid in sorted(due):
                 ws, actor = roster[wid]
-                if now < ws.arrival or ws.stall is not None \
-                        and ws.stall[0] <= now < ws.stall[0] + ws.stall[1]:
+                if now < ws.arrival:
                     continue
                 actor.step(now)
                 tick = actor.wake
@@ -196,8 +205,20 @@ def run_simulation(batch: WorkflowBatch, scenario: Scenario, *,
                     wake[wid] = tick
                 else:
                     wake.pop(wid, None)
-            if coordinator.halted:
+            if coordinator.halted or now == scenario.horizon:
                 break
+            if bus.mail:
+                now += 1
+                continue
+            # no mail: jump to the next wake, scheduled end, crash roll
+            # of a live crash_prob worker, or the horizon
+            now = max(now + 1, min(
+                scenario.horizon, *ends, *wake.values(),
+                *(service.wake for service in services),
+                *(max(now + 1, roster[wid][0].arrival)
+                  for wid in risky if wid not in died)))
+        for _, actor in roster.values():
+            actor.stop(now)
 
         # Counts come from the log; the engine adds only what the log cannot
         # carry: the final batch, utilization, an unfinished run's horizon.

@@ -1,9 +1,12 @@
 """Actor behavior, driven by hand on a bare bus (no simulator loop)."""
 
+import itertools
 import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pubflow import (
     Broker,
@@ -682,6 +685,100 @@ class TestWorker:
                    for line in bus.log.dumps().splitlines()
                    if json.loads(line)["kind"] == "result"]
         assert results == [3]  # ceil(4 / 2) ticks after start at 1
+
+
+def per_tick_job(duration, speed, heartbeat, stall, emergency, end):
+    """A job's (kind, ts) events and run ticks, worked out tick by tick:
+    the task and its assignment wait in the queue from tick 0."""
+    def frozen(t):
+        return stall is not None and stall[0] <= t < stall[0] + stall[1]
+    started = next(t for t in itertools.count() if not frozen(t))
+    events = [("started", started)] if started <= end else []
+    remaining, executed = duration, 0
+    for t in range(started + 1, end + 1):
+        if frozen(t):
+            continue
+        if emergency is not None and t >= emergency:
+            break
+        remaining -= speed
+        executed += 1
+        if remaining <= 1e-9:
+            events.append(("result", t))
+            break
+        if (t - started) % heartbeat == 0:
+            events.append(("heartbeat", t))
+    return events, executed
+
+
+class TestNextEventWorker:
+    @settings(max_examples=300, deadline=None)
+    @given(duration=st.floats(min_value=0.1, max_value=40.0),
+           speed=st.one_of(st.sampled_from([0.5, 0.7, 1.0, 2.0]),
+                           st.floats(min_value=0.1, max_value=3.0)),
+           heartbeat=st.integers(min_value=1, max_value=6),
+           stall=st.none() | st.tuples(st.integers(0, 40),
+                                       st.integers(1, 30)),
+           emergency=st.none() | st.integers(1, 120),
+           end=st.integers(0, 120))
+    def test_waking_for_events_matches_stepping_every_tick(
+            self, tmp_path_factory, duration, speed, heartbeat, stall,
+            emergency, end):
+        """Stepped only at the ticks the simulator visits (mail for the
+        worker, its wake, the Emergency, the end), the worker sends what
+        the per-tick model sends, counts its run ticks alike, and never
+        wakes without sending something."""
+        bus = InProcessBus()
+        actor = WorkerActor(bus, profile("w1", speed=speed),
+                            Workspace(tmp_path_factory.mktemp("ws")),
+                            heartbeat_period=heartbeat, stall=stall)
+        publish_task(bus, noop_task("a", duration=duration))
+        assign(bus, "a", "w1")
+        now, idle_wakes = 0, 0
+        while True:
+            bus.now = now
+            if now == emergency:
+                bus.publish("coordinator", Channel.EMERGENCY, "emergency",
+                            {"reason": "complete", "batch_id": "b"})
+            mail = actor.id in bus.mail
+            if mail or actor.wake <= now:
+                sent = len(bus.log.lines)
+                actor.step(now)
+                idle_wakes += not mail and len(bus.log.lines) == sent
+            if now == end:
+                break
+            later = [end, actor.wake]
+            if emergency is not None and emergency > now:
+                later.append(emergency)
+            now = now + 1 if actor.id in bus.mail \
+                else max(now + 1, min(later))
+        actor.stop(end)
+        records = [json.loads(line) for line in bus.log.lines]
+        events = [(r["kind"], r["ts"]) for r in records
+                  if r["kind"] in ("started", "heartbeat", "result")]
+        assert (events, actor.executed_ticks) == per_tick_job(
+            duration, speed, heartbeat, stall, emergency, end)
+        assert idle_wakes == 0
+
+    def test_running_worker_wakes_for_heartbeats_and_its_result(
+            self, tmp_path):
+        """H=5, a 12-tick job from tick 1 and a stall over ticks 4-8:
+        the beat due at 6 is skipped, the next comes on its phase at 11,
+        and the result slips by the 5 stalled ticks to 18."""
+        bus = InProcessBus()
+        actor = WorkerActor(bus, profile("w1"), Workspace(tmp_path),
+                            heartbeat_period=5, stall=(4, 5))
+        publish_task(bus, noop_task("a", duration=12.0))
+        actor.step(0)
+        assign(bus, "a", "w1")
+        bus.now = 1
+        actor.step(1)
+        wakes = []
+        while actor.wake < float("inf"):
+            wakes.append(actor.wake)
+            bus.now = actor.wake
+            actor.step(actor.wake)
+        assert wakes == [11, 16, 18]
+        assert actor.executed_ticks == 12
 
 
 # ----------------------------------------------------------------- monitor

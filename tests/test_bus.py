@@ -43,6 +43,21 @@ class TestCatalog:
             bus.publish("a", "SideChannel", "task", task_payload())
 
 
+    def test_member_and_name_are_one_channel(self):
+        """A Channel member and its name subscribe and publish alike, and
+        the envelope carries the plain name, compactly logged."""
+        bus = fresh()
+        bus.subscribe("a", Channel.TASKS_TO_DO)
+        bus.subscribe("a", "TasksToDo")
+        bus.publish("b", Channel.TASKS_TO_DO, "task", task_payload())
+        bus.publish("b", "TasksToDo", "task", task_payload())
+        envelopes = bus.drain("a")
+        assert [type(env.channel) for env in envelopes] == [str, str]
+        first, second = bus.log.lines
+        assert first.replace('"seq":1', '"seq":2') == second
+        assert first == json.dumps(json.loads(first), separators=(",", ":"))
+
+
 class TestRegistration:
     def test_duplicate_actor_rejected(self):
         bus = fresh()

@@ -31,6 +31,7 @@ from pubflow import (
     register_acquirer,
     register_kernel,
 )
+from pubflow.execution import KERNELS
 
 
 # ------------------------------------------------------------- checksums
@@ -409,6 +410,34 @@ class TestExecuteKernel:
         spec = KernelSpec(name="noop", inputs=("ghost",))
         with pytest.raises(MissingInput):
             execute_kernel(spec, ws)
+
+    def test_each_input_is_checked_once(self, tmp_path, monkeypatch):
+        """execute_kernel checks each declared input once; the kernel's
+        gets, two of each input here, check nothing again, and once the
+        kernel returns a get checks again."""
+        ws = Workspace(tmp_path)
+        ws.put("x", b"1")
+        ws.put("y", b"2")
+        checked = []
+        has_ready = Workspace.has_ready
+
+        def counting_has_ready(self, dataset_id):
+            checked.append(dataset_id)
+            return has_ready(self, dataset_id)
+
+        def twice(spec, ws):
+            return {"z": b"".join(ws.get(d) for d in spec.inputs * 2)}
+
+        monkeypatch.setattr(Workspace, "has_ready", counting_has_ready)
+        monkeypatch.setitem(KERNELS, "twice", twice)
+        result = execute_kernel(KernelSpec(name="twice", inputs=("x", "y"),
+                                           outputs=("z",)), ws)
+        assert result.exit_status == 0
+        assert checked == ["x", "y"]
+        (tmp_path / "x.dat").unlink()
+        with pytest.raises(MissingInput):
+            ws.get("x")
+        assert ws.get("z") == b"1212"
 
     def test_kernel_exception_becomes_exit_1(self, tmp_path):
         @register_kernel("boom")

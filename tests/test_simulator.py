@@ -36,7 +36,7 @@ from pubflow import (
     scenario_from_dict,
     serialize_workflow,
 )
-from pubflow import actors, cli
+from pubflow import actors, cli, simulator
 from pubflow.bus import InProcessBus
 from pubflow.simulator import load_scenario
 
@@ -470,10 +470,13 @@ def test_simulate_and_report_print_the_discarded_results(tmp_path, capsys):
 
 
 def test_idle_workers_are_not_stepped(monkeypatch):
-    """A worker is stepped for mail or for its own work (a running job, a
-    due offer), so steps stay within ticks plus deliveries to workers;
-    stepping every worker on every tick would make them 32 x ticks."""
-    steps, deliveries = [0], [0]
+    """A worker is stepped for mail or for its own work: a running job's
+    heartbeat or result (a due offer too, but latency 0 sends each one in
+    the step that read the task).  So its steps are at most its steps
+    that read mail plus its heartbeats and results; stepping a running
+    worker on each tick would add about the makespan, and stepping every
+    worker on every tick would make them 32 x ticks."""
+    steps, mail_steps = [0], [0]
     step, drain = actors.WorkerActor.step, InProcessBus.drain
 
     def counting_step(self, now):
@@ -482,8 +485,8 @@ def test_idle_workers_are_not_stepped(monkeypatch):
 
     def counting_drain(self, actor_id):
         out = drain(self, actor_id)
-        if actor_id in workers:
-            deliveries[0] += len(out)
+        if actor_id in workers and out:
+            mail_steps[0] += 1
         return out
 
     monkeypatch.setattr(actors.WorkerActor, "step", counting_step)
@@ -494,9 +497,43 @@ def test_idle_workers_are_not_stepped(monkeypatch):
     workers = {f"w{i:02d}" for i in range(32)}
     scenario = Scenario(seed=1, horizon=500, workers=tuple(
         WorkerSpec(worker_id=wid) for wid in sorted(workers)))
-    report, _ = run_simulation(batch, scenario)
+    report, log = run_simulation(batch, scenario)
     assert report.completed
-    assert steps[0] <= report.makespan + 1 + deliveries[0]
+    sent = kinds_of(log)
+    assert steps[0] <= (mail_steps[0] + sent.count("heartbeat")
+                        + sent.count("result"))
+
+
+def test_long_chain_visits_ticks_by_envelope_not_by_makespan(monkeypatch):
+    """Without a crash_prob worker the loop jumps from one due tick to
+    the next: a tick where something is sent, and the tick after, when
+    its readers drain it.  A chain of three 300-tick tasks with H=20
+    takes over 900 ticks but visits about two per envelope."""
+    visited = []
+
+    class CountingBus(InProcessBus):
+        @property
+        def now(self):
+            return self._now
+
+        @now.setter
+        def now(self, tick):
+            self._now = tick
+            visited.append(tick)
+
+    monkeypatch.setattr(simulator, "InProcessBus", CountingBus)
+    batch = batch_of(noop_task("a", duration=300.0),
+                     noop_task("b", deps=["a"], duration=300.0),
+                     noop_task("c", deps=["b"], duration=300.0))
+    scenario = Scenario(seed=1, horizon=2000, heartbeat_period=20,
+                        workers=tuple(WorkerSpec(worker_id=f"w{i}")
+                                      for i in range(8)))
+    report, _ = run_simulation(batch, scenario)
+    assert report.completed and report.makespan > 900
+    ticks = visited[1:]  # the first is the bus's own start at 0
+    assert ticks == sorted(set(ticks)) and ticks[-1] == report.makespan
+    assert len(ticks) <= 2 * report.messages_total
+    assert len(ticks) * 5 < report.makespan
 
 
 unit = st.floats(min_value=0.0, max_value=1.0)
@@ -1017,6 +1054,33 @@ def _emergency_while_running():
     return batch, scenario, None
 
 
+def _quiet_faults():
+    """Faults on quiet ticks, between heartbeats 7 ticks apart: w1's
+    crash_prob roll, w2's crash at 12 and w4's departure at 56 all
+    land mid-job on ticks where nothing else is due."""
+    batch = batch_of(noop_task("a", duration=30.0),
+                     noop_task("b", duration=30.0),
+                     noop_task("c", deps=["a"], duration=30.0))
+    scenario = Scenario(seed=3, horizon=400, heartbeat_period=7,
+                        timeout_multiplier=2, workers=(
+                            WorkerSpec(worker_id="w1", crash_prob=0.02),
+                            WorkerSpec(worker_id="w2", crash=12),
+                            WorkerSpec(worker_id="w3", speed=0.9,
+                                       reliability=0.8),
+                            WorkerSpec(worker_id="w4", reliability=0.5,
+                                       departure=56)))
+    return batch, scenario, None
+
+
+def _horizon_mid_job():
+    """The horizon cuts w1's job at 20, before its next heartbeat at 28:
+    its utilization counts every tick it ran up to the horizon."""
+    batch = batch_of(noop_task("a", duration=50.0))
+    scenario = Scenario(seed=1, horizon=20, heartbeat_period=9, workers=(
+        WorkerSpec(worker_id="w1", speed=1.3),))
+    return batch, scenario, None
+
+
 EDGE_CASES = {
     "late-arrival": _late_arrival,
     "departure-not-after-arrival": _departure_not_after_arrival,
@@ -1028,6 +1092,8 @@ EDGE_CASES = {
     "attempts-run-out": _attempts_run_out,
     "stall-mid-job": _stall_mid_job,
     "emergency-while-running": _emergency_while_running,
+    "quiet-faults": _quiet_faults,
+    "horizon-mid-job": _horizon_mid_job,
 }
 
 # (case, jitter) -> (sha256 of log.dumps(), sha256 of report_fields)
@@ -1068,6 +1134,12 @@ EDGE_GOLDEN = {
     ("emergency-while-running", 2): (
         "ed63a19246db7aa102f03c485d3b0daf66e3f41ec9f0ff93f66e1a500bd228a5",
         "a8effcf96e2d2b5c0ad77c765b58c7531fdc7d4eafdc77546fcacdb4c972c77a"),
+    ("horizon-mid-job", 0): (
+        "4f7ad8b0ae243dce88f4e06f85e11c61c2a508b57fb3de84609940b0c8889084",
+        "2474b9c3c17c393dd9500bd21e6868ae66eeae3e1b4fa0980e40e847ec94789b"),
+    ("horizon-mid-job", 2): (
+        "4f7ad8b0ae243dce88f4e06f85e11c61c2a508b57fb3de84609940b0c8889084",
+        "2474b9c3c17c393dd9500bd21e6868ae66eeae3e1b4fa0980e40e847ec94789b"),
     ("late-arrival", 0): (
         "3544713160760fddfde01e3a302ffe9a17ea009381a3e06d601289acd80ca62d",
         "963fcffecd7ea0b490d47b9d625416a44049d15dbde75e94c171e993e1cddcb1"),
@@ -1080,6 +1152,12 @@ EDGE_GOLDEN = {
     ("offers-due-while-running", 2): (
         "70ad3983e603fe1688c8f7e5c47bdb4276118e6e7f81db717e78f259b637eef1",
         "c9515c28c023dfaab658843c8442707fc3c96d227bb181f2ab919c52d4c193b8"),
+    ("quiet-faults", 0): (
+        "cea5f0d44d520d43210791159dc19df8b278d07e906eec7b04906324e8412462",
+        "b29c1e142bfcd04ff6b4709954468ca81f241577bfacd72f2cbb8f20fe1a58e3"),
+    ("quiet-faults", 2): (
+        "d876767b4f554bee2ed4849068eae9573f6093d6592c8ece5e71a33ee7a29c99",
+        "a96091424265519bebcde08d1bd62f63c5f76ee8b0a94a199ebe8559d4bf87f4"),
     ("stall-mid-job", 0): (
         "d93e0aab32349f904b562f5ee9632795f873c2f6aa8b2f4b5082d7417069d006",
         "84252679e8d2044ff3d1f1d32e612e2cd860ba747f1cf47680f63e02c76ca6c7"),
