@@ -177,9 +177,8 @@ class Coordinator:
         self.sla = sla
         self.dataset_sizes = dataset_sizes
         bus.register(actor_id)
-        for channel in (WAITING_TASKS, TASKS_TO_DO,
-                        TASKS_TO_CHECK, VOLUNTEER_WORKERS,
-                        FINISHED_TASKS):
+        for channel in (WAITING_TASKS, TASKS_TO_DO, TASKS_TO_CHECK,
+                        VOLUNTEER_WORKERS, FINISHED_TASKS):
             bus.subscribe(actor_id, channel)
         self.batch: Optional[WorkflowBatch] = None
         self.status: dict[str, tuple[TaskState, int]] = {}
@@ -400,10 +399,10 @@ class _Job:
 class WorkerActor:
     """A volunteer node: sees tasks, offers itself, runs what it wins.
 
-    A job runs one tick of work on every tick after it started outside
-    the worker's stall window, during which the worker is frozen: it
-    reads no mail and runs nothing.  The worker wakes only for a job's
-    heartbeat or result; a step counts the quiet ticks in between.
+    A job runs one tick of work on each tick after it started, except in
+    the worker's stall window, when the worker is frozen: it reads no
+    mail and runs nothing.  The worker wakes only for a job's heartbeat
+    or result; a step counts the quiet ticks in between.
     """
 
     def __init__(self, bus: InProcessBus, profile: WorkerProfile,
@@ -609,9 +608,8 @@ class Monitor:
         self.heartbeat_period = heartbeat_period
         self.timeout_multiplier = timeout_multiplier
         bus.register(actor_id)
-        for channel in (TASKS_TO_DO, TASKS_IN_PROGRESS,
-                        TASKS_TO_CHECK, FINISHED_TASKS,
-                        EMERGENCY):
+        for channel in (TASKS_TO_DO, TASKS_IN_PROGRESS, TASKS_TO_CHECK,
+                        FINISHED_TASKS, EMERGENCY):
             bus.subscribe(actor_id, channel)
         self.specs: dict[str, tuple[int, dict]] = {}
         self.watch: dict[str, _Watch] = {}
@@ -711,8 +709,7 @@ class Checker:
         if validators:
             self.registry.update(validators)
         bus.register(actor_id)
-        for channel in (TASKS_TO_DO, TASKS_TO_CHECK,
-                        EMERGENCY):
+        for channel in (TASKS_TO_DO, TASKS_TO_CHECK, EMERGENCY):
             bus.subscribe(actor_id, channel)
         self.specs: dict[str, dict] = {}  # task id -> its latest spec
         self.finished: set[str] = set()

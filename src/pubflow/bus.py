@@ -39,9 +39,9 @@ class Channel(str, Enum):
 
 
 CHANNEL_CATALOG = tuple(c.value for c in Channel)
-# The names as plain strings for the hot paths, where reading a member's
-# .value is a descriptor call.  A member hashes and compares as its name,
-# so _CHANNEL_NAMES maps a member and its name alike.
+# The channel names as plain strings for the hot paths, where reading a
+# member's .value is a descriptor call.  A member hashes and compares as
+# its string, so _CHANNEL_NAMES maps a member and its string alike.
 WAITING_TASKS, TASKS_TO_DO, TASKS_IN_PROGRESS, TASKS_TO_CHECK, \
     FINISHED_TASKS, VOLUNTEER_WORKERS, EMERGENCY, DLC, EM = CHANNEL_CATALOG
 _CHANNEL_NAMES = {c: c.value for c in Channel}

@@ -210,13 +210,13 @@ def run_simulation(batch: WorkflowBatch, scenario: Scenario, *,
             if bus.mail:
                 now += 1
                 continue
-            # no mail: jump to the next wake, scheduled end, crash roll
-            # of a live crash_prob worker, or the horizon
+            # no mail: jump to the next wake, scheduled end or horizon,
+            # or to the next tick while a crash_prob worker has arrived
             now = max(now + 1, min(
                 scenario.horizon, *ends, *wake.values(),
                 *(service.wake for service in services),
-                *(max(now + 1, roster[wid][0].arrival)
-                  for wid in risky if wid not in died)))
+                *(roster[wid][0].arrival for wid in risky
+                  if wid not in died)))
         for _, actor in roster.values():
             actor.stop(now)
 

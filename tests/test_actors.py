@@ -780,6 +780,19 @@ class TestNextEventWorker:
         assert wakes == [11, 16, 18]
         assert actor.executed_ticks == 12
 
+    def test_job_longer_than_the_horizon_never_falls_due(self, tmp_path):
+        """Counting a job's ticks at assignment stops at the horizon: a
+        1e8-tick job on a 50-tick horizon gets no result tick, and its
+        heartbeats still fall due."""
+        bus = InProcessBus()
+        actor = WorkerActor(bus, profile("w1"), Workspace(tmp_path),
+                            heartbeat_period=5, horizon=50)
+        publish_task(bus, noop_task("a", duration=1e8))
+        assign(bus, "a", "w1")
+        actor.step(0)
+        assert actor.running.left == float("inf")
+        assert actor.wake == 5
+
 
 # ----------------------------------------------------------------- monitor
 
