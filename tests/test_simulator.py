@@ -899,6 +899,28 @@ def workspace_digest(root):
     return digest.hexdigest()
 
 
+# (case, jitter) -> sha256 of the run workspace's contents, whatever its
+# file layout, see content_digest
+CONTENT_GOLDEN = {
+    ("adapt-unfold", 0):
+        "f2c4697c7237f4a8873802ec00a4f92c0adc982b0161406eb895483bd8bc02cf",
+    ("adapt-unfold", 2):
+        "f2c4697c7237f4a8873802ec00a4f92c0adc982b0161406eb895483bd8bc02cf",
+}
+
+
+def content_digest(root):
+    """sha256 of the JSON list, in id order, of [dataset_id, stage,
+    checksum, sha256 of the payload] for each ready dataset of a Workspace
+    reopened on `root`."""
+    ws = Workspace(root)
+    rows = [[dataset_id, ws.record(dataset_id).stage.value,
+             ws.checksum(dataset_id),
+             hashlib.sha256(ws.get(dataset_id)).hexdigest()]
+            for dataset_id in sorted(ws.sizes())]
+    return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+
+
 class TestGoldenBytes:
     @pytest.mark.parametrize("case, jitter", sorted(LOG_GOLDEN))
     def test_log_and_workspace_match_the_golden_digests(self, tmp_path,
@@ -912,6 +934,7 @@ class TestGoldenBytes:
         if (case, jitter) in WORKSPACE_GOLDEN:
             assert workspace_digest(tmp_path) == \
                 WORKSPACE_GOLDEN[case, jitter]
+            assert content_digest(tmp_path) == CONTENT_GOLDEN[case, jitter]
 
     def test_coordinator_moves_pass_check_transition(self, tmp_path,
                                                      monkeypatch):
