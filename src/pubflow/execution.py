@@ -6,15 +6,21 @@ Datasets are little-endian float64 arrays in a 16-byte-header container:
 with an 8-byte digest over the full container bytes, rendered as 16
 lowercase hex digits wherever they appear in JSON.
 
-The workspace is one directory per run: one data file per dataset id plus
-one append-only manifest, workspace.jsonl.  The manifest's first line
-names its format and hash, {"format": 2, "hash": "blake2b-64"}; each put,
-drop, metadata removal or reacquisition then appends the dataset's record
+The workspace is one directory per run holding two append-only files:
+the data pack, workspace.dat, with every payload put, one after another,
+and the manifest, workspace.jsonl.  The manifest's first line names its
+format and hash, {"format": 3, "hash": "blake2b-64"}; each put, drop,
+metadata removal or reacquisition then appends the dataset's record
 {dataset_id, acquisition_params, checksum, stage}, and the last line for
-an id wins.  Records and the payloads put since opening live in memory, so
-a read opens no file; a Workspace folds the manifest once, when it opens
-the directory, so only that Workspace may write it while it is open.  A
-directory in the older layout, one JSON sidecar per dataset, is refused.
+an id wins.  A put's line also gives its payload's place in the pack,
+"at": [offset, size]; a dropped payload stays in the pack as dead space.
+Records, extents and the payloads put since opening live in memory, so
+only a read of an older payload opens a file, the pack, and that payload
+is checked against its record's checksum.  A Workspace folds the
+manifest once, when it opens the directory, checking that every extent
+lies inside the pack, so only that Workspace may write the directory
+while it is open.  An older format (format 2 kept one data file per
+dataset, format 1 one JSON sidecar per dataset) is refused.
 The DLC policy reacts to a transmission failure by dropping the local
 copy, removing its metadata, and reacquiring from the recorded acquisition
 parameters; a reacquired dataset must hash identically (all producers are
@@ -102,22 +108,26 @@ def register_acquirer(name: str) -> Callable[[AcquirerFn], AcquirerFn]:
 
 
 MANIFEST = "workspace.jsonl"
-MANIFEST_HEADER = {"format": 2, "hash": "blake2b-64"}
+PACK = "workspace.dat"
+MANIFEST_HEADER = {"format": 3, "hash": "blake2b-64"}
 
 
 class Workspace:
     """Per-run dataset store: records and payloads in memory, mirrored to
-    one directory as a manifest plus one data file per dataset."""
+    one directory as an append-only manifest and an append-only data pack
+    (format 3, see the module docstring).  A put appends to both files; a
+    drop appends its record and forgets the payload, whose bytes stay in
+    the pack, as nothing compacts it."""
 
     def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self._root = str(self.root)
-        self._manifest = os.path.join(self._root, MANIFEST)
+        self._manifest = os.path.join(self.root, MANIFEST)
+        self._pack = os.path.join(self.root, PACK)
         self._records: dict[str, DatasetRecord] = {}
-        self._data: dict[str, bytes] = {}   # payloads read or put
-        self._paths: dict[str, str] = {}
-        self._checked: tuple[str, ...] = ()  # inputs of the running kernel
+        self._data: dict[str, bytes] = {}   # ready payloads read or put
+        # ready dataset -> (offset, size) of its payload in the pack
+        self._extents: dict[str, tuple[int, int]] = {}
         if os.path.exists(self._manifest):
             self._fold()
             return
@@ -129,7 +139,8 @@ class Workspace:
         self._append(MANIFEST_HEADER)
 
     def _fold(self) -> None:
-        """Read the manifest: its header, then each record; last wins."""
+        """Read the manifest: its header, then each record; last wins.
+        Every extent must lie inside the pack."""
         with open(self._manifest, encoding="utf-8") as f:
             text = f.read()
         lines = text.split("\n")
@@ -138,34 +149,50 @@ class Workspace:
                               "truncated (no line end)")
         if not lines:
             raise SchemaError(f"{self._manifest}: no header line")
+        end = os.path.getsize(self._pack) \
+            if os.path.exists(self._pack) else 0
         for lineno, line in enumerate(lines, start=1):
             where = f"{self._manifest}: line {lineno}"
             try:
                 doc = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise SchemaError(f"{where}: not JSON ({exc.msg})") from exc
-            if lineno > 1:
-                record = load(DatasetRecord, doc, where)
-                self._records[record.dataset_id] = record
-            elif doc != MANIFEST_HEADER:
+            if lineno == 1:
+                if doc != MANIFEST_HEADER:
+                    raise SchemaError(f"{where}: header must be "
+                                      f"{json.dumps(MANIFEST_HEADER)}")
+                continue
+            at = doc.pop("at", None) if isinstance(doc, dict) else None
+            record = load(DatasetRecord, doc, where)
+            dataset_id = record.dataset_id
+            self._records[dataset_id] = record
+            if record.stage is not DatasetStage.READY:
+                if at is not None:
+                    raise SchemaError(f"{where}: a {record.stage.value} "
+                                      "record has no extent (at)")
+                self._extents.pop(dataset_id, None)
+                continue
+            if at is None:
+                raise SchemaError(f"{where}: missing key 'at'")
+            if not (isinstance(at, list) and len(at) == 2
+                    and all(type(v) is int and v >= 0 for v in at)):
+                raise SchemaError(f"{where}: at must be [offset, size], "
+                                  "two non-negative integers")
+            offset, size = at
+            if offset + size > end:
                 raise SchemaError(
-                    f"{where}: header must be {json.dumps(MANIFEST_HEADER)}")
+                    f"{where}: extent {at} lies past the end of {PACK} "
+                    f"({end} bytes)")
+            self._extents[dataset_id] = offset, size
 
     def _append(self, doc: dict) -> None:
         with open(self._manifest, "a", encoding="utf-8") as f:
             f.write(json.dumps(doc) + "\n")
 
-    def _write(self, record: DatasetRecord) -> DatasetRecord:
-        self._append(dump(record))
+    def _write(self, record: DatasetRecord, **extra) -> DatasetRecord:
+        self._append({**dump(record), **extra})
         self._records[record.dataset_id] = record
         return record
-
-    def _data_path(self, dataset_id: str) -> str:
-        path = self._paths.get(dataset_id)
-        if path is None:
-            path = self._paths[dataset_id] = os.path.join(
-                self._root, quote(dataset_id, safe="") + ".dat")
-        return path
 
     def put(self, dataset_id: str, data: bytes,
             acquisition_params: Optional[dict] = None) -> DatasetRecord:
@@ -175,31 +202,40 @@ class Workspace:
             checksum=checksum_hex(data),
             stage=DatasetStage.READY,
         )
-        with open(self._data_path(dataset_id), "wb") as f:
+        with open(self._pack, "ab") as f:
+            offset = f.tell()
             f.write(data)
+        self._write(record, at=[offset, len(data)])
+        self._extents[dataset_id] = offset, len(data)
         self._data[dataset_id] = data
-        return self._write(record)
+        return record
 
     def record(self, dataset_id: str) -> Optional[DatasetRecord]:
         return self._records.get(dataset_id)
 
     def has_ready(self, dataset_id: str) -> bool:
-        record = self.record(dataset_id)
-        return record is not None and record.stage is DatasetStage.READY \
-            and os.path.exists(self._data_path(dataset_id))
+        return dataset_id in self._extents
 
     def get(self, dataset_id: str) -> bytes:
-        if dataset_id not in self._checked and not self.has_ready(dataset_id):
-            raise MissingInput(f"dataset {dataset_id!r} is not ready")
         data = self._data.get(dataset_id)
         if data is None:  # put before this Workspace opened the directory
-            with open(self._data_path(dataset_id), "rb") as f:
-                data = self._data[dataset_id] = f.read()
+            extent = self._extents.get(dataset_id)
+            if extent is None:
+                raise MissingInput(f"dataset {dataset_id!r} is not ready")
+            offset, size = extent
+            with open(self._pack, "rb") as f:
+                f.seek(offset)
+                data = f.read(size)
+            if checksum_hex(data) != self._records[dataset_id].checksum:
+                raise SchemaError(
+                    f"{self._pack}: dataset {dataset_id!r} does not match "
+                    "its checksum")
+            self._data[dataset_id] = data
         return data
 
     def sizes(self) -> dict[str, int]:
-        return {dataset_id: os.path.getsize(self._data_path(dataset_id))
-                for dataset_id in self._records if self.has_ready(dataset_id)}
+        return {dataset_id: size
+                for dataset_id, (_, size) in self._extents.items()}
 
     def checksum(self, dataset_id: str) -> Optional[str]:
         record = self.record(dataset_id)
@@ -212,7 +248,7 @@ class Workspace:
         if record is None or record.stage is not DatasetStage.READY:
             raise InvalidStage(
                 f"cannot drop {dataset_id!r}: not a ready dataset")
-        Path(self._data_path(dataset_id)).unlink(missing_ok=True)
+        del self._extents[dataset_id]
         self._data.pop(dataset_id, None)
         return self._write(replace(record, stage=DatasetStage.DROPPED))
 
@@ -364,7 +400,6 @@ def execute_kernel(spec: KernelSpec, workspace: Workspace,
     if fn is None:
         return TaskResult(exit_status=127, outputs={}, elapsed=elapsed,
                           error=f"kernel {spec.name!r} is not registered")
-    workspace._checked = spec.inputs  # the kernel's gets need no new stat
     try:
         produced = fn(spec, workspace)
     except MissingInput:
@@ -372,8 +407,6 @@ def execute_kernel(spec: KernelSpec, workspace: Workspace,
     except Exception as exc:  # kernel panic: encoded, not propagated
         return TaskResult(exit_status=1, outputs={}, elapsed=elapsed,
                           error=f"{type(exc).__name__}: {exc}")
-    finally:
-        workspace._checked = ()
     outputs: dict[str, str] = {}
     for dataset_id in spec.outputs:
         if dataset_id not in produced:
@@ -407,21 +440,32 @@ def _kernel_shell(spec: KernelSpec,
                   workspace: Workspace) -> Mapping[str, bytes]:
     """Subprocess adapter for live deployments; not used in simulation.
 
-    params: argv (list of strings).  Declared outputs must be written by
-    the command into the workspace directory under their encoded names.
+    params: argv (list of strings).  The command runs in a fresh temporary
+    directory holding each declared input as <quoted id>.dat, and must
+    write each declared output there under the same kind of name.
     """
+    import tempfile  # only live runs need it; keep it off package import
     argv = spec.params.get("argv")
     if not isinstance(argv, list) or not argv:
         raise SchemaError("shell kernel needs a non-empty argv param")
-    proc = subprocess.run([str(a) for a in argv], cwd=workspace.root,
-                          capture_output=True)
-    if proc.returncode != 0:
-        raise RuntimeError(
-            f"command exited {proc.returncode}: {proc.stderr.decode()[:200]}")
-    out = {}
-    for dataset_id in spec.outputs:
-        path = Path(workspace._data_path(dataset_id))
-        if not path.exists():
-            raise RuntimeError(f"command did not write {dataset_id!r}")
-        out[dataset_id] = path.read_bytes()
+    with tempfile.TemporaryDirectory(prefix="pubflow-shell-") as cwd:
+        for dataset_id in spec.inputs:
+            Path(cwd, _file_name(dataset_id)).write_bytes(
+                workspace.get(dataset_id))
+        proc = subprocess.run([str(a) for a in argv], cwd=cwd,
+                              capture_output=True)
+        if proc.returncode != 0:
+            raise RuntimeError(f"command exited {proc.returncode}: "
+                               f"{proc.stderr.decode()[:200]}")
+        out = {}
+        for dataset_id in spec.outputs:
+            path = Path(cwd, _file_name(dataset_id))
+            if not path.exists():
+                raise RuntimeError(f"command did not write {dataset_id!r}")
+            out[dataset_id] = path.read_bytes()
     return out
+
+
+def _file_name(dataset_id: str) -> str:
+    """The file a shell command sees for a dataset: its id, quoted."""
+    return quote(dataset_id, safe="") + ".dat"

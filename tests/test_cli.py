@@ -14,7 +14,7 @@ if sys.version_info >= (3, 11):
 else:
     import tomli as tomllib
 
-from pubflow import cli
+from pubflow import Workspace, cli
 
 
 def run_cli(*argv):
@@ -216,7 +216,11 @@ class TestSimulate:
         space = tmp_path / "space"
         assert run_cli("simulate", str(wf), str(scenario),
                        "--workspace", str(space)) == 0
-        assert list(space.glob("*.dat"))
+        reopened = Workspace(space)
+        sizes = reopened.sizes()
+        assert sizes
+        for dataset_id, size in sizes.items():
+            assert len(reopened.get(dataset_id)) == size
 
     def test_format_1_workspace_exits_two(self, tmp_path, capsys):
         wf = self.generated(tmp_path, capsys)
@@ -228,6 +232,20 @@ class TestSimulate:
                        "--workspace", str(space)) == 2
         err = capsys.readouterr().err
         assert "mesh.meta.json" in err and "workspace.jsonl" in err
+
+    def test_format_2_workspace_exits_two(self, tmp_path, capsys):
+        wf = self.generated(tmp_path, capsys)
+        scenario = scenario_file(tmp_path)
+        space = tmp_path / "space"
+        space.mkdir()
+        (space / "mesh.dat").write_bytes(b"abc")
+        (space / "workspace.jsonl").write_text(
+            '{"format": 2, "hash": "blake2b-64"}\n', "utf-8")
+        assert run_cli("simulate", str(wf), str(scenario),
+                       "--workspace", str(space)) == 2
+        err = capsys.readouterr().err
+        assert "workspace.jsonl: line 1: header must be" in err
+        assert '"format": 3' in err
 
     def test_seed_override_reproducible_and_sensitive(self, tmp_path,
                                                       capsys):

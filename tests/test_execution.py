@@ -125,14 +125,32 @@ class TestWorkspace:
         ws.put("b", b"yyy")
         assert ws.sizes() == {"a": 2, "b": 3}
 
-    def test_deleted_data_file_is_not_ready(self, tmp_path):
+    def test_damaged_payload_is_refused_naming_the_dataset(self, tmp_path):
         ws = Workspace(tmp_path)
         ws.put("d", b"abc")
-        (tmp_path / "d.dat").unlink()
-        assert not ws.has_ready("d")
-        assert ws.sizes() == {}
-        with pytest.raises(MissingInput):
-            ws.get("d")
+        ws.put("e", b"xyz")
+        pack = tmp_path / "workspace.dat"
+        pack.write_bytes(b"abX" + pack.read_bytes()[3:])
+        assert ws.get("d") == b"abc"  # put by this Workspace, in memory
+        reopened = Workspace(tmp_path)
+        assert reopened.has_ready("d")
+        with pytest.raises(SchemaError, match="dataset 'd' does not match"):
+            reopened.get("d")
+        assert reopened.get("e") == b"xyz"
+
+    def test_short_pack_is_refused_naming_the_manifest_line(self, tmp_path):
+        ws = Workspace(tmp_path)
+        ws.put("d", b"abc")
+        ws.put("e", b"xyz")
+        pack = tmp_path / "workspace.dat"
+        pack.write_bytes(pack.read_bytes()[:5])
+        with pytest.raises(SchemaError, match=r"workspace.jsonl: line 3: "
+                           r"extent \[3, 3\] lies past the end of "
+                           r"workspace.dat \(5 bytes\)"):
+            Workspace(tmp_path)
+        pack.unlink()
+        with pytest.raises(SchemaError, match="line 2: extent"):
+            Workspace(tmp_path)
 
     def test_slash_in_dataset_id_is_safe(self, tmp_path):
         ws = Workspace(tmp_path)
@@ -153,7 +171,7 @@ class TestWorkspace:
         ws.put("d", payload)
         assert ws.get("d") is payload
         reopened = Workspace(tmp_path)
-        first = reopened.get("d")  # the one read of the data file
+        first = reopened.get("d")  # the one read of the pack
         assert first == payload
         assert reopened.get("d") is first
 
@@ -164,11 +182,15 @@ class TestWorkspace:
         dlc_apply(ws, "d")
         lines = (tmp_path / "workspace.jsonl").read_text("utf-8") \
             .splitlines()
-        assert json.loads(lines[0]) == {"format": 2, "hash": "blake2b-64"}
-        assert [json.loads(line)["stage"] for line in lines[1:]] == \
+        assert json.loads(lines[0]) == {"format": 3, "hash": "blake2b-64"}
+        docs = [json.loads(line) for line in lines[1:]]
+        assert [doc["stage"] for doc in docs] == \
             ["ready", "dropped", "acquiring", "ready"]
+        # the dropped payload stays in the pack as dead space
+        assert [doc.get("at") for doc in docs] == [[0, 3], None, None, [3, 3]]
+        assert (tmp_path / "workspace.dat").read_bytes() == b"xyzxyz"
         assert sorted(p.name for p in tmp_path.iterdir()) == \
-            ["d.dat", "workspace.jsonl"]
+            ["workspace.dat", "workspace.jsonl"]
 
     def test_reopen_folds_drop_remove_metadata_reacquire(self, tmp_path):
         """Each step runs on a Workspace freshly opened on the directory,
@@ -203,6 +225,17 @@ class TestWorkspace:
         ('{"dataset_id": "e", "acquisition_params": {}, "checksum": null}\n',
          "line 3: missing key 'stage'"),
         ('\n', "line 3: not JSON"),
+        ('{"dataset_id": "e", "acquisition_params": {}, "checksum": null, '
+         '"stage": "ready"}\n', "line 3: missing key 'at'"),
+        ('{"dataset_id": "e", "acquisition_params": {}, "checksum": null, '
+         '"stage": "ready", "at": [0, -1]}\n', "line 3: at must be"),
+        ('{"dataset_id": "e", "acquisition_params": {}, "checksum": null, '
+         '"stage": "ready", "at": [0]}\n', "line 3: at must be"),
+        ('{"dataset_id": "d", "acquisition_params": {}, "checksum": null, '
+         '"stage": "dropped", "at": [0, 3]}\n',
+         "line 3: a dropped record has no extent"),
+        ('{"dataset_id": "e", "acquisition_params": {}, "checksum": null, '
+         '"stage": "ready", "at": [1, 3]}\n', r"line 3: extent \[1, 3\]"),
     ])
     def test_bad_manifest_line_is_refused_naming_it(self, tmp_path, tail,
                                                       where):
@@ -216,6 +249,8 @@ class TestWorkspace:
     @pytest.mark.parametrize("header, where", [
         ('{"format": 2, "hash": "fnv1a-64"}\n', "line 1: header must be"),
         ('{"format": 1, "hash": "blake2b-64"}\n', "line 1: header must be"),
+        ('{"format": 2, "hash": "blake2b-64"}\n', "line 1: header must be"),
+        ('{"format": 3, "hash": "fnv1a-64"}\n', "line 1: header must be"),
         ("", "no header line"),
     ])
     def test_manifest_of_another_format_is_refused(self, tmp_path, header,
@@ -411,33 +446,33 @@ class TestExecuteKernel:
         with pytest.raises(MissingInput):
             execute_kernel(spec, ws)
 
-    def test_each_input_is_checked_once(self, tmp_path, monkeypatch):
-        """execute_kernel checks each declared input once; the kernel's
-        gets, two of each input here, check nothing again, and once the
-        kernel returns a get checks again."""
+    def test_dropped_input_is_missing_inside_and_after_the_kernel(
+            self, tmp_path, monkeypatch):
+        """Every get checks the record, also a kernel's get of an input
+        that execute_kernel checked before calling it."""
         ws = Workspace(tmp_path)
         ws.put("x", b"1")
         ws.put("y", b"2")
-        checked = []
-        has_ready = Workspace.has_ready
-
-        def counting_has_ready(self, dataset_id):
-            checked.append(dataset_id)
-            return has_ready(self, dataset_id)
 
         def twice(spec, ws):
             return {"z": b"".join(ws.get(d) for d in spec.inputs * 2)}
 
-        monkeypatch.setattr(Workspace, "has_ready", counting_has_ready)
+        def drops_then_reads(spec, ws):
+            ws.drop("y")
+            return {"w": ws.get("y")}
+
         monkeypatch.setitem(KERNELS, "twice", twice)
+        monkeypatch.setitem(KERNELS, "drops_then_reads", drops_then_reads)
         result = execute_kernel(KernelSpec(name="twice", inputs=("x", "y"),
                                            outputs=("z",)), ws)
         assert result.exit_status == 0
-        assert checked == ["x", "y"]
-        (tmp_path / "x.dat").unlink()
+        ws.drop("x")
         with pytest.raises(MissingInput):
             ws.get("x")
         assert ws.get("z") == b"1212"
+        with pytest.raises(MissingInput):
+            execute_kernel(KernelSpec(name="drops_then_reads", inputs=("y",),
+                                      outputs=("w",)), ws)
 
     def test_kernel_exception_becomes_exit_1(self, tmp_path):
         @register_kernel("boom")
@@ -470,6 +505,25 @@ class TestExecuteKernel:
         assert result.exit_status == 0
         assert result.outputs == {"run/out": checksum_hex(b"ok")}
         assert ws.get("run/out") == b"ok"
+
+    def test_shell_kernel_reads_its_inputs_as_files(self, tmp_path):
+        """The command sees each declared input as <quoted id>.dat in its
+        working directory, which is gone when the kernel returns."""
+        ws = Workspace(tmp_path)
+        payload = encode_dataset([1.0, 2.5])
+        ws.put("in/put", payload)
+        spec = KernelSpec(
+            name="shell",
+            params={"argv": [sys.executable, "-c",
+                             "import shutil; "
+                             "shutil.copy('in%2Fput.dat', 'copy.dat')"]},
+            inputs=("in/put",), outputs=("copy",))
+        result = execute_kernel(spec, ws)
+        assert result.exit_status == 0, result.error
+        assert result.outputs == {"copy": checksum_hex(payload)}
+        assert Workspace(tmp_path).get("copy") == payload
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["workspace.dat", "workspace.jsonl"]
 
     def test_shell_kernel_missing_output(self, tmp_path):
         ws = Workspace(tmp_path)

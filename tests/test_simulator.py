@@ -5,7 +5,6 @@ import hashlib
 import json
 import logging
 import random
-from urllib.parse import quote
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +24,7 @@ from pubflow import (
     WorkerSpec,
     WorkflowBatch,
     Workspace,
+    checksum_hex,
     dump,
     generate_adapt_workflow,
     load,
@@ -883,9 +883,9 @@ LOG_GOLDEN = {
 # workspace_digest
 WORKSPACE_GOLDEN = {
     ("adapt-unfold", 0):
-        "11099394f1193acedad65df8c5964bdaa081443641b82cd8437f66df3cc87c87",
+        "5e1dbcd27cf3ec02ef4fa77be7654c7aa704035c7696e58112137af4d49f11a0",
     ("adapt-unfold", 2):
-        "11099394f1193acedad65df8c5964bdaa081443641b82cd8437f66df3cc87c87",
+        "5e1dbcd27cf3ec02ef4fa77be7654c7aa704035c7696e58112137af4d49f11a0",
 }
 
 
@@ -1229,20 +1229,36 @@ def test_reopened_workspace_answers_like_the_one_that_ran(tmp_path):
         assert reopened.checksum(dataset_id) == ran.checksum(dataset_id)
 
 
-def test_run_leaves_one_manifest_and_one_file_per_ready_dataset(tmp_path):
-    """A dataset costs one file creation: the directory holds the
-    manifest and each ready dataset's data file, nothing else."""
+def test_run_leaves_one_manifest_and_one_pack(tmp_path):
+    """A dataset costs no file creation: the directory holds the manifest
+    and the data pack, and a reopened Workspace serves every verified
+    dataset with the checksum its verdict logged."""
     batch, scenario, _ = _adapt_unfold()
-    ran = Workspace(tmp_path)
-    report, log = run_simulation(batch, scenario, workspace=ran)
+    report, log = run_simulation(batch, scenario,
+                                 workspace=Workspace(tmp_path))
     assert report.completed
-    verified = {dataset_id for r in records_of(log)
+    verified = {dataset_id: checksum for r in records_of(log)
                 if r["kind"] == "verdict" and r["payload"]["ok"]
-                for dataset_id in r["payload"]["outputs"]}
+                for dataset_id, checksum in r["payload"]["outputs"].items()}
     assert len(verified) > 10
-    assert all(ran.record(d).stage is DatasetStage.READY for d in verified)
-    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(
-        ["workspace.jsonl", *(f"{quote(d, safe='')}.dat" for d in verified)])
+    assert sorted(path.name for path in tmp_path.iterdir()) == \
+        ["workspace.dat", "workspace.jsonl"]
+    reopened = Workspace(tmp_path)
+    for dataset_id, checksum in verified.items():
+        assert reopened.record(dataset_id).stage is DatasetStage.READY
+        assert reopened.checksum(dataset_id) == checksum
+        assert checksum_hex(reopened.get(dataset_id)) == checksum
+
+
+def test_run_without_outputs_leaves_only_the_manifest(tmp_path):
+    batch = batch_of(noop_task("a", outputs=()),
+                     noop_task("b", deps=["a"], outputs=()))
+    scenario = Scenario(seed=1, horizon=50,
+                        workers=(WorkerSpec(worker_id="w1"),))
+    report, _ = run_simulation(batch, scenario,
+                               workspace=Workspace(tmp_path))
+    assert report.completed
+    assert [path.name for path in tmp_path.iterdir()] == ["workspace.jsonl"]
 
 
 class TestVolunteerTraffic:
