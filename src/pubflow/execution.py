@@ -218,7 +218,7 @@ class Workspace:
 
     def get(self, dataset_id: str) -> bytes:
         data = self._data.get(dataset_id)
-        if data is None:  # put before this Workspace opened the directory
+        if data is None:  # not ready, or put before this Workspace opened
             extent = self._extents.get(dataset_id)
             if extent is None:
                 raise MissingInput(f"dataset {dataset_id!r} is not ready")
