@@ -5,7 +5,14 @@ Tasks flow through a small closed set of channels between five actors
 score-based, fault recovery is heartbeat-driven, and tasks can unfold
 into sub-graphs at release time.  A seeded tick simulator exercises the
 whole protocol in-process and produces byte-reproducible event logs.
+
+The ADAPT demo's names (SimParams, generate_adapt_workflow,
+final_snapshot, ...) and the pubflow.adapt module load on first use:
+they need numpy, which nothing else in the package imports.  They are
+in __all__ and dir() all the same.
 """
+
+from importlib import import_module as _import_module
 
 from .actors import (
     Broker,
@@ -17,19 +24,6 @@ from .actors import (
     default_validator,
     select_worker,
     sla_score,
-)
-from .adapt import (
-    BC_DIRICHLET,
-    BC_PERIODIC,
-    SimParams,
-    apply_operator,
-    final_snapshot,
-    generate_adapt_workflow,
-    initial_field,
-    partition_bounds,
-    partition_table_bytes,
-    sequential_oracle,
-    solve_field,
 )
 from .bus import (CHANNEL_CATALOG, Channel, Envelope, EventLog,
                   InProcessBus, LogTally)
@@ -104,4 +98,33 @@ from .workflow_io import parse_workflow, serialize_workflow
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# Served from pubflow.adapt by __getattr__ on first use.
+_ADAPT_NAMES = (
+    "BC_DIRICHLET",
+    "BC_PERIODIC",
+    "SimParams",
+    "apply_operator",
+    "final_snapshot",
+    "generate_adapt_workflow",
+    "initial_field",
+    "partition_bounds",
+    "partition_table_bytes",
+    "sequential_oracle",
+    "solve_field",
+)
+
+__all__ = sorted([name for name in dir() if not name.startswith("_")]
+                 + ["adapt", *_ADAPT_NAMES])
+
+
+def __getattr__(name: str):
+    if name != "adapt" and name not in _ADAPT_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # not `from . import adapt`: its hasattr check would call this again
+    adapt = _import_module(".adapt", __name__)
+    globals().update((n, getattr(adapt, n)) for n in _ADAPT_NAMES)
+    return globals()[name]
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

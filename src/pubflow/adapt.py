@@ -34,11 +34,11 @@ import numpy as np
 
 from .errors import InvalidGeometry, SchemaError, SingularSystem
 from .execution import (
+    ACQUIRERS,
+    KERNELS,
     Workspace,
     decode_dataset,
     encode_dataset,
-    register_acquirer,
-    register_kernel,
 )
 from .model import GuardPredicate, KernelSpec, Task, UnfoldRule, WorkflowBatch
 
@@ -116,7 +116,9 @@ def partition_table_bytes(cells: int, parts: int) -> bytes:
                           + [float(b) for b in bounds])
 
 
-register_acquirer("partition_table")(partition_table_bytes)
+# a caller's acquirer registered under this name first keeps its place,
+# as a caller's kernel does (see _kernel)
+ACQUIRERS.setdefault("partition_table", partition_table_bytes)
 
 
 def _read_partition_table(data: bytes) -> tuple[int, int, list[int]]:
@@ -328,27 +330,38 @@ def sequential_oracle(cells: int, params: SimParams) -> np.ndarray:
 
 # ---------------------------------------------------------------- kernels
 
+def _kernel(name: str):
+    """register_kernel, except that a kernel the caller registered under
+    `name` first keeps its place: this module loads on the first registry
+    miss (execution.find_kernel), which may come after the caller's own
+    registration."""
+    def deco(fn):
+        KERNELS.setdefault(name, fn)
+        return fn
+    return deco
+
+
 def _require(spec: KernelSpec, key: str):
     if key not in spec.params:
         raise SchemaError(f"kernel {spec.name!r} missing param {key!r}")
     return spec.params[key]
 
 
-@register_kernel("metis")
+@_kernel("metis")
 def kernel_metis(spec: KernelSpec, ws: Workspace) -> Mapping[str, bytes]:
     cells = int(_require(spec, "cells"))
     parts = int(_require(spec, "partitions"))
     return {"partitions": partition_table_bytes(cells, parts)}
 
 
-@register_kernel("matrix")
+@_kernel("matrix")
 def kernel_matrix(spec: KernelSpec, ws: Workspace) -> Mapping[str, bytes]:
     cells = int(_require(spec, "cells"))
     bc = str(_require(spec, "bc"))
     return {"matrix": operator_matrix_bytes(cells, bc)}
 
 
-@register_kernel("mumps")
+@_kernel("mumps")
 def kernel_mumps(spec: KernelSpec, ws: Workspace) -> Mapping[str, bytes]:
     matrix = ws.get("matrix")
     cells, bc, _, _, _ = _read_operator(matrix)
@@ -359,13 +372,13 @@ def kernel_mumps(spec: KernelSpec, ws: Workspace) -> Mapping[str, bytes]:
     return {"pfield": encode_dataset(pfield)}
 
 
-@register_kernel("mumps_factorize")
+@_kernel("mumps_factorize")
 def kernel_mumps_factorize(spec: KernelSpec,
                            ws: Workspace) -> Mapping[str, bytes]:
     return {"pfactor": factor_operator_bytes(ws.get("matrix"))}
 
 
-@register_kernel("mumps_solve")
+@_kernel("mumps_solve")
 def kernel_mumps_solve(spec: KernelSpec, ws: Workspace) -> Mapping[str, bytes]:
     factor = ws.get("pfactor")
     cells = int(decode_dataset(factor)[0])
@@ -374,7 +387,7 @@ def kernel_mumps_solve(spec: KernelSpec, ws: Workspace) -> Mapping[str, bytes]:
     return {"pfield": encode_dataset(solve_with_factor(factor, q))}
 
 
-@register_kernel("init")
+@_kernel("init")
 def kernel_init(spec: KernelSpec, ws: Workspace) -> Mapping[str, bytes]:
     p = int(_require(spec, "partition"))
     cells, parts, bounds = _read_partition_table(ws.get("partitions"))
@@ -396,7 +409,7 @@ def _halo(ws: Workspace, step: int, parts: int, p: int, bc: str,
     return float(neighbour[-1] if side < 0 else neighbour[0])
 
 
-@register_kernel("iter")
+@_kernel("iter")
 def kernel_iter(spec: KernelSpec, ws: Workspace) -> Mapping[str, bytes]:
     step = int(_require(spec, "step"))
     p = int(_require(spec, "partition"))
@@ -421,7 +434,7 @@ def kernel_iter(spec: KernelSpec, ws: Workspace) -> Mapping[str, bytes]:
     return {f"w{step + 1}_{p}": encode_dataset(out)}
 
 
-@register_kernel("save")
+@_kernel("save")
 def kernel_save(spec: KernelSpec, ws: Workspace) -> Mapping[str, bytes]:
     step = int(_require(spec, "step"))
     cells, parts, bounds = _read_partition_table(ws.get("partitions"))

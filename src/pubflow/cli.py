@@ -21,7 +21,6 @@ import sys
 from pathlib import Path
 
 from .actors import SlaPolicy
-from .adapt import SimParams, generate_adapt_workflow
 from .bus import LogTally
 from .errors import EngineError, MalformedLog, SchemaError, \
     WorkflowSyntaxError
@@ -128,6 +127,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_generate_adapt(args: argparse.Namespace) -> int:
+    from .adapt import SimParams, generate_adapt_workflow  # loads numpy
     params = SimParams(
         dt=args.dt,
         advection=args.advection,

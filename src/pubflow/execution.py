@@ -29,6 +29,14 @@ deterministic).
 The EM policy reconciles logical against physical accelerator counts and
 picks a scheduling flavour.  It is a pure function; nothing in the
 engine or the simulator publishes its result on the EM channel.
+
+This module registers the noop and shell kernels.  The ADAPT kernels
+and the partition_table acquirer register when pubflow.adapt loads,
+which happens on the first lookup of a name not registered yet
+(find_kernel, used by execute_kernel and by parse_workflow for each
+kernel a batch names; Workspace.reacquire for its acquirer).  That
+module imports numpy; this one does not: encode_dataset packs a
+sequence with struct, and decode_dataset imports numpy where it runs.
 """
 
 from __future__ import annotations
@@ -36,18 +44,20 @@ from __future__ import annotations
 import json
 import os
 import struct
-import subprocess
+import sys
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from enum import Enum
 from hashlib import blake2b
 from pathlib import Path
-from typing import Callable, Mapping, Optional
+from typing import TYPE_CHECKING, Callable, Mapping, Optional
 from urllib.parse import quote
-
-import numpy as np
 
 from .errors import InvalidStage, MissingInput, SchemaError
 from .model import KernelSpec, dump, load
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DATASET_MAGIC = b"PFLW"
 _HEADER = struct.Struct("<4s4xQ")
@@ -59,14 +69,38 @@ def checksum_hex(data: bytes) -> str:
 
 
 def encode_dataset(values) -> bytes:
-    """Serialize a 1-D float sequence into the container format."""
-    arr = np.asarray(values, dtype="<f8")
-    if arr.ndim != 1:
+    """Serialize a 1-D float sequence into the container format: a 1-D
+    numpy array, or a list, tuple or other sequence whose items each go
+    through float() (so True is 1.0 and "1.5" is 1.5).  The bytes are
+    those of np.asarray(values, dtype="<f8"); nested sequences, None and
+    other non-numbers are refused with SchemaError."""
+    np = sys.modules.get("numpy")  # an array exists only once it is loaded
+    if np is not None and isinstance(values, np.ndarray):
+        if values.ndim != 1:
+            raise SchemaError("datasets are one-dimensional arrays")
+        body = values.astype("<f8", copy=False).tobytes()
+    elif isinstance(values, Sequence) and \
+            not isinstance(values, (str, bytes)):
+        fmt = f"<{len(values)}d"
+        try:  # floats (numpy's too), ints and bools pack as float() reads them
+            body = struct.pack(fmt, *values)
+        except struct.error:  # a numeric string, or not a number at all
+            try:
+                body = struct.pack(fmt, *map(float, values))
+            except TypeError:
+                raise SchemaError("datasets are one-dimensional arrays of "
+                                  "numbers") from None
+    else:
+        if isinstance(values, (str, bytes)):
+            float(values)  # as numpy: a non-numeric string is a ValueError
         raise SchemaError("datasets are one-dimensional arrays")
-    return _HEADER.pack(DATASET_MAGIC, arr.size) + arr.tobytes()
+    return _HEADER.pack(DATASET_MAGIC, len(body) // 8) + body
 
 
 def decode_dataset(data: bytes) -> np.ndarray:
+    """The float64 array in a dataset container; loads numpy, which only
+    the ADAPT kernels and their callers need."""
+    import numpy as np
     if len(data) < _HEADER.size:
         raise SchemaError("dataset shorter than its header")
     magic, count = _HEADER.unpack_from(data)
@@ -105,6 +139,17 @@ def register_acquirer(name: str) -> Callable[[AcquirerFn], AcquirerFn]:
         ACQUIRERS[name] = fn
         return fn
     return deco
+
+
+def _registered(registry: dict, name: str) -> Optional[Callable]:
+    """registry[name], or None.  A miss first loads pubflow.adapt, whose
+    kernels and acquirer register then: it loads numpy, which nothing
+    else needs, so only ADAPT work pays for it."""
+    fn = registry.get(name)
+    if fn is None:
+        from . import adapt  # noqa: F401
+        fn = registry.get(name)
+    return fn
 
 
 MANIFEST = "workspace.jsonl"
@@ -269,11 +314,12 @@ class Workspace:
                 f"cannot reacquire {dataset_id!r}: not acquiring")
         params = dict(record.acquisition_params)
         name = params.pop("acquirer", None)
-        if name is None or name not in ACQUIRERS:
+        acquire = None if name is None else _registered(ACQUIRERS, name)
+        if acquire is None:
             raise SchemaError(
                 f"dataset {dataset_id!r} has no registered acquirer "
                 f"({name!r})")
-        data = ACQUIRERS[name](**params)
+        data = acquire(**params)
         return self.put(dataset_id, data,
                         acquisition_params=record.acquisition_params)
 
@@ -384,6 +430,12 @@ def register_kernel(name: str) -> Callable[[KernelFn], KernelFn]:
     return deco
 
 
+def find_kernel(name: str) -> Optional[KernelFn]:
+    """The kernel registered under `name`, read from KERNELS at each call;
+    the ADAPT kernels register on the first miss."""
+    return _registered(KERNELS, name)
+
+
 def execute_kernel(spec: KernelSpec, workspace: Workspace,
                    speed: float = 1.0) -> TaskResult:
     """Run a registered kernel against the workspace.
@@ -396,7 +448,7 @@ def execute_kernel(spec: KernelSpec, workspace: Workspace,
     for dataset_id in spec.inputs:
         if not workspace.has_ready(dataset_id):
             raise MissingInput(f"input {dataset_id!r} is not ready")
-    fn = KERNELS.get(spec.name)
+    fn = find_kernel(spec.name)
     if fn is None:
         return TaskResult(exit_status=127, outputs={}, elapsed=elapsed,
                           error=f"kernel {spec.name!r} is not registered")
@@ -444,7 +496,9 @@ def _kernel_shell(spec: KernelSpec,
     directory holding each declared input as <quoted id>.dat, and must
     write each declared output there under the same kind of name.
     """
-    import tempfile  # only live runs need it; keep it off package import
+    # only live runs need these; keep them off package import
+    import subprocess
+    import tempfile
     argv = spec.params.get("argv")
     if not isinstance(argv, list) or not argv:
         raise SchemaError("shell kernel needs a non-empty argv param")

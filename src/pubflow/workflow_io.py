@@ -19,12 +19,15 @@ canonical document and serializing the result reproduces it byte for byte.
 from __future__ import annotations
 
 import json
-import xml.etree.ElementTree as ET
-from typing import Mapping, Optional
+from typing import TYPE_CHECKING, Mapping, Optional
 
 from .errors import SchemaError, WorkflowSyntaxError
+from .execution import find_kernel
 from .model import GuardPredicate, KernelSpec, Task, UnfoldRule, \
     WorkflowBatch, dump, key_type, load
+
+if TYPE_CHECKING:
+    import xml.etree.ElementTree as ET
 
 SCHEMA_MARK = "pubflow/1"
 
@@ -37,14 +40,24 @@ def parse_workflow(data: bytes | str, format: str = "json") -> WorkflowBatch:
     Raises WorkflowSyntaxError when the document cannot be decoded at all
     and SchemaError (naming the offending element) when it decodes but
     violates the schema.
+
+    Each kernel name the batch uses is looked up, so the ADAPT kernels
+    (and numpy) load here, not in the first simulated tick.
     """
     if isinstance(data, bytes):
         data = data.decode("utf-8")
     if format == "json":
-        return _parse_json(data)
-    if format == "xml":
-        return _parse_xml(data)
-    raise SchemaError(f"unknown workflow format {format!r}")
+        batch = _parse_json(data)
+    elif format == "xml":
+        batch = _parse_xml(data)
+    else:
+        raise SchemaError(f"unknown workflow format {format!r}")
+    used = {task.kernel.name for task in batch.tasks.values()}
+    used.update(task.kernel.name for rule in batch.rules.values()
+                for task in rule.body)
+    for name in used:
+        find_kernel(name)
+    return batch
 
 
 def _parse_json(text: str) -> WorkflowBatch:
@@ -116,6 +129,7 @@ def _by_id(cls: type, what: str, entries: object,
 # ----------------------------------------------------------------- XML
 
 def _parse_xml(text: str) -> WorkflowBatch:
+    import xml.etree.ElementTree as ET  # only XML documents need it
     try:
         root = ET.fromstring(text)
     except ET.ParseError as exc:

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from pubflow import (
     DatasetRecord,
@@ -100,6 +101,60 @@ class TestDatasetCodec:
     @settings(max_examples=60, deadline=None)
     def test_round_trip_property(self, values):
         assert list(decode_dataset(encode_dataset(values))) == values
+
+
+def numpy_encode(values) -> bytes:
+    """The container bytes as numpy made them, the reference for
+    encode_dataset, which needs numpy only for an array."""
+    arr = np.asarray(values, dtype="<f8")
+    if arr.ndim != 1:
+        raise SchemaError("datasets are one-dimensional arrays")
+    return struct.pack("<4s4xQ", b"PFLW", arr.size) + arr.tobytes()
+
+
+NUMBERS = st.one_of(
+    st.floats(),  # NaN and +-inf included
+    st.integers(min_value=-2**80, max_value=2**80),
+    st.booleans(),
+    st.floats().map(repr),  # numeric strings: "1.5", "nan", "-inf", ...
+    st.integers(min_value=-2**70, max_value=2**70).map(str),
+)
+ARRAYS = hnp.arrays(
+    st.sampled_from(["<f8", ">f8", "<f4", "<i8", "<i4", "|u1"]),
+    st.integers(min_value=0, max_value=40))
+
+
+class TestEncodeMatchesNumpy:
+    @given(st.lists(NUMBERS, max_size=40) | st.tuples(NUMBERS, NUMBERS))
+    @settings(max_examples=200, deadline=None)
+    def test_sequences(self, values):
+        assert encode_dataset(values) == numpy_encode(values)
+
+    @given(ARRAYS, st.integers(min_value=1, max_value=3))
+    @settings(max_examples=150, deadline=None)
+    def test_arrays_and_strided_slices(self, arr, step):
+        view = arr[::step]  # a step over 1 is not contiguous
+        assert encode_dataset(view) == numpy_encode(view)
+
+    def test_numbers_through_float(self):
+        assert encode_dataset(["1.5", True, 2, " 3e2\n"]) == \
+            numpy_encode([1.5, 1.0, 2.0, 300.0])
+
+    @pytest.mark.parametrize("values", [
+        [[1.0, 2.0]], [[1.0], [2.0]], ([1.0],), [1.0, None],
+        np.zeros((2, 2)), np.zeros((1, 3))[:, ::2],
+        5.0, 2, np.float64(5.0), np.array(5.0), "1.5", b"1.5", {1.0: 2.0}],
+        ids=repr)
+    def test_refuses_what_is_not_one_dimensional(self, values):
+        with pytest.raises(SchemaError):
+            encode_dataset(values)
+
+    @pytest.mark.parametrize("values", ["ab", ["ab"], ["1.5", "x"]])
+    def test_non_numeric_string_is_a_value_error(self, values):
+        with pytest.raises(ValueError):
+            encode_dataset(values)
+        with pytest.raises(ValueError):
+            numpy_encode(values)
 
 
 # ------------------------------------------------------------- workspace
