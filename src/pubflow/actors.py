@@ -11,23 +11,26 @@ actor's state.  One batch flows like this:
                dependents, and every task row change passes
                model.check_transition
   workers      volunteer once, when they first see an open task they are
-               capable of, execute assignments, heartbeat while running,
-               and push results to TasksToCheck
+               capable of, and then hear only the assignments addressed
+               to them; execute each with the spec of its attempt,
+               heartbeat while running, and push results to TasksToCheck
   monitor      watches assigned tasks until their result or ok verdict;
                when heartbeats go stale it re-publishes the task with the
                attempt bumped and emits a data-policy event on DLC
-  checker      validates results against the spec it last saw on
-               TasksToDo (a result carries no spec) and publishes verdicts
-               on FinishedTasks, re-publishing a failed task until its
-               spec's max_attempts runs out
+  checker      validates each result against the spec published on
+               TasksToDo for its task and attempt (a result carries no
+               spec) and publishes verdicts on FinishedTasks,
+               re-publishing a failed task until its spec's max_attempts
+               runs out
 
 A worker offers itself to the pool once, not once per task: its first
 volunteer puts it in the coordinator's idle pool, each assignment takes
 it out, and each result it sends puts it back, as a BOINC client's
 report of a finished job also asks for the next one.  A worker that
 went silent (stalled or dead) therefore stays out of the pool until it
-speaks again.  A worker that ignores an assignment, for lack of that
-attempt's spec, volunteers again so it does not drop out of the pool.
+speaks again.  A worker that ignores an assignment, because that
+attempt was never published on TasksToDo, volunteers again so it does
+not drop out of the pool.
 
 Each actor's `wake` is the earliest tick at which its step does
 something without new mail (math.inf: never).  For a running worker
@@ -362,7 +365,7 @@ class Coordinator:
             self._move(tid, TaskState.IN_PROGRESS, attempt)
             self.bus.publish(self.id, TASKS_TO_DO, "assignment",
                              {"task_id": tid, "worker_id": winner,
-                              "attempt": attempt})
+                              "attempt": attempt}, to=winner)
 
     def _check_complete(self) -> None:
         if self.batch is not None and self.batch.tasks \
@@ -429,7 +432,6 @@ class WorkerActor:
         bus.subscribe(self.id, TASKS_TO_DO)
         bus.subscribe(self.id, EMERGENCY)
         self.halted = False
-        self.open: dict[str, tuple[int, dict]] = {}
         self.joined = False   # has offered itself to the pool
         self.offer: Optional[tuple[int, str, int]] = None  # due, task, attempt
         self.running: Optional[_Job] = None
@@ -520,29 +522,29 @@ class WorkerActor:
         self.halted = True
 
     def _on_task(self, env: Envelope, now: int) -> None:
-        tid = env.payload["task_id"]
+        """The one offer names the first task the worker can run; then the
+        worker leaves TasksToDo and hears only its own assignments."""
         caps = frozenset(env.payload["spec"].get("required_caps", ()))
-        if not caps <= self.profile.capabilities:
+        if self.joined or not caps <= self.profile.capabilities:
             return
-        self.open[tid] = (env.payload["attempt"], env.payload["spec"])
-        if not self.joined:  # the one offer names the task that prompted it
-            self.joined = True
-            self.offer = (self._due(now), tid, env.payload["attempt"])
+        self.joined = True
+        self.offer = (self._due(now), env.payload["task_id"],
+                      env.payload["attempt"])
+        self.bus.unsubscribe(self.id, TASKS_TO_DO)
 
     def _on_assignment(self, env: Envelope, now: int) -> None:
-        tid = env.payload["task_id"]
-        entry = self.open.pop(tid, None)
-        if env.payload["worker_id"] != self.id:
+        tid, attempt = env.payload["task_id"], env.payload["attempt"]
+        if env.payload["worker_id"] != self.id:  # heard before it joined
             return
         if self.running is not None:
             log.warning("%s assigned %s while busy; ignoring", self.id, tid)
             return
-        if entry is None or entry[0] != env.payload["attempt"]:
+        spec = self.bus.spec(tid, attempt)
+        if spec is None:
             log.warning("%s assigned %s attempt %d without its spec",
-                        self.id, tid, env.payload["attempt"])
-            self.offer = (self._due(now), tid, env.payload["attempt"])
+                        self.id, tid, attempt)
+            self.offer = (self._due(now), tid, attempt)
             return
-        attempt, spec = entry
         self.running = _Job(
             task_id=tid, attempt=attempt, spec=spec, started=now,
             left=_run_ticks(float(spec["kernel"]["duration"]),
@@ -611,7 +613,6 @@ class Monitor:
         for channel in (TASKS_TO_DO, TASKS_IN_PROGRESS, TASKS_TO_CHECK,
                         FINISHED_TASKS, EMERGENCY):
             bus.subscribe(actor_id, channel)
-        self.specs: dict[str, tuple[int, dict]] = {}
         self.watch: dict[str, _Watch] = {}
         self.timeouts = 0
         self.halted = False
@@ -632,13 +633,8 @@ class Monitor:
             kind = env.kind
             payload = env.payload
             tid = payload.get("task_id")
-            if kind == "task":
-                known = self.specs.get(tid)
-                if known is None or payload["attempt"] >= known[0]:
-                    self.specs[tid] = (payload["attempt"], payload["spec"])
-            elif kind == "assignment":
-                spec = self.specs.get(tid)
-                if spec is None:
+            if kind == "assignment":
+                if tid not in self.bus.specs:
                     log.warning("assignment for unknown task %s", tid)
                     continue
                 self.watch[tid] = _Watch(payload["worker_id"],
@@ -658,7 +654,9 @@ class Monitor:
             watch = self.watch[tid]
             if now - watch.last_seen <= deadline:
                 continue
-            attempt, spec = self.specs[tid]
+            published = self.bus.specs[tid]
+            attempt = max(published)
+            spec = published[attempt]
             next_attempt = max(attempt, watch.attempt) + 1
             log.info("task %s stale (worker %s, %d ticks); re-publishing "
                      "as attempt %d", tid, watch.worker_id,
@@ -709,9 +707,8 @@ class Checker:
         if validators:
             self.registry.update(validators)
         bus.register(actor_id)
-        for channel in (TASKS_TO_DO, TASKS_TO_CHECK, EMERGENCY):
+        for channel in (TASKS_TO_CHECK, EMERGENCY):
             bus.subscribe(actor_id, channel)
-        self.specs: dict[str, dict] = {}  # task id -> its latest spec
         self.finished: set[str] = set()
         self.fails: dict[str, int] = {}
         self.duplicates = 0
@@ -726,10 +723,7 @@ class Checker:
             if env.channel == EMERGENCY:
                 self.halted = True
                 return
-            if env.kind == "task":
-                self.specs[env.payload["task_id"]] = env.payload["spec"]
-            elif env.kind == "result":
-                self._on_result(env)
+            self._on_result(env)  # TasksToCheck carries only results
 
     def _on_result(self, env: Envelope) -> None:
         payload = env.payload
@@ -738,7 +732,7 @@ class Checker:
             self.duplicates += 1
             log.info("duplicate result for finished task %s discarded", tid)
             return
-        spec = self.specs.get(tid)
+        spec = self.bus.spec(tid, payload["attempt"])
         if spec is None:
             log.warning("result for unknown task %s discarded", tid)
             return

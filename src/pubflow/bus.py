@@ -3,10 +3,13 @@
 The channel catalog is closed: nine channels carry the whole protocol.
 Every publish gets a bus-global monotonically increasing sequence number,
 so the event log is a total order of everything any actor said.  Delivery
-is pull-based: subscribers call drain() and receive, in seq order, every
-envelope published to their channels after they subscribed.  There is no
+is pull-based: an actor calls drain() and receives, in seq order, every
+envelope published to its channels while it subscribed, plus each one
+addressed to it (`to=`, which the log does not record).  There is no
 replay for late subscribers.  The bus's `mail` set names the actors with
-undrained envelopes, so a scheduler need not ask every actor.
+undrained envelopes, so a scheduler need not ask every actor.  The spec
+table keeps the spec of each TasksToDo `task` by task id and attempt,
+the latest publication winning, as a compacted topic would.
 
 The log is line-oriented JSON, one object per envelope:
 {"seq": ..., "ts": ..., "channel": ..., "kind": ..., "sender": ..., "payload": ...}
@@ -185,6 +188,8 @@ class InProcessBus:
         self._subs: dict[str, list[str]] = {c: [] for c in CHANNEL_CATALOG}
         self.mail: set[str] = set()  # actors with undrained envelopes
         self.log = EventLog()
+        # task id -> attempt -> the spec last published for it on TasksToDo
+        self.specs: dict[str, dict[int, dict]] = {}
 
     # -- registry ---------------------------------------------------------
 
@@ -200,6 +205,12 @@ class InProcessBus:
         if actor_id not in self._subs[value]:
             self._subs[value].append(actor_id)
 
+    def unsubscribe(self, actor_id: str, channel: str | Channel) -> None:
+        """Deliver the channel no more; envelopes already queued stay."""
+        subs = self._subs[_normalize_channel(channel)]
+        if actor_id in subs:
+            subs.remove(actor_id)
+
     def leave(self, actor_id: str) -> None:
         """Unsubscribe everywhere and drop the queue, unread."""
         for subs in self._subs.values():
@@ -210,7 +221,9 @@ class InProcessBus:
     # -- traffic ----------------------------------------------------------
 
     def publish(self, sender: str, channel: str | Channel, kind: str,
-                payload: dict) -> int:
+                payload: dict, to: Optional[str] = None) -> int:
+        """Log the envelope and queue it for the channel's subscribers and
+        for `to`, if that actor is still on the bus."""
         value = _normalize_channel(channel)
         required = KIND_FIELDS.get(kind)
         if required is None:
@@ -223,11 +236,21 @@ class InProcessBus:
         env = Envelope(channel=value, kind=kind, seq=self._seq,
                        sender=sender, ts=self.now, payload=payload)
         self.log.append(env)  # also validates JSON-serializability
+        if kind == "task" and value == TASKS_TO_DO:
+            self.specs.setdefault(payload["task_id"], {})[
+                payload["attempt"]] = payload["spec"]
         subs = self._subs[value]
         for actor_id in subs:
             self._queues[actor_id].append(env)
         self.mail.update(subs)
+        if to is not None and to in self._queues and to not in subs:
+            self._queues[to].append(env)
+            self.mail.add(to)
         return self._seq
+
+    def spec(self, task_id: str, attempt: int) -> Optional[dict]:
+        """The spec last published on TasksToDo for this attempt, if any."""
+        return self.specs.get(task_id, {}).get(attempt)
 
     def drain(self, actor_id: str) -> list[Envelope]:
         if actor_id not in self._queues:

@@ -1,4 +1,5 @@
-"""Message bus semantics: numbering, fan-out, no replay, log format."""
+"""Message bus semantics: numbering, fan-out, addressing, no replay, the
+spec table, log format."""
 
 import json
 
@@ -151,6 +152,79 @@ class TestDelivery:
         assert [env.seq for env in bus.drain("b")] == [1, 2]
         with pytest.raises(UnknownActor):
             bus.drain("a")
+
+    def test_unsubscribe_stops_delivery(self):
+        bus = fresh()
+        bus.subscribe("a", Channel.TASKS_TO_DO)
+        bus.publish("b", Channel.TASKS_TO_DO, "task", task_payload("t1"))
+        bus.unsubscribe("a", Channel.TASKS_TO_DO)
+        bus.publish("b", Channel.TASKS_TO_DO, "task", task_payload("t2"))
+        assert [env.seq for env in bus.drain("a")] == [1]  # queued stays
+        bus.publish("b", Channel.TASKS_TO_DO, "task", task_payload("t3"))
+        assert bus.mail == set() and bus.drain("a") == []
+
+
+ASSIGNMENT = {"task_id": "t1", "worker_id": "b", "attempt": 1}
+
+
+class TestAddressedDelivery:
+    def test_addressee_gets_it_besides_the_subscribers(self):
+        bus = fresh()
+        bus.register("c")
+        bus.subscribe("a", Channel.TASKS_TO_DO)
+        bus.publish("a", Channel.TASKS_TO_DO, "assignment", ASSIGNMENT,
+                    to="b")
+        assert bus.mail == {"a", "b"}
+        assert [env.seq for env in bus.drain("a")] == [1]
+        assert [env.payload for env in bus.drain("b")] == [ASSIGNMENT]
+        assert bus.drain("c") == []
+
+    def test_a_subscribed_addressee_gets_it_once(self):
+        bus = fresh()
+        bus.subscribe("b", Channel.TASKS_TO_DO)
+        bus.publish("a", Channel.TASKS_TO_DO, "assignment", ASSIGNMENT,
+                    to="b")
+        assert [env.seq for env in bus.drain("b")] == [1]
+
+    def test_addressed_to_an_actor_that_left_is_logged_and_dropped(self):
+        bus = fresh()
+        bus.leave("b")
+        assert bus.publish("a", Channel.TASKS_TO_DO, "assignment",
+                           ASSIGNMENT, to="b") == 1
+        assert len(bus.log.lines) == 1
+        assert bus.mail == set() and bus.drain("a") == []
+
+    def test_the_address_is_not_logged(self):
+        addressed, plain = fresh(), fresh()
+        addressed.publish("a", Channel.TASKS_TO_DO, "assignment",
+                          ASSIGNMENT, to="b")
+        plain.publish("a", Channel.TASKS_TO_DO, "assignment", ASSIGNMENT)
+        assert addressed.log.dumps() == plain.log.dumps()
+
+
+class TestSpecTable:
+    def test_keyed_by_task_and_attempt(self):
+        bus = fresh()
+        bus.publish("a", Channel.TASKS_TO_DO, "task", task_payload("t1", 1))
+        bus.publish("a", Channel.TASKS_TO_DO, "task", task_payload("t1", 2))
+        assert bus.spec("t1", 1) == bus.spec("t1", 2) \
+            == task_payload("t1")["spec"]
+        assert bus.spec("t1", 3) is None and bus.spec("t2", 1) is None
+        assert bus.specs == {"t1": {1: task_payload("t1")["spec"],
+                                    2: task_payload("t1")["spec"]}}
+
+    def test_the_latest_publication_wins(self):
+        bus = fresh()
+        first, second = task_payload("t1", 2), task_payload("t1", 2)
+        second["spec"] = dict(second["spec"], max_attempts=1)
+        bus.publish("a", Channel.TASKS_TO_DO, "task", first)
+        bus.publish("b", Channel.TASKS_TO_DO, "task", second)
+        assert bus.spec("t1", 2)["max_attempts"] == 1
+
+    def test_only_tasks_to_do_fills_it(self):
+        bus = fresh()
+        bus.publish("a", Channel.WAITING_TASKS, "task", task_payload("t1"))
+        assert bus.spec("t1", 1) is None and bus.specs == {}
 
 
 class TestPayloadSchemas:

@@ -536,7 +536,58 @@ def test_long_chain_visits_ticks_by_envelope_not_by_makespan(monkeypatch):
     assert len(ticks) * 5 < report.makespan
 
 
-unit = st.floats(min_value=0.0, max_value=1.0)
+def drained_by_workers(monkeypatch, workers):
+    """Record, per envelope seq, the workers that drain it."""
+    readers: dict[int, list[str]] = {}
+    drain = InProcessBus.drain
+
+    def recording_drain(self, actor_id):
+        out = drain(self, actor_id)
+        if actor_id in workers:
+            for env in out:
+                readers.setdefault(env.seq, []).append(actor_id)
+        return out
+
+    monkeypatch.setattr(InProcessBus, "drain", recording_drain)
+    return readers
+
+
+def test_each_assignment_reaches_only_the_worker_it_names(monkeypatch):
+    """On a flat batch, every assignment is drained once, by its worker:
+    the others left TasksToDo with their one offer."""
+    workers = {f"w{i}" for i in range(6)}
+    readers = drained_by_workers(monkeypatch, workers)
+    batch = batch_of(*(noop_task(f"t{i:02d}", duration=3.0)
+                       for i in range(24)))
+    scenario = Scenario(seed=1, horizon=500, workers=tuple(
+        WorkerSpec(worker_id=wid) for wid in sorted(workers)))
+    report, log = run_simulation(batch, scenario)
+    assert report.completed
+    assignments = [r for r in records_of(log) if r["kind"] == "assignment"]
+    assert len(assignments) == 24
+    for record in assignments:
+        assert readers.get(record["seq"]) == [record["payload"]["worker_id"]]
+
+
+def test_worker_mail_on_a_chain_is_linear_in_tasks_plus_workers(
+        monkeypatch):
+    """A chain of T = 20 tasks on W = 64 workers: the workers drain at
+    most 3 (T + W) envelopes, not every task and assignment each (about
+    2 T W)."""
+    workers = {f"w{i:02d}" for i in range(64)}
+    readers = drained_by_workers(monkeypatch, workers)
+    batch = batch_of(*(noop_task(f"t{i:02d}",
+                                 deps=[f"t{i - 1:02d}"] if i else (),
+                                 duration=4.0)
+                       for i in range(20)))
+    scenario = Scenario(seed=7, horizon=2000, workers=tuple(
+        WorkerSpec(worker_id=wid) for wid in sorted(workers)))
+    report, _ = run_simulation(batch, scenario)
+    assert report.completed
+    assert sum(map(len, readers.values())) <= 3 * (20 + 64)
+
+
+unit =st.floats(min_value=0.0, max_value=1.0)
 
 
 @st.composite
