@@ -57,7 +57,6 @@ from .execution import (
     em_negotiate,
     encode_dataset,
     execute_kernel,
-    probe_environment,
     register_acquirer,
     register_kernel,
 )

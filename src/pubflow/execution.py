@@ -389,26 +389,6 @@ def em_negotiate(probe: EMConfig) -> EMConfig:
     )
 
 
-def probe_environment(physical_gpus: int = 0,
-                      env: Optional[Mapping[str, str]] = None) -> EMConfig:
-    """Build a probe from the process environment (live-mode seam).
-
-    PUBFLOW_GPU_DEVICES gives the logical device count the deployment
-    claims; the physical count comes from the caller's hardware inventory.
-    """
-    env = os.environ if env is None else env
-    try:
-        logical = int(env.get("PUBFLOW_GPU_DEVICES", "0"))
-    except ValueError:
-        logical = 0
-    return EMConfig(
-        logical_gpus=max(0, logical),
-        physical_gpus=max(0, physical_gpus),
-        performance_model_available=(
-            env.get("PUBFLOW_PERFORMANCE_MODEL", "") != ""),
-    )
-
-
 # --------------------------------------------------------- kernel running
 
 @dataclass(frozen=True)

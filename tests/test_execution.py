@@ -28,7 +28,6 @@ from pubflow import (
     em_negotiate,
     encode_dataset,
     execute_kernel,
-    probe_environment,
     register_acquirer,
     register_kernel,
 )
@@ -448,26 +447,6 @@ class TestEmNegotiate:
             "scheduling_policy": "data_aware",
             "performance_model_available": True,
         }
-
-
-class TestProbeEnvironment:
-    def test_reads_env(self):
-        probe = probe_environment(
-            physical_gpus=2,
-            env={"PUBFLOW_GPU_DEVICES": "4",
-                 "PUBFLOW_PERFORMANCE_MODEL": "1"})
-        assert probe.logical_gpus == 4
-        assert probe.physical_gpus == 2
-        assert probe.performance_model_available
-
-    def test_defaults_without_env(self):
-        probe = probe_environment(physical_gpus=1, env={})
-        assert probe.logical_gpus == 0
-        assert not probe.performance_model_available
-
-    def test_garbage_env_value_ignored(self):
-        probe = probe_environment(env={"PUBFLOW_GPU_DEVICES": "many"})
-        assert probe.logical_gpus == 0
 
 
 # ------------------------------------------------------------ kernel runs

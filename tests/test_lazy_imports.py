@@ -207,7 +207,7 @@ STAR_NAMES = [
     "final_snapshot", "find_cycle", "generate_adapt_workflow", "graph",
     "initial_field", "lifecycle_audit", "load", "load_scenario", "model",
     "parse_log", "parse_workflow", "partition_bounds",
-    "partition_table_bytes", "precedence_audit", "probe_environment",
+    "partition_table_bytes", "precedence_audit",
     "ready_tasks", "register_acquirer", "register_kernel", "replay_check",
     "run_simulation", "scenario_from_dict", "select_worker",
     "sequential_oracle", "serialize_workflow", "simulator", "sla_score",
