@@ -14,12 +14,13 @@ re-pin and let the diff show which cases moved:
     PYTHONPATH=src python tests/test_corpus.py --write
 """
 
-import functools
 import hashlib
 import logging
 import random
 import sys
 from pathlib import Path
+
+import pytest
 
 from pubflow import (
     KernelSpec,
@@ -112,8 +113,8 @@ def run_case(case):
     return digest, parse_log(text), batch, scenario, report
 
 
-@functools.lru_cache(maxsize=1)
-def run_corpus():
+@pytest.fixture(scope="module")
+def corpus():
     return [run_case(case) for case in range(CASES)]
 
 
@@ -122,14 +123,14 @@ def read_pinned():
     return [line.split()[1] for line in lines if line.strip()]
 
 
-def test_every_case_passes_both_audits():
-    for case, (_, records, batch, _, _) in enumerate(run_corpus()):
+def test_every_case_passes_both_audits(corpus):
+    for case, (_, records, batch, _, _) in enumerate(corpus):
         assert precedence_audit(records, batch) == [], f"case {case}"
         assert lifecycle_audit(records) == [], f"case {case}"
 
 
-def test_every_case_matches_its_pinned_digest():
-    digests = [digest for digest, *_ in run_corpus()]
+def test_every_case_matches_its_pinned_digest(corpus):
+    digests = [digest for digest, *_ in corpus]
     pinned = read_pinned()
     moved = [case for case, (got, want)
              in enumerate(zip(digests, pinned)) if got != want]
@@ -139,13 +140,13 @@ def test_every_case_matches_its_pinned_digest():
         f"{digests[moved[0]]} != {pinned[moved[0]]}")
 
 
-def test_the_corpus_exercises_every_fault():
+def test_the_corpus_exercises_every_fault(corpus):
     """Each knob is drawn in some case, some horizon cuts a running job,
     and a worker that can run no task never offers itself."""
     seen = dict.fromkeys(("crash", "stall", "departure", "late arrival",
                           "crash_prob", "latency", "jitter", "cut job",
                           "no task", "failed", "retried"), 0)
-    for _, records, batch, scenario, report in run_corpus():
+    for _, records, batch, scenario, report in corpus:
         workers = scenario.workers
         seen["crash"] += any(w.crash is not None for w in workers)
         seen["stall"] += any(w.stall is not None for w in workers)
@@ -182,6 +183,6 @@ if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: python tests/test_corpus.py --write")
     logging.getLogger("pubflow").setLevel(logging.ERROR)
-    PINNED.write_text("".join(f"{case} {digest}\n" for case, (digest, *_)
-                              in enumerate(run_corpus())), "utf-8")
+    PINNED.write_text("".join(f"{case} {run_case(case)[0]}\n"
+                              for case in range(CASES)), "utf-8")
     print(f"pinned {CASES} digests in {PINNED}")
