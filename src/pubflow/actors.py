@@ -40,7 +40,6 @@ step then counts the quiet ticks in between, skipping its stall window.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from random import Random
@@ -49,7 +48,7 @@ from typing import Callable, Mapping, Optional, Sequence
 from .bus import (DLC, EMERGENCY, FINISHED_TASKS, TASKS_IN_PROGRESS,
                   TASKS_TO_CHECK, TASKS_TO_DO, VOLUNTEER_WORKERS,
                   WAITING_TASKS, Envelope, InProcessBus)
-from .errors import GuardFailed, ValidationError
+from .errors import ValidationError
 from .execution import Workspace, execute_kernel
 # ready_tasks is not called here; perfbench's tracer patches it by name
 from .graph import ready_tasks, unfold, validate_structure
@@ -63,8 +62,6 @@ from .model import (
     load,
 )
 from .workflow_io import task_from_obj, task_to_obj
-
-log = logging.getLogger("pubflow.actors")
 
 
 # ------------------------------------------------------------- selection
@@ -102,11 +99,11 @@ def select_worker(task: Task, volunteers: Sequence[WorkerProfile],
                   policy: SlaPolicy = SlaPolicy()) -> Optional[str]:
     """Best eligible volunteer, or None when nobody qualifies.
 
-    Eligible means alive and advertising every required capability.
+    Eligible means advertising every required capability.
     Ties on the score go to the lexicographically smallest worker id.
     """
     eligible = [w for w in volunteers
-                if w.alive and task.required_caps <= w.capabilities]
+                if task.required_caps <= w.capabilities]
     if not eligible:
         return None
     best = min(eligible,
@@ -237,14 +234,8 @@ class Coordinator:
 
     def _on_waiting(self, env: Envelope) -> None:
         tid = env.payload["task_id"]
-        if self.batch is None:
-            log.warning("coordinator has no batch; dropping task %s", tid)
-            return
-        if tid in self.status:
-            log.info("duplicate task publication %s ignored", tid)
-            return
-        if tid not in self.batch.tasks:
-            log.warning("unknown task %s on WaitingTasks", tid)
+        if self.batch is None or tid in self.status \
+                or tid not in self.batch.tasks:
             return
         self._move(tid, TaskState.WAITING, 1)
         if self.batch.tasks[tid].deps <= self.finished:
@@ -261,11 +252,8 @@ class Coordinator:
         if rule is not None:
             try:
                 unfolded = unfold(self.batch, tid, rule, self._snapshot())
-            except GuardFailed as exc:
-                log.info("unfold skipped: %s", exc)
-            except Exception as exc:
-                log.warning("unfold of %s failed (%s); running as-is",
-                            tid, exc)
+            except Exception:  # GuardFailed or a bad rule: run it as-is
+                pass
             else:
                 spliced = sorted(unfolded.tasks.keys()
                                  - self.batch.tasks.keys())
@@ -304,16 +292,8 @@ class Coordinator:
         tid = env.payload["task_id"]
         attempt = env.payload["attempt"]
         current = self.status.get(tid)
-        if current is None:
-            log.warning("re-publication of unknown task %s ignored", tid)
-            return
-        state, cur_attempt = current
-        if state is TaskState.FINISHED:
-            log.info("re-publication of finished task %s ignored", tid)
-            return
-        if attempt <= cur_attempt:
-            log.info("stale re-publication of %s (attempt %d <= %d) ignored",
-                     tid, attempt, cur_attempt)
+        if current is None or current[0] is TaskState.FINISHED \
+                or attempt <= current[1]:
             return
         self._move(tid, TaskState.TODO, attempt)
 
@@ -322,7 +302,6 @@ class Coordinator:
         deps are all finished (Kahn); a failed one ends the batch."""
         tid = env.payload["task_id"]
         if not env.payload["ok"]:
-            log.warning("task %s failed permanently", tid)
             if not self.halted:
                 self._emergency("failed")
             return
@@ -537,12 +516,9 @@ class WorkerActor:
         if env.payload["worker_id"] != self.id:  # heard before it joined
             return
         if self.running is not None:
-            log.warning("%s assigned %s while busy; ignoring", self.id, tid)
             return
         spec = self.bus.spec(tid, attempt)
         if spec is None:
-            log.warning("%s assigned %s attempt %d without its spec",
-                        self.id, tid, attempt)
             self.offer = (self._due(now), tid, attempt)
             return
         self.running = _Job(
@@ -586,7 +562,6 @@ class WorkerActor:
 
 @dataclass
 class _Watch:
-    worker_id: str
     attempt: int
     last_seen: int
 
@@ -635,10 +610,8 @@ class Monitor:
             tid = payload.get("task_id")
             if kind == "assignment":
                 if tid not in self.bus.specs:
-                    log.warning("assignment for unknown task %s", tid)
                     continue
-                self.watch[tid] = _Watch(payload["worker_id"],
-                                         payload["attempt"], env.ts)
+                self.watch[tid] = _Watch(payload["attempt"], env.ts)
             elif kind in ("started", "heartbeat"):
                 watch = self.watch.get(tid)
                 if watch is not None and watch.attempt == payload["attempt"]:
@@ -657,12 +630,9 @@ class Monitor:
             published = self.bus.specs[tid]
             attempt = max(published)
             spec = published[attempt]
-            next_attempt = max(attempt, watch.attempt) + 1
-            log.info("task %s stale (worker %s, %d ticks); re-publishing "
-                     "as attempt %d", tid, watch.worker_id,
-                     now - watch.last_seen, next_attempt)
             self.bus.publish(self.id, TASKS_TO_DO, "task",
-                             {"task_id": tid, "attempt": next_attempt,
+                             {"task_id": tid,
+                              "attempt": max(attempt, watch.attempt) + 1,
                               "spec": spec})
             self.bus.publish(self.id, DLC, "dlc",
                              {"task_id": tid,
@@ -730,24 +700,15 @@ class Checker:
         tid = payload["task_id"]
         if tid in self.finished:
             self.duplicates += 1
-            log.info("duplicate result for finished task %s discarded", tid)
             return
         spec = self.bus.spec(tid, payload["attempt"])
         if spec is None:
-            log.warning("result for unknown task %s discarded", tid)
             return
-        name = spec.get("validator") or "default"
-        fn = self.registry.get(name)
-        if fn is None:
-            log.warning("task %s names unknown validator %s", tid, name)
+        try:  # an unknown validator (KeyError) or one that raises fails
+            fn = self.registry[spec.get("validator") or "default"]
+            ok = bool(fn(spec, payload, self.workspace))
+        except Exception:
             ok = False
-        else:
-            try:
-                ok = bool(fn(spec, payload, self.workspace))
-            except Exception as exc:
-                log.warning("validator %s raised %s; treating as failure",
-                            name, exc)
-                ok = False
         if ok:
             self.finished.add(tid)
             self.bus.publish(self.id, FINISHED_TASKS, "verdict",

@@ -213,7 +213,6 @@ class WorkerProfile:
     capabilities: frozenset[str] = frozenset()
     speed: float = 1.0
     reliability: float = 1.0
-    alive: bool = True
 
     def __post_init__(self) -> None:
         if not self.worker_id:

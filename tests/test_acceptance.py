@@ -330,18 +330,15 @@ def test_criterion_9_selection_matches_brute_force():
                         worker_id=f"w{i:02d}",
                         capabilities=twin.capabilities,
                         speed=twin.speed,
-                        reliability=twin.reliability,
-                        alive=twin.alive))
+                        reliability=twin.reliability))
                     continue
                 volunteers.append(WorkerProfile(
                     worker_id=f"w{i:02d}",
                     capabilities=frozenset(
                         c for c in cap_pool if rng.random() < 0.5),
                     speed=rng.choice([0.5, 1.0, 2.0, 4.0, 8.0]),
-                    reliability=rng.choice([0.0, 0.25, 0.8, 1.0]),
-                    alive=rng.random() < 0.9))
-            eligible = [w for w in volunteers
-                        if w.alive and need <= w.capabilities]
+                    reliability=rng.choice([0.0, 0.25, 0.8, 1.0])))
+            eligible = [w for w in volunteers if need <= w.capabilities]
             expected = None
             if eligible:
                 best = max(sla_score(w) for w in eligible)

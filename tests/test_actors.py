@@ -45,9 +45,9 @@ def batch_of(*tasks):
     return WorkflowBatch(batch_id="b", tasks={t.id: t for t in tasks})
 
 
-def profile(wid, caps=(), speed=1.0, reliability=1.0, alive=True):
+def profile(wid, caps=(), speed=1.0, reliability=1.0):
     return WorkerProfile(worker_id=wid, capabilities=frozenset(caps),
-                         speed=speed, reliability=reliability, alive=alive)
+                         speed=speed, reliability=reliability)
 
 
 def log_kinds(bus):
@@ -73,9 +73,6 @@ class TestSelectWorker:
         assert select_worker(self.gpu_task,
                              [profile("w1"), profile("w2", caps=("gpu",))]
                              ) == "w2"
-
-    def test_dead_workers_ignored(self):
-        assert select_worker(self.task, [profile("w1", alive=False)]) is None
 
     def test_reliability_beats_slow_speed(self):
         # 0.7*1.0 + 0.3*0.25 = 0.775  vs  0.7*0.8 + 0.3*1.0 = 0.86
@@ -113,14 +110,12 @@ class TestSelectWorker:
                     f"w{rng.randrange(50):02d}",
                     caps=[c for c in pool_caps if rng.random() < 0.4],
                     speed=rng.uniform(0.1, 8.0),
-                    reliability=rng.random(),
-                    alive=rng.random() < 0.9))
+                    reliability=rng.random()))
             need = frozenset(c for c in pool_caps if rng.random() < 0.25)
             task = Task(id="t", kernel=KernelSpec(name="noop"),
                         required_caps=need)
             # independent restatement of the rule
-            eligible = [w for w in vols
-                        if w.alive and need <= w.capabilities]
+            eligible = [w for w in vols if need <= w.capabilities]
             expect = None
             if eligible:
                 scores = {}
@@ -645,7 +640,7 @@ class TestWorker:
                 for r in records if r["kind"] == "volunteer"]
         assert vols == [(due, "a")]
 
-    def test_ignored_assignment_sends_a_fresh_offer(self, tmp_path, caplog):
+    def test_ignored_assignment_sends_a_fresh_offer(self, tmp_path):
         """An assignment the worker holds no spec for is ignored, and the
         worker volunteers again, naming it, so it stays in the pool."""
         bus, actor = worker_rig(tmp_path)
@@ -658,7 +653,6 @@ class TestWorker:
                 for r in records if r["kind"] == "volunteer"]
         assert vols == [("a", 1), ("ghost", 2)]
         assert actor.running is None
-        assert "w1 assigned ghost attempt 2 without its spec" in caplog.text
 
     def test_assignment_to_other_worker_clears_interest(self, tmp_path):
         """An assignment addressed to another worker does not reach a

@@ -15,7 +15,6 @@ re-pin and let the diff show which cases moved:
 """
 
 import hashlib
-import logging
 import random
 import sys
 from pathlib import Path
@@ -33,6 +32,7 @@ from pubflow import (
     precedence_audit,
     run_simulation,
 )
+from test_simulator import pool_violations
 
 CASES = 600
 PINNED = Path(__file__).with_name("corpus_digests.txt")
@@ -127,6 +127,7 @@ def test_every_case_passes_both_audits(corpus):
     for case, (_, records, batch, _, _) in enumerate(corpus):
         assert precedence_audit(records, batch) == [], f"case {case}"
         assert lifecycle_audit(records) == [], f"case {case}"
+        assert pool_violations(records) == [], f"case {case}"
 
 
 def test_every_case_matches_its_pinned_digest(corpus):
@@ -182,7 +183,6 @@ def test_the_corpus_exercises_every_fault(corpus):
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: python tests/test_corpus.py --write")
-    logging.getLogger("pubflow").setLevel(logging.ERROR)
     PINNED.write_text("".join(f"{case} {run_case(case)[0]}\n"
                               for case in range(CASES)), "utf-8")
     print(f"pinned {CASES} digests in {PINNED}")

@@ -1,7 +1,8 @@
 """What a fresh interpreter loads: numpy and pubflow.adapt only for ADAPT
 work, subprocess only for the shell kernel, the XML parser only for XML
-documents.  Each check runs in its own interpreter, since this one has
-long since loaded everything."""
+documents, and logging never (the event log is the one record of a
+run).  Each check runs in its own interpreter, since this one has long
+since loaded everything."""
 
 import json
 import os
@@ -14,7 +15,8 @@ import pytest
 from pubflow import cli
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-LAZY = ("numpy", "pubflow.adapt", "subprocess", "xml.etree.ElementTree")
+LAZY = ("logging", "numpy", "pubflow.adapt", "subprocess",
+        "xml.etree.ElementTree")
 
 # Prepended to every probe: which of LAZY are loaded, and a way to print
 # the probe's answer as the last line of stdout.
