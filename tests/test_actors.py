@@ -379,6 +379,41 @@ class TestCoordinator:
         assert [(a["task_id"], a["attempt"]) for a in assignments_in(bus)] \
             == [("b", 1)]
 
+    def test_republication_of_unknown_task_ignored(self):
+        batch = batch_of(noop_task("a"))
+        bus, coord = wire(batch)
+        coord.step(0)
+        spec = json.loads(bus.log.dumps().splitlines()[0]
+                          )["payload"]["spec"]
+        bus.publish("monitor", Channel.TASKS_TO_DO, "task",
+                    {"task_id": "ghost", "attempt": 2, "spec": spec})
+        coord.step(1)
+        assert "ghost" not in coord.status
+        assert coord.todo == {"a"}
+
+    def test_duplicate_and_unknown_waiting_tasks_ignored(self):
+        """A second publication of a task, or one of a task outside the
+        batch, leaves the table as it was and releases nothing."""
+        batch = batch_of(noop_task("a"))
+        bus, coord = wire(batch)
+        coord.step(0)
+        payload = json.loads(bus.log.dumps().splitlines()[0])["payload"]
+        bus.publish("broker", Channel.WAITING_TASKS, "task", payload)
+        bus.publish("broker", Channel.WAITING_TASKS, "task",
+                    dict(payload, task_id="ghost"))
+        coord.step(1)
+        assert coord.status == {"a": (TaskState.TODO, 1)}
+        todo = [line for line in bus.log.dumps().splitlines()
+                if json.loads(line)["channel"] == "TasksToDo"]
+        assert len(todo) == 1
+
+    def test_waiting_task_before_adopt_ignored(self):
+        bus = InProcessBus()
+        coord = Coordinator(bus)
+        Broker(bus).submit(batch_of(noop_task("a")))
+        coord.step(0)
+        assert coord.status == {} and coord.todo == set()
+
     def test_volunteer_naming_an_old_attempt_still_joins_the_pool(self):
         """An offer joins the pool whatever task it names; the assignment
         carries the task's current attempt."""
