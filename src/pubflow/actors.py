@@ -15,8 +15,9 @@ actor's state.  One batch flows like this:
                to them; execute each with the spec of its attempt,
                heartbeat while running, and push results to TasksToCheck
   monitor      watches assigned tasks until their result or ok verdict;
-               when heartbeats go stale it re-publishes the task with the
-               attempt bumped and emits a data-policy event on DLC
+               when the bus has heard no started or heartbeat for k*H
+               ticks it re-publishes the task with the attempt bumped
+               and emits a data-policy event on DLC
   checker      validates each result against the spec published on
                TasksToDo for its task and attempt (a result carries no
                spec) and publishes verdicts on FinishedTasks,
@@ -126,14 +127,8 @@ class Broker:
         bus.register(actor_id)
         bus.subscribe(actor_id, EMERGENCY)
         self.halted = False
-        self._pending: Optional[WorkflowBatch] = None
 
-    def queue(self, batch: WorkflowBatch) -> None:
-        self._pending = batch
-
-    @property
-    def wake(self) -> float:
-        return math.inf if self._pending is None else 0
+    wake = math.inf  # acts only on mail
 
     def submit(self, batch: WorkflowBatch) -> list[int]:
         """Publish every task on WaitingTasks, lexicographic id order.
@@ -158,9 +153,6 @@ class Broker:
             if env.channel == EMERGENCY:
                 self.halted = True
                 return
-        if self._pending is not None:
-            batch, self._pending = self._pending, None
-            self.submit(batch)
 
 
 # ------------------------------------------------------------ coordinator
@@ -560,21 +552,16 @@ class WorkerActor:
 
 # ---------------------------------------------------------------- monitor
 
-@dataclass
-class _Watch:
-    attempt: int
-    last_seen: int
-
-
 class Monitor:
     """Re-publishes tasks whose executor went silent.
 
-    The watch starts at the assignment (so a worker that dies before its
-    first message is still covered) and is refreshed by started and
-    heartbeat envelopes.  It ends with the watched attempt's result, or
-    with an ok verdict for any attempt of the task.  A watch whose task
-    went k*H ticks without news triggers a re-publication with the
-    attempt bumped, plus a transmission-failure event for the data policy.
+    A watch starts at the assignment (so a worker that dies before its
+    first message is still covered); the bus's last-heard table, not the
+    monitor's mail, gives its attempt's latest started or heartbeat.  It
+    ends with the watched attempt's result, or with an ok verdict for
+    any attempt of the task.  A watch whose task went k*H ticks without
+    news triggers a re-publication with the attempt bumped, plus a
+    transmission-failure event for the data policy.
     """
 
     def __init__(self, bus: InProcessBus, heartbeat_period: int,
@@ -585,17 +572,20 @@ class Monitor:
         self.heartbeat_period = heartbeat_period
         self.timeout_multiplier = timeout_multiplier
         bus.register(actor_id)
-        for channel in (TASKS_TO_DO, TASKS_IN_PROGRESS, TASKS_TO_CHECK,
-                        FINISHED_TASKS, EMERGENCY):
+        for channel in (TASKS_TO_DO, TASKS_TO_CHECK, FINISHED_TASKS,
+                        EMERGENCY):
             bus.subscribe(actor_id, channel)
-        self.watch: dict[str, _Watch] = {}
+        self.watch: dict[str, tuple[int, int]] = {}  # task -> (attempt, tick)
         self.timeouts = 0
         self.halted = False
 
+    def _last_seen(self, tid: str) -> int:
+        attempt, assigned = self.watch[tid]
+        return self.bus.heard.get((tid, attempt), assigned)
+
     @property
     def wake(self) -> float:  # when the oldest watch passes k*H ticks
-        oldest = min((w.last_seen for w in self.watch.values()),
-                     default=math.inf)
+        oldest = min(map(self._last_seen, self.watch), default=math.inf)
         return oldest + self.timeout_multiplier * self.heartbeat_period + 1
 
     def step(self, now: int) -> None:
@@ -611,29 +601,23 @@ class Monitor:
             if kind == "assignment":
                 if tid not in self.bus.specs:
                     continue
-                self.watch[tid] = _Watch(payload["attempt"], env.ts)
-            elif kind in ("started", "heartbeat"):
-                watch = self.watch.get(tid)
-                if watch is not None and watch.attempt == payload["attempt"]:
-                    watch.last_seen = env.ts
+                self.watch[tid] = (payload["attempt"], env.ts)
             elif kind == "result":
                 watch = self.watch.get(tid)
-                if watch is not None and watch.attempt == payload["attempt"]:
+                if watch is not None and watch[0] == payload["attempt"]:
                     del self.watch[tid]
             elif kind == "verdict" and payload["ok"]:
                 self.watch.pop(tid, None)
         deadline = self.timeout_multiplier * self.heartbeat_period
         for tid in sorted(self.watch):
-            watch = self.watch[tid]
-            if now - watch.last_seen <= deadline:
+            if now - self._last_seen(tid) <= deadline:
                 continue
             published = self.bus.specs[tid]
-            attempt = max(published)
-            spec = published[attempt]
+            latest = max(published)
             self.bus.publish(self.id, TASKS_TO_DO, "task",
                              {"task_id": tid,
-                              "attempt": max(attempt, watch.attempt) + 1,
-                              "spec": spec})
+                              "attempt": max(latest, self.watch[tid][0]) + 1,
+                              "spec": published[latest]})
             self.bus.publish(self.id, DLC, "dlc",
                              {"task_id": tid,
                               "event": "transmission_failure"})

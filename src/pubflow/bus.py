@@ -7,9 +7,11 @@ is pull-based: an actor calls drain() and receives, in seq order, every
 envelope published to its channels while it subscribed, plus each one
 addressed to it (`to=`, which the log does not record).  There is no
 replay for late subscribers.  The bus's `mail` set names the actors with
-undrained envelopes, so a scheduler need not ask every actor.  The spec
-table keeps the spec of each TasksToDo `task` by task id and attempt,
-the latest publication winning, as a compacted topic would.
+undrained envelopes, so a scheduler need not ask every actor.  Two
+tables keep state as a compacted topic would, the latest publication
+winning: the spec table holds the spec of each TasksToDo `task`, and
+the last-heard table the tick of the latest `started` or `heartbeat`,
+each by task id and attempt.  A reader of the tables needs no mail.
 
 The log is line-oriented JSON, one object per envelope:
 {"seq": ..., "ts": ..., "channel": ..., "kind": ..., "sender": ..., "payload": ...}
@@ -89,7 +91,10 @@ class LogTally:
     makespan: int = 0                # highest ts seen
     reason: Optional[str] = None     # of the Emergency envelope, if any
     timeouts: int = 0                # tasks the monitor republished
-    duplicates: int = 0              # results the checker discarded
+    # results sent for a task after its verified result, up to the
+    # Emergency; at a horizon cut this includes the last tick's results,
+    # which the checker never reads
+    duplicates: int = 0
     # task -> the attempts of its results, in log order, until its ok
     # verdict; the checker discards each one after the result it verified
     unverified: dict[str, list[int]] = field(default_factory=dict,
@@ -190,6 +195,8 @@ class InProcessBus:
         self.log = EventLog()
         # task id -> attempt -> the spec last published for it on TasksToDo
         self.specs: dict[str, dict[int, dict]] = {}
+        # (task id, attempt) -> the tick of its last started or heartbeat
+        self.heard: dict[tuple[str, int], int] = {}
 
     # -- registry ---------------------------------------------------------
 
@@ -239,6 +246,8 @@ class InProcessBus:
         if kind == "task" and value == TASKS_TO_DO:
             self.specs.setdefault(payload["task_id"], {})[
                 payload["attempt"]] = payload["spec"]
+        elif kind == "started" or kind == "heartbeat":
+            self.heard[(payload["task_id"], payload["attempt"])] = self.now
         subs = self._subs[value]
         for actor_id in subs:
             self._queues[actor_id].append(env)

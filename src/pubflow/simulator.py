@@ -1,7 +1,8 @@
 """Deterministic tick-level simulator for the actor protocol.
 
 One call to run_simulation plays a whole batch against a scenario of
-workers.  Per tick, in this exact order:
+workers.  The broker publishes the batch on WaitingTasks at tick 0,
+before tick 0's population events.  Then, per tick, in this exact order:
 
   1. population events: the departures and crashes scheduled for this
      tick (a departure at or before arrival takes effect at arrival),
@@ -19,9 +20,11 @@ due: after a tick with mail left on the bus it goes on to the next
 tick, and otherwise it jumps to the earliest wake, scheduled departure
 or crash, or the horizon.  A running job wakes its worker only for a
 heartbeat or its result, so a long job costs its heartbeats, not its
-ticks.  The exception is a live worker with a crash_prob: its death
-roll is one RNG draw per tick from its arrival on, so while it lives
-the loop visits every tick.
+ticks.  Nobody subscribes to TasksInProgress (the monitor reads the
+bus's last-heard table), so a heartbeat is no mail and does not keep
+the loop on the next tick.  The exception is a live worker with a
+crash_prob: its death roll is one RNG draw per tick from its arrival
+on, so while it lives the loop visits every tick.
 
 All randomness flows through a single random.Random(seed), so identical
 inputs produce byte-identical event logs; the loop ends after the tick
@@ -62,7 +65,7 @@ class WorkerSpec:
     speed: float = 1.0
     reliability: float = 1.0
     arrival: int = 0
-    departure: Optional[int] = None   # leaves cleanly at this tick
+    departure: Optional[int] = None   # handled as a crash at this tick
     crash: Optional[int] = None       # dies at this tick
     crash_prob: float = 0.0           # per-tick seeded death chance
     stall: Optional[tuple[int, int]] = None  # frozen for (from, ticks)
@@ -162,7 +165,7 @@ def run_simulation(batch: WorkflowBatch, scenario: Scenario, *,
         services = (broker, coordinator, monitor, checker)
 
         coordinator.adopt(batch)
-        broker.queue(batch)
+        broker.submit(batch)
 
         ends: dict[int, list[str]] = {}  # tick -> workers leaving or crashing
         for wid, (ws, _) in roster.items():

@@ -926,6 +926,20 @@ class TestMonitor:
                        if json.loads(line)["kind"] == "task"][-1]
         assert republished["payload"]["attempt"] == 3
 
+    def test_liveness_is_read_from_the_bus_not_mailed(self):
+        """started and heartbeat leave no mail for the monitor; its wake
+        reads their tick from the bus's last-heard table."""
+        bus, mon = monitor_rig(heartbeat=5, k=3)
+        feed_assignment(bus, ts=0)
+        mon.step(0)
+        assert mon.wake == 16
+        bus.now = 4
+        for kind in ("started", "heartbeat"):
+            bus.publish("w1", Channel.TASKS_IN_PROGRESS, kind,
+                        {"task_id": "a", "worker_id": "w1", "attempt": 1})
+            assert "monitor" not in bus.mail
+        assert mon.wake == 20
+
     def test_halts_on_emergency(self):
         bus, mon = monitor_rig()
         bus.publish("coordinator", Channel.EMERGENCY, "emergency",

@@ -1,5 +1,5 @@
 """Message bus semantics: numbering, fan-out, addressing, no replay, the
-spec table, log format."""
+spec and last-heard tables, log format."""
 
 import json
 
@@ -225,6 +225,19 @@ class TestSpecTable:
         bus = fresh()
         bus.publish("a", Channel.WAITING_TASKS, "task", task_payload("t1"))
         assert bus.spec("t1", 1) is None and bus.specs == {}
+
+
+class TestLastHeardTable:
+    def test_keeps_the_latest_tick_per_task_and_attempt(self):
+        bus = fresh()
+        for now, kind, attempt in ((3, "started", 2), (8, "heartbeat", 2),
+                                   (10, "heartbeat", 1)):
+            bus.now = now
+            bus.publish("w1", Channel.TASKS_IN_PROGRESS, kind,
+                        {"task_id": "t1", "worker_id": "w1",
+                         "attempt": attempt})
+        # the older attempt's heartbeat leaves attempt 2's entry alone
+        assert bus.heard == {("t1", 2): 8, ("t1", 1): 10}
 
 
 class TestPayloadSchemas:

@@ -6,7 +6,8 @@ capabilities, max_attempts 1-4, some results that fail their first
 validation) and one scenario (1-4 workers with crashes, stalls,
 departures, late arrivals, crash_prob, volunteer latency and jitter, and
 horizons that cut jobs) from random.Random(i).  Every run must pass both
-audits, and the sha256 of its log, cut to 16 hex digits, must equal the
+audits, its Monitor's and Checker's counters must match the fold of its
+log, and the sha256 of its log, cut to 16 hex digits, must equal the
 one pinned for its case in corpus_digests.txt.  A change that moves log
 bytes therefore names the cases it moved.  After a deliberate move,
 re-pin and let the diff show which cases moved:
@@ -32,7 +33,8 @@ from pubflow import (
     precedence_audit,
     run_simulation,
 )
-from test_simulator import pool_violations
+from pubflow import actors
+from test_simulator import keep, pool_violations
 
 CASES = 600
 PINNED = Path(__file__).with_name("corpus_digests.txt")
@@ -115,7 +117,13 @@ def run_case(case):
 
 @pytest.fixture(scope="module")
 def corpus():
-    return [run_case(case) for case in range(CASES)]
+    """run_case's tuple for each case, and the actors its run made."""
+    runs = []
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        made = keep(monkeypatch, actors.Monitor, actors.Checker)
+        for case in range(CASES):
+            runs.append((*run_case(case), dict(made)))
+    return runs
 
 
 def read_pinned():
@@ -124,7 +132,7 @@ def read_pinned():
 
 
 def test_every_case_passes_both_audits(corpus):
-    for case, (_, records, batch, _, _) in enumerate(corpus):
+    for case, (_, records, batch, *_) in enumerate(corpus):
         assert precedence_audit(records, batch) == [], f"case {case}"
         assert lifecycle_audit(records) == [], f"case {case}"
         assert pool_violations(records) == [], f"case {case}"
@@ -141,13 +149,30 @@ def test_every_case_matches_its_pinned_digest(corpus):
         f"{digests[moved[0]]} != {pinned[moved[0]]}")
 
 
+# Case 595's horizon (37) cuts the tick in which w3 sends a result for the
+# verified t0: the fold counts it as a duplicate, the Checker never reads
+# it.  Every other case's discarded results are the fold's duplicates.
+HORIZON_CUT_DUPLICATE = 595
+
+
+def test_the_actor_counters_match_the_fold(corpus):
+    for case, (*_, report, made) in enumerate(corpus):
+        assert made[actors.Monitor].timeouts == report.timeouts, \
+            f"case {case}"
+        discarded = made[actors.Checker].duplicates
+        if case == HORIZON_CUT_DUPLICATE:
+            assert (discarded, report.duplicates) == (0, 1)
+        else:
+            assert discarded == report.duplicates, f"case {case}"
+
+
 def test_the_corpus_exercises_every_fault(corpus):
     """Each knob is drawn in some case, some horizon cuts a running job,
     and a worker that can run no task never offers itself."""
     seen = dict.fromkeys(("crash", "stall", "departure", "late arrival",
                           "crash_prob", "latency", "jitter", "cut job",
                           "no task", "failed", "retried"), 0)
-    for _, records, batch, scenario, report in corpus:
+    for _, records, batch, scenario, report, _ in corpus:
         workers = scenario.workers
         seen["crash"] += any(w.crash is not None for w in workers)
         seen["stall"] += any(w.stall is not None for w in workers)

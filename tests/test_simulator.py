@@ -62,6 +62,24 @@ def kinds_of(log):
     return [r["kind"] for r in records_of(log)]
 
 
+def keep(monkeypatch, *classes):
+    """A dict mapping each of `classes` to the instance a run made last."""
+    made = {}
+
+    def wrap(cls):
+        init = cls.__init__
+
+        def kept(self, *args, **kwargs):
+            made[cls] = self
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", kept)
+
+    for cls in classes:
+        wrap(cls)
+    return made
+
+
 ONE_WORKER = Scenario(seed=1, horizon=50,
                       workers=(WorkerSpec(worker_id="w1"),))
 
@@ -413,19 +431,7 @@ class TestReportMetrics:
     @pytest.mark.parametrize("case", sorted(FOLD_CORPUS))
     def test_report_equals_the_fold_of_its_written_log(self, case,
                                                         monkeypatch):
-        made = {}  # actor class -> its instance in the run
-
-        def keep(cls):
-            init = cls.__init__
-
-            def kept(self, *args, **kwargs):
-                made[cls] = self
-                init(self, *args, **kwargs)
-
-            monkeypatch.setattr(cls, "__init__", kept)
-
-        keep(actors.Monitor)
-        keep(actors.Checker)
+        made = keep(monkeypatch, actors.Monitor, actors.Checker)
         inputs, reason = FOLD_CORPUS[case]
         batch, scenario, validators = inputs()
         report, log = run_simulation(batch, scenario, validators=validators)
@@ -501,6 +507,29 @@ def test_idle_workers_are_not_stepped(monkeypatch):
     sent = kinds_of(log)
     assert steps[0] <= (mail_steps[0] + sent.count("heartbeat")
                         + sent.count("result"))
+
+
+def test_heartbeats_do_not_step_the_monitor(monkeypatch):
+    """A 600-tick job with H=5 sends 119 heartbeats, but the monitor
+    reads them from the bus's last-heard table: it is stepped for its
+    mail (assignment, result, verdict, Emergency) and never wakes for a
+    timeout, so a handful of times, not once per heartbeat."""
+    steps = [0]
+    step = actors.Monitor.step
+
+    def counting_step(self, now):
+        steps[0] += 1
+        step(self, now)
+
+    monkeypatch.setattr(actors.Monitor, "step", counting_step)
+    batch = batch_of(noop_task("a", duration=600.0))
+    scenario = Scenario(seed=1, horizon=1000, heartbeat_period=5,
+                        timeout_multiplier=3,
+                        workers=(WorkerSpec(worker_id="w0"),))
+    report, log = run_simulation(batch, scenario)
+    assert report.completed and report.timeouts == 0
+    assert kinds_of(log).count("heartbeat") == 119
+    assert steps[0] <= 5
 
 
 def test_long_chain_visits_ticks_by_envelope_not_by_makespan(monkeypatch):
