@@ -1,15 +1,17 @@
 """The five protocol actors and the worker-selection policy.
 
-Everything coordinates through bus messages; no actor touches another
-actor's state.  One batch flows like this:
+Everything coordinates through bus messages, and the bus hands no actor
+its own; no actor touches another actor's state.  One batch flows like
+this:
 
-  broker       publishes every task on WaitingTasks, in id order
-  coordinator  releases dependency-satisfied tasks to TasksToDo, keeps a
-               pool of idle workers, assigns each ToDo task the
-               best-scoring idle one, and declares the batch finished on
-               Emergency; an ok verdict releases only the finished task's
-               dependents, and every task row change passes
-               model.check_transition
+  broker       publishes every task on WaitingTasks, in id order, and
+               listens to nothing
+  coordinator  takes the batch from `adopt`, not from WaitingTasks, and
+               releases its roots to TasksToDo; keeps a pool of idle
+               workers, assigns each ToDo task the best-scoring idle one,
+               and declares the batch finished on Emergency; an ok
+               verdict releases only the finished task's dependents, and
+               every task row change passes model.check_transition
   workers      volunteer once, when they first see an open task they are
                capable of, and then hear only the assignments addressed
                to them; execute each with the spec of its attempt,
@@ -119,16 +121,12 @@ def _task_payload(task: Task, attempt: int) -> dict:
 # ---------------------------------------------------------------- broker
 
 class Broker:
-    """Submits one batch and then only listens for the shutdown signal."""
+    """Submits one batch on WaitingTasks; subscribes to nothing."""
 
     def __init__(self, bus: InProcessBus, actor_id: str = "broker") -> None:
         self.bus = bus
         self.id = actor_id
-        bus.register(actor_id)
-        bus.subscribe(actor_id, EMERGENCY)
-        self.halted = False
-
-    wake = math.inf  # acts only on mail
+        bus.register(actor_id)  # claims the id
 
     def submit(self, batch: WorkflowBatch) -> list[int]:
         """Publish every task on WaitingTasks, lexicographic id order.
@@ -147,12 +145,7 @@ class Broker:
         ]
 
     def step(self, now: int) -> None:
-        if self.halted:
-            return
-        for env in self.bus.drain(self.id):
-            if env.channel == EMERGENCY:
-                self.halted = True
-                return
+        """Nothing: no mail.  Kept as perfbench's tracer wraps it."""
 
 
 # ------------------------------------------------------------ coordinator
@@ -169,8 +162,8 @@ class Coordinator:
         self.sla = sla
         self.dataset_sizes = dataset_sizes
         bus.register(actor_id)
-        for channel in (WAITING_TASKS, TASKS_TO_DO, TASKS_TO_CHECK,
-                        VOLUNTEER_WORKERS, FINISHED_TASKS):
+        for channel in (TASKS_TO_DO, TASKS_TO_CHECK, VOLUNTEER_WORKERS,
+                        FINISHED_TASKS):
             bus.subscribe(actor_id, channel)
         self.batch: Optional[WorkflowBatch] = None
         self.status: dict[str, tuple[TaskState, int]] = {}
@@ -203,10 +196,7 @@ class Coordinator:
         if self.halted:
             return
         for env in self.bus.drain(self.id):
-            if env.channel == WAITING_TASKS and env.kind == "task":
-                self._on_waiting(env)
-            elif env.channel == TASKS_TO_DO and env.kind == "task" \
-                    and env.sender != self.id:
+            if env.channel == TASKS_TO_DO and env.kind == "task":
                 self._on_republished(env)
             elif env.kind == "volunteer":
                 wid = env.payload["worker_id"]
@@ -224,18 +214,16 @@ class Coordinator:
         self._sweep_assignments()
         self._check_complete()
 
-    def _on_waiting(self, env: Envelope) -> None:
-        tid = env.payload["task_id"]
-        if self.batch is None or tid in self.status \
-                or tid not in self.batch.tasks:
-            return
-        self._move(tid, TaskState.WAITING, 1)
-        if self.batch.tasks[tid].deps <= self.finished:
-            self._release(tid)
-
     def adopt(self, batch: WorkflowBatch) -> None:
-        """Tell the coordinator which batch the broker is about to submit."""
+        """Take the batch just submitted: every task waits, then the roots
+        are released in id order.  The bus does not replay, so every actor
+        must be on it first."""
         self.batch = batch
+        for tid in sorted(batch.tasks):
+            self._move(tid, TaskState.WAITING, 1)
+        for tid in sorted(batch.tasks):
+            if not batch.tasks[tid].deps:
+                self._release(tid)
 
     def _release(self, tid: str) -> None:
         """First publication of a task: unfold it if its rule says so."""
@@ -303,9 +291,8 @@ class Coordinator:
                    self.status.get(tid, (None, 1))[1])
         if self.batch is None or tid not in self.batch.tasks:
             return
-        waiting = (TaskState.WAITING, 1)
         ready = [nid for nid in self.batch.dependents[tid]
-                 if self.status.get(nid, waiting)[0] is TaskState.WAITING
+                 if self.status[nid][0] is TaskState.WAITING
                  and self.batch.tasks[nid].deps <= self.finished]
         for nid in ready:
             self._release(nid)

@@ -4,10 +4,11 @@ The channel catalog is closed: nine channels carry the whole protocol.
 Every publish gets a bus-global monotonically increasing sequence number,
 so the event log is a total order of everything any actor said.  Delivery
 is pull-based: an actor calls drain() and receives, in seq order, every
-envelope published to its channels while it subscribed, plus each one
-addressed to it (`to=`, which the log does not record).  There is no
-replay for late subscribers.  The bus's `mail` set names the actors with
-undrained envelopes, so a scheduler need not ask every actor.  Two
+envelope another actor published to its channels while it subscribed,
+plus each one addressed to it (`to=`, which the log does not record);
+never its own.  There is no replay for late subscribers.  The bus's
+`mail` set names the actors with undrained envelopes, so a scheduler
+need not ask every actor.  Two
 tables keep state as a compacted topic would, the latest publication
 winning: the spec table holds the spec of each TasksToDo `task`, and
 the last-heard table the tick of the latest `started` or `heartbeat`,
@@ -230,7 +231,7 @@ class InProcessBus:
     def publish(self, sender: str, channel: str | Channel, kind: str,
                 payload: dict, to: Optional[str] = None) -> int:
         """Log the envelope and queue it for the channel's subscribers and
-        for `to`, if that actor is still on the bus."""
+        for `to`, if that actor is still on the bus; never for `sender`."""
         value = _normalize_channel(channel)
         required = KIND_FIELDS.get(kind)
         if required is None:
@@ -250,9 +251,10 @@ class InProcessBus:
             self.heard[(payload["task_id"], payload["attempt"])] = self.now
         subs = self._subs[value]
         for actor_id in subs:
-            self._queues[actor_id].append(env)
-        self.mail.update(subs)
-        if to is not None and to in self._queues and to not in subs:
+            if actor_id != sender:
+                self._queues[actor_id].append(env)
+                self.mail.add(actor_id)
+        if to in self._queues and to not in subs and to != sender:
             self._queues[to].append(env)
             self.mail.add(to)
         return self._seq

@@ -8,8 +8,8 @@ Subcommands:
   report         summarize an event log
 
 Exit codes: 0 success, 1 domain failure (cycle, failed or unfinished
-simulation, audit violations), 2 bad usage or unreadable/malformed
-input files.
+simulation, audit violations), 2 bad usage, unreadable/malformed
+input files or an output path that cannot be written.
 """
 
 from __future__ import annotations
@@ -46,8 +46,15 @@ def _read(path: str) -> str:
         raise FileError(f"cannot read {path}: not UTF-8 text ({exc})") from exc
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text, "utf-8")
+    except OSError as exc:
+        raise FileError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 class FileError(Exception):
-    """Unreadable or unparseable input file; maps to exit code 2."""
+    """Unreadable or unparseable input, or unwritable output; exit 2."""
 
 
 def _load(path: str, parse):
@@ -102,11 +109,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         sla = _load_json(args.config, SlaPolicy.from_dict)
     try:
         workspace = Workspace(args.workspace) if args.workspace else None
-    except SchemaError as exc:  # a workspace of another format
+    except (SchemaError, OSError) as exc:  # another format, or no dir
         raise FileError(str(exc)) from exc
-    report, _log = run_simulation(
-        batch, scenario, sla=sla, workspace=workspace,
-        log_path=args.log)
+    report, log = run_simulation(batch, scenario, sla=sla,
+                                 workspace=workspace)
+    if args.log:
+        _write(args.log, log.dumps())
     if args.json:
         print(json.dumps(dump(report), indent=2, sort_keys=True))
     else:
@@ -146,7 +154,7 @@ def cmd_generate_adapt(args: argparse.Namespace) -> int:
     )
     text = serialize_workflow(batch)
     if args.output:
-        Path(args.output).write_text(text, "utf-8")
+        _write(args.output, text)
     else:
         sys.stdout.write(text)
     return 0

@@ -1,14 +1,15 @@
 """Deterministic tick-level simulator for the actor protocol.
 
 One call to run_simulation plays a whole batch against a scenario of
-workers.  The broker publishes the batch on WaitingTasks at tick 0,
-before tick 0's population events.  Then, per tick, in this exact order:
+workers.  At tick 0, before its population events, the broker publishes
+the batch on WaitingTasks and the coordinator, handed it by `adopt`,
+releases its roots.  Then, per tick, in this exact order:
 
   1. population events: the departures and crashes scheduled for this
      tick (a departure at or before arrival takes effect at arrival),
      then seeded random crashes (one draw per arrived, alive at-risk
      worker, sorted by worker id)
-  2. broker, coordinator, monitor, checker
+  2. coordinator, monitor, checker (the broker has no mail)
   3. workers, sorted by worker id (skipped while not yet arrived; a
      worker in its stall window is frozen and its step does nothing)
 
@@ -162,10 +163,10 @@ def run_simulation(batch: WorkflowBatch, scenario: Scenario, *,
                 volunteer_latency=scenario.volunteer_latency,
                 volunteer_jitter=scenario.volunteer_jitter,
                 rng=rng, stall=ws.stall, horizon=scenario.horizon))
-        services = (broker, coordinator, monitor, checker)
+        services = (coordinator, monitor, checker)
 
-        coordinator.adopt(batch)
         broker.submit(batch)
+        coordinator.adopt(batch)  # after every actor joined: no replay
 
         ends: dict[int, list[str]] = {}  # tick -> workers leaving or crashing
         for wid, (ws, _) in roster.items():

@@ -160,24 +160,15 @@ class TestBroker:
             broker.submit(WorkflowBatch(batch_id="b", tasks=tasks))
         assert bus.messages_total == 0
 
-    def test_halts_on_emergency(self):
-        bus = InProcessBus()
-        broker = Broker(bus)
-        bus.publish("coordinator", Channel.EMERGENCY, "emergency",
-                    {"reason": "complete", "batch_id": "b"})
-        broker.step(0)
-        assert broker.halted
-
 
 # -------------------------------------------------------------- coordinator
 
 def wire(batch):
-    """Bus with coordinator and the batch already on WaitingTasks."""
+    """Bus with coordinator, the batch on WaitingTasks and adopted."""
     bus = InProcessBus()
     coord = Coordinator(bus)
-    broker = Broker(bus)
+    Broker(bus).submit(batch)
     coord.adopt(batch)
-    broker.submit(batch)
     return bus, coord
 
 
@@ -206,6 +197,25 @@ def assignments_in(bus):
 
 
 class TestCoordinator:
+    def test_adopt_releases_the_roots_right_after_the_broker(self):
+        """Every task gets a Waiting row, the roots go to TasksToDo in id
+        order right after the WaitingTasks announcements, and the
+        coordinator is not on WaitingTasks."""
+        batch = batch_of(noop_task("c"), noop_task("a"),
+                         noop_task("b", deps=["a"]))
+        bus, coord = wire(batch)
+        records = [json.loads(line) for line in bus.log.dumps().splitlines()]
+        assert [(r["channel"], r["payload"]["task_id"]) for r in records] \
+            == [("WaitingTasks", "a"), ("WaitingTasks", "b"),
+                ("WaitingTasks", "c"), ("TasksToDo", "a"),
+                ("TasksToDo", "c")]
+        assert coord.status == {"a": (TaskState.TODO, 1),
+                                "b": (TaskState.WAITING, 1),
+                                "c": (TaskState.TODO, 1)}
+        bus.publish("broker", Channel.WAITING_TASKS, "task",
+                    records[0]["payload"])
+        assert coord.id not in bus.mail
+
     def test_releases_only_dependency_free_tasks(self):
         batch = batch_of(noop_task("a"), noop_task("b", deps=["a"]))
         bus, coord = wire(batch)
@@ -390,29 +400,6 @@ class TestCoordinator:
         coord.step(1)
         assert "ghost" not in coord.status
         assert coord.todo == {"a"}
-
-    def test_duplicate_and_unknown_waiting_tasks_ignored(self):
-        """A second publication of a task, or one of a task outside the
-        batch, leaves the table as it was and releases nothing."""
-        batch = batch_of(noop_task("a"))
-        bus, coord = wire(batch)
-        coord.step(0)
-        payload = json.loads(bus.log.dumps().splitlines()[0])["payload"]
-        bus.publish("broker", Channel.WAITING_TASKS, "task", payload)
-        bus.publish("broker", Channel.WAITING_TASKS, "task",
-                    dict(payload, task_id="ghost"))
-        coord.step(1)
-        assert coord.status == {"a": (TaskState.TODO, 1)}
-        todo = [line for line in bus.log.dumps().splitlines()
-                if json.loads(line)["channel"] == "TasksToDo"]
-        assert len(todo) == 1
-
-    def test_waiting_task_before_adopt_ignored(self):
-        bus = InProcessBus()
-        coord = Coordinator(bus)
-        Broker(bus).submit(batch_of(noop_task("a")))
-        coord.step(0)
-        assert coord.status == {} and coord.todo == set()
 
     def test_volunteer_naming_an_old_attempt_still_joins_the_pool(self):
         """An offer joins the pool whatever task it names; the assignment

@@ -1,5 +1,5 @@
-"""Message bus semantics: numbering, fan-out, addressing, no replay, the
-spec and last-heard tables, log format."""
+"""Message bus semantics: numbering, fan-out, no echo to the sender,
+addressing, no replay, the spec and last-heard tables, log format."""
 
 import json
 
@@ -89,17 +89,23 @@ class TestDelivery:
         bus = fresh()
         bus.subscribe("a", Channel.TASKS_TO_DO)
         bus.subscribe("b", Channel.TASKS_TO_DO)
-        bus.publish("a", Channel.TASKS_TO_DO, "task", task_payload())
+        bus.publish("c", Channel.TASKS_TO_DO, "task", task_payload())
         got_a = bus.drain("a")
         got_b = bus.drain("b")
         assert len(got_a) == len(got_b) == 1
         assert got_a[0].seq == got_b[0].seq == 1
 
-    def test_publisher_receives_its_own_messages_when_subscribed(self):
+    def test_publisher_never_receives_its_own_envelope(self):
         bus = fresh()
         bus.subscribe("a", Channel.TASKS_TO_DO)
+        bus.subscribe("b", Channel.TASKS_TO_DO)
         bus.publish("a", Channel.TASKS_TO_DO, "task", task_payload())
-        assert len(bus.drain("a")) == 1
+        assert bus.mail == {"b"}
+        bus.publish("a", Channel.TASKS_TO_DO, "assignment",
+                    {"task_id": "t1", "worker_id": "a", "attempt": 1},
+                    to="a")
+        assert bus.mail == {"b"}
+        assert bus.drain("a") == []
 
     def test_drain_clears_queue(self):
         bus = fresh()
@@ -135,7 +141,7 @@ class TestDelivery:
         bus.subscribe("a", Channel.TASKS_TO_DO)
         bus.subscribe("b", Channel.WAITING_TASKS)
         assert bus.mail == set()
-        bus.publish("a", Channel.TASKS_TO_DO, "task", task_payload())
+        bus.publish("c", Channel.TASKS_TO_DO, "task", task_payload())
         assert bus.mail == {"a"}
         bus.drain("a")
         assert bus.mail == set()
@@ -144,10 +150,10 @@ class TestDelivery:
         bus = fresh()
         for actor in ("a", "b"):
             bus.subscribe(actor, Channel.TASKS_TO_DO)
-        bus.publish("a", Channel.TASKS_TO_DO, "task", task_payload("t1"))
+        bus.publish("c", Channel.TASKS_TO_DO, "task", task_payload("t1"))
         bus.leave("a")
         assert bus.mail == {"b"}
-        bus.publish("b", Channel.TASKS_TO_DO, "task", task_payload("t2"))
+        bus.publish("c", Channel.TASKS_TO_DO, "task", task_payload("t2"))
         assert bus.mail == {"b"}
         assert [env.seq for env in bus.drain("b")] == [1, 2]
         with pytest.raises(UnknownActor):
@@ -172,7 +178,7 @@ class TestAddressedDelivery:
         bus = fresh()
         bus.register("c")
         bus.subscribe("a", Channel.TASKS_TO_DO)
-        bus.publish("a", Channel.TASKS_TO_DO, "assignment", ASSIGNMENT,
+        bus.publish("d", Channel.TASKS_TO_DO, "assignment", ASSIGNMENT,
                     to="b")
         assert bus.mail == {"a", "b"}
         assert [env.seq for env in bus.drain("a")] == [1]

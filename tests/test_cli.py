@@ -377,6 +377,10 @@ COMMANDS = {
     "config": "simulate {wf} {sc} --config {bad}",
     "audit": "audit {bad}",
     "report": "report {bad}",
+    # an output path under, or at, a file that is no directory
+    "workspace": "simulate {wf} {sc} --workspace {bad}",
+    "log": "simulate {wf} {sc} --log {bad}/log.jsonl",
+    "output": "generate-adapt -o {bad}/x.json",
 }
 
 MALFORMED = [
@@ -485,6 +489,9 @@ MALFORMED = [
     ("audit-deps-numbers", "audit",
      one_record('"spec":{}', '"spec":{"deps":[1]}'),
      "line 1: task spec.deps must be a list of strings"),
+    ("workspace-a-file", "workspace", "", "File exists"),
+    ("log-under-a-file", "log", "", "cannot write"),
+    ("output-under-a-file", "output", "", "cannot write"),
 ]
 
 

@@ -7,10 +7,11 @@ validation) and one scenario (1-4 workers with crashes, stalls,
 departures, late arrivals, crash_prob, volunteer latency and jitter, and
 horizons that cut jobs) from random.Random(i).  Every run must pass both
 audits, its Monitor's and Checker's counters must match the fold of its
-log, and the sha256 of its log, cut to 16 hex digits, must equal the
-one pinned for its case in corpus_digests.txt.  A change that moves log
-bytes therefore names the cases it moved.  After a deliberate move,
-re-pin and let the diff show which cases moved:
+log, no actor may drain an envelope it sent or one on WaitingTasks, the
+Broker's step may never run, and the sha256 of its log, cut to 16 hex
+digits, must equal the one pinned for its case in corpus_digests.txt.
+A change that moves log bytes therefore names the cases it moved.
+After a deliberate move, re-pin and let the diff show which cases moved:
 
     PYTHONPATH=src python tests/test_corpus.py --write
 """
@@ -34,6 +35,7 @@ from pubflow import (
     run_simulation,
 )
 from pubflow import actors
+from pubflow.bus import InProcessBus
 from test_simulator import keep, pool_violations
 
 CASES = 600
@@ -115,14 +117,37 @@ def run_case(case):
     return digest, parse_log(text), batch, scenario, report
 
 
+def record_stray_mail(monkeypatch):
+    """A list that gets (actor, seq) for each envelope an actor drains
+    that it sent or that is on WaitingTasks, and ("broker", now) for each
+    Broker.step."""
+    stray = []
+    drain = InProcessBus.drain
+
+    def recording_drain(self, actor_id):
+        out = drain(self, actor_id)
+        stray.extend((actor_id, env.seq) for env in out
+                     if env.sender == actor_id
+                     or env.channel == "WaitingTasks")
+        return out
+
+    monkeypatch.setattr(InProcessBus, "drain", recording_drain)
+    monkeypatch.setattr(actors.Broker, "step",
+                        lambda self, now: stray.append((self.id, now)))
+    return stray
+
+
 @pytest.fixture(scope="module")
 def corpus():
-    """run_case's tuple for each case, and the actors its run made."""
+    """run_case's tuple for each case, the actors its run made, and its
+    stray mail (record_stray_mail)."""
     runs = []
     with pytest.MonkeyPatch.context() as monkeypatch:
         made = keep(monkeypatch, actors.Monitor, actors.Checker)
+        stray = record_stray_mail(monkeypatch)
         for case in range(CASES):
-            runs.append((*run_case(case), dict(made)))
+            runs.append((*run_case(case), dict(made), stray[:]))
+            stray.clear()
     return runs
 
 
@@ -155,8 +180,13 @@ def test_every_case_matches_its_pinned_digest(corpus):
 HORIZON_CUT_DUPLICATE = 595
 
 
+def test_every_delivery_is_mail_its_reader_acts_on(corpus):
+    for case, (*_, stray) in enumerate(corpus):
+        assert stray == [], f"case {case}"
+
+
 def test_the_actor_counters_match_the_fold(corpus):
-    for case, (*_, report, made) in enumerate(corpus):
+    for case, (*_, report, made, _) in enumerate(corpus):
         assert made[actors.Monitor].timeouts == report.timeouts, \
             f"case {case}"
         discarded = made[actors.Checker].duplicates
@@ -172,7 +202,7 @@ def test_the_corpus_exercises_every_fault(corpus):
     seen = dict.fromkeys(("crash", "stall", "departure", "late arrival",
                           "crash_prob", "latency", "jitter", "cut job",
                           "no task", "failed", "retried"), 0)
-    for _, records, batch, scenario, report, _ in corpus:
+    for _, records, batch, scenario, report, _, _ in corpus:
         workers = scenario.workers
         seen["crash"] += any(w.crash is not None for w in workers)
         seen["stall"] += any(w.stall is not None for w in workers)

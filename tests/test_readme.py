@@ -4,16 +4,34 @@ document, so a documented key cannot drift away from its effect."""
 import json
 from pathlib import Path
 
-from pubflow import SlaPolicy, dump, parse_workflow, scenario_from_dict
+from pubflow import (
+    CHANNEL_CATALOG,
+    Channel,
+    InProcessBus,
+    KernelSpec,
+    Scenario,
+    SlaPolicy,
+    Task,
+    WorkerSpec,
+    WorkflowBatch,
+    dump,
+    parse_workflow,
+    run_simulation,
+    scenario_from_dict,
+)
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
-def block(section, language):
-    """The first fenced block of `language` under `## <section>`."""
+def section(name):
+    """The text under `## <name>`, up to the next section."""
     text = README.read_text("utf-8")
-    body = text.split(f"\n## {section}\n", 1)[1].split("\n## ", 1)[0]
-    return body.split(f"```{language}\n", 1)[1].split("```", 1)[0]
+    return text.split(f"\n## {name}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def block(name, language):
+    """The first fenced block of `language` under `## <name>`."""
+    return section(name).split(f"```{language}\n", 1)[1].split("```", 1)[0]
 
 
 def json_block(section):
@@ -46,3 +64,31 @@ def test_engine_configuration_example_is_the_default():
     # SlaPolicy.from_dict refuses any key it does not read
     assert SlaPolicy.from_dict(json_block("Engine configuration")) \
         == SlaPolicy()
+
+
+def test_channel_subscribers_are_the_ones_the_actors_take(monkeypatch):
+    """The Channels table's subscribers column names, per channel, the
+    roles that subscribe to it in a one-task run: an item's first word,
+    "workers" for any worker, "none" for nobody."""
+    taken = {channel: set() for channel in CHANNEL_CATALOG}
+    subscribe = InProcessBus.subscribe
+
+    def recording(self, actor_id, channel):
+        subscribe(self, actor_id, channel)
+        taken[Channel(channel).value].add(
+            "workers" if actor_id == "w1" else actor_id)
+
+    monkeypatch.setattr(InProcessBus, "subscribe", recording)
+    task = Task(id="t", kernel=KernelSpec(name="noop"))
+    report, _ = run_simulation(
+        WorkflowBatch(batch_id="b", tasks={"t": task}),
+        Scenario(horizon=50, workers=(WorkerSpec(worker_id="w1"),)))
+    assert report.completed
+    documented = {}
+    for line in section("Channels").splitlines():
+        if line.startswith("| `"):
+            name, _kinds, subscribers = (
+                cell.strip() for cell in line.strip("|").split("|"))
+            documented[name.strip("`")] = {
+                item.split()[0] for item in subscribers.split(", ")} - {"none"}
+    assert documented == taken

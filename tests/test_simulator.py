@@ -1366,10 +1366,23 @@ class TestVolunteerTraffic:
 
     @pytest.mark.parametrize("tasks,workers",
                              [(10, 4), (25, 3), (6, 8), (200, 64), (800, 16)])
-    def test_flat_batch_envelopes_are_linear_in_tasks(self, tasks, workers):
+    def test_flat_batch_envelopes_are_linear_in_tasks(self, tasks, workers,
+                                                      monkeypatch):
         """Fault-free duration-1 noops: per task its WaitingTasks and
         TasksToDo publications, assignment, started, result and verdict;
-        one offer per worker; one Emergency."""
+        one offer per worker; one Emergency.  The coordinator drains only
+        each offer, result and verdict: not the WaitingTasks, nor its own
+        tasks and assignments."""
+        drained = []
+        drain = InProcessBus.drain
+
+        def counting_drain(self, actor_id):
+            out = drain(self, actor_id)
+            if actor_id == "coordinator":
+                drained.extend(out)
+            return out
+
+        monkeypatch.setattr(InProcessBus, "drain", counting_drain)
         batch = batch_of(*[noop_task(f"t{i:03d}") for i in range(tasks)])
         scenario = Scenario(seed=1, horizon=1000, workers=tuple(
             WorkerSpec(worker_id=f"w{i:02d}") for i in range(workers)))
@@ -1377,6 +1390,7 @@ class TestVolunteerTraffic:
         assert report.completed
         assert report.messages_total == 6 * tasks + workers + 1
         assert report.messages_by_channel["VolunteerWorkers"] == workers
+        assert len(drained) == 2 * tasks + workers
 
     def test_republished_attempt_goes_to_the_pool(self):
         """w1 wins t and stalls past the horizon; the monitor republishes
