@@ -1,14 +1,15 @@
 """The five protocol actors and the worker-selection policy.
 
 Everything coordinates through bus messages, and the bus hands no actor
-its own; no actor touches another actor's state.  One batch flows like
-this:
+its own, nor one addressed to others; no actor touches another actor's
+state.  One batch flows like this:
 
   broker       publishes every task on WaitingTasks, in id order, and
                listens to nothing
   coordinator  takes the batch from `adopt`, not from WaitingTasks, and
                releases its roots to TasksToDo; keeps a pool of idle
                workers, assigns each ToDo task the best-scoring idle one,
+               addressing the assignment to that worker and the monitor,
                and declares the batch finished on Emergency; an ok
                verdict releases only the finished task's dependents, and
                every task row change passes model.check_transition
@@ -24,7 +25,8 @@ this:
                TasksToDo for its task and attempt (a result carries no
                spec) and publishes verdicts on FinishedTasks,
                re-publishing a failed task until its spec's max_attempts
-               runs out
+               runs out; it listens to no Emergency, as the loop ends in
+               that tick, and it steps before the workers
 
 A worker offers itself to the pool once, not once per task: its first
 volunteer puts it in the coordinator's idle pool, each assignment takes
@@ -48,9 +50,10 @@ from dataclasses import dataclass
 from random import Random
 from typing import Callable, Mapping, Optional, Sequence
 
-from .bus import (DLC, EMERGENCY, FINISHED_TASKS, TASKS_IN_PROGRESS,
-                  TASKS_TO_CHECK, TASKS_TO_DO, VOLUNTEER_WORKERS,
-                  WAITING_TASKS, Envelope, InProcessBus)
+from .bus import (BROKER, CHECKER, COORDINATOR, DLC, EMERGENCY,
+                  FINISHED_TASKS, MONITOR, TASKS_IN_PROGRESS, TASKS_TO_CHECK,
+                  TASKS_TO_DO, VOLUNTEER_WORKERS, WAITING_TASKS, Envelope,
+                  InProcessBus)
 from .errors import ValidationError
 from .execution import Workspace, execute_kernel
 # ready_tasks is not called here; perfbench's tracer patches it by name
@@ -123,10 +126,11 @@ def _task_payload(task: Task, attempt: int) -> dict:
 class Broker:
     """Submits one batch on WaitingTasks; subscribes to nothing."""
 
-    def __init__(self, bus: InProcessBus, actor_id: str = "broker") -> None:
+    id = BROKER
+
+    def __init__(self, bus: InProcessBus) -> None:
         self.bus = bus
-        self.id = actor_id
-        bus.register(actor_id)  # claims the id
+        bus.register(self.id)  # claims the id
 
     def submit(self, batch: WorkflowBatch) -> list[int]:
         """Publish every task on WaitingTasks, lexicographic id order.
@@ -153,18 +157,18 @@ class Broker:
 class Coordinator:
     """Owns task lifecycle state and worker selection for one batch."""
 
+    id = COORDINATOR
+
     def __init__(self, bus: InProcessBus, sla: SlaPolicy = SlaPolicy(),
-                 actor_id: str = "coordinator",
                  dataset_sizes: Optional[Callable[[], dict[str, int]]] = None,
                  ) -> None:
         self.bus = bus
-        self.id = actor_id
         self.sla = sla
         self.dataset_sizes = dataset_sizes
-        bus.register(actor_id)
+        bus.register(self.id)
         for channel in (TASKS_TO_DO, TASKS_TO_CHECK, VOLUNTEER_WORKERS,
                         FINISHED_TASKS):
-            bus.subscribe(actor_id, channel)
+            bus.subscribe(self.id, channel)
         self.batch: Optional[WorkflowBatch] = None
         self.status: dict[str, tuple[TaskState, int]] = {}
         self.profiles: dict[str, WorkerProfile] = {}
@@ -323,7 +327,7 @@ class Coordinator:
             self._move(tid, TaskState.IN_PROGRESS, attempt)
             self.bus.publish(self.id, TASKS_TO_DO, "assignment",
                              {"task_id": tid, "worker_id": winner,
-                              "attempt": attempt}, to=winner)
+                              "attempt": attempt}, to=(winner, MONITOR))
 
     def _check_complete(self) -> None:
         if self.batch is not None and self.batch.tasks \
@@ -482,8 +486,10 @@ class WorkerActor:
     def _on_task(self, env: Envelope, now: int) -> None:
         """The one offer names the first task the worker can run; then the
         worker leaves TasksToDo and hears only its own assignments."""
+        if self.joined:
+            return
         caps = frozenset(env.payload["spec"].get("required_caps", ()))
-        if self.joined or not caps <= self.profile.capabilities:
+        if not caps <= self.profile.capabilities:
             return
         self.joined = True
         self.offer = (self._due(now), env.payload["task_id"],
@@ -492,8 +498,6 @@ class WorkerActor:
 
     def _on_assignment(self, env: Envelope, now: int) -> None:
         tid, attempt = env.payload["task_id"], env.payload["attempt"]
-        if env.payload["worker_id"] != self.id:  # heard before it joined
-            return
         if self.running is not None:
             return
         spec = self.bus.spec(tid, attempt)
@@ -551,17 +555,16 @@ class Monitor:
     transmission-failure event for the data policy.
     """
 
+    id = MONITOR
+
     def __init__(self, bus: InProcessBus, heartbeat_period: int,
-                 timeout_multiplier: int,
-                 actor_id: str = "monitor") -> None:
+                 timeout_multiplier: int) -> None:
         self.bus = bus
-        self.id = actor_id
         self.heartbeat_period = heartbeat_period
         self.timeout_multiplier = timeout_multiplier
-        bus.register(actor_id)
-        for channel in (TASKS_TO_DO, TASKS_TO_CHECK, FINISHED_TASKS,
-                        EMERGENCY):
-            bus.subscribe(actor_id, channel)
+        bus.register(self.id)
+        for channel in (TASKS_TO_CHECK, FINISHED_TASKS, EMERGENCY):
+            bus.subscribe(self.id, channel)
         self.watch: dict[str, tuple[int, int]] = {}  # task -> (attempt, tick)
         self.timeouts = 0
         self.halted = False
@@ -637,33 +640,26 @@ def default_validator(spec: Mapping, result: Mapping,
 class Checker:
     """Validates results; first verified result per task wins."""
 
+    id = CHECKER
+
     def __init__(self, bus: InProcessBus,
                  workspace: Optional[Workspace] = None,
-                 validators: Optional[dict[str, ValidatorFn]] = None,
-                 actor_id: str = "checker") -> None:
+                 validators: Optional[dict[str, ValidatorFn]] = None) -> None:
         self.bus = bus
-        self.id = actor_id
         self.workspace = workspace
         self.registry: dict[str, ValidatorFn] = {"default": default_validator}
         if validators:
             self.registry.update(validators)
-        bus.register(actor_id)
-        for channel in (TASKS_TO_CHECK, EMERGENCY):
-            bus.subscribe(actor_id, channel)
+        bus.register(self.id)
+        bus.subscribe(self.id, TASKS_TO_CHECK)
         self.finished: set[str] = set()
         self.fails: dict[str, int] = {}
         self.duplicates = 0
-        self.halted = False
 
     wake = math.inf  # acts only on mail
 
     def step(self, now: int) -> None:
-        if self.halted:
-            return
         for env in self.bus.drain(self.id):
-            if env.channel == EMERGENCY:
-                self.halted = True
-                return
             self._on_result(env)  # TasksToCheck carries only results
 
     def _on_result(self, env: Envelope) -> None:

@@ -1,14 +1,16 @@
 """In-process publish-subscribe bus.
 
-The channel catalog is closed: nine channels carry the whole protocol.
+The channel catalog is closed: nine channels carry the whole protocol,
+and four services (SERVICE_CATALOG) speak on them beside the workers.
 Every publish gets a bus-global monotonically increasing sequence number,
 so the event log is a total order of everything any actor said.  Delivery
 is pull-based: an actor calls drain() and receives, in seq order, every
-envelope another actor published to its channels while it subscribed,
-plus each one addressed to it (`to=`, which the log does not record);
-never its own.  There is no replay for late subscribers.  The bus's
-`mail` set names the actors with undrained envelopes, so a scheduler
-need not ask every actor.  Two
+envelope addressed to it (`to=`, which the log does not record) and every
+unaddressed one published to its channels while it subscribed; never
+its own.  An addressed envelope goes to the actors it names alone, not
+to its channel's subscribers.  There is no replay for late subscribers.
+The bus's `mail` set names the actors with undrained envelopes, so a
+scheduler need not ask every actor.  Two
 tables keep state as a compacted topic would, the latest publication
 winning: the spec table holds the spec of each TasksToDo `task`, and
 the last-heard table the tick of the latest `started` or `heartbeat`,
@@ -51,6 +53,10 @@ CHANNEL_CATALOG = tuple(c.value for c in Channel)
 WAITING_TASKS, TASKS_TO_DO, TASKS_IN_PROGRESS, TASKS_TO_CHECK, \
     FINISHED_TASKS, VOLUNTEER_WORKERS, EMERGENCY, DLC, EM = CHANNEL_CATALOG
 _CHANNEL_NAMES = {c: c.value for c in Channel}
+
+# The services' actor ids; a worker may take none of them.
+SERVICE_CATALOG = ("broker", "coordinator", "monitor", "checker")
+BROKER, COORDINATOR, MONITOR, CHECKER = SERVICE_CATALOG
 
 # Each kind's payload fields and their exact JSON types (true is no int):
 # publish checks that they are there, simulator.parse_log their types too.
@@ -112,10 +118,11 @@ class LogTally:
             tid = payload["task_id"]
             self.attempts[tid] = max(self.attempts.get(tid, 1),
                                      payload["attempt"])
-            if record["sender"] == "monitor":  # a k*H timeout
+            if record["sender"] == MONITOR:  # a k*H timeout
                 self.timeouts += 1
         elif kind == "result" and self.reason is None:
-            # the checker reads no result after the Emergency
+            # the loop ends in the Emergency's tick, so the checker reads
+            # no result after it
             tid = payload["task_id"]
             if tid in self.verified:
                 self.duplicates += 1
@@ -229,9 +236,10 @@ class InProcessBus:
     # -- traffic ----------------------------------------------------------
 
     def publish(self, sender: str, channel: str | Channel, kind: str,
-                payload: dict, to: Optional[str] = None) -> int:
-        """Log the envelope and queue it for the channel's subscribers and
-        for `to`, if that actor is still on the bus; never for `sender`."""
+                payload: dict, to: Optional[tuple[str, ...]] = None) -> int:
+        """Log the envelope and queue it for each actor in `to` still on
+        the bus or, without `to`, for the channel's subscribers; never for
+        `sender`."""
         value = _normalize_channel(channel)
         required = KIND_FIELDS.get(kind)
         if required is None:
@@ -249,14 +257,10 @@ class InProcessBus:
                 payload["attempt"]] = payload["spec"]
         elif kind == "started" or kind == "heartbeat":
             self.heard[(payload["task_id"], payload["attempt"])] = self.now
-        subs = self._subs[value]
-        for actor_id in subs:
-            if actor_id != sender:
+        for actor_id in self._subs[value] if to is None else to:
+            if actor_id != sender and actor_id in self._queues:
                 self._queues[actor_id].append(env)
                 self.mail.add(actor_id)
-        if to in self._queues and to not in subs and to != sender:
-            self._queues[to].append(env)
-            self.mail.add(to)
         return self._seq
 
     def spec(self, task_id: str, attempt: int) -> Optional[dict]:

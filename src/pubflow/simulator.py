@@ -49,7 +49,8 @@ from typing import Optional
 
 from .actors import Broker, Checker, Coordinator, Monitor, SlaPolicy, \
     WorkerActor
-from .bus import CHANNEL_CATALOG, KIND_FIELDS, EventLog, InProcessBus
+from .bus import (CHANNEL_CATALOG, KIND_FIELDS, SERVICE_CATALOG, EventLog,
+                  InProcessBus)
 from .errors import MalformedLog
 from .execution import Workspace
 from .model import _SCALARS, WorkerProfile, WorkflowBatch, _wrong, load
@@ -99,10 +100,13 @@ class Scenario:
             raise ValueError("heartbeat.H and heartbeat.k must be >= 1")
         if self.horizon < 0:
             raise ValueError("horizon must be >= 0")
-        ids = [ws.worker_id for ws in self.workers]
-        for wid in ids:
-            if ids.count(wid) > 1:
+        seen: set[str] = set()
+        for wid in (ws.worker_id for ws in self.workers):
+            if wid in SERVICE_CATALOG:
+                raise ValueError(f"reserved worker_id {wid!r}")
+            if wid in seen:
                 raise ValueError(f"duplicate worker_id {wid!r}")
+            seen.add(wid)
 
 
 def scenario_from_dict(doc: object) -> Scenario:

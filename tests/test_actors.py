@@ -517,11 +517,11 @@ def publish_task(bus, task, attempt=1, sender="coordinator"):
 
 
 def assign(bus, tid, wid, attempt=1):
-    """Publish an assignment addressed to its worker, as the coordinator
-    does."""
+    """Publish an assignment addressed to its worker and the monitor, as
+    the coordinator does."""
     bus.publish("coordinator", Channel.TASKS_TO_DO, "assignment",
                 {"task_id": tid, "worker_id": wid, "attempt": attempt},
-                to=wid)
+                to=(wid, "monitor"))
 
 
 class TestWorker:
@@ -835,8 +835,7 @@ def feed_assignment(bus, tid="a", wid="w1", attempt=1, ts=0):
     bus.publish("coordinator", Channel.TASKS_TO_DO, "task",
                 {"task_id": tid, "attempt": attempt,
                  "spec": task_to_obj(noop_task(tid))})
-    bus.publish("coordinator", Channel.TASKS_TO_DO, "assignment",
-                {"task_id": tid, "worker_id": wid, "attempt": attempt})
+    assign(bus, tid, wid, attempt)
 
 
 class TestMonitor:

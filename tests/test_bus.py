@@ -103,7 +103,7 @@ class TestDelivery:
         assert bus.mail == {"b"}
         bus.publish("a", Channel.TASKS_TO_DO, "assignment",
                     {"task_id": "t1", "worker_id": "a", "attempt": 1},
-                    to="a")
+                    to=("a",))
         assert bus.mail == {"b"}
         assert bus.drain("a") == []
 
@@ -174,36 +174,40 @@ ASSIGNMENT = {"task_id": "t1", "worker_id": "b", "attempt": 1}
 
 
 class TestAddressedDelivery:
-    def test_addressee_gets_it_besides_the_subscribers(self):
+    def test_addressed_envelope_reaches_only_its_addressees(self):
+        """Not the channel's subscribers it does not name, nor an actor
+        on the bus that is neither."""
         bus = fresh()
         bus.register("c")
+        bus.register("e")
         bus.subscribe("a", Channel.TASKS_TO_DO)
+        bus.subscribe("c", Channel.TASKS_TO_DO)
         bus.publish("d", Channel.TASKS_TO_DO, "assignment", ASSIGNMENT,
-                    to="b")
-        assert bus.mail == {"a", "b"}
-        assert [env.seq for env in bus.drain("a")] == [1]
+                    to=("b", "c"))
+        assert bus.mail == {"b", "c"}
         assert [env.payload for env in bus.drain("b")] == [ASSIGNMENT]
-        assert bus.drain("c") == []
+        assert [env.seq for env in bus.drain("c")] == [1]
+        assert bus.drain("a") == [] and bus.drain("e") == []
 
     def test_a_subscribed_addressee_gets_it_once(self):
         bus = fresh()
         bus.subscribe("b", Channel.TASKS_TO_DO)
         bus.publish("a", Channel.TASKS_TO_DO, "assignment", ASSIGNMENT,
-                    to="b")
+                    to=("b",))
         assert [env.seq for env in bus.drain("b")] == [1]
 
     def test_addressed_to_an_actor_that_left_is_logged_and_dropped(self):
         bus = fresh()
         bus.leave("b")
         assert bus.publish("a", Channel.TASKS_TO_DO, "assignment",
-                           ASSIGNMENT, to="b") == 1
+                           ASSIGNMENT, to=("b",)) == 1
         assert len(bus.log.lines) == 1
         assert bus.mail == set() and bus.drain("a") == []
 
     def test_the_address_is_not_logged(self):
         addressed, plain = fresh(), fresh()
         addressed.publish("a", Channel.TASKS_TO_DO, "assignment",
-                          ASSIGNMENT, to="b")
+                          ASSIGNMENT, to=("b",))
         plain.publish("a", Channel.TASKS_TO_DO, "assignment", ASSIGNMENT)
         assert addressed.log.dumps() == plain.log.dumps()
 

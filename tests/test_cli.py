@@ -409,6 +409,8 @@ MALFORMED = [
     ("duplicate-worker", "scenario",
      pool(workers=[{"worker_id": "w1"}, {"worker_id": "w1"}]),
      "duplicate worker_id 'w1'"),
+    ("worker-named-monitor", "scenario", worker(worker_id="monitor"),
+     "reserved worker_id 'monitor'"),
     ("inputs-string", "workflow", one_task(inputs="abc"), "inputs must be"),
     ("params-list", "workflow", one_task(params=[1]), "params must be"),
     ("duration-string", "workflow", one_task(duration="x"),

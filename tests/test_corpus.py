@@ -8,7 +8,9 @@ departures, late arrivals, crash_prob, volunteer latency and jitter, and
 horizons that cut jobs) from random.Random(i).  Every run must pass both
 audits, its Monitor's and Checker's counters must match the fold of its
 log, no actor may drain an envelope it sent or one on WaitingTasks, the
-Broker's step may never run, and the sha256 of its log, cut to 16 hex
+Monitor may drain no task, the Checker nothing but results, and a
+worker no assignment naming another worker, the Broker's step may
+never run, and the sha256 of its log, cut to 16 hex
 digits, must equal the one pinned for its case in corpus_digests.txt.
 A change that moves log bytes therefore names the cases it moved.
 After a deliberate move, re-pin and let the diff show which cases moved:
@@ -117,18 +119,29 @@ def run_case(case):
     return digest, parse_log(text), batch, scenario, report
 
 
+def is_stray(actor_id, env):
+    """An envelope its reader would throw away: one it sent, one on
+    WaitingTasks, a task for the Monitor, anything but a result for the
+    Checker, or an assignment for a worker it does not name."""
+    if env.sender == actor_id or env.channel == "WaitingTasks":
+        return True
+    if actor_id == "monitor":
+        return env.kind == "task"
+    if actor_id == "checker":
+        return env.kind != "result"
+    return env.kind == "assignment" and env.payload["worker_id"] != actor_id
+
+
 def record_stray_mail(monkeypatch):
-    """A list that gets (actor, seq) for each envelope an actor drains
-    that it sent or that is on WaitingTasks, and ("broker", now) for each
-    Broker.step."""
+    """A list that gets (actor, seq) for each stray envelope an actor
+    drains (is_stray), and ("broker", now) for each Broker.step."""
     stray = []
     drain = InProcessBus.drain
 
     def recording_drain(self, actor_id):
         out = drain(self, actor_id)
         stray.extend((actor_id, env.seq) for env in out
-                     if env.sender == actor_id
-                     or env.channel == "WaitingTasks")
+                     if is_stray(actor_id, env))
         return out
 
     monkeypatch.setattr(InProcessBus, "drain", recording_drain)
