@@ -10,11 +10,15 @@ unaddressed one published to its channels while it subscribed; never
 its own.  An addressed envelope goes to the actors it names alone, not
 to its channel's subscribers.  There is no replay for late subscribers.
 The bus's `mail` set names the actors with undrained envelopes, so a
-scheduler need not ask every actor.  Two
-tables keep state as a compacted topic would, the latest publication
-winning: the spec table holds the spec of each TasksToDo `task`, and
-the last-heard table the tick of the latest `started` or `heartbeat`,
-each by task id and attempt.  A reader of the tables needs no mail.
+scheduler need not ask every actor.
+
+Counts, tables and audit violations all come from one fold of the log,
+LogTally, made as each envelope is logged or from a parsed log file.
+Its two tables keep state as a compacted topic would, the latest
+publication winning: the spec table (the bus's `specs`) holds the spec
+of each TasksToDo `task`, and the last-heard table (`heard`) the tick
+of the latest `started` or `heartbeat`, each by task id and attempt.
+A reader of the tables needs no mail.
 
 The log is line-oriented JSON, one object per envelope:
 {"seq": ..., "ts": ..., "channel": ..., "kind": ..., "sender": ..., "payload": ...}
@@ -89,11 +93,14 @@ class Envelope:
 
 @dataclass
 class LogTally:
-    """Every count a report shows, folded one log record at a time: from
-    EventLog.append as a run writes them, or from a parsed log file."""
+    """The one fold of the log, one record at a time: from EventLog.append
+    as a run writes them, or from a parsed log file.  It holds every
+    count a report shows, by (channel, kind) pair, the spec and
+    last-heard tables the actors read, and the state of both audits:
+    lifecycle_audit's violations in log order, and the started records
+    and first ok verdicts that precedence_audit compares."""
 
-    by_channel: dict[str, int] = field(default_factory=dict)
-    by_kind: dict[str, int] = field(default_factory=dict)
+    pairs: dict[tuple[str, str], int] = field(default_factory=dict)
     attempts: dict[str, int] = field(default_factory=dict)  # highest per task
     makespan: int = 0                # highest ts seen
     reason: Optional[str] = None     # of the Emergency envelope, if any
@@ -104,45 +111,103 @@ class LogTally:
     duplicates: int = 0
     # task -> the attempts of its results, in log order, until its ok
     # verdict; the checker discards each one after the result it verified
-    unverified: dict[str, list[int]] = field(default_factory=dict,
-                                             repr=False)
-    verified: set[str] = field(default_factory=set, repr=False)
+    unverified: dict[str, list[int]] = field(default_factory=dict)
+    verified: dict[str, int] = field(default_factory=dict)  # first ok seq
+    # task -> attempt -> the spec last published for it on TasksToDo
+    specs: dict[str, dict[int, dict]] = field(default_factory=dict)
+    # (task, attempt) -> the tick of its last started or heartbeat
+    heard: dict[tuple[str, int], int] = field(default_factory=dict)
+    # task -> the spec of its latest task record, on either channel
+    latest: dict[str, dict] = field(default_factory=dict)
+    waiting: set[str] = field(default_factory=set)  # tasks on WaitingTasks
+    # the (task, attempt) keys of the assignments, and of the started records
+    assigned: set[tuple[str, int]] = field(default_factory=set)
+    began: set[tuple[str, int]] = field(default_factory=set)
+    started: list[tuple[int, str]] = field(default_factory=list)  # seq, task
+    lifecycle: list[str] = field(default_factory=list)  # its violations
 
     def add(self, record: dict) -> None:
-        channel, kind = record["channel"], record["kind"]
-        self.by_channel[channel] = self.by_channel.get(channel, 0) + 1
-        self.by_kind[kind] = self.by_kind.get(kind, 0) + 1
-        self.makespan = max(self.makespan, record["ts"])
+        channel, kind, ts = record["channel"], record["kind"], record["ts"]
+        pair = (channel, kind)
+        self.pairs[pair] = self.pairs.get(pair, 0) + 1
+        if ts > self.makespan:
+            self.makespan = ts
         payload = record["payload"]
-        if kind == "task":
-            tid = payload["task_id"]
-            self.attempts[tid] = max(self.attempts.get(tid, 1),
-                                     payload["attempt"])
+        if kind == "heartbeat":
+            self.heard[(payload["task_id"], payload["attempt"])] = ts
+        elif kind == "task":
+            tid, attempt = payload["task_id"], payload["attempt"]
+            self.attempts[tid] = max(self.attempts.get(tid, 1), attempt)
             if record["sender"] == MONITOR:  # a k*H timeout
                 self.timeouts += 1
-        elif kind == "result" and self.reason is None:
-            # the loop ends in the Emergency's tick, so the checker reads
-            # no result after it
+            self.latest[tid] = payload["spec"]
+            if channel == WAITING_TASKS:
+                self.waiting.add(tid)
+            elif channel == TASKS_TO_DO:
+                if tid not in self.waiting and "/" not in tid:
+                    self.lifecycle.append(
+                        f"task {tid} on TasksToDo (seq {record['seq']}) "
+                        "without a WaitingTasks publication")
+                self.specs.setdefault(tid, {})[attempt] = payload["spec"]
+        elif kind == "assignment":
+            tid, attempt = payload["task_id"], payload["attempt"]
+            if attempt not in self.specs.get(tid, ()):
+                self.lifecycle.append(
+                    f"assignment for {tid} attempt {attempt} "
+                    f"(seq {record['seq']}) without a task publication")
+            self.assigned.add((tid, attempt))
+        elif kind == "started":
+            key = (payload["task_id"], payload["attempt"])
+            if key not in self.assigned:
+                self.lifecycle.append(
+                    f"started for {key[0]} attempt {key[1]} "
+                    f"(seq {record['seq']}) without an assignment")
+            self.began.add(key)
+            self.started.append((record["seq"], key[0]))
+            self.heard[key] = ts
+        elif kind == "result":
+            tid, attempt = payload["task_id"], payload["attempt"]
+            if (tid, attempt) not in self.began:
+                self.lifecycle.append(
+                    f"result for {tid} attempt {attempt} "
+                    f"(seq {record['seq']}) without a started message")
+            if self.reason is None:  # none is read after the Emergency
+                if tid in self.verified:
+                    self.duplicates += 1
+                else:
+                    self.unverified.setdefault(tid, []).append(attempt)
+        elif kind == "verdict" and payload["ok"]:
             tid = payload["task_id"]
             if tid in self.verified:
-                self.duplicates += 1
+                self.lifecycle.append(
+                    f"task {tid} received a second ok verdict "
+                    f"(seq {record['seq']})")
             else:
-                self.unverified.setdefault(tid, []).append(
-                    payload["attempt"])
-        elif kind == "verdict" and payload["ok"] \
-                and payload["task_id"] not in self.verified:
-            tid = payload["task_id"]
-            self.verified.add(tid)
-            seen = self.unverified.pop(tid, [])
-            if payload["attempt"] in seen:
-                self.duplicates += \
-                    len(seen) - 1 - seen.index(payload["attempt"])
+                self.verified[tid] = record["seq"]
+                seen = self.unverified.pop(tid, [])
+                if payload["attempt"] in seen:
+                    self.duplicates += \
+                        len(seen) - 1 - seen.index(payload["attempt"])
         elif kind == "emergency":
-            self.reason = payload.get("reason")
+            self.reason = payload["reason"]
+
+    def _sum_by(self, index: int) -> dict[str, int]:
+        counts: dict[str, int] = {}
+        for pair, n in self.pairs.items():
+            counts[pair[index]] = counts.get(pair[index], 0) + n
+        return counts
+
+    @property
+    def by_channel(self) -> dict[str, int]:
+        return self._sum_by(0)
+
+    @property
+    def by_kind(self) -> dict[str, int]:
+        return self._sum_by(1)
 
     @property
     def messages_total(self) -> int:
-        return sum(self.by_kind.values())
+        return sum(self.pairs.values())
 
     @property
     def re_executions(self) -> int:
@@ -160,7 +225,7 @@ _ENCODE = json.JSONEncoder(separators=(",", ":")).encode
 @dataclass
 class EventLog:
     """Accumulates serialized envelopes, one JSON line each, and their
-    tally."""
+    fold."""
 
     lines: list[str] = field(default_factory=list)
     tally: LogTally = field(default_factory=LogTally)
@@ -201,10 +266,9 @@ class InProcessBus:
         self._subs: dict[str, list[str]] = {c: [] for c in CHANNEL_CATALOG}
         self.mail: set[str] = set()  # actors with undrained envelopes
         self.log = EventLog()
-        # task id -> attempt -> the spec last published for it on TasksToDo
-        self.specs: dict[str, dict[int, dict]] = {}
-        # (task id, attempt) -> the tick of its last started or heartbeat
-        self.heard: dict[tuple[str, int], int] = {}
+        # the fold's spec and last-heard tables, which the actors read
+        self.specs = self.log.tally.specs
+        self.heard = self.log.tally.heard
 
     # -- registry ---------------------------------------------------------
 
@@ -248,15 +312,12 @@ class InProcessBus:
         if missing:
             raise SchemaError(
                 f"payload for kind {kind!r} missing {sorted(missing)}")
+        if isinstance(to, str):  # a tuple of one id is ("w1",)
+            raise SchemaError(f"to= takes a tuple of actor ids, not {to!r}")
         self._seq += 1
         env = Envelope(channel=value, kind=kind, seq=self._seq,
                        sender=sender, ts=self.now, payload=payload)
         self.log.append(env)  # also validates JSON-serializability
-        if kind == "task" and value == TASKS_TO_DO:
-            self.specs.setdefault(payload["task_id"], {})[
-                payload["attempt"]] = payload["spec"]
-        elif kind == "started" or kind == "heartbeat":
-            self.heard[(payload["task_id"], payload["attempt"])] = self.now
         for actor_id in self._subs[value] if to is None else to:
             if actor_id != sender and actor_id in self._queues:
                 self._queues[actor_id].append(env)
@@ -278,9 +339,5 @@ class InProcessBus:
 
     # -- accounting -------------------------------------------------------
 
-    @property
-    def messages_total(self) -> int:
-        return self._seq
-
     def messages_by_channel(self) -> dict[str, int]:
-        return dict(self.log.tally.by_channel)
+        return self.log.tally.by_channel

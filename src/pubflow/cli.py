@@ -21,12 +21,12 @@ import sys
 from pathlib import Path
 
 from .actors import SlaPolicy
-from .bus import LogTally
 from .errors import EngineError, MalformedLog, SchemaError, \
     WorkflowSyntaxError
 from .graph import validate_structure
 from .model import dump
 from .simulator import (
+    _fold,
     lifecycle_audit,
     parse_log,
     precedence_audit,
@@ -179,10 +179,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    records = _load(args.log, parse_log)
-    tally = LogTally()
-    for record in records:
-        tally.add(record)
+    tally = _fold(_load(args.log, parse_log))
     doc = {
         "messages_total": tally.messages_total,
         "messages_by_channel": dict(sorted(tally.by_channel.items())),

@@ -50,7 +50,7 @@ from typing import Optional
 from .actors import Broker, Checker, Coordinator, Monitor, SlaPolicy, \
     WorkerActor
 from .bus import (CHANNEL_CATALOG, KIND_FIELDS, SERVICE_CATALOG, EventLog,
-                  InProcessBus)
+                  InProcessBus, LogTally)
 from .errors import MalformedLog
 from .execution import Workspace
 from .model import _SCALARS, WorkerProfile, WorkflowBatch, _wrong, load
@@ -321,11 +321,15 @@ def parse_log(text: str) -> list[dict]:
     return records
 
 
-def _records(log: EventLog | str | list[dict]) -> list[dict]:
-    """The audits take a log, its JSONL text, or parse_log's records."""
-    if isinstance(log, list):
-        return log
-    return parse_log(log.dumps() if isinstance(log, EventLog) else log)
+def _fold(log: EventLog | str | list[dict]) -> LogTally:
+    """The fold that the audits and `report` read: a log's own, or that
+    of its JSONL text or of parse_log's records."""
+    if isinstance(log, EventLog):
+        return log.tally
+    tally = LogTally()
+    for record in parse_log(log) if isinstance(log, str) else log:
+        tally.add(record)
+    return tally
 
 
 def precedence_audit(log: EventLog | str | list[dict],
@@ -334,29 +338,20 @@ def precedence_audit(log: EventLog | str | list[dict],
     verified.
 
     Dependencies are taken from the task specs carried in the log
-    itself, so re-publications and unfolded sub-tasks are covered
-    without knowing the rules that produced them.  Returns a list of
-    violation descriptions; an empty list means the order was clean.
+    itself, each task's latest publication, so re-publications and
+    unfolded sub-tasks are covered without knowing the rules that
+    produced them.  With `batch`, also report each of its tasks that no
+    task record names, nor any of its unfolded sub-tasks ('id/...').  A
+    record on either channel counts: a task published on WaitingTasks
+    but never released, as at a horizon cut, is not reported, though the
+    violation's text names TasksToDo.  Returns a list of violation
+    descriptions; an empty list means the order was clean.
     """
-    records = _records(log)
-    deps: dict[str, frozenset] = {}
-    ok_seq: dict[str, int] = {}
-    started: list[tuple[int, str]] = []
-    for record in records:
-        kind = record["kind"]
-        payload = record["payload"]
-        if kind == "task":
-            deps[payload["task_id"]] = frozenset(
-                payload["spec"].get("deps", ()))
-        elif kind == "started":
-            started.append((record["seq"], payload["task_id"]))
-        elif kind == "verdict" and payload.get("ok") \
-                and payload["task_id"] not in ok_seq:
-            ok_seq[payload["task_id"]] = record["seq"]
+    tally = _fold(log)
     violations = []
-    for seq, tid in started:
-        for dep in sorted(deps.get(tid, ())):
-            verdict = ok_seq.get(dep)
+    for seq, tid in tally.started:
+        for dep in sorted(set(tally.latest.get(tid, {}).get("deps", ()))):
+            verdict = tally.verified.get(dep)
             if verdict is None:
                 violations.append(
                     f"task {tid} started (seq {seq}) but dependency "
@@ -365,13 +360,10 @@ def precedence_audit(log: EventLog | str | list[dict],
                 violations.append(
                     f"task {tid} started (seq {seq}) before dependency "
                     f"{dep} was verified (seq {verdict})")
-    if batch is not None:
-        logged = set(deps)
-        for tid in sorted(batch.tasks):
-            if tid in logged:
-                continue
-            if any(other.startswith(tid + "/") for other in logged):
-                continue  # replaced by its unfolded sub-tasks
+    published = tally.latest
+    for tid in sorted(batch.tasks if batch is not None else ()):
+        if tid not in published and not any(
+                other.startswith(tid + "/") for other in published):
             violations.append(f"task {tid} never appeared on TasksToDo")
     return violations
 
@@ -386,52 +378,4 @@ def lifecycle_audit(log: EventLog | str | list[dict]) -> list[str]:
         after assignment, results after started
       * at most one ok verdict per task id
     """
-    records = _records(log)
-    waiting: set[str] = set()
-    todo: dict[tuple[str, int], int] = {}
-    assigned: dict[tuple[str, int], int] = {}
-    started: dict[tuple[str, int], int] = {}
-    ok_count: dict[str, int] = {}
-    violations = []
-    for record in records:
-        kind = record["kind"]
-        payload = record["payload"]
-        channel = record["channel"]
-        seq = record["seq"]
-        if kind == "task":
-            tid = payload["task_id"]
-            if channel == "WaitingTasks":
-                waiting.add(tid)
-            elif channel == "TasksToDo":
-                if tid not in waiting and "/" not in tid:
-                    violations.append(
-                        f"task {tid} on TasksToDo (seq {seq}) without a "
-                        "WaitingTasks publication")
-                todo.setdefault((tid, payload["attempt"]), seq)
-        elif kind == "assignment":
-            key = (payload["task_id"], payload["attempt"])
-            if key not in todo:
-                violations.append(
-                    f"assignment for {key[0]} attempt {key[1]} "
-                    f"(seq {seq}) without a task publication")
-            assigned.setdefault(key, seq)
-        elif kind == "started":
-            key = (payload["task_id"], payload["attempt"])
-            if key not in assigned:
-                violations.append(
-                    f"started for {key[0]} attempt {key[1]} "
-                    f"(seq {seq}) without an assignment")
-            started.setdefault(key, seq)
-        elif kind == "result":
-            key = (payload["task_id"], payload["attempt"])
-            if key not in started:
-                violations.append(
-                    f"result for {key[0]} attempt {key[1]} "
-                    f"(seq {seq}) without a started message")
-        elif kind == "verdict" and payload.get("ok"):
-            tid = payload["task_id"]
-            ok_count[tid] = ok_count.get(tid, 0) + 1
-            if ok_count[tid] > 1:
-                violations.append(
-                    f"task {tid} received a second ok verdict (seq {seq})")
-    return violations
+    return list(_fold(log).lifecycle)

@@ -158,7 +158,7 @@ class TestBroker:
         }
         with pytest.raises(ValidationError):
             broker.submit(WorkflowBatch(batch_id="b", tasks=tasks))
-        assert bus.messages_total == 0
+        assert bus.log.tally.messages_total == 0
 
 
 # -------------------------------------------------------------- coordinator

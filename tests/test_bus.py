@@ -204,6 +204,19 @@ class TestAddressedDelivery:
         assert len(bus.log.lines) == 1
         assert bus.mail == set() and bus.drain("a") == []
 
+    def test_a_bare_string_address_is_refused(self):
+        """"w1" is no tuple of ids: iterated, it would name "w" and "1"."""
+        bus = InProcessBus()
+        for actor_id in ("w1", "w", "1"):
+            bus.register(actor_id)
+        with pytest.raises(SchemaError, match="tuple"):
+            bus.publish("a", Channel.TASKS_TO_DO, "assignment", ASSIGNMENT,
+                        to="w1")
+        assert bus.log.lines == [] and bus.mail == set()
+        bus.publish("a", Channel.TASKS_TO_DO, "assignment", ASSIGNMENT,
+                    to=("w1",))
+        assert bus.mail == {"w1"}
+
     def test_the_address_is_not_logged(self):
         addressed, plain = fresh(), fresh()
         addressed.publish("a", Channel.TASKS_TO_DO, "assignment",
@@ -295,7 +308,7 @@ class TestPayloadSchemas:
         }
         for kind, (channel, payload) in cases.items():
             bus.publish("a", channel, kind, payload)
-        assert bus.messages_total == len(cases)
+        assert bus.log.tally.messages_total == len(cases)
 
 
 class TestEventLog:
@@ -314,7 +327,7 @@ class TestEventLog:
         for i in range(5):
             bus.publish("a", Channel.WAITING_TASKS, "task",
                         task_payload(f"t{i}"))
-        assert bus.messages_total == 5
+        assert bus.log.tally.messages_total == 5
         assert len(bus.log.dumps().splitlines()) == 5
 
     def test_messages_by_channel(self):
@@ -338,7 +351,7 @@ class TestEventLog:
         assert tally.by_channel == {"WaitingTasks": 1, "TasksToDo": 2,
                                     "Emergency": 1}
         assert tally.by_kind == {"task": 3, "emergency": 1}
-        assert tally.messages_total == bus.messages_total == 4
+        assert tally.messages_total == len(bus.log.lines) == 4
         assert tally.attempts == {"t1": 3}  # the highest attempt counts
         assert tally.re_executions == 2
         assert tally.makespan == 7

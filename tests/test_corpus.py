@@ -6,8 +6,9 @@ capabilities, max_attempts 1-4, some results that fail their first
 validation) and one scenario (1-4 workers with crashes, stalls,
 departures, late arrivals, crash_prob, volunteer latency and jitter, and
 horizons that cut jobs) from random.Random(i).  Every run must pass both
-audits, its Monitor's and Checker's counters must match the fold of its
-log, no actor may drain an envelope it sent or one on WaitingTasks, the
+audits, the fold its log made as it was written must equal the fold of
+the parsed log, its Monitor's and Checker's counters must match that
+fold, no actor may drain an envelope it sent or one on WaitingTasks, the
 Monitor may drain no task, the Checker nothing but results, and a
 worker no assignment naming another worker, the Broker's step may
 never run, and the sha256 of its log, cut to 16 hex
@@ -27,6 +28,7 @@ import pytest
 
 from pubflow import (
     KernelSpec,
+    LogTally,
     Scenario,
     Task,
     WorkerSpec,
@@ -111,12 +113,13 @@ def draw_case(case):
 
 
 def run_case(case):
-    """(digest, parsed records, batch, scenario, report) of one case."""
+    """(digest, parsed records, batch, scenario, report, the log's own
+    fold) of one case."""
     batch, scenario = draw_case(case)
     report, log = run_simulation(batch, scenario, validators=VALIDATORS)
     text = log.dumps()
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
-    return digest, parse_log(text), batch, scenario, report
+    return digest, parse_log(text), batch, scenario, report, log.tally
 
 
 def is_stray(actor_id, env):
@@ -176,6 +179,17 @@ def test_every_case_passes_both_audits(corpus):
         assert pool_violations(records) == [], f"case {case}"
 
 
+def test_the_live_fold_equals_the_fold_of_the_written_log(corpus):
+    """What EventLog.append folded as the run wrote its log is what a
+    fresh LogTally folds from the parsed log: every count, the spec and
+    last-heard tables and both audits' state, violations included."""
+    for case, (_, records, _, _, _, live, _, _) in enumerate(corpus):
+        parsed = LogTally()
+        for record in records:
+            parsed.add(record)
+        assert vars(parsed) == vars(live), f"case {case}"
+
+
 def test_every_case_matches_its_pinned_digest(corpus):
     digests = [digest for digest, *_ in corpus]
     pinned = read_pinned()
@@ -199,7 +213,7 @@ def test_every_delivery_is_mail_its_reader_acts_on(corpus):
 
 
 def test_the_actor_counters_match_the_fold(corpus):
-    for case, (*_, report, made, _) in enumerate(corpus):
+    for case, (*_, report, _, made, _) in enumerate(corpus):
         assert made[actors.Monitor].timeouts == report.timeouts, \
             f"case {case}"
         discarded = made[actors.Checker].duplicates
@@ -215,7 +229,7 @@ def test_the_corpus_exercises_every_fault(corpus):
     seen = dict.fromkeys(("crash", "stall", "departure", "late arrival",
                           "crash_prob", "latency", "jitter", "cut job",
                           "no task", "failed", "retried"), 0)
-    for _, records, batch, scenario, report, _, _ in corpus:
+    for _, records, batch, scenario, report, *_ in corpus:
         workers = scenario.workers
         seen["crash"] += any(w.crash is not None for w in workers)
         seen["stall"] += any(w.stall is not None for w in workers)

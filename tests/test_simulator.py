@@ -850,6 +850,24 @@ class TestAudits:
         violations = lifecycle_audit(renumbered(records))
         assert any("WaitingTasks" in v for v in violations)
 
+    def test_a_task_published_only_on_waiting_tasks_was_seen(self):
+        """The batch check counts a task record on either channel: a
+        horizon that cuts a chain before b is released audits clean,
+        and only a b with no task record at all is reported."""
+        batch, scenario, _ = _horizon_cut()
+        report, log = run_simulation(batch, scenario)
+        records = records_of(log)
+        assert not report.completed
+        assert {r["payload"]["task_id"] for r in records
+                if r["kind"] == "task" and r["channel"] == "TasksToDo"} \
+            == {"a"}
+        assert precedence_audit(log, batch) == []
+        records = [r for r in records
+                   if not (r["kind"] == "task"
+                           and r["payload"]["task_id"] == "b")]
+        assert precedence_audit(renumbered(records), batch) == \
+            ["task b never appeared on TasksToDo"]
+
     def test_unfolded_children_exempt_from_waiting_rule(self):
         params = SimParams(dt=1e-4, advection=1.0, diffusion=0.05,
                            steps=1, bc="dirichlet0")
