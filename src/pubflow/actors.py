@@ -2,25 +2,27 @@
 
 Everything coordinates through bus messages, and the bus hands no actor
 its own, nor one addressed to others; no actor touches another actor's
-state.  One batch flows like this:
+state.  Mail carries only work; facts (specs, liveness, attempts in
+flight, the run's end) come from the log's fold, which the bus shows.
+One batch flows like this:
 
   broker       publishes every task on WaitingTasks, in id order, and
                listens to nothing
   coordinator  takes the batch from `adopt`, not from WaitingTasks, and
                releases its roots to TasksToDo; keeps a pool of idle
                workers, assigns each ToDo task the best-scoring idle one,
-               addressing the assignment to that worker and the monitor,
-               and declares the batch finished on Emergency; an ok
+               addressing the assignment to that worker alone, and
+               declares the batch finished on Emergency; an ok
                verdict releases only the finished task's dependents, and
                every task row change passes model.check_transition
   workers      volunteer once, when they first see an open task they are
                capable of, and then hear only the assignments addressed
                to them; execute each with the spec of its attempt,
                heartbeat while running, and push results to TasksToCheck
-  monitor      watches assigned tasks until their result or ok verdict;
-               when the bus has heard no started or heartbeat for k*H
-               ticks it re-publishes the task with the attempt bumped
-               and emits a data-policy event on DLC
+  monitor      has no mail; when the fold shows an attempt in flight
+               k*H ticks without a started or heartbeat, re-publishes
+               the task with the attempt bumped and emits a data-policy
+               event on DLC
   checker      validates each result against the spec published on
                TasksToDo for its task and attempt (a result carries no
                spec) and publishes verdicts on FinishedTasks,
@@ -327,7 +329,7 @@ class Coordinator:
             self._move(tid, TaskState.IN_PROGRESS, attempt)
             self.bus.publish(self.id, TASKS_TO_DO, "assignment",
                              {"task_id": tid, "worker_id": winner,
-                              "attempt": attempt}, to=(winner, MONITOR))
+                              "attempt": attempt}, to=(winner,))
 
     def _check_complete(self) -> None:
         if self.batch is not None and self.batch.tasks \
@@ -392,7 +394,6 @@ class WorkerActor:
         self.horizon = horizon  # no job needs counting past it
         bus.register(self.id)
         bus.subscribe(self.id, TASKS_TO_DO)
-        bus.subscribe(self.id, EMERGENCY)
         self.halted = False
         self.joined = False   # has offered itself to the pool
         self.offer: Optional[tuple[int, str, int]] = None  # due, task, attempt
@@ -425,20 +426,15 @@ class WorkerActor:
 
     @property
     def wake(self) -> float:  # a due offer or the job's next event
-        if self.halted:
-            return math.inf
         tick = math.inf if self.offer is None else self.offer[0]
         if self.running is not None:
             tick = min(tick, self._next_event(self.running))
         return self.stall_window[1] if self._stalled(tick) else tick
 
     def step(self, now: int) -> None:
-        if self.halted or self._stalled(now):
+        if self._stalled(now):
             return
         for env in self.bus.drain(self.id):
-            if env.channel == EMERGENCY:
-                self.stop(now - 1)
-                return
             if env.kind == "task":
                 self._on_task(env, now)
             elif env.kind == "assignment":
@@ -475,8 +471,8 @@ class WorkerActor:
         self.executed_ticks += ran
 
     def stop(self, tick: int) -> None:
-        """Halt for good, the running job having run up to `tick`: on the
-        Emergency, at death, and at the end of a run."""
+        """Halt for good, the running job having run up to `tick`; a dead
+        worker is stopped again at the end of the run, which does nothing."""
         if self.halted:
             return
         if self.running is not None and self.running.settled < tick:
@@ -546,13 +542,13 @@ class WorkerActor:
 class Monitor:
     """Re-publishes tasks whose executor went silent.
 
-    A watch starts at the assignment (so a worker that dies before its
-    first message is still covered); the bus's last-heard table, not the
-    monitor's mail, gives its attempt's latest started or heartbeat.  It
-    ends with the watched attempt's result, or with an ok verdict for
-    any attempt of the task.  A watch whose task went k*H ticks without
-    news triggers a re-publication with the attempt bumped, plus a
-    transmission-failure event for the data policy.
+    It has no mail.  The fold's in-flight table (bus.inflight) holds an
+    attempt from its assignment, so a worker that dies before its first
+    message is still covered, and its last-heard table the attempt's
+    latest started or heartbeat.  An attempt k*H ticks without news
+    gets its task re-published with the attempt bumped, plus a
+    transmission-failure event for the data policy; after an Emergency,
+    nothing does.
     """
 
     id = MONITOR
@@ -562,56 +558,36 @@ class Monitor:
         self.bus = bus
         self.heartbeat_period = heartbeat_period
         self.timeout_multiplier = timeout_multiplier
-        bus.register(self.id)
-        for channel in (TASKS_TO_CHECK, FINISHED_TASKS, EMERGENCY):
-            bus.subscribe(self.id, channel)
-        self.watch: dict[str, tuple[int, int]] = {}  # task -> (attempt, tick)
+        bus.register(self.id)  # claims the id
         self.timeouts = 0
-        self.halted = False
 
     def _last_seen(self, tid: str) -> int:
-        attempt, assigned = self.watch[tid]
+        attempt, assigned = self.bus.inflight[tid]
         return self.bus.heard.get((tid, attempt), assigned)
 
     @property
-    def wake(self) -> float:  # when the oldest watch passes k*H ticks
-        oldest = min(map(self._last_seen, self.watch), default=math.inf)
+    def wake(self) -> float:  # when the oldest attempt passes k*H ticks
+        oldest = min(map(self._last_seen, self.bus.inflight),
+                     default=math.inf)
         return oldest + self.timeout_multiplier * self.heartbeat_period + 1
 
     def step(self, now: int) -> None:
-        if self.halted:
+        if self.bus.log.tally.reason is not None:  # the run has ended
             return
-        for env in self.bus.drain(self.id):
-            if env.channel == EMERGENCY:
-                self.halted = True
-                return
-            kind = env.kind
-            payload = env.payload
-            tid = payload.get("task_id")
-            if kind == "assignment":
-                if tid not in self.bus.specs:
-                    continue
-                self.watch[tid] = (payload["attempt"], env.ts)
-            elif kind == "result":
-                watch = self.watch.get(tid)
-                if watch is not None and watch[0] == payload["attempt"]:
-                    del self.watch[tid]
-            elif kind == "verdict" and payload["ok"]:
-                self.watch.pop(tid, None)
         deadline = self.timeout_multiplier * self.heartbeat_period
-        for tid in sorted(self.watch):
+        for tid in sorted(self.bus.inflight):
             if now - self._last_seen(tid) <= deadline:
                 continue
             published = self.bus.specs[tid]
             latest = max(published)
+            attempt = max(latest, self.bus.inflight[tid][0]) + 1
+            # the republication closes the attempt in the in-flight table
             self.bus.publish(self.id, TASKS_TO_DO, "task",
-                             {"task_id": tid,
-                              "attempt": max(latest, self.watch[tid][0]) + 1,
+                             {"task_id": tid, "attempt": attempt,
                               "spec": published[latest]})
             self.bus.publish(self.id, DLC, "dlc",
                              {"task_id": tid,
                               "event": "transmission_failure"})
-            del self.watch[tid]
             self.timeouts += 1
 
 

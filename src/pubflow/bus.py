@@ -14,11 +14,13 @@ scheduler need not ask every actor.
 
 Counts, tables and audit violations all come from one fold of the log,
 LogTally, made as each envelope is logged or from a parsed log file.
-Its two tables keep state as a compacted topic would, the latest
+Its three tables keep state as a compacted topic would, the latest
 publication winning: the spec table (the bus's `specs`) holds the spec
 of each TasksToDo `task`, and the last-heard table (`heard`) the tick
-of the latest `started` or `heartbeat`, each by task id and attempt.
-A reader of the tables needs no mail.
+of the latest `started` or `heartbeat`, each by task id and attempt;
+the in-flight table (`inflight`) holds a task's latest assignment
+until that attempt's result, an ok verdict or the monitor's
+republication.  A reader of the tables needs no mail.
 
 The log is line-oriented JSON, one object per envelope:
 {"seq": ..., "ts": ..., "channel": ..., "kind": ..., "sender": ..., "payload": ...}
@@ -95,8 +97,8 @@ class Envelope:
 class LogTally:
     """The one fold of the log, one record at a time: from EventLog.append
     as a run writes them, or from a parsed log file.  It holds every
-    count a report shows, by (channel, kind) pair, the spec and
-    last-heard tables the actors read, and the state of both audits:
+    count a report shows, by (channel, kind) pair, the spec, last-heard
+    and in-flight tables the actors read, and the state of both audits:
     lifecycle_audit's violations in log order, and the started records
     and first ok verdicts that precedence_audit compares."""
 
@@ -117,6 +119,8 @@ class LogTally:
     specs: dict[str, dict[int, dict]] = field(default_factory=dict)
     # (task, attempt) -> the tick of its last started or heartbeat
     heard: dict[tuple[str, int], int] = field(default_factory=dict)
+    # task -> (attempt, tick) of its latest assignment, while in flight
+    inflight: dict[str, tuple[int, int]] = field(default_factory=dict)
     # task -> the spec of its latest task record, on either channel
     latest: dict[str, dict] = field(default_factory=dict)
     waiting: set[str] = field(default_factory=set)  # tasks on WaitingTasks
@@ -140,6 +144,7 @@ class LogTally:
             self.attempts[tid] = max(self.attempts.get(tid, 1), attempt)
             if record["sender"] == MONITOR:  # a k*H timeout
                 self.timeouts += 1
+                self.inflight.pop(tid, None)
             self.latest[tid] = payload["spec"]
             if channel == WAITING_TASKS:
                 self.waiting.add(tid)
@@ -151,6 +156,8 @@ class LogTally:
                 self.specs.setdefault(tid, {})[attempt] = payload["spec"]
         elif kind == "assignment":
             tid, attempt = payload["task_id"], payload["attempt"]
+            if tid in self.specs:
+                self.inflight[tid] = (attempt, ts)
             if attempt not in self.specs.get(tid, ()):
                 self.lifecycle.append(
                     f"assignment for {tid} attempt {attempt} "
@@ -171,6 +178,8 @@ class LogTally:
                 self.lifecycle.append(
                     f"result for {tid} attempt {attempt} "
                     f"(seq {record['seq']}) without a started message")
+            if self.inflight.get(tid, (None,))[0] == attempt:
+                del self.inflight[tid]
             if self.reason is None:  # none is read after the Emergency
                 if tid in self.verified:
                     self.duplicates += 1
@@ -178,6 +187,7 @@ class LogTally:
                     self.unverified.setdefault(tid, []).append(attempt)
         elif kind == "verdict" and payload["ok"]:
             tid = payload["task_id"]
+            self.inflight.pop(tid, None)
             if tid in self.verified:
                 self.lifecycle.append(
                     f"task {tid} received a second ok verdict "
@@ -266,9 +276,11 @@ class InProcessBus:
         self._subs: dict[str, list[str]] = {c: [] for c in CHANNEL_CATALOG}
         self.mail: set[str] = set()  # actors with undrained envelopes
         self.log = EventLog()
-        # the fold's spec and last-heard tables, which the actors read
+        # the fold's spec, last-heard and in-flight tables, which the
+        # actors read
         self.specs = self.log.tally.specs
         self.heard = self.log.tally.heard
+        self.inflight = self.log.tally.inflight
 
     # -- registry ---------------------------------------------------------
 

@@ -161,11 +161,11 @@ def cmd_generate_adapt(args: argparse.Namespace) -> int:
 
 
 def cmd_audit(args: argparse.Namespace) -> int:
-    records = _load(args.log, parse_log)
+    tally = _fold(_load(args.log, parse_log))  # one fold, both audits
     batch = None
     if args.workflow:
         batch = _load_workflow(args.workflow, args.format)
-    violations = precedence_audit(records, batch) + lifecycle_audit(records)
+    violations = precedence_audit(tally, batch) + lifecycle_audit(tally)
     if args.json:
         print(json.dumps({"ok": not violations, "violations": violations},
                          indent=2))

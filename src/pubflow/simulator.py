@@ -9,7 +9,8 @@ releases its roots.  Then, per tick, in this exact order:
      tick (a departure at or before arrival takes effect at arrival),
      then seeded random crashes (one draw per arrived, alive at-risk
      worker, sorted by worker id)
-  2. coordinator, monitor, checker (the broker has no mail)
+  2. coordinator, monitor, checker (the broker has no mail); the run
+     ends here in the tick of the coordinator's Emergency envelope
   3. workers, sorted by worker id (skipped while not yet arrived; a
      worker in its stall window is frozen and its step does nothing)
 
@@ -21,16 +22,16 @@ due: after a tick with mail left on the bus it goes on to the next
 tick, and otherwise it jumps to the earliest wake, scheduled departure
 or crash, or the horizon.  A running job wakes its worker only for a
 heartbeat or its result, so a long job costs its heartbeats, not its
-ticks.  Nobody subscribes to TasksInProgress (the monitor reads the
-bus's last-heard table), so a heartbeat is no mail and does not keep
-the loop on the next tick.  The exception is a live worker with a
-crash_prob: its death roll is one RNG draw per tick from its arrival
-on, so while it lives the loop visits every tick.
+ticks.  The monitor has no mail (it reads the bus's in-flight and
+last-heard tables), and nobody subscribes to TasksInProgress, so a
+heartbeat does not keep the loop on the next tick.  The exception is a
+live worker with a crash_prob: its death roll is one RNG draw per tick
+from its arrival on, so while it lives the loop visits every tick.
 
 All randomness flows through a single random.Random(seed), so identical
-inputs produce byte-identical event logs; the loop ends after the tick
-in which the coordinator publishes its Emergency envelope, or at the
-horizon with completed=False.
+inputs produce byte-identical event logs; the loop ends in the tick of
+the Emergency, stopping the workers at the tick before (see 2.), or at
+the horizon with completed=False.
 
 Workers join the bus at tick 0 regardless of their arrival tick; the
 arrival only gates when they start acting.  The bus does not replay, so
@@ -201,6 +202,8 @@ def run_simulation(batch: WorkflowBatch, scenario: Scenario, *,
             for service in services:
                 if service.id in bus.mail or service.wake <= now:
                     service.step(now)
+            if coordinator.halted:  # the Emergency: no worker acts in it
+                break
             due = {wid for wid in bus.mail if wid in roster}
             due.update(wid for wid, tick in wake.items() if tick <= now)
             for wid in sorted(due):
@@ -213,7 +216,7 @@ def run_simulation(batch: WorkflowBatch, scenario: Scenario, *,
                     wake[wid] = tick
                 else:
                     wake.pop(wid, None)
-            if coordinator.halted or now == scenario.horizon:
+            if now == scenario.horizon:
                 break
             if bus.mail:
                 now += 1
@@ -226,7 +229,7 @@ def run_simulation(batch: WorkflowBatch, scenario: Scenario, *,
                 *(roster[wid][0].arrival for wid in risky
                   if wid not in died)))
         for _, actor in roster.values():
-            actor.stop(now)
+            actor.stop(now - 1 if coordinator.halted else now)
 
         # Counts come from the log; the engine adds only what the log cannot
         # carry: the final batch, utilization, an unfinished run's horizon.
@@ -321,9 +324,11 @@ def parse_log(text: str) -> list[dict]:
     return records
 
 
-def _fold(log: EventLog | str | list[dict]) -> LogTally:
-    """The fold that the audits and `report` read: a log's own, or that
-    of its JSONL text or of parse_log's records."""
+def _fold(log: EventLog | LogTally | str | list[dict]) -> LogTally:
+    """The fold that the audits and `report` read: a fold as given, a
+    log's own, or that of its JSONL text or of parse_log's records."""
+    if isinstance(log, LogTally):
+        return log
     if isinstance(log, EventLog):
         return log.tally
     tally = LogTally()
@@ -332,7 +337,7 @@ def _fold(log: EventLog | str | list[dict]) -> LogTally:
     return tally
 
 
-def precedence_audit(log: EventLog | str | list[dict],
+def precedence_audit(log: EventLog | LogTally | str | list[dict],
                      batch: Optional[WorkflowBatch] = None) -> list[str]:
     """Check that no task started before all its dependencies were
     verified.
@@ -368,7 +373,8 @@ def precedence_audit(log: EventLog | str | list[dict],
     return violations
 
 
-def lifecycle_audit(log: EventLog | str | list[dict]) -> list[str]:
+def lifecycle_audit(
+        log: EventLog | LogTally | str | list[dict]) -> list[str]:
     """Check per-(task, attempt) message ordering and verdict uniqueness.
 
     Rules enforced:

@@ -517,11 +517,11 @@ def publish_task(bus, task, attempt=1, sender="coordinator"):
 
 
 def assign(bus, tid, wid, attempt=1):
-    """Publish an assignment addressed to its worker and the monitor, as
-    the coordinator does."""
+    """Publish an assignment addressed to its worker, as the coordinator
+    does."""
     bus.publish("coordinator", Channel.TASKS_TO_DO, "assignment",
                 {"task_id": tid, "worker_id": wid, "attempt": attempt},
-                to=(wid, "monitor"))
+                to=(wid,))
 
 
 class TestWorker:
@@ -690,16 +690,6 @@ class TestWorker:
         kinds = [k for k, _ in log_kinds(bus)]
         assert "started" not in kinds
 
-    def test_halts_on_emergency(self, tmp_path):
-        bus, actor = worker_rig(tmp_path)
-        bus.publish("coordinator", Channel.EMERGENCY, "emergency",
-                    {"reason": "complete", "batch_id": "b"})
-        actor.step(0)
-        assert actor.halted
-        publish_task(bus, noop_task("a"))
-        actor.step(1)
-        assert [k for k, _ in log_kinds(bus)] == ["emergency", "task"]
-
     def test_speed_shortens_execution(self, tmp_path):
         bus, actor = worker_rig(tmp_path, prof=profile("w1", speed=2.0))
         publish_task(bus, noop_task("a", outputs=("d",), duration=4.0))
@@ -720,7 +710,8 @@ def per_tick_job(duration, speed, heartbeat, stall, emergency, end):
     def frozen(t):
         return stall is not None and stall[0] <= t < stall[0] + stall[1]
     started = next(t for t in itertools.count() if not frozen(t))
-    events = [("started", started)] if started <= end else []
+    events = [("started", started)] if started <= end and (
+        emergency is None or started < emergency) else []
     remaining, executed = duration, 0
     for t in range(started + 1, end + 1):
         if frozen(t):
@@ -751,9 +742,10 @@ class TestNextEventWorker:
             self, tmp_path_factory, duration, speed, heartbeat, stall,
             emergency, end):
         """Stepped only at the ticks the simulator visits (mail for the
-        worker, its wake, the Emergency, the end), the worker sends what
-        the per-tick model sends, counts its run ticks alike, and never
-        wakes without sending something."""
+        worker, its wake, the end) and stopped at the tick before the
+        Emergency, where the run ends without stepping it, the worker
+        sends what the per-tick model sends, counts its run ticks alike,
+        and never wakes without sending something."""
         bus = InProcessBus()
         actor = WorkerActor(bus, profile("w1", speed=speed),
                             Workspace(tmp_path_factory.mktemp("ws")),
@@ -764,8 +756,8 @@ class TestNextEventWorker:
         while True:
             bus.now = now
             if now == emergency:
-                bus.publish("coordinator", Channel.EMERGENCY, "emergency",
-                            {"reason": "complete", "batch_id": "b"})
+                actor.stop(now - 1)
+                break
             mail = actor.id in bus.mail
             if mail or actor.wake <= now:
                 sent = len(bus.log.lines)
@@ -926,12 +918,18 @@ class TestMonitor:
             assert "monitor" not in bus.mail
         assert mon.wake == 20
 
-    def test_halts_on_emergency(self):
-        bus, mon = monitor_rig()
+    def test_publishes_nothing_after_the_emergency(self):
+        """An overdue attempt in flight is not republished once the run
+        has an Emergency."""
+        bus, mon = monitor_rig(heartbeat=3, k=2)
+        feed_assignment(bus, ts=0)
+        bus.now = 7
+        assert mon.wake <= 7
         bus.publish("coordinator", Channel.EMERGENCY, "emergency",
                     {"reason": "complete", "batch_id": "b"})
-        mon.step(0)
-        assert mon.halted
+        sent = len(bus.log.lines)
+        mon.step(7)
+        assert len(bus.log.lines) == sent and mon.timeouts == 0
 
 
 # ----------------------------------------------------------------- checker

@@ -1,5 +1,6 @@
 """Message bus semantics: numbering, fan-out, no echo to the sender,
-addressing, no replay, the spec and last-heard tables, log format."""
+addressing, no replay, the spec, last-heard and in-flight tables, log
+format."""
 
 import json
 
@@ -261,6 +262,74 @@ class TestLastHeardTable:
                          "attempt": attempt})
         # the older attempt's heartbeat leaves attempt 2's entry alone
         assert bus.heard == {("t1", 2): 8, ("t1", 1): 10}
+
+
+class TestInFlightTable:
+    def flying(self, attempt=2):
+        """A bus whose t1 attempt `attempt` was assigned at tick 4."""
+        bus = fresh()
+        bus.publish("a", Channel.TASKS_TO_DO, "task",
+                    task_payload("t1", attempt))
+        bus.now = 4
+        bus.publish("coordinator", Channel.TASKS_TO_DO, "assignment",
+                    {"task_id": "t1", "worker_id": "w1",
+                     "attempt": attempt}, to=("w1",))
+        return bus
+
+    def send(self, bus, sender, channel, kind, attempt, **fields):
+        bus.publish(sender, channel, kind,
+                    {"task_id": "t1", "worker_id": sender,
+                     "attempt": attempt, **fields})
+
+    def test_an_assignment_of_a_published_task_opens_it(self):
+        assert self.flying().inflight == {"t1": (2, 4)}
+        bus = fresh()  # no spec for t1: nothing to watch
+        bus.publish("coordinator", Channel.TASKS_TO_DO, "assignment",
+                    {"task_id": "t1", "worker_id": "w1", "attempt": 1},
+                    to=("w1",))
+        assert bus.inflight == {}
+
+    def test_the_attempts_result_closes_it(self):
+        bus = self.flying()
+        self.send(bus, "w1", Channel.TASKS_TO_CHECK, "result", 2,
+                  exit_status=0, outputs={})
+        assert bus.inflight == {}
+
+    def test_an_ok_verdict_closes_it(self):
+        bus = self.flying()
+        bus.publish("checker", Channel.FINISHED_TASKS, "verdict",
+                    {"task_id": "t1", "attempt": 1, "ok": False,
+                     "outputs": {}})
+        assert bus.inflight == {"t1": (2, 4)}  # a failed one does not
+        bus.publish("checker", Channel.FINISHED_TASKS, "verdict",
+                    {"task_id": "t1", "attempt": 1, "ok": True,
+                     "outputs": {}})
+        assert bus.inflight == {}
+
+    def test_the_monitors_republication_closes_it(self):
+        bus = self.flying()
+        bus.publish("checker", Channel.TASKS_TO_DO, "task",
+                    task_payload("t1", 3))
+        assert bus.inflight == {"t1": (2, 4)}  # the checker's does not
+        bus.publish("monitor", Channel.TASKS_TO_DO, "task",
+                    task_payload("t1", 3))
+        assert bus.inflight == {}
+
+    def test_a_stale_attempts_result_or_heartbeat_leaves_it_open(self):
+        bus = self.flying()
+        bus.now = 9
+        self.send(bus, "w0", Channel.TASKS_IN_PROGRESS, "heartbeat", 1)
+        self.send(bus, "w0", Channel.TASKS_TO_CHECK, "result", 1,
+                  exit_status=0, outputs={})
+        assert bus.inflight == {"t1": (2, 4)}
+
+    def test_a_later_assignment_replaces_it(self):
+        bus = self.flying()
+        bus.now = 6
+        bus.publish("coordinator", Channel.TASKS_TO_DO, "assignment",
+                    {"task_id": "t1", "worker_id": "w2", "attempt": 3},
+                    to=("w2",))
+        assert bus.inflight == {"t1": (3, 6)}
 
 
 class TestPayloadSchemas:
