@@ -3,8 +3,9 @@
 Everything coordinates through bus messages, and the bus hands no actor
 its own, nor one addressed to others; no actor touches another actor's
 state.  Mail carries only work; facts (specs, liveness, attempts in
-flight, the run's end) come from the log's fold, which the bus shows.
-One batch flows like this:
+flight, verified tasks, the run's end) come from the log's fold, which
+the bus shows.  Nothing is logged after the Emergency.  One batch flows
+like this:
 
   broker       publishes every task on WaitingTasks, in id order, and
                listens to nothing
@@ -12,9 +13,10 @@ One batch flows like this:
                releases its roots to TasksToDo; keeps a pool of idle
                workers, assigns each ToDo task the best-scoring idle one,
                addressing the assignment to that worker alone, and
-               declares the batch finished on Emergency; an ok
-               verdict releases only the finished task's dependents, and
-               every task row change passes model.check_transition
+               ends the batch on Emergency, reading no further mail
+               once the fold has it; an ok verdict releases only the
+               finished task's dependents, and every task row change
+               passes model.check_transition
   workers      volunteer once, when they first see an open task they are
                capable of, and then hear only the assignments addressed
                to them; execute each with the spec of its attempt,
@@ -27,8 +29,9 @@ One batch flows like this:
                TasksToDo for its task and attempt (a result carries no
                spec) and publishes verdicts on FinishedTasks,
                re-publishing a failed task until its spec's max_attempts
-               runs out; it listens to no Emergency, as the loop ends in
-               that tick, and it steps before the workers
+               runs out; like the monitor, it reads the run's end from
+               the fold and publishes nothing after it, and it reads
+               which tasks are verified there too
 
 A worker offers itself to the pool once, not once per task: its first
 volunteer puts it in the coordinator's idle pool, each assignment takes
@@ -59,7 +62,7 @@ from .bus import (BROKER, CHECKER, COORDINATOR, DLC, EMERGENCY,
 from .errors import ValidationError
 from .execution import Workspace, execute_kernel
 # ready_tasks is not called here; perfbench's tracer patches it by name
-from .graph import ready_tasks, unfold, validate_structure
+from .graph import find_cycle, ready_tasks, unfold
 from .model import (
     ResourceSnapshot,
     Task,
@@ -140,10 +143,9 @@ class Broker:
         A cyclic batch is refused outright (ValidationError, nothing
         published).
         """
-        report = validate_structure(batch)
-        if not report.ok:
-            raise ValidationError(
-                "cyclic batch: " + " -> ".join(report.cycle or []))
+        cycle = find_cycle(batch.dependents)
+        if cycle is not None:
+            raise ValidationError("cyclic batch: " + " -> ".join(cycle))
         return [
             self.bus.publish(self.id, WAITING_TASKS, "task",
                              _task_payload(batch.tasks[tid], 1))
@@ -177,7 +179,6 @@ class Coordinator:
         self.idle: set[str] = set()             # workers free for a task
         self.todo: set[str] = set()             # unassigned ToDo tasks
         self.finished: set[str] = set()
-        self.halted = False
 
     # The sweep and the completion check change only through mail, and a
     # second sweep without new mail assigns nothing.
@@ -199,9 +200,10 @@ class Coordinator:
     # -- event handling ----------------------------------------------------
 
     def step(self, now: int) -> None:
-        if self.halted:
-            return
+        tally = self.bus.log.tally
         for env in self.bus.drain(self.id):
+            if tally.reason is not None:  # the run ends in this tick
+                return
             if env.channel == TASKS_TO_DO and env.kind == "task":
                 self._on_republished(env)
             elif env.kind == "volunteer":
@@ -215,10 +217,9 @@ class Coordinator:
             elif env.channel == FINISHED_TASKS \
                     and env.kind == "verdict":
                 self._on_verdict(env)
-        if self.halted:
-            return
-        self._sweep_assignments()
-        self._check_complete()
+        if tally.reason is None:
+            self._sweep_assignments()
+            self._check_complete()
 
     def adopt(self, batch: WorkflowBatch) -> None:
         """Take the batch just submitted: every task waits, then the roots
@@ -288,8 +289,7 @@ class Coordinator:
         deps are all finished (Kahn); a failed one ends the batch."""
         tid = env.payload["task_id"]
         if not env.payload["ok"]:
-            if not self.halted:
-                self._emergency("failed")
+            self._emergency("failed")
             return
         if tid in self.finished:
             return
@@ -307,7 +307,6 @@ class Coordinator:
         assert self.batch is not None
         self.bus.publish(self.id, EMERGENCY, "emergency",
                          {"reason": reason, "batch_id": self.batch.batch_id})
-        self.halted = True
 
     # -- per-step passes ----------------------------------------------------
 
@@ -394,7 +393,6 @@ class WorkerActor:
         self.horizon = horizon  # no job needs counting past it
         bus.register(self.id)
         bus.subscribe(self.id, TASKS_TO_DO)
-        self.halted = False
         self.joined = False   # has offered itself to the pool
         self.offer: Optional[tuple[int, str, int]] = None  # due, task, attempt
         self.running: Optional[_Job] = None
@@ -471,13 +469,10 @@ class WorkerActor:
         self.executed_ticks += ran
 
     def stop(self, tick: int) -> None:
-        """Halt for good, the running job having run up to `tick`; a dead
-        worker is stopped again at the end of the run, which does nothing."""
-        if self.halted:
-            return
+        """Count the running job's run ticks up to `tick`, the worker's
+        last; the run stops each worker once, when it dies or at the end."""
         if self.running is not None and self.running.settled < tick:
             self._settle(tick)
-        self.halted = True
 
     def _on_task(self, env: Envelope, now: int) -> None:
         """The one offer names the first task the worker can run; then the
@@ -628,7 +623,6 @@ class Checker:
             self.registry.update(validators)
         bus.register(self.id)
         bus.subscribe(self.id, TASKS_TO_CHECK)
-        self.finished: set[str] = set()
         self.fails: dict[str, int] = {}
         self.duplicates = 0
 
@@ -641,11 +635,12 @@ class Checker:
     def _on_result(self, env: Envelope) -> None:
         payload = env.payload
         tid = payload["task_id"]
-        if tid in self.finished:
+        tally = self.bus.log.tally
+        if tid in tally.verified:
             self.duplicates += 1
             return
         spec = self.bus.spec(tid, payload["attempt"])
-        if spec is None:
+        if spec is None or tally.reason is not None:  # or the run ended
             return
         try:  # an unknown validator (KeyError) or one that raises fails
             fn = self.registry[spec.get("validator") or "default"]
@@ -653,7 +648,6 @@ class Checker:
         except Exception:
             ok = False
         if ok:
-            self.finished.add(tid)
             self.bus.publish(self.id, FINISHED_TASKS, "verdict",
                              {"task_id": tid, "attempt": payload["attempt"],
                               "ok": True, "outputs": payload["outputs"]})

@@ -10,7 +10,9 @@ releases its roots.  Then, per tick, in this exact order:
      then seeded random crashes (one draw per arrived, alive at-risk
      worker, sorted by worker id)
   2. coordinator, monitor, checker (the broker has no mail); the run
-     ends here in the tick of the coordinator's Emergency envelope
+     ends here in the tick of the coordinator's Emergency envelope,
+     which the loop reads from the log's fold, and nothing is logged
+     after it
   3. workers, sorted by worker id (skipped while not yet arrived; a
      worker in its stall window is frozen and its step does nothing)
 
@@ -30,8 +32,9 @@ from its arrival on, so while it lives the loop visits every tick.
 
 All randomness flows through a single random.Random(seed), so identical
 inputs produce byte-identical event logs; the loop ends in the tick of
-the Emergency, stopping the workers at the tick before (see 2.), or at
-the horizon with completed=False.
+the Emergency, stopping the live workers at the tick before (see 2.),
+or at the horizon with completed=False.  A dead worker was stopped as
+it died.
 
 Workers join the bus at tick 0 regardless of their arrival tick; the
 arrival only gates when they start acting.  The bus does not replay, so
@@ -154,6 +157,7 @@ def run_simulation(batch: WorkflowBatch, scenario: Scenario, *,
         workspace = Workspace(own_tmp.name)
     try:
         bus = InProcessBus()
+        tally = bus.log.tally
         rng = Random(scenario.seed)
         broker = Broker(bus)
         coordinator = Coordinator(bus, sla, dataset_sizes=workspace.sizes)
@@ -202,7 +206,7 @@ def run_simulation(batch: WorkflowBatch, scenario: Scenario, *,
             for service in services:
                 if service.id in bus.mail or service.wake <= now:
                     service.step(now)
-            if coordinator.halted:  # the Emergency: no worker acts in it
+            if tally.reason is not None:  # the Emergency: no worker acts in it
                 break
             due = {wid for wid in bus.mail if wid in roster}
             due.update(wid for wid, tick in wake.items() if tick <= now)
@@ -228,12 +232,12 @@ def run_simulation(batch: WorkflowBatch, scenario: Scenario, *,
                 *(service.wake for service in services),
                 *(roster[wid][0].arrival for wid in risky
                   if wid not in died)))
-        for _, actor in roster.values():
-            actor.stop(now - 1 if coordinator.halted else now)
+        for wid, (_, actor) in roster.items():
+            if wid not in died:  # kill stopped the dead ones
+                actor.stop(now if tally.reason is None else now - 1)
 
         # Counts come from the log; the engine adds only what the log cannot
         # carry: the final batch, utilization, an unfinished run's horizon.
-        tally = bus.log.tally
         utilization = {}
         for wid, (ws, actor) in roster.items():
             span = max(0, died.get(wid, now + 1) - ws.arrival)

@@ -325,7 +325,7 @@ class TestCoordinator:
                  for line in bus.log.dumps().splitlines()
                  if json.loads(line)["kind"] == "emergency"]
         assert found == [{"reason": "complete", "batch_id": "b"}]
-        assert coord.halted
+        assert bus.log.tally.reason == "complete"
 
     def test_failed_verdict_aborts_batch(self):
         batch = batch_of(noop_task("a"), noop_task("b"))
@@ -496,7 +496,7 @@ class TestCoordinatorUnfold:
         coord.step(3)
         kinds = [k for k, _ in log_kinds(bus)]
         assert kinds.count("emergency") == 1
-        assert coord.halted
+        assert bus.log.tally.reason == "complete"
 
 
 # ------------------------------------------------------------------ worker
@@ -764,13 +764,13 @@ class TestNextEventWorker:
                 actor.step(now)
                 idle_wakes += not mail and len(bus.log.lines) == sent
             if now == end:
+                actor.stop(end)
                 break
             later = [end, actor.wake]
             if emergency is not None and emergency > now:
                 later.append(emergency)
             now = now + 1 if actor.id in bus.mail \
                 else max(now + 1, min(later))
-        actor.stop(end)
         records = [json.loads(line) for line in bus.log.lines]
         events = [(r["kind"], r["ts"]) for r in records
                   if r["kind"] in ("started", "heartbeat", "result")]
@@ -1009,7 +1009,7 @@ class TestChecker:
                      "exit_status": 0, "outputs": {}})
         chk.step(0)
         assert [k for k, _ in log_kinds(bus)] == ["result"]
-        assert chk.fails == {} and chk.finished == set()
+        assert chk.fails == {} and bus.log.tally.verified == {}
 
     def test_validates_against_the_spec_seen_on_tasks_to_do(self,
                                                             tmp_path):
@@ -1049,6 +1049,37 @@ class TestChecker:
                     if json.loads(line)["kind"] == "verdict"]
         assert len(verdicts) == 1
         assert chk.duplicates == 1
+
+    @staticmethod
+    def after_the_emergency(bus, *results):
+        """Publish an Emergency, then a result per (task, exit status)."""
+        bus.publish("coordinator", Channel.EMERGENCY, "emergency",
+                    {"reason": "failed", "batch_id": "b"})
+        for tid, status in results:
+            bus.publish("w1", Channel.TASKS_TO_CHECK, "result",
+                        {"task_id": tid, "worker_id": "w1", "attempt": 1,
+                         "exit_status": status, "outputs": {}})
+
+    def test_publishes_nothing_after_the_emergency(self, tmp_path):
+        """Results for unverified tasks, one that passes and one that
+        fails, get neither a verdict nor a republication once the run has
+        an Emergency."""
+        bus, ws, chk = checker_rig(tmp_path)
+        publish_task(bus, noop_task("a"))
+        publish_task(bus, noop_task("b"))
+        self.after_the_emergency(bus, ("a", 0), ("b", 1))
+        sent = len(bus.log.lines)
+        chk.step(0)
+        assert len(bus.log.lines) == sent and chk.fails == {}
+
+    def test_counts_duplicates_after_the_emergency(self, tmp_path):
+        bus, ws, chk = checker_rig(tmp_path)
+        push_result(bus, ws, noop_task("a"))
+        chk.step(0)
+        self.after_the_emergency(bus, ("a", 0))
+        sent = len(bus.log.lines)
+        chk.step(1)
+        assert len(bus.log.lines) == sent and chk.duplicates == 1
 
     def test_custom_validator_wins(self, tmp_path):
         bus, ws, chk = checker_rig(

@@ -245,6 +245,24 @@ class TestCrashRecovery:
         assert emergency[0]["payload"]["reason"] == "failed"
         assert report.re_executions == 1
 
+    def test_nothing_is_logged_after_a_failed_emergency(self):
+        """a's failed verdict and b's ok verdict reach the coordinator in
+        one drain: it publishes the failed Emergency and reads no further,
+        so c, b's dependent, is never released."""
+        batch = batch_of(noop_task("a", max_attempts=1, validator="never"),
+                         noop_task("b"), noop_task("c", deps=["b"]))
+        scenario = Scenario(seed=1, horizon=60, workers=(
+            WorkerSpec(worker_id="w1"), WorkerSpec(worker_id="w2")))
+        report, log = run_simulation(
+            batch, scenario, validators={"never": lambda s, r, w: False})
+        records = records_of(log)
+        assert [r["payload"]["ok"] for r in records
+                if r["kind"] == "verdict"] == [False, True]
+        assert records[-1]["kind"] == "emergency"
+        assert records[-1]["payload"]["reason"] == "failed"
+        assert "c" not in {r["payload"]["task_id"] for r in records
+                           if r["channel"] == "TasksToDo"}
+
     def test_verified_task_is_not_republished_by_the_monitor(
             self, tmp_path, capsys):
         """w0 stalls on a's attempt 1, the monitor republishes it and the
