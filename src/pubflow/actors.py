@@ -255,10 +255,14 @@ class Coordinator:
         self._publish_todo(tid)
 
     def _publish_todo(self, tid: str) -> None:
+        """Release attempt 1, with the spec only if the log's latest for
+        the task differs: a spliced task or a dependent an unfold rewired."""
         assert self.batch is not None
         self._move(tid, TaskState.TODO, 1)
-        self.bus.publish(self.id, TASKS_TO_DO, "task",
-                         _task_payload(self.batch.tasks[tid], 1))
+        payload = _task_payload(self.batch.tasks[tid], 1)
+        if self.bus.log.tally.latest.get(tid) == payload["spec"]:
+            del payload["spec"]
+        self.bus.publish(self.id, TASKS_TO_DO, "task", payload)
 
     def _move(self, tid: str, state: TaskState, attempt: int) -> None:
         """The one writer of a task's row, through check_transition once it
@@ -441,7 +445,7 @@ class WorkerActor:
         if job is not None and job.settled < now:
             self._settle(now)
             if job.left <= 0:
-                self._complete(now)
+                self._complete()
             elif (now - job.started) % self.heartbeat_period == 0:
                 self.bus.publish(self.id, TASKS_IN_PROGRESS, "heartbeat",
                                  {"task_id": job.task_id,
@@ -479,7 +483,8 @@ class WorkerActor:
         worker leaves TasksToDo and hears only its own assignments."""
         if self.joined:
             return
-        caps = frozenset(env.payload["spec"].get("required_caps", ()))
+        spec = self.bus.spec(env.payload["task_id"], env.payload["attempt"])
+        caps = frozenset(spec.get("required_caps", ()))
         if not caps <= self.profile.capabilities:
             return
         self.joined = True
@@ -504,7 +509,7 @@ class WorkerActor:
                          {"task_id": tid, "worker_id": self.id,
                           "attempt": attempt})
 
-    def _complete(self, now: int) -> None:
+    def _complete(self) -> None:
         job = self.running
         assert job is not None
         self.running = None
@@ -515,18 +520,16 @@ class WorkerActor:
             "attempt": job.attempt,
         }
         try:
-            result = execute_kernel(task.kernel, self.workspace,
-                                    speed=self.profile.speed)
+            result = execute_kernel(task.kernel, self.workspace)
         except Exception as exc:  # MissingInput: ask the data policy for help
             self.bus.publish(self.id, DLC, "dlc",
                              {"task_id": job.task_id,
                               "event": "transmission_failure"})
             payload.update(exit_status=2, outputs={},
-                           elapsed=float(now - job.started),
                            error=f"{type(exc).__name__}: {exc}")
         else:
             payload.update(exit_status=result.exit_status,
-                           outputs=result.outputs, elapsed=result.elapsed)
+                           outputs=result.outputs)
             if result.error is not None:
                 payload["error"] = result.error
         self.bus.publish(self.id, TASKS_TO_CHECK, "result", payload)
@@ -573,13 +576,12 @@ class Monitor:
         for tid in sorted(self.bus.inflight):
             if now - self._last_seen(tid) <= deadline:
                 continue
-            published = self.bus.specs[tid]
-            latest = max(published)
-            attempt = max(latest, self.bus.inflight[tid][0]) + 1
-            # the republication closes the attempt in the in-flight table
+            attempt = max(*self.bus.specs[tid],
+                          self.bus.inflight[tid][0]) + 1
+            # the republication closes the attempt in the in-flight table;
+            # its spec is the task's latest, which the fold fills in
             self.bus.publish(self.id, TASKS_TO_DO, "task",
-                             {"task_id": tid, "attempt": attempt,
-                              "spec": published[latest]})
+                             {"task_id": tid, "attempt": attempt})
             self.bus.publish(self.id, DLC, "dlc",
                              {"task_id": tid,
                               "event": "transmission_failure"})
@@ -650,15 +652,15 @@ class Checker:
         if ok:
             self.bus.publish(self.id, FINISHED_TASKS, "verdict",
                              {"task_id": tid, "attempt": payload["attempt"],
-                              "ok": True, "outputs": payload["outputs"]})
+                              "ok": True})
             return
         self.fails[tid] = self.fails.get(tid, 0) + 1
         if self.fails[tid] < spec["max_attempts"]:
+            # the spec is the task's latest, which the fold fills in
             self.bus.publish(self.id, TASKS_TO_DO, "task",
                              {"task_id": tid,
-                              "attempt": payload["attempt"] + 1,
-                              "spec": spec})
+                              "attempt": payload["attempt"] + 1})
         else:
             self.bus.publish(self.id, FINISHED_TASKS, "verdict",
                              {"task_id": tid, "attempt": payload["attempt"],
-                              "ok": False, "outputs": {}})
+                              "ok": False})

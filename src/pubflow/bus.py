@@ -24,6 +24,12 @@ republication.  A reader of the tables needs no mail.
 
 The log is line-oriented JSON, one object per envelope:
 {"seq": ..., "ts": ..., "channel": ..., "kind": ..., "sender": ..., "payload": ...}
+Each fact is logged once.  A `task` record carries its spec only when
+the spec differs from the task's latest one in the log: on WaitingTasks,
+and on TasksToDo for a spliced task or a dependent whose deps an unfold
+rewired.  The fold fills an omitted spec from its `latest` table.  A `verdict` carries no outputs, which its verified result
+logged, and a `result` no elapsed time.  An older log, whose every task
+record carries its spec, still reads: its extra fields are ignored.
 Identical runs produce byte-identical logs; nothing non-deterministic is
 ever written.
 """
@@ -64,10 +70,14 @@ _CHANNEL_NAMES = {c: c.value for c in Channel}
 SERVICE_CATALOG = ("broker", "coordinator", "monitor", "checker")
 BROKER, COORDINATOR, MONITOR, CHECKER = SERVICE_CATALOG
 
-# Each kind's payload fields and their exact JSON types (true is no int):
-# publish checks that they are there, simulator.parse_log their types too.
+# Each kind's required payload fields and their exact JSON types (true is
+# no int): publish checks that they are there, simulator.parse_log their
+# types too.  A task's `spec` is optional: a record carries it only when
+# it differs from the task's latest spec in the log, which the fold fills
+# in.  parse_log ignores any other field, so a log whose every task
+# carries its spec, or whose verdicts and results carry more, still reads.
 KIND_FIELDS: dict[str, dict[str, type]] = {
-    "task": {"task_id": str, "attempt": int, "spec": dict},
+    "task": {"task_id": str, "attempt": int},
     "assignment": {"task_id": str, "worker_id": str, "attempt": int},
     "volunteer": {"task_id": str, "worker_id": str, "attempt": int,
                   "profile": dict},
@@ -75,7 +85,7 @@ KIND_FIELDS: dict[str, dict[str, type]] = {
     "heartbeat": {"task_id": str, "worker_id": str, "attempt": int},
     "result": {"task_id": str, "worker_id": str, "attempt": int,
                "exit_status": int, "outputs": dict},
-    "verdict": {"task_id": str, "attempt": int, "ok": bool, "outputs": dict},
+    "verdict": {"task_id": str, "attempt": int, "ok": bool},
     "emergency": {"reason": str, "batch_id": str},
     "dlc": {"task_id": str, "event": str},
     "em": {"logical_gpus": int, "physical_gpus": int,
@@ -145,7 +155,14 @@ class LogTally:
             if record["sender"] == MONITOR:  # a k*H timeout
                 self.timeouts += 1
                 self.inflight.pop(tid, None)
-            self.latest[tid] = payload["spec"]
+            spec = payload.get("spec")
+            if spec is None:  # omitted: unchanged since the latest record
+                spec = self.latest.get(tid)
+            if spec is None:
+                self.lifecycle.append(
+                    f"task {tid} (seq {record['seq']}) without a spec")
+            else:
+                self.latest[tid] = spec
             if channel == WAITING_TASKS:
                 self.waiting.add(tid)
             elif channel == TASKS_TO_DO:
@@ -153,7 +170,8 @@ class LogTally:
                     self.lifecycle.append(
                         f"task {tid} on TasksToDo (seq {record['seq']}) "
                         "without a WaitingTasks publication")
-                self.specs.setdefault(tid, {})[attempt] = payload["spec"]
+                if spec is not None:
+                    self.specs.setdefault(tid, {})[attempt] = spec
         elif kind == "assignment":
             tid, attempt = payload["task_id"], payload["attempt"]
             if tid in self.specs:

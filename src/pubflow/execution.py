@@ -395,7 +395,6 @@ def em_negotiate(probe: EMConfig) -> EMConfig:
 class TaskResult:
     exit_status: int
     outputs: dict[str, str]  # dataset id -> checksum hex
-    elapsed: float
     error: Optional[str] = None
 
 
@@ -416,38 +415,36 @@ def find_kernel(name: str) -> Optional[KernelFn]:
     return _registered(KERNELS, name)
 
 
-def execute_kernel(spec: KernelSpec, workspace: Workspace,
-                   speed: float = 1.0) -> TaskResult:
+def execute_kernel(spec: KernelSpec, workspace: Workspace) -> TaskResult:
     """Run a registered kernel against the workspace.
 
     Missing inputs raise MissingInput (the data-policy trigger).  A kernel
     that raises or fails to produce its declared outputs is encoded as a
     nonzero exit status in the result, never an exception.
     """
-    elapsed = spec.declared_duration / speed
     for dataset_id in spec.inputs:
         if not workspace.has_ready(dataset_id):
             raise MissingInput(f"input {dataset_id!r} is not ready")
     fn = find_kernel(spec.name)
     if fn is None:
-        return TaskResult(exit_status=127, outputs={}, elapsed=elapsed,
+        return TaskResult(exit_status=127, outputs={},
                           error=f"kernel {spec.name!r} is not registered")
     try:
         produced = fn(spec, workspace)
     except MissingInput:
         raise
     except Exception as exc:  # kernel panic: encoded, not propagated
-        return TaskResult(exit_status=1, outputs={}, elapsed=elapsed,
+        return TaskResult(exit_status=1, outputs={},
                           error=f"{type(exc).__name__}: {exc}")
     outputs: dict[str, str] = {}
     for dataset_id in spec.outputs:
         if dataset_id not in produced:
             return TaskResult(
-                exit_status=1, outputs={}, elapsed=elapsed,
+                exit_status=1, outputs={},
                 error=f"kernel did not produce declared output {dataset_id!r}")
         record = workspace.put(dataset_id, produced[dataset_id])
         outputs[dataset_id] = record.checksum or ""
-    return TaskResult(exit_status=0, outputs=outputs, elapsed=elapsed)
+    return TaskResult(exit_status=0, outputs=outputs)
 
 
 @register_kernel("noop")

@@ -287,8 +287,9 @@ def _check(lineno: int, what: str, obj: dict, fields: dict) -> None:
 
 def parse_log(text: str) -> list[dict]:
     """Parse a JSONL event log, checking the types of each record's keys,
-    its payload's fields and a spec's deps (the spec key the audits read),
-    and seq continuity."""
+    its payload's fields, a task's spec if given and that spec's deps (the
+    spec key the audits read), and seq continuity.  Fields that no kind
+    declares are ignored, so an older log that carries them still reads."""
     records = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -314,10 +315,11 @@ def parse_log(text: str) -> list[dict]:
             raise MalformedLog(
                 f"line {lineno}: {kind} payload must be an object")
         _check(lineno, kind + " payload", payload, required)
-        if "spec" in required:
+        if kind == "task" and "spec" in payload:
+            _check(lineno, "task payload", payload, {"spec": dict})
             deps = payload["spec"].get("deps", [])
             if type(deps) is not list or not set(map(type, deps)) <= {str}:
-                raise MalformedLog(f"line {lineno}: {kind} spec.deps must "
+                raise MalformedLog(f"line {lineno}: task spec.deps must "
                                    "be a list of strings")
         records.append(record)
     for index, record in enumerate(records, start=1):
@@ -384,6 +386,7 @@ def lifecycle_audit(
     Rules enforced:
       * a task reaches TasksToDo only after WaitingTasks, unless its id
         is namespaced (contains '/'), meaning it was spliced in later
+      * a task record without a spec follows one of its task with a spec
       * per (task, attempt): assignment after task publication, started
         after assignment, results after started
       * at most one ok verdict per task id

@@ -581,7 +581,7 @@ class TestWorker:
                   if json.loads(line)["kind"] == "result"][0]
         assert result["exit_status"] == 0
         assert result["outputs"]["d"] == actor.workspace.checksum("d")
-        assert "spec" not in result
+        assert "spec" not in result and "elapsed" not in result
 
     def test_missing_input_reports_dlc_and_exit_2(self, tmp_path):
         bus, actor = worker_rig(tmp_path)
@@ -955,6 +955,12 @@ def push_result(bus, ws, task, attempt=1, exit_status=0, produce=True):
                  "outputs": outputs})
 
 
+def payloads_of(bus, kind):
+    """Payloads of the logged envelopes of one kind, in log order."""
+    return [record["payload"] for record in map(
+        json.loads, bus.log.dumps().splitlines()) if record["kind"] == kind]
+
+
 def checker_tasks(bus):
     """Payloads of the tasks the checker re-published."""
     return [record["payload"] for record in map(
@@ -968,11 +974,11 @@ class TestChecker:
         task = noop_task("a", outputs=("d",))
         push_result(bus, ws, task)
         chk.step(0)
-        verdicts = [json.loads(line)["payload"]
-                    for line in bus.log.dumps().splitlines()
-                    if json.loads(line)["kind"] == "verdict"]
-        assert verdicts == [{"task_id": "a", "attempt": 1, "ok": True,
-                             "outputs": {"d": ws.checksum("d")}}]
+        verdicts = payloads_of(bus, "verdict")
+        assert verdicts == [{"task_id": "a", "attempt": 1, "ok": True}]
+        # the verified result, not the verdict, carries the outputs
+        assert [r["outputs"] for r in payloads_of(bus, "result")] == \
+            [{"d": ws.checksum("d")}]
 
     def test_nonzero_exit_fails_validation(self, tmp_path):
         bus, ws, chk = checker_rig(tmp_path)
@@ -1030,11 +1036,8 @@ class TestChecker:
         chk.step(0)
         push_result(bus, ws, task, attempt=2, exit_status=1)
         chk.step(1)
-        verdicts = [json.loads(line)["payload"]
-                    for line in bus.log.dumps().splitlines()
-                    if json.loads(line)["kind"] == "verdict"]
-        assert verdicts == [{"task_id": "a", "attempt": 2, "ok": False,
-                             "outputs": {}}]
+        verdicts = payloads_of(bus, "verdict")
+        assert verdicts == [{"task_id": "a", "attempt": 2, "ok": False}]
         assert len(checker_tasks(bus)) == 1  # only the first failure re-queues
 
     def test_duplicate_result_for_finished_task_discarded(self, tmp_path):
@@ -1044,9 +1047,7 @@ class TestChecker:
         chk.step(0)
         push_result(bus, ws, task, attempt=1)  # late first attempt
         chk.step(1)
-        verdicts = [json.loads(line)["payload"]
-                    for line in bus.log.dumps().splitlines()
-                    if json.loads(line)["kind"] == "verdict"]
+        verdicts = payloads_of(bus, "verdict")
         assert len(verdicts) == 1
         assert chk.duplicates == 1
 

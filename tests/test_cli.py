@@ -461,9 +461,9 @@ MALFORMED = [
     ("latin1-audit-log", "audit", LATIN1, "not UTF-8"),
     ("latin1-report-log", "report", LATIN1, "not UTF-8"),
     ("audit-short-payload", "audit", SHORT_PAYLOAD,
-     "line 1: task payload missing ['attempt', 'spec', 'task_id']"),
+     "line 1: task payload missing ['attempt', 'task_id']"),
     ("report-short-payload", "report", SHORT_PAYLOAD,
-     "line 1: task payload missing ['attempt', 'spec', 'task_id']"),
+     "line 1: task payload missing ['attempt', 'task_id']"),
     ("report-unknown-kind", "report",
      SHORT_PAYLOAD.replace('"task"', '"gossip"'),
      "line 1: unknown kind 'gossip'"),
@@ -537,6 +537,23 @@ class TestAuditCommand:
                     for r in records), "utf-8")
         assert run_cli("audit", str(tampered)) == 1
         assert "without a started" in capsys.readouterr().out
+
+    def test_a_task_with_no_spec_in_the_log_exits_one(self, tmp_path,
+                                                      capsys, chain_workflow):
+        """Without its WaitingTasks announcement, the release of a task
+        names no spec the log holds: a violation, not a traceback."""
+        log = self.logged_run(tmp_path, capsys, chain_workflow)
+        records = [json.loads(line)
+                   for line in log.read_text("utf-8").splitlines()
+                   if json.loads(line)["channel"] != "WaitingTasks"]
+        for i, record in enumerate(records, start=1):
+            record["seq"] = i
+        tampered = tmp_path / "tampered.jsonl"
+        tampered.write_text(
+            "".join(json.dumps(r, separators=(",", ":")) + "\n"
+                    for r in records), "utf-8")
+        assert run_cli("audit", str(tampered)) == 1
+        assert "task a (seq 1) without a spec" in capsys.readouterr().out
 
     def test_truncated_log_exits_two(self, tmp_path, capsys,
                                      chain_workflow):

@@ -7,13 +7,14 @@ validation) and one scenario (1-4 workers with crashes, stalls,
 departures, late arrivals, crash_prob, volunteer latency and jitter, and
 horizons that cut jobs) from random.Random(i).  Every run must pass both
 audits, the fold its log made as it was written must equal the fold of
-the parsed log, its Monitor's and Checker's counters must match that
-fold, no actor may drain an envelope it sent or one on WaitingTasks, the
-Monitor may drain nothing, the Checker nothing but results, and a
-worker no Emergency and no assignment naming another worker, the
-Broker's step may never run, an Emergency must be the last record of its
-log, and the sha256 of its log, cut to 16 hex digits, must equal the one
-pinned for its case in corpus_digests.txt.
+the parsed log and of that log rendered in the older format (format_1),
+its Monitor's and Checker's counters must match that fold, no actor may
+drain an envelope it sent or one on WaitingTasks, the Monitor may drain
+nothing, the Checker nothing but results, and a worker no Emergency
+and no assignment naming another worker, the Broker's step may never
+run, an Emergency must be the last record of its log, and the sha256 of
+its log, cut to 16 hex digits, must equal the one pinned for its case in
+corpus_digests.txt.
 A change that moves log bytes therefore names the cases it moved.
 After a deliberate move, re-pin and let the diff show which cases moved:
 
@@ -21,6 +22,7 @@ After a deliberate move, re-pin and let the diff show which cases moved:
 """
 
 import hashlib
+import json
 import random
 import sys
 from pathlib import Path
@@ -202,6 +204,47 @@ def test_every_case_matches_its_pinned_digest(corpus):
     assert not moved, (
         f"{len(moved)} of {CASES} cases moved, first case {moved[0]}: "
         f"{digests[moved[0]]} != {pinned[moved[0]]}")
+
+
+def format_1(records):
+    """The records as logged before each fact was logged once: each task
+    record with its spec, restored from its task's latest; each verdict
+    with the outputs of the result it verified ({} when failed); and each
+    result with an elapsed time, its ticks since its attempt started."""
+    latest, started, outputs, out = {}, {}, {}, []
+    for record in records:
+        kind, payload = record["kind"], dict(record["payload"])
+        key = (payload.get("task_id"), payload.get("attempt"))
+        if kind == "task":
+            if "spec" not in payload:
+                payload["spec"] = latest[key[0]]
+            latest[key[0]] = payload["spec"]
+        elif kind == "started":
+            started[key] = record["ts"]
+        elif kind == "result":
+            outputs[key] = payload["outputs"]
+            payload["elapsed"] = float(record["ts"] - started[key])
+        elif kind == "verdict":
+            payload["outputs"] = outputs[key] if payload["ok"] else {}
+        out.append(dict(record, payload=payload))
+    return out
+
+
+def test_a_log_with_every_fact_in_every_record_folds_the_same(corpus):
+    """A log in the older format, whose task records all carry their
+    spec, whose verdicts carry outputs and whose results carry an elapsed
+    time, still reads: its fold equals the fold of the log the run wrote."""
+    restored = 0
+    for case, (_, records, _, _, _, live, _, _) in enumerate(corpus):
+        restored += sum("spec" not in r["payload"] for r in records
+                        if r["kind"] == "task")
+        text = "".join(json.dumps(r, separators=(",", ":")) + "\n"
+                       for r in format_1(records))
+        old = LogTally()
+        for record in parse_log(text):
+            old.add(record)
+        assert vars(old) == vars(live), f"case {case}"
+    assert restored > CASES
 
 
 # Case 595's horizon (37) cuts the tick in which w3 sends a result for the

@@ -460,13 +460,7 @@ class TestExecuteKernel:
         result = execute_kernel(spec, ws)
         assert result.exit_status == 0
         assert result.outputs == {"d": ws.checksum("d")}
-        assert result.elapsed == 2.0
         assert list(decode_dataset(ws.get("d"))) == [1.0, 2.0]
-
-    def test_elapsed_scales_with_speed(self, tmp_path):
-        ws = Workspace(tmp_path)
-        spec = KernelSpec(name="noop", declared_duration=4.0)
-        assert execute_kernel(spec, ws, speed=2.0).elapsed == 2.0
 
     def test_unknown_kernel_exits_127(self, tmp_path):
         ws = Workspace(tmp_path)

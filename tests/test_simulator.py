@@ -58,6 +58,16 @@ def records_of(log):
     return [json.loads(line) for line in log.dumps().splitlines()]
 
 
+def verified_results(records):
+    """Each verified task's result payload, by task id: the result of the
+    attempt its ok verdict names, as a verdict carries no outputs."""
+    ok = {r["payload"]["task_id"]: r["payload"]["attempt"] for r in records
+          if r["kind"] == "verdict" and r["payload"]["ok"]}
+    return {p["task_id"]: p for p in (r["payload"] for r in records
+                                      if r["kind"] == "result")
+            if ok.get(p["task_id"]) == p["attempt"]}
+
+
 def kinds_of(log):
     return [r["kind"] for r in records_of(log)]
 
@@ -108,11 +118,12 @@ class TestSingleTaskProtocol:
         _, log = run_simulation(batch_of(noop_task("t1")), ONE_WORKER)
         assert [r["seq"] for r in records_of(log)] == list(range(1, 9))
 
-    def test_verdict_carries_checksums(self):
+    def test_verified_result_carries_checksums(self):
         _, log = run_simulation(batch_of(noop_task("t1")), ONE_WORKER)
-        verdict = [r for r in records_of(log) if r["kind"] == "verdict"][0]
+        records = records_of(log)
+        verdict = [r for r in records if r["kind"] == "verdict"][0]
         assert verdict["payload"]["ok"] is True
-        assert set(verdict["payload"]["outputs"]) == {"d_t1"}
+        assert set(verified_results(records)["t1"]["outputs"]) == {"d_t1"}
 
     def test_heartbeats_appear_for_long_tasks(self):
         batch = batch_of(noop_task("slow", duration=12.0))
@@ -240,7 +251,8 @@ class TestCrashRecovery:
         verdicts = [r for r in records if r["kind"] == "verdict"]
         assert len(verdicts) == 1
         assert verdicts[0]["payload"] == {
-            "task_id": "t", "attempt": 2, "ok": False, "outputs": {}}
+            "task_id": "t", "attempt": 2, "ok": False}
+        assert verified_results(records) == {}
         emergency = [r for r in records if r["kind"] == "emergency"]
         assert emergency[0]["payload"]["reason"] == "failed"
         assert report.re_executions == 1
@@ -868,6 +880,16 @@ class TestAudits:
         violations = lifecycle_audit(renumbered(records))
         assert any("WaitingTasks" in v for v in violations)
 
+    def test_task_without_any_spec_is_flagged(self):
+        """A task record may omit a spec the log already holds for its
+        task; one whose task has none yet is a violation."""
+        _, records = chain_run()
+        records = [r for r in records if r["channel"] != "WaitingTasks"]
+        release = next(r for r in records if r["kind"] == "task")
+        assert "spec" not in release["payload"]
+        violations = lifecycle_audit(renumbered(records))
+        assert "task a (seq 1) without a spec" in violations
+
     def test_a_task_published_only_on_waiting_tasks_was_seen(self):
         """The batch check counts a task record on either channel: a
         horizon that cuts a chain before b is released audits clean,
@@ -977,21 +999,21 @@ def offers_of(records):
 # bytes must say which bytes changed and why.
 LOG_GOLDEN = {
     ("adapt-unfold", 0):
-        "55485d85d6ab3efdefa63b14a6a16dd9a66521303c1a1f908c8071e39a9b1bc7",
+        "e8bffab727f2ff53d1663f2b649422b70129158bdcc705217286817abedf1cac",
     ("adapt-unfold", 2):
-        "55485d85d6ab3efdefa63b14a6a16dd9a66521303c1a1f908c8071e39a9b1bc7",
+        "e8bffab727f2ff53d1663f2b649422b70129158bdcc705217286817abedf1cac",
     ("chain", 0):
-        "4d2750a4da888e565a02fc2f061d0f2e0f3167b4a66995b5721746d9a60f1067",
+        "8080a298cb7ca575ae8108abdb5be361537d0dc674e861668d417974b84e84f1",
     ("chain", 2):
-        "10fd6f9c7608ec4e19241176f15544c3837efbb8ea4ef07572745b491e672a7b",
+        "7b7d013079783b4e503604c604745155f5713ede52cbc9820553c1c73734d2d6",
     ("flat-crash", 0):
-        "0679c90ce9548aa0376e32503ff4855422b3b2b702e340ac69f097b1e1ad535a",
+        "b19370cd8f6a1aaf6b80cda97e4cc5231bdf30da8210f4127281d043a46c54ab",
     ("flat-crash", 2):
-        "13c56eea94df8b031e00dde7786fe5c7c60d0b833ffc1567140f138eccf1d590",
+        "351e20ea02fb0ae115039516bdef7b649bd98745bf11057d7b86aeba0a0812d6",
     ("flat-two-stalls", 0):
-        "f962898a69916130f5ee4b239794caaf7d63a1bb0cbd9b0da07fed3b0fd756fe",
+        "2ac8c7700299a919da8c0f8f5bdb77a589fb085581c69f7e407ad38ddbefd5c5",
     ("flat-two-stalls", 2):
-        "6b79b482b758fe976bba19ed318c930ce242f9534301277fc070a1fc361023d9",
+        "b2cc5a9b07c8d1f160d94252bd9b619caf74283c952f3993c4e954bdf792fb36",
 }
 
 # (case, jitter) -> sha256 of the run workspace's files, see
@@ -1073,6 +1095,36 @@ class TestGoldenBytes:
         assert (TaskState.IN_PROGRESS, TaskState.FINISHED) in states
         assert any(new_attempt > old_attempt
                    for _, _, old_attempt, new_attempt in moves)
+
+
+class TestEachSpecLoggedOnce:
+    def test_only_spliced_and_rewired_releases_carry_a_spec(self,
+                                                            monkeypatch):
+        """Every WaitingTasks record carries its spec.  On TasksToDo only
+        the release of a task the unfold spliced in or of a dependent
+        whose deps it rewired does; every other release and every
+        republication names the task and attempt alone."""
+        made = keep(monkeypatch, actors.Coordinator)
+        batch, scenario, _ = _adapt_unfold()
+        report, log = run_simulation(batch, scenario)
+        assert report.completed
+        final = made[actors.Coordinator].batch.tasks
+        spliced = final.keys() - batch.tasks.keys()
+        rewired = {tid for tid in final.keys() & batch.tasks.keys()
+                   if final[tid].deps != batch.tasks[tid].deps}
+        assert spliced and rewired
+        records = [r for r in records_of(log) if r["kind"] == "task"]
+        assert all("spec" in r["payload"] for r in records
+                   if r["channel"] == "WaitingTasks")
+        todo = [r for r in records if r["channel"] == "TasksToDo"]
+        specs = [(r["sender"], r["payload"]["task_id"],
+                  r["payload"]["attempt"])
+                 for r in todo if "spec" in r["payload"]]
+        assert sorted(specs) == sorted(("coordinator", tid, 1)
+                                       for tid in spliced | rewired)
+        assert any(r["sender"] != "coordinator" for r in todo)
+        assert all(set(r["payload"]) == {"task_id", "attempt"}
+                   for r in todo if "spec" not in r["payload"])
 
 
 # Runs through the tick loop's edge paths: who is stepped, when a worker
@@ -1238,76 +1290,76 @@ EDGE_CASES = {
 # (case, jitter) -> (sha256 of log.dumps(), sha256 of report_fields)
 EDGE_GOLDEN = {
     ("attempts-run-out", 0): (
-        "844d90a9b1a3d5d0f5d6deab0d543eaca33861ebe5deec784ed5a7f061849537",
+        "392dbf8db18a946e3ba3686f7c1d3aa25a8941e8822a9ed8fad3031b1c0392f5",
         "2e72f81ee3bd803154d01e61d3aea7591cfc1d353e557460e0df1b205bf7eed9"),
     ("attempts-run-out", 2): (
-        "3ce5d1d6387e7ce5561ceb3bc00221185e58d1eb70187fac1ad3f9d0f30419a7",
+        "b5ef2884d7d129d90540da8a9205e2d70d33999ba70518b3d6c3274c01947dd1",
         "2e72f81ee3bd803154d01e61d3aea7591cfc1d353e557460e0df1b205bf7eed9"),
     ("crash-mid-job", 0): (
-        "8ea7146b2c0070d7e80a994af3ec262813e914f67d0cf7354900e282e6654cd2",
+        "4a906a6603055f8ce7378c208c91b450f7cfa143b1e484fc7c677e9c426ebd58",
         "3fccdb28c2074bd9adf5a76af3a0260fc39ef6ed0a4f24784401f33a89636766"),
     ("crash-mid-job", 2): (
-        "d2396ed0ccf1c204102b10f7f84cc8252b554a0b4d71822ca81c1f65ad45b51a",
+        "3db279cfa82b6e7815e5c619cde088da561a128e788a3e5088856e0d1a6cc7aa",
         "3fccdb28c2074bd9adf5a76af3a0260fc39ef6ed0a4f24784401f33a89636766"),
     ("crash-prob-and-departure", 0): (
-        "fd887047f3356895f4462e70211324e7f0af25ede49f38a725c2b5b2ed37250b",
+        "e1f3995ec9dd70951b99a022b489ac3242d658cc14926bdf707ddcf121d8f6eb",
         "9ce05a15872b96d929f25fbebdcd2e67f14a18701c9ca172e261a7a018156633"),
     ("crash-prob-and-departure", 2): (
-        "0145b06a0759aa7c15c437554dc6aa5f6f003a77e0871fce9bb0940f18dbea7c",
+        "c941ea30c055830aeb831fa48301b91e1f69039c94740c07e7d85adcadb8211d",
         "5b66576cc4f04a3c1aa2e14d2d41f3312a97611392377c56f01c5018295a2cf7"),
     ("cut-by-horizon", 0): (
-        "29bdca0c253f1b9f8925f81c92a759071adff7e8488acae92ae9b9c267b5a641",
+        "401f13c6f20e28b6a4ad7ce71f395aec37c7d1133d62f589174d2548036a3a01",
         "a215e90cc7ce0a58f21358393c366c361df4284adbacfc2c0a28bd540aedb871"),
     ("cut-by-horizon", 2): (
-        "39855786c832f0f55fce12f4178d35814bff8b00510320598654391508af877b",
+        "228979e5a43c8d9612803f6bb880deaf2687d528379a9740e947f49f4bba2658",
         "a215e90cc7ce0a58f21358393c366c361df4284adbacfc2c0a28bd540aedb871"),
     ("departure-not-after-arrival", 0): (
-        "bda89ad105f6c8128a179994c99217d41a460fdf14d9f996201a242adb16b64c",
+        "2487c6bdfc546197fc55883faae2f432100916ba23fdf4b201bd3797b97ecb98",
         "87211ca760b15a932fc1e29289c0eadaa7984b347669ec2c28001f080cfac87f"),
     ("departure-not-after-arrival", 2): (
-        "bda89ad105f6c8128a179994c99217d41a460fdf14d9f996201a242adb16b64c",
+        "2487c6bdfc546197fc55883faae2f432100916ba23fdf4b201bd3797b97ecb98",
         "87211ca760b15a932fc1e29289c0eadaa7984b347669ec2c28001f080cfac87f"),
     ("emergency-while-running", 0): (
-        "3ba54c2f14101698ac36a684cd086e1ff317692051a41b375a75a5a82807b061",
+        "e7181d1ce6a18ecb90d1d2585c789056900268d185ab131907693c30b0e42dfb",
         "a8effcf96e2d2b5c0ad77c765b58c7531fdc7d4eafdc77546fcacdb4c972c77a"),
     ("emergency-while-running", 2): (
-        "ed63a19246db7aa102f03c485d3b0daf66e3f41ec9f0ff93f66e1a500bd228a5",
+        "15e036c437906b06de6442821a63793b96aaf763b4024ae7b186afeffb4fc002",
         "a8effcf96e2d2b5c0ad77c765b58c7531fdc7d4eafdc77546fcacdb4c972c77a"),
     ("horizon-mid-job", 0): (
-        "4f7ad8b0ae243dce88f4e06f85e11c61c2a508b57fb3de84609940b0c8889084",
+        "fd2e8c461d85a2cf0395b77725a71c080448c901db9192ae1a321226da559ddb",
         "2474b9c3c17c393dd9500bd21e6868ae66eeae3e1b4fa0980e40e847ec94789b"),
     ("horizon-mid-job", 2): (
-        "4f7ad8b0ae243dce88f4e06f85e11c61c2a508b57fb3de84609940b0c8889084",
+        "fd2e8c461d85a2cf0395b77725a71c080448c901db9192ae1a321226da559ddb",
         "2474b9c3c17c393dd9500bd21e6868ae66eeae3e1b4fa0980e40e847ec94789b"),
     ("late-arrival", 0): (
-        "3544713160760fddfde01e3a302ffe9a17ea009381a3e06d601289acd80ca62d",
+        "a588177137a928203138fe96106e6f2f4f55097951a116b1f12d74b78e6dddde",
         "963fcffecd7ea0b490d47b9d625416a44049d15dbde75e94c171e993e1cddcb1"),
     ("late-arrival", 2): (
-        "3544713160760fddfde01e3a302ffe9a17ea009381a3e06d601289acd80ca62d",
+        "a588177137a928203138fe96106e6f2f4f55097951a116b1f12d74b78e6dddde",
         "963fcffecd7ea0b490d47b9d625416a44049d15dbde75e94c171e993e1cddcb1"),
     ("offers-due-while-running", 0): (
-        "445f384b39dea211c1a825614c8e393503ad946bece239c0b267524c109f95f4",
+        "4615e32f72de6ef5161c0cdc6d1bf5bfcf6cd0d528f0454aefa0145a7d0b2cbd",
         "c9515c28c023dfaab658843c8442707fc3c96d227bb181f2ab919c52d4c193b8"),
     ("offers-due-while-running", 2): (
-        "70ad3983e603fe1688c8f7e5c47bdb4276118e6e7f81db717e78f259b637eef1",
+        "a1d950475aab2a7d4faf0e182add213036948098aecc1db0c855ae3f033675b8",
         "c9515c28c023dfaab658843c8442707fc3c96d227bb181f2ab919c52d4c193b8"),
     ("quiet-faults", 0): (
-        "cea5f0d44d520d43210791159dc19df8b278d07e906eec7b04906324e8412462",
+        "61fc8abedaa2b4559d76ea6b6982c99af9235d732c0cbfb3d9706d1255affd0e",
         "b29c1e142bfcd04ff6b4709954468ca81f241577bfacd72f2cbb8f20fe1a58e3"),
     ("quiet-faults", 2): (
-        "d876767b4f554bee2ed4849068eae9573f6093d6592c8ece5e71a33ee7a29c99",
+        "76b7171c6e4ab4f89ebf8c9267d626eff9fc2be499e94740628ce408a9b55902",
         "a96091424265519bebcde08d1bd62f63c5f76ee8b0a94a199ebe8559d4bf87f4"),
     ("stall-mid-job", 0): (
-        "d93e0aab32349f904b562f5ee9632795f873c2f6aa8b2f4b5082d7417069d006",
+        "e141018b026129a4c96852b70bdb6012f4a8bbd843656191f8c32cb5462b00f0",
         "84252679e8d2044ff3d1f1d32e612e2cd860ba747f1cf47680f63e02c76ca6c7"),
     ("stall-mid-job", 2): (
-        "a128278b9daee8bd9a47947fd16db2c04a8f5a0cc758339d646c1e906e75d9b2",
+        "73f849ddf667a5b8f9ab03246874c81a1cc4af433bedfd284ba3e3c008a8f70a",
         "a83a65a78b8512a575dd9079fcc0331ed90874071305c0101c24dcc66b66bfd4"),
     ("stall-over-assignment", 0): (
-        "569930bbe66e2243e6fee6fdbefe5087b2fdf25f82d0f317494a3d6d860b0b65",
+        "3ca7d78362dec1f6ca7cfacf960cf4ed29609c97c9db37a6ef3e78cb82c00a60",
         "89a8490b8864db02d753776f4cdd68525aba70469f2e4011f5f1b91d55dbeaf6"),
     ("stall-over-assignment", 2): (
-        "b72d7ae8d4995472c7cd8cc1699198679af16da953788a045a888023bcbc221b",
+        "f8ab38547ca6f8305708ec9f488fda5bacbc1cffc34524f8565ad2eb3e774d35",
         "4973880b878a132bd0aa2f98ba46b81b1ca90b9d482e7db7c8817c5e2c521db7"),
 }
 
@@ -1348,14 +1400,14 @@ def test_reopened_workspace_answers_like_the_one_that_ran(tmp_path):
 def test_run_leaves_one_manifest_and_one_pack(tmp_path):
     """A dataset costs no file creation: the directory holds the manifest
     and the data pack, and a reopened Workspace serves every verified
-    dataset with the checksum its verdict logged."""
+    dataset with the checksum its verified result logged."""
     batch, scenario, _ = _adapt_unfold()
     report, log = run_simulation(batch, scenario,
                                  workspace=Workspace(tmp_path))
     assert report.completed
-    verified = {dataset_id: checksum for r in records_of(log)
-                if r["kind"] == "verdict" and r["payload"]["ok"]
-                for dataset_id, checksum in r["payload"]["outputs"].items()}
+    verified = {dataset_id: checksum
+                for result in verified_results(records_of(log)).values()
+                for dataset_id, checksum in result["outputs"].items()}
     assert len(verified) > 10
     assert sorted(path.name for path in tmp_path.iterdir()) == \
         ["workspace.dat", "workspace.jsonl"]
