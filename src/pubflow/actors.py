@@ -11,8 +11,9 @@ like this:
                listens to nothing
   coordinator  takes the batch from `adopt`, not from WaitingTasks, and
                releases its roots to TasksToDo; keeps a pool of idle
-               workers, assigns each ToDo task the best-scoring idle one,
-               addressing the assignment to that worker alone, and
+               workers ranked as select_worker ranks them, assigns each
+               ToDo task, in id order, the first pooled worker capable of
+               it, addressing the assignment to that worker alone, and
                ends the batch on Emergency, reading no further mail
                once the fold has it; an ok verdict releases only the
                finished task's dependents, and every task row change
@@ -42,6 +43,13 @@ speaks again.  A worker that ignores an assignment, because that
 attempt was never published on TasksToDo, volunteers again so it does
 not drop out of the pool.
 
+No worker is scored per task and no ToDo set is sorted per step: a
+worker is ranked once, when it joins the pool (again only if it
+re-volunteers with another profile), and the sweep pops ToDo ids from a
+heap, so a coordinator step costs the assignments it makes, not T or W.
+A worker rebuilds only its job's kernel from the spec, not the whole
+task.
+
 Each actor's `wake` is the earliest tick at which its step does
 something without new mail (math.inf: never).  For a running worker
 that is its job's next heartbeat or its result, not the next tick: the
@@ -51,7 +59,9 @@ step then counts the quiet ticks in between, skipping its stall window.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, insort
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from random import Random
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -64,6 +74,7 @@ from .execution import Workspace, execute_kernel
 # ready_tasks is not called here; perfbench's tracer patches it by name
 from .graph import find_cycle, ready_tasks, unfold
 from .model import (
+    KernelSpec,
     ResourceSnapshot,
     Task,
     TaskState,
@@ -72,7 +83,8 @@ from .model import (
     check_transition,
     load,
 )
-from .workflow_io import task_from_obj, task_to_obj
+# task_from_obj is not called here; perfbench's tracer patches it by name
+from .workflow_io import task_from_obj, task_to_obj  # noqa: F401
 
 
 # ------------------------------------------------------------- selection
@@ -106,24 +118,22 @@ def sla_score(profile: WorkerProfile, policy: SlaPolicy = SlaPolicy()) -> float:
             + policy.w_s * min(profile.speed, policy.s_cap) / policy.s_cap)
 
 
+def rank(profile: WorkerProfile,
+         policy: SlaPolicy = SlaPolicy()) -> tuple[float, str]:
+    """The key select_worker minimises: the best score first, ties to the
+    lexicographically smallest worker id."""
+    return -sla_score(profile, policy), profile.worker_id
+
+
 def select_worker(task: Task, volunteers: Sequence[WorkerProfile],
                   policy: SlaPolicy = SlaPolicy()) -> Optional[str]:
-    """Best eligible volunteer, or None when nobody qualifies.
+    """Best eligible volunteer by `rank`, or None when nobody qualifies.
 
     Eligible means advertising every required capability.
-    Ties on the score go to the lexicographically smallest worker id.
     """
-    eligible = [w for w in volunteers
-                if task.required_caps <= w.capabilities]
-    if not eligible:
-        return None
-    best = min(eligible,
-               key=lambda w: (-sla_score(w, policy), w.worker_id))
-    return best.worker_id
-
-
-def _task_payload(task: Task, attempt: int) -> dict:
-    return {"task_id": task.id, "attempt": attempt, "spec": task_to_obj(task)}
+    best = min((rank(w, policy) for w in volunteers
+                if task.required_caps <= w.capabilities), default=None)
+    return None if best is None else best[1]
 
 
 # ---------------------------------------------------------------- broker
@@ -148,7 +158,8 @@ class Broker:
             raise ValidationError("cyclic batch: " + " -> ".join(cycle))
         return [
             self.bus.publish(self.id, WAITING_TASKS, "task",
-                             _task_payload(batch.tasks[tid], 1))
+                             {"task_id": tid, "attempt": 1,
+                              "spec": task_to_obj(batch.tasks[tid])})
             for tid in sorted(batch.tasks)
         ]
 
@@ -174,10 +185,16 @@ class Coordinator:
                         FINISHED_TASKS):
             bus.subscribe(self.id, channel)
         self.batch: Optional[WorkflowBatch] = None
+        self.submitted: Mapping[str, Task] = {}  # the tasks `adopt` received
         self.status: dict[str, tuple[TaskState, int]] = {}
         self.profiles: dict[str, WorkerProfile] = {}
+        self.ranks: dict[str, tuple[float, str]] = {}  # rank of each profile
         self.idle: set[str] = set()             # workers free for a task
+        self.pool: list[tuple[float, str]] = []  # their ranks, sorted
         self.todo: set[str] = set()             # unassigned ToDo tasks
+        # `todo` ids as a heap; an id may also appear after it left `todo`
+        # (stale) or more than once (re-entered), which the sweep skips
+        self.queue: list[str] = []
         self.finished: set[str] = set()
 
     # The sweep and the completion check change only through mail, and a
@@ -207,13 +224,11 @@ class Coordinator:
             if env.channel == TASKS_TO_DO and env.kind == "task":
                 self._on_republished(env)
             elif env.kind == "volunteer":
-                wid = env.payload["worker_id"]
-                self.profiles[wid] = WorkerProfile.from_payload(
-                    wid, env.payload["profile"])
-                self.idle.add(wid)
+                self._on_volunteer(env.payload["worker_id"],
+                                   env.payload["profile"])
             elif env.kind == "result" and \
                     env.payload["worker_id"] in self.profiles:
-                self.idle.add(env.payload["worker_id"])
+                self._join(env.payload["worker_id"])
             elif env.channel == FINISHED_TASKS \
                     and env.kind == "verdict":
                 self._on_verdict(env)
@@ -226,6 +241,7 @@ class Coordinator:
         are released in id order.  The bus does not replay, so every actor
         must be on it first."""
         self.batch = batch
+        self.submitted = batch.tasks
         for tid in sorted(batch.tasks):
             self._move(tid, TaskState.WAITING, 1)
         for tid in sorted(batch.tasks):
@@ -256,12 +272,17 @@ class Coordinator:
 
     def _publish_todo(self, tid: str) -> None:
         """Release attempt 1, with the spec only if the log's latest for
-        the task differs: a spliced task or a dependent an unfold rewired."""
+        the task differs: a spliced task or a dependent an unfold rewired.
+        A task `adopt` received unchanged still has the spec the Broker
+        logged, so only a task an unfold made is serialised and compared."""
         assert self.batch is not None
         self._move(tid, TaskState.TODO, 1)
-        payload = _task_payload(self.batch.tasks[tid], 1)
-        if self.bus.log.tally.latest.get(tid) == payload["spec"]:
-            del payload["spec"]
+        task = self.batch.tasks[tid]
+        payload: dict = {"task_id": tid, "attempt": 1}
+        if task is not self.submitted.get(tid):
+            spec = task_to_obj(task)
+            if self.bus.log.tally.latest.get(tid) != spec:
+                payload["spec"] = spec
         self.bus.publish(self.id, TASKS_TO_DO, "task", payload)
 
     def _move(self, tid: str, state: TaskState, attempt: int) -> None:
@@ -273,10 +294,30 @@ class Coordinator:
         self.status[tid] = (state, attempt)
         if state is TaskState.TODO:
             self.todo.add(tid)
+            heappush(self.queue, tid)
         else:
             self.todo.discard(tid)
         if state is TaskState.FINISHED:
             self.finished.add(tid)
+
+    def _on_volunteer(self, wid: str, payload: dict) -> None:
+        """Pool the worker; rank it again only if its profile changed."""
+        profile = WorkerProfile.from_payload(wid, payload)
+        if profile != self.profiles.get(wid):
+            self._leave(wid)
+            self.profiles[wid] = profile
+            self.ranks[wid] = rank(profile, self.sla)
+        self._join(wid)
+
+    def _join(self, wid: str) -> None:
+        if wid not in self.idle:
+            self.idle.add(wid)
+            insort(self.pool, self.ranks[wid])
+
+    def _leave(self, wid: str) -> None:
+        if wid in self.idle:
+            self.idle.remove(wid)
+            del self.pool[bisect_left(self.pool, self.ranks[wid])]
 
     def _on_republished(self, env: Envelope) -> None:
         """Monitor or checker pushed a task back to ToDo with attempt+1."""
@@ -315,24 +356,32 @@ class Coordinator:
     # -- per-step passes ----------------------------------------------------
 
     def _sweep_assignments(self) -> None:
-        """Match every task in `todo`, the unassigned ToDo tasks, in id
-        order, against the idle pool; each winner leaves the pool.  Stops
-        once the pool is empty."""
-        for tid in sorted(self.todo):
-            if not self.idle:
-                return
-            assert self.batch is not None
-            attempt = self.status[tid][1]
-            winner = select_worker(self.batch.tasks[tid],
-                                   [self.profiles[w] for w in self.idle],
-                                   self.sla)
-            if winner is None:
+        """Match the tasks in `todo`, the unassigned ToDo tasks, in id
+        order, against the idle pool; each winner, the first pooled worker
+        capable of the task (select_worker's choice), leaves the pool.
+        Stops once the pool is empty; each task that found no worker goes
+        back on the queue once."""
+        unplaced: list[str] = []
+        while self.pool and self.queue:
+            tid = heappop(self.queue)
+            # stale, or a duplicate: a task's entries pop one after another
+            if tid not in self.todo or (unplaced and unplaced[-1] == tid):
                 continue
-            self.idle.remove(winner)
+            assert self.batch is not None
+            caps = self.batch.tasks[tid].required_caps
+            winner = next((wid for _, wid in self.pool
+                           if caps <= self.profiles[wid].capabilities), None)
+            if winner is None:
+                unplaced.append(tid)
+                continue
+            self._leave(winner)
+            attempt = self.status[tid][1]
             self._move(tid, TaskState.IN_PROGRESS, attempt)
             self.bus.publish(self.id, TASKS_TO_DO, "assignment",
                              {"task_id": tid, "worker_id": winner,
                               "attempt": attempt}, to=(winner,))
+        for tid in unplaced:
+            heappush(self.queue, tid)
 
     def _check_complete(self) -> None:
         if self.batch is not None and self.batch.tasks \
@@ -513,14 +562,15 @@ class WorkerActor:
         job = self.running
         assert job is not None
         self.running = None
-        task = task_from_obj(job.spec)
+        kernel = load(KernelSpec, job.spec["kernel"],
+                      f"task {job.task_id!r}.kernel")
         payload = {
             "task_id": job.task_id,
             "worker_id": self.id,
             "attempt": job.attempt,
         }
         try:
-            result = execute_kernel(task.kernel, self.workspace)
+            result = execute_kernel(kernel, self.workspace)
         except Exception as exc:  # MissingInput: ask the data policy for help
             self.bus.publish(self.id, DLC, "dlc",
                              {"task_id": job.task_id,

@@ -16,10 +16,11 @@ an id wins.  A put's line also gives its payload's place in the pack,
 "at": [offset, size]; a dropped payload stays in the pack as dead space.
 Records, extents and the payloads put since opening live in memory, so
 only a read of an older payload opens a file, the pack, and that payload
-is checked against its record's checksum.  A Workspace folds the
-manifest once, when it opens the directory, checking that every extent
-lies inside the pack, so only that Workspace may write the directory
-while it is open.  An older format (format 2 kept one data file per
+is checked against its record's checksum.  A put costs one unbuffered
+append to each file, through a descriptor opened and closed around it.
+A Workspace folds the manifest once, when it opens the directory,
+checking that every extent lies inside the pack, so only that Workspace
+may write the directory while it is open.  An older format (format 2 kept one data file per
 dataset, format 1 one JSON sidecar per dataset) is refused.
 The DLC policy reacts to a transmission failure by dropping the local
 copy, removing its metadata, and reacquiring from the recorded acquisition
@@ -157,12 +158,28 @@ PACK = "workspace.dat"
 MANIFEST_HEADER = {"format": 3, "hash": "blake2b-64"}
 
 
+def _append_file(path: str, data: bytes) -> int:
+    """Append `data` to the file at `path`, created if missing, through one
+    unbuffered descriptor; returns the offset where `data` starts."""
+    fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+    try:
+        offset = os.lseek(fd, 0, os.SEEK_END)
+        view = memoryview(data)
+        while view:  # a write may take fewer bytes than it was given
+            view = view[os.write(fd, view):]
+    finally:
+        os.close(fd)
+    return offset
+
+
 class Workspace:
     """Per-run dataset store: records and payloads in memory, mirrored to
     one directory as an append-only manifest and an append-only data pack
-    (format 3, see the module docstring).  A put appends to both files; a
-    drop appends its record and forgets the payload, whose bytes stay in
-    the pack, as nothing compacts it."""
+    (format 3, see the module docstring).  A put makes one unbuffered
+    append to each file, the payload to the pack and then its record to
+    the manifest; a drop appends its record and forgets the payload, whose
+    bytes stay in the pack, as nothing compacts it.  No descriptor stays
+    open between calls, so there is nothing to close."""
 
     def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
@@ -231,8 +248,7 @@ class Workspace:
             self._extents[dataset_id] = offset, size
 
     def _append(self, doc: dict) -> None:
-        with open(self._manifest, "a", encoding="utf-8") as f:
-            f.write(json.dumps(doc) + "\n")
+        _append_file(self._manifest, (json.dumps(doc) + "\n").encode())
 
     def _write(self, record: DatasetRecord, **extra) -> DatasetRecord:
         self._append({**dump(record), **extra})
@@ -247,9 +263,7 @@ class Workspace:
             checksum=checksum_hex(data),
             stage=DatasetStage.READY,
         )
-        with open(self._pack, "ab") as f:
-            offset = f.tell()
-            f.write(data)
+        offset = _append_file(self._pack, data)
         self._write(record, at=[offset, len(data)])
         self._extents[dataset_id] = offset, len(data)
         self._data[dataset_id] = data

@@ -436,6 +436,146 @@ class TestCoordinator:
         assert coord.todo == {"b"} and coord.finished == {"a"}
 
 
+class TestCoordinatorSweep:
+    """The sweep visits unassigned ToDo tasks in id order from a heap and
+    gives each the first capable worker of the ranked idle pool."""
+
+    def test_task_nobody_can_run_waits_for_a_capable_volunteer(self):
+        batch = batch_of(noop_task("a", required_caps=frozenset({"gpu"})),
+                         noop_task("b"))
+        bus, coord = wire(batch)
+        coord.step(0)
+        volunteer(bus, "w1", "b")
+        coord.step(1)
+        result(bus, "w1", "b")  # back in the pool, still without a gpu
+        coord.step(2)
+        assert [(a["task_id"], a["worker_id"]) for a in assignments_in(bus)] \
+            == [("b", "w1")]
+        assert coord.todo == {"a"} and coord.idle == {"w1"}
+        volunteer(bus, "g1", "a", caps=("gpu",), reliability=0.1)
+        coord.step(3)
+        assert assignments_in(bus)[-1] == \
+            {"task_id": "a", "worker_id": "g1", "attempt": 1}
+        assert coord.todo == set() and coord.idle == {"w1"}
+
+    def test_reentered_task_is_assigned_once_per_sweep(self):
+        """Two republications while the task waits leave three heap
+        entries for it; one sweep assigns it once, at its latest attempt,
+        and the next task still gets the next worker."""
+        batch = batch_of(noop_task("a"), noop_task("b"))
+        bus, coord = wire(batch)
+        coord.step(0)
+        for attempt in (2, 3):
+            bus.publish("monitor", Channel.TASKS_TO_DO, "task",
+                        {"task_id": "a", "attempt": attempt})
+        coord.step(1)
+        assert coord.queue.count("a") == 3
+        for wid in ("w1", "w2", "w3"):
+            volunteer(bus, wid, "a")
+        coord.step(2)
+        assert assignments_in(bus) == [
+            {"task_id": "a", "worker_id": "w1", "attempt": 3},
+            {"task_id": "b", "worker_id": "w2", "attempt": 1}]
+        assert coord.idle == {"w3"} and coord.queue == []
+
+    def test_unplaced_task_goes_back_on_the_queue_once(self):
+        batch = batch_of(noop_task("g", required_caps=frozenset({"gpu"})))
+        bus, coord = wire(batch)
+        coord.step(0)
+        for attempt in (2, 3):
+            bus.publish("monitor", Channel.TASKS_TO_DO, "task",
+                        {"task_id": "g", "attempt": attempt})
+        volunteer(bus, "w1", "g")
+        coord.step(1)
+        assert assignments_in(bus) == [] and coord.queue == ["g"]
+        volunteer(bus, "g1", "g", caps=("gpu",))
+        coord.step(2)
+        assert assignments_in(bus) == [
+            {"task_id": "g", "worker_id": "g1", "attempt": 3}]
+
+    def test_changed_profile_reranks_a_pooled_worker(self):
+        batch = batch_of(noop_task("a"))
+        bus, coord = wire(batch)
+        coord.step(0)
+        volunteer(bus, "w0", "a")
+        coord.step(1)  # a goes to w0; nothing is left to assign
+        volunteer(bus, "w1", "a", reliability=0.9)
+        volunteer(bus, "w2", "a", reliability=0.5)
+        coord.step(2)
+        volunteer(bus, "w1", "a", reliability=0.1)  # w1 now ranks last
+        bus.publish("monitor", Channel.TASKS_TO_DO, "task",
+                    {"task_id": "a", "attempt": 2})
+        coord.step(3)
+        assert assignments_in(bus)[-1] == \
+            {"task_id": "a", "worker_id": "w2", "attempt": 2}
+        assert coord.idle == {"w1"}
+
+
+# Pool moves against the naive rule: tied scores (two reliabilities, two
+# speeds) and capability-restricted tasks.
+POOL_TASKS = (noop_task("t0"),
+              noop_task("t1", required_caps=frozenset({"gpu"})),
+              noop_task("t2", required_caps=frozenset({"mpi"})),
+              noop_task("t3"),
+              noop_task("t4", required_caps=frozenset({"gpu", "mpi"})))
+POOL_OPS = st.one_of(
+    st.tuples(st.just("volunteer"), st.sampled_from(["w1", "w2", "w3", "w4"]),
+              st.sampled_from([0.5, 1.0]), st.sampled_from([1.0, 2.0]),
+              st.sampled_from([(), ("gpu",), ("gpu", "mpi")])),
+    st.tuples(st.just("result"), st.sampled_from(["w1", "w2", "w3", "w4"])),
+    st.tuples(st.just("republish"), st.sampled_from(["t0", "t1", "t2",
+                                                     "t3", "t4"])))
+
+
+class TestRankedPoolProperty:
+    @settings(max_examples=200, deadline=None)
+    @given(ops=st.lists(POOL_OPS, max_size=30))
+    def test_pool_matches_select_worker_over_the_idle_profiles(self, ops):
+        """After each step, every assignment is select_worker's pick among
+        the idle workers' latest profiles, ToDo tasks in id order, and the
+        Coordinator's idle set equals the naive model's pool."""
+        bus, coord = wire(batch_of(*POOL_TASKS))
+        coord.step(0)
+        tasks = {t.id: t for t in POOL_TASKS}
+        profiles, pool = {}, set()
+        attempts = dict.fromkeys(tasks, 1)
+        todo = dict(attempts)  # unassigned task -> its attempt
+        for now, op in enumerate(ops, start=1):
+            logged = len(bus.log.lines)
+            if op[0] == "volunteer":
+                _, wid, reliability, speed, caps = op
+                volunteer(bus, wid, "t0", caps=caps, speed=speed,
+                          reliability=reliability)
+                profiles[wid] = profile(wid, caps, speed, reliability)
+                pool.add(wid)
+            elif op[0] == "result":
+                result(bus, op[1], "t0")
+                if op[1] in profiles:
+                    pool.add(op[1])
+            else:
+                attempts[op[1]] += 1
+                todo[op[1]] = attempts[op[1]]
+                bus.publish("monitor", Channel.TASKS_TO_DO, "task",
+                            {"task_id": op[1], "attempt": attempts[op[1]]})
+            coord.step(now)
+            expected = []
+            for tid in sorted(todo):
+                if not pool:
+                    break
+                winner = select_worker(tasks[tid],
+                                       [profiles[w] for w in pool])
+                if winner is not None:
+                    pool.remove(winner)
+                    expected.append({"task_id": tid, "worker_id": winner,
+                                     "attempt": todo.pop(tid)})
+            made = [record["payload"] for record in
+                    map(json.loads, bus.log.lines[logged:])
+                    if record["kind"] == "assignment"]
+            assert made == expected
+            assert coord.idle == pool
+            assert coord.todo == todo.keys()
+
+
 class TestCoordinatorUnfold:
     def build(self, guard):
         rule = UnfoldRule(

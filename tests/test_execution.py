@@ -246,6 +246,36 @@ class TestWorkspace:
         assert sorted(p.name for p in tmp_path.iterdir()) == \
             ["workspace.dat", "workspace.jsonl"]
 
+    def test_puts_and_a_drop_write_pinned_bytes_that_read_back(self,
+                                                               tmp_path):
+        """The manifest and pack bytes of a fixed run of puts (empty, 256
+        KiB, a non-ASCII id) and a drop keep the digests of the format-3
+        writer; a reopened Workspace reads back every payload."""
+        ws = Workspace(tmp_path)
+        payloads = {f"d{i:02d}": encode_dataset([i * 0.5] * (i * 37))
+                    for i in range(40)}
+        payloads["empty"] = b""
+        payloads["big"] = bytes(range(256)) * 1024
+        payloads["é/slash"] = b"\x00\xff" * 9
+        for i, (dataset_id, data) in enumerate(payloads.items()):
+            ws.put(dataset_id, data, {"acquirer": "pin", "i": i})
+        ws.drop("d07")
+        payloads["d07"] = b"again"
+        ws.put("d07", payloads["d07"])
+
+        def digest(name):
+            return hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+
+        assert digest("workspace.jsonl") == \
+            "d78e9edb95514dc08fa7f0462530228ac4460184c7f47065b6e2adf8aa8bae80"
+        assert digest("workspace.dat") == \
+            "370f22ea222698741e61352b9e228ef5fc6c170b9b9c19642289d284c8f4ca41"
+        reopened = Workspace(tmp_path)
+        assert reopened.sizes() == {k: len(v) for k, v in payloads.items()}
+        for dataset_id, data in payloads.items():
+            assert reopened.get(dataset_id) == data
+            assert reopened.checksum(dataset_id) == checksum_hex(data)
+
     def test_reopen_folds_drop_remove_metadata_reacquire(self, tmp_path):
         """Each step runs on a Workspace freshly opened on the directory,
         so each sees only what the manifest folds to."""

@@ -1127,6 +1127,52 @@ class TestEachSpecLoggedOnce:
                    for r in todo if "spec" not in r["payload"])
 
 
+    def test_one_dump_per_waiting_spec_and_per_unfolded_task(self,
+                                                             monkeypatch):
+        """The Broker serialises each task once for WaitingTasks; the
+        Coordinator serialises again only a task the unfold spliced in or
+        rewired, and workers never rebuild a task from its spec."""
+        dumped, rebuilt = [], []
+        to_obj, from_obj = actors.task_to_obj, actors.task_from_obj
+        monkeypatch.setattr(actors, "task_to_obj",
+                            lambda task: dumped.append(task.id)
+                            or to_obj(task))
+        monkeypatch.setattr(actors, "task_from_obj",
+                            lambda obj: rebuilt.append(obj) or from_obj(obj))
+        made = keep(monkeypatch, actors.Coordinator)
+        batch, scenario, _ = _adapt_unfold()
+        report, _ = run_simulation(batch, scenario)
+        assert report.completed
+        final = made[actors.Coordinator].batch.tasks
+        spliced = final.keys() - batch.tasks.keys()
+        rewired = {tid for tid in final.keys() & batch.tasks.keys()
+                   if final[tid] is not batch.tasks[tid]}
+        assert sorted(dumped) == sorted([*batch.tasks, *spliced, *rewired])
+        assert rebuilt == []
+
+
+class TestSchedulingCost:
+    def test_workers_are_scored_per_pool_join_not_per_assignment(
+            self, monkeypatch):
+        """A worker's score is computed when it joins the pool with a new
+        profile, not for every task it competes for: 400 tasks on 16
+        workers score each worker once."""
+        scored = []
+        score = actors.sla_score
+        monkeypatch.setattr(actors, "sla_score",
+                            lambda w, *policy: scored.append(w.worker_id)
+                            or score(w, *policy))
+        batch = batch_of(*[noop_task(f"t{i:03d}", outputs=())
+                           for i in range(400)])
+        scenario = Scenario(seed=1, horizon=10_000, workers=tuple(
+            WorkerSpec(worker_id=f"w{i:02d}") for i in range(16)))
+        report, log = run_simulation(batch, scenario)
+        assert report.completed
+        joins = sum(r["kind"] == "volunteer" for r in records_of(log))
+        assert sorted(scored) == [f"w{i:02d}" for i in range(16)]
+        assert len(scored) <= joins
+
+
 # Runs through the tick loop's edge paths: who is stepped, when a worker
 # dies, and how long it counts as alive.
 
