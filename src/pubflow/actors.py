@@ -23,9 +23,11 @@ like this:
                to them; execute each with the spec of its attempt,
                heartbeat while running, and push results to TasksToCheck
   monitor      has no mail; when the fold shows an attempt in flight
-               k*H ticks without a started or heartbeat, re-publishes
-               the task with the attempt bumped and emits a data-policy
-               event on DLC
+               past its deadline without a started or heartbeat,
+               re-publishes the task with the attempt bumped and emits a
+               data-policy event on DLC; the deadline is k*H ticks, or
+               one missed heartbeat (H + 1, if sooner) while the fold's
+               idle table holds a worker and its to-do table no task
   checker      validates each result against the spec published on
                TasksToDo for its task and attempt (a result carries no
                spec) and publishes verdicts on FinishedTasks,
@@ -593,10 +595,17 @@ class Monitor:
     It has no mail.  The fold's in-flight table (bus.inflight) holds an
     attempt from its assignment, so a worker that dies before its first
     message is still covered, and its last-heard table the attempt's
-    latest started or heartbeat.  An attempt k*H ticks without news
-    gets its task re-published with the attempt bumped, plus a
-    transmission-failure event for the data policy; after an Emergency,
-    nothing does.
+    latest started or heartbeat.  An attempt longer than `deadline`
+    without news gets its task re-published with the attempt bumped,
+    plus a transmission-failure event for the data policy; after an
+    Emergency, nothing does.
+
+    The deadline follows the pool's spare capacity.  It is k*H ticks,
+    but while a worker idles and no task waits for one (the fold's idle
+    and to-do tables) a backup costs nothing another task needs, so one
+    missed heartbeat, H + 1 ticks, is enough if that is sooner.  A
+    healthy job beats every H ticks, so only a stalled or dead worker
+    misses it.
     """
 
     id = MONITOR
@@ -614,15 +623,23 @@ class Monitor:
         return self.bus.heard.get((tid, attempt), assigned)
 
     @property
-    def wake(self) -> float:  # when the oldest attempt passes k*H ticks
+    def deadline(self) -> int:
+        """The ticks of silence an attempt in flight is allowed."""
+        patience = self.timeout_multiplier * self.heartbeat_period
+        if self.bus.idle and not self.bus.todo:
+            return min(patience, self.heartbeat_period + 1)
+        return patience
+
+    @property
+    def wake(self) -> float:  # when the oldest attempt passes the deadline
         oldest = min(map(self._last_seen, self.bus.inflight),
                      default=math.inf)
-        return oldest + self.timeout_multiplier * self.heartbeat_period + 1
+        return oldest + self.deadline + 1
 
     def step(self, now: int) -> None:
         if self.bus.log.tally.reason is not None:  # the run has ended
             return
-        deadline = self.timeout_multiplier * self.heartbeat_period
+        deadline = self.deadline
         for tid in sorted(self.bus.inflight):
             if now - self._last_seen(tid) <= deadline:
                 continue

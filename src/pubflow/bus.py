@@ -14,13 +14,18 @@ scheduler need not ask every actor.
 
 Counts, tables and audit violations all come from one fold of the log,
 LogTally, made as each envelope is logged or from a parsed log file.
-Its three tables keep state as a compacted topic would, the latest
+Its tables keep state as a compacted topic would, the latest
 publication winning: the spec table (the bus's `specs`) holds the spec
 of each TasksToDo `task`, and the last-heard table (`heard`) the tick
 of the latest `started` or `heartbeat`, each by task id and attempt;
 the in-flight table (`inflight`) holds a task's latest assignment
 until that attempt's result, an ok verdict or the monitor's
-republication.  A reader of the tables needs no mail.
+republication.  The idle table (`idle`) holds each worker that sent a
+`volunteer` or a `result` since its last assignment, and the to-do
+table (`todo`) each task released on TasksToDo with an attempt above
+its last assigned one, until its assignment or ok verdict: the
+coordinator's pool and unassigned tasks, as its mail tells it them.
+A reader of the tables needs no mail.
 
 The log is line-oriented JSON, one object per envelope:
 {"seq": ..., "ts": ..., "channel": ..., "kind": ..., "sender": ..., "payload": ...}
@@ -107,10 +112,11 @@ class Envelope:
 class LogTally:
     """The one fold of the log, one record at a time: from EventLog.append
     as a run writes them, or from a parsed log file.  It holds every
-    count a report shows, by (channel, kind) pair, the spec, last-heard
-    and in-flight tables the actors read, and the state of both audits:
-    lifecycle_audit's violations in log order, and the started records
-    and first ok verdicts that precedence_audit compares."""
+    count a report shows, by (channel, kind) pair, the spec, last-heard,
+    in-flight, idle and to-do tables the actors read, and the state of
+    both audits: lifecycle_audit's violations in log order, and the
+    started records and first ok verdicts that precedence_audit
+    compares."""
 
     pairs: dict[tuple[str, str], int] = field(default_factory=dict)
     attempts: dict[str, int] = field(default_factory=dict)  # highest per task
@@ -131,6 +137,13 @@ class LogTally:
     heard: dict[tuple[str, int], int] = field(default_factory=dict)
     # task -> (attempt, tick) of its latest assignment, while in flight
     inflight: dict[str, tuple[int, int]] = field(default_factory=dict)
+    # workers that sent a volunteer or a result since their last assignment
+    idle: set[str] = field(default_factory=set)
+    # tasks waiting for a worker: a TasksToDo task record whose attempt is
+    # above the task's last assigned one (dispatched) adds its task, and
+    # an assignment or ok verdict removes it
+    todo: set[str] = field(default_factory=set)
+    dispatched: dict[str, int] = field(default_factory=dict)
     # task -> the spec of its latest task record, on either channel
     latest: dict[str, dict] = field(default_factory=dict)
     waiting: set[str] = field(default_factory=set)  # tasks on WaitingTasks
@@ -152,7 +165,7 @@ class LogTally:
         elif kind == "task":
             tid, attempt = payload["task_id"], payload["attempt"]
             self.attempts[tid] = max(self.attempts.get(tid, 1), attempt)
-            if record["sender"] == MONITOR:  # a k*H timeout
+            if record["sender"] == MONITOR:  # a silence timeout
                 self.timeouts += 1
                 self.inflight.pop(tid, None)
             spec = payload.get("spec")
@@ -172,15 +185,26 @@ class LogTally:
                         "without a WaitingTasks publication")
                 if spec is not None:
                     self.specs.setdefault(tid, {})[attempt] = spec
+                if attempt > self.dispatched.get(tid, 0):
+                    self.todo.add(tid)
         elif kind == "assignment":
             tid, attempt = payload["task_id"], payload["attempt"]
+            wid = payload["worker_id"]
             if tid in self.specs:
                 self.inflight[tid] = (attempt, ts)
             if attempt not in self.specs.get(tid, ()):
                 self.lifecycle.append(
                     f"assignment for {tid} attempt {attempt} "
                     f"(seq {record['seq']}) without a task publication")
+            if wid in self.idle:
+                self.idle.remove(wid)
+            else:
+                self.lifecycle.append(
+                    f"assignment for {tid} attempt {attempt} "
+                    f"(seq {record['seq']}) to {wid}, which is not idle")
             self.assigned.add((tid, attempt))
+            self.dispatched[tid] = attempt
+            self.todo.discard(tid)
         elif kind == "started":
             key = (payload["task_id"], payload["attempt"])
             if key not in self.assigned:
@@ -198,14 +222,18 @@ class LogTally:
                     f"(seq {record['seq']}) without a started message")
             if self.inflight.get(tid, (None,))[0] == attempt:
                 del self.inflight[tid]
+            self.idle.add(payload["worker_id"])
             if self.reason is None:  # none is read after the Emergency
                 if tid in self.verified:
                     self.duplicates += 1
                 else:
                     self.unverified.setdefault(tid, []).append(attempt)
+        elif kind == "volunteer":
+            self.idle.add(payload["worker_id"])
         elif kind == "verdict" and payload["ok"]:
             tid = payload["task_id"]
             self.inflight.pop(tid, None)
+            self.todo.discard(tid)
             if tid in self.verified:
                 self.lifecycle.append(
                     f"task {tid} received a second ok verdict "
@@ -294,11 +322,12 @@ class InProcessBus:
         self._subs: dict[str, list[str]] = {c: [] for c in CHANNEL_CATALOG}
         self.mail: set[str] = set()  # actors with undrained envelopes
         self.log = EventLog()
-        # the fold's spec, last-heard and in-flight tables, which the
-        # actors read
+        # the fold's tables, which the actors read
         self.specs = self.log.tally.specs
         self.heard = self.log.tally.heard
         self.inflight = self.log.tally.inflight
+        self.idle = self.log.tally.idle
+        self.todo = self.log.tally.todo
 
     # -- registry ---------------------------------------------------------
 

@@ -49,13 +49,17 @@ import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from enum import Enum
-from hashlib import blake2b
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Mapping, Optional
 from urllib.parse import quote
 
 from .errors import InvalidStage, MissingInput, SchemaError
 from .model import KernelSpec, dump, load
+
+try:  # CPython's own BLAKE2: hashlib would load OpenSSL's _hashlib first
+    from _blake2 import blake2b
+except ImportError:  # an interpreter without it
+    from hashlib import blake2b
 
 if TYPE_CHECKING:
     import numpy as np

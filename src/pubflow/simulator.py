@@ -24,11 +24,12 @@ due: after a tick with mail left on the bus it goes on to the next
 tick, and otherwise it jumps to the earliest wake, scheduled departure
 or crash, or the horizon.  A running job wakes its worker only for a
 heartbeat or its result, so a long job costs its heartbeats, not its
-ticks.  The monitor has no mail (it reads the bus's in-flight and
-last-heard tables), and nobody subscribes to TasksInProgress, so a
-heartbeat does not keep the loop on the next tick.  The exception is a
-live worker with a crash_prob: its death roll is one RNG draw per tick
-from its arrival on, so while it lives the loop visits every tick.
+ticks.  The monitor has no mail (it reads the bus's in-flight,
+last-heard, idle and to-do tables), and nobody subscribes to
+TasksInProgress, so a heartbeat does not keep the loop on the next
+tick.  The exception is a live worker with a crash_prob: its death roll
+is one RNG draw per tick from its arrival on, so while it lives the loop
+visits every tick.
 
 All randomness flows through a single random.Random(seed), so identical
 inputs produce byte-identical event logs; the loop ends in the tick of
@@ -389,6 +390,8 @@ def lifecycle_audit(
       * a task record without a spec follows one of its task with a spec
       * per (task, attempt): assignment after task publication, started
         after assignment, results after started
+      * an assignment goes to an idle worker: one that sent a volunteer
+        or a result since its last assignment (the fold's idle table)
       * at most one ok verdict per task id
     """
     return list(_fold(log).lifecycle)

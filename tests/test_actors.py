@@ -1072,6 +1072,75 @@ class TestMonitor:
         assert len(bus.log.lines) == sent and mon.timeouts == 0
 
 
+def spare_rig(heartbeat, k, pool=("w1", "w2"), waiting=False):
+    """w1 runs a's attempt 1 from tick 0; the others in `pool` offered
+    themselves and idle.  With `waiting`, task b is released too and no
+    worker has it."""
+    bus, mon = monitor_rig(heartbeat=heartbeat, k=k)
+    for wid in pool:
+        volunteer(bus, wid, "a")
+    feed_assignment(bus, ts=0)
+    if waiting:
+        publish_task(bus, noop_task("b"))
+    return bus, mon
+
+
+def first_timeout(bus, mon, until=100):
+    """The first tick at which stepping the monitor republishes a task,
+    stepping it at every tick; None if none does by `until`."""
+    for now in range(bus.now, until):
+        bus.now = now
+        mon.step(now)
+        if mon.timeouts:
+            return now
+    return None
+
+
+class TestFailureDetector:
+    """The monitor's deadline follows the fold's idle and to-do tables:
+    one missed heartbeat while a worker idles and no task waits, k*H
+    ticks otherwise, and never later than k*H."""
+
+    def test_spare_capacity_gives_one_missed_heartbeat(self):
+        bus, mon = spare_rig(heartbeat=5, k=3)
+        assert (bus.idle, bus.todo) == ({"w2"}, set())
+        assert mon.deadline == 6
+        assert mon.wake == 7
+        assert first_timeout(bus, mon) == 7
+
+    def test_a_waiting_task_gives_k_times_h(self):
+        bus, mon = spare_rig(heartbeat=5, k=3, waiting=True)
+        assert (bus.idle, bus.todo) == ({"w2"}, {"b"})
+        assert mon.deadline == 15
+        assert mon.wake == 16
+        assert first_timeout(bus, mon) == 16
+
+    def test_an_empty_pool_gives_k_times_h(self):
+        bus, mon = spare_rig(heartbeat=5, k=3, pool=("w1",))
+        assert (bus.idle, bus.todo) == (set(), set())
+        assert mon.deadline == 15
+        assert first_timeout(bus, mon) == 16
+
+    def test_k_of_one_gives_k_times_h(self):
+        """H + 1 would be later than k*H = H: the deadline stays H."""
+        bus, mon = spare_rig(heartbeat=5, k=1)
+        assert (bus.idle, bus.todo) == ({"w2"}, set())
+        assert mon.deadline == 5
+        assert first_timeout(bus, mon) == 6
+
+    def test_the_deadline_moves_with_the_tables(self):
+        """An attempt silent for 10 ticks is fine while b waits; once b
+        is assigned to w2 at tick 10 and w3 offers itself, nothing waits
+        and a worker idles, so the attempt is overdue in that tick."""
+        bus, mon = spare_rig(heartbeat=5, k=3, waiting=True)
+        assert first_timeout(bus, mon, until=11) is None
+        assign(bus, "b", "w2")
+        assert (bus.idle, bus.todo) == (set(), set())
+        volunteer(bus, "w3", "b")
+        assert mon.deadline == 6 and mon.wake == 7
+        assert first_timeout(bus, mon) == 10
+
+
 # ----------------------------------------------------------------- checker
 
 def checker_rig(tmp_path, validators=None):

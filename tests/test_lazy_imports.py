@@ -1,9 +1,11 @@
 """What a fresh interpreter loads: numpy and pubflow.adapt only for ADAPT
 work, subprocess only for the shell kernel, the XML parser only for XML
-documents, and logging never (the event log is the one record of a
-run).  Each check runs in its own interpreter, since this one has long
-since loaded everything."""
+documents, logging never (the event log is the one record of a run), and
+hashlib never (it loads OpenSSL's _hashlib; checksums take blake2b from
+CPython's _blake2).  Each check runs in its own interpreter, since this
+one has long since loaded everything."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -15,7 +17,7 @@ import pytest
 from pubflow import cli
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-LAZY = ("logging", "numpy", "pubflow.adapt", "subprocess",
+LAZY = ("hashlib", "logging", "numpy", "pubflow.adapt", "subprocess",
         "xml.etree.ElementTree")
 
 # Prepended to every probe: which of LAZY are loaded, and a way to print
@@ -123,6 +125,29 @@ answer(before=before, after=loaded())
         doc = fresh(RUN_CLI, "validate", "--format", "xml", "wf.xml",
                     cwd=tmp_path)
         assert doc == {"code": 0, "loaded": ["xml.etree.ElementTree"]}
+
+
+class TestChecksumsWithoutHashlib:
+    """checksum_hex takes blake2b from CPython's _blake2 and, on an
+    interpreter without that module, from hashlib; either way its
+    checksums are hashlib.blake2b's, cut to 8 bytes."""
+
+    DATA = [b"", b"abc", bytes(range(256)) * 3]
+
+    @pytest.mark.parametrize("without_blake2", [False, True])
+    def test_checksums_match_hashlib_blake2b(self, tmp_path,
+                                             without_blake2):
+        doc = fresh(f"""
+if {without_blake2!r}:
+    import hashlib  # binds its blake2b before _blake2 is hidden
+    sys.modules["_blake2"] = None
+from pubflow import checksum_hex
+answer(loaded=loaded(), sums=[checksum_hex(d) for d in {self.DATA!r}])
+""", cwd=tmp_path)
+        assert doc == {
+            "loaded": ["hashlib"] if without_blake2 else [],
+            "sums": [hashlib.blake2b(d, digest_size=8).hexdigest()
+                     for d in self.DATA]}
 
 
 class TestRegistryLoadsAdaptOnAMiss:

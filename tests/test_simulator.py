@@ -90,6 +90,26 @@ def keep(monkeypatch, *classes):
     return made
 
 
+def watch_tables(monkeypatch):
+    """Check the fold's idle and to-do tables against the Coordinator's
+    own pool and unassigned tasks after each of its steps while the run
+    goes on (after the Emergency it reads no further mail).  Returns a
+    list that gets (tick, fold's idle, fold's to-do) for each step where
+    they differ."""
+    drift = []
+    step = actors.Coordinator.step
+
+    def checked(self, now):
+        step(self, now)
+        tally = self.bus.log.tally
+        if tally.reason is None and \
+                (tally.idle, tally.todo) != (self.idle, self.todo):
+            drift.append((now, sorted(tally.idle), sorted(tally.todo)))
+
+    monkeypatch.setattr(actors.Coordinator, "step", checked)
+    return drift
+
+
 ONE_WORKER = Scenario(seed=1, horizon=50,
                       workers=(WorkerSpec(worker_id="w1"),))
 
@@ -187,7 +207,9 @@ class TestCrashRecovery:
                        and r["payload"]["attempt"] == 2]
         assert len(republished) == 1
         assert republished[0]["sender"] == "monitor"
-        assert republished[0]["ts"] == 14  # silence noticed at 7 + 2*3 + 1
+        # w2 idles and no task waits, so the deadline is one missed
+        # heartbeat, min(2*3, 3 + 1): silence noticed at 7 + 4 + 1
+        assert republished[0]["ts"] == 12
         dlc = [r for r in records if r["kind"] == "dlc"]
         assert len(dlc) == 1
         verdicts = [r for r in records if r["kind"] == "verdict"]
@@ -196,7 +218,7 @@ class TestCrashRecovery:
         starters = [r["payload"]["worker_id"] for r in records
                     if r["kind"] == "started"]
         assert starters == ["w1", "w2"]
-        assert report.makespan == 47
+        assert report.makespan == 45
         assert precedence_audit(log, batch) == []
         assert lifecycle_audit(log) == []
 
@@ -226,7 +248,7 @@ class TestCrashRecovery:
         batch = batch_of(noop_task("t", duration=10.0))
         scenario = Scenario(
             seed=5, horizon=120, heartbeat_period=3, timeout_multiplier=2,
-            workers=(WorkerSpec(worker_id="w1", stall=(2, 8)),
+            workers=(WorkerSpec(worker_id="w1", stall=(2, 6)),
                      WorkerSpec(worker_id="w2")))
         report, log = run_simulation(batch, scenario)
         assert report.completed
@@ -234,6 +256,7 @@ class TestCrashRecovery:
         results = [r for r in records if r["kind"] == "result"]
         assert len(results) == 2  # both attempts really finished
         assert {r["payload"]["worker_id"] for r in results} == {"w1", "w2"}
+        assert results[0]["ts"] == results[1]["ts"]
         verdicts = [r for r in records if r["kind"] == "verdict"]
         assert len(verdicts) == 1 and verdicts[0]["payload"]["ok"]
         assert lifecycle_audit(log) == []
@@ -286,13 +309,21 @@ class TestCrashRecovery:
                          noop_task("b", deps=["a"], duration=30.0))
         scenario = Scenario(seed=1, horizon=300, workers=(
             WorkerSpec(worker_id="w0", stall=(5, 40)),
-            WorkerSpec(worker_id="w1", speed=0.5, crash=75)))
+            WorkerSpec(worker_id="w1", speed=0.4, crash=75)))
         path = tmp_path / "events.jsonl"
         report, log = run_simulation(batch, scenario, log_path=path)
         assert report.completed
         records = records_of(log)
-        ok_a = next(r["seq"] for r in records if r["kind"] == "verdict"
-                    and r["payload"]["task_id"] == "a")
+        verdict_a = next(r for r in records if r["kind"] == "verdict"
+                         and r["payload"]["task_id"] == "a")
+        assert verdict_a["payload"]["attempt"] == 1
+        ok_a = verdict_a["seq"]
+        assert ("a", 2) in {(r["payload"]["task_id"], r["payload"]["attempt"])
+                            for r in records if r["kind"] == "started"
+                            and r["payload"]["worker_id"] == "w1"}
+        assert not any(r["kind"] == "result"
+                       and r["payload"]["worker_id"] == "w1"
+                       for r in records)  # w1 died mid-attempt 2
         late = [r for r in records if r["seq"] > ok_a
                 and r["sender"] == "monitor"
                 and r["kind"] in ("task", "dlc")
@@ -872,6 +903,26 @@ class TestAudits:
         violations = lifecycle_audit(renumbered(records))
         assert any("second ok verdict" in v for v in violations)
 
+    def test_assignment_to_a_worker_outside_the_pool_is_flagged(self):
+        """w1 runs a, then b: without a's result, w1 is busy when b is
+        assigned to it; without the offers, w1 had not joined the pool
+        when a was assigned to it."""
+        _, records = chain_run()
+        assert [r["payload"]["worker_id"] for r in records
+                if r["kind"] == "assignment"] == ["w1", "w1"]
+        busy = [r for r in records if r["kind"] != "result"
+                or r["payload"]["task_id"] != "a"]
+        assert [v for v in lifecycle_audit(renumbered(busy))
+                if "not idle" in v] == [
+            f"assignment for b attempt 1 (seq {seq}) to w1, which is "
+            "not idle"
+            for seq, r in enumerate(busy, start=1)
+            if r["kind"] == "assignment" and r["payload"]["task_id"] == "b"]
+        unoffered = [r for r in records if r["kind"] != "volunteer"]
+        assert [v.split(" (")[0] for v in
+                lifecycle_audit(renumbered(unoffered))] == [
+            "assignment for a attempt 1"]  # then w1's result pools it
+
     def test_todo_without_waiting_is_flagged(self):
         _, records = chain_run()
         records = [r for r in records
@@ -978,7 +1029,7 @@ ASSIGNMENT_GOLDEN = {
         "d09894c6269b407fb9cd72a23df3b93b4cb7dcf3a5b3a4999e83dfc36501eb1b"),
     "adapt-unfold": (
         _adapt_unfold,
-        "d9a4254cb263859b486562345af20a2c5d67d213682b28f9149264e05c47bd56"),
+        "8e20864911232524a4dfe984f9882bc81d7c28e5291f1a27613ee44ef4cc7548"),
 }
 
 
@@ -999,9 +1050,9 @@ def offers_of(records):
 # bytes must say which bytes changed and why.
 LOG_GOLDEN = {
     ("adapt-unfold", 0):
-        "e8bffab727f2ff53d1663f2b649422b70129158bdcc705217286817abedf1cac",
+        "1a6fa0433dd59a3ed3844e8f77ef57abf433d0a22120ca9afaf88380b5c8c6aa",
     ("adapt-unfold", 2):
-        "e8bffab727f2ff53d1663f2b649422b70129158bdcc705217286817abedf1cac",
+        "1a6fa0433dd59a3ed3844e8f77ef57abf433d0a22120ca9afaf88380b5c8c6aa",
     ("chain", 0):
         "8080a298cb7ca575ae8108abdb5be361537d0dc674e861668d417974b84e84f1",
     ("chain", 2):
@@ -1266,7 +1317,9 @@ def _attempts_run_out():
 def _stall_mid_job():
     """w1 runs a at speed 0.7 and freezes from tick 4 to 8, over the
     heartbeat ticks 5 and 7; its heartbeats resume on their phase at 9
-    and its result comes five ticks late."""
+    and its result comes five ticks late.  w2 idles and no task waits,
+    so the missed beats time a out at 7 and w2 runs a backup, which
+    w1's result still beats."""
     batch = batch_of(noop_task("a", duration=8.0),
                      noop_task("b", deps=["a"], duration=4.0))
     scenario = Scenario(seed=5, horizon=200, heartbeat_period=2,
@@ -1342,11 +1395,11 @@ EDGE_GOLDEN = {
         "b5ef2884d7d129d90540da8a9205e2d70d33999ba70518b3d6c3274c01947dd1",
         "2e72f81ee3bd803154d01e61d3aea7591cfc1d353e557460e0df1b205bf7eed9"),
     ("crash-mid-job", 0): (
-        "4a906a6603055f8ce7378c208c91b450f7cfa143b1e484fc7c677e9c426ebd58",
-        "3fccdb28c2074bd9adf5a76af3a0260fc39ef6ed0a4f24784401f33a89636766"),
+        "e1348a5f583c33bcbde900a117eff156867d10bf1620d89680f694f11e67f603",
+        "0796eaff76bb862f6a44e0a6d37d23eb5b81a96758a56a0abef90a4924cb69e4"),
     ("crash-mid-job", 2): (
-        "3db279cfa82b6e7815e5c619cde088da561a128e788a3e5088856e0d1a6cc7aa",
-        "3fccdb28c2074bd9adf5a76af3a0260fc39ef6ed0a4f24784401f33a89636766"),
+        "33b983b3ecb1bf56c54c850368b291b620cc2e45305eacc027477c34721fe24c",
+        "0796eaff76bb862f6a44e0a6d37d23eb5b81a96758a56a0abef90a4924cb69e4"),
     ("crash-prob-and-departure", 0): (
         "e1f3995ec9dd70951b99a022b489ac3242d658cc14926bdf707ddcf121d8f6eb",
         "9ce05a15872b96d929f25fbebdcd2e67f14a18701c9ca172e261a7a018156633"),
@@ -1354,11 +1407,11 @@ EDGE_GOLDEN = {
         "c941ea30c055830aeb831fa48301b91e1f69039c94740c07e7d85adcadb8211d",
         "5b66576cc4f04a3c1aa2e14d2d41f3312a97611392377c56f01c5018295a2cf7"),
     ("cut-by-horizon", 0): (
-        "401f13c6f20e28b6a4ad7ce71f395aec37c7d1133d62f589174d2548036a3a01",
-        "a215e90cc7ce0a58f21358393c366c361df4284adbacfc2c0a28bd540aedb871"),
+        "ed9ebe2eb102be8c5a4a3fd390d9aa3d1b5e13f8c12c9d46eb3c779ce8319e6c",
+        "ea8e259af962f0e106000f77a1e38d66c63d4f1671cbfdbf617665b49b1b06a5"),
     ("cut-by-horizon", 2): (
-        "228979e5a43c8d9612803f6bb880deaf2687d528379a9740e947f49f4bba2658",
-        "a215e90cc7ce0a58f21358393c366c361df4284adbacfc2c0a28bd540aedb871"),
+        "7726c9da5c8f1337f546ecd58eb5f8a0b26366b22d028c35386f6b09751efa3f",
+        "ea8e259af962f0e106000f77a1e38d66c63d4f1671cbfdbf617665b49b1b06a5"),
     ("departure-not-after-arrival", 0): (
         "2487c6bdfc546197fc55883faae2f432100916ba23fdf4b201bd3797b97ecb98",
         "87211ca760b15a932fc1e29289c0eadaa7984b347669ec2c28001f080cfac87f"),
@@ -1366,11 +1419,11 @@ EDGE_GOLDEN = {
         "2487c6bdfc546197fc55883faae2f432100916ba23fdf4b201bd3797b97ecb98",
         "87211ca760b15a932fc1e29289c0eadaa7984b347669ec2c28001f080cfac87f"),
     ("emergency-while-running", 0): (
-        "e7181d1ce6a18ecb90d1d2585c789056900268d185ab131907693c30b0e42dfb",
-        "a8effcf96e2d2b5c0ad77c765b58c7531fdc7d4eafdc77546fcacdb4c972c77a"),
+        "792ac62a6506956f18093e11c59bf25bd8a3593d292e0ac1aee67ca04df78714",
+        "11b2714d953ff1f46089dca8475927d4dc7c2995a8d4c3651cc170744d040d39"),
     ("emergency-while-running", 2): (
-        "15e036c437906b06de6442821a63793b96aaf763b4024ae7b186afeffb4fc002",
-        "a8effcf96e2d2b5c0ad77c765b58c7531fdc7d4eafdc77546fcacdb4c972c77a"),
+        "eb2799db9666346da66a180afb2a9eb45df35df5c31c4df5c71c88060148a287",
+        "11b2714d953ff1f46089dca8475927d4dc7c2995a8d4c3651cc170744d040d39"),
     ("horizon-mid-job", 0): (
         "fd2e8c461d85a2cf0395b77725a71c080448c901db9192ae1a321226da559ddb",
         "2474b9c3c17c393dd9500bd21e6868ae66eeae3e1b4fa0980e40e847ec94789b"),
@@ -1390,14 +1443,14 @@ EDGE_GOLDEN = {
         "a1d950475aab2a7d4faf0e182add213036948098aecc1db0c855ae3f033675b8",
         "c9515c28c023dfaab658843c8442707fc3c96d227bb181f2ab919c52d4c193b8"),
     ("quiet-faults", 0): (
-        "61fc8abedaa2b4559d76ea6b6982c99af9235d732c0cbfb3d9706d1255affd0e",
-        "b29c1e142bfcd04ff6b4709954468ca81f241577bfacd72f2cbb8f20fe1a58e3"),
+        "57da98f4137c425e93381fdb616d36cf6e9386df0a95a0dc51fcdde9ec95114e",
+        "4c6d0a066f73c85c9f4caf1e25d8690030b88381cbb67b69efcaf084ed71b9ba"),
     ("quiet-faults", 2): (
-        "76b7171c6e4ab4f89ebf8c9267d626eff9fc2be499e94740628ce408a9b55902",
-        "a96091424265519bebcde08d1bd62f63c5f76ee8b0a94a199ebe8559d4bf87f4"),
+        "e34ced9e688ab7951188c7f6b639b1ae6ef9c30a0da2106fa3b65fd932492f50",
+        "1b7250310c793d12a7e4a260eed4c135d0e819020727ad01416be34aa9bd4bad"),
     ("stall-mid-job", 0): (
-        "e141018b026129a4c96852b70bdb6012f4a8bbd843656191f8c32cb5462b00f0",
-        "84252679e8d2044ff3d1f1d32e612e2cd860ba747f1cf47680f63e02c76ca6c7"),
+        "e61adecfaaa9220d8c5b6e5f8435163aec63e52f3947f80896e19c949c85db29",
+        "3daf07d8981052d180366ed56dbf79e4bb4679427185555fcedcb675cda1926c"),
     ("stall-mid-job", 2): (
         "73f849ddf667a5b8f9ab03246874c81a1cc4af433bedfd284ba3e3c008a8f70a",
         "a83a65a78b8512a575dd9079fcc0331ed90874071305c0101c24dcc66b66bfd4"),
@@ -1495,7 +1548,6 @@ class TestVolunteerTraffic:
         offerers = [worker for _, _, worker in offers_of(records)]
         assert offerers
         assert len(offerers) == len(set(offerers))
-        assert pool_violations(records) == []
         assert precedence_audit(log, batch) == []
         assert lifecycle_audit(log) == []
 
@@ -1549,25 +1601,6 @@ class TestVolunteerTraffic:
         assert lifecycle_audit(log) == []
 
 
-def pool_violations(records):
-    """Assignments made to a worker outside the idle pool, as (seq, task,
-    worker): to one assigned a task since its last result or volunteer.
-    Such a worker is busy, stalled or dead, and only its own word puts it
-    back in the pool; a Monitor timeout does not."""
-    assigned: set[str] = set()  # workers not heard from since assigned
-    violations = []
-    for record in records:
-        kind, payload = record["kind"], record["payload"]
-        if kind == "assignment":
-            if payload["worker_id"] in assigned:
-                violations.append((record["seq"], payload["task_id"],
-                                   payload["worker_id"]))
-            assigned.add(payload["worker_id"])
-        elif kind in ("result", "volunteer"):
-            assigned.discard(payload["worker_id"])
-    return violations
-
-
 def _flat_noop_seed_2():
     """The benchmark's flat-noop workload at seed 2: 200 duration-1 noops
     with random ids on 16 workers; w03 stalls while running a task."""
@@ -1586,7 +1619,8 @@ def _flat_noop_seed_2():
 class TestSilentWorkersStayOutOfThePool:
     """A monitor timeout once freed the silent worker, so the coordinator
     handed a stalled or dead worker a task it could not run, and only a
-    second k*H timeout recovered that task."""
+    second timeout recovered that task.  lifecycle_audit reports an
+    assignment to a worker outside the fold's idle table."""
 
     def test_stalled_worker_is_not_assigned_until_its_result(self):
         batch, scenario = _flat_noop_seed_2()
@@ -1594,7 +1628,7 @@ class TestSilentWorkersStayOutOfThePool:
         report, log = run_simulation(batch, scenario)
         assert report.completed
         records = records_of(log)
-        assert pool_violations(records) == []
+        assert lifecycle_audit(records) == []
         timed_out = {r["payload"]["task_id"] for r in records
                      if r["kind"] == "task" and r["sender"] == "monitor"}
         w03 = [r["payload"]["task_id"] for r in records
@@ -1614,7 +1648,36 @@ class TestSilentWorkersStayOutOfThePool:
         records = records_of(log)
         assert any(r["kind"] == "task" and r["sender"] == "monitor"
                    for r in records)
-        assert pool_violations(records) == []
+        assert lifecycle_audit(records) == []
+
+
+def test_fold_tables_follow_the_coordinator_through_an_unfold(
+        monkeypatch):
+    """The adapt-unfold golden splices tasks into the batch and crashes
+    a worker; the fold's tables equal the Coordinator's throughout."""
+    drift = watch_tables(monkeypatch)
+    batch, scenario, _ = _adapt_unfold()
+    report, log = run_simulation(batch, scenario)
+    assert report.completed
+    assert drift == []
+    assert any("/" in r["payload"]["task_id"] for r in records_of(log)
+               if r["kind"] == "assignment")
+
+
+@given(batch=noop_dags(),
+       scenario=scenarios(max_tick=50, max_heartbeat=4, min_workers=1))
+@settings(max_examples=60, deadline=None)
+def test_a_pool_without_faults_is_never_suspected(batch, scenario):
+    """Without crashes, stalls or departures every job beats every H
+    ticks, so even the one-missed-heartbeat deadline never fires: the
+    monitor republishes nothing."""
+    scenario = dataclasses.replace(scenario, horizon=2000, workers=tuple(
+        dataclasses.replace(ws, departure=None, crash=None, crash_prob=0.0,
+                            stall=None)
+        for ws in scenario.workers))
+    report, log = run_simulation(batch, scenario)
+    assert report.timeouts == 0
+    assert not any(r["sender"] == "monitor" for r in records_of(log))
 
 
 @given(batch=noop_dags(),
@@ -1625,8 +1688,8 @@ class TestSilentWorkersStayOutOfThePool:
 def test_random_runs_are_clean_deterministic_and_finish(batch, scenario,
                                                          horizon, tame):
     """Random noop DAGs under random scenarios whose faults fall in the
-    first 100 ticks: both audits pass, a second run gives the same
-    bytes, no silent worker re-enters the pool, and a pool without
+    first 100 ticks: both audits pass (so no silent worker re-enters
+    the pool), a second run gives the same bytes, and a pool without
     faults finishes the batch."""
     scenario = tamed(scenario) if tame else \
         dataclasses.replace(scenario, horizon=horizon)
@@ -1636,6 +1699,5 @@ def test_random_runs_are_clean_deterministic_and_finish(batch, scenario,
     records = records_of(log)
     assert precedence_audit(records, batch) == []
     assert lifecycle_audit(records) == []
-    assert pool_violations(records) == []
     if tame:
         assert report.completed
