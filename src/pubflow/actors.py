@@ -10,14 +10,14 @@ like this:
   broker       publishes every task on WaitingTasks, in id order, and
                listens to nothing
   coordinator  takes the batch from `adopt`, not from WaitingTasks, and
-               releases its roots to TasksToDo; keeps a pool of idle
-               workers ranked as select_worker ranks them, assigns each
-               ToDo task, in id order, the first pooled worker capable of
-               it, addressing the assignment to that worker alone, and
-               ends the batch on Emergency, reading no further mail
-               once the fold has it; an ok verdict releases only the
-               finished task's dependents, and every task row change
-               passes model.check_transition
+               releases its roots to TasksToDo; keeps one row per task
+               and one pool of idle workers, ranked as select_worker
+               ranks them; assigns each ToDo task, in id order, the first
+               pooled worker capable of it, addressing the assignment to
+               that worker alone; ends the batch on Emergency, reading no
+               further mail once the fold has it; an ok verdict releases
+               only the finished task's dependents, and every task row
+               change passes model.check_transition
   workers      volunteer once, when they first see an open task they are
                capable of, and then hear only the assignments addressed
                to them; execute each with the spec of its attempt,
@@ -45,7 +45,7 @@ speaks again.  A worker that ignores an assignment, because that
 attempt was never published on TasksToDo, volunteers again so it does
 not drop out of the pool.
 
-No worker is scored per task and no ToDo set is sorted per step: a
+No worker is scored per task and no ToDo row is sorted per step: a
 worker is ranked once, when it joins the pool (again only if it
 re-volunteers with another profile), and the sweep pops ToDo ids from a
 heap, so a coordinator step costs the assignments it makes, not T or W.
@@ -61,7 +61,7 @@ step then counts the quiet ticks in between, skipping its stall window.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from random import Random
@@ -191,11 +191,9 @@ class Coordinator:
         self.status: dict[str, tuple[TaskState, int]] = {}
         self.profiles: dict[str, WorkerProfile] = {}
         self.ranks: dict[str, tuple[float, str]] = {}  # rank of each profile
-        self.idle: set[str] = set()             # workers free for a task
-        self.pool: list[tuple[float, str]] = []  # their ranks, sorted
-        self.todo: set[str] = set()             # unassigned ToDo tasks
-        # `todo` ids as a heap; an id may also appear after it left `todo`
-        # (stale) or more than once (re-entered), which the sweep skips
+        self.pool: list[tuple[float, str]] = []  # idle workers' ranks, sorted
+        # the ids of ToDo rows as a heap; an id may also appear after its row
+        # left ToDo (stale) or more than once (re-entered): the sweep skips it
         self.queue: list[str] = []
         self.finished: set[str] = set()
 
@@ -207,8 +205,8 @@ class Coordinator:
 
     def _snapshot(self) -> ResourceSnapshot:
         caps: set[str] = set()
-        for wid in sorted(self.profiles):
-            caps |= self.profiles[wid].capabilities
+        for profile in self.profiles.values():
+            caps |= profile.capabilities
         sizes = self.dataset_sizes() if self.dataset_sizes else {}
         return ResourceSnapshot(
             available_workers=len(self.profiles),
@@ -289,17 +287,14 @@ class Coordinator:
 
     def _move(self, tid: str, state: TaskState, attempt: int) -> None:
         """The one writer of a task's row, through check_transition once it
-        exists; keeps `todo` and `finished` in step."""
+        exists; queues a ToDo row for the sweep and fills `finished`."""
         if tid in self.status:
             current, current_attempt = self.status[tid]
             check_transition(current, state, current_attempt, attempt)
         self.status[tid] = (state, attempt)
         if state is TaskState.TODO:
-            self.todo.add(tid)
             heappush(self.queue, tid)
-        else:
-            self.todo.discard(tid)
-        if state is TaskState.FINISHED:
+        elif state is TaskState.FINISHED:
             self.finished.add(tid)
 
     def _on_volunteer(self, wid: str, payload: dict) -> None:
@@ -311,15 +306,19 @@ class Coordinator:
             self.ranks[wid] = rank(profile, self.sla)
         self._join(wid)
 
+    # A worker is idle when its `ranks` key, unique as it ends in its id,
+    # is in `pool`: the one record of who is idle.
     def _join(self, wid: str) -> None:
-        if wid not in self.idle:
-            self.idle.add(wid)
-            insort(self.pool, self.ranks[wid])
+        key = self.ranks[wid]
+        at = bisect_left(self.pool, key)
+        if self.pool[at:at + 1] != [key]:
+            self.pool.insert(at, key)
 
     def _leave(self, wid: str) -> None:
-        if wid in self.idle:
-            self.idle.remove(wid)
-            del self.pool[bisect_left(self.pool, self.ranks[wid])]
+        key = self.ranks.get(wid, ())  # an unranked worker: sorts first
+        at = bisect_left(self.pool, key)
+        if self.pool[at:at + 1] == [key]:
+            del self.pool[at]
 
     def _on_republished(self, env: Envelope) -> None:
         """Monitor or checker pushed a task back to ToDo with attempt+1."""
@@ -334,16 +333,15 @@ class Coordinator:
     def _on_verdict(self, env: Envelope) -> None:
         """An ok verdict releases, in id order, each Waiting dependent whose
         deps are all finished (Kahn); a failed one ends the batch."""
-        tid = env.payload["task_id"]
         if not env.payload["ok"]:
             self._emergency("failed")
             return
-        if tid in self.finished:
+        tid = env.payload["task_id"]
+        row = self.status.get(tid)
+        if row is None or row[0] is TaskState.FINISHED:
             return
-        self._move(tid, TaskState.FINISHED,
-                   self.status.get(tid, (None, 1))[1])
-        if self.batch is None or tid not in self.batch.tasks:
-            return
+        self._move(tid, TaskState.FINISHED, row[1])
+        assert self.batch is not None
         ready = [nid for nid in self.batch.dependents[tid]
                  if self.status[nid][0] is TaskState.WAITING
                  and self.batch.tasks[nid].deps <= self.finished]
@@ -358,7 +356,7 @@ class Coordinator:
     # -- per-step passes ----------------------------------------------------
 
     def _sweep_assignments(self) -> None:
-        """Match the tasks in `todo`, the unassigned ToDo tasks, in id
+        """Match the ToDo rows of `status`, the unassigned tasks, in id
         order, against the idle pool; each winner, the first pooled worker
         capable of the task (select_worker's choice), leaves the pool.
         Stops once the pool is empty; each task that found no worker goes
@@ -366,8 +364,9 @@ class Coordinator:
         unplaced: list[str] = []
         while self.pool and self.queue:
             tid = heappop(self.queue)
+            state, attempt = self.status[tid]
             # stale, or a duplicate: a task's entries pop one after another
-            if tid not in self.todo or (unplaced and unplaced[-1] == tid):
+            if state is not TaskState.TODO or unplaced[-1:] == [tid]:
                 continue
             assert self.batch is not None
             caps = self.batch.tasks[tid].required_caps
@@ -377,7 +376,6 @@ class Coordinator:
                 unplaced.append(tid)
                 continue
             self._leave(winner)
-            attempt = self.status[tid][1]
             self._move(tid, TaskState.IN_PROGRESS, attempt)
             self.bus.publish(self.id, TASKS_TO_DO, "assignment",
                              {"task_id": tid, "worker_id": winner,

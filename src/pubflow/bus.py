@@ -23,17 +23,21 @@ until that attempt's result, an ok verdict or the monitor's
 republication.  The idle table (`idle`) holds each worker that sent a
 `volunteer` or a `result` since its last assignment, and the to-do
 table (`todo`) each task released on TasksToDo with an attempt above
-its last assigned one, until its assignment or ok verdict: the
-coordinator's pool and unassigned tasks, as its mail tells it them.
-A reader of the tables needs no mail.
+its last assigned one, until its assignment or ok verdict.  These two
+mirror, from the log alone, the workers in the coordinator's pool and
+the ToDo rows of its task table; the coordinator keeps its own records
+and reads neither, so the two can be checked against each other.  A
+reader of the tables needs no mail.
 
 The log is line-oriented JSON, one object per envelope:
-{"seq": ..., "ts": ..., "channel": ..., "kind": ..., "sender": ..., "payload": ...}
+{"seq": ..., "ts": ..., "channel": ..., "kind": ..., "sender": ...,
+ "payload": ...}
 Each fact is logged once.  A `task` record carries its spec only when
 the spec differs from the task's latest one in the log: on WaitingTasks,
 and on TasksToDo for a spliced task or a dependent whose deps an unfold
-rewired.  The fold fills an omitted spec from its `latest` table.  A `verdict` carries no outputs, which its verified result
-logged, and a `result` no elapsed time.  An older log, whose every task
+rewired.  The fold fills an omitted spec from its `latest` table.  A
+`verdict` carries no outputs, which its verified result logged, and a
+`result` no elapsed time.  An older log, whose every task
 record carries its spec, still reads: its extra fields are ignored.
 Identical runs produce byte-identical logs; nothing non-deterministic is
 ever written.

@@ -196,6 +196,17 @@ def assignments_in(bus):
             if json.loads(line)["kind"] == "assignment"]
 
 
+def pooled(coord):
+    """The workers in the Coordinator's ranked pool: the idle ones."""
+    return {wid for _, wid in coord.pool}
+
+
+def todo_rows(coord):
+    """The tasks whose Coordinator row is ToDo: the unassigned ones."""
+    return {tid for tid, (state, _) in coord.status.items()
+            if state is TaskState.TODO}
+
+
 class TestCoordinator:
     def test_adopt_releases_the_roots_right_after_the_broker(self):
         """Every task gets a Waiting row, the roots go to TasksToDo in id
@@ -268,7 +279,7 @@ class TestCoordinator:
         coord.step(1)
         got = assignments_in(bus)
         assert len(got) == 1 and got[0]["task_id"] == "a"
-        assert coord.idle == set()
+        assert pooled(coord) == set()
         verdict(bus, "a")
         coord.step(2)
         assert len(assignments_in(bus)) == 1
@@ -298,7 +309,7 @@ class TestCoordinator:
         coord.step(0)
         result(bus, "ghost", "a")
         coord.step(1)
-        assert coord.idle == set() and assignments_in(bus) == []
+        assert pooled(coord) == set() and assignments_in(bus) == []
 
     def test_verdict_releases_dependents(self):
         batch = batch_of(noop_task("a"), noop_task("b", deps=["a"]))
@@ -346,14 +357,14 @@ class TestCoordinator:
         coord.step(0)
         volunteer(bus, "w1", "a")
         coord.step(1)
-        assert coord.idle == set()
+        assert pooled(coord) == set()
         spec = json.loads(bus.log.dumps().splitlines()[0]
                           )["payload"]["spec"]
         bus.publish("monitor", Channel.TASKS_TO_DO, "task",
                     {"task_id": "a", "attempt": 2, "spec": spec})
         coord.step(2)
         assert coord.status["a"] == (TaskState.TODO, 2)
-        assert coord.idle == set()
+        assert pooled(coord) == set()
         assert len(assignments_in(bus)) == 1
         # another worker joining the pool gets attempt 2
         volunteer(bus, "w2", "a", attempt=1)
@@ -399,7 +410,18 @@ class TestCoordinator:
                     {"task_id": "ghost", "attempt": 2, "spec": spec})
         coord.step(1)
         assert "ghost" not in coord.status
-        assert coord.todo == {"a"}
+        assert todo_rows(coord) == {"a"}
+
+    def test_verdict_for_unknown_task_ignored(self):
+        """An ok verdict for a task the Coordinator has no row for writes
+        no row and finishes nothing."""
+        batch = batch_of(noop_task("a"))
+        bus, coord = wire(batch)
+        coord.step(0)
+        verdict(bus, "ghost")
+        coord.step(1)
+        assert "ghost" not in coord.status
+        assert "ghost" not in coord.finished
 
     def test_volunteer_naming_an_old_attempt_still_joins_the_pool(self):
         """An offer joins the pool whatever task it names; the assignment
@@ -433,7 +455,7 @@ class TestCoordinator:
             coord._move("b", TaskState.TODO, 1)  # attempt 2 -> 1
         assert coord.status == {"a": (TaskState.FINISHED, 1),
                                 "b": (TaskState.TODO, 2)}
-        assert coord.todo == {"b"} and coord.finished == {"a"}
+        assert todo_rows(coord) == {"b"} and coord.finished == {"a"}
 
 
 class TestCoordinatorSweep:
@@ -451,12 +473,12 @@ class TestCoordinatorSweep:
         coord.step(2)
         assert [(a["task_id"], a["worker_id"]) for a in assignments_in(bus)] \
             == [("b", "w1")]
-        assert coord.todo == {"a"} and coord.idle == {"w1"}
+        assert todo_rows(coord) == {"a"} and pooled(coord) == {"w1"}
         volunteer(bus, "g1", "a", caps=("gpu",), reliability=0.1)
         coord.step(3)
         assert assignments_in(bus)[-1] == \
             {"task_id": "a", "worker_id": "g1", "attempt": 1}
-        assert coord.todo == set() and coord.idle == {"w1"}
+        assert todo_rows(coord) == set() and pooled(coord) == {"w1"}
 
     def test_reentered_task_is_assigned_once_per_sweep(self):
         """Two republications while the task waits leave three heap
@@ -476,7 +498,7 @@ class TestCoordinatorSweep:
         assert assignments_in(bus) == [
             {"task_id": "a", "worker_id": "w1", "attempt": 3},
             {"task_id": "b", "worker_id": "w2", "attempt": 1}]
-        assert coord.idle == {"w3"} and coord.queue == []
+        assert pooled(coord) == {"w3"} and coord.queue == []
 
     def test_unplaced_task_goes_back_on_the_queue_once(self):
         batch = batch_of(noop_task("g", required_caps=frozenset({"gpu"})))
@@ -508,7 +530,7 @@ class TestCoordinatorSweep:
         coord.step(3)
         assert assignments_in(bus)[-1] == \
             {"task_id": "a", "worker_id": "w2", "attempt": 2}
-        assert coord.idle == {"w1"}
+        assert pooled(coord) == {"w1"}
 
 
 # Pool moves against the naive rule: tied scores (two reliabilities, two
@@ -533,7 +555,8 @@ class TestRankedPoolProperty:
     def test_pool_matches_select_worker_over_the_idle_profiles(self, ops):
         """After each step, every assignment is select_worker's pick among
         the idle workers' latest profiles, ToDo tasks in id order, and the
-        Coordinator's idle set equals the naive model's pool."""
+        Coordinator's pool, strictly increasing, holds the naive model's
+        pool."""
         bus, coord = wire(batch_of(*POOL_TASKS))
         coord.step(0)
         tasks = {t.id: t for t in POOL_TASKS}
@@ -572,8 +595,11 @@ class TestRankedPoolProperty:
                     map(json.loads, bus.log.lines[logged:])
                     if record["kind"] == "assignment"]
             assert made == expected
-            assert coord.idle == pool
-            assert coord.todo == todo.keys()
+            assert pooled(coord) == pool
+            # each idle worker once, under the rank of its latest profile
+            assert all(a < b for a, b in zip(coord.pool, coord.pool[1:]))
+            assert coord.pool == sorted(coord.ranks[wid] for wid in pool)
+            assert todo_rows(coord) == todo.keys()
 
 
 class TestCoordinatorUnfold:

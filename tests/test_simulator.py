@@ -91,19 +91,21 @@ def keep(monkeypatch, *classes):
 
 
 def watch_tables(monkeypatch):
-    """Check the fold's idle and to-do tables against the Coordinator's
-    own pool and unassigned tasks after each of its steps while the run
-    goes on (after the Emergency it reads no further mail).  Returns a
-    list that gets (tick, fold's idle, fold's to-do) for each step where
-    they differ."""
+    """Check the fold's idle and to-do tables against the workers in the
+    Coordinator's pool and its ToDo rows after each of its steps while
+    the run goes on (after the Emergency it reads no further mail).
+    Returns a list that gets (tick, fold's idle, fold's to-do) for each
+    step where they differ."""
     drift = []
     step = actors.Coordinator.step
 
     def checked(self, now):
         step(self, now)
         tally = self.bus.log.tally
-        if tally.reason is None and \
-                (tally.idle, tally.todo) != (self.idle, self.todo):
+        idle = {wid for _, wid in self.pool}
+        todo = {tid for tid, (state, _) in self.status.items()
+                if state is TaskState.TODO}
+        if tally.reason is None and (tally.idle, tally.todo) != (idle, todo):
             drift.append((now, sorted(tally.idle), sorted(tally.todo)))
 
     monkeypatch.setattr(actors.Coordinator, "step", checked)
@@ -1689,11 +1691,16 @@ def test_random_runs_are_clean_deterministic_and_finish(batch, scenario,
                                                          horizon, tame):
     """Random noop DAGs under random scenarios whose faults fall in the
     first 100 ticks: both audits pass (so no silent worker re-enters
-    the pool), a second run gives the same bytes, and a pool without
-    faults finishes the batch."""
+    the pool), the fold's idle and to-do tables follow the Coordinator
+    (watch_tables), a second run gives the same bytes, and a pool
+    without faults finishes the batch."""
     scenario = tamed(scenario) if tame else \
         dataclasses.replace(scenario, horizon=horizon)
-    report, log = run_simulation(batch, scenario)
+    # a function-scoped monkeypatch fixture fails hypothesis's health check
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        drift = watch_tables(monkeypatch)
+        report, log = run_simulation(batch, scenario)
+    assert drift == []
     _, again = run_simulation(batch, scenario)
     assert replay_check(log, again)
     records = records_of(log)
