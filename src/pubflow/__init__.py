@@ -7,9 +7,9 @@ into sub-graphs at release time.  A seeded tick simulator exercises the
 whole protocol in-process and produces byte-reproducible event logs.
 
 The ADAPT demo's names (SimParams, generate_adapt_workflow,
-final_snapshot, ...) and the pubflow.adapt module load on first use:
-they need numpy, which nothing else in the package imports.  They are
-in __all__ and dir() all the same.
+final_snapshot, ...) and the pubflow.adapt module load on first use, so
+that only ADAPT work pays for them; numpy loads only when one of them
+returns an array.  They are in __all__ and dir() all the same.
 """
 
 from importlib import import_module as _import_module

@@ -17,8 +17,9 @@ The domain [0, 1) is split into M cells of width h = 1/M (cell centers at
 
 Every kernel and sequential_oracle() call into the same per-cell helpers,
 so a partitioned run reproduces the single-process result bit for bit:
-numpy elementwise arithmetic is exact per element regardless of how the
-array was sliced.
+each IEEE-754 operation on Python floats is correctly rounded, so a cell's
+value does not depend on how the domain was sliced.  Nothing here imports
+numpy until a public function returns a float64 ndarray.
 
 Stability: the explicit scheme is a convex combination of neighbours when
 dt (a/h + 2 nu/h^2) <= 1, which the generator and kernels enforce.
@@ -28,9 +29,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Optional
-
-import numpy as np
+from functools import lru_cache
+from typing import TYPE_CHECKING, Mapping, Optional
 
 from .errors import InvalidGeometry, SchemaError, SingularSystem
 from .execution import (
@@ -39,12 +39,23 @@ from .execution import (
     Workspace,
     decode_dataset,
     encode_dataset,
+    read_dataset,
+    read_item,
 )
 from .model import GuardPredicate, KernelSpec, Task, UnfoldRule, WorkflowBatch
+
+if TYPE_CHECKING:
+    import numpy as np
 
 BC_DIRICHLET = "dirichlet0"
 BC_PERIODIC = "periodic"
 _BC_CODES = {BC_DIRICHLET: 0.0, BC_PERIODIC: 1.0}
+
+
+def _array(values) -> np.ndarray:
+    """`values` as a float64 ndarray; the one place numpy loads."""
+    import numpy as np
+    return np.array(values, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -82,13 +93,21 @@ class SimParams:
                 f"unstable parameters: dt*(a/h + 2*nu/h^2) = {number:.6g} > 1")
 
     def source_vector(self, cells: int) -> np.ndarray:
-        if self.source is None:
-            return np.zeros(cells)
-        q = np.asarray(self.source, dtype=float)
-        if q.shape != (cells,):
-            raise ValueError(
-                f"source must have length {cells}, got {q.shape}")
+        return _array(self._source(cells))
+
+    def _source(self, cells: int) -> list[float]:
+        q = ([0.0] * cells if self.source is None
+             else [float(x) for x in self.source])
+        if len(q) != cells:
+            raise ValueError(f"source must have length {cells}, got {len(q)}")
         return q
+
+
+@lru_cache(maxsize=64)  # every iter task of a run repeats the same checks
+def _check_stable(dt: float, advection: float, diffusion: float, bc: str,
+                  cells: int) -> None:
+    SimParams(dt=dt, advection=advection, diffusion=diffusion,
+              bc=bc).check_cfl(cells)
 
 
 # --------------------------------------------------------------- geometry
@@ -122,7 +141,7 @@ ACQUIRERS.setdefault("partition_table", partition_table_bytes)
 
 
 def _read_partition_table(data: bytes) -> tuple[int, int, list[int]]:
-    arr = decode_dataset(data)
+    arr = read_dataset(data)
     cells, parts = int(arr[0]), int(arr[1])
     bounds = [int(b) for b in arr[2:]]
     if len(bounds) != parts + 1 or bounds[0] != 0 or bounds[-1] != cells:
@@ -132,6 +151,17 @@ def _read_partition_table(data: bytes) -> tuple[int, int, list[int]]:
 
 # --------------------------------------------------------------- operator
 
+def _operator(cells: int, bc: str) -> tuple[list, list, list]:
+    if cells < 2:
+        raise InvalidGeometry(f"operator needs at least 2 cells, got {cells}")
+    if bc not in _BC_CODES:
+        raise ValueError(f"bc must be one of {sorted(_BC_CODES)}")
+    h = 1.0 / cells
+    inv_h2 = 1.0 / (h * h)
+    off = [-inv_h2] * (cells - 1)
+    return [0.0] + off, [2.0 * inv_h2] * cells, off + [0.0]
+
+
 def build_operator(cells: int, bc: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Diagonals (sub, diag, sup) of the 1-D Laplacian, scaled by 1/h^2.
 
@@ -139,36 +169,25 @@ def build_operator(cells: int, bc: str) -> tuple[np.ndarray, np.ndarray, np.ndar
     and last rows simply lose their outside coupling); periodic adds the
     corner couplings, making the constant vector a null vector.
     """
-    if cells < 2:
-        raise InvalidGeometry(f"operator needs at least 2 cells, got {cells}")
-    if bc not in _BC_CODES:
-        raise ValueError(f"bc must be one of {sorted(_BC_CODES)}")
-    h = 1.0 / cells
-    inv_h2 = 1.0 / (h * h)
-    diag = np.full(cells, 2.0 * inv_h2)
-    sub = np.full(cells, -inv_h2)
-    sup = np.full(cells, -inv_h2)
-    sub[0] = 0.0
-    sup[cells - 1] = 0.0
-    return sub, diag, sup
+    return tuple(map(_array, _operator(cells, bc)))
 
 
 def operator_matrix_bytes(cells: int, bc: str) -> bytes:
-    sub, diag, sup = build_operator(cells, bc)
-    header = [float(cells), _BC_CODES[bc]]
-    return encode_dataset(header + list(sub) + list(diag) + list(sup))
+    sub, diag, sup = _operator(cells, bc)
+    return encode_dataset([float(cells), _BC_CODES[bc]] + sub + diag + sup)
 
 
-def _read_operator(data: bytes) -> tuple[int, str, np.ndarray, np.ndarray, np.ndarray]:
-    arr = decode_dataset(data)
-    cells = int(arr[0])
+def _read_bands(data: bytes, what: str,
+                head: int) -> tuple[int, str, list, list, list]:
+    """cells, bc and the three bands after the `head` header values of an
+    operator (cells, bc code) or a factor (cells, bc code, n) dataset."""
+    arr = read_dataset(data).tolist()
+    n = int(arr[2] if head == 3 else arr[0])  # band length
+    if len(arr) != head + 3 * n:
+        raise SchemaError(f"corrupt {what} dataset")
     bc = BC_PERIODIC if arr[1] == 1.0 else BC_DIRICHLET
-    if arr.size != 2 + 3 * cells:
-        raise SchemaError("corrupt operator dataset")
-    sub = arr[2:2 + cells]
-    diag = arr[2 + cells:2 + 2 * cells]
-    sup = arr[2 + 2 * cells:2 + 3 * cells]
-    return cells, bc, sub, diag, sup
+    return (int(arr[0]), bc, arr[head:head + n], arr[head + n:head + 2 * n],
+            arr[head + 2 * n:])
 
 
 def apply_operator(cells: int, bc: str, x: np.ndarray) -> np.ndarray:
@@ -187,6 +206,19 @@ def apply_operator(cells: int, bc: str, x: np.ndarray) -> np.ndarray:
 
 # ---------------------------------------------------------- direct solver
 
+def _thomas_factor(sub, diag, sup) -> tuple[list, list]:
+    n = len(diag)
+    den = [0.0] * n
+    cp = [0.0] * n
+    for i in range(n):
+        d = diag[i] - sub[i] * cp[i - 1] if i else diag[0]
+        if d == 0.0 or not math.isfinite(d):
+            raise SingularSystem(f"zero pivot in row {i}")
+        den[i] = d
+        cp[i] = sup[i] / d
+    return den, cp
+
+
 def thomas_factor(sub: np.ndarray, diag: np.ndarray,
                   sup: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """LU-style forward elimination of a tridiagonal system.
@@ -194,52 +226,51 @@ def thomas_factor(sub: np.ndarray, diag: np.ndarray,
     Returns (den, cp): den holds the pivot denominators, cp the
     normalized super-diagonal.  Raises SingularSystem on a zero pivot.
     """
-    n = diag.size
-    den = np.empty(n)
-    cp = np.empty(n)
-    den[0] = diag[0]
-    if den[0] == 0.0 or not math.isfinite(den[0]):
-        raise SingularSystem("zero pivot in row 0")
-    cp[0] = sup[0] / den[0]
+    return tuple(map(_array, _thomas_factor(sub, diag, sup)))
+
+
+def _thomas_solve(sub, den, cp, rhs) -> list:
+    n = len(den)
+    x = [0.0] * n  # forward pass into x, then back substitution in place
+    x[0] = rhs[0] / den[0]
     for i in range(1, n):
-        den[i] = diag[i] - sub[i] * cp[i - 1]
-        if den[i] == 0.0 or not math.isfinite(den[i]):
-            raise SingularSystem(f"zero pivot in row {i}")
-        cp[i] = sup[i] / den[i]
-    return den, cp
+        x[i] = (rhs[i] - sub[i] * x[i - 1]) / den[i]
+    for i in range(n - 2, -1, -1):
+        x[i] = x[i] - cp[i] * x[i + 1]
+    return x
 
 
 def thomas_solve(sub: np.ndarray, den: np.ndarray, cp: np.ndarray,
                  rhs: np.ndarray) -> np.ndarray:
     """Forward/backward substitution against a thomas_factor result."""
-    n = den.size
-    g = np.empty(n)
-    g[0] = rhs[0] / den[0]
-    for i in range(1, n):
-        g[i] = (rhs[i] - sub[i] * g[i - 1]) / den[i]
-    x = np.empty(n)
-    x[n - 1] = g[n - 1]
-    for i in range(n - 2, -1, -1):
-        x[i] = g[i] - cp[i] * x[i + 1]
-    return x
+    return _array(_thomas_solve(sub, den, cp, rhs))
 
 
 def factor_operator_bytes(matrix_data: bytes) -> bytes:
     """Factor the assembled operator; periodic systems are reduced by
     pinning cell 0 to zero (rank deficiency of the periodic Laplacian)."""
-    cells, bc, sub, diag, sup = _read_operator(matrix_data)
+    cells, bc, sub, diag, sup = _read_bands(matrix_data, "operator", 2)
     if bc == BC_PERIODIC:
-        rsub = np.concatenate([[0.0], sub[2:]])
-        rdiag = diag[1:].copy()
-        rsup = np.concatenate([sup[1:cells - 1], [0.0]])
-        den, cp = thomas_factor(rsub, rdiag, rsup)
-        used_sub = rsub
-    else:
-        den, cp = thomas_factor(sub, diag, sup)
-        used_sub = sub
-    n = den.size
-    header = [float(cells), _BC_CODES[bc], float(n)]
-    return encode_dataset(header + list(used_sub) + list(den) + list(cp))
+        sub, diag, sup = [0.0] + sub[2:], diag[1:], sup[1:cells - 1] + [0.0]
+    den, cp = _thomas_factor(sub, diag, sup)
+    header = [float(cells), _BC_CODES[bc], float(len(den))]
+    return encode_dataset(header + sub + den + cp)
+
+
+def _solve(factor_data: bytes, q) -> list:
+    cells, bc, sub, den, cp = _read_bands(factor_data, "factor", 3)
+    if len(q) != cells:
+        raise SchemaError(f"rhs must have length {cells}")
+    if bc == BC_PERIODIC:
+        try:
+            total = math.fsum(q)
+        except (OverflowError, ValueError):  # np.sum: inf, or nan (inf - inf)
+            total = math.inf
+        if abs(total) > 1e-9 * max(1.0, max(map(abs, q))):
+            raise SingularSystem(
+                "periodic operator needs a zero-sum source")
+        return [0.0] + _thomas_solve(sub, den, cp, q[1:])
+    return _thomas_solve(sub, den, cp, q)
 
 
 def solve_with_factor(factor_data: bytes, q: np.ndarray) -> np.ndarray:
@@ -248,24 +279,7 @@ def solve_with_factor(factor_data: bytes, q: np.ndarray) -> np.ndarray:
     Periodic systems require sum(q) == 0 (within 1e-9 of the source
     magnitude); the pinned cell 0 stays exactly zero.
     """
-    arr = decode_dataset(factor_data)
-    cells = int(arr[0])
-    bc = BC_PERIODIC if arr[1] == 1.0 else BC_DIRICHLET
-    n = int(arr[2])
-    if arr.size != 3 + 3 * n:
-        raise SchemaError("corrupt factor dataset")
-    sub = arr[3:3 + n]
-    den = arr[3 + n:3 + 2 * n]
-    cp = arr[3 + 2 * n:3 + 3 * n]
-    if q.shape != (cells,):
-        raise SchemaError(f"rhs must have length {cells}")
-    if bc == BC_PERIODIC:
-        if abs(float(np.sum(q))) > 1e-9 * max(1.0, float(np.max(np.abs(q)))):
-            raise SingularSystem(
-                "periodic operator needs a zero-sum source")
-        x = thomas_solve(sub, den, cp, q[1:])
-        return np.concatenate([[0.0], x])
-    return thomas_solve(sub, den, cp, q)
+    return _array(_solve(factor_data, q))
 
 
 def solve_field(cells: int, bc: str, q: np.ndarray) -> np.ndarray:
@@ -276,36 +290,46 @@ def solve_field(cells: int, bc: str, q: np.ndarray) -> np.ndarray:
 
 # -------------------------------------------------------------- stepping
 
+def _initial(cells: int, lo: int, hi: int) -> list[float]:
+    h = 1.0 / cells
+    return [math.sin(2.0 * math.pi * (i + 0.5) * h)
+            for i in map(float, range(lo, hi))]
+
+
 def initial_field(cells: int, lo: int = 0, hi: Optional[int] = None) -> np.ndarray:
     """W_i = sin(2 pi (i + 0.5) h) over global cell indices [lo, hi)."""
-    if hi is None:
-        hi = cells
-    h = 1.0 / cells
-    i = np.arange(lo, hi, dtype=float)
-    return np.sin(2.0 * math.pi * (i + 0.5) * h)
+    return _array(_initial(cells, lo, cells if hi is None else hi))
+
+
+def _step(w_ext, pfield, dt: float, advection: float, diffusion: float,
+          h: float) -> list:
+    """The single per-cell expression every path uses; do not clone it, or
+    bitwise equivalence between partitionings breaks."""
+    if len(pfield) != len(w_ext) - 2:
+        raise ValueError("source and interior differ in length")
+    na = -advection  # exact, so hoisting it out of the loop moves no bit
+    h2 = h * h
+    return [w + dt * (na * (w - left) / h
+                      + diffusion * (right - 2.0 * w + left) / h2 + source)
+            for left, w, right, source
+            in zip(w_ext, w_ext[1:], w_ext[2:], pfield)]
 
 
 def step_cells(w_ext: np.ndarray, pfield: np.ndarray, dt: float,
                advection: float, diffusion: float, h: float) -> np.ndarray:
-    """One explicit update of the interior of w_ext (one halo per end).
+    """One explicit update of the interior of w_ext (one halo per end)."""
+    return _array(_step(w_ext, pfield, dt, advection, diffusion, h))
 
-    This is the single per-cell expression every path uses; do not clone
-    it, or bitwise equivalence between partitionings breaks.
-    """
-    w = w_ext[1:-1]
-    left = w_ext[:-2]
-    right = w_ext[2:]
-    rez_conv = -advection * (w - left) / h
-    rez_dissip = diffusion * (right - 2.0 * w + left) / (h * h)
-    rez_source = pfield
-    return w + dt * (rez_conv + rez_dissip + rez_source)
+
+def _extend(w, bc: str) -> list:
+    if bc == BC_PERIODIC:
+        return [w[-1], *w, w[0]]
+    return [0.0, *w, 0.0]
 
 
 def extend_field(w: np.ndarray, bc: str) -> np.ndarray:
     """Whole-domain halo: wrap for periodic, zero ghosts for dirichlet0."""
-    if bc == BC_PERIODIC:
-        return np.concatenate([[w[-1]], w, [w[0]]])
-    return np.concatenate([[0.0], w, [0.0]])
+    return _array(_extend(w, bc))
 
 
 def sequential_oracle(cells: int, params: SimParams) -> np.ndarray:
@@ -318,14 +342,14 @@ def sequential_oracle(cells: int, params: SimParams) -> np.ndarray:
     if cells < 2:
         raise InvalidGeometry(f"need at least 2 cells, got {cells}")
     params.check_cfl(cells)
-    q = params.source_vector(cells)
-    pfield = solve_field(cells, params.bc, q)
-    w = initial_field(cells)
+    pfield = _solve(factor_operator_bytes(
+        operator_matrix_bytes(cells, params.bc)), params._source(cells))
+    w = _initial(cells, 0, cells)
     h = 1.0 / cells
     for _ in range(params.steps):
-        w = step_cells(extend_field(w, params.bc), pfield, params.dt,
-                       params.advection, params.diffusion, h)
-    return w
+        w = _step(_extend(w, params.bc), pfield, params.dt,
+                  params.advection, params.diffusion, h)
+    return _array(w)
 
 
 # ---------------------------------------------------------------- kernels
@@ -347,6 +371,15 @@ def _require(spec: KernelSpec, key: str):
     return spec.params[key]
 
 
+def _partition(spec: KernelSpec, ws: Workspace) -> tuple[int, int, list[int]]:
+    """The spec's partition index, in range, and the table's cells, bounds."""
+    p = int(_require(spec, "partition"))
+    cells, parts, bounds = _read_partition_table(ws.get("partitions"))
+    if not 0 <= p < parts:
+        raise SchemaError(f"partition index {p} out of range")
+    return p, cells, bounds
+
+
 @_kernel("metis")
 def kernel_metis(spec: KernelSpec, ws: Workspace) -> Mapping[str, bytes]:
     cells = int(_require(spec, "cells"))
@@ -361,15 +394,17 @@ def kernel_matrix(spec: KernelSpec, ws: Workspace) -> Mapping[str, bytes]:
     return {"matrix": operator_matrix_bytes(cells, bc)}
 
 
+def _pfield(spec: KernelSpec, factor: bytes) -> Mapping[str, bytes]:
+    """Solve against the spec's source (zeros when it has none)."""
+    source = spec.params.get("source")
+    q = ([0.0] * int(read_item(factor, 0)) if source is None
+         else [float(x) for x in source])
+    return {"pfield": encode_dataset(_solve(factor, q))}
+
+
 @_kernel("mumps")
 def kernel_mumps(spec: KernelSpec, ws: Workspace) -> Mapping[str, bytes]:
-    matrix = ws.get("matrix")
-    cells, bc, _, _, _ = _read_operator(matrix)
-    source = spec.params.get("source")
-    q = np.zeros(cells) if source is None else np.asarray(source, dtype=float)
-    factor = factor_operator_bytes(matrix)
-    pfield = solve_with_factor(factor, q)
-    return {"pfield": encode_dataset(pfield)}
+    return _pfield(spec, factor_operator_bytes(ws.get("matrix")))
 
 
 @_kernel("mumps_factorize")
@@ -380,57 +415,45 @@ def kernel_mumps_factorize(spec: KernelSpec,
 
 @_kernel("mumps_solve")
 def kernel_mumps_solve(spec: KernelSpec, ws: Workspace) -> Mapping[str, bytes]:
-    factor = ws.get("pfactor")
-    cells = int(decode_dataset(factor)[0])
-    source = spec.params.get("source")
-    q = np.zeros(cells) if source is None else np.asarray(source, dtype=float)
-    return {"pfield": encode_dataset(solve_with_factor(factor, q))}
+    return _pfield(spec, ws.get("pfactor"))
 
 
 @_kernel("init")
 def kernel_init(spec: KernelSpec, ws: Workspace) -> Mapping[str, bytes]:
-    p = int(_require(spec, "partition"))
-    cells, parts, bounds = _read_partition_table(ws.get("partitions"))
-    if not 0 <= p < parts:
-        raise SchemaError(f"partition index {p} out of range")
-    lo, hi = bounds[p], bounds[p + 1]
-    return {f"w0_{p}": encode_dataset(initial_field(cells, lo, hi))}
+    p, cells, bounds = _partition(spec, ws)
+    return {f"w0_{p}": encode_dataset(_initial(cells, bounds[p],
+                                               bounds[p + 1]))}
 
 
 def _halo(ws: Workspace, step: int, parts: int, p: int, bc: str,
-          side: int) -> Optional[float]:
-    """Edge value of the neighbouring partition; None means a zero ghost."""
+          side: int) -> float:
+    """Edge value of the neighbouring partition, or the zero ghost."""
     q = p + side
     if bc == BC_PERIODIC:
         q %= parts
     elif q < 0 or q >= parts:
-        return None
-    neighbour = decode_dataset(ws.get(f"w{step}_{q}"))
-    return float(neighbour[-1] if side < 0 else neighbour[0])
+        return 0.0
+    return read_item(ws.get(f"w{step}_{q}"), -1 if side < 0 else 0)
 
 
 @_kernel("iter")
 def kernel_iter(spec: KernelSpec, ws: Workspace) -> Mapping[str, bytes]:
     step = int(_require(spec, "step"))
-    p = int(_require(spec, "partition"))
     dt = float(_require(spec, "dt"))
     advection = float(_require(spec, "advection"))
     diffusion = float(_require(spec, "diffusion"))
     bc = str(_require(spec, "bc"))
-    cells, parts, bounds = _read_partition_table(ws.get("partitions"))
-    params = SimParams(dt=dt, advection=advection, diffusion=diffusion,
-                       bc=bc, steps=1)
-    params.check_cfl(cells)
-    lo, hi = bounds[p], bounds[p + 1]
-    w = decode_dataset(ws.get(f"w{step}_{p}"))
-    left = _halo(ws, step, parts, p, bc, -1)
-    right = _halo(ws, step, parts, p, bc, +1)
-    w_ext = np.concatenate([
-        [0.0 if left is None else left], w,
-        [0.0 if right is None else right]])
-    pfield = decode_dataset(ws.get("pfield"))[lo:hi]
-    h = 1.0 / cells
-    out = step_cells(w_ext, pfield, dt, advection, diffusion, h)
+    p, cells, bounds = _partition(spec, ws)
+    _check_stable(dt, advection, diffusion, bc, cells)
+    parts = len(bounds) - 1
+    w_ext = [_halo(ws, step, parts, p, bc, -1),
+             *read_dataset(ws.get(f"w{step}_{p}")),
+             _halo(ws, step, parts, p, bc, +1)]
+    pfield = read_dataset(ws.get("pfield"))
+    if len(pfield) != cells:
+        raise SchemaError(f"pfield has {len(pfield)} cells, not {cells}")
+    out = _step(w_ext, pfield[bounds[p]:bounds[p + 1]], dt, advection,
+                diffusion, 1.0 / cells)
     return {f"w{step + 1}_{p}": encode_dataset(out)}
 
 
@@ -438,12 +461,12 @@ def kernel_iter(spec: KernelSpec, ws: Workspace) -> Mapping[str, bytes]:
 def kernel_save(spec: KernelSpec, ws: Workspace) -> Mapping[str, bytes]:
     step = int(_require(spec, "step"))
     cells, parts, bounds = _read_partition_table(ws.get("partitions"))
-    pieces = [decode_dataset(ws.get(f"w{step + 1}_{p}"))
-              for p in range(parts)]
-    full = np.concatenate(pieces)
-    if full.size != cells:
+    full = []
+    for p in range(parts):
+        full += read_dataset(ws.get(f"w{step + 1}_{p}"))
+    if len(full) != cells:
         raise SchemaError(
-            f"assembled snapshot has {full.size} cells, expected {cells}")
+            f"assembled snapshot has {len(full)} cells, expected {cells}")
     return {f"save_{step}": encode_dataset(full)}
 
 

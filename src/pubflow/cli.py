@@ -135,7 +135,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_generate_adapt(args: argparse.Namespace) -> int:
-    from .adapt import SimParams, generate_adapt_workflow  # loads numpy
+    from .adapt import SimParams, generate_adapt_workflow  # loaded here
     params = SimParams(
         dt=args.dt,
         advection=args.advection,

@@ -35,9 +35,11 @@ This module registers the noop and shell kernels.  The ADAPT kernels
 and the partition_table acquirer register when pubflow.adapt loads,
 which happens on the first lookup of a name not registered yet
 (find_kernel, used by execute_kernel and by parse_workflow for each
-kernel a batch names; Workspace.reacquire for its acquirer).  That
-module imports numpy; this one does not: encode_dataset packs a
-sequence with struct, and decode_dataset imports numpy where it runs.
+kernel a batch names; Workspace.reacquire for its acquirer).  Neither
+module imports numpy as it loads: encode_dataset packs a sequence with
+struct, and the kernels read a dataset into an array('d') with
+read_dataset.  Only what returns a numpy array, decode_dataset and the
+ADAPT module's public functions, imports numpy, where it runs.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ import json
 import os
 import struct
 import sys
+from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -66,6 +69,7 @@ if TYPE_CHECKING:
 
 DATASET_MAGIC = b"PFLW"
 _HEADER = struct.Struct("<4s4xQ")
+_ITEM = struct.Struct("<d")
 
 
 def checksum_hex(data: bytes) -> str:
@@ -102,20 +106,41 @@ def encode_dataset(values) -> bytes:
     return _HEADER.pack(DATASET_MAGIC, len(body) // 8) + body
 
 
-def decode_dataset(data: bytes) -> np.ndarray:
-    """The float64 array in a dataset container; loads numpy, which only
-    the ADAPT kernels and their callers need."""
-    import numpy as np
+def _count(data: bytes) -> int:
+    """The element count of a dataset container; SchemaError unless its
+    header, magic and length check out."""
     if len(data) < _HEADER.size:
         raise SchemaError("dataset shorter than its header")
     magic, count = _HEADER.unpack_from(data)
     if magic != DATASET_MAGIC:
         raise SchemaError(f"bad dataset magic {magic!r}")
-    body = data[_HEADER.size:]
-    if len(body) != 8 * count:
-        raise SchemaError(
-            f"dataset length {len(body)} does not match count {count}")
-    return np.frombuffer(body, dtype="<f8").copy()
+    if len(data) - _HEADER.size != 8 * count:
+        raise SchemaError(f"dataset length {len(data) - _HEADER.size} "
+                          f"does not match count {count}")
+    return count
+
+
+def read_dataset(data: bytes) -> array:
+    """The float64 values in a dataset container, as an array('d')."""
+    _count(data)
+    values = array("d")
+    values.frombytes(memoryview(data)[_HEADER.size:])
+    if sys.byteorder == "big":  # the container is little-endian
+        values.byteswap()
+    return values
+
+
+def read_item(data: bytes, index: int) -> float:
+    """read_dataset(data)[index], reading only that value."""
+    index = range(_count(data))[index]  # IndexError out of range
+    return _ITEM.unpack_from(data, _HEADER.size + 8 * index)[0]
+
+
+def decode_dataset(data: bytes) -> np.ndarray:
+    """read_dataset's values as a float64 numpy array; loads numpy, which
+    no kernel needs."""
+    import numpy as np
+    return np.array(read_dataset(data), dtype=float)
 
 
 # ------------------------------------------------------------- workspace
@@ -148,8 +173,8 @@ def register_acquirer(name: str) -> Callable[[AcquirerFn], AcquirerFn]:
 
 def _registered(registry: dict, name: str) -> Optional[Callable]:
     """registry[name], or None.  A miss first loads pubflow.adapt, whose
-    kernels and acquirer register then: it loads numpy, which nothing
-    else needs, so only ADAPT work pays for it."""
+    kernels and acquirer register then, so only ADAPT work pays for
+    loading it."""
     fn = registry.get(name)
     if fn is None:
         from . import adapt  # noqa: F401

@@ -42,7 +42,7 @@ def parse_workflow(data: bytes | str, format: str = "json") -> WorkflowBatch:
     violates the schema.
 
     Each kernel name the batch uses is looked up, so the ADAPT kernels
-    (and numpy) load here, not in the first simulated tick.
+    load here, not in the first simulated tick.
     """
     if isinstance(data, bytes):
         data = data.decode("utf-8")

@@ -4,8 +4,11 @@ generator.
 
 The solver is verified against dense numpy.linalg.solve; the
 distributed kernels are verified bitwise against the sequential
-reference implementation.
+reference implementation, and the kernels' list-based numeric cores
+bitwise against the numpy expressions they replaced.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -16,16 +19,22 @@ from pubflow import (
     BC_DIRICHLET,
     BC_PERIODIC,
     InvalidGeometry,
+    KernelSpec,
     SimParams,
     SingularSystem,
     Workspace,
     decode_dataset,
+    encode_dataset,
     execute_kernel,
     generate_adapt_workflow,
     sequential_oracle,
     validate_structure,
 )
 from pubflow.adapt import (
+    _initial,
+    _step,
+    _thomas_factor,
+    _thomas_solve,
     apply_operator,
     build_operator,
     extend_field,
@@ -197,6 +206,18 @@ class TestThomasSolver:
         with pytest.raises(SingularSystem):
             solve_field(8, BC_PERIODIC, q)
 
+    @pytest.mark.parametrize("q", [[1e308, 1e308, 0.0, 0.0],
+                                   [1e308, 1e308, -1e308, -1e308]])
+    def test_periodic_source_whose_sum_overflows_rejected(self, q):
+        with pytest.raises(SingularSystem):  # np.sum's inf, not fsum's error
+            solve_field(4, BC_PERIODIC, np.array(q))
+
+    def test_periodic_source_with_opposite_infinities_passes_the_guard(self):
+        # np.sum gave nan, which no threshold refuses; not fsum's ValueError
+        x = solve_field(4, BC_PERIODIC, np.array([math.inf, -math.inf,
+                                                  0.0, 0.0]))
+        assert x.tolist() == [0.0, -math.inf, -math.inf, -math.inf]
+
     def test_factor_solve_round_trip_through_datasets(self):
         cells = 12
         q = np.sin(np.linspace(0.0, 1.0, cells))
@@ -224,6 +245,11 @@ class TestTimeStepping:
         ext = extend_field(w, BC_PERIODIC)
         out = step_cells(ext, pfield, 1e-3, 1.0, 0.1, 1.0 / 16)
         assert np.array_equal(out, w)
+
+    def test_step_refuses_a_source_of_another_length(self):
+        ext = extend_field(np.ones(8), BC_PERIODIC)
+        with pytest.raises(ValueError):
+            step_cells(ext, np.zeros(7), 1e-3, 1.0, 0.1, 1.0 / 8)
 
     def test_pure_advection_shifts_upwind(self):
         # dt = h / a moves the profile exactly one cell to the right
@@ -318,6 +344,133 @@ class TestKernelPipeline:
         run_kernels_topologically(split, ws_b)
         assert ws_a.checksum("pfield") == ws_b.checksum("pfield")
         assert ws_a.checksum("save_0") == ws_b.checksum("save_0")
+
+    @pytest.mark.parametrize("partition", [-1, 2])
+    def test_iter_refuses_a_partition_out_of_range(self, tmp_path,
+                                                   partition):
+        ws = Workspace(tmp_path / "ws")
+        ws.put("partitions", partition_table_bytes(8, 2))
+        ws.put("pfield", encode_dataset([0.0] * 8))
+        for p in (0, 1):
+            ws.put(f"w0_{p}", encode_dataset([1.0] * 4))
+        spec = KernelSpec(
+            name="iter",
+            params={"step": 0, "partition": partition, "dt": 1e-3,
+                    "advection": 1.0, "diffusion": 0.1, "bc": BC_PERIODIC},
+            inputs=("partitions", "pfield", "w0_0", "w0_1"),
+            outputs=(f"w1_{partition}",))
+        result = execute_kernel(spec, ws)  # not MissingInput: no DLC
+        assert (result.exit_status, result.error) == (
+            1, f"SchemaError: partition index {partition} out of range")
+
+    @pytest.mark.parametrize("partition", [0, 1])
+    def test_iter_refuses_a_pfield_of_another_geometry(self, tmp_path,
+                                                       partition):
+        # metis and matrix each take their own cells: 16 against 8 here
+        ws = Workspace(tmp_path / "ws")
+        ws.put("partitions", partition_table_bytes(16, 2))
+        ws.put("pfield", encode_dataset([0.0] * 8))
+        for p in (0, 1):
+            ws.put(f"w0_{p}", encode_dataset([1.0] * 8))
+        spec = KernelSpec(
+            name="iter",
+            params={"step": 0, "partition": partition, "dt": 1e-3,
+                    "advection": 1.0, "diffusion": 0.1, "bc": BC_PERIODIC},
+            inputs=("partitions", "pfield", "w0_0", "w0_1"),
+            outputs=(f"w1_{partition}",))
+        result = execute_kernel(spec, ws)
+        assert (result.exit_status, result.error) == (
+            1, "SchemaError: pfield has 8 cells, not 16")
+
+
+# The numpy expressions the list cores replaced, kept as references: the
+# cores must reproduce them bit for bit, since every IEEE-754 operation
+# is correctly rounded whether numpy or the interpreter performs it.
+
+def numpy_step(w_ext, pfield, dt, advection, diffusion, h):
+    w = w_ext[1:-1]
+    left = w_ext[:-2]
+    right = w_ext[2:]
+    rez_conv = -advection * (w - left) / h
+    rez_dissip = diffusion * (right - 2.0 * w + left) / (h * h)
+    return w + dt * (rez_conv + rez_dissip + pfield)
+
+
+def numpy_thomas_factor(sub, diag, sup):
+    n = diag.size
+    den = np.empty(n)
+    cp = np.empty(n)
+    den[0] = diag[0]
+    cp[0] = sup[0] / den[0]
+    for i in range(1, n):
+        den[i] = diag[i] - sub[i] * cp[i - 1]
+        cp[i] = sup[i] / den[i]
+    return den, cp
+
+
+def numpy_thomas_solve(sub, den, cp, rhs):
+    n = den.size
+    g = np.empty(n)
+    g[0] = rhs[0] / den[0]
+    for i in range(1, n):
+        g[i] = (rhs[i] - sub[i] * g[i - 1]) / den[i]
+    x = np.empty(n)
+    x[n - 1] = g[n - 1]
+    for i in range(n - 2, -1, -1):
+        x[i] = g[i] - cp[i] * x[i + 1]
+    return x
+
+
+def numpy_initial_field(cells, lo, hi):
+    h = 1.0 / cells
+    i = np.arange(lo, hi, dtype=float)
+    return np.sin(2.0 * math.pi * (i + 0.5) * h)
+
+
+def same_bits(values, reference):
+    return np.array(values, dtype=float).tobytes() == reference.tobytes()
+
+
+VALUES = st.floats(-1e3, 1e3)
+
+
+class TestListCoresMatchNumpy:
+    @given(st.integers(1, 40).flatmap(lambda n: st.tuples(
+               st.lists(VALUES, min_size=n + 2, max_size=n + 2),
+               st.lists(VALUES, min_size=n, max_size=n))),
+           st.floats(1e-6, 1.0), st.floats(0.0, 10.0), st.floats(0.0, 10.0),
+           st.floats(1e-3, 1.0))
+    @settings(max_examples=200, deadline=None)
+    def test_stencil(self, fields, dt, advection, diffusion, h):
+        w_ext, pfield = fields
+        want = numpy_step(np.array(w_ext), np.array(pfield), dt,
+                          advection, diffusion, h)
+        assert same_bits(_step(w_ext, pfield, dt, advection, diffusion, h),
+                         want)
+
+    @given(st.integers(1, 40).flatmap(lambda n: st.lists(
+        st.tuples(VALUES, VALUES, VALUES), min_size=n, max_size=n)))
+    @settings(max_examples=200, deadline=None)
+    def test_thomas_factor_and_solve(self, rows):
+        sub, sup, rhs = (list(column) for column in zip(*rows))
+        sub[0] = sup[-1] = 0.0
+        # diagonally dominant, so no pivot is zero
+        diag = [abs(s) + abs(u) + 1.0 for s, u in zip(sub, sup)]
+        den, cp = _thomas_factor(sub, diag, sup)
+        want_den, want_cp = numpy_thomas_factor(
+            np.array(sub), np.array(diag), np.array(sup))
+        assert same_bits(den, want_den) and same_bits(cp, want_cp)
+        assert same_bits(_thomas_solve(sub, den, cp, rhs),
+                         numpy_thomas_solve(np.array(sub), want_den,
+                                            want_cp, np.array(rhs)))
+
+    # the CLI's default and the benchmark's tiny and full geometries
+    @pytest.mark.parametrize("cells, parts", [(64, 4), (2048, 16)])
+    def test_initial_field_at_the_demo_sizes(self, cells, parts):
+        bounds = partition_bounds(cells, parts)
+        for lo, hi in [(0, cells), *zip(bounds, bounds[1:])]:
+            assert same_bits(_initial(cells, lo, hi),
+                             numpy_initial_field(cells, lo, hi))
 
 
 class TestGenerator:

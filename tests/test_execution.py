@@ -31,7 +31,7 @@ from pubflow import (
     register_acquirer,
     register_kernel,
 )
-from pubflow.execution import KERNELS
+from pubflow.execution import KERNELS, read_dataset, read_item
 
 
 # ------------------------------------------------------------- checksums
@@ -96,10 +96,32 @@ class TestDatasetCodec:
         with pytest.raises(SchemaError):
             decode_dataset(data)
 
+    @pytest.mark.parametrize("read", [read_dataset,
+                                      lambda data: read_item(data, 0)])
+    @pytest.mark.parametrize("data", [
+        b"XXXX" + encode_dataset([1.0])[4:],  # bad magic
+        encode_dataset([1.0, 2.0])[:-4],  # truncated
+        encode_dataset([1.0])[:12],  # shorter than its header
+    ])
+    def test_numpy_free_readers_check_the_container(self, read, data):
+        with pytest.raises(SchemaError):
+            read(data)
+
     @given(st.lists(st.floats(allow_nan=False), max_size=30))
     @settings(max_examples=60, deadline=None)
     def test_round_trip_property(self, values):
         assert list(decode_dataset(encode_dataset(values))) == values
+
+    @given(st.lists(st.floats(allow_nan=False), max_size=30))
+    @settings(max_examples=60, deadline=None)
+    def test_reading_without_numpy(self, values):
+        data = encode_dataset(values)
+        assert read_dataset(data).tolist() == values
+        assert encode_dataset(read_dataset(data)) == data
+        for index in range(-len(values), len(values)):
+            assert read_item(data, index) == values[index]
+        with pytest.raises(IndexError):
+            read_item(data, len(values))
 
 
 def numpy_encode(values) -> bytes:
