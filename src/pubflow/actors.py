@@ -635,18 +635,18 @@ class Monitor:
         return oldest + self.deadline + 1
 
     def step(self, now: int) -> None:
-        if self.bus.log.tally.reason is not None:  # the run has ended
+        tally = self.bus.log.tally
+        if tally.reason is not None:  # the run has ended
             return
         deadline = self.deadline
         for tid in sorted(self.bus.inflight):
             if now - self._last_seen(tid) <= deadline:
                 continue
-            attempt = max(*self.bus.specs[tid],
-                          self.bus.inflight[tid][0]) + 1
             # the republication closes the attempt in the in-flight table;
             # its spec is the task's latest, which the fold fills in
             self.bus.publish(self.id, TASKS_TO_DO, "task",
-                             {"task_id": tid, "attempt": attempt})
+                             {"task_id": tid,
+                              "attempt": tally.attempts[tid] + 1})
             self.bus.publish(self.id, DLC, "dlc",
                              {"task_id": tid,
                               "event": "transmission_failure"})

@@ -92,9 +92,6 @@ class SimParams:
             raise ValueError(
                 f"unstable parameters: dt*(a/h + 2*nu/h^2) = {number:.6g} > 1")
 
-    def source_vector(self, cells: int) -> np.ndarray:
-        return _array(self._source(cells))
-
     def _source(self, cells: int) -> list[float]:
         q = ([0.0] * cells if self.source is None
              else [float(x) for x in self.source])
@@ -152,6 +149,12 @@ def _read_partition_table(data: bytes) -> tuple[int, int, list[int]]:
 # --------------------------------------------------------------- operator
 
 def _operator(cells: int, bc: str) -> tuple[list, list, list]:
+    """Bands (sub, diag, sup) of the 1-D Laplacian, scaled by 1/h^2.
+
+    Both boundary conditions give the same bands: the first and last rows
+    lose their outside coupling.  The periodic corners exist only in
+    apply_operator; factor_operator_bytes pins cell 0 instead.
+    """
     if cells < 2:
         raise InvalidGeometry(f"operator needs at least 2 cells, got {cells}")
     if bc not in _BC_CODES:
@@ -160,16 +163,6 @@ def _operator(cells: int, bc: str) -> tuple[list, list, list]:
     inv_h2 = 1.0 / (h * h)
     off = [-inv_h2] * (cells - 1)
     return [0.0] + off, [2.0 * inv_h2] * cells, off + [0.0]
-
-
-def build_operator(cells: int, bc: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Diagonals (sub, diag, sup) of the 1-D Laplacian, scaled by 1/h^2.
-
-    dirichlet0 clamps the boundary (ghost values are zero, so the first
-    and last rows simply lose their outside coupling); periodic adds the
-    corner couplings, making the constant vector a null vector.
-    """
-    return tuple(map(_array, _operator(cells, bc)))
 
 
 def operator_matrix_bytes(cells: int, bc: str) -> bytes:
@@ -192,7 +185,7 @@ def _read_bands(data: bytes, what: str,
 
 def apply_operator(cells: int, bc: str, x: np.ndarray) -> np.ndarray:
     """Dense-free A @ x for residual checks (includes periodic corners)."""
-    sub, diag, sup = build_operator(cells, bc)
+    sub, diag, sup = map(_array, _operator(cells, bc))
     y = diag * x
     y[1:] += sub[1:] * x[:-1]
     y[:-1] += sup[:-1] * x[1:]
@@ -207,6 +200,9 @@ def apply_operator(cells: int, bc: str, x: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------- direct solver
 
 def _thomas_factor(sub, diag, sup) -> tuple[list, list]:
+    """LU-style forward elimination of a tridiagonal system: (den, cp),
+    the pivot denominators and the normalized super-diagonal.  Raises
+    SingularSystem on a zero pivot."""
     n = len(diag)
     den = [0.0] * n
     cp = [0.0] * n
@@ -219,17 +215,8 @@ def _thomas_factor(sub, diag, sup) -> tuple[list, list]:
     return den, cp
 
 
-def thomas_factor(sub: np.ndarray, diag: np.ndarray,
-                  sup: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """LU-style forward elimination of a tridiagonal system.
-
-    Returns (den, cp): den holds the pivot denominators, cp the
-    normalized super-diagonal.  Raises SingularSystem on a zero pivot.
-    """
-    return tuple(map(_array, _thomas_factor(sub, diag, sup)))
-
-
 def _thomas_solve(sub, den, cp, rhs) -> list:
+    """Forward/backward substitution against a _thomas_factor result."""
     n = len(den)
     x = [0.0] * n  # forward pass into x, then back substitution in place
     x[0] = rhs[0] / den[0]
@@ -238,12 +225,6 @@ def _thomas_solve(sub, den, cp, rhs) -> list:
     for i in range(n - 2, -1, -1):
         x[i] = x[i] - cp[i] * x[i + 1]
     return x
-
-
-def thomas_solve(sub: np.ndarray, den: np.ndarray, cp: np.ndarray,
-                 rhs: np.ndarray) -> np.ndarray:
-    """Forward/backward substitution against a thomas_factor result."""
-    return _array(_thomas_solve(sub, den, cp, rhs))
 
 
 def factor_operator_bytes(matrix_data: bytes) -> bytes:
@@ -258,6 +239,9 @@ def factor_operator_bytes(matrix_data: bytes) -> bytes:
 
 
 def _solve(factor_data: bytes, q) -> list:
+    """Solve A x = q given a factor_operator_bytes() result.  Periodic
+    systems require sum(q) == 0 (within 1e-9 of the source magnitude);
+    the pinned cell 0 stays exactly zero."""
     cells, bc, sub, den, cp = _read_bands(factor_data, "factor", 3)
     if len(q) != cells:
         raise SchemaError(f"rhs must have length {cells}")
@@ -273,19 +257,10 @@ def _solve(factor_data: bytes, q) -> list:
     return _thomas_solve(sub, den, cp, q)
 
 
-def solve_with_factor(factor_data: bytes, q: np.ndarray) -> np.ndarray:
-    """Solve A x = q given a factor_operator_bytes() result.
-
-    Periodic systems require sum(q) == 0 (within 1e-9 of the source
-    magnitude); the pinned cell 0 stays exactly zero.
-    """
-    return _array(_solve(factor_data, q))
-
-
 def solve_field(cells: int, bc: str, q: np.ndarray) -> np.ndarray:
     """matrix -> factor -> solve, exactly as the distributed kernels do."""
-    return solve_with_factor(
-        factor_operator_bytes(operator_matrix_bytes(cells, bc)), q)
+    return _array(_solve(
+        factor_operator_bytes(operator_matrix_bytes(cells, bc)), q))
 
 
 # -------------------------------------------------------------- stepping
@@ -303,7 +278,8 @@ def initial_field(cells: int, lo: int = 0, hi: Optional[int] = None) -> np.ndarr
 
 def _step(w_ext, pfield, dt: float, advection: float, diffusion: float,
           h: float) -> list:
-    """The single per-cell expression every path uses; do not clone it, or
+    """One explicit update of the interior of w_ext (one halo per end): the
+    single per-cell expression every path uses.  Do not clone it, or
     bitwise equivalence between partitionings breaks."""
     if len(pfield) != len(w_ext) - 2:
         raise ValueError("source and interior differ in length")
@@ -315,21 +291,11 @@ def _step(w_ext, pfield, dt: float, advection: float, diffusion: float,
             in zip(w_ext, w_ext[1:], w_ext[2:], pfield)]
 
 
-def step_cells(w_ext: np.ndarray, pfield: np.ndarray, dt: float,
-               advection: float, diffusion: float, h: float) -> np.ndarray:
-    """One explicit update of the interior of w_ext (one halo per end)."""
-    return _array(_step(w_ext, pfield, dt, advection, diffusion, h))
-
-
 def _extend(w, bc: str) -> list:
+    """Whole-domain halo: wrap for periodic, zero ghosts for dirichlet0."""
     if bc == BC_PERIODIC:
         return [w[-1], *w, w[0]]
     return [0.0, *w, 0.0]
-
-
-def extend_field(w: np.ndarray, bc: str) -> np.ndarray:
-    """Whole-domain halo: wrap for periodic, zero ghosts for dirichlet0."""
-    return _array(_extend(w, bc))
 
 
 def sequential_oracle(cells: int, params: SimParams) -> np.ndarray:

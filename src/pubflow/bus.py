@@ -1,6 +1,6 @@
 """In-process publish-subscribe bus.
 
-The channel catalog is closed: nine channels carry the whole protocol,
+The channel catalog is closed: eight channels carry the whole protocol,
 and four services (SERVICE_CATALOG) speak on them beside the workers.
 Every publish gets a bus-global monotonically increasing sequence number,
 so the event log is a total order of everything any actor said.  Delivery
@@ -64,7 +64,6 @@ class Channel(str, Enum):
     VOLUNTEER_WORKERS = "VolunteerWorkers"
     EMERGENCY = "Emergency"
     DLC = "DLC"
-    EM = "EM"
 
 
 CHANNEL_CATALOG = tuple(c.value for c in Channel)
@@ -72,7 +71,7 @@ CHANNEL_CATALOG = tuple(c.value for c in Channel)
 # member's .value is a descriptor call.  A member hashes and compares as
 # its string, so _CHANNEL_NAMES maps a member and its string alike.
 WAITING_TASKS, TASKS_TO_DO, TASKS_IN_PROGRESS, TASKS_TO_CHECK, \
-    FINISHED_TASKS, VOLUNTEER_WORKERS, EMERGENCY, DLC, EM = CHANNEL_CATALOG
+    FINISHED_TASKS, VOLUNTEER_WORKERS, EMERGENCY, DLC = CHANNEL_CATALOG
 _CHANNEL_NAMES = {c: c.value for c in Channel}
 
 # The services' actor ids; a worker may take none of them.
@@ -97,8 +96,6 @@ KIND_FIELDS: dict[str, dict[str, type]] = {
     "verdict": {"task_id": str, "attempt": int, "ok": bool},
     "emergency": {"reason": str, "batch_id": str},
     "dlc": {"task_id": str, "event": str},
-    "em": {"logical_gpus": int, "physical_gpus": int,
-           "scheduling_policy": str, "performance_model_available": bool},
 }
 
 

@@ -28,8 +28,8 @@ parameters; a reacquired dataset must hash identically (all producers are
 deterministic).
 
 The EM policy reconciles logical against physical accelerator counts and
-picks a scheduling flavour.  It is a pure function; nothing in the
-engine or the simulator publishes its result on the EM channel.
+picks a scheduling flavour.  It is a pure function, and no channel
+carries its result.
 
 This module registers the noop and shell kernels.  The ADAPT kernels
 and the partition_table acquirer register when pubflow.adapt loads,
@@ -403,14 +403,6 @@ class EMConfig:
     physical_gpus: int = 0
     scheduling_policy: SchedulingPolicy = SchedulingPolicy.IN_MEMORY
     performance_model_available: bool = False
-
-    def to_payload(self) -> dict:
-        return {
-            "logical_gpus": self.logical_gpus,
-            "physical_gpus": self.physical_gpus,
-            "scheduling_policy": self.scheduling_policy.value,
-            "performance_model_available": self.performance_model_available,
-        }
 
 
 def em_negotiate(probe: EMConfig) -> EMConfig:

@@ -22,8 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Iterable, Optional
 
-from .errors import GuardFailed, HeadMismatch, SchemaError, StateError, UnknownId
-from .model import ResourceSnapshot, TaskState, UnfoldRule, WorkflowBatch
+from .errors import GuardFailed, HeadMismatch, SchemaError, UnknownId
+from .model import ResourceSnapshot, UnfoldRule, WorkflowBatch
 
 
 @dataclass(frozen=True)
@@ -31,12 +31,6 @@ class StructureReport:
     ok: bool
     cycle: Optional[list[str]]
     series_parallel: bool
-
-    def __str__(self) -> str:
-        if not self.ok:
-            return "cyclic: " + " -> ".join(self.cycle or [])
-        sp = "yes" if self.series_parallel else "no"
-        return f"acyclic, series-parallel: {sp}"
 
 
 def find_cycle(adjacency: dict[str, Iterable[str]]) -> Optional[list[str]]:
@@ -168,8 +162,7 @@ def ready_tasks(batch: WorkflowBatch, finished: Iterable[str],
 
 
 def unfold(batch: WorkflowBatch, task_id: str, rule: UnfoldRule,
-           snapshot: ResourceSnapshot,
-           state: Optional[TaskState] = None) -> WorkflowBatch:
+           snapshot: ResourceSnapshot) -> WorkflowBatch:
     """Replace `task_id` by the rule body; returns a new batch.
 
     The original batch is left untouched.  Incoming edges of the parent go
@@ -177,7 +170,7 @@ def unfold(batch: WorkflowBatch, task_id: str, rule: UnfoldRule,
     body-internal edges are kept.  Body ids become "<task_id>/<local id>".
     Spliced tasks never carry an unfold rule themselves (no nesting).
 
-    Raises UnknownId / HeadMismatch / GuardFailed / StateError; on
+    Raises UnknownId / HeadMismatch / GuardFailed; on
     GuardFailed the caller falls back to running the node as-is.
     """
     if task_id not in batch.tasks:
@@ -187,9 +180,6 @@ def unfold(batch: WorkflowBatch, task_id: str, rule: UnfoldRule,
         raise HeadMismatch(
             f"rule {rule.rule_id!r} head {rule.head!r} does not match "
             f"kernel {target.kernel.name!r} of task {task_id!r}")
-    if state is not None and state not in (TaskState.WAITING, TaskState.TODO):
-        raise StateError(
-            f"task {task_id!r} is {state.name}; unfold requires Waiting or ToDo")
     if not rule.guard.evaluate(snapshot):
         raise GuardFailed(
             f"guard of rule {rule.rule_id!r} failed for task {task_id!r}")

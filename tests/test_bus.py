@@ -31,11 +31,11 @@ def task_payload(tid="t1", attempt=1):
 
 
 class TestCatalog:
-    def test_exactly_nine_channels(self):
-        assert len(CHANNEL_CATALOG) == 9
+    def test_exactly_eight_channels(self):
+        assert len(CHANNEL_CATALOG) == 8
         assert CHANNEL_CATALOG == (
             "WaitingTasks", "TasksToDo", "TasksInProgress", "TasksToCheck",
-            "FinishedTasks", "VolunteerWorkers", "Emergency", "DLC", "EM")
+            "FinishedTasks", "VolunteerWorkers", "Emergency", "DLC")
 
     def test_unknown_channel_rejected(self):
         bus = fresh()
@@ -370,10 +370,6 @@ class TestPayloadSchemas:
                           {"reason": "complete", "batch_id": "b"}),
             "dlc": (Channel.DLC,
                     {"task_id": "t", "event": "transmission_failure"}),
-            "em": (Channel.EM,
-                   {"logical_gpus": 1, "physical_gpus": 1,
-                    "scheduling_policy": "in_memory",
-                    "performance_model_available": False}),
         }
         for kind, (channel, payload) in cases.items():
             bus.publish("a", channel, kind, payload)

@@ -467,6 +467,11 @@ MALFORMED = [
     ("report-unknown-kind", "report",
      SHORT_PAYLOAD.replace('"task"', '"gossip"'),
      "line 1: unknown kind 'gossip'"),
+    ("report-em-kind", "report",
+     '{"seq":1,"ts":0,"channel":"DLC","kind":"em","sender":"a","payload":'
+     '{"logical_gpus":1,"physical_gpus":1,"scheduling_policy":"in_memory",'
+     '"performance_model_available":false}}\n',
+     "line 1: unknown kind 'em'"),
     ("audit-payload-list", "audit",
      SHORT_PAYLOAD.replace('{}', '[]'), "line 1: task payload must be"),
     ("audit-spec-number", "audit", one_record('"spec":{}', '"spec":1'),

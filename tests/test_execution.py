@@ -490,16 +490,6 @@ class TestEmNegotiate:
         once = em_negotiate(probe)
         assert em_negotiate(once) == once
 
-    def test_payload_keys(self):
-        payload = em_negotiate(EMConfig(2, 2, performance_model_available=True)
-                               ).to_payload()
-        assert payload == {
-            "logical_gpus": 2,
-            "physical_gpus": 2,
-            "scheduling_policy": "data_aware",
-            "performance_model_available": True,
-        }
-
 
 # ------------------------------------------------------------ kernel runs
 

@@ -19,9 +19,7 @@ from pubflow import (
     KernelSpec,
     ResourceSnapshot,
     SchemaError,
-    StateError,
     Task,
-    TaskState,
     UnfoldRule,
     UnknownId,
     WorkflowBatch,
@@ -301,17 +299,6 @@ class TestUnfold:
         batch = solver_batch(rule)
         with pytest.raises(GuardFailed):
             unfold(batch, "big", rule, SNAPSHOT)
-
-    def test_state_gate(self):
-        batch = solver_batch(solver_rule())
-        for state in (TaskState.WAITING, TaskState.TODO):
-            unfold(batch, "big", batch.rules["split"], SNAPSHOT,
-                   state=state)
-        for state in (TaskState.IN_PROGRESS, TaskState.TO_CHECK,
-                      TaskState.FINISHED):
-            with pytest.raises(StateError):
-                unfold(batch, "big", batch.rules["split"], SNAPSHOT,
-                       state=state)
 
     def test_id_collision(self):
         rule = solver_rule()

@@ -130,8 +130,8 @@ answer(before=before, after=loaded())
 
 class TestAdaptWithoutNumpy:
     """The ADAPT demo runs end to end where numpy cannot be imported: its
-    kernels, and everything a run or an audit calls, compute on Python
-    floats."""
+    kernels, and everything a run, a validation, an audit or a report
+    calls, compute on Python floats."""
 
     def test_generate_simulate_and_audit(self, tmp_path):
         (tmp_path / "sc.json").write_text(json.dumps({
@@ -146,16 +146,19 @@ sys.modules["numpy"] = None  # every import of numpy now fails
 from pubflow import cli
 runs = []
 for argv in (["generate-adapt", "--unfold-solver", "-o", "wf.json"],
+             ["validate", "wf.json"],
              ["simulate", "wf.json", "sc.json", "--log", "log.jsonl"],
-             ["audit", "log.jsonl", "--workflow", "wf.json"]):
+             ["audit", "log.jsonl", "--workflow", "wf.json"],
+             ["report", "log.jsonl"]):
     out = io.StringIO()
     with redirect_stdout(out):
         code = cli.main(argv)
     runs.append([code, out.getvalue().splitlines()[:1]])
 answer(runs=runs)
 """, cwd=tmp_path)
-        assert doc == {"runs": [[0, []], [0, ["completed: yes"]],
-                                [0, ["clean"]]]}
+        assert doc == {"runs": [
+            [0, []], [0, ["57 tasks, 144 edges, series-parallel: no"]],
+            [0, ["completed: yes"]], [0, ["clean"]], [0, ["messages: 354"]]]}
 
 
 class TestChecksumsWithoutHashlib:

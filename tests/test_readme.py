@@ -2,6 +2,7 @@
 document, so a documented key cannot drift away from its effect."""
 
 import json
+import re
 from pathlib import Path
 
 from pubflow import (
@@ -19,6 +20,7 @@ from pubflow import (
     run_simulation,
     scenario_from_dict,
 )
+from pubflow.bus import KIND_FIELDS
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -92,3 +94,13 @@ def test_channel_subscribers_are_the_ones_the_actors_take(monkeypatch):
             documented[name.strip("`")] = {
                 item.split()[0] for item in subscribers.split(", ")} - {"none"}
     assert documented == taken
+
+
+def test_payload_field_list_names_every_kind_once():
+    """The kinds listed under "The payload fields of each kind" are those
+    the bus declares, so a deleted kind cannot linger in the list."""
+    text = section("Channels").split(
+        "The payload fields of each kind:\n\n", 1)[1].split("\n\n", 1)[0]
+    listed = [name for line in text.splitlines() if line.startswith("- ")
+              for name in re.findall(r"`([^`]+)`", line.split(":", 1)[0])]
+    assert sorted(listed) == sorted(KIND_FIELDS)

@@ -856,9 +856,10 @@ class TestAudits:
         with pytest.raises(MalformedLog):
             parse_log(text)
 
-    def test_unknown_channel_is_malformed(self):
+    @pytest.mark.parametrize("channel", ["Gossip", "EM"])
+    def test_unknown_channel_is_malformed(self, channel):
         _, records = chain_run()
-        records[0]["channel"] = "Gossip"
+        records[0]["channel"] = channel
         with pytest.raises(MalformedLog):
             parse_log(renumbered(records))
 
