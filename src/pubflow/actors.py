@@ -485,7 +485,9 @@ class WorkerActor:
     def step(self, now: int) -> None:
         if self._stalled(now):
             return
-        for env in self.bus.drain(self.id):
+        # most steps are heartbeat wakes, with no mail to drain
+        mail = self.bus.drain(self.id) if self.id in self.bus.mail else ()
+        for env in mail:
             if env.kind == "task":
                 self._on_task(env, now)
             elif env.kind == "assignment":

@@ -29,9 +29,16 @@ the ToDo rows of its task table; the coordinator keeps its own records
 and reads neither, so the two can be checked against each other.  A
 reader of the tables needs no mail.
 
-The log is line-oriented JSON, one object per envelope:
-{"seq": ..., "ts": ..., "channel": ..., "kind": ..., "sender": ...,
- "payload": ...}
+The log is line-oriented JSON, one object per envelope, framed exactly
+as json.dumps(record, separators=(",", ":")) frames it:
+{"seq":...,"ts":...,"channel":...,"kind":...,"sender":...,"payload":...}
+The keys come in this order, with no whitespace; seq and ts are ints,
+and every string is pure ASCII, any other character written as its
+JSON escape.  EventLog writes the header by hand around one encode of
+the payload, so this framing is a contract of the code, not of the
+encoder.  A publish that is refused, by a check or because its payload
+is not JSON, takes no sequence number and leaves the log and its fold
+as they were.
 Each fact is logged once.  A `task` record carries its spec only when
 the spec differs from the task's latest one in the log: on WaitingTasks,
 and on TasksToDo for a spliced task or a dependent whose deps an unfold
@@ -49,8 +56,9 @@ import json
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import SchemaError, UnknownActor, UnknownChannel
 
@@ -99,8 +107,9 @@ KIND_FIELDS: dict[str, dict[str, type]] = {
 }
 
 
-@dataclass(frozen=True)
-class Envelope:
+class Envelope(NamedTuple):
+    """Immutable: setting a field raises AttributeError."""
+
     channel: str
     kind: str
     seq: int
@@ -288,16 +297,18 @@ class EventLog:
     tally: LogTally = field(default_factory=LogTally)
 
     def append(self, env: Envelope) -> None:
-        record = {
-            "seq": env.seq,
-            "ts": env.ts,
-            "channel": env.channel,
-            "kind": env.kind,
-            "sender": env.sender,
-            "payload": env.payload,
-        }
-        self.lines.append(_ENCODE(record))
-        self.tally.add(record)
+        """Encode the envelope, then keep its line and fold it; an
+        envelope that does not encode raises TypeError (or ValueError)
+        and changes nothing."""
+        channel, kind, seq, sender, ts, payload = env
+        self.lines.append(
+            f'{{"seq":{seq},"ts":{ts},'
+            f'"channel":{encode_basestring_ascii(channel)},'
+            f'"kind":{encode_basestring_ascii(kind)},'
+            f'"sender":{encode_basestring_ascii(sender)},'
+            f'"payload":{_ENCODE(payload)}}}')
+        self.tally.add({"seq": seq, "ts": ts, "channel": channel,
+                        "kind": kind, "sender": sender, "payload": payload})
 
     def dumps(self) -> str:
         return "".join(line + "\n" for line in self.lines)
@@ -364,25 +375,26 @@ class InProcessBus:
         """Log the envelope and queue it for each actor in `to` still on
         the bus or, without `to`, for the channel's subscribers; never for
         `sender`."""
-        value = _normalize_channel(channel)
+        value = _CHANNEL_NAMES.get(channel)
+        if value is None:
+            raise UnknownChannel(f"no channel {channel!r} in the catalog")
         required = KIND_FIELDS.get(kind)
         if required is None:
             raise SchemaError(f"unknown message kind {kind!r}")
-        missing = required.keys() - payload.keys()
-        if missing:
-            raise SchemaError(
-                f"payload for kind {kind!r} missing {sorted(missing)}")
+        if not required.keys() <= payload.keys():
+            missing = sorted(required.keys() - payload.keys())
+            raise SchemaError(f"payload for kind {kind!r} missing {missing}")
         if isinstance(to, str):  # a tuple of one id is ("w1",)
             raise SchemaError(f"to= takes a tuple of actor ids, not {to!r}")
-        self._seq += 1
-        env = Envelope(channel=value, kind=kind, seq=self._seq,
-                       sender=sender, ts=self.now, payload=payload)
-        self.log.append(env)  # also validates JSON-serializability
+        seq = self._seq + 1
+        env = Envelope(value, kind, seq, sender, self.now, payload)
+        self.log.append(env)  # raises, keeping nothing, if not JSON
+        self._seq = seq
         for actor_id in self._subs[value] if to is None else to:
             if actor_id != sender and actor_id in self._queues:
                 self._queues[actor_id].append(env)
                 self.mail.add(actor_id)
-        return self._seq
+        return seq
 
     def spec(self, task_id: str, attempt: int) -> Optional[dict]:
         """The spec last published on TasksToDo for this attempt, if any."""

@@ -1,7 +1,9 @@
 """Message bus semantics: numbering, fan-out, no echo to the sender,
 addressing, no replay, the spec, last-heard and in-flight tables, log
-format."""
+format, the envelope's contract."""
 
+import copy
+import inspect
 import json
 
 import pytest
@@ -11,10 +13,13 @@ from hypothesis import strategies as st
 from pubflow import (
     CHANNEL_CATALOG,
     Channel,
+    Envelope,
+    EventLog,
     InProcessBus,
     SchemaError,
     UnknownActor,
     UnknownChannel,
+    parse_log,
 )
 
 
@@ -58,6 +63,33 @@ class TestCatalog:
         first, second = bus.log.lines
         assert first.replace('"seq":1', '"seq":2') == second
         assert first == json.dumps(json.loads(first), separators=(",", ":"))
+
+
+class TestEnvelope:
+    def test_fields_in_log_order_by_position_and_name(self):
+        assert tuple(inspect.signature(Envelope).parameters) == (
+            "channel", "kind", "seq", "sender", "ts", "payload")
+        env = Envelope("DLC", "dlc", 3, "monitor", 9, {"task_id": "t"})
+        assert (env.channel, env.kind, env.seq, env.sender, env.ts,
+                env.payload) == ("DLC", "dlc", 3, "monitor", 9,
+                                 {"task_id": "t"})
+
+    @pytest.mark.parametrize("name", ["channel", "kind", "seq", "sender",
+                                      "ts", "payload"])
+    def test_immutable(self, name):
+        env = Envelope("DLC", "dlc", 3, "monitor", 9, {})
+        with pytest.raises(AttributeError):
+            setattr(env, name, None)
+
+    @pytest.mark.parametrize("channel", list(Channel))
+    def test_a_drained_envelope_names_its_channel_by_plain_str(self, channel):
+        bus = fresh()
+        bus.subscribe("a", channel)
+        bus.publish("b", channel, "emergency",
+                    {"reason": "complete", "batch_id": "b"})
+        [env] = bus.drain("a")
+        assert type(env.channel) is str
+        assert env.channel == channel.value
 
 
 class TestRegistration:
@@ -474,3 +506,68 @@ def test_seq_always_dense_and_ordered(channels):
     assert seqs == list(range(1, len(channels) + 1))
     records = [json.loads(line) for line in bus.log.dumps().splitlines()]
     assert [r["seq"] for r in records] == seqs
+
+
+# Strings that stress the escaper: any code point, lone surrogates
+# included, plus quotes, backslashes and control characters.
+_chars = st.one_of(st.characters(exclude_categories=()),
+                   st.sampled_from('"\\/\x00\x08\x1f\x7f\u2028\ud800\udfff'))
+_text = st.text(_chars, max_size=12)
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | _text
+    | st.floats(allow_nan=True, allow_infinity=True),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(_text, inner, max_size=4),
+    max_leaves=12)
+
+
+@given(channel=_text, kind=_text, sender=_text, seq=st.integers(),
+       ts=st.integers(), payload=st.dictionaries(_text, _json, max_size=5))
+@settings(max_examples=200, deadline=None)
+def test_each_line_is_what_json_dumps_writes(channel, kind, sender, seq, ts,
+                                             payload):
+    """EventLog frames the header by hand around one payload encode; the
+    line must be byte for byte the compact json.dumps of the record."""
+    log = EventLog()
+    log.append(Envelope(channel, kind, seq, sender, ts, payload))
+    record = {"seq": seq, "ts": ts, "channel": channel, "kind": kind,
+              "sender": sender, "payload": payload}
+    assert log.lines == [json.dumps(record, separators=(",", ":"))]
+
+
+@pytest.mark.parametrize("field,value", [
+    ("channel", 5), ("kind", None), ("sender", b"w1"), ("sender", 1.5),
+    ("payload", {"x": object()}), ("payload", {"x": {1, 2}})])
+def test_an_envelope_that_does_not_encode_changes_nothing(field, value):
+    bus = fresh()
+    bus.publish("a", Channel.WAITING_TASKS, "task", task_payload())
+    log = bus.log
+    lines, tally = list(log.lines), copy.deepcopy(log.tally)
+    env = Envelope(**{"channel": "DLC", "kind": "dlc", "seq": 2,
+                      "sender": "monitor", "ts": 0,
+                      "payload": {"task_id": "t", "event": "e"},
+                      field: value})
+    with pytest.raises(TypeError):
+        log.append(env)
+    assert log.lines == lines and log.tally == tally
+
+
+@pytest.mark.parametrize("sender,payload", [
+    (7, {"reason": "complete", "batch_id": "b"}),
+    ("a", {"reason": "complete", "batch_id": object()}),
+    ("a", {"reason": "complete", "batch_id": "b", "extra": {1}})])
+def test_a_refused_publish_takes_no_seq(sender, payload):
+    """A publish that raises while logging keeps no line, no fold record,
+    no delivery and no sequence number: the next envelope is logged
+    with the number the refused one would have had."""
+    bus = fresh()
+    bus.subscribe("b", Channel.EMERGENCY)
+    bus.publish("a", Channel.WAITING_TASKS, "task", task_payload())
+    lines, tally = list(bus.log.lines), copy.deepcopy(bus.log.tally)
+    with pytest.raises(TypeError):
+        bus.publish(sender, Channel.EMERGENCY, "emergency", payload)
+    assert bus.log.lines == lines and bus.log.tally == tally
+    assert "b" not in bus.mail
+    assert bus.publish("a", Channel.EMERGENCY, "emergency",
+                       {"reason": "complete", "batch_id": "b"}) == 2
+    assert [r["seq"] for r in parse_log(bus.log.dumps())] == [1, 2]
