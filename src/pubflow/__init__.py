@@ -82,6 +82,7 @@ from .model import (
     load,
 )
 from .simulator import (
+    Report,
     Scenario,
     SimReport,
     WorkerSpec,

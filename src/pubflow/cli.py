@@ -24,8 +24,8 @@ from .actors import SlaPolicy
 from .errors import EngineError, MalformedLog, SchemaError, \
     WorkflowSyntaxError
 from .graph import validate_structure
-from .model import dump
 from .simulator import (
+    Report,
     _fold,
     lifecycle_audit,
     parse_log,
@@ -74,6 +74,22 @@ def _load_json(path: str, load):
     return _load(path, lambda text: load(json.loads(text)))
 
 
+def _show(report: Report, as_json: bool) -> None:
+    """Print the report's document as JSON, or the fold's lines of it."""
+    if as_json:
+        print(json.dumps(vars(report), indent=2))
+        return
+    print(f"messages: {report.messages_total}")
+    for channel, count in report.messages_by_channel.items():
+        print(f"  {channel}: {count}")
+    print(f"tasks seen: {report.tasks_seen}")
+    print(f"re-executions: {report.re_executions}")
+    print(f"timeouts: {report.timeouts}")
+    print(f"duplicates: {report.duplicates}")
+    print(f"makespan: {report.makespan}")
+    print(f"completed: {'yes' if report.completed else 'no'}")
+
+
 # ---------------------------------------------------------------- commands
 
 def cmd_validate(args: argparse.Namespace) -> int:
@@ -115,22 +131,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                                  workspace=workspace)
     if args.log:
         _write(args.log, log.dumps())
-    if args.json:
-        print(json.dumps(dump(report), indent=2, sort_keys=True))
-    else:
-        print(f"completed: {'yes' if report.completed else 'no'}")
-        print(f"makespan: {report.makespan}")
+    _show(report, args.json)
+    if not args.json:  # what the log cannot carry
         print(f"tasks: {report.tasks_total}")
-        print(f"re-executions: {report.re_executions}")
-        print(f"timeouts: {report.timeouts}")
-        print(f"duplicates: {report.duplicates}")
-        print(f"messages: {report.messages_total}")
-        for channel in sorted(report.messages_by_channel):
-            print(f"  {channel}: {report.messages_by_channel[channel]}")
+        if report.horizon is not None:
+            print(f"horizon: {report.horizon}")
         if report.per_worker_utilization:
             print("utilization:")
-            for wid in sorted(report.per_worker_utilization):
-                print(f"  {wid}: {report.per_worker_utilization[wid]:.3f}")
+            for wid, use in report.per_worker_utilization.items():
+                print(f"  {wid}: {use:.3f}")
     return 0 if report.completed else 1
 
 
@@ -179,31 +188,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    tally = _fold(_load(args.log, parse_log))
-    doc = {
-        "messages_total": tally.messages_total,
-        "messages_by_channel": dict(sorted(tally.by_channel.items())),
-        "messages_by_kind": dict(sorted(tally.by_kind.items())),
-        "tasks_seen": len(tally.attempts),
-        "re_executions": tally.re_executions,
-        "timeouts": tally.timeouts,
-        "duplicates": tally.duplicates,
-        "makespan": tally.makespan,
-        "completed": tally.completed,
-        "failed": tally.reason == "failed",
-    }
-    if args.json:
-        print(json.dumps(doc, indent=2))
-    else:
-        print(f"messages: {doc['messages_total']}")
-        for channel, count in doc["messages_by_channel"].items():
-            print(f"  {channel}: {count}")
-        print(f"tasks seen: {doc['tasks_seen']}")
-        print(f"re-executions: {doc['re_executions']}")
-        print(f"timeouts: {doc['timeouts']}")
-        print(f"duplicates: {doc['duplicates']}")
-        print(f"makespan: {doc['makespan']}")
-        print(f"completed: {'yes' if doc['completed'] else 'no'}")
+    _show(Report.of(_fold(_load(args.log, parse_log))), args.json)
     return 0
 
 

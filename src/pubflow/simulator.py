@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from random import Random
 from typing import Optional
@@ -126,16 +126,37 @@ def load_scenario(path: str | Path) -> Scenario:
 # --------------------------------------------------------------- report
 
 @dataclass
-class SimReport:
-    completed: bool
-    makespan: int
-    tasks_total: int
+class Report:
+    """The document `pubflow report` prints: what one fold of a log
+    shows, its keys in print order."""
+
+    messages_total: int
+    messages_by_channel: dict[str, int]  # sorted by channel
+    messages_by_kind: dict[str, int]     # sorted by kind
+    tasks_seen: int                      # task ids, an unfolded parent too
     re_executions: int
     timeouts: int
     duplicates: int
-    messages_total: int
-    messages_by_channel: dict[str, int] = field(default_factory=dict)
-    per_worker_utilization: dict[str, float] = field(default_factory=dict)
+    makespan: int                        # the last logged tick
+    completed: bool
+    failed: bool
+
+    @classmethod
+    def of(cls, tally: LogTally) -> Report:
+        return cls(tally.messages_total,
+                   dict(sorted(tally.by_channel.items())),
+                   dict(sorted(tally.by_kind.items())), len(tally.attempts),
+                   tally.re_executions, tally.timeouts, tally.duplicates,
+                   tally.makespan, tally.completed, tally.reason == "failed")
+
+
+@dataclass
+class SimReport(Report):
+    """A run's Report plus what its log cannot carry."""
+
+    tasks_total: int        # the final batch, unfolded sub-tasks included
+    horizon: Optional[int]  # where the run was cut, else None
+    per_worker_utilization: dict[str, float]
 
 
 # ------------------------------------------------------------ simulation
@@ -237,24 +258,15 @@ def run_simulation(batch: WorkflowBatch, scenario: Scenario, *,
             if wid not in died:  # kill stopped the dead ones
                 actor.stop(now if tally.reason is None else now - 1)
 
-        # Counts come from the log; the engine adds only what the log cannot
-        # carry: the final batch, utilization, an unfinished run's horizon.
         utilization = {}
         for wid, (ws, actor) in roster.items():
             span = max(0, died.get(wid, now + 1) - ws.arrival)
             utilization[wid] = actor.executed_ticks / span if span else 0.0
         report = SimReport(
-            completed=tally.completed,
-            makespan=tally.makespan if tally.reason is not None
-            else scenario.horizon,
-            tasks_total=len((coordinator.batch or batch).tasks),
-            re_executions=tally.re_executions,
-            timeouts=tally.timeouts,
-            duplicates=tally.duplicates,
-            messages_total=tally.messages_total,
-            messages_by_channel=bus.messages_by_channel(),
-            per_worker_utilization=utilization,
-        )
+            **vars(Report.of(tally)),
+            tasks_total=len(coordinator.batch.tasks),
+            horizon=scenario.horizon if tally.reason is None else None,
+            per_worker_utilization=utilization)
         if log_path is not None:
             bus.log.write(log_path)
         return report, bus.log

@@ -34,6 +34,7 @@ import pytest
 from pubflow import (
     KernelSpec,
     LogTally,
+    Report,
     Scenario,
     Task,
     WorkerSpec,
@@ -191,12 +192,20 @@ def test_every_case_passes_both_audits(corpus):
 def test_the_live_fold_equals_the_fold_of_the_written_log(corpus):
     """What EventLog.append folded as the run wrote its log is what a
     fresh LogTally folds from the parsed log: every count, the spec and
-    last-heard tables and both audits' state, violations included."""
-    for case, (_, records, _, _, _, live, *_) in enumerate(corpus):
+    last-heard tables and both audits' state, violations included.  So
+    the run's report holds the parsed fold's Report, and its horizon is
+    set exactly when the log has no Emergency."""
+    for case, (_, records, _, scenario, report, live, *_) \
+            in enumerate(corpus):
         parsed = LogTally()
         for record in records:
             parsed.add(record)
         assert vars(parsed) == vars(live), f"case {case}"
+        doc = vars(Report.of(parsed))
+        assert {name: vars(report)[name] for name in doc} == doc, \
+            f"case {case}"
+        assert report.horizon == (scenario.horizon if parsed.reason is None
+                                  else None), f"case {case}"
 
 
 def test_every_case_matches_its_pinned_digest(corpus):

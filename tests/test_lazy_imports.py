@@ -158,7 +158,7 @@ answer(runs=runs)
 """, cwd=tmp_path)
         assert doc == {"runs": [
             [0, []], [0, ["57 tasks, 144 edges, series-parallel: no"]],
-            [0, ["completed: yes"]], [0, ["clean"]], [0, ["messages: 354"]]]}
+            [0, ["messages: 354"]], [0, ["clean"]], [0, ["messages: 354"]]]}
 
 
 class TestChecksumsWithoutHashlib:
@@ -256,10 +256,11 @@ STAR_NAMES = [
     "EngineError", "Envelope", "EventLog", "GuardFailed", "GuardPredicate",
     "HeadMismatch", "InProcessBus", "InvalidGeometry", "InvalidStage",
     "KernelSpec", "LogTally", "MalformedLog", "MissingInput", "Monitor",
-    "ResourceSnapshot", "Scenario", "SchedulingPolicy", "SchemaError",
-    "SimParams", "SimReport", "SingularSystem", "SlaPolicy", "StateError",
-    "StructureReport", "Task", "TaskResult", "TaskState", "UnfoldRule",
-    "UnknownActor", "UnknownChannel", "UnknownId", "ValidationError",
+    "Report", "ResourceSnapshot", "Scenario", "SchedulingPolicy",
+    "SchemaError", "SimParams", "SimReport", "SingularSystem", "SlaPolicy",
+    "StateError", "StructureReport", "Task", "TaskResult", "TaskState",
+    "UnfoldRule", "UnknownActor", "UnknownChannel", "UnknownId",
+    "ValidationError",
     "WorkerActor", "WorkerProfile", "WorkerSpec", "WorkflowBatch",
     "WorkflowSyntaxError", "Workspace", "actors", "adapt", "apply_operator",
     "bus", "check_transition", "checksum_hex", "decode_dataset",

@@ -3,6 +3,8 @@ document, so a documented key cannot drift away from its effect."""
 
 import json
 import re
+import shlex
+from itertools import takewhile
 from pathlib import Path
 
 from pubflow import (
@@ -15,6 +17,7 @@ from pubflow import (
     Task,
     WorkerSpec,
     WorkflowBatch,
+    cli,
     dump,
     parse_workflow,
     run_simulation,
@@ -50,6 +53,29 @@ def test_workflow_example_parses():
 def test_workflow_xml_example_is_the_json_example():
     assert parse_workflow(block("Workflow files", "xml"), format="xml") \
         == parse_workflow(block("Workflow files", "json"))
+
+
+def test_quickstart_commands_print_the_blocks_that_follow_them(
+        tmp_path, monkeypatch, capsys):
+    """Each Quickstart shell block, its heredoc written to its file and
+    its pubflow commands run through cli.main, prints the plain block
+    that follows it."""
+    monkeypatch.chdir(tmp_path)
+    text = section("Quickstart")
+    steps = re.findall(r"```sh\n(.*?)```\n\n```\n(.*?)```", text, re.S)
+    assert len(steps) == text.count("```sh\n") == 3
+    for script, expected in steps:
+        lines = iter(script.splitlines())
+        for line in lines:
+            if line.startswith("cat > "):  # cat > FILE <<'EOF' ... EOF
+                body = takewhile(lambda row: row != "EOF", lines)
+                Path(line.split()[2]).write_text(
+                    "".join(row + "\n" for row in body), "utf-8")
+                continue
+            argv = shlex.split(line)
+            assert argv[0] == "pubflow"
+            assert cli.main(argv[1:]) == 0, line
+        assert capsys.readouterr().out == expected
 
 
 def test_python_api_example_runs():
