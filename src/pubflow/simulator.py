@@ -9,10 +9,13 @@ releases its roots.  Then, per tick, in this exact order:
      tick (a departure at or before arrival takes effect at arrival),
      then seeded random crashes (one draw per arrived, alive at-risk
      worker, sorted by worker id)
-  2. coordinator, monitor, checker (the broker has no mail); the run
-     ends here in the tick of the coordinator's Emergency envelope,
-     which the loop reads from the log's fold, and nothing is logged
-     after it
+  2. checker, coordinator, monitor (the broker has no mail).  A broker
+     hands a message over as soon as it is published, so the checker
+     goes first: the coordinator reads a verdict in the tick it is
+     made, releases its dependents, which the workers see in that
+     tick, and publishes the Emergency in the tick of the last one.
+     The run ends here in the tick of the Emergency, which the loop
+     reads from the log's fold, and nothing is logged after it
   3. workers, sorted by worker id (skipped while not yet arrived; a
      worker in its stall window is frozen and its step does nothing)
 
@@ -29,7 +32,9 @@ last-heard, idle and to-do tables), and nobody subscribes to
 TasksInProgress, so a heartbeat does not keep the loop on the next
 tick.  The exception is a live worker with a crash_prob: its death roll
 is one RNG draw per tick from its arrival on, so while it lives the loop
-visits every tick.
+visits every tick.  None of this shows in the log: `_Run` sets up the
+actors for any loop, and one that steps every service and every
+arrived, live worker on every tick writes the same bytes.
 
 All randomness flows through a single random.Random(seed), so identical
 inputs produce byte-identical event logs; the loop ends in the tick of
@@ -161,6 +166,123 @@ class SimReport(Report):
 
 # ------------------------------------------------------------ simulation
 
+class _Run:
+    """One run's actors and population schedule, set up for a loop to
+    step: the services in the one order every tick steps them, the
+    workers by id, and the ticks at which workers leave or crash."""
+
+    def __init__(self, batch: WorkflowBatch, scenario: Scenario,
+                 sla: SlaPolicy, workspace: Workspace,
+                 validators: Optional[dict]) -> None:
+        self.scenario = scenario
+        self.bus = bus = InProcessBus()
+        self.rng = rng = Random(scenario.seed)
+        broker = Broker(bus)
+        self.coordinator = Coordinator(bus, sla,
+                                       dataset_sizes=workspace.sizes)
+        monitor = Monitor(bus, scenario.heartbeat_period,
+                          scenario.timeout_multiplier)
+        checker = Checker(bus, workspace, validators)
+        self.roster = {}  # worker id -> (spec, actor), in id order
+        for ws in sorted(scenario.workers, key=lambda w: w.worker_id):
+            self.roster[ws.worker_id] = (ws, WorkerActor(
+                bus, ws.profile(), workspace,
+                heartbeat_period=scenario.heartbeat_period,
+                volunteer_latency=scenario.volunteer_latency,
+                volunteer_jitter=scenario.volunteer_jitter,
+                rng=rng, stall=ws.stall, horizon=scenario.horizon))
+        # the Checker first: the Coordinator acts on a verdict in its tick
+        self.services = (checker, self.coordinator, monitor)
+
+        broker.submit(batch)
+        self.coordinator.adopt(batch)  # after every actor joined: no replay
+
+        self.ends: dict[int, list[str]] = {}  # tick -> workers leaving
+        for wid, (ws, _) in self.roster.items():
+            edges = [t for t in (ws.departure, ws.crash) if t is not None]
+            if edges:
+                self.ends.setdefault(max(ws.arrival, min(edges)),
+                                     []).append(wid)
+        self.risky = [wid for wid, (ws, _) in self.roster.items()
+                      if ws.crash_prob > 0]
+        self.wake: dict[str, float] = {}  # _step_due's finite worker wakes
+        self.died: dict[str, int] = {}
+
+    def begin(self, now: int) -> None:
+        """Open tick `now` with its population events (step 1 above)."""
+        self.bus.now = now
+        for wid in self.ends.pop(now, ()):
+            if wid not in self.died:
+                self._kill(wid, now)
+        for wid in self.risky:
+            ws = self.roster[wid][0]
+            if wid not in self.died and now >= ws.arrival \
+                    and self.rng.random() < ws.crash_prob:
+                self._kill(wid, now)
+
+    def _kill(self, wid: str, now: int) -> None:
+        self.died[wid] = now
+        self.bus.leave(wid)
+        self.wake.pop(wid, None)
+        self.roster[wid][1].stop(now - 1)
+
+    def report(self, now: int) -> SimReport:
+        """Stop the live workers at `now`, the loop's last tick (at the
+        tick before, if it was the Emergency's), and report the run."""
+        tally = self.bus.log.tally
+        for wid, (_, actor) in self.roster.items():
+            if wid not in self.died:  # _kill stopped the dead ones
+                actor.stop(now if tally.reason is None else now - 1)
+        utilization = {}
+        for wid, (ws, actor) in self.roster.items():
+            span = max(0, self.died.get(wid, now + 1) - ws.arrival)
+            utilization[wid] = actor.executed_ticks / span if span else 0.0
+        return SimReport(
+            **vars(Report.of(tally)),
+            tasks_total=len(self.coordinator.batch.tasks),
+            horizon=self.scenario.horizon if tally.reason is None else None,
+            per_worker_utilization=utilization)
+
+
+def _step_due(run: _Run) -> int:
+    """Play the run, stepping only the actors with mail or a due wake and
+    skipping the ticks where nothing is due; returns the last tick."""
+    bus, tally, horizon = run.bus, run.bus.log.tally, run.scenario.horizon
+    roster, wake, died = run.roster, run.wake, run.died
+    services, ends, risky = run.services, run.ends, run.risky
+    now = 0
+    while True:
+        run.begin(now)
+        for service in services:
+            if service.id in bus.mail or service.wake <= now:
+                service.step(now)
+        if tally.reason is not None:  # the Emergency: no worker acts in it
+            return now
+        due = {wid for wid in bus.mail if wid in roster}
+        due.update(wid for wid, tick in wake.items() if tick <= now)
+        for wid in sorted(due):
+            ws, actor = roster[wid]
+            if now < ws.arrival:
+                continue
+            actor.step(now)
+            tick = actor.wake
+            if tick < math.inf:
+                wake[wid] = tick
+            else:
+                wake.pop(wid, None)
+        if now == horizon:
+            return now
+        if bus.mail:
+            now += 1
+            continue
+        # no mail: jump to the next wake, scheduled end or horizon, or to
+        # the next tick while a crash_prob worker has arrived
+        now = max(now + 1, min(
+            horizon, *ends, *wake.values(),
+            *(service.wake for service in services),
+            *(roster[wid][0].arrival for wid in risky if wid not in died)))
+
+
 def run_simulation(batch: WorkflowBatch, scenario: Scenario, *,
                    sla: SlaPolicy = SlaPolicy(),
                    workspace: Optional[Workspace] = None,
@@ -178,98 +300,11 @@ def run_simulation(batch: WorkflowBatch, scenario: Scenario, *,
         own_tmp = tempfile.TemporaryDirectory(prefix="pubflow-")
         workspace = Workspace(own_tmp.name)
     try:
-        bus = InProcessBus()
-        tally = bus.log.tally
-        rng = Random(scenario.seed)
-        broker = Broker(bus)
-        coordinator = Coordinator(bus, sla, dataset_sizes=workspace.sizes)
-        monitor = Monitor(bus, scenario.heartbeat_period,
-                          scenario.timeout_multiplier)
-        checker = Checker(bus, workspace, validators)
-        roster = {}  # worker id -> (spec, actor), in id order
-        for ws in sorted(scenario.workers, key=lambda w: w.worker_id):
-            roster[ws.worker_id] = (ws, WorkerActor(
-                bus, ws.profile(), workspace,
-                heartbeat_period=scenario.heartbeat_period,
-                volunteer_latency=scenario.volunteer_latency,
-                volunteer_jitter=scenario.volunteer_jitter,
-                rng=rng, stall=ws.stall, horizon=scenario.horizon))
-        services = (coordinator, monitor, checker)
-
-        broker.submit(batch)
-        coordinator.adopt(batch)  # after every actor joined: no replay
-
-        ends: dict[int, list[str]] = {}  # tick -> workers leaving or crashing
-        for wid, (ws, _) in roster.items():
-            edges = [t for t in (ws.departure, ws.crash) if t is not None]
-            if edges:
-                ends.setdefault(max(ws.arrival, min(edges)), []).append(wid)
-        risky = [wid for wid, (ws, _) in roster.items() if ws.crash_prob > 0]
-        wake: dict[str, float] = {}  # worker -> its finite wake tick
-        died: dict[str, int] = {}
-
-        def kill(wid: str, now: int) -> None:
-            died[wid] = now
-            bus.leave(wid)
-            wake.pop(wid, None)
-            roster[wid][1].stop(now - 1)
-
-        now = 0
-        while True:
-            bus.now = now
-            for wid in ends.pop(now, ()):
-                if wid not in died:
-                    kill(wid, now)
-            for wid in risky:
-                ws = roster[wid][0]
-                if wid not in died and now >= ws.arrival \
-                        and rng.random() < ws.crash_prob:
-                    kill(wid, now)
-            for service in services:
-                if service.id in bus.mail or service.wake <= now:
-                    service.step(now)
-            if tally.reason is not None:  # the Emergency: no worker acts in it
-                break
-            due = {wid for wid in bus.mail if wid in roster}
-            due.update(wid for wid, tick in wake.items() if tick <= now)
-            for wid in sorted(due):
-                ws, actor = roster[wid]
-                if now < ws.arrival:
-                    continue
-                actor.step(now)
-                tick = actor.wake
-                if tick < math.inf:
-                    wake[wid] = tick
-                else:
-                    wake.pop(wid, None)
-            if now == scenario.horizon:
-                break
-            if bus.mail:
-                now += 1
-                continue
-            # no mail: jump to the next wake, scheduled end or horizon,
-            # or to the next tick while a crash_prob worker has arrived
-            now = max(now + 1, min(
-                scenario.horizon, *ends, *wake.values(),
-                *(service.wake for service in services),
-                *(roster[wid][0].arrival for wid in risky
-                  if wid not in died)))
-        for wid, (_, actor) in roster.items():
-            if wid not in died:  # kill stopped the dead ones
-                actor.stop(now if tally.reason is None else now - 1)
-
-        utilization = {}
-        for wid, (ws, actor) in roster.items():
-            span = max(0, died.get(wid, now + 1) - ws.arrival)
-            utilization[wid] = actor.executed_ticks / span if span else 0.0
-        report = SimReport(
-            **vars(Report.of(tally)),
-            tasks_total=len(coordinator.batch.tasks),
-            horizon=scenario.horizon if tally.reason is None else None,
-            per_worker_utilization=utilization)
+        run = _Run(batch, scenario, sla, workspace, validators)
+        report = run.report(_step_due(run))
         if log_path is not None:
-            bus.log.write(log_path)
-        return report, bus.log
+            run.bus.log.write(log_path)
+        return report, run.bus.log
     finally:
         if own_tmp is not None:
             own_tmp.cleanup()

@@ -14,9 +14,11 @@ after each Coordinator step while the run goes on, no actor may
 drain an envelope it sent or one on WaitingTasks, the Monitor may drain
 nothing, the Checker nothing but results, and a worker no Emergency
 and no assignment naming another worker, the Broker's step may never
-run, an Emergency must be the last record of its log, and the sha256 of
-its log, cut to 16 hex digits, must equal the one pinned for its case in
-corpus_digests.txt.
+run, an Emergency must be the last record of its log, the reference
+loop (step_every_tick) must write the same log and report, a completed
+run must release each dependent and publish its Emergency in the tick of
+the verdict that allows it, and the sha256 of its log, cut to 16 hex
+digits, must equal the one pinned for its case in corpus_digests.txt.
 A change that moves log bytes therefore names the cases it moved.
 After a deliberate move, re-pin and let the diff show which cases moved:
 
@@ -46,7 +48,7 @@ from pubflow import (
 )
 from pubflow import actors
 from pubflow.bus import InProcessBus
-from test_simulator import keep, watch_tables
+from test_simulator import keep, lags, reference_run, watch_tables
 
 CASES = 600
 PINNED = Path(__file__).with_name("corpus_digests.txt")
@@ -124,8 +126,12 @@ def run_case(case):
     batch, scenario = draw_case(case)
     report, log = run_simulation(batch, scenario, validators=VALIDATORS)
     text = log.dumps()
-    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
-    return digest, parse_log(text), batch, scenario, report, log.tally
+    return digest_of(text), parse_log(text), batch, scenario, report, \
+        log.tally
+
+
+def digest_of(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
 def is_stray(actor_id, env):
@@ -217,6 +223,24 @@ def test_every_case_matches_its_pinned_digest(corpus):
     assert not moved, (
         f"{len(moved)} of {CASES} cases moved, first case {moved[0]}: "
         f"{digests[moved[0]]} != {pinned[moved[0]]}")
+
+
+def test_the_reference_loop_writes_the_same_bytes(corpus):
+    """Stepping every actor on every tick (step_every_tick) gives each
+    case's log and report, and no step that it adds publishes."""
+    for case, (digest, _, batch, scenario, report, *_) in enumerate(corpus):
+        ref_report, log, woken = reference_run(batch, scenario, VALIDATORS)
+        assert woken == [], f"case {case}"
+        assert digest_of(log.dumps()) == digest, f"case {case}"
+        assert vars(ref_report) == vars(report), f"case {case}"
+
+
+def test_a_verdict_acts_in_its_own_tick(corpus):
+    """In a finished run each dependent is released, and the Emergency
+    published, in the tick of the verdict that allows it."""
+    for case, (_, records, _, _, report, *_) in enumerate(corpus):
+        if report.completed:
+            assert lags(records) == {}, f"case {case}"
 
 
 def format_1(records):

@@ -158,7 +158,7 @@ answer(runs=runs)
 """, cwd=tmp_path)
         assert doc == {"runs": [
             [0, []], [0, ["57 tasks, 144 edges, series-parallel: no"]],
-            [0, ["messages: 354"]], [0, ["clean"]], [0, ["messages: 354"]]]}
+            [0, ["messages: 355"]], [0, ["clean"]], [0, ["messages: 355"]]]}
 
 
 class TestChecksumsWithoutHashlib:

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import random
+import tempfile
 
 import pytest
 from hypothesis import given, settings
@@ -113,6 +114,69 @@ def watch_tables(monkeypatch):
     return drift
 
 
+def step_every_tick(run):
+    """The reference loop: it steps every service and every arrived, live
+    worker on every tick, and always advances one tick.  Returns the last
+    tick and the (actor, tick) of each step that published although the
+    actor had no mail and its wake had not come.  Those are the steps
+    that run_simulation skips, so the list must be empty."""
+    bus, tally, horizon = run.bus, run.bus.log.tally, run.scenario.horizon
+    woken = []
+
+    def step(actor, now):
+        idle = actor.id not in bus.mail and actor.wake > now
+        sent = len(bus.log.lines)
+        actor.step(now)
+        if idle and len(bus.log.lines) != sent:
+            woken.append((actor.id, now))
+
+    now = 0
+    while True:
+        run.begin(now)
+        for service in run.services:
+            step(service, now)
+        if tally.reason is not None:
+            return now, woken
+        for wid, (ws, actor) in run.roster.items():
+            if wid not in run.died and now >= ws.arrival:
+                step(actor, now)
+        if now == horizon:
+            return now, woken
+        now += 1
+
+
+def reference_run(batch, scenario, validators=None):
+    """run_simulation's report and log under step_every_tick, and its
+    list of steps that published before their wake."""
+    with tempfile.TemporaryDirectory(prefix="pubflow-") as tmp:
+        run = simulator._Run(batch, scenario, SlaPolicy(), Workspace(tmp),
+                             validators)
+        now, woken = step_every_tick(run)
+        return run.report(now), run.bus.log, woken
+
+
+def lags(records):
+    """The release and end lags of a completed run's records that are not
+    0.  A release lag is an attempt-1 TasksToDo task record's tick minus
+    that of the latest ok verdict among the deps of its spec; the end lag
+    is the Emergency's tick minus that of the last ok verdict."""
+    spec, verified, lag = {}, {}, {}
+    for record in records:
+        kind, payload, ts = record["kind"], record["payload"], record["ts"]
+        if kind == "task":
+            tid = payload["task_id"]
+            spec[tid] = payload.get("spec", spec.get(tid))
+            deps = spec[tid].get("deps")
+            if record["channel"] == "TasksToDo" and payload["attempt"] == 1 \
+                    and deps:
+                lag[tid] = ts - max(verified[dep] for dep in deps)
+        elif kind == "verdict" and payload["ok"]:
+            verified[payload["task_id"]] = ts
+        elif kind == "emergency":
+            lag["emergency"] = ts - max(verified.values())
+    return {key: ticks for key, ticks in lag.items() if ticks}
+
+
 ONE_WORKER = Scenario(seed=1, horizon=50,
                       workers=(WorkerSpec(worker_id="w1"),))
 
@@ -129,11 +193,11 @@ class TestSingleTaskProtocol:
             ("started", "TasksInProgress", 1),
             ("result", "TasksToCheck", 2),
             ("verdict", "FinishedTasks", 3),
-            ("emergency", "Emergency", 4),
+            ("emergency", "Emergency", 3),
         ]
         got = [(r["kind"], r["channel"], r["ts"]) for r in records_of(log)]
         assert got == expected
-        assert report.makespan == 4
+        assert report.makespan == 3
         assert report.messages_total == 8
         assert report.re_executions == 0
 
@@ -221,7 +285,7 @@ class TestCrashRecovery:
         starters = [r["payload"]["worker_id"] for r in records
                     if r["kind"] == "started"]
         assert starters == ["w1", "w2"]
-        assert report.makespan == 45
+        assert report.makespan == 44
         assert precedence_audit(log, batch) == []
         assert lifecycle_audit(log) == []
 
@@ -1027,10 +1091,10 @@ ASSIGNMENT_GOLDEN = {
         "c26b3d1fc6b01efa857c8660dee0c422c8fb3e97be0797d897dcc53f90113c77"),
     "chain": (
         _chain,
-        "d09894c6269b407fb9cd72a23df3b93b4cb7dcf3a5b3a4999e83dfc36501eb1b"),
+        "b23801ddd359e643fca24fb97431e1762b84c03467bb376370ddc4bdf2185a76"),
     "adapt-unfold": (
         _adapt_unfold,
-        "8e20864911232524a4dfe984f9882bc81d7c28e5291f1a27613ee44ef4cc7548"),
+        "50f572c18def64fd3e3eb5c47cec78713ab7bceecde90d77412795d143f99560"),
 }
 
 
@@ -1051,30 +1115,30 @@ def offers_of(records):
 # bytes must say which bytes changed and why.
 LOG_GOLDEN = {
     ("adapt-unfold", 0):
-        "1a6fa0433dd59a3ed3844e8f77ef57abf433d0a22120ca9afaf88380b5c8c6aa",
+        "eb65a900d1433659b674d6d9e6871d7f26e7a77fb61259f47313eab3fab06184",
     ("adapt-unfold", 2):
-        "1a6fa0433dd59a3ed3844e8f77ef57abf433d0a22120ca9afaf88380b5c8c6aa",
+        "eb65a900d1433659b674d6d9e6871d7f26e7a77fb61259f47313eab3fab06184",
     ("chain", 0):
-        "8080a298cb7ca575ae8108abdb5be361537d0dc674e861668d417974b84e84f1",
+        "a86503b1e9cf3b3d8295a2ddbb9c198017ad126a9c9f90efb070657a712ea8ac",
     ("chain", 2):
-        "7b7d013079783b4e503604c604745155f5713ede52cbc9820553c1c73734d2d6",
+        "67b2c51a103686d9be35e5de67f0c3262c831eebb4c59dc3681596b27838e1bb",
     ("flat-crash", 0):
-        "b19370cd8f6a1aaf6b80cda97e4cc5231bdf30da8210f4127281d043a46c54ab",
+        "990d6e27e2b44dd06fccffd6f42b3da1c806c8fa826a280111d09ed4973ddd75",
     ("flat-crash", 2):
-        "351e20ea02fb0ae115039516bdef7b649bd98745bf11057d7b86aeba0a0812d6",
+        "d5ffe7bb6f7b01af38b625bea68f41bbc72147baed96c49c687ce0a4b51433d4",
     ("flat-two-stalls", 0):
-        "2ac8c7700299a919da8c0f8f5bdb77a589fb085581c69f7e407ad38ddbefd5c5",
+        "8405f6a443780a6f0270385d47769fa1605bb27b8c33da4560fe752590fb1edb",
     ("flat-two-stalls", 2):
-        "b2cc5a9b07c8d1f160d94252bd9b619caf74283c952f3993c4e954bdf792fb36",
+        "56b9c027bab235ad85f77c00151a9a62024963015cff2ff5b29c84031f48401f",
 }
 
 # (case, jitter) -> sha256 of the run workspace's files, see
 # workspace_digest
 WORKSPACE_GOLDEN = {
     ("adapt-unfold", 0):
-        "5e1dbcd27cf3ec02ef4fa77be7654c7aa704035c7696e58112137af4d49f11a0",
+        "166e82e8282b6f4029d39d7dc1bae7fd98f5cbb423a6b210e29748d85b289fd6",
     ("adapt-unfold", 2):
-        "5e1dbcd27cf3ec02ef4fa77be7654c7aa704035c7696e58112137af4d49f11a0",
+        "166e82e8282b6f4029d39d7dc1bae7fd98f5cbb423a6b210e29748d85b289fd6",
 }
 
 
@@ -1390,23 +1454,23 @@ EDGE_CASES = {
 # (case, jitter) -> (sha256 of log.dumps(), sha256 of report_fields)
 EDGE_GOLDEN = {
     ("attempts-run-out", 0): (
-        "392dbf8db18a946e3ba3686f7c1d3aa25a8941e8822a9ed8fad3031b1c0392f5",
-        "2e72f81ee3bd803154d01e61d3aea7591cfc1d353e557460e0df1b205bf7eed9"),
+        "b29c5f7313e2c81fe8cbc7f41ad660bf9c76006c43bb34e69ab76dfccb998ebb",
+        "72787f0a1c25da9107e5ec99df59f87b4bccf294f6a72c90736744c4582ec437"),
     ("attempts-run-out", 2): (
-        "b5ef2884d7d129d90540da8a9205e2d70d33999ba70518b3d6c3274c01947dd1",
-        "2e72f81ee3bd803154d01e61d3aea7591cfc1d353e557460e0df1b205bf7eed9"),
+        "a2d4ca66d8db54985a12eefd78570f4cd0e6632678f8df761057f0c2ed1cb593",
+        "72787f0a1c25da9107e5ec99df59f87b4bccf294f6a72c90736744c4582ec437"),
     ("crash-mid-job", 0): (
-        "e1348a5f583c33bcbde900a117eff156867d10bf1620d89680f694f11e67f603",
-        "0796eaff76bb862f6a44e0a6d37d23eb5b81a96758a56a0abef90a4924cb69e4"),
+        "fdde4ed944bcda997b9d2ee6814bed3c52cf198209697e00bf1585d55ad946c8",
+        "85f889cd7640c3ff99dd2aa3611b5e4bc4f74c7da7e6f61749fc7296a3a33233"),
     ("crash-mid-job", 2): (
-        "33b983b3ecb1bf56c54c850368b291b620cc2e45305eacc027477c34721fe24c",
-        "0796eaff76bb862f6a44e0a6d37d23eb5b81a96758a56a0abef90a4924cb69e4"),
+        "c1425d0a5539bb29e9a9b814bce36d15416da0b5f896bc3799f12cf8cae43f93",
+        "85f889cd7640c3ff99dd2aa3611b5e4bc4f74c7da7e6f61749fc7296a3a33233"),
     ("crash-prob-and-departure", 0): (
-        "e1f3995ec9dd70951b99a022b489ac3242d658cc14926bdf707ddcf121d8f6eb",
-        "9ce05a15872b96d929f25fbebdcd2e67f14a18701c9ca172e261a7a018156633"),
+        "20f16c204046345e324c82721220e82a117e26bf68f521109631908ff4340b9f",
+        "458bcde547cdcd61c0b8af6319550b361d05faa6908b3ae35b9b2714b6ba1de5"),
     ("crash-prob-and-departure", 2): (
-        "c941ea30c055830aeb831fa48301b91e1f69039c94740c07e7d85adcadb8211d",
-        "5b66576cc4f04a3c1aa2e14d2d41f3312a97611392377c56f01c5018295a2cf7"),
+        "f0e08534934e825dc8998dcdca20cccd966b513dcc7538901ab740e39226ac5c",
+        "020ec514b5bacd655ad6fb0f5029fee4cf6c85045ddfe535ab8613fe490c85e4"),
     ("cut-by-horizon", 0): (
         "ed9ebe2eb102be8c5a4a3fd390d9aa3d1b5e13f8c12c9d46eb3c779ce8319e6c",
         "76df5d3b5378909613e4475a70292263d4e7f71a7fc9d9efabc8e19d01f3d5e5"),
@@ -1414,17 +1478,17 @@ EDGE_GOLDEN = {
         "7726c9da5c8f1337f546ecd58eb5f8a0b26366b22d028c35386f6b09751efa3f",
         "76df5d3b5378909613e4475a70292263d4e7f71a7fc9d9efabc8e19d01f3d5e5"),
     ("departure-not-after-arrival", 0): (
-        "2487c6bdfc546197fc55883faae2f432100916ba23fdf4b201bd3797b97ecb98",
-        "87211ca760b15a932fc1e29289c0eadaa7984b347669ec2c28001f080cfac87f"),
+        "c96ac9dc690298a682f41d886bba9efa3bb3f6c176e39fe69e7c54670b935bab",
+        "103ba8ab6624a7c82c069f9c3232efa082fc8b5ee9c2bce03abba1fc2de08764"),
     ("departure-not-after-arrival", 2): (
-        "2487c6bdfc546197fc55883faae2f432100916ba23fdf4b201bd3797b97ecb98",
-        "87211ca760b15a932fc1e29289c0eadaa7984b347669ec2c28001f080cfac87f"),
+        "c96ac9dc690298a682f41d886bba9efa3bb3f6c176e39fe69e7c54670b935bab",
+        "103ba8ab6624a7c82c069f9c3232efa082fc8b5ee9c2bce03abba1fc2de08764"),
     ("emergency-while-running", 0): (
-        "792ac62a6506956f18093e11c59bf25bd8a3593d292e0ac1aee67ca04df78714",
-        "11b2714d953ff1f46089dca8475927d4dc7c2995a8d4c3651cc170744d040d39"),
+        "00b47f0e14c5b277d36ffa9b953a3e2902fd709d7052edc4d3cb0f63ecdf98d3",
+        "2176902b1f7a2c6300182034c5fb7a1e3fb99f1aa64f4444e2f7a8c7e67c53bd"),
     ("emergency-while-running", 2): (
-        "eb2799db9666346da66a180afb2a9eb45df35df5c31c4df5c71c88060148a287",
-        "11b2714d953ff1f46089dca8475927d4dc7c2995a8d4c3651cc170744d040d39"),
+        "4ead124c52691bf25cb12024ebd659babb7d9768bebfab7ca2d233e34c1c7c4f",
+        "2176902b1f7a2c6300182034c5fb7a1e3fb99f1aa64f4444e2f7a8c7e67c53bd"),
     ("horizon-mid-job", 0): (
         "fd2e8c461d85a2cf0395b77725a71c080448c901db9192ae1a321226da559ddb",
         "94c06a7364a432456c83084f0db74bd6090fb5155a3bac734931334e2430eca9"),
@@ -1432,35 +1496,35 @@ EDGE_GOLDEN = {
         "fd2e8c461d85a2cf0395b77725a71c080448c901db9192ae1a321226da559ddb",
         "94c06a7364a432456c83084f0db74bd6090fb5155a3bac734931334e2430eca9"),
     ("late-arrival", 0): (
-        "a588177137a928203138fe96106e6f2f4f55097951a116b1f12d74b78e6dddde",
-        "963fcffecd7ea0b490d47b9d625416a44049d15dbde75e94c171e993e1cddcb1"),
+        "880e027ecfa39257731ca2a757c87c79c037bb18d9aba35b4db4af9155760573",
+        "803643aec5bf8fb223464fe73b9cad0d1b5581f9c0eda1bafdfe552a045e1c7c"),
     ("late-arrival", 2): (
-        "a588177137a928203138fe96106e6f2f4f55097951a116b1f12d74b78e6dddde",
-        "963fcffecd7ea0b490d47b9d625416a44049d15dbde75e94c171e993e1cddcb1"),
+        "880e027ecfa39257731ca2a757c87c79c037bb18d9aba35b4db4af9155760573",
+        "803643aec5bf8fb223464fe73b9cad0d1b5581f9c0eda1bafdfe552a045e1c7c"),
     ("offers-due-while-running", 0): (
-        "4615e32f72de6ef5161c0cdc6d1bf5bfcf6cd0d528f0454aefa0145a7d0b2cbd",
-        "c9515c28c023dfaab658843c8442707fc3c96d227bb181f2ab919c52d4c193b8"),
+        "5598238570b4773f66dbf1d10159539241f9422a3c9194d6c4dac5a759334935",
+        "395c82c26fd7bf1b2e3467e1012d79116f6ac4ce648b080138ac13faf3e113b4"),
     ("offers-due-while-running", 2): (
-        "a1d950475aab2a7d4faf0e182add213036948098aecc1db0c855ae3f033675b8",
-        "c9515c28c023dfaab658843c8442707fc3c96d227bb181f2ab919c52d4c193b8"),
+        "2a54906370c26f2fa5b2c6b3e72baa2787ff84daa116e10e885ea538e1827719",
+        "395c82c26fd7bf1b2e3467e1012d79116f6ac4ce648b080138ac13faf3e113b4"),
     ("quiet-faults", 0): (
-        "57da98f4137c425e93381fdb616d36cf6e9386df0a95a0dc51fcdde9ec95114e",
-        "4c6d0a066f73c85c9f4caf1e25d8690030b88381cbb67b69efcaf084ed71b9ba"),
+        "cccf09d6d5977d7f0e2782c16f3ca3907e80b365f63c9bde557d601e2ee045d9",
+        "7fb736a0704d127e6aa14615fa5bbc191c602d4273cbaace2f29a925d0acf295"),
     ("quiet-faults", 2): (
-        "e34ced9e688ab7951188c7f6b639b1ae6ef9c30a0da2106fa3b65fd932492f50",
-        "1b7250310c793d12a7e4a260eed4c135d0e819020727ad01416be34aa9bd4bad"),
+        "5b33a1e637dbf5224f32082616027181bc0b91e40410d2fd8cea88ca229e27d7",
+        "bbad0859f619abebacba1dbc29bf103bd9d955cd4909a6d812efbee1c1753b96"),
     ("stall-mid-job", 0): (
-        "e61adecfaaa9220d8c5b6e5f8435163aec63e52f3947f80896e19c949c85db29",
-        "3daf07d8981052d180366ed56dbf79e4bb4679427185555fcedcb675cda1926c"),
+        "6b5faeff3d81a2e895d52328e73795fba96f59117a4383e93ee7c13a694278c0",
+        "c5c1afb3bf6bb02c1480f6da1e88ea4c885e72adc9b1f0a0874d975118eedd28"),
     ("stall-mid-job", 2): (
-        "73f849ddf667a5b8f9ab03246874c81a1cc4af433bedfd284ba3e3c008a8f70a",
-        "a83a65a78b8512a575dd9079fcc0331ed90874071305c0101c24dcc66b66bfd4"),
+        "19edd8c00dffbc9f6680eb8317be62d7133678e52339bbc0198f369ee6952aa0",
+        "0be4ee0aba824f3fc3359b017fd8e312285c0c43809a7083f79dcc1bdbc20e2e"),
     ("stall-over-assignment", 0): (
-        "3ca7d78362dec1f6ca7cfacf960cf4ed29609c97c9db37a6ef3e78cb82c00a60",
-        "89a8490b8864db02d753776f4cdd68525aba70469f2e4011f5f1b91d55dbeaf6"),
+        "117ccf3a21bcf46fb60599b26589b03b06815d7e989f98b34609c8dd10385607",
+        "c29836b319659be64263cd38e946444766fc1808b84ffd7fdc9abb00befcb76b"),
     ("stall-over-assignment", 2): (
-        "f8ab38547ca6f8305708ec9f488fda5bacbc1cffc34524f8565ad2eb3e774d35",
-        "4973880b878a132bd0aa2f98ba46b81b1ca90b9d482e7db7c8817c5e2c521db7"),
+        "8f123a8bf950066c14267249688e765a7406401531df7de90cfb81de9f43263b",
+        "90f3acb9a6270babcdec17305f278aa58e670153220293d5f62dba661e812ea6"),
 }
 
 
@@ -1482,6 +1546,34 @@ class TestEdgeGolden:
         assert digests == EDGE_GOLDEN[case, jitter]
         assert precedence_audit(log, batch) == []
         assert lifecycle_audit(log) == []
+
+
+# every golden run's inputs, each also with volunteer jitter 2
+GOLDEN_BUILDS = {**{case: build for case, (build, _)
+                    in {**ASSIGNMENT_GOLDEN, **FOLD_CORPUS}.items()},
+                 **EDGE_CASES}
+
+
+class TestReferenceLoop:
+    @pytest.mark.parametrize("jitter", [0, 2])
+    @pytest.mark.parametrize("case", sorted(GOLDEN_BUILDS))
+    def test_goldens_match_the_reference_loop(self, case, jitter):
+        """The loop's mail set, wake ticks and tick jumps are invisible in
+        the log: stepping every actor on every tick (step_every_tick)
+        gives the same bytes and report, and no step it adds publishes.
+        And as the Checker steps before the Coordinator, a finished run
+        releases each dependent, and publishes its Emergency, in the tick
+        of the verdict that allows it."""
+        batch, scenario, validators = GOLDEN_BUILDS[case]()
+        scenario = dataclasses.replace(scenario, volunteer_jitter=jitter)
+        report, log = run_simulation(batch, scenario, validators=validators)
+        ref_report, ref_log, woken = reference_run(batch, scenario,
+                                                   validators)
+        assert woken == []
+        assert ref_log.dumps() == log.dumps()
+        assert vars(ref_report) == vars(report)
+        if report.completed:
+            assert lags(records_of(log)) == {}
 
 
 def test_reopened_workspace_answers_like_the_one_that_ran(tmp_path):
@@ -1692,8 +1784,9 @@ def test_random_runs_are_clean_deterministic_and_finish(batch, scenario,
     """Random noop DAGs under random scenarios whose faults fall in the
     first 100 ticks: both audits pass (so no silent worker re-enters
     the pool), the fold's idle and to-do tables follow the Coordinator
-    (watch_tables), a second run gives the same bytes, and a pool
-    without faults finishes the batch."""
+    (watch_tables), a second run and the reference loop give the same
+    bytes, a pool without faults finishes the batch, and a finished
+    batch shows no release or end lag."""
     scenario = tamed(scenario) if tame else \
         dataclasses.replace(scenario, horizon=horizon)
     # a function-scoped monkeypatch fixture fails hypothesis's health check
@@ -1703,8 +1796,14 @@ def test_random_runs_are_clean_deterministic_and_finish(batch, scenario,
     assert drift == []
     _, again = run_simulation(batch, scenario)
     assert replay_check(log, again)
+    ref_report, ref_log, woken = reference_run(batch, scenario)
+    assert woken == []
+    assert replay_check(log, ref_log)
+    assert vars(ref_report) == vars(report)
     records = records_of(log)
     assert precedence_audit(records, batch) == []
     assert lifecycle_audit(records) == []
     if tame:
         assert report.completed
+    if report.completed:
+        assert lags(records) == {}
