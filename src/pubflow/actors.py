@@ -25,9 +25,10 @@ like this:
   monitor      has no mail; when the fold shows an attempt in flight
                past its deadline without a started or heartbeat,
                re-publishes the task with the attempt bumped and emits a
-               data-policy event on DLC; the deadline is k*H ticks, or
-               one missed heartbeat (H + 1, if sooner) while the fold's
-               idle table holds a worker and its to-do table no task
+               data-policy event on DLC; the deadline is k*H ticks, but
+               while the fold's idle table holds a worker and its to-do
+               table no task, one missed heartbeat (H + 1, if sooner)
+               or the tick after the attempt's result was due
   checker      validates each result against the spec published on
                TasksToDo for its task and attempt (a result carries no
                spec) and publishes verdicts on FinishedTasks,
@@ -395,7 +396,8 @@ def _run_ticks(duration: float, speed: float, limit: float) -> float:
     """Ticks a job of `duration` runs at `speed`: the count of
     `remaining -= speed` steps until remaining <= 1e-9, so float rounding
     decides the last tick as it would tick by tick; math.inf once the
-    count passes `limit`."""
+    count passes `limit`.  A worker counts its job with it and the
+    monitor the tick that job's result is due, so the two agree."""
     remaining, ticks = duration - speed, 1
     while remaining > 1e-9:
         if ticks > limit:
@@ -590,7 +592,7 @@ class WorkerActor:
 # ---------------------------------------------------------------- monitor
 
 class Monitor:
-    """Re-publishes tasks whose executor went silent.
+    """Re-publishes tasks whose executor went silent or is overdue.
 
     It has no mail.  The fold's in-flight table (bus.inflight) holds an
     attempt from its assignment, so a worker that dies before its first
@@ -602,47 +604,96 @@ class Monitor:
 
     The deadline follows the pool's spare capacity.  It is k*H ticks,
     but while a worker idles and no task waits for one (the fold's idle
-    and to-do tables) a backup costs nothing another task needs, so one
-    missed heartbeat, H + 1 ticks, is enough if that is sooner.  A
-    healthy job beats every H ticks, so only a stalled or dead worker
-    misses it.
+    and to-do tables) a backup costs nothing another task needs, so the
+    attempt is overdue at the earlier of one missed heartbeat, H + 1
+    ticks of silence (if sooner than k*H), and the tick after its result
+    was due.  That is the assignment tick plus the run ticks of its
+    spec's duration at the speed its assignee advertised (the fold's
+    assignee and speed tables), counted by `_run_ticks` as the worker
+    counts its job, up to the horizon.  A healthy job beats every H
+    ticks and sends its result on the tick it is due, so only a stalled
+    or dead worker misses either.
     """
 
     id = MONITOR
 
     def __init__(self, bus: InProcessBus, heartbeat_period: int,
-                 timeout_multiplier: int) -> None:
+                 timeout_multiplier: int, horizon: float = math.inf) -> None:
         self.bus = bus
         self.heartbeat_period = heartbeat_period
         self.timeout_multiplier = timeout_multiplier
+        self.horizon = horizon  # no result is due past it
         bus.register(self.id)  # claims the id
         self.timeouts = 0
+        # task -> (its in-flight entry, the tick after its result is due),
+        # worked out once per attempt and never kept past the attempt
+        self._dues: dict[str, tuple[tuple[int, int], float]] = {}
+        self._woken: tuple[int, float] = (-1, math.inf)  # records, wake
 
-    def _last_seen(self, tid: str) -> int:
-        attempt, assigned = self.bus.inflight[tid]
-        return self.bus.heard.get((tid, attempt), assigned)
+    @property
+    def spare(self) -> bool:
+        """A worker idles and no task waits for one."""
+        return bool(self.bus.idle) and not self.bus.todo
 
     @property
     def deadline(self) -> int:
         """The ticks of silence an attempt in flight is allowed."""
         patience = self.timeout_multiplier * self.heartbeat_period
-        if self.bus.idle and not self.bus.todo:
+        if self.spare:
             return min(patience, self.heartbeat_period + 1)
         return patience
 
+    def _result_due(self, tid: str, attempt: int, assigned: int) -> float:
+        """The tick at which the attempt's assignee, if healthy, sends its
+        result; math.inf if the spec or the assignee's speed is unknown,
+        or the job runs past the horizon."""
+        tally = self.bus.log.tally
+        spec = self.bus.spec(tid, attempt)
+        speed = tally.speeds.get(tally.assignee[tid])
+        if spec is None or speed is None:
+            return math.inf
+        return assigned + _run_ticks(float(spec["kernel"]["duration"]),
+                                     speed, self.horizon - assigned)
+
+    def _overdue(self, tid: str, entry: tuple[int, int], deadline: int,
+                 spare: bool) -> float:
+        """The first tick at which the task's attempt in flight, its
+        in-flight `entry`, is overdue under this tick's limits."""
+        attempt, assigned = entry
+        tick = self.bus.heard.get((tid, attempt), assigned) + deadline + 1
+        if not spare:
+            return tick
+        # the fold makes one entry per assignment: its identity names it
+        cached = self._dues.get(tid)
+        if cached is None or cached[0] is not entry:
+            inflight = self.bus.inflight
+            if len(self._dues) >= len(inflight):  # some have closed
+                self._dues = {key: got for key, got in self._dues.items()
+                              if inflight.get(key) is got[0]}
+            cached = self._dues[tid] = (
+                entry, self._result_due(tid, attempt, assigned) + 1)
+        return min(tick, cached[1])
+
     @property
-    def wake(self) -> float:  # when the oldest attempt passes the deadline
-        oldest = min(map(self._last_seen, self.bus.inflight),
-                     default=math.inf)
-        return oldest + self.deadline + 1
+    def wake(self) -> float:  # when the first attempt in flight is overdue
+        # a function of the fold alone: it holds until the next record
+        logged = len(self.bus.log.lines)
+        if logged != self._woken[0]:
+            deadline, spare = self.deadline, self.spare
+            self._woken = (logged, min(
+                [self._overdue(tid, entry, deadline, spare)
+                 for tid, entry in self.bus.inflight.items()],
+                default=math.inf))
+        return self._woken[1]
 
     def step(self, now: int) -> None:
         tally = self.bus.log.tally
         if tally.reason is not None:  # the run has ended
             return
-        deadline = self.deadline
-        for tid in sorted(self.bus.inflight):
-            if now - self._last_seen(tid) <= deadline:
+        # read once: a republication puts its task on the to-do table
+        deadline, spare = self.deadline, self.spare
+        for tid, entry in sorted(self.bus.inflight.items()):
+            if now < self._overdue(tid, entry, deadline, spare):
                 continue
             # the republication closes the attempt in the in-flight table;
             # its spec is the task's latest, which the fold fills in

@@ -20,14 +20,18 @@ of each TasksToDo `task`, and the last-heard table (`heard`) the tick
 of the latest `started` or `heartbeat`, each by task id and attempt;
 the in-flight table (`inflight`) holds a task's latest assignment
 until that attempt's result, an ok verdict or the monitor's
-republication.  The idle table (`idle`) holds each worker that sent a
-`volunteer` or a `result` since its last assignment, and the to-do
-table (`todo`) each task released on TasksToDo with an attempt above
-its last assigned one, until its assignment or ok verdict.  These two
-mirror, from the log alone, the workers in the coordinator's pool and
-the ToDo rows of its task table; the coordinator keeps its own records
-and reads neither, so the two can be checked against each other.  A
-reader of the tables needs no mail.
+republication, and the assignee table (`assignee`) the worker of each
+task's latest assignment.  The speed table (`speeds`) holds the speed
+of each worker's latest `volunteer` profile; with the assignee table it
+tells the monitor when an attempt in flight owes its result.  The idle
+table (`idle`) holds each worker that sent a `volunteer` or a `result`
+since its last assignment, and the to-do table (`todo`) each task
+released on TasksToDo with an attempt above its last assigned one,
+until its assignment or ok verdict.  These two mirror, from the log
+alone, the workers in the coordinator's pool and the ToDo rows of its
+task table; the coordinator keeps its own records and reads neither, so
+the two can be checked against each other.  A reader of the tables
+needs no mail.
 
 The log is line-oriented JSON, one object per envelope, framed exactly
 as json.dumps(record, separators=(",", ":")) frames it:
@@ -123,10 +127,10 @@ class LogTally:
     """The one fold of the log, one record at a time: from EventLog.append
     as a run writes them, or from a parsed log file.  It holds every
     count a report shows, by (channel, kind) pair, the spec, last-heard,
-    in-flight, idle and to-do tables the actors read, and the state of
-    both audits: lifecycle_audit's violations in log order, and the
-    started records and first ok verdicts that precedence_audit
-    compares."""
+    in-flight, assignee, speed, idle and to-do tables the actors read,
+    and the state of both audits: lifecycle_audit's violations in log
+    order, and the started records and first ok verdicts that
+    precedence_audit compares."""
 
     pairs: dict[tuple[str, str], int] = field(default_factory=dict)
     attempts: dict[str, int] = field(default_factory=dict)  # highest per task
@@ -147,6 +151,11 @@ class LogTally:
     heard: dict[tuple[str, int], int] = field(default_factory=dict)
     # task -> (attempt, tick) of its latest assignment, while in flight
     inflight: dict[str, tuple[int, int]] = field(default_factory=dict)
+    # task -> the worker of its latest assignment, so with `inflight` the
+    # assignee of the attempt in flight
+    assignee: dict[str, str] = field(default_factory=dict)
+    # worker -> the speed of its latest volunteer profile, as logged
+    speeds: dict[str, object] = field(default_factory=dict)
     # workers that sent a volunteer or a result since their last assignment
     idle: set[str] = field(default_factory=set)
     # tasks waiting for a worker: a TasksToDo task record whose attempt is
@@ -212,6 +221,7 @@ class LogTally:
                 self.lifecycle.append(
                     f"assignment for {tid} attempt {attempt} "
                     f"(seq {record['seq']}) to {wid}, which is not idle")
+            self.assignee[tid] = wid
             self.assigned.add((tid, attempt))
             self.dispatched[tid] = attempt
             self.todo.discard(tid)
@@ -239,7 +249,9 @@ class LogTally:
                 else:
                     self.unverified.setdefault(tid, []).append(attempt)
         elif kind == "volunteer":
-            self.idle.add(payload["worker_id"])
+            wid = payload["worker_id"]
+            self.idle.add(wid)
+            self.speeds[wid] = payload["profile"].get("speed")
         elif kind == "verdict" and payload["ok"]:
             tid = payload["task_id"]
             self.inflight.pop(tid, None)

@@ -181,7 +181,8 @@ class _Run:
         self.coordinator = Coordinator(bus, sla,
                                        dataset_sizes=workspace.sizes)
         monitor = Monitor(bus, scenario.heartbeat_period,
-                          scenario.timeout_multiplier)
+                          scenario.timeout_multiplier,
+                          horizon=scenario.horizon)
         checker = Checker(bus, workspace, validators)
         self.roster = {}  # worker id -> (spec, actor), in id order
         for ws in sorted(scenario.workers, key=lambda w: w.worker_id):

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 import random
 
 import pytest
@@ -30,6 +31,7 @@ from pubflow import (
     select_worker,
     sla_score,
 )
+from pubflow import actors
 
 
 def noop_task(tid, deps=(), outputs=(), duration=1.0, **kw):
@@ -981,18 +983,19 @@ class TestNextEventWorker:
 
 # ----------------------------------------------------------------- monitor
 
-def monitor_rig(heartbeat=5, k=3):
+def monitor_rig(heartbeat=5, k=3, **kw):
     bus = InProcessBus()
-    mon = Monitor(bus, heartbeat_period=heartbeat, timeout_multiplier=k)
+    mon = Monitor(bus, heartbeat_period=heartbeat, timeout_multiplier=k,
+                  **kw)
     return bus, mon
 
 
-def feed_assignment(bus, tid="a", wid="w1", attempt=1, ts=0):
+def feed_assignment(bus, tid="a", wid="w1", attempt=1, ts=0, duration=1.0):
     bus.now = ts
     from pubflow.workflow_io import task_to_obj
     bus.publish("coordinator", Channel.TASKS_TO_DO, "task",
                 {"task_id": tid, "attempt": attempt,
-                 "spec": task_to_obj(noop_task(tid))})
+                 "spec": task_to_obj(noop_task(tid, duration=duration))})
     assign(bus, tid, wid, attempt)
 
 
@@ -1098,17 +1101,23 @@ class TestMonitor:
         assert len(bus.log.lines) == sent and mon.timeouts == 0
 
 
-def spare_rig(heartbeat, k, pool=("w1", "w2"), waiting=False):
-    """w1 runs a's attempt 1 from tick 0; the others in `pool` offered
-    themselves and idle.  With `waiting`, task b is released too and no
-    worker has it."""
-    bus, mon = monitor_rig(heartbeat=heartbeat, k=k)
+def spare_rig(heartbeat, k, pool=("w1", "w2"), waiting=False,
+              duration=1.0, speed=1.0, at=0, **kw):
+    """w1 runs a's attempt 1, of `duration`, from tick `at`; the workers
+    in `pool` offered themselves at `speed`, and all but w1 idle.  With
+    `waiting`, task b is released too and no worker has it."""
+    bus, mon = monitor_rig(heartbeat=heartbeat, k=k, **kw)
     for wid in pool:
-        volunteer(bus, wid, "a")
-    feed_assignment(bus, ts=0)
+        volunteer(bus, wid, "a", speed=speed)
+    feed_assignment(bus, ts=at, duration=duration)
     if waiting:
         publish_task(bus, noop_task("b"))
     return bus, mon
+
+
+# longer than k*H in every rig below, so the result is due only after
+# the heartbeat deadline has passed
+LONG = 20.0
 
 
 def first_timeout(bus, mon, until=100):
@@ -1124,11 +1133,12 @@ def first_timeout(bus, mon, until=100):
 
 class TestFailureDetector:
     """The monitor's deadline follows the fold's idle and to-do tables:
-    one missed heartbeat while a worker idles and no task waits, k*H
+    while a worker idles and no task waits, one missed heartbeat or the
+    tick after the attempt's result was due, whichever comes first; k*H
     ticks otherwise, and never later than k*H."""
 
     def test_spare_capacity_gives_one_missed_heartbeat(self):
-        bus, mon = spare_rig(heartbeat=5, k=3)
+        bus, mon = spare_rig(heartbeat=5, k=3, duration=LONG)
         assert (bus.idle, bus.todo) == ({"w2"}, set())
         assert mon.deadline == 6
         assert mon.wake == 7
@@ -1149,7 +1159,7 @@ class TestFailureDetector:
 
     def test_k_of_one_gives_k_times_h(self):
         """H + 1 would be later than k*H = H: the deadline stays H."""
-        bus, mon = spare_rig(heartbeat=5, k=1)
+        bus, mon = spare_rig(heartbeat=5, k=1, duration=LONG)
         assert (bus.idle, bus.todo) == ({"w2"}, set())
         assert mon.deadline == 5
         assert first_timeout(bus, mon) == 6
@@ -1158,13 +1168,64 @@ class TestFailureDetector:
         """An attempt silent for 10 ticks is fine while b waits; once b
         is assigned to w2 at tick 10 and w3 offers itself, nothing waits
         and a worker idles, so the attempt is overdue in that tick."""
-        bus, mon = spare_rig(heartbeat=5, k=3, waiting=True)
+        bus, mon = spare_rig(heartbeat=5, k=3, waiting=True, duration=LONG)
         assert first_timeout(bus, mon, until=11) is None
         assign(bus, "b", "w2")
         assert (bus.idle, bus.todo) == (set(), set())
         volunteer(bus, "w3", "b")
         assert mon.deadline == 6 and mon.wake == 7
         assert first_timeout(bus, mon) == 10
+
+    @pytest.mark.parametrize("duration, speed, at, due", [
+        (3.0, 1.0, 0, 3), (3.0, 2.0, 0, 2), (0.3, 0.1, 0, 3),
+        (2.0, 0.5, 0, 4), (3.0, 1.0, 4, 7)])
+    def test_spare_capacity_backs_up_the_tick_after_the_result_was_due(
+            self, duration, speed, at, due):
+        """The result is due at the assignment tick plus the job's ticks
+        as WorkerActor counts them, float rounding included (0.3 at 0.1
+        takes 3 ticks), at the speed the assignee advertised; the backup
+        goes out the tick after."""
+        bus, mon = spare_rig(heartbeat=5, k=3, duration=duration,
+                             speed=speed, at=at)
+        assert at + actors._run_ticks(duration, speed, math.inf) == due
+        assert mon.deadline == 6
+        assert mon.wake == due + 1
+        assert first_timeout(bus, mon) == due + 1
+
+    def test_a_waiting_task_still_gives_k_times_h(self):
+        bus, mon = spare_rig(heartbeat=5, k=3, waiting=True, duration=3.0)
+        assert mon.wake == 16
+        assert first_timeout(bus, mon) == 16
+
+    def test_an_assignee_without_a_known_speed_misses_a_heartbeat(self):
+        """w1 never volunteered, so its speed is unknown: the deadline is
+        the one missed heartbeat."""
+        bus, mon = spare_rig(heartbeat=5, k=3, pool=("w2",), duration=3.0)
+        assert (bus.idle, bus.todo) == ({"w2"}, set())
+        assert "w1" not in bus.log.tally.speeds
+        assert mon.wake == 7
+        assert first_timeout(bus, mon) == 7
+
+    def test_a_result_due_past_the_horizon_misses_a_heartbeat(self):
+        """A job that runs past the horizon has no due result: _run_ticks
+        stops counting at the horizon and returns inf, at once even for
+        a duration of 1e12 ticks."""
+        assert actors._run_ticks(1e12, 1.0, 50) == math.inf
+        bus, mon = spare_rig(heartbeat=5, k=3, duration=1e12, horizon=50)
+        assert mon.wake == 7
+        assert first_timeout(bus, mon) == 7
+
+    def test_the_due_table_keeps_only_attempts_in_flight(self):
+        """The monitor works out once per attempt the tick after its
+        result is due, and drops it once the attempt has left the
+        in-flight table."""
+        bus, mon = spare_rig(heartbeat=5, k=3, duration=3.0)
+        assert mon.wake == 4 and mon._dues == {"a": ((1, 0), 4)}
+        bus.now = 3
+        result(bus, "w1", "a")
+        feed_assignment(bus, tid="c", wid="w2", ts=3, duration=3.0)
+        assert bus.inflight == {"c": (1, 3)}
+        assert mon.wake == 7 and mon._dues == {"c": ((1, 3), 7)}
 
 
 # ----------------------------------------------------------------- checker

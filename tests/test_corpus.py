@@ -17,8 +17,10 @@ and no assignment naming another worker, the Broker's step may never
 run, an Emergency must be the last record of its log, the reference
 loop (step_every_tick) must write the same log and report, a completed
 run must release each dependent and publish its Emergency in the tick of
-the verdict that allows it, and the sha256 of its log, cut to 16 hex
-digits, must equal the one pinned for its case in corpus_digests.txt.
+the verdict that allows it, no attempt may stay in flight past the tick
+after its due result while a worker idles and no task waits, and the
+sha256 of its log, cut to 16 hex digits, must equal the one pinned for
+its case in corpus_digests.txt.
 A change that moves log bytes therefore names the cases it moved.
 After a deliberate move, re-pin and let the diff show which cases moved:
 
@@ -48,7 +50,7 @@ from pubflow import (
 )
 from pubflow import actors
 from pubflow.bus import InProcessBus
-from test_simulator import keep, lags, reference_run, watch_tables
+from test_simulator import keep, lags, overruns, reference_run, watch_tables
 
 CASES = 600
 PINNED = Path(__file__).with_name("corpus_digests.txt")
@@ -241,6 +243,13 @@ def test_a_verdict_acts_in_its_own_tick(corpus):
     for case, (_, records, _, _, report, *_) in enumerate(corpus):
         if report.completed:
             assert lags(records) == {}, f"case {case}"
+
+
+def test_no_attempt_overruns_its_due_result_while_a_worker_idles(corpus):
+    """While a worker idles and no task waits, the Monitor backs up an
+    attempt in flight by the tick after its result was due."""
+    for case, (_, records, _, scenario, *_) in enumerate(corpus):
+        assert overruns(records, scenario.horizon) == [], f"case {case}"
 
 
 def format_1(records):

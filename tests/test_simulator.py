@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 import random
 import tempfile
 
@@ -175,6 +176,45 @@ def lags(records):
         elif kind == "emergency":
             lag["emergency"] = ts - max(verified.values())
     return {key: ticks for key, ticks in lag.items() if ticks}
+
+
+def overruns(records, horizon):
+    """The (task, attempt, tick) of each attempt still in flight after the
+    Monitor's step in a tick past its due result while spare capacity
+    exists.  That step follows the Checker's and the Coordinator's
+    records of its tick; there the fold's idle table holds a worker and
+    its to-do table no task, and the result is due at the assignment's
+    tick plus the run ticks of the attempt's spec duration at the speed
+    its assignee advertised, never past the horizon.  The Monitor must
+    republish such a task in that tick."""
+    by_tick = {}
+    for record in records:
+        by_tick.setdefault(record["ts"], []).append(record)
+    ends = [r["ts"] for r in records if r["kind"] == "emergency"]
+    tally, dues, late = LogTally(), {}, []
+    for now in range(ends[0] if ends else horizon + 1):
+        tick = by_tick.get(now, [])
+        cut = next((i for i, r in enumerate(tick) if r["sender"] not in
+                    ("broker", "checker", "coordinator")), len(tick))
+        for record in tick[:cut]:
+            tally.add(record)
+        if tally.idle and not tally.todo:
+            backed = {r["payload"]["task_id"] for r in tick[cut:]
+                      if r["sender"] == "monitor" and r["kind"] == "task"}
+            for tid, (attempt, assigned) in tally.inflight.items():
+                key = (tid, attempt, assigned)
+                if key not in dues:
+                    speed = tally.speeds.get(tally.assignee[tid])
+                    spec = tally.specs[tid].get(attempt)
+                    dues[key] = math.inf if speed is None or spec is None \
+                        else assigned + actors._run_ticks(
+                            float(spec["kernel"]["duration"]), speed,
+                            horizon - assigned)
+                if now > dues[key] and tid not in backed:
+                    late.append(key[:2] + (now,))
+        for record in tick[cut:]:
+            tally.add(record)
+    return late
 
 
 ONE_WORKER = Scenario(seed=1, horizon=50,
@@ -1094,7 +1134,7 @@ ASSIGNMENT_GOLDEN = {
         "b23801ddd359e643fca24fb97431e1762b84c03467bb376370ddc4bdf2185a76"),
     "adapt-unfold": (
         _adapt_unfold,
-        "50f572c18def64fd3e3eb5c47cec78713ab7bceecde90d77412795d143f99560"),
+        "6812abc71d7d8c523e9182ac11a7c93f6e035916d7da01f9e20e68d60d7c9552"),
 }
 
 
@@ -1115,9 +1155,9 @@ def offers_of(records):
 # bytes must say which bytes changed and why.
 LOG_GOLDEN = {
     ("adapt-unfold", 0):
-        "eb65a900d1433659b674d6d9e6871d7f26e7a77fb61259f47313eab3fab06184",
+        "2d123a21aa37da8f2cca4451448844308a8affd87ed82feaf781d381ee91e4e7",
     ("adapt-unfold", 2):
-        "eb65a900d1433659b674d6d9e6871d7f26e7a77fb61259f47313eab3fab06184",
+        "2d123a21aa37da8f2cca4451448844308a8affd87ed82feaf781d381ee91e4e7",
     ("chain", 0):
         "a86503b1e9cf3b3d8295a2ddbb9c198017ad126a9c9f90efb070657a712ea8ac",
     ("chain", 2):
@@ -1520,11 +1560,11 @@ EDGE_GOLDEN = {
         "19edd8c00dffbc9f6680eb8317be62d7133678e52339bbc0198f369ee6952aa0",
         "0be4ee0aba824f3fc3359b017fd8e312285c0c43809a7083f79dcc1bdbc20e2e"),
     ("stall-over-assignment", 0): (
-        "117ccf3a21bcf46fb60599b26589b03b06815d7e989f98b34609c8dd10385607",
-        "c29836b319659be64263cd38e946444766fc1808b84ffd7fdc9abb00befcb76b"),
+        "e328e4e99aea2ad78d1d2a8b9c6580b41a1d620ee009093331fab7fcd641924c",
+        "16b0a256a58ea29e0b74e7f696c945049bd556fbc285484620a9e004edaa4972"),
     ("stall-over-assignment", 2): (
-        "8f123a8bf950066c14267249688e765a7406401531df7de90cfb81de9f43263b",
-        "90f3acb9a6270babcdec17305f278aa58e670153220293d5f62dba661e812ea6"),
+        "13a60838e0246edff0592e8b24fb111f2843d29044e93ed9b5180c350ff53ff4",
+        "89ff818657e11b54b4bff9ed87892f441e69417250d659b3544b4b6043d48731"),
 }
 
 
@@ -1572,6 +1612,7 @@ class TestReferenceLoop:
         assert woken == []
         assert ref_log.dumps() == log.dumps()
         assert vars(ref_report) == vars(report)
+        assert overruns(records_of(log), scenario.horizon) == []
         if report.completed:
             assert lags(records_of(log)) == {}
 
@@ -1803,6 +1844,7 @@ def test_random_runs_are_clean_deterministic_and_finish(batch, scenario,
     records = records_of(log)
     assert precedence_audit(records, batch) == []
     assert lifecycle_audit(records) == []
+    assert overruns(records, scenario.horizon) == []
     if tame:
         assert report.completed
     if report.completed:
