@@ -55,8 +55,11 @@ task.
 
 Each actor's `wake` is the earliest tick at which its step does
 something without new mail (math.inf: never).  For a running worker
-that is its job's next heartbeat or its result, not the next tick: the
-step then counts the quiet ticks in between, skipping its stall window.
+that is its job's next heartbeat or its result, not the next tick: both
+are fixed when the job is assigned, past the ticks the worker is frozen
+(before its arrival and in its stall), and a job's run ticks are
+counted once, when it ends or the worker stops.  A frozen worker's mail
+waits for the tick it thaws, which is then its wake.
 """
 
 from __future__ import annotations
@@ -72,7 +75,7 @@ from .bus import (BROKER, CHECKER, COORDINATOR, DLC, EMERGENCY,
                   FINISHED_TASKS, MONITOR, TASKS_IN_PROGRESS, TASKS_TO_CHECK,
                   TASKS_TO_DO, VOLUNTEER_WORKERS, WAITING_TASKS, Envelope,
                   InProcessBus)
-from .errors import ValidationError
+from .errors import EngineError, MissingInput, ValidationError
 from .execution import Workspace, execute_kernel
 # ready_tasks is not called here; perfbench's tracer patches it by name
 from .graph import find_cycle, ready_tasks, unfold
@@ -84,6 +87,7 @@ from .model import (
     WorkerProfile,
     WorkflowBatch,
     check_transition,
+    dump,
     load,
 )
 # task_from_obj is not called here; perfbench's tracer patches it by name
@@ -256,7 +260,7 @@ class Coordinator:
         if rule is not None:
             try:
                 unfolded = unfold(self.batch, tid, rule, self._snapshot())
-            except Exception:  # GuardFailed or a bad rule: run it as-is
+            except EngineError:  # GuardFailed or a bad rule: run it as-is
                 pass
             else:
                 spliced = sorted(unfolded.tasks.keys()
@@ -300,7 +304,8 @@ class Coordinator:
 
     def _on_volunteer(self, wid: str, payload: dict) -> None:
         """Pool the worker; rank it again only if its profile changed."""
-        profile = WorkerProfile.from_payload(wid, payload)
+        profile = load(WorkerProfile, {**payload, "worker_id": wid},
+                       f"volunteer profile of {wid!r}")
         if profile != self.profiles.get(wid):
             self._leave(wid)
             self.profiles[wid] = profile
@@ -392,19 +397,21 @@ class Coordinator:
 
 # ---------------------------------------------------------------- worker
 
-def _run_ticks(duration: float, speed: float, limit: float) -> float:
-    """Ticks a job of `duration` runs at `speed`: the count of
+def _result_tick(start: int, duration: float, speed: float,
+                 horizon: float) -> float:
+    """The tick at which a job of `duration` started at `start` sends its
+    result at `speed`, were it never frozen: `start` plus the count of
     `remaining -= speed` steps until remaining <= 1e-9, so float rounding
-    decides the last tick as it would tick by tick; math.inf once the
-    count passes `limit`.  A worker counts its job with it and the
-    monitor the tick that job's result is due, so the two agree."""
-    remaining, ticks = duration - speed, 1
+    decides the last tick as it would tick by tick; math.inf once that
+    passes `horizon`.  The worker times its job with it and the monitor
+    the tick that job's result is due, so the two agree."""
+    remaining, tick = duration - speed, start + 1
     while remaining > 1e-9:
-        if ticks > limit:
+        if tick > horizon:
             return math.inf
         remaining -= speed
-        ticks += 1
-    return ticks
+        tick += 1
+    return tick
 
 
 @dataclass
@@ -413,17 +420,19 @@ class _Job:
     attempt: int
     spec: dict
     started: int
-    left: float    # run ticks until the result; math.inf: past the horizon
-    settled: int   # the last tick counted into `left` and executed_ticks
+    done: float  # the tick of its result; math.inf: past the horizon
+    beat: int    # the tick of its next heartbeat
 
 
 class WorkerActor:
     """A volunteer node: sees tasks, offers itself, runs what it wins.
 
-    A job runs one tick of work on each tick after it started, except in
-    the worker's stall window, when the worker is frozen: it reads no
-    mail and runs nothing.  The worker wakes only for a job's heartbeat
-    or result; a step counts the quiet ticks in between.
+    The worker is frozen before its arrival and in its stall window: it
+    reads no mail and runs nothing.  A job runs one tick of work on each
+    tick after it started on which the worker is not frozen, so the
+    ticks of its result and of each heartbeat are fixed at assignment,
+    and the worker wakes only for those, for a due offer, or, once it
+    thaws, for mail that came while it was frozen.
     """
 
     def __init__(self, bus: InProcessBus, profile: WorkerProfile,
@@ -433,7 +442,8 @@ class WorkerActor:
                  volunteer_jitter: int = 0,
                  rng: Optional[Random] = None,
                  stall: Optional[tuple[int, int]] = None,
-                 horizon: float = math.inf) -> None:
+                 horizon: float = math.inf,
+                 arrival: int = 0) -> None:
         self.bus = bus
         self.profile = profile
         self.id = profile.worker_id
@@ -442,9 +452,13 @@ class WorkerActor:
         self.volunteer_latency = volunteer_latency
         self.volunteer_jitter = volunteer_jitter
         self.rng = rng or Random(0)
-        # frozen for (from, ticks): the ticks [from, from + ticks)
-        self.stall_window = None if stall is None \
-            else (stall[0], stall[0] + stall[1])
+        # the ticks [lo, hi) at which the worker is frozen, by lo: those
+        # before its arrival and, for a stall (from, ticks), those in
+        # [from, from + ticks); an empty window is left out
+        windows = [(0, arrival)]
+        if stall is not None:
+            windows.append((stall[0], stall[0] + stall[1]))
+        self.frozen = sorted(w for w in windows if w[0] < w[1])
         self.horizon = horizon  # no job needs counting past it
         bus.register(self.id)
         bus.subscribe(self.id, TASKS_TO_DO)
@@ -459,33 +473,38 @@ class WorkerActor:
             if self.volunteer_jitter > 0 else 0
         return now + self.volunteer_latency + jitter
 
-    def _stalled(self, tick: float) -> bool:
-        return self.stall_window is not None \
-            and self.stall_window[0] <= tick < self.stall_window[1]
+    def _thaw(self, tick: float) -> float:
+        """The first tick from `tick` on at which the worker may act."""
+        for lo, hi in self.frozen:
+            if lo <= tick < hi:
+                tick = hi
+        return tick
 
-    def _next_event(self, job: _Job) -> float:
-        """The job's next heartbeat tick, on its phase outside the stall,
-        or the tick of its result, whichever comes first."""
-        period, after = self.heartbeat_period, job.settled
-        beat = after + period - (after - job.started) % period
-        done = after + job.left
-        if self.stall_window is not None:
-            lo, hi = self.stall_window
-            if lo <= beat < hi:
-                beat = hi + (job.started - hi) % period
-            if done >= lo:
-                done += max(0, hi - max(lo, after + 1))
-        return min(beat, done)
+    def _beat(self, started: int, last: int) -> int:
+        """The heartbeat after the one at `last` (or the start) of a job
+        started at `started`: a period on, or if the worker is frozen
+        then, the first tick on that phase after it thaws."""
+        tick = self._thaw(last + self.heartbeat_period)
+        return tick + (started - tick) % self.heartbeat_period
+
+    def _ran(self, job: _Job, upto: int) -> None:
+        """Count the job's run ticks up to `upto`: every tick after its
+        start on which the worker was not frozen."""
+        self.executed_ticks += upto - job.started - sum(
+            max(0, min(hi, upto + 1) - max(lo, job.started + 1))
+            for lo, hi in self.frozen)
 
     @property
-    def wake(self) -> float:  # a due offer or the job's next event
+    def wake(self) -> float:  # a due offer, the job's next event or mail
         tick = math.inf if self.offer is None else self.offer[0]
         if self.running is not None:
-            tick = min(tick, self._next_event(self.running))
-        return self.stall_window[1] if self._stalled(tick) else tick
+            tick = min(tick, self.running.beat, self.running.done)
+        if self.id in self.bus.mail:  # only while frozen, after a step
+            tick = min(tick, self.bus.now)
+        return self._thaw(tick)
 
     def step(self, now: int) -> None:
-        if self._stalled(now):
+        if self._thaw(now) > now:
             return
         # most steps are heartbeat wakes, with no mail to drain
         mail = self.bus.drain(self.id) if self.id in self.bus.mail else ()
@@ -495,41 +514,27 @@ class WorkerActor:
             elif env.kind == "assignment":
                 self._on_assignment(env, now)
         job = self.running
-        if job is not None and job.settled < now:
-            self._settle(now)
-            if job.left <= 0:
-                self._complete()
-            elif (now - job.started) % self.heartbeat_period == 0:
-                self.bus.publish(self.id, TASKS_IN_PROGRESS, "heartbeat",
-                                 {"task_id": job.task_id,
-                                  "worker_id": self.id,
-                                  "attempt": job.attempt})
+        if job is not None and job.done <= now:
+            self._complete()
+        elif job is not None and job.beat <= now:
+            job.beat = self._beat(job.started, now)
+            self.bus.publish(self.id, TASKS_IN_PROGRESS, "heartbeat",
+                             {"task_id": job.task_id, "worker_id": self.id,
+                              "attempt": job.attempt})
         if self.offer is not None and self.offer[0] <= now:
             _due, tid, attempt = self.offer
             self.offer = None
+            profile = dump(self.profile)
+            del profile["worker_id"]
             self.bus.publish(self.id, VOLUNTEER_WORKERS, "volunteer",
                              {"task_id": tid, "worker_id": self.id,
-                              "attempt": attempt,
-                              "profile": self.profile.to_payload()})
-
-    def _settle(self, upto: int) -> None:
-        """Count the job's run ticks up to `upto`: every tick after the
-        last one counted, outside the stall window."""
-        job = self.running
-        assert job is not None
-        ran = upto - job.settled
-        if self.stall_window is not None:
-            lo, hi = self.stall_window
-            ran -= max(0, min(hi, upto + 1) - max(lo, job.settled + 1))
-        job.left -= ran
-        job.settled = upto
-        self.executed_ticks += ran
+                              "attempt": attempt, "profile": profile})
 
     def stop(self, tick: int) -> None:
         """Count the running job's run ticks up to `tick`, the worker's
         last; the run stops each worker once, when it dies or at the end."""
-        if self.running is not None and self.running.settled < tick:
-            self._settle(tick)
+        if self.running is not None:
+            self._ran(self.running, tick)
 
     def _on_task(self, env: Envelope, now: int) -> None:
         """The one offer names the first task the worker can run; then the
@@ -553,11 +558,13 @@ class WorkerActor:
         if spec is None:
             self.offer = (self._due(now), tid, attempt)
             return
-        self.running = _Job(
-            task_id=tid, attempt=attempt, spec=spec, started=now,
-            left=_run_ticks(float(spec["kernel"]["duration"]),
-                            self.profile.speed, self.horizon - now),
-            settled=now)
+        done = _result_tick(now, float(spec["kernel"]["duration"]),
+                            self.profile.speed, self.horizon)
+        for lo, hi in self.frozen:  # the frozen ticks before it delay it
+            if lo <= done:
+                done += max(0, hi - max(lo, now + 1))
+        self.running = _Job(tid, attempt, spec, now, done,
+                            self._beat(now, now))
         self.bus.publish(self.id, TASKS_IN_PROGRESS, "started",
                          {"task_id": tid, "worker_id": self.id,
                           "attempt": attempt})
@@ -566,6 +573,7 @@ class WorkerActor:
         job = self.running
         assert job is not None
         self.running = None
+        self._ran(job, job.done)
         kernel = load(KernelSpec, job.spec["kernel"],
                       f"task {job.task_id!r}.kernel")
         payload = {
@@ -575,7 +583,7 @@ class WorkerActor:
         }
         try:
             result = execute_kernel(kernel, self.workspace)
-        except Exception as exc:  # MissingInput: ask the data policy for help
+        except MissingInput as exc:  # ask the data policy for help
             self.bus.publish(self.id, DLC, "dlc",
                              {"task_id": job.task_id,
                               "event": "transmission_failure"})
@@ -609,10 +617,10 @@ class Monitor:
     ticks of silence (if sooner than k*H), and the tick after its result
     was due.  That is the assignment tick plus the run ticks of its
     spec's duration at the speed its assignee advertised (the fold's
-    assignee and speed tables), counted by `_run_ticks` as the worker
-    counts its job, up to the horizon.  A healthy job beats every H
-    ticks and sends its result on the tick it is due, so only a stalled
-    or dead worker misses either.
+    assignee and speed tables), by `_result_tick` as the worker times
+    its job, up to the horizon.  A healthy job beats every H ticks and
+    sends its result on the tick it is due, so only a stalled or dead
+    worker misses either.
     """
 
     id = MONITOR
@@ -652,8 +660,8 @@ class Monitor:
         speed = tally.speeds.get(tally.assignee[tid])
         if spec is None or speed is None:
             return math.inf
-        return assigned + _run_ticks(float(spec["kernel"]["duration"]),
-                                     speed, self.horizon - assigned)
+        return _result_tick(assigned, float(spec["kernel"]["duration"]),
+                            speed, self.horizon)
 
     def _overdue(self, tid: str, entry: tuple[int, int], deadline: int,
                  spare: bool) -> float:

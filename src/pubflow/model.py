@@ -222,18 +222,6 @@ class WorkerProfile:
         if not 0.0 <= self.reliability <= 1.0:
             raise ValueError("reliability must be in [0, 1]")
 
-    def to_payload(self) -> dict:
-        return {
-            "capabilities": sorted(self.capabilities),
-            "speed": self.speed,
-            "reliability": self.reliability,
-        }
-
-    @classmethod
-    def from_payload(cls, worker_id: str, payload: Mapping) -> "WorkerProfile":
-        return cls(worker_id, frozenset(payload["capabilities"]),
-                   payload["speed"], payload["reliability"])
-
 
 # --------------------------------------------------------------- loading
 

@@ -16,25 +16,28 @@ releases its roots.  Then, per tick, in this exact order:
      tick, and publishes the Emergency in the tick of the last one.
      The run ends here in the tick of the Emergency, which the loop
      reads from the log's fold, and nothing is logged after it
-  3. workers, sorted by worker id (skipped while not yet arrived; a
-     worker in its stall window is frozen and its step does nothing)
+  3. workers, sorted by worker id (a worker before its arrival or in
+     its stall window is frozen: its step does nothing, and its mail
+     waits for the tick it thaws)
 
 An actor is stepped only when the bus holds mail for it or its `wake`
 tick (see actors.py) has come, as any other step would do nothing; a
 dead worker leaves the bus.  So a tick costs the actors with work, not
 the size of the pool.  Nor does the loop visit a tick where nothing is
-due: after a tick with mail left on the bus it goes on to the next
+due: after a tick that leaves a service mail it goes on to the next
 tick, and otherwise it jumps to the earliest wake, scheduled departure
-or crash, or the horizon.  A running job wakes its worker only for a
-heartbeat or its result, so a long job costs its heartbeats, not its
-ticks.  The monitor has no mail (it reads the bus's in-flight,
-last-heard, idle and to-do tables), and nobody subscribes to
-TasksInProgress, so a heartbeat does not keep the loop on the next
-tick.  The exception is a live worker with a crash_prob: its death roll
+or crash, or the horizon.  A worker drains its mail in the tick it
+comes, unless it is frozen; then its wake is the tick it thaws, so a
+late arrival or a long stall costs no ticks.  A running job wakes its
+worker only for a heartbeat or its result, so a long job costs its
+heartbeats, not its ticks.  The monitor has no mail (it reads the
+bus's in-flight, last-heard, idle and to-do tables), and nobody
+subscribes to TasksInProgress, so a heartbeat does not keep the loop
+on the next tick.  The exception is a live worker with a crash_prob: its death roll
 is one RNG draw per tick from its arrival on, so while it lives the loop
 visits every tick.  None of this shows in the log: `_Run` sets up the
-actors for any loop, and one that steps every service and every
-arrived, live worker on every tick writes the same bytes.
+actors for any loop, and one that steps every service and every live
+worker on every tick writes the same bytes.
 
 All randomness flows through a single random.Random(seed), so identical
 inputs produce byte-identical event logs; the loop ends in the tick of
@@ -42,10 +45,10 @@ the Emergency, stopping the live workers at the tick before (see 2.),
 or at the horizon with completed=False.  A dead worker was stopped as
 it died.
 
-Workers join the bus at tick 0 regardless of their arrival tick; the
-arrival only gates when they start acting.  The bus does not replay, so
-this is what lets latecomers see tasks published before they arrive:
-their queue just waits for them.
+Workers join the bus at tick 0 regardless of their arrival tick; a
+worker is frozen until it arrives.  The bus does not replay, so this is
+what lets latecomers see tasks published before they arrive: their
+queue just waits for them.
 """
 
 from __future__ import annotations
@@ -191,7 +194,8 @@ class _Run:
                 heartbeat_period=scenario.heartbeat_period,
                 volunteer_latency=scenario.volunteer_latency,
                 volunteer_jitter=scenario.volunteer_jitter,
-                rng=rng, stall=ws.stall, horizon=scenario.horizon))
+                rng=rng, stall=ws.stall, horizon=scenario.horizon,
+                arrival=ws.arrival))
         # the Checker first: the Coordinator acts on a verdict in its tick
         self.services = (checker, self.coordinator, monitor)
 
@@ -204,8 +208,9 @@ class _Run:
             if edges:
                 self.ends.setdefault(max(ws.arrival, min(edges)),
                                      []).append(wid)
-        self.risky = [wid for wid, (ws, _) in self.roster.items()
-                      if ws.crash_prob > 0]
+        # worker id -> the tick its death rolls start, while it lives
+        self.risky = {wid: ws.arrival for wid, (ws, _) in self.roster.items()
+                      if ws.crash_prob > 0}
         self.wake: dict[str, float] = {}  # _step_due's finite worker wakes
         self.died: dict[str, int] = {}
 
@@ -215,16 +220,16 @@ class _Run:
         for wid in self.ends.pop(now, ()):
             if wid not in self.died:
                 self._kill(wid, now)
-        for wid in self.risky:
-            ws = self.roster[wid][0]
-            if wid not in self.died and now >= ws.arrival \
-                    and self.rng.random() < ws.crash_prob:
+        for wid, first in list(self.risky.items()):
+            if now >= first and \
+                    self.rng.random() < self.roster[wid][0].crash_prob:
                 self._kill(wid, now)
 
     def _kill(self, wid: str, now: int) -> None:
         self.died[wid] = now
         self.bus.leave(wid)
         self.wake.pop(wid, None)
+        self.risky.pop(wid, None)
         self.roster[wid][1].stop(now - 1)
 
     def report(self, now: int) -> SimReport:
@@ -249,8 +254,9 @@ def _step_due(run: _Run) -> int:
     """Play the run, stepping only the actors with mail or a due wake and
     skipping the ticks where nothing is due; returns the last tick."""
     bus, tally, horizon = run.bus, run.bus.log.tally, run.scenario.horizon
-    roster, wake, died = run.roster, run.wake, run.died
+    roster, wake = run.roster, run.wake
     services, ends, risky = run.services, run.ends, run.risky
+    service_ids = {service.id for service in services}
     now = 0
     while True:
         run.begin(now)
@@ -262,9 +268,7 @@ def _step_due(run: _Run) -> int:
         due = {wid for wid in bus.mail if wid in roster}
         due.update(wid for wid, tick in wake.items() if tick <= now)
         for wid in sorted(due):
-            ws, actor = roster[wid]
-            if now < ws.arrival:
-                continue
+            actor = roster[wid][1]
             actor.step(now)
             tick = actor.wake
             if tick < math.inf:
@@ -273,15 +277,15 @@ def _step_due(run: _Run) -> int:
                 wake.pop(wid, None)
         if now == horizon:
             return now
-        if bus.mail:
+        if not bus.mail.isdisjoint(service_ids):
             now += 1
             continue
-        # no mail: jump to the next wake, scheduled end or horizon, or to
-        # the next tick while a crash_prob worker has arrived
+        # no service mail: jump to the next wake (a frozen worker's mail
+        # is in its wake), scheduled end or horizon, or to the next tick
+        # while a crash_prob worker has arrived
         now = max(now + 1, min(
             horizon, *ends, *wake.values(),
-            *(service.wake for service in services),
-            *(roster[wid][0].arrival for wid in risky if wid not in died)))
+            *(service.wake for service in services), *risky.values()))
 
 
 def run_simulation(batch: WorkflowBatch, scenario: Scenario, *,

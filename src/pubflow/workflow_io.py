@@ -91,17 +91,15 @@ def _build_batch(doc: Mapping) -> WorkflowBatch:
     tasks = _by_id(Task, "task", doc.get("tasks"), metadata)
     rules = _by_id(UnfoldRule, "rule", doc.get("rules", []))
     for task in tasks.values():
-        for dep in sorted(task.deps):
-            if dep not in tasks:
-                raise SchemaError(
-                    f"task {task.id!r} depends on unknown id {dep!r}")
         if task.unfold_rule is not None and task.unfold_rule not in rules:
             raise SchemaError(
                 f"task {task.id!r} references unknown rule "
                 f"{task.unfold_rule!r}")
-
-    return WorkflowBatch(batch_id=batch_id, tasks=tasks, rules=rules,
-                         metadata=metadata)
+    try:  # refuses a dependency on an unknown task
+        return WorkflowBatch(batch_id=batch_id, tasks=tasks, rules=rules,
+                             metadata=metadata)
+    except ValueError as exc:
+        raise SchemaError(str(exc)) from exc
 
 
 def _by_id(cls: type, what: str, entries: object,

@@ -32,6 +32,7 @@ from pubflow import (
     sla_score,
 )
 from pubflow import actors
+from pubflow.model import dump
 
 
 def noop_task(tid, deps=(), outputs=(), duration=1.0, **kw):
@@ -175,9 +176,11 @@ def wire(batch):
 
 
 def volunteer(bus, wid, tid, attempt=1, **prof):
+    payload = dump(profile(wid, **prof))
+    del payload["worker_id"]
     bus.publish(wid, Channel.VOLUNTEER_WORKERS, "volunteer",
                 {"task_id": tid, "worker_id": wid, "attempt": attempt,
-                 "profile": profile(wid, **prof).to_payload()})
+                 "profile": payload})
 
 
 def verdict(bus, tid, attempt=1, ok=True):
@@ -653,6 +656,20 @@ class TestCoordinatorUnfold:
                 and json.loads(line)["kind"] == "task"]
         assert "big" in todo
 
+    def test_a_bug_in_unfold_is_not_a_guard_failure(self, monkeypatch):
+        """Only an EngineError (GuardFailed or a bad rule) runs the task
+        as-is: any other exception from unfold raises out of the step."""
+        bus, coord = self.build(GuardPredicate())
+        coord.step(0)
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("unfold bug")
+
+        monkeypatch.setattr(actors, "unfold", broken)
+        verdict(bus, "prep")
+        with pytest.raises(RuntimeError, match="unfold bug"):
+            coord.step(1)
+
     def test_unfolded_children_complete_the_batch(self):
         bus, coord = self.build(GuardPredicate())
         coord.step(0)
@@ -768,6 +785,25 @@ class TestWorker:
         assert result["exit_status"] == 2
         assert "ghost" in result["error"]
 
+    def test_a_bug_while_completing_is_not_a_missing_input(
+            self, tmp_path, monkeypatch):
+        """Only MissingInput asks the data policy for help: a workspace
+        that fails while storing the outputs raises out of the step
+        instead of turning into a transmission failure and exit 2."""
+        bus, actor = worker_rig(tmp_path)
+        publish_task(bus, noop_task("a", outputs=("d",)))
+        actor.step(0)
+        assign(bus, "a", "w1")
+        actor.step(1)
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("disk on fire")
+
+        monkeypatch.setattr(Workspace, "put", broken)
+        with pytest.raises(RuntimeError, match="disk on fire"):
+            actor.step(2)
+        assert "dlc" not in [k for k, _ in log_kinds(bus)]
+
     def test_result_is_the_only_offer_after_a_job(self, tmp_path):
         """b arrives while the worker runs a; finishing a sends the
         result and no volunteer, as the result refills the pool."""
@@ -872,12 +908,16 @@ class TestWorker:
         assert results == [3]  # ceil(4 / 2) ticks after start at 1
 
 
-def per_tick_job(duration, speed, heartbeat, stall, emergency, end):
+def per_tick_job(duration, speed, heartbeat, stall, arrival, assigned,
+                 emergency, end):
     """A job's (kind, ts) events and run ticks, worked out tick by tick:
-    the task and its assignment wait in the queue from tick 0."""
+    the task waits in the queue from tick 0 and its assignment from tick
+    `assigned`, and the worker is frozen before `arrival` and in its
+    stall."""
     def frozen(t):
-        return stall is not None and stall[0] <= t < stall[0] + stall[1]
-    started = next(t for t in itertools.count() if not frozen(t))
+        return t < arrival or (
+            stall is not None and stall[0] <= t < stall[0] + stall[1])
+    started = next(t for t in itertools.count(assigned) if not frozen(t))
     events = [("started", started)] if started <= end and (
         emergency is None or started < emergency) else []
     remaining, executed = duration, 0
@@ -904,28 +944,34 @@ class TestNextEventWorker:
            heartbeat=st.integers(min_value=1, max_value=6),
            stall=st.none() | st.tuples(st.integers(0, 40),
                                        st.integers(1, 30)),
+           arrival=st.integers(0, 40),
+           assigned=st.integers(0, 40),
            emergency=st.none() | st.integers(1, 120),
            end=st.integers(0, 120))
     def test_waking_for_events_matches_stepping_every_tick(
             self, tmp_path_factory, duration, speed, heartbeat, stall,
-            emergency, end):
+            arrival, assigned, emergency, end):
         """Stepped only at the ticks the simulator visits (mail for the
-        worker, its wake, the end) and stopped at the tick before the
-        Emergency, where the run ends without stepping it, the worker
-        sends what the per-tick model sends, counts its run ticks alike,
-        and never wakes without sending something."""
+        worker, its wake, the assignment, the end) and stopped at the
+        tick before the Emergency, where the run ends without stepping
+        it, the worker sends what the per-tick model sends, counts its
+        run ticks alike, and never wakes without sending something.  The
+        mail that reaches it while frozen, before its arrival or in its
+        stall, keeps no tick busy: its wake is the tick it thaws."""
         bus = InProcessBus()
         actor = WorkerActor(bus, profile("w1", speed=speed),
                             Workspace(tmp_path_factory.mktemp("ws")),
-                            heartbeat_period=heartbeat, stall=stall)
+                            heartbeat_period=heartbeat, stall=stall,
+                            arrival=arrival)
         publish_task(bus, noop_task("a", duration=duration))
-        assign(bus, "a", "w1")
         now, idle_wakes = 0, 0
         while True:
             bus.now = now
             if now == emergency:
                 actor.stop(now - 1)
                 break
+            if now == assigned:
+                assign(bus, "a", "w1")
             mail = actor.id in bus.mail
             if mail or actor.wake <= now:
                 sent = len(bus.log.lines)
@@ -934,16 +980,15 @@ class TestNextEventWorker:
             if now == end:
                 actor.stop(end)
                 break
-            later = [end, actor.wake]
-            if emergency is not None and emergency > now:
-                later.append(emergency)
-            now = now + 1 if actor.id in bus.mail \
-                else max(now + 1, min(later))
+            later = [end, actor.wake] + [tick for tick in (emergency, assigned)
+                                         if tick is not None and tick > now]
+            now = max(now + 1, min(later))
         records = [json.loads(line) for line in bus.log.lines]
         events = [(r["kind"], r["ts"]) for r in records
                   if r["kind"] in ("started", "heartbeat", "result")]
         assert (events, actor.executed_ticks) == per_tick_job(
-            duration, speed, heartbeat, stall, emergency, end)
+            duration, speed, heartbeat, stall, arrival, assigned, emergency,
+            end)
         assert idle_wakes == 0
 
     def test_running_worker_wakes_for_heartbeats_and_its_result(
@@ -977,7 +1022,7 @@ class TestNextEventWorker:
         publish_task(bus, noop_task("a", duration=1e8))
         assign(bus, "a", "w1")
         actor.step(0)
-        assert actor.running.left == float("inf")
+        assert actor.running.done == float("inf")
         assert actor.wake == 5
 
 
@@ -1187,7 +1232,7 @@ class TestFailureDetector:
         goes out the tick after."""
         bus, mon = spare_rig(heartbeat=5, k=3, duration=duration,
                              speed=speed, at=at)
-        assert at + actors._run_ticks(duration, speed, math.inf) == due
+        assert actors._result_tick(at, duration, speed, math.inf) == due
         assert mon.deadline == 6
         assert mon.wake == due + 1
         assert first_timeout(bus, mon) == due + 1
@@ -1207,10 +1252,10 @@ class TestFailureDetector:
         assert first_timeout(bus, mon) == 7
 
     def test_a_result_due_past_the_horizon_misses_a_heartbeat(self):
-        """A job that runs past the horizon has no due result: _run_ticks
-        stops counting at the horizon and returns inf, at once even for
-        a duration of 1e12 ticks."""
-        assert actors._run_ticks(1e12, 1.0, 50) == math.inf
+        """A job that runs past the horizon has no due result:
+        _result_tick stops counting at the horizon and returns inf, at
+        once even for a duration of 1e12 ticks."""
+        assert actors._result_tick(0, 1e12, 1.0, 50) == math.inf
         bus, mon = spare_rig(heartbeat=5, k=3, duration=1e12, horizon=50)
         assert mon.wake == 7
         assert first_timeout(bus, mon) == 7

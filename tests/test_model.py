@@ -14,6 +14,7 @@ from pubflow import (
     WorkflowBatch,
     check_transition,
 )
+from pubflow.model import dump, load
 
 
 def make_task(tid="t", deps=(), **kw):
@@ -74,12 +75,16 @@ class TestValues:
             WorkerProfile(worker_id="w", speed=0.0)
 
     def test_worker_profile_payload_round_trip(self):
+        """A volunteer's profile is `dump` without the worker id, and the
+        coordinator reads it back with `load` and the sender's id."""
         w = WorkerProfile(worker_id="w1",
                           capabilities=frozenset({"gpu", "big-mem"}),
                           speed=2.5, reliability=0.875)
-        payload = w.to_payload()
+        payload = dump(w)
+        assert list(payload) == ["worker_id", "capabilities", "speed",
+                                 "reliability"]
         assert payload["capabilities"] == ["big-mem", "gpu"]  # sorted
-        assert WorkerProfile.from_payload("w1", payload) == w
+        assert load(WorkerProfile, payload, "profile") == w
 
     def test_batch_edges_sorted_and_complete(self):
         batch = WorkflowBatch(batch_id="b", tasks={

@@ -116,11 +116,12 @@ def watch_tables(monkeypatch):
 
 
 def step_every_tick(run):
-    """The reference loop: it steps every service and every arrived, live
-    worker on every tick, and always advances one tick.  Returns the last
-    tick and the (actor, tick) of each step that published although the
-    actor had no mail and its wake had not come.  Those are the steps
-    that run_simulation skips, so the list must be empty."""
+    """The reference loop: it steps every service and every live worker
+    (frozen until it arrives) on every tick, and always advances one
+    tick.  Returns the last tick and the (actor, tick) of each step that
+    published although the actor had no mail and its wake had not come.
+    Those are the steps that run_simulation skips, so the list must be
+    empty."""
     bus, tally, horizon = run.bus, run.bus.log.tally, run.scenario.horizon
     woken = []
 
@@ -138,8 +139,8 @@ def step_every_tick(run):
             step(service, now)
         if tally.reason is not None:
             return now, woken
-        for wid, (ws, actor) in run.roster.items():
-            if wid not in run.died and now >= ws.arrival:
+        for wid, (_, actor) in run.roster.items():
+            if wid not in run.died:
                 step(actor, now)
         if now == horizon:
             return now, woken
@@ -207,9 +208,9 @@ def overruns(records, horizon):
                     speed = tally.speeds.get(tally.assignee[tid])
                     spec = tally.specs[tid].get(attempt)
                     dues[key] = math.inf if speed is None or spec is None \
-                        else assigned + actors._run_ticks(
-                            float(spec["kernel"]["duration"]), speed,
-                            horizon - assigned)
+                        else actors._result_tick(
+                            assigned, float(spec["kernel"]["duration"]),
+                            speed, horizon)
                 if now > dues[key] and tid not in backed:
                     late.append(key[:2] + (now,))
         for record in tick[cut:]:
@@ -727,6 +728,35 @@ def test_long_chain_visits_ticks_by_envelope_not_by_makespan(monkeypatch):
     assert ticks == sorted(set(ticks)) and ticks[-1] == report.makespan
     assert len(ticks) <= 2 * report.messages_total
     assert len(ticks) * 5 < report.makespan
+
+
+@pytest.mark.parametrize("worker", [
+    WorkerSpec(worker_id="w1", arrival=10_000),
+    WorkerSpec(worker_id="w1", stall=(3, 10_000))],
+    ids=["late-arrival", "stall-over-assignment"])
+def test_a_frozen_workers_mail_waits_without_visits(monkeypatch, worker):
+    """Mail for a frozen worker, before its arrival or in its stall,
+    keeps no tick busy: its wake is the tick it thaws.  A chain a -> b
+    whose one worker arrives at 10,000, or whose worker gets b at tick 3
+    and stalls until 10,003, ends at 10,005 after at most 10 loop
+    visits, and writes the bytes of the reference loop."""
+    batch = batch_of(noop_task("a"), noop_task("b", deps=["a"]))
+    scenario = Scenario(seed=1, horizon=20_000, workers=(worker,))
+    ref_report, ref_log, woken = reference_run(batch, scenario)
+    visits = []
+    begin = simulator._Run.begin
+
+    def counted(self, now):
+        visits.append(now)
+        begin(self, now)
+
+    monkeypatch.setattr(simulator._Run, "begin", counted)
+    report, log = run_simulation(batch, scenario)
+    assert report.completed and report.makespan == 10_005
+    assert len(visits) <= 10
+    assert woken == []
+    assert log.dumps() == ref_log.dumps()
+    assert vars(report) == vars(ref_report)
 
 
 def drained_by_workers(monkeypatch, workers):
