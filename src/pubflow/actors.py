@@ -4,8 +4,8 @@ Everything coordinates through bus messages, and the bus hands no actor
 its own, nor one addressed to others; no actor touches another actor's
 state.  Mail carries only work; facts (specs, liveness, attempts in
 flight, verified tasks, the run's end) come from the log's fold, which
-the bus shows.  Nothing is logged after the Emergency.  One batch flows
-like this:
+every actor reads as `bus.log.tally`.  Nothing is logged after the
+Emergency.  One batch flows like this:
 
   broker       publishes every task on WaitingTasks, in id order, and
                listens to nothing
@@ -22,8 +22,8 @@ like this:
                capable of, and then hear only the assignments addressed
                to them; execute each with the spec of its attempt,
                heartbeat while running, and push results to TasksToCheck
-  monitor      has no mail; when the fold shows an attempt in flight
-               past its deadline without a started or heartbeat,
+  monitor      has no mail; when the fold's row of an attempt in flight
+               shows it past its deadline without a started or heartbeat,
                re-publishes the task with the attempt bumped and emits a
                data-policy event on DLC; the deadline is k*H ticks, but
                while the fold's idle table holds a worker and its to-do
@@ -541,7 +541,8 @@ class WorkerActor:
         worker leaves TasksToDo and hears only its own assignments."""
         if self.joined:
             return
-        spec = self.bus.spec(env.payload["task_id"], env.payload["attempt"])
+        spec = self.bus.log.tally.spec(env.payload["task_id"],
+                                       env.payload["attempt"])
         caps = frozenset(spec.get("required_caps", ()))
         if not caps <= self.profile.capabilities:
             return
@@ -554,7 +555,7 @@ class WorkerActor:
         tid, attempt = env.payload["task_id"], env.payload["attempt"]
         if self.running is not None:
             return
-        spec = self.bus.spec(tid, attempt)
+        spec = self.bus.log.tally.spec(tid, attempt)
         if spec is None:
             self.offer = (self._due(now), tid, attempt)
             return
@@ -602,13 +603,13 @@ class WorkerActor:
 class Monitor:
     """Re-publishes tasks whose executor went silent or is overdue.
 
-    It has no mail.  The fold's in-flight table (bus.inflight) holds an
-    attempt from its assignment, so a worker that dies before its first
-    message is still covered, and its last-heard table the attempt's
-    latest started or heartbeat.  An attempt longer than `deadline`
-    without news gets its task re-published with the attempt bumped,
-    plus a transmission-failure event for the data policy; after an
-    Emergency, nothing does.
+    It has no mail.  The fold's in-flight table holds a row per attempt
+    from its assignment, so a worker that dies before its first message
+    is still covered; the row's last heard tick is that of the
+    attempt's latest started or heartbeat, else of its assignment.  An
+    attempt longer than `deadline` without news gets its task
+    re-published with the attempt bumped, plus a transmission-failure
+    event for the data policy; after an Emergency, nothing does.
 
     The deadline follows the pool's spare capacity.  It is k*H ticks,
     but while a worker idles and no task waits for one (the fold's idle
@@ -616,11 +617,11 @@ class Monitor:
     attempt is overdue at the earlier of one missed heartbeat, H + 1
     ticks of silence (if sooner than k*H), and the tick after its result
     was due.  That is the assignment tick plus the run ticks of its
-    spec's duration at the speed its assignee advertised (the fold's
-    assignee and speed tables), by `_result_tick` as the worker times
-    its job, up to the horizon.  A healthy job beats every H ticks and
-    sends its result on the tick it is due, so only a stalled or dead
-    worker misses either.
+    spec's duration at the speed its assignee advertised (the row's
+    worker in the fold's speed table), by `_result_tick` as the worker
+    times its job, up to the horizon.  A healthy job beats every H ticks
+    and sends its result on the tick it is due, so only a stalled or
+    dead worker misses either.
     """
 
     id = MONITOR
@@ -633,15 +634,17 @@ class Monitor:
         self.horizon = horizon  # no result is due past it
         bus.register(self.id)  # claims the id
         self.timeouts = 0
-        # task -> (its in-flight entry, the tick after its result is due),
-        # worked out once per attempt and never kept past the attempt
-        self._dues: dict[str, tuple[tuple[int, int], float]] = {}
+        # task -> (attempt, assignment tick, the tick after its result is
+        # due) of its row, worked out once per assignment, not per
+        # heartbeat, and never kept past the attempt
+        self._dues: dict[str, tuple[int, int, float]] = {}
         self._woken: tuple[int, float] = (-1, math.inf)  # records, wake
 
     @property
     def spare(self) -> bool:
         """A worker idles and no task waits for one."""
-        return bool(self.bus.idle) and not self.bus.todo
+        tally = self.bus.log.tally
+        return bool(tally.idle) and not tally.todo
 
     @property
     def deadline(self) -> int:
@@ -651,36 +654,37 @@ class Monitor:
             return min(patience, self.heartbeat_period + 1)
         return patience
 
-    def _result_due(self, tid: str, attempt: int, assigned: int) -> float:
-        """The tick at which the attempt's assignee, if healthy, sends its
-        result; math.inf if the spec or the assignee's speed is unknown,
-        or the job runs past the horizon."""
+    def _result_due(self, tid: str, row: tuple[int, int, str, int]) -> float:
+        """The tick at which the row's worker, if healthy, sends the
+        attempt's result; math.inf if the worker's speed is unknown, or
+        the job runs past the horizon.  A row opens only for a published
+        attempt, so its spec is known."""
         tally = self.bus.log.tally
-        spec = self.bus.spec(tid, attempt)
-        speed = tally.speeds.get(tally.assignee[tid])
-        if spec is None or speed is None:
+        attempt, assigned, wid, _ = row
+        speed = tally.speeds.get(wid)
+        if speed is None:
             return math.inf
+        spec = tally.spec(tid, attempt)
         return _result_tick(assigned, float(spec["kernel"]["duration"]),
                             speed, self.horizon)
 
-    def _overdue(self, tid: str, entry: tuple[int, int], deadline: int,
-                 spare: bool) -> float:
+    def _overdue(self, tid: str, row: tuple[int, int, str, int],
+                 deadline: int, spare: bool) -> float:
         """The first tick at which the task's attempt in flight, its
-        in-flight `entry`, is overdue under this tick's limits."""
-        attempt, assigned = entry
-        tick = self.bus.heard.get((tid, attempt), assigned) + deadline + 1
+        in-flight `row`, is overdue under this tick's limits."""
+        tick = row[3] + deadline + 1
         if not spare:
             return tick
-        # the fold makes one entry per assignment: its identity names it
+        # a heartbeat replaces the row: its attempt and tick name it
         cached = self._dues.get(tid)
-        if cached is None or cached[0] is not entry:
-            inflight = self.bus.inflight
+        if cached is None or cached[0] != row[0] or cached[1] != row[1]:
+            inflight = self.bus.log.tally.inflight
             if len(self._dues) >= len(inflight):  # some have closed
                 self._dues = {key: got for key, got in self._dues.items()
-                              if inflight.get(key) is got[0]}
-            cached = self._dues[tid] = (
-                entry, self._result_due(tid, attempt, assigned) + 1)
-        return min(tick, cached[1])
+                              if inflight.get(key, ())[:2] == got[:2]}
+            cached = self._dues[tid] = (row[0], row[1],
+                                        self._result_due(tid, row) + 1)
+        return min(tick, cached[2])
 
     @property
     def wake(self) -> float:  # when the first attempt in flight is overdue
@@ -689,8 +693,8 @@ class Monitor:
         if logged != self._woken[0]:
             deadline, spare = self.deadline, self.spare
             self._woken = (logged, min(
-                [self._overdue(tid, entry, deadline, spare)
-                 for tid, entry in self.bus.inflight.items()],
+                [self._overdue(tid, row, deadline, spare)
+                 for tid, row in self.bus.log.tally.inflight.items()],
                 default=math.inf))
         return self._woken[1]
 
@@ -700,11 +704,11 @@ class Monitor:
             return
         # read once: a republication puts its task on the to-do table
         deadline, spare = self.deadline, self.spare
-        for tid, entry in sorted(self.bus.inflight.items()):
-            if now < self._overdue(tid, entry, deadline, spare):
+        for tid, row in sorted(tally.inflight.items()):
+            if now < self._overdue(tid, row, deadline, spare):
                 continue
-            # the republication closes the attempt in the in-flight table;
-            # its spec is the task's latest, which the fold fills in
+            # the republication closes the attempt's row; its spec is the
+            # task's latest, which the fold fills in
             self.bus.publish(self.id, TASKS_TO_DO, "task",
                              {"task_id": tid,
                               "attempt": tally.attempts[tid] + 1})
@@ -767,7 +771,7 @@ class Checker:
         if tid in tally.verified:
             self.duplicates += 1
             return
-        spec = self.bus.spec(tid, payload["attempt"])
+        spec = tally.spec(tid, payload["attempt"])
         if spec is None or tally.reason is not None:  # or the run ended
             return
         try:  # an unknown validator (KeyError) or one that raises fails

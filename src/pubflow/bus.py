@@ -13,25 +13,26 @@ The bus's `mail` set names the actors with undrained envelopes, so a
 scheduler need not ask every actor.
 
 Counts, tables and audit violations all come from one fold of the log,
-LogTally, made as each envelope is logged or from a parsed log file.
-Its tables keep state as a compacted topic would, the latest
-publication winning: the spec table (the bus's `specs`) holds the spec
-of each TasksToDo `task`, and the last-heard table (`heard`) the tick
-of the latest `started` or `heartbeat`, each by task id and attempt;
-the in-flight table (`inflight`) holds a task's latest assignment
-until that attempt's result, an ok verdict or the monitor's
-republication, and the assignee table (`assignee`) the worker of each
-task's latest assignment.  The speed table (`speeds`) holds the speed
-of each worker's latest `volunteer` profile; with the assignee table it
-tells the monitor when an attempt in flight owes its result.  The idle
-table (`idle`) holds each worker that sent a `volunteer` or a `result`
-since its last assignment, and the to-do table (`todo`) each task
-released on TasksToDo with an attempt above its last assigned one,
-until its assignment or ok verdict.  These two mirror, from the log
-alone, the workers in the coordinator's pool and the ToDo rows of its
-task table; the coordinator keeps its own records and reads neither, so
-the two can be checked against each other.  A reader of the tables
-needs no mail.
+LogTally, made as each envelope is logged or from a parsed log file;
+the actors read its tables as `bus.log.tally`.  The tables keep state
+as a compacted topic would, the latest publication winning.  The
+in-flight table (`inflight`) holds one row per attempt in flight: a
+task's latest assignment of an attempt published on TasksToDo, as its
+attempt, tick, worker and the tick its worker was last heard from,
+which that attempt's `started` and `heartbeat` records move.  The
+attempt's result, an ok verdict or the monitor's republication closes
+the row.  `spec(task, attempt)` gives a published attempt its task's
+latest spec, which no record changes once the task is released.  The
+speed table (`speeds`) holds the speed of each worker's latest
+`volunteer` profile; with a row's worker it tells the monitor when an
+attempt in flight owes its result.  The idle table (`idle`) holds each
+worker that sent a `volunteer` or a `result` since its last
+assignment, and the to-do table (`todo`) each task released on
+TasksToDo with an attempt above its last assigned one, until its
+assignment or ok verdict.  These two mirror, from the log alone, the
+workers in the coordinator's pool and the ToDo rows of its task table;
+the coordinator keeps its own records and reads neither, so the two can
+be checked against each other.  A reader of the tables needs no mail.
 
 The log is line-oriented JSON, one object per envelope, framed exactly
 as json.dumps(record, separators=(",", ":")) frames it:
@@ -126,11 +127,13 @@ class Envelope(NamedTuple):
 class LogTally:
     """The one fold of the log, one record at a time: from EventLog.append
     as a run writes them, or from a parsed log file.  It holds every
-    count a report shows, by (channel, kind) pair, the spec, last-heard,
-    in-flight, assignee, speed, idle and to-do tables the actors read,
-    and the state of both audits: lifecycle_audit's violations in log
-    order, and the started records and first ok verdicts that
-    precedence_audit compares."""
+    count a report shows, by (channel, kind) pair, the in-flight, speed,
+    idle and to-do tables and the published attempts' specs that the
+    actors read, and the state of both audits: lifecycle_audit's
+    violations in log order, and the started records and first ok
+    verdicts that precedence_audit compares.  It keeps one row per
+    attempt in flight and one spec per task, so a closed attempt leaves
+    only its (task, attempt) keys behind."""
 
     pairs: dict[tuple[str, str], int] = field(default_factory=dict)
     attempts: dict[str, int] = field(default_factory=dict)  # highest per task
@@ -145,15 +148,15 @@ class LogTally:
     # verdict; the checker discards each one after the result it verified
     unverified: dict[str, list[int]] = field(default_factory=dict)
     verified: dict[str, int] = field(default_factory=dict)  # first ok seq
-    # task -> attempt -> the spec last published for it on TasksToDo
-    specs: dict[str, dict[int, dict]] = field(default_factory=dict)
-    # (task, attempt) -> the tick of its last started or heartbeat
-    heard: dict[tuple[str, int], int] = field(default_factory=dict)
-    # task -> (attempt, tick) of its latest assignment, while in flight
-    inflight: dict[str, tuple[int, int]] = field(default_factory=dict)
-    # task -> the worker of its latest assignment, so with `inflight` the
-    # assignee of the attempt in flight
-    assignee: dict[str, str] = field(default_factory=dict)
+    # the (task, attempt) keys of the TasksToDo task records whose spec
+    # is known: `spec` answers for these alone
+    published: set[tuple[str, int]] = field(default_factory=set)
+    # task -> (attempt, tick, worker, last heard) of its latest assignment
+    # of a published attempt, while that attempt is in flight; last heard
+    # is the tick of the attempt's latest started or heartbeat, else the
+    # assignment's
+    inflight: dict[str, tuple[int, int, str, int]] = \
+        field(default_factory=dict)
     # worker -> the speed of its latest volunteer profile, as logged
     speeds: dict[str, object] = field(default_factory=dict)
     # workers that sent a volunteer or a result since their last assignment
@@ -180,7 +183,7 @@ class LogTally:
             self.makespan = ts
         payload = record["payload"]
         if kind == "heartbeat":
-            self.heard[(payload["task_id"], payload["attempt"])] = ts
+            self._hear(payload["task_id"], payload["attempt"], ts)
         elif kind == "task":
             tid, attempt = payload["task_id"], payload["attempt"]
             self.attempts[tid] = max(self.attempts.get(tid, 1), attempt)
@@ -203,15 +206,15 @@ class LogTally:
                         f"task {tid} on TasksToDo (seq {record['seq']}) "
                         "without a WaitingTasks publication")
                 if spec is not None:
-                    self.specs.setdefault(tid, {})[attempt] = spec
+                    self.published.add((tid, attempt))
                 if attempt > self.dispatched.get(tid, 0):
                     self.todo.add(tid)
         elif kind == "assignment":
             tid, attempt = payload["task_id"], payload["attempt"]
             wid = payload["worker_id"]
-            if tid in self.specs:
-                self.inflight[tid] = (attempt, ts)
-            if attempt not in self.specs.get(tid, ()):
+            if (tid, attempt) in self.published:
+                self.inflight[tid] = (attempt, ts, wid, ts)
+            else:
                 self.lifecycle.append(
                     f"assignment for {tid} attempt {attempt} "
                     f"(seq {record['seq']}) without a task publication")
@@ -221,7 +224,6 @@ class LogTally:
                 self.lifecycle.append(
                     f"assignment for {tid} attempt {attempt} "
                     f"(seq {record['seq']}) to {wid}, which is not idle")
-            self.assignee[tid] = wid
             self.assigned.add((tid, attempt))
             self.dispatched[tid] = attempt
             self.todo.discard(tid)
@@ -233,7 +235,7 @@ class LogTally:
                     f"(seq {record['seq']}) without an assignment")
             self.began.add(key)
             self.started.append((record["seq"], key[0]))
-            self.heard[key] = ts
+            self._hear(*key, ts)
         elif kind == "result":
             tid, attempt = payload["task_id"], payload["attempt"]
             if (tid, attempt) not in self.began:
@@ -268,6 +270,21 @@ class LogTally:
                         len(seen) - 1 - seen.index(payload["attempt"])
         elif kind == "emergency":
             self.reason = payload["reason"]
+
+    def _hear(self, tid: str, attempt: int, ts: int) -> None:
+        """A started or heartbeat moves the last heard tick of its task's
+        row, if the row is its attempt's."""
+        row = self.inflight.get(tid)
+        if row is not None and row[0] == attempt:
+            self.inflight[tid] = (attempt, row[1], row[2], ts)
+
+    def spec(self, task_id: str, attempt: int) -> Optional[dict]:
+        """The spec of the attempt if it was published on TasksToDo, else
+        None.  That is its task's latest: no record changes the spec of a
+        released task, as an unfold rewires only waiting dependents and a
+        republication carries no spec."""
+        return self.latest[task_id] if (task_id, attempt) in self.published \
+            else None
 
     def _sum_by(self, index: int) -> dict[str, int]:
         counts: dict[str, int] = {}
@@ -345,13 +362,7 @@ class InProcessBus:
         self._queues: dict[str, deque[Envelope]] = {}
         self._subs: dict[str, list[str]] = {c: [] for c in CHANNEL_CATALOG}
         self.mail: set[str] = set()  # actors with undrained envelopes
-        self.log = EventLog()
-        # the fold's tables, which the actors read
-        self.specs = self.log.tally.specs
-        self.heard = self.log.tally.heard
-        self.inflight = self.log.tally.inflight
-        self.idle = self.log.tally.idle
-        self.todo = self.log.tally.todo
+        self.log = EventLog()  # its fold's tables are what the actors read
 
     # -- registry ---------------------------------------------------------
 
@@ -407,10 +418,6 @@ class InProcessBus:
                 self._queues[actor_id].append(env)
                 self.mail.add(actor_id)
         return seq
-
-    def spec(self, task_id: str, attempt: int) -> Optional[dict]:
-        """The spec last published on TasksToDo for this attempt, if any."""
-        return self.specs.get(task_id, {}).get(attempt)
 
     def drain(self, actor_id: str) -> list[Envelope]:
         if actor_id not in self._queues:

@@ -31,9 +31,9 @@ comes, unless it is frozen; then its wake is the tick it thaws, so a
 late arrival or a long stall costs no ticks.  A running job wakes its
 worker only for a heartbeat or its result, so a long job costs its
 heartbeats, not its ticks.  The monitor has no mail (it reads the
-bus's in-flight, last-heard, idle and to-do tables), and nobody
-subscribes to TasksInProgress, so a heartbeat does not keep the loop
-on the next tick.  The exception is a live worker with a crash_prob: its death roll
+fold's in-flight, idle and to-do tables), and nobody subscribes to
+TasksInProgress, so a heartbeat does not keep the loop on the next
+tick.  The exception is a live worker with a crash_prob: its death roll
 is one RNG draw per tick from its arrival on, so while it lives the loop
 visits every tick.  None of this shows in the log: `_Run` sets up the
 actors for any loop, and one that steps every service and every live
@@ -89,6 +89,12 @@ class WorkerSpec:
         self.profile()  # runs WorkerProfile's checks
         if not 0.0 <= self.crash_prob <= 1.0:
             raise ValueError("crash_prob must be in [0, 1]")
+        # a departure or crash at or before arrival takes effect at
+        # arrival, so those two may be any tick
+        if self.arrival < 0:
+            raise ValueError("arrival must be >= 0")
+        if self.stall is not None and min(self.stall) < 0:
+            raise ValueError("stall's from and ticks must be >= 0")
 
     def profile(self) -> WorkerProfile:
         return WorkerProfile(self.worker_id, self.capabilities, self.speed,
@@ -113,6 +119,9 @@ class Scenario:
             raise ValueError("heartbeat.H and heartbeat.k must be >= 1")
         if self.horizon < 0:
             raise ValueError("horizon must be >= 0")
+        if min(self.volunteer_latency, self.volunteer_jitter) < 0:
+            raise ValueError(
+                "volunteer_latency and volunteer_jitter must be >= 0")
         seen: set[str] = set()
         for wid in (ws.worker_id for ws in self.workers):
             if wid in SERVICE_CATALOG:

@@ -1120,7 +1120,7 @@ class TestMonitor:
 
     def test_liveness_is_read_from_the_bus_not_mailed(self):
         """started and heartbeat leave no mail for the monitor; its wake
-        reads their tick from the bus's last-heard table."""
+        reads their tick from the fold's in-flight row."""
         bus, mon = monitor_rig(heartbeat=5, k=3)
         feed_assignment(bus, ts=0)
         mon.step(0)
@@ -1144,6 +1144,11 @@ class TestMonitor:
         sent = len(bus.log.lines)
         mon.step(7)
         assert len(bus.log.lines) == sent and mon.timeouts == 0
+
+
+def tables(bus):
+    """The fold's idle and to-do tables."""
+    return bus.log.tally.idle, bus.log.tally.todo
 
 
 def spare_rig(heartbeat, k, pool=("w1", "w2"), waiting=False,
@@ -1184,28 +1189,28 @@ class TestFailureDetector:
 
     def test_spare_capacity_gives_one_missed_heartbeat(self):
         bus, mon = spare_rig(heartbeat=5, k=3, duration=LONG)
-        assert (bus.idle, bus.todo) == ({"w2"}, set())
+        assert tables(bus) == ({"w2"}, set())
         assert mon.deadline == 6
         assert mon.wake == 7
         assert first_timeout(bus, mon) == 7
 
     def test_a_waiting_task_gives_k_times_h(self):
         bus, mon = spare_rig(heartbeat=5, k=3, waiting=True)
-        assert (bus.idle, bus.todo) == ({"w2"}, {"b"})
+        assert tables(bus) == ({"w2"}, {"b"})
         assert mon.deadline == 15
         assert mon.wake == 16
         assert first_timeout(bus, mon) == 16
 
     def test_an_empty_pool_gives_k_times_h(self):
         bus, mon = spare_rig(heartbeat=5, k=3, pool=("w1",))
-        assert (bus.idle, bus.todo) == (set(), set())
+        assert tables(bus) == (set(), set())
         assert mon.deadline == 15
         assert first_timeout(bus, mon) == 16
 
     def test_k_of_one_gives_k_times_h(self):
         """H + 1 would be later than k*H = H: the deadline stays H."""
         bus, mon = spare_rig(heartbeat=5, k=1, duration=LONG)
-        assert (bus.idle, bus.todo) == ({"w2"}, set())
+        assert tables(bus) == ({"w2"}, set())
         assert mon.deadline == 5
         assert first_timeout(bus, mon) == 6
 
@@ -1216,7 +1221,7 @@ class TestFailureDetector:
         bus, mon = spare_rig(heartbeat=5, k=3, waiting=True, duration=LONG)
         assert first_timeout(bus, mon, until=11) is None
         assign(bus, "b", "w2")
-        assert (bus.idle, bus.todo) == (set(), set())
+        assert tables(bus) == (set(), set())
         volunteer(bus, "w3", "b")
         assert mon.deadline == 6 and mon.wake == 7
         assert first_timeout(bus, mon) == 10
@@ -1246,7 +1251,7 @@ class TestFailureDetector:
         """w1 never volunteered, so its speed is unknown: the deadline is
         the one missed heartbeat."""
         bus, mon = spare_rig(heartbeat=5, k=3, pool=("w2",), duration=3.0)
-        assert (bus.idle, bus.todo) == ({"w2"}, set())
+        assert tables(bus) == ({"w2"}, set())
         assert "w1" not in bus.log.tally.speeds
         assert mon.wake == 7
         assert first_timeout(bus, mon) == 7
@@ -1265,12 +1270,31 @@ class TestFailureDetector:
         result is due, and drops it once the attempt has left the
         in-flight table."""
         bus, mon = spare_rig(heartbeat=5, k=3, duration=3.0)
-        assert mon.wake == 4 and mon._dues == {"a": ((1, 0), 4)}
+        assert mon.wake == 4 and mon._dues == {"a": (1, 0, 4)}
         bus.now = 3
         result(bus, "w1", "a")
         feed_assignment(bus, tid="c", wid="w2", ts=3, duration=3.0)
-        assert bus.inflight == {"c": (1, 3)}
-        assert mon.wake == 7 and mon._dues == {"c": ((1, 3), 7)}
+        assert bus.log.tally.inflight == {"c": (1, 3, "w2", 3)}
+        assert mon.wake == 7 and mon._dues == {"c": (1, 3, 7)}
+
+    def test_a_heartbeat_does_not_work_out_the_due_tick_again(
+            self, monkeypatch):
+        """A heartbeat replaces the attempt's row in the fold, but the
+        due tick belongs to the assignment: it is worked out once."""
+        bus, mon = spare_rig(heartbeat=5, k=3, duration=LONG)
+        calls = []
+        result_due = actors.Monitor._result_due
+        monkeypatch.setattr(actors.Monitor, "_result_due",
+                            lambda self, *args: calls.append(args)
+                            or result_due(self, *args))
+        assert mon.wake == 7 and len(calls) == 1
+        for now in range(1, 15):
+            bus.now = now
+            bus.publish("w1", Channel.TASKS_IN_PROGRESS, "heartbeat",
+                        {"task_id": "a", "worker_id": "w1", "attempt": 1})
+            assert mon.wake == now + 7
+            mon.step(now)
+        assert len(calls) == 1 and mon.timeouts == 0
 
 
 # ----------------------------------------------------------------- checker

@@ -1,5 +1,5 @@
 """Message bus semantics: numbering, fan-out, no echo to the sender,
-addressing, no replay, the spec, last-heard and in-flight tables, log
+addressing, no replay, the published specs and in-flight rows, log
 format, the envelope's contract."""
 
 import copy
@@ -259,15 +259,19 @@ class TestAddressedDelivery:
 
 
 class TestSpecTable:
+    """The fold keeps the (task, attempt) keys published on TasksToDo and
+    one spec per task: a released task's spec never changes."""
+
     def test_keyed_by_task_and_attempt(self):
         bus = fresh()
         bus.publish("a", Channel.TASKS_TO_DO, "task", task_payload("t1", 1))
-        bus.publish("a", Channel.TASKS_TO_DO, "task", task_payload("t1", 2))
-        assert bus.spec("t1", 1) == bus.spec("t1", 2) \
+        bus.publish("a", Channel.TASKS_TO_DO, "task",
+                    {"task_id": "t1", "attempt": 2})  # as republished
+        tally = bus.log.tally
+        assert tally.spec("t1", 1) == tally.spec("t1", 2) \
             == task_payload("t1")["spec"]
-        assert bus.spec("t1", 3) is None and bus.spec("t2", 1) is None
-        assert bus.specs == {"t1": {1: task_payload("t1")["spec"],
-                                    2: task_payload("t1")["spec"]}}
+        assert tally.spec("t1", 3) is None and tally.spec("t2", 1) is None
+        assert tally.published == {("t1", 1), ("t1", 2)}
 
     def test_the_latest_publication_wins(self):
         bus = fresh()
@@ -275,93 +279,124 @@ class TestSpecTable:
         second["spec"] = dict(second["spec"], max_attempts=1)
         bus.publish("a", Channel.TASKS_TO_DO, "task", first)
         bus.publish("b", Channel.TASKS_TO_DO, "task", second)
-        assert bus.spec("t1", 2)["max_attempts"] == 1
+        assert bus.log.tally.spec("t1", 2)["max_attempts"] == 1
 
     def test_only_tasks_to_do_fills_it(self):
         bus = fresh()
         bus.publish("a", Channel.WAITING_TASKS, "task", task_payload("t1"))
-        assert bus.spec("t1", 1) is None and bus.specs == {}
+        tally = bus.log.tally
+        assert tally.spec("t1", 1) is None and tally.published == set()
+
+
+def flying(attempt=2):
+    """A bus whose t1 attempt `attempt` was published and then assigned
+    to w1 at tick 4."""
+    bus = fresh()
+    bus.publish("a", Channel.TASKS_TO_DO, "task", task_payload("t1", attempt))
+    bus.now = 4
+    bus.publish("coordinator", Channel.TASKS_TO_DO, "assignment",
+                {"task_id": "t1", "worker_id": "w1", "attempt": attempt},
+                to=("w1",))
+    return bus
+
+
+def send(bus, sender, channel, kind, attempt, **fields):
+    bus.publish(sender, channel, kind,
+                {"task_id": "t1", "worker_id": sender, "attempt": attempt,
+                 **fields})
 
 
 class TestLastHeardTable:
     def test_keeps_the_latest_tick_per_task_and_attempt(self):
-        bus = fresh()
-        for now, kind, attempt in ((3, "started", 2), (8, "heartbeat", 2),
-                                   (10, "heartbeat", 1)):
+        """The row's last heard tick starts at its assignment, and only
+        its own attempt's started or heartbeat moves it."""
+        bus = flying()
+        for now, kind, attempt in ((5, "started", 2), (8, "heartbeat", 2),
+                                   (10, "heartbeat", 1), (11, "started", 3)):
             bus.now = now
-            bus.publish("w1", Channel.TASKS_IN_PROGRESS, kind,
-                        {"task_id": "t1", "worker_id": "w1",
-                         "attempt": attempt})
-        # the older attempt's heartbeat leaves attempt 2's entry alone
-        assert bus.heard == {("t1", 2): 8, ("t1", 1): 10}
+            send(bus, "w1", Channel.TASKS_IN_PROGRESS, kind, attempt)
+            if now == 5:
+                assert bus.log.tally.inflight == {"t1": (2, 4, "w1", 5)}
+        # the other attempts' records leave attempt 2's row alone
+        assert bus.log.tally.inflight == {"t1": (2, 4, "w1", 8)}
+
+    def test_a_closed_row_hears_nothing(self):
+        bus = flying()
+        send(bus, "w1", Channel.TASKS_TO_CHECK, "result", 2, exit_status=0,
+             outputs={})
+        bus.now = 9
+        send(bus, "w1", Channel.TASKS_IN_PROGRESS, "heartbeat", 2)
+        assert bus.log.tally.inflight == {}
 
 
 class TestInFlightTable:
-    def flying(self, attempt=2):
-        """A bus whose t1 attempt `attempt` was assigned at tick 4."""
-        bus = fresh()
-        bus.publish("a", Channel.TASKS_TO_DO, "task",
-                    task_payload("t1", attempt))
-        bus.now = 4
-        bus.publish("coordinator", Channel.TASKS_TO_DO, "assignment",
-                    {"task_id": "t1", "worker_id": "w1",
-                     "attempt": attempt}, to=("w1",))
-        return bus
-
-    def send(self, bus, sender, channel, kind, attempt, **fields):
-        bus.publish(sender, channel, kind,
-                    {"task_id": "t1", "worker_id": sender,
-                     "attempt": attempt, **fields})
-
-    def test_an_assignment_of_a_published_task_opens_it(self):
-        assert self.flying().inflight == {"t1": (2, 4)}
+    def test_an_assignment_of_a_published_attempt_opens_it(self):
+        assert flying().log.tally.inflight == {"t1": (2, 4, "w1", 4)}
         bus = fresh()  # no spec for t1: nothing to watch
         bus.publish("coordinator", Channel.TASKS_TO_DO, "assignment",
                     {"task_id": "t1", "worker_id": "w1", "attempt": 1},
                     to=("w1",))
-        assert bus.inflight == {}
+        assert bus.log.tally.inflight == {}
 
-    def test_the_attempts_result_closes_it(self):
-        bus = self.flying()
-        self.send(bus, "w1", Channel.TASKS_TO_CHECK, "result", 2,
-                  exit_status=0, outputs={})
-        assert bus.inflight == {}
-
-    def test_an_ok_verdict_closes_it(self):
-        bus = self.flying()
-        bus.publish("checker", Channel.FINISHED_TASKS, "verdict",
-                    {"task_id": "t1", "attempt": 1, "ok": False,
-                     "outputs": {}})
-        assert bus.inflight == {"t1": (2, 4)}  # a failed one does not
-        bus.publish("checker", Channel.FINISHED_TASKS, "verdict",
-                    {"task_id": "t1", "attempt": 1, "ok": True,
-                     "outputs": {}})
-        assert bus.inflight == {}
-
-    def test_the_monitors_republication_closes_it(self):
-        bus = self.flying()
-        bus.publish("checker", Channel.TASKS_TO_DO, "task",
-                    task_payload("t1", 3))
-        assert bus.inflight == {"t1": (2, 4)}  # the checker's does not
-        bus.publish("monitor", Channel.TASKS_TO_DO, "task",
-                    task_payload("t1", 3))
-        assert bus.inflight == {}
-
-    def test_a_stale_attempts_result_or_heartbeat_leaves_it_open(self):
-        bus = self.flying()
-        bus.now = 9
-        self.send(bus, "w0", Channel.TASKS_IN_PROGRESS, "heartbeat", 1)
-        self.send(bus, "w0", Channel.TASKS_TO_CHECK, "result", 1,
-                  exit_status=0, outputs={})
-        assert bus.inflight == {"t1": (2, 4)}
-
-    def test_a_later_assignment_replaces_it(self):
-        bus = self.flying()
-        bus.now = 6
+    def test_an_assignment_of_an_unpublished_attempt_opens_nothing(self):
+        """Attempt 3 was never released: the audit flags it, and no row
+        watches it."""
+        bus = fresh()
+        bus.publish("a", Channel.TASKS_TO_DO, "task", task_payload("t1", 2))
         bus.publish("coordinator", Channel.TASKS_TO_DO, "assignment",
                     {"task_id": "t1", "worker_id": "w2", "attempt": 3},
                     to=("w2",))
-        assert bus.inflight == {"t1": (3, 6)}
+        assert bus.log.tally.inflight == {}
+        assert "assignment for t1 attempt 3 (seq 2) without a task " \
+            "publication" in bus.log.tally.lifecycle
+
+    def test_the_attempts_result_closes_it(self):
+        bus = flying()
+        send(bus, "w1", Channel.TASKS_TO_CHECK, "result", 2, exit_status=0,
+             outputs={})
+        assert bus.log.tally.inflight == {}
+
+    def test_an_ok_verdict_closes_it(self):
+        bus = flying()
+        bus.publish("checker", Channel.FINISHED_TASKS, "verdict",
+                    {"task_id": "t1", "attempt": 1, "ok": False,
+                     "outputs": {}})
+        # a failed one does not
+        assert bus.log.tally.inflight == {"t1": (2, 4, "w1", 4)}
+        bus.publish("checker", Channel.FINISHED_TASKS, "verdict",
+                    {"task_id": "t1", "attempt": 1, "ok": True,
+                     "outputs": {}})
+        assert bus.log.tally.inflight == {}
+
+    def test_the_monitors_republication_closes_it(self):
+        bus = flying()
+        bus.publish("checker", Channel.TASKS_TO_DO, "task",
+                    task_payload("t1", 3))
+        # the checker's does not
+        assert bus.log.tally.inflight == {"t1": (2, 4, "w1", 4)}
+        bus.publish("monitor", Channel.TASKS_TO_DO, "task",
+                    task_payload("t1", 3))
+        assert bus.log.tally.inflight == {}
+
+    def test_a_stale_attempts_result_or_heartbeat_leaves_it_open(self):
+        bus = flying()
+        bus.now = 9
+        send(bus, "w0", Channel.TASKS_IN_PROGRESS, "heartbeat", 1)
+        send(bus, "w0", Channel.TASKS_TO_CHECK, "result", 1, exit_status=0,
+             outputs={})
+        assert bus.log.tally.inflight == {"t1": (2, 4, "w1", 4)}
+
+    def test_a_later_assignment_replaces_it(self):
+        """The checker's republication leaves attempt 2's row open, and
+        attempt 3's assignment replaces it."""
+        bus = flying()
+        bus.now = 6
+        bus.publish("checker", Channel.TASKS_TO_DO, "task",
+                    {"task_id": "t1", "attempt": 3})
+        bus.publish("coordinator", Channel.TASKS_TO_DO, "assignment",
+                    {"task_id": "t1", "worker_id": "w2", "attempt": 3},
+                    to=("w2",))
+        assert bus.log.tally.inflight == {"t1": (3, 6, "w2", 6)}
 
 
 class TestPayloadSchemas:

@@ -406,6 +406,13 @@ MALFORMED = [
     ("reliability-two", "scenario", worker(reliability=2), "reliability"),
     ("crash-prob-two", "scenario", worker(crash_prob=2), "crash_prob"),
     ("stall-one-number", "scenario", worker(stall=[3]), "stall must be"),
+    ("arrival-negative", "scenario", worker(arrival=-5), "arrival"),
+    ("stall-ticks-negative", "scenario", worker(stall=[0, -4]), "stall"),
+    ("stall-from-negative", "scenario", worker(stall=[-3, 5]), "stall"),
+    ("latency-negative", "scenario", pool(volunteer_latency=-1),
+     "volunteer_latency"),
+    ("jitter-negative", "scenario", pool(volunteer_jitter=-2),
+     "volunteer_jitter"),
     ("duplicate-worker", "scenario",
      pool(workers=[{"worker_id": "w1"}, {"worker_id": "w1"}]),
      "duplicate worker_id 'w1'"),

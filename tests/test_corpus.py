@@ -10,7 +10,10 @@ audits, the fold its log made as it was written must equal the fold of
 the parsed log and of that log rendered in the older format (format_1),
 its Monitor's and Checker's counters must match that fold, its idle and
 to-do tables must equal the Coordinator's pool and unassigned tasks
-after each Coordinator step while the run goes on, no actor may
+after each Coordinator step while the run goes on, its in-flight rows,
+idle and to-do tables and spec answers must equal a scan of the records
+after each tick, every TasksToDo task record must carry (or be filled
+in with) its task's first TasksToDo spec, no actor may
 drain an envelope it sent or one on WaitingTasks, the Monitor may drain
 nothing, the Checker nothing but results, and a worker no Emergency
 and no assignment naming another worker, the Broker's step may never
@@ -50,7 +53,8 @@ from pubflow import (
 )
 from pubflow import actors
 from pubflow.bus import InProcessBus
-from test_simulator import keep, lags, overruns, reference_run, watch_tables
+from test_simulator import (fold_drift, keep, lags, overruns, reference_run,
+                            respecified, watch_tables)
 
 CASES = 600
 PINNED = Path(__file__).with_name("corpus_digests.txt")
@@ -199,8 +203,9 @@ def test_every_case_passes_both_audits(corpus):
 
 def test_the_live_fold_equals_the_fold_of_the_written_log(corpus):
     """What EventLog.append folded as the run wrote its log is what a
-    fresh LogTally folds from the parsed log: every count, the spec and
-    last-heard tables and both audits' state, violations included.  So
+    fresh LogTally folds from the parsed log: every count, the published
+    attempts, the in-flight rows and both audits' state, violations
+    included.  So
     the run's report holds the parsed fold's Report, and its horizon is
     set exactly when the log has no Emergency."""
     for case, (_, records, _, scenario, report, live, *_) \
@@ -250,6 +255,23 @@ def test_no_attempt_overruns_its_due_result_while_a_worker_idles(corpus):
     attempt in flight by the tick after its result was due."""
     for case, (_, records, _, scenario, *_) in enumerate(corpus):
         assert overruns(records, scenario.horizon) == [], f"case {case}"
+
+
+def test_the_fold_equals_a_scan_after_each_tick(corpus):
+    """After each tick's records, the fold's in-flight rows, spec
+    answers and idle and to-do tables equal a scan of the records so far
+    (test_simulator.scanned_tables)."""
+    for case, (_, records, *_) in enumerate(corpus):
+        ends = {i for i in range(1, len(records) + 1) if i == len(records)
+                or records[i]["ts"] != records[i - 1]["ts"]}
+        assert fold_drift(records, ends) == [], f"case {case}"
+
+
+def test_a_released_tasks_spec_never_changes(corpus):
+    """Every TasksToDo task record's spec, carried or filled in from the
+    task's latest, is its task's first on TasksToDo."""
+    for case, (_, records, *_) in enumerate(corpus):
+        assert respecified(records) == [], f"case {case}"
 
 
 def format_1(records):

@@ -202,12 +202,12 @@ def overruns(records, horizon):
         if tally.idle and not tally.todo:
             backed = {r["payload"]["task_id"] for r in tick[cut:]
                       if r["sender"] == "monitor" and r["kind"] == "task"}
-            for tid, (attempt, assigned) in tally.inflight.items():
+            for tid, (attempt, assigned, wid, _) in tally.inflight.items():
                 key = (tid, attempt, assigned)
                 if key not in dues:
-                    speed = tally.speeds.get(tally.assignee[tid])
-                    spec = tally.specs[tid].get(attempt)
-                    dues[key] = math.inf if speed is None or spec is None \
+                    speed = tally.speeds.get(wid)
+                    spec = tally.spec(tid, attempt)
+                    dues[key] = math.inf if speed is None \
                         else actors._result_tick(
                             assigned, float(spec["kernel"]["duration"]),
                             speed, horizon)
@@ -216,6 +216,112 @@ def overruns(records, horizon):
         for record in tick[cut:]:
             tally.add(record)
     return late
+
+
+def effective_specs(records):
+    """Each task record's spec, by seq: the one it carries, else its
+    task's latest before it."""
+    latest, out = {}, {}
+    for record in records:
+        if record["kind"] == "task":
+            tid = record["payload"]["task_id"]
+            spec = record["payload"].get("spec", latest.get(tid))
+            latest[tid] = out[record["seq"]] = spec
+    return out
+
+
+def respecified(records):
+    """The (seq, task) of each TasksToDo task record whose spec is not its
+    task's first on TasksToDo: none in a log the engine wrote, so a
+    published attempt's spec is its task's latest."""
+    specs, first, changed = effective_specs(records), {}, []
+    for record in records:
+        if record["kind"] == "task" and record["channel"] == "TasksToDo":
+            tid = record["payload"]["task_id"]
+            if first.setdefault(tid, specs[record["seq"]]) \
+                    != specs[record["seq"]]:
+                changed.append((record["seq"], tid))
+    return changed
+
+
+def scanned_tables(records):
+    """What the fold's in-flight rows, idle and to-do tables and spec
+    answers hold after `records`, read off them by definition instead of
+    folded: (in-flight, idle, to-do, the spec of each (task, attempt)
+    that a record names, None for an unpublished one)."""
+    specs = effective_specs(records)
+    published, first_published = {}, {}  # (task, attempt) -> spec, index
+    # worker -> the kind of its latest volunteer, result or assignment
+    last_kind = {}
+    for i, record in enumerate(records):
+        kind, payload = record["kind"], record["payload"]
+        key = (payload.get("task_id"), payload.get("attempt"))
+        if kind == "task" and record["channel"] == "TasksToDo" \
+                and specs[record["seq"]] is not None:
+            published[key] = specs[record["seq"]]
+            first_published.setdefault(key, i)
+        if kind in ("volunteer", "result", "assignment"):
+            last_kind[payload["worker_id"]] = kind
+    # a task's row: its latest assignment of an attempt published before
+    # it, unless a later record closes it
+    opened = {}
+    for i, record in enumerate(records):
+        payload = record["payload"]
+        if record["kind"] == "assignment" and first_published.get(
+                (payload["task_id"], payload["attempt"]), i) < i:
+            opened[payload["task_id"]] = i
+    inflight = {}
+    for tid, i in opened.items():
+        attempt, heard = records[i]["payload"]["attempt"], records[i]["ts"]
+        for record in records[i + 1:]:
+            kind, payload = record["kind"], record["payload"]
+            if payload.get("task_id") != tid:
+                continue
+            mine = payload.get("attempt") == attempt
+            if (kind == "result" and mine) or (kind == "verdict"
+                                               and payload["ok"]) \
+                    or (kind == "task" and record["sender"] == "monitor"):
+                break
+            if kind in ("started", "heartbeat") and mine:
+                heard = record["ts"]
+        else:
+            inflight[tid] = (attempt, records[i]["ts"],
+                             records[i]["payload"]["worker_id"], heard)
+    idle = {wid for wid, kind in last_kind.items() if kind != "assignment"}
+    # a task waits from a TasksToDo task record whose attempt is above
+    # its last assigned one until its next assignment or ok verdict
+    todo, assigned = set(), {}
+    for record in records:
+        kind, payload = record["kind"], record["payload"]
+        tid = payload.get("task_id")
+        if kind == "assignment":
+            assigned[tid] = payload["attempt"]
+            todo.discard(tid)
+        elif kind == "verdict" and payload["ok"]:
+            todo.discard(tid)
+        elif kind == "task" and record["channel"] == "TasksToDo" \
+                and payload["attempt"] > assigned.get(tid, 0):
+            todo.add(tid)
+    named = {(r["payload"]["task_id"], r["payload"]["attempt"])
+             for r in records if "attempt" in r["payload"]}
+    return inflight, idle, todo, {key: published.get(key) for key in named}
+
+
+def fold_drift(records, cuts):
+    """Fold the records one by one and, at each count of records in
+    `cuts`, compare the fold's tables and spec answers with
+    scanned_tables of the records so far; the counts where they
+    differ."""
+    tally, drift = LogTally(), []
+    for i, record in enumerate(records, 1):
+        tally.add(record)
+        if i in cuts:
+            scanned = scanned_tables(records[:i])
+            folded = (tally.inflight, tally.idle, tally.todo,
+                      {key: tally.spec(*key) for key in scanned[3]})
+            if folded != scanned:
+                drift.append(i)
+    return drift
 
 
 ONE_WORKER = Scenario(seed=1, horizon=50,
@@ -678,7 +784,7 @@ def test_idle_workers_are_not_stepped(monkeypatch):
 
 def test_heartbeats_do_not_step_the_monitor(monkeypatch):
     """A 600-tick job with H=5 sends 119 heartbeats, but the monitor
-    reads them from the bus's last-heard table and has no mail: it
+    reads them from the fold's in-flight row and has no mail: it
     never wakes for a timeout, so it is never stepped."""
     steps = [0]
     step = actors.Monitor.step
@@ -897,6 +1003,27 @@ class TestScenarioFiles:
     def test_bad_scenario_rejected(self):
         with pytest.raises(SchemaError):
             scenario_from_dict({"workers": [{"speed": 2.0}]})  # no id
+
+    @pytest.mark.parametrize("doc, named", [
+        ({"workers": [{"worker_id": "w1", "arrival": -5}]}, "arrival"),
+        ({"workers": [{"worker_id": "w1", "stall": [0, -4]}]}, "stall"),
+        ({"workers": [{"worker_id": "w1", "stall": [-3, 5]}]}, "stall"),
+        ({"volunteer_latency": -1}, "volunteer_latency"),
+        ({"volunteer_jitter": -1}, "volunteer_jitter")])
+    def test_negative_ticks_and_delays_are_refused(self, doc, named):
+        """A negative arrival would count ticks before 0 as run ticks, a
+        negative stall length would mean no stall, a negative stall start
+        would freeze ticks before its length ends, and a negative delay
+        would read as 0: each is refused instead."""
+        with pytest.raises(SchemaError, match=named):
+            scenario_from_dict(doc)
+
+    def test_a_departure_or_crash_before_arrival_loads(self):
+        """Either takes effect at arrival, whatever tick it names."""
+        doc = {"workers": [{"worker_id": "w1", "departure": -2},
+                           {"worker_id": "w2", "crash": -1, "arrival": 3}]}
+        assert [(w.departure, w.crash) for w in
+                scenario_from_dict(doc).workers] == [(-2, None), (None, -1)]
 
     @given(scenarios())
     @settings(max_examples=60, deadline=None)
@@ -1645,6 +1772,42 @@ class TestReferenceLoop:
         assert overruns(records_of(log), scenario.horizon) == []
         if report.completed:
             assert lags(records_of(log)) == {}
+
+
+class TestFoldAgainstScan:
+    """The fold's tables, folded record by record, equal a scan of the
+    records so far after every record of each golden run; and as no
+    record changes a released task's spec, one spec per task answers for
+    every published attempt."""
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN_BUILDS))
+    def test_the_fold_equals_a_scan_after_every_record(self, case):
+        batch, scenario, validators = GOLDEN_BUILDS[case]()
+        _, log = run_simulation(batch, scenario, validators=validators)
+        records = records_of(log)
+        assert fold_drift(records, range(len(records) + 1)) == []
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN_BUILDS))
+    def test_a_released_tasks_spec_never_changes(self, case):
+        batch, scenario, validators = GOLDEN_BUILDS[case]()
+        _, log = run_simulation(batch, scenario, validators=validators)
+        assert respecified(records_of(log)) == []
+
+    def test_an_unfold_rewires_its_dependents_before_their_release(self):
+        """The ADAPT run unfolds its solver, so some TasksToDo records
+        carry a spec the WaitingTasks record did not: those are the first
+        on TasksToDo, and none after them differs."""
+        batch, scenario, _ = _adapt_unfold()
+        _, log = run_simulation(batch, scenario)
+        records = records_of(log)
+        specs = effective_specs(records)
+        waiting = {r["payload"]["task_id"]: specs[r["seq"]] for r in records
+                   if r["channel"] == "WaitingTasks"}
+        rewired = {r["payload"]["task_id"] for r in records
+                   if r["channel"] == "TasksToDo" and r["kind"] == "task"
+                   and r["payload"]["task_id"] in waiting
+                   and specs[r["seq"]] != waiting[r["payload"]["task_id"]]}
+        assert rewired and respecified(records) == []
 
 
 def test_reopened_workspace_answers_like_the_one_that_ran(tmp_path):
