@@ -11,13 +11,14 @@ Emergency.  One batch flows like this:
                listens to nothing
   coordinator  takes the batch from `adopt`, not from WaitingTasks, and
                releases its roots to TasksToDo; keeps one row per task
-               and one pool of idle workers, ranked as select_worker
-               ranks them; assigns each ToDo task, in id order, the first
-               pooled worker capable of it, addressing the assignment to
-               that worker alone; ends the batch on Emergency, reading no
-               further mail once the fold has it; an ok verdict releases
-               only the finished task's dependents, and every task row
-               change passes model.check_transition
+               and ranks each volunteer as select_worker ranks it;
+               assigns each ToDo task, in id order, the first of the
+               fold's idle workers, by rank, capable of it, addressing the
+               assignment to that worker alone; ends the batch on
+               Emergency, reading no further mail once the fold has it;
+               an ok verdict releases only the finished task's dependents
+               whose deps the fold shows verified by that verdict, and
+               every task row change passes model.check_transition
   workers      volunteer once, when they first see an open task they are
                capable of, and then hear only the assignments addressed
                to them; execute each with the spec of its attempt,
@@ -33,13 +34,14 @@ Emergency.  One batch flows like this:
                TasksToDo for its task and attempt (a result carries no
                spec) and publishes verdicts on FinishedTasks,
                re-publishing a failed task until its spec's max_attempts
-               runs out; like the monitor, it reads the run's end from
-               the fold and publishes nothing after it, and it reads
-               which tasks are verified there too
+               runs out, unless a later attempt of it is already out;
+               like the monitor, it reads the run's end from the fold
+               and publishes nothing after it, and it reads which tasks
+               are verified there too
 
 A worker offers itself to the pool once, not once per task: its first
-volunteer puts it in the coordinator's idle pool, each assignment takes
-it out, and each result it sends puts it back, as a BOINC client's
+volunteer puts it in the fold's idle table, each assignment takes it
+out, and each result it sends puts it back, as a BOINC client's
 report of a finished job also asks for the next one.  A worker that
 went silent (stalled or dead) therefore stays out of the pool until it
 speaks again.  A worker that ignores an assignment, because that
@@ -47,9 +49,11 @@ attempt was never published on TasksToDo, volunteers again so it does
 not drop out of the pool.
 
 No worker is scored per task and no ToDo row is sorted per step: a
-worker is ranked once, when it joins the pool (again only if it
-re-volunteers with another profile), and the sweep pops ToDo ids from a
-heap, so a coordinator step costs the assignments it makes, not T or W.
+worker is ranked once, when it volunteers (again only if it
+re-volunteers with another profile); a sweep that has both a ToDo row
+and an idle worker sorts the idle workers' ranks once, and it pops ToDo
+ids from a heap, so a coordinator step costs the assignments it makes
+and that sort, not T.
 A worker rebuilds only its job's kernel from the spec, not the whole
 task.
 
@@ -65,7 +69,6 @@ waits for the tick it thaws, which is then its wake.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from random import Random
@@ -188,6 +191,8 @@ class Coordinator:
         self.sla = sla
         self.dataset_sizes = dataset_sizes
         bus.register(self.id)
+        # a result carries nothing it reads, but its mail wakes it to sweep
+        # once the fold has the result's worker idle
         for channel in (TASKS_TO_DO, TASKS_TO_CHECK, VOLUNTEER_WORKERS,
                         FINISHED_TASKS):
             bus.subscribe(self.id, channel)
@@ -196,11 +201,9 @@ class Coordinator:
         self.status: dict[str, tuple[TaskState, int]] = {}
         self.profiles: dict[str, WorkerProfile] = {}
         self.ranks: dict[str, tuple[float, str]] = {}  # rank of each profile
-        self.pool: list[tuple[float, str]] = []  # idle workers' ranks, sorted
         # the ids of ToDo rows as a heap; an id may also appear after its row
         # left ToDo (stale) or more than once (re-entered): the sweep skips it
         self.queue: list[str] = []
-        self.finished: set[str] = set()
 
     # The sweep and the completion check change only through mail, and a
     # second sweep without new mail assigns nothing.
@@ -231,9 +234,6 @@ class Coordinator:
             elif env.kind == "volunteer":
                 self._on_volunteer(env.payload["worker_id"],
                                    env.payload["profile"])
-            elif env.kind == "result" and \
-                    env.payload["worker_id"] in self.profiles:
-                self._join(env.payload["worker_id"])
             elif env.channel == FINISHED_TASKS \
                     and env.kind == "verdict":
                 self._on_verdict(env)
@@ -251,10 +251,11 @@ class Coordinator:
             self._move(tid, TaskState.WAITING, 1)
         for tid in sorted(batch.tasks):
             if not batch.tasks[tid].deps:
-                self._release(tid)
+                self._release(tid, 0)
 
-    def _release(self, tid: str) -> None:
-        """First publication of a task: unfold it if its rule says so."""
+    def _release(self, tid: str, upto: int) -> None:
+        """First publication of a task: unfold it if its rule says so, and
+        then release each spliced task whose deps finished by seq `upto`."""
         assert self.batch is not None
         rule = self.batch.rules.get(self.batch.tasks[tid].unfold_rule)
         if rule is not None:
@@ -270,7 +271,7 @@ class Coordinator:
                 for nid in spliced:
                     self._move(nid, TaskState.WAITING, 1)
                 for nid in spliced:
-                    if unfolded.tasks[nid].deps <= self.finished:
+                    if self._finished(unfolded.tasks[nid].deps, upto):
                         self._publish_todo(nid)
                 return
         self._publish_todo(tid)
@@ -292,39 +293,29 @@ class Coordinator:
 
     def _move(self, tid: str, state: TaskState, attempt: int) -> None:
         """The one writer of a task's row, through check_transition once it
-        exists; queues a ToDo row for the sweep and fills `finished`."""
+        exists; queues a ToDo row for the sweep."""
         if tid in self.status:
             current, current_attempt = self.status[tid]
             check_transition(current, state, current_attempt, attempt)
         self.status[tid] = (state, attempt)
         if state is TaskState.TODO:
             heappush(self.queue, tid)
-        elif state is TaskState.FINISHED:
-            self.finished.add(tid)
+
+    def _finished(self, deps: frozenset[str], upto: int) -> bool:
+        """Whether each of `deps` got its first ok verdict at or before seq
+        `upto`: a verdict later in the drain is not handled yet, and the
+        releases come out in the order the verdicts are handled."""
+        verified = self.bus.log.tally.verified
+        return all(verified.get(dep, math.inf) <= upto for dep in deps)
 
     def _on_volunteer(self, wid: str, payload: dict) -> None:
-        """Pool the worker; rank it again only if its profile changed."""
+        """Rank the worker again only if its profile changed; the fold
+        records it as idle."""
         profile = load(WorkerProfile, {**payload, "worker_id": wid},
                        f"volunteer profile of {wid!r}")
         if profile != self.profiles.get(wid):
-            self._leave(wid)
             self.profiles[wid] = profile
             self.ranks[wid] = rank(profile, self.sla)
-        self._join(wid)
-
-    # A worker is idle when its `ranks` key, unique as it ends in its id,
-    # is in `pool`: the one record of who is idle.
-    def _join(self, wid: str) -> None:
-        key = self.ranks[wid]
-        at = bisect_left(self.pool, key)
-        if self.pool[at:at + 1] != [key]:
-            self.pool.insert(at, key)
-
-    def _leave(self, wid: str) -> None:
-        key = self.ranks.get(wid, ())  # an unranked worker: sorts first
-        at = bisect_left(self.pool, key)
-        if self.pool[at:at + 1] == [key]:
-            del self.pool[at]
 
     def _on_republished(self, env: Envelope) -> None:
         """Monitor or checker pushed a task back to ToDo with attempt+1."""
@@ -338,7 +329,8 @@ class Coordinator:
 
     def _on_verdict(self, env: Envelope) -> None:
         """An ok verdict releases, in id order, each Waiting dependent whose
-        deps are all finished (Kahn); a failed one ends the batch."""
+        deps are all finished by its seq (Kahn); a failed one ends the
+        batch."""
         if not env.payload["ok"]:
             self._emergency("failed")
             return
@@ -350,9 +342,9 @@ class Coordinator:
         assert self.batch is not None
         ready = [nid for nid in self.batch.dependents[tid]
                  if self.status[nid][0] is TaskState.WAITING
-                 and self.batch.tasks[nid].deps <= self.finished]
+                 and self._finished(self.batch.tasks[nid].deps, env.seq)]
         for nid in ready:
-            self._release(nid)
+            self._release(nid, env.seq)
 
     def _emergency(self, reason: str) -> None:
         assert self.batch is not None
@@ -363,12 +355,17 @@ class Coordinator:
 
     def _sweep_assignments(self) -> None:
         """Match the ToDo rows of `status`, the unassigned tasks, in id
-        order, against the idle pool; each winner, the first pooled worker
-        capable of the task (select_worker's choice), leaves the pool.
-        Stops once the pool is empty; each task that found no worker goes
-        back on the queue once."""
+        order, against the fold's idle workers sorted by `ranks`; each
+        winner, the first of them capable of the task (select_worker's
+        choice), leaves the sorted list.  A worker with no rank never
+        volunteered and wins nothing.  Stops once the list is empty; each
+        task that found no worker goes back on the queue once."""
+        idle = self.bus.log.tally.idle
+        if not (idle and self.queue):
+            return
+        pool = sorted(self.ranks[wid] for wid in idle if wid in self.ranks)
         unplaced: list[str] = []
-        while self.pool and self.queue:
+        while pool and self.queue:
             tid = heappop(self.queue)
             state, attempt = self.status[tid]
             # stale, or a duplicate: a task's entries pop one after another
@@ -376,12 +373,12 @@ class Coordinator:
                 continue
             assert self.batch is not None
             caps = self.batch.tasks[tid].required_caps
-            winner = next((wid for _, wid in self.pool
-                           if caps <= self.profiles[wid].capabilities), None)
-            if winner is None:
+            at = next((at for at, (_, wid) in enumerate(pool)
+                       if caps <= self.profiles[wid].capabilities), None)
+            if at is None:
                 unplaced.append(tid)
                 continue
-            self._leave(winner)
+            _, winner = pool.pop(at)
             self._move(tid, TaskState.IN_PROGRESS, attempt)
             self.bus.publish(self.id, TASKS_TO_DO, "assignment",
                              {"task_id": tid, "worker_id": winner,
@@ -391,7 +388,8 @@ class Coordinator:
 
     def _check_complete(self) -> None:
         if self.batch is not None and self.batch.tasks \
-                and self.finished >= self.batch.tasks.keys():
+                and self.bus.log.tally.verified.keys() \
+                >= self.batch.tasks.keys():
             self._emergency("complete")
 
 
@@ -786,6 +784,8 @@ class Checker:
             return
         self.fails[tid] = self.fails.get(tid, 0) + 1
         if self.fails[tid] < spec["max_attempts"]:
+            if payload["attempt"] < tally.attempts[tid]:
+                return  # a later attempt already replaced this one
             # the spec is the task's latest, which the fold fills in
             self.bus.publish(self.id, TASKS_TO_DO, "task",
                              {"task_id": tid,

@@ -29,10 +29,13 @@ attempt in flight owes its result.  The idle table (`idle`) holds each
 worker that sent a `volunteer` or a `result` since its last
 assignment, and the to-do table (`todo`) each task released on
 TasksToDo with an attempt above its last assigned one, until its
-assignment or ok verdict.  These two mirror, from the log alone, the
-workers in the coordinator's pool and the ToDo rows of its task table;
-the coordinator keeps its own records and reads neither, so the two can
-be checked against each other.  A reader of the tables needs no mail.
+assignment or ok verdict.  The verified table (`verified`) holds the
+seq of each task's first ok verdict.  The coordinator assigns from the
+idle table and reads the verified one to release dependents and to end
+a complete batch; the to-do and verified tables mirror, from the log
+alone, the ToDo and Finished rows the coordinator keeps to check each
+move of a task, so the two can be checked against each other.  A
+reader of the tables needs no mail.
 
 The log is line-oriented JSON, one object per envelope, framed exactly
 as json.dumps(record, separators=(",", ":")) frames it:
@@ -128,10 +131,10 @@ class LogTally:
     """The one fold of the log, one record at a time: from EventLog.append
     as a run writes them, or from a parsed log file.  It holds every
     count a report shows, by (channel, kind) pair, the in-flight, speed,
-    idle and to-do tables and the published attempts' specs that the
-    actors read, and the state of both audits: lifecycle_audit's
-    violations in log order, and the started records and first ok
-    verdicts that precedence_audit compares.  It keeps one row per
+    idle, to-do and verified tables and the published attempts' specs
+    that the actors read, and the state of both audits: lifecycle_audit's
+    violations in log order, and the started records that
+    precedence_audit compares with the first ok verdicts.  It keeps one row per
     attempt in flight and one spec per task, so a closed attempt leaves
     only its (task, attempt) keys behind."""
 

@@ -202,8 +202,9 @@ def assignments_in(bus):
 
 
 def pooled(coord):
-    """The workers in the Coordinator's ranked pool: the idle ones."""
-    return {wid for _, wid in coord.pool}
+    """The workers the Coordinator's sweep may pick: the fold's idle ones
+    that it has ranked, as each volunteered."""
+    return {wid for wid in coord.bus.log.tally.idle if wid in coord.ranks}
 
 
 def todo_rows(coord):
@@ -314,6 +315,7 @@ class TestCoordinator:
         coord.step(0)
         result(bus, "ghost", "a")
         coord.step(1)
+        assert bus.log.tally.idle == {"ghost"}  # the fold records it
         assert pooled(coord) == set() and assignments_in(bus) == []
 
     def test_verdict_releases_dependents(self):
@@ -327,6 +329,23 @@ class TestCoordinator:
                 if json.loads(line)["channel"] == "TasksToDo"
                 and json.loads(line)["kind"] == "task"]
         assert todo == ["a", "b"]
+
+    def test_verdicts_in_one_drain_release_in_the_order_handled(self):
+        """a's and b's verdicts come in one drain.  A dependency counts as
+        finished only once its verdict is handled, though the fold already
+        holds both: a's verdict releases d, and b's then releases c."""
+        batch = batch_of(noop_task("a"), noop_task("b"),
+                         noop_task("c", deps=["a", "b"]),
+                         noop_task("d", deps=["a"]))
+        bus, coord = wire(batch)
+        coord.step(0)
+        verdict(bus, "a")
+        verdict(bus, "b")
+        coord.step(1)
+        todo = [record["payload"]["task_id"]
+                for record in map(json.loads, bus.log.lines)
+                if record["channel"] == "TasksToDo"]
+        assert todo == ["a", "b", "d", "c"]
 
     def test_emergency_exactly_once_when_all_finished(self):
         batch = batch_of(noop_task("a"), noop_task("b"))
@@ -419,14 +438,17 @@ class TestCoordinator:
 
     def test_verdict_for_unknown_task_ignored(self):
         """An ok verdict for a task the Coordinator has no row for writes
-        no row and finishes nothing."""
-        batch = batch_of(noop_task("a"))
+        no row and releases nothing; the fold's verified table holds it,
+        but the batch is not complete without its own tasks."""
+        batch = batch_of(noop_task("a"), noop_task("b", deps=["a"]))
         bus, coord = wire(batch)
         coord.step(0)
         verdict(bus, "ghost")
         coord.step(1)
-        assert "ghost" not in coord.status
-        assert "ghost" not in coord.finished
+        assert "ghost" not in coord.status and "ghost" in bus.log.tally.verified
+        assert todo_rows(coord) == {"a"}
+        assert coord.status["b"] == (TaskState.WAITING, 1)
+        assert bus.log.tally.reason is None
 
     def test_volunteer_naming_an_old_attempt_still_joins_the_pool(self):
         """An offer joins the pool whatever task it names; the assignment
@@ -454,13 +476,15 @@ class TestCoordinator:
                     {"task_id": "b", "attempt": 2, "spec": spec})
         verdict(bus, "a")
         coord.step(1)
+        queued = sorted(coord.queue)
         with pytest.raises(StateError):
             coord._move("a", TaskState.TODO, 2)  # Finished never moves
         with pytest.raises(StateError):
             coord._move("b", TaskState.TODO, 1)  # attempt 2 -> 1
+        # a refused move changes no row and queues nothing
         assert coord.status == {"a": (TaskState.FINISHED, 1),
                                 "b": (TaskState.TODO, 2)}
-        assert todo_rows(coord) == {"b"} and coord.finished == {"a"}
+        assert sorted(coord.queue) == queued
 
 
 class TestCoordinatorSweep:
@@ -559,13 +583,14 @@ class TestRankedPoolProperty:
     @given(ops=st.lists(POOL_OPS, max_size=30))
     def test_pool_matches_select_worker_over_the_idle_profiles(self, ops):
         """After each step, every assignment is select_worker's pick among
-        the idle workers' latest profiles, ToDo tasks in id order, and the
-        Coordinator's pool, strictly increasing, holds the naive model's
-        pool."""
+        the idle workers' latest profiles, ToDo tasks in id order; the
+        fold's idle table holds the naive model's idle workers, a result
+        from one that never volunteered included, and the Coordinator
+        ranks each by its latest profile."""
         bus, coord = wire(batch_of(*POOL_TASKS))
         coord.step(0)
         tasks = {t.id: t for t in POOL_TASKS}
-        profiles, pool = {}, set()
+        profiles, idle = {}, set()
         attempts = dict.fromkeys(tasks, 1)
         todo = dict(attempts)  # unassigned task -> its attempt
         for now, op in enumerate(ops, start=1):
@@ -575,11 +600,10 @@ class TestRankedPoolProperty:
                 volunteer(bus, wid, "t0", caps=caps, speed=speed,
                           reliability=reliability)
                 profiles[wid] = profile(wid, caps, speed, reliability)
-                pool.add(wid)
+                idle.add(wid)
             elif op[0] == "result":
                 result(bus, op[1], "t0")
-                if op[1] in profiles:
-                    pool.add(op[1])
+                idle.add(op[1])
             else:
                 attempts[op[1]] += 1
                 todo[op[1]] = attempts[op[1]]
@@ -588,22 +612,22 @@ class TestRankedPoolProperty:
             coord.step(now)
             expected = []
             for tid in sorted(todo):
-                if not pool:
+                ranked = [profiles[w] for w in idle if w in profiles]
+                if not ranked:
                     break
-                winner = select_worker(tasks[tid],
-                                       [profiles[w] for w in pool])
+                winner = select_worker(tasks[tid], ranked)
                 if winner is not None:
-                    pool.remove(winner)
+                    idle.remove(winner)
                     expected.append({"task_id": tid, "worker_id": winner,
                                      "attempt": todo.pop(tid)})
             made = [record["payload"] for record in
                     map(json.loads, bus.log.lines[logged:])
                     if record["kind"] == "assignment"]
             assert made == expected
-            assert pooled(coord) == pool
-            # each idle worker once, under the rank of its latest profile
-            assert all(a < b for a, b in zip(coord.pool, coord.pool[1:]))
-            assert coord.pool == sorted(coord.ranks[wid] for wid in pool)
+            assert bus.log.tally.idle == idle
+            assert pooled(coord) == idle & profiles.keys()
+            assert coord.ranks == {wid: actors.rank(got)
+                                   for wid, got in profiles.items()}
             assert todo_rows(coord) == todo.keys()
 
 
@@ -1404,6 +1428,29 @@ class TestChecker:
         verdicts = payloads_of(bus, "verdict")
         assert verdicts == [{"task_id": "a", "attempt": 2, "ok": False}]
         assert len(checker_tasks(bus)) == 1  # only the first failure re-queues
+
+    def test_failure_of_a_replaced_attempt_is_not_republished(self,
+                                                              tmp_path):
+        """The monitor already published attempt 2 when attempt 1 fails:
+        the checker publishes no second attempt 2, but the failure still
+        counts against the budget."""
+        bus, ws, chk = checker_rig(tmp_path)
+        task = noop_task("a", max_attempts=3)
+        publish_task(bus, task)
+        bus.publish("monitor", Channel.TASKS_TO_DO, "task",
+                    {"task_id": "a", "attempt": 2})
+        bus.publish("w1", Channel.TASKS_TO_CHECK, "result",
+                    {"task_id": "a", "worker_id": "w1", "attempt": 1,
+                     "exit_status": 1, "outputs": {}})
+        chk.step(0)
+        assert checker_tasks(bus) == [] and chk.fails["a"] == 1
+        push_result(bus, ws, task, attempt=2, exit_status=1)
+        chk.step(1)
+        assert checker_tasks(bus) == [{"task_id": "a", "attempt": 3}]
+        push_result(bus, ws, task, attempt=3, exit_status=1)
+        chk.step(2)
+        assert payloads_of(bus, "verdict") == [
+            {"task_id": "a", "attempt": 3, "ok": False}]
 
     def test_duplicate_result_for_finished_task_discarded(self, tmp_path):
         bus, ws, chk = checker_rig(tmp_path)

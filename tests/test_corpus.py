@@ -8,8 +8,8 @@ departures, late arrivals, crash_prob, volunteer latency and jitter, and
 horizons that cut jobs) from random.Random(i).  Every run must pass both
 audits, the fold its log made as it was written must equal the fold of
 the parsed log and of that log rendered in the older format (format_1),
-its Monitor's and Checker's counters must match that fold, its idle and
-to-do tables must equal the Coordinator's pool and unassigned tasks
+its Monitor's and Checker's counters must match that fold, its to-do
+and verified tables must equal the Coordinator's ToDo and Finished rows
 after each Coordinator step while the run goes on, its in-flight rows,
 idle and to-do tables and spec answers must equal a scan of the records
 after each tick, every TasksToDo task record must carry (or be filled
@@ -176,8 +176,8 @@ def record_stray_mail(monkeypatch):
 @pytest.fixture(scope="module")
 def corpus():
     """run_case's tuple for each case, the actors its run made, its stray
-    mail (record_stray_mail) and where the fold's idle and to-do tables
-    drifted from the Coordinator's (watch_tables)."""
+    mail (record_stray_mail) and where the fold's to-do and verified
+    tables drifted from the Coordinator's rows (watch_tables)."""
     runs = []
     with pytest.MonkeyPatch.context() as monkeypatch:
         made = keep(monkeypatch, actors.Monitor, actors.Checker)
@@ -326,9 +326,10 @@ def test_every_delivery_is_mail_its_reader_acts_on(corpus):
         assert stray == [], f"case {case}"
 
 
-def test_the_fold_tables_equal_the_coordinators_pool_and_todo(corpus):
-    """The Monitor reads the pool and the unassigned tasks from the fold;
-    after each Coordinator step they are the Coordinator's own."""
+def test_the_fold_tables_equal_the_coordinators_rows(corpus):
+    """The Monitor reads the unassigned tasks from the fold, and the
+    Coordinator reads the verified ones there; after each Coordinator
+    step they are its ToDo and Finished rows."""
     for case, (*_, drift) in enumerate(corpus):
         assert drift == [], f"case {case}"
 

@@ -94,22 +94,23 @@ def keep(monkeypatch, *classes):
 
 
 def watch_tables(monkeypatch):
-    """Check the fold's idle and to-do tables against the workers in the
-    Coordinator's pool and its ToDo rows after each of its steps while
-    the run goes on (after the Emergency it reads no further mail).
-    Returns a list that gets (tick, fold's idle, fold's to-do) for each
-    step where they differ."""
+    """Check the fold's to-do and verified tables against the ToDo and
+    Finished rows of the Coordinator's `status` after each of its steps
+    while the run goes on (after the Emergency it reads no further mail).
+    Returns a list that gets (tick, fold's to-do, fold's verified) for
+    each step where they differ."""
     drift = []
     step = actors.Coordinator.step
 
     def checked(self, now):
         step(self, now)
         tally = self.bus.log.tally
-        idle = {wid for _, wid in self.pool}
-        todo = {tid for tid, (state, _) in self.status.items()
-                if state is TaskState.TODO}
-        if tally.reason is None and (tally.idle, tally.todo) != (idle, todo):
-            drift.append((now, sorted(tally.idle), sorted(tally.todo)))
+        rows = {state: set() for state in TaskState}
+        for tid, (state, _) in self.status.items():
+            rows[state].add(tid)
+        if tally.reason is None and (tally.todo, set(tally.verified)) != \
+                (rows[TaskState.TODO], rows[TaskState.FINISHED]):
+            drift.append((now, sorted(tally.todo), sorted(tally.verified)))
 
     monkeypatch.setattr(actors.Coordinator, "step", checked)
     return drift
@@ -1982,7 +1983,8 @@ class TestSilentWorkersStayOutOfThePool:
 def test_fold_tables_follow_the_coordinator_through_an_unfold(
         monkeypatch):
     """The adapt-unfold golden splices tasks into the batch and crashes
-    a worker; the fold's tables equal the Coordinator's throughout."""
+    a worker; the fold's to-do and verified tables equal the
+    Coordinator's ToDo and Finished rows throughout."""
     drift = watch_tables(monkeypatch)
     batch, scenario, _ = _adapt_unfold()
     report, log = run_simulation(batch, scenario)
@@ -2017,8 +2019,8 @@ def test_random_runs_are_clean_deterministic_and_finish(batch, scenario,
                                                          horizon, tame):
     """Random noop DAGs under random scenarios whose faults fall in the
     first 100 ticks: both audits pass (so no silent worker re-enters
-    the pool), the fold's idle and to-do tables follow the Coordinator
-    (watch_tables), a second run and the reference loop give the same
+    the pool), the fold's to-do and verified tables follow the
+    Coordinator's rows (watch_tables), a second run and the reference loop give the same
     bytes, a pool without faults finishes the batch, and a finished
     batch shows no release or end lag."""
     scenario = tamed(scenario) if tame else \
