@@ -2,23 +2,26 @@
 
 Everything coordinates through bus messages, and the bus hands no actor
 its own, nor one addressed to others; no actor touches another actor's
-state.  Mail carries only work; facts (specs, liveness, attempts in
-flight, verified tasks, the run's end) come from the log's fold, which
-every actor reads as `bus.log.tally`.  Nothing is logged after the
-Emergency.  One batch flows like this:
+state.  Mail carries only work; facts (task rows, specs, liveness,
+attempts in flight, verified tasks, the run's end) come from the log's
+fold, which every actor reads as `bus.log.tally`.  The bus refuses a
+publish whose move of a task row model.check_transition refuses, so
+every actor's moves pass it.  Nothing is logged after the Emergency.
+One batch flows like this:
 
   broker       publishes every task on WaitingTasks, in id order, and
                listens to nothing
   coordinator  takes the batch from `adopt`, not from WaitingTasks, and
-               releases its roots to TasksToDo; keeps one row per task
-               and ranks each volunteer as select_worker ranks it;
-               assigns each ToDo task, in id order, the first of the
-               fold's idle workers, by rank, capable of it, addressing the
+               releases its roots to TasksToDo; keeps no task rows, but
+               reads the fold's, and ranks each volunteer as
+               select_worker ranks it; assigns each task of the fold's
+               to-do table, in id order, the first of the fold's idle
+               workers, by rank, capable of it, addressing the
                assignment to that worker alone; ends the batch on
                Emergency, reading no further mail once the fold has it;
-               an ok verdict releases only the finished task's dependents
-               whose deps the fold shows verified by that verdict, and
-               every task row change passes model.check_transition
+               an ok verdict releases only the finished task's waiting
+               dependents whose deps the fold shows verified by that
+               verdict
   workers      volunteer once, when they first see an open task they are
                capable of, and then hear only the assignments addressed
                to them; execute each with the spec of its attempt,
@@ -50,10 +53,10 @@ not drop out of the pool.
 
 No worker is scored per task and no ToDo row is sorted per step: a
 worker is ranked once, when it volunteers (again only if it
-re-volunteers with another profile); a sweep that has both a ToDo row
-and an idle worker sorts the idle workers' ranks once, and it pops ToDo
-ids from a heap, so a coordinator step costs the assignments it makes
-and that sort, not T.
+re-volunteers with another profile); a sweep that has both a queued
+task and an idle worker sorts the idle workers' ranks once, and it pops
+task ids from a heap, so a coordinator step costs the assignments it
+makes and that sort, not T.
 A worker rebuilds only its job's kernel from the spec, not the whole
 task.
 
@@ -89,7 +92,6 @@ from .model import (
     TaskState,
     WorkerProfile,
     WorkflowBatch,
-    check_transition,
     dump,
     load,
 )
@@ -180,7 +182,8 @@ class Broker:
 # ------------------------------------------------------------ coordinator
 
 class Coordinator:
-    """Owns task lifecycle state and worker selection for one batch."""
+    """Releases one batch's tasks and selects their workers; the task
+    rows it reads are the fold's."""
 
     id = COORDINATOR
 
@@ -198,11 +201,11 @@ class Coordinator:
             bus.subscribe(self.id, channel)
         self.batch: Optional[WorkflowBatch] = None
         self.submitted: Mapping[str, Task] = {}  # the tasks `adopt` received
-        self.status: dict[str, tuple[TaskState, int]] = {}
         self.profiles: dict[str, WorkerProfile] = {}
         self.ranks: dict[str, tuple[float, str]] = {}  # rank of each profile
-        # the ids of ToDo rows as a heap; an id may also appear after its row
-        # left ToDo (stale) or more than once (re-entered): the sweep skips it
+        # the ids of tasks released or republished, as a heap; an id may
+        # also appear after its row left ToDo (stale) or more than once
+        # (re-entered): the sweep skips it
         self.queue: list[str] = []
 
     # The sweep and the completion check change only through mail, and a
@@ -230,7 +233,7 @@ class Coordinator:
             if tally.reason is not None:  # the run ends in this tick
                 return
             if env.channel == TASKS_TO_DO and env.kind == "task":
-                self._on_republished(env)
+                heappush(self.queue, env.payload["task_id"])  # republished
             elif env.kind == "volunteer":
                 self._on_volunteer(env.payload["worker_id"],
                                    env.payload["profile"])
@@ -242,13 +245,11 @@ class Coordinator:
             self._check_complete()
 
     def adopt(self, batch: WorkflowBatch) -> None:
-        """Take the batch just submitted: every task waits, then the roots
-        are released in id order.  The bus does not replay, so every actor
-        must be on it first."""
+        """Take the batch just submitted and release its roots in id
+        order.  The bus does not replay, so every actor must be on it
+        first."""
         self.batch = batch
         self.submitted = batch.tasks
-        for tid in sorted(batch.tasks):
-            self._move(tid, TaskState.WAITING, 1)
         for tid in sorted(batch.tasks):
             if not batch.tasks[tid].deps:
                 self._release(tid, 0)
@@ -267,9 +268,6 @@ class Coordinator:
                 spliced = sorted(unfolded.tasks.keys()
                                  - self.batch.tasks.keys())
                 self.batch = unfolded
-                self.status.pop(tid, None)
-                for nid in spliced:
-                    self._move(nid, TaskState.WAITING, 1)
                 for nid in spliced:
                     if self._finished(unfolded.tasks[nid].deps, upto):
                         self._publish_todo(nid)
@@ -282,7 +280,6 @@ class Coordinator:
         A task `adopt` received unchanged still has the spec the Broker
         logged, so only a task an unfold made is serialised and compared."""
         assert self.batch is not None
-        self._move(tid, TaskState.TODO, 1)
         task = self.batch.tasks[tid]
         payload: dict = {"task_id": tid, "attempt": 1}
         if task is not self.submitted.get(tid):
@@ -290,16 +287,7 @@ class Coordinator:
             if self.bus.log.tally.latest.get(tid) != spec:
                 payload["spec"] = spec
         self.bus.publish(self.id, TASKS_TO_DO, "task", payload)
-
-    def _move(self, tid: str, state: TaskState, attempt: int) -> None:
-        """The one writer of a task's row, through check_transition once it
-        exists; queues a ToDo row for the sweep."""
-        if tid in self.status:
-            current, current_attempt = self.status[tid]
-            check_transition(current, state, current_attempt, attempt)
-        self.status[tid] = (state, attempt)
-        if state is TaskState.TODO:
-            heappush(self.queue, tid)
+        heappush(self.queue, tid)
 
     def _finished(self, deps: frozenset[str], upto: int) -> bool:
         """Whether each of `deps` got its first ok verdict at or before seq
@@ -317,31 +305,22 @@ class Coordinator:
             self.profiles[wid] = profile
             self.ranks[wid] = rank(profile, self.sla)
 
-    def _on_republished(self, env: Envelope) -> None:
-        """Monitor or checker pushed a task back to ToDo with attempt+1."""
-        tid = env.payload["task_id"]
-        attempt = env.payload["attempt"]
-        current = self.status.get(tid)
-        if current is None or current[0] is TaskState.FINISHED \
-                or attempt <= current[1]:
-            return
-        self._move(tid, TaskState.TODO, attempt)
-
     def _on_verdict(self, env: Envelope) -> None:
-        """An ok verdict releases, in id order, each Waiting dependent whose
-        deps are all finished by its seq (Kahn); a failed one ends the
-        batch."""
+        """A task's first ok verdict releases, in id order, each waiting
+        dependent whose deps are all finished by its seq (Kahn): one whose
+        row is Waiting, or a spliced one with no row yet.  A failed
+        verdict ends the batch."""
         if not env.payload["ok"]:
             self._emergency("failed")
             return
         tid = env.payload["task_id"]
-        row = self.status.get(tid)
-        if row is None or row[0] is TaskState.FINISHED:
+        tally = self.bus.log.tally
+        if tally.verified.get(tid) != env.seq:
             return
-        self._move(tid, TaskState.FINISHED, row[1])
         assert self.batch is not None
-        ready = [nid for nid in self.batch.dependents[tid]
-                 if self.status[nid][0] is TaskState.WAITING
+        rows = tally.rows
+        ready = [nid for nid in self.batch.dependents.get(tid, ())
+                 if (nid not in rows or rows[nid][0] is TaskState.WAITING)
                  and self._finished(self.batch.tasks[nid].deps, env.seq)]
         for nid in ready:
             self._release(nid, env.seq)
@@ -354,35 +333,38 @@ class Coordinator:
     # -- per-step passes ----------------------------------------------------
 
     def _sweep_assignments(self) -> None:
-        """Match the ToDo rows of `status`, the unassigned tasks, in id
-        order, against the fold's idle workers sorted by `ranks`; each
-        winner, the first of them capable of the task (select_worker's
-        choice), leaves the sorted list.  A worker with no rank never
-        volunteered and wins nothing.  Stops once the list is empty; each
-        task that found no worker goes back on the queue once."""
-        idle = self.bus.log.tally.idle
-        if not (idle and self.queue):
+        """Match the queued tasks of the fold's to-do table, the
+        unassigned ones, in id order, against the fold's idle workers
+        sorted by `ranks`; each winner, the first of them capable of the
+        task (select_worker's choice), leaves the sorted list.  A worker
+        with no rank never volunteered and wins nothing.  Stops once the
+        list is empty; each task that found no worker goes back on the
+        queue once."""
+        tally = self.bus.log.tally
+        if not (tally.idle and self.queue):
             return
-        pool = sorted(self.ranks[wid] for wid in idle if wid in self.ranks)
+        assert self.batch is not None
+        tasks = self.batch.tasks
+        pool = sorted(self.ranks[wid] for wid in tally.idle
+                      if wid in self.ranks)
         unplaced: list[str] = []
         while pool and self.queue:
             tid = heappop(self.queue)
-            state, attempt = self.status[tid]
-            # stale, or a duplicate: a task's entries pop one after another
-            if state is not TaskState.TODO or unplaced[-1:] == [tid]:
+            # stale, a duplicate (a task's entries pop one after another)
+            # or no task of the batch
+            if tid not in tally.todo or unplaced[-1:] == [tid] \
+                    or tid not in tasks:
                 continue
-            assert self.batch is not None
-            caps = self.batch.tasks[tid].required_caps
+            caps = tasks[tid].required_caps
             at = next((at for at, (_, wid) in enumerate(pool)
                        if caps <= self.profiles[wid].capabilities), None)
             if at is None:
                 unplaced.append(tid)
                 continue
             _, winner = pool.pop(at)
-            self._move(tid, TaskState.IN_PROGRESS, attempt)
             self.bus.publish(self.id, TASKS_TO_DO, "assignment",
                              {"task_id": tid, "worker_id": winner,
-                              "attempt": attempt}, to=(winner,))
+                              "attempt": tally.attempts[tid]}, to=(winner,))
         for tid in unplaced:
             heappush(self.queue, tid)
 

@@ -15,8 +15,15 @@ scheduler need not ask every actor.
 Counts, tables and audit violations all come from one fold of the log,
 LogTally, made as each envelope is logged or from a parsed log file;
 the actors read its tables as `bus.log.tally`.  The tables keep state
-as a compacted topic would, the latest publication winning.  The
-in-flight table (`inflight`) holds one row per attempt in flight: a
+as a compacted topic would, the latest publication winning.  The task
+table (`rows`) holds one row per task, its lifecycle state and attempt:
+a task record on WaitingTasks makes it Waiting, one on TasksToDo ToDo,
+an assignment InProgress and an ok verdict Finished, at the row's
+attempt.  Each move passes model.check_transition against the row; a
+publish whose move it refuses raises StateError, and in a log file that
+move leaves the row as it was and is a lifecycle violation.  The to-do
+table (`todo`) indexes the ToDo rows: the tasks waiting for a worker.
+The in-flight table (`inflight`) holds one row per attempt in flight: a
 task's latest assignment of an attempt published on TasksToDo, as its
 attempt, tick, worker and the tick its worker was last heard from,
 which that attempt's `started` and `heartbeat` records move.  The
@@ -27,15 +34,11 @@ speed table (`speeds`) holds the speed of each worker's latest
 `volunteer` profile; with a row's worker it tells the monitor when an
 attempt in flight owes its result.  The idle table (`idle`) holds each
 worker that sent a `volunteer` or a `result` since its last
-assignment, and the to-do table (`todo`) each task released on
-TasksToDo with an attempt above its last assigned one, until its
-assignment or ok verdict.  The verified table (`verified`) holds the
-seq of each task's first ok verdict.  The coordinator assigns from the
-idle table and reads the verified one to release dependents and to end
-a complete batch; the to-do and verified tables mirror, from the log
-alone, the ToDo and Finished rows the coordinator keeps to check each
-move of a task, so the two can be checked against each other.  A
-reader of the tables needs no mail.
+assignment.  The verified table (`verified`) holds the seq of each
+task's first ok verdict.  The coordinator keeps no task rows: it
+assigns the to-do table's tasks to the idle table's workers and reads
+the task and verified tables to release dependents and to end a
+complete batch.  A reader of the tables needs no mail.
 
 The log is line-oriented JSON, one object per envelope, framed exactly
 as json.dumps(record, separators=(",", ":")) frames it:
@@ -44,9 +47,9 @@ The keys come in this order, with no whitespace; seq and ts are ints,
 and every string is pure ASCII, any other character written as its
 JSON escape.  EventLog writes the header by hand around one encode of
 the payload, so this framing is a contract of the code, not of the
-encoder.  A publish that is refused, by a check or because its payload
-is not JSON, takes no sequence number and leaves the log and its fold
-as they were.
+encoder.  A publish that is refused, by a check, by check_transition or
+because its payload is not JSON, takes no sequence number and leaves
+the log and its fold as they were.
 Each fact is logged once.  A `task` record carries its spec only when
 the spec differs from the task's latest one in the log: on WaitingTasks,
 and on TasksToDo for a spliced task or a dependent whose deps an unfold
@@ -68,7 +71,8 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import NamedTuple, Optional
 
-from .errors import SchemaError, UnknownActor, UnknownChannel
+from .errors import SchemaError, StateError, UnknownActor, UnknownChannel
+from .model import TaskState, check_transition
 
 
 class Channel(str, Enum):
@@ -126,17 +130,25 @@ class Envelope(NamedTuple):
     payload: dict
 
 
+# The lifecycle states, bound once, as an Enum member read off its class
+# is a descriptor call; the state a task record moves its row to, by its
+# channel.
+_WAITING, _TODO, _IN_PROGRESS, _, _FINISHED = TaskState
+_TASK_STATES = {WAITING_TASKS: _WAITING, TASKS_TO_DO: _TODO}
+
+
 @dataclass
 class LogTally:
     """The one fold of the log, one record at a time: from EventLog.append
     as a run writes them, or from a parsed log file.  It holds every
-    count a report shows, by (channel, kind) pair, the in-flight, speed,
-    idle, to-do and verified tables and the published attempts' specs
-    that the actors read, and the state of both audits: lifecycle_audit's
-    violations in log order, and the started records that
-    precedence_audit compares with the first ok verdicts.  It keeps one row per
-    attempt in flight and one spec per task, so a closed attempt leaves
-    only its (task, attempt) keys behind."""
+    count a report shows, by (channel, kind) pair, the task, in-flight,
+    speed, idle, to-do and verified tables and the published attempts'
+    specs that the actors read, and the state of both audits:
+    lifecycle_audit's violations in log order, and the started records
+    that precedence_audit compares with the first ok verdicts.  It keeps
+    one row per task, one row per attempt in flight and one spec per
+    task, so a closed attempt leaves only its (task, attempt) keys
+    behind."""
 
     pairs: dict[tuple[str, str], int] = field(default_factory=dict)
     attempts: dict[str, int] = field(default_factory=dict)  # highest per task
@@ -151,6 +163,11 @@ class LogTally:
     # verdict; the checker discards each one after the result it verified
     unverified: dict[str, list[int]] = field(default_factory=dict)
     verified: dict[str, int] = field(default_factory=dict)  # first ok seq
+    # task -> (state, attempt): its row, which a task record on
+    # WaitingTasks or TasksToDo, an assignment or an ok verdict moves
+    # once check_transition passes the move
+    rows: dict[str, tuple[TaskState, int]] = field(default_factory=dict)
+    todo: set[str] = field(default_factory=set)  # the tasks of ToDo rows
     # the (task, attempt) keys of the TasksToDo task records whose spec
     # is known: `spec` answers for these alone
     published: set[tuple[str, int]] = field(default_factory=set)
@@ -164,31 +181,28 @@ class LogTally:
     speeds: dict[str, object] = field(default_factory=dict)
     # workers that sent a volunteer or a result since their last assignment
     idle: set[str] = field(default_factory=set)
-    # tasks waiting for a worker: a TasksToDo task record whose attempt is
-    # above the task's last assigned one (dispatched) adds its task, and
-    # an assignment or ok verdict removes it
-    todo: set[str] = field(default_factory=set)
-    dispatched: dict[str, int] = field(default_factory=dict)
     # task -> the spec of its latest task record, on either channel
     latest: dict[str, dict] = field(default_factory=dict)
-    waiting: set[str] = field(default_factory=set)  # tasks on WaitingTasks
     # the (task, attempt) keys of the assignments, and of the started records
     assigned: set[tuple[str, int]] = field(default_factory=set)
     began: set[tuple[str, int]] = field(default_factory=set)
     started: list[tuple[int, str]] = field(default_factory=list)  # seq, task
     lifecycle: list[str] = field(default_factory=list)  # its violations
 
-    def add(self, record: dict) -> None:
+    def add(self, record: dict, live: bool = False) -> None:
+        """Fold one record.  A move of its task's row that check_transition
+        refuses raises StateError, before anything changes, if the record
+        is `live` (being published); in a logged record it leaves the row
+        as it was and is a lifecycle violation.  So each branch moves the
+        row before it changes anything else."""
         channel, kind, ts = record["channel"], record["kind"], record["ts"]
-        pair = (channel, kind)
-        self.pairs[pair] = self.pairs.get(pair, 0) + 1
-        if ts > self.makespan:
-            self.makespan = ts
         payload = record["payload"]
         if kind == "heartbeat":
             self._hear(payload["task_id"], payload["attempt"], ts)
         elif kind == "task":
             tid, attempt = payload["task_id"], payload["attempt"]
+            if channel in _TASK_STATES:
+                self._move(tid, _TASK_STATES[channel], attempt, record, live)
             self.attempts[tid] = max(self.attempts.get(tid, 1), attempt)
             if record["sender"] == MONITOR:  # a silence timeout
                 self.timeouts += 1
@@ -201,19 +215,11 @@ class LogTally:
                     f"task {tid} (seq {record['seq']}) without a spec")
             else:
                 self.latest[tid] = spec
-            if channel == WAITING_TASKS:
-                self.waiting.add(tid)
-            elif channel == TASKS_TO_DO:
-                if tid not in self.waiting and "/" not in tid:
-                    self.lifecycle.append(
-                        f"task {tid} on TasksToDo (seq {record['seq']}) "
-                        "without a WaitingTasks publication")
-                if spec is not None:
-                    self.published.add((tid, attempt))
-                if attempt > self.dispatched.get(tid, 0):
-                    self.todo.add(tid)
+            if channel == TASKS_TO_DO and spec is not None:
+                self.published.add((tid, attempt))
         elif kind == "assignment":
             tid, attempt = payload["task_id"], payload["attempt"]
+            self._move(tid, _IN_PROGRESS, attempt, record, live)
             wid = payload["worker_id"]
             if (tid, attempt) in self.published:
                 self.inflight[tid] = (attempt, ts, wid, ts)
@@ -228,8 +234,6 @@ class LogTally:
                     f"assignment for {tid} attempt {attempt} "
                     f"(seq {record['seq']}) to {wid}, which is not idle")
             self.assigned.add((tid, attempt))
-            self.dispatched[tid] = attempt
-            self.todo.discard(tid)
         elif kind == "started":
             key = (payload["task_id"], payload["attempt"])
             if key not in self.assigned:
@@ -259,13 +263,9 @@ class LogTally:
             self.speeds[wid] = payload["profile"].get("speed")
         elif kind == "verdict" and payload["ok"]:
             tid = payload["task_id"]
+            self._move(tid, _FINISHED, payload["attempt"], record, live)
             self.inflight.pop(tid, None)
-            self.todo.discard(tid)
-            if tid in self.verified:
-                self.lifecycle.append(
-                    f"task {tid} received a second ok verdict "
-                    f"(seq {record['seq']})")
-            else:
+            if tid not in self.verified:
                 self.verified[tid] = record["seq"]
                 seen = self.unverified.pop(tid, [])
                 if payload["attempt"] in seen:
@@ -273,6 +273,43 @@ class LogTally:
                         len(seen) - 1 - seen.index(payload["attempt"])
         elif kind == "emergency":
             self.reason = payload["reason"]
+        pair = (channel, kind)
+        self.pairs[pair] = self.pairs.get(pair, 0) + 1
+        if ts > self.makespan:
+            self.makespan = ts
+
+    def _move(self, tid: str, state: TaskState, attempt: int,
+              record: dict, live: bool) -> None:
+        """Move the task's row to `state` at `attempt`, or at the row's
+        for Finished.  A row, once there, moves only as check_transition
+        allows; add's docstring says what a refused move does.  A task
+        with no row reaches TasksToDo only if spliced."""
+        row = self.rows.get(tid)
+        if row is None:
+            if state is _TODO and "/" not in tid:
+                self.lifecycle.append(
+                    f"task {tid} on TasksToDo (seq {record['seq']}) "
+                    "without a WaitingTasks publication")
+        else:
+            if state is _FINISHED:
+                attempt = row[1]
+            try:
+                check_transition(row[0], state, row[1], attempt)
+            except StateError as exc:
+                seq = record["seq"]  # only a Finished row refuses a verdict
+                why = (f"task {tid} received a second ok verdict (seq {seq})"
+                       if state is _FINISHED else
+                       f"task {tid} cannot move to {state.name} at attempt "
+                       f"{attempt} (seq {seq}): {exc}")
+                if live:
+                    raise StateError(why) from exc
+                self.lifecycle.append(why)
+                return
+        self.rows[tid] = (state, attempt)
+        if state is _TODO:
+            self.todo.add(tid)
+        else:
+            self.todo.discard(tid)
 
     def _hear(self, tid: str, attempt: int, ts: int) -> None:
         """A started or heartbeat moves the last heard tick of its task's
@@ -329,18 +366,20 @@ class EventLog:
     tally: LogTally = field(default_factory=LogTally)
 
     def append(self, env: Envelope) -> None:
-        """Encode the envelope, then keep its line and fold it; an
-        envelope that does not encode raises TypeError (or ValueError)
-        and changes nothing."""
+        """Encode the envelope, then fold it and keep its line; an
+        envelope that does not encode raises TypeError (or ValueError),
+        and one whose move check_transition refuses StateError, and
+        either changes nothing."""
         channel, kind, seq, sender, ts, payload = env
-        self.lines.append(
-            f'{{"seq":{seq},"ts":{ts},'
-            f'"channel":{encode_basestring_ascii(channel)},'
-            f'"kind":{encode_basestring_ascii(kind)},'
-            f'"sender":{encode_basestring_ascii(sender)},'
-            f'"payload":{_ENCODE(payload)}}}')
+        line = (f'{{"seq":{seq},"ts":{ts},'
+                f'"channel":{encode_basestring_ascii(channel)},'
+                f'"kind":{encode_basestring_ascii(kind)},'
+                f'"sender":{encode_basestring_ascii(sender)},'
+                f'"payload":{_ENCODE(payload)}}}')
         self.tally.add({"seq": seq, "ts": ts, "channel": channel,
-                        "kind": kind, "sender": sender, "payload": payload})
+                        "kind": kind, "sender": sender, "payload": payload},
+                       live=True)
+        self.lines.append(line)
 
     def dumps(self) -> str:
         return "".join(line + "\n" for line in self.lines)
@@ -414,7 +453,8 @@ class InProcessBus:
             raise SchemaError(f"to= takes a tuple of actor ids, not {to!r}")
         seq = self._seq + 1
         env = Envelope(value, kind, seq, sender, self.now, payload)
-        self.log.append(env)  # raises, keeping nothing, if not JSON
+        # raises, keeping nothing, if not JSON or if its move is illegal
+        self.log.append(env)
         self._seq = seq
         for actor_id in self._subs[value] if to is None else to:
             if actor_id != sender and actor_id in self._queues:

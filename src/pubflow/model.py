@@ -34,6 +34,11 @@ class TaskState(Enum):
     FINISHED = 4
 
 
+# Bound once: the log's fold checks every move of every task, and an
+# Enum member read off its class, or its .value, is a descriptor call.
+_TODO, _FINISHED = TaskState.TODO, TaskState.FINISHED
+
+
 def check_transition(current: TaskState, new: TaskState,
                      current_attempt: int, new_attempt: int) -> None:
     """Enforce the lifecycle rules; raises StateError on an illegal move.
@@ -42,16 +47,16 @@ def check_transition(current: TaskState, new: TaskState,
     TODO with the attempt incremented (re-publication after a timeout or a
     failed check), and a Finished task never moves again.
     """
-    if current is TaskState.FINISHED:
+    if current is _FINISHED:
         raise StateError(f"task already finished (attempt {current_attempt})")
     if new_attempt == current_attempt:
-        if new.value < current.value:
+        if new._value_ < current._value_:
             raise StateError(
                 f"state cannot move backward within attempt "
                 f"{current_attempt}: {current.name} -> {new.name}")
         return
     if new_attempt > current_attempt:
-        if new is not TaskState.TODO:
+        if new is not _TODO:
             raise StateError(
                 f"attempt bump must reset to TODO, got {new.name}")
         return

@@ -453,6 +453,11 @@ def lifecycle_audit(
         after assignment, results after started
       * an assignment goes to an idle worker: one that sent a volunteer
         or a result since its last assignment (the fold's idle table)
-      * at most one ok verdict per task id
+      * each move of a task's row (a task record on WaitingTasks or
+        TasksToDo, an assignment, an ok verdict) passes
+        model.check_transition: a Finished task is never republished,
+        assigned or verified again, and a republication raises the
+        attempt of a task in progress; a refused move leaves the row as
+        it was and is one violation
     """
     return list(_fold(log).lifecycle)

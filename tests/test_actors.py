@@ -207,17 +207,11 @@ def pooled(coord):
     return {wid for wid in coord.bus.log.tally.idle if wid in coord.ranks}
 
 
-def todo_rows(coord):
-    """The tasks whose Coordinator row is ToDo: the unassigned ones."""
-    return {tid for tid, (state, _) in coord.status.items()
-            if state is TaskState.TODO}
-
-
 class TestCoordinator:
     def test_adopt_releases_the_roots_right_after_the_broker(self):
-        """Every task gets a Waiting row, the roots go to TasksToDo in id
-        order right after the WaitingTasks announcements, and the
-        coordinator is not on WaitingTasks."""
+        """Every task gets a Waiting row in the fold, the roots go to
+        TasksToDo in id order right after the WaitingTasks announcements,
+        and the coordinator is not on WaitingTasks."""
         batch = batch_of(noop_task("c"), noop_task("a"),
                          noop_task("b", deps=["a"]))
         bus, coord = wire(batch)
@@ -226,11 +220,12 @@ class TestCoordinator:
             == [("WaitingTasks", "a"), ("WaitingTasks", "b"),
                 ("WaitingTasks", "c"), ("TasksToDo", "a"),
                 ("TasksToDo", "c")]
-        assert coord.status == {"a": (TaskState.TODO, 1),
-                                "b": (TaskState.WAITING, 1),
-                                "c": (TaskState.TODO, 1)}
+        assert bus.log.tally.rows == {"a": (TaskState.TODO, 1),
+                                      "b": (TaskState.WAITING, 1),
+                                      "c": (TaskState.TODO, 1)}
+        # b still waits, so announcing it again is a legal move
         bus.publish("broker", Channel.WAITING_TASKS, "task",
-                    records[0]["payload"])
+                    records[1]["payload"])
         assert coord.id not in bus.mail
 
     def test_releases_only_dependency_free_tasks(self):
@@ -241,8 +236,8 @@ class TestCoordinator:
                 for line in bus.log.dumps().splitlines()
                 if json.loads(line)["channel"] == "TasksToDo"]
         assert todo == ["a"]
-        assert coord.status["a"] == (TaskState.TODO, 1)
-        assert coord.status["b"] == (TaskState.WAITING, 1)
+        assert bus.log.tally.rows["a"] == (TaskState.TODO, 1)
+        assert bus.log.tally.rows["b"] == (TaskState.WAITING, 1)
 
     def test_assignment_after_volunteer(self):
         batch = batch_of(noop_task("a"))
@@ -252,7 +247,7 @@ class TestCoordinator:
         coord.step(1)
         assert assignments_in(bus) == [
             {"task_id": "a", "worker_id": "w1", "attempt": 1}]
-        assert coord.status["a"] == (TaskState.IN_PROGRESS, 1)
+        assert bus.log.tally.rows["a"] == (TaskState.IN_PROGRESS, 1)
 
     def test_same_winner_for_both_volunteer_orderings(self):
         for order in (("w1", "w2"), ("w2", "w1")):
@@ -387,7 +382,7 @@ class TestCoordinator:
         bus.publish("monitor", Channel.TASKS_TO_DO, "task",
                     {"task_id": "a", "attempt": 2, "spec": spec})
         coord.step(2)
-        assert coord.status["a"] == (TaskState.TODO, 2)
+        assert bus.log.tally.rows["a"] == (TaskState.TODO, 2)
         assert pooled(coord) == set()
         assert len(assignments_in(bus)) == 1
         # another worker joining the pool gets attempt 2
@@ -397,6 +392,8 @@ class TestCoordinator:
         assert got[-1] == {"task_id": "a", "worker_id": "w2", "attempt": 2}
 
     def test_stale_republication_ignored(self):
+        """A republication of the ToDo attempt leaves the row as it was,
+        and the task is assigned once."""
         batch = batch_of(noop_task("a"))
         bus, coord = wire(batch)
         coord.step(0)
@@ -405,9 +402,16 @@ class TestCoordinator:
         bus.publish("monitor", Channel.TASKS_TO_DO, "task",
                     {"task_id": "a", "attempt": 1, "spec": spec})
         coord.step(1)
-        assert coord.status["a"] == (TaskState.TODO, 1)
+        assert bus.log.tally.rows["a"] == (TaskState.TODO, 1)
+        volunteer(bus, "w1", "a")
+        volunteer(bus, "w2", "a")
+        coord.step(2)
+        assert assignments_in(bus) == [
+            {"task_id": "a", "worker_id": "w1", "attempt": 1}]
 
     def test_republication_after_finish_ignored(self):
+        """A Finished task never moves again: the bus refuses its
+        republication, so no actor hears it and nobody is assigned it."""
         batch = batch_of(noop_task("a"), noop_task("b"))
         bus, coord = wire(batch)
         coord.step(0)
@@ -415,16 +419,20 @@ class TestCoordinator:
                           )["payload"]["spec"]
         verdict(bus, "a")
         coord.step(1)
-        bus.publish("monitor", Channel.TASKS_TO_DO, "task",
-                    {"task_id": "a", "attempt": 5, "spec": spec})
+        with pytest.raises(StateError, match="already finished"):
+            bus.publish("monitor", Channel.TASKS_TO_DO, "task",
+                        {"task_id": "a", "attempt": 5, "spec": spec})
+        assert coord.id not in bus.mail
         coord.step(2)
-        assert coord.status["a"][0] is TaskState.FINISHED
+        assert bus.log.tally.rows["a"] == (TaskState.FINISHED, 1)
         volunteer(bus, "w9", "a", attempt=5)
         coord.step(3)
         assert [(a["task_id"], a["attempt"]) for a in assignments_in(bus)] \
             == [("b", 1)]
 
     def test_republication_of_unknown_task_ignored(self):
+        """A task the batch does not hold gets a row in the fold, but the
+        Coordinator assigns only its batch's tasks."""
         batch = batch_of(noop_task("a"))
         bus, coord = wire(batch)
         coord.step(0)
@@ -433,21 +441,24 @@ class TestCoordinator:
         bus.publish("monitor", Channel.TASKS_TO_DO, "task",
                     {"task_id": "ghost", "attempt": 2, "spec": spec})
         coord.step(1)
-        assert "ghost" not in coord.status
-        assert todo_rows(coord) == {"a"}
+        assert bus.log.tally.todo == {"a", "ghost"}
+        volunteer(bus, "w1", "a")
+        volunteer(bus, "w2", "a")
+        coord.step(2)
+        assert [a["task_id"] for a in assignments_in(bus)] == ["a"]
 
     def test_verdict_for_unknown_task_ignored(self):
-        """An ok verdict for a task the Coordinator has no row for writes
-        no row and releases nothing; the fold's verified table holds it,
-        but the batch is not complete without its own tasks."""
+        """An ok verdict for a task the batch does not hold releases
+        nothing; the fold's verified table holds it, but the batch is not
+        complete without its own tasks."""
         batch = batch_of(noop_task("a"), noop_task("b", deps=["a"]))
         bus, coord = wire(batch)
         coord.step(0)
         verdict(bus, "ghost")
         coord.step(1)
-        assert "ghost" not in coord.status and "ghost" in bus.log.tally.verified
-        assert todo_rows(coord) == {"a"}
-        assert coord.status["b"] == (TaskState.WAITING, 1)
+        assert "ghost" in bus.log.tally.verified
+        assert bus.log.tally.todo == {"a"}
+        assert bus.log.tally.rows["b"] == (TaskState.WAITING, 1)
         assert bus.log.tally.reason is None
 
     def test_volunteer_naming_an_old_attempt_still_joins_the_pool(self):
@@ -466,26 +477,6 @@ class TestCoordinator:
         assert assignments_in(bus) == [
             {"task_id": "a", "worker_id": "w1", "attempt": 2}]
 
-    def test_move_refuses_what_check_transition_refuses(self):
-        batch = batch_of(noop_task("a"), noop_task("b"))
-        bus, coord = wire(batch)
-        coord.step(0)
-        spec = json.loads(bus.log.dumps().splitlines()[1]
-                          )["payload"]["spec"]
-        bus.publish("monitor", Channel.TASKS_TO_DO, "task",
-                    {"task_id": "b", "attempt": 2, "spec": spec})
-        verdict(bus, "a")
-        coord.step(1)
-        queued = sorted(coord.queue)
-        with pytest.raises(StateError):
-            coord._move("a", TaskState.TODO, 2)  # Finished never moves
-        with pytest.raises(StateError):
-            coord._move("b", TaskState.TODO, 1)  # attempt 2 -> 1
-        # a refused move changes no row and queues nothing
-        assert coord.status == {"a": (TaskState.FINISHED, 1),
-                                "b": (TaskState.TODO, 2)}
-        assert sorted(coord.queue) == queued
-
 
 class TestCoordinatorSweep:
     """The sweep visits unassigned ToDo tasks in id order from a heap and
@@ -502,12 +493,12 @@ class TestCoordinatorSweep:
         coord.step(2)
         assert [(a["task_id"], a["worker_id"]) for a in assignments_in(bus)] \
             == [("b", "w1")]
-        assert todo_rows(coord) == {"a"} and pooled(coord) == {"w1"}
+        assert bus.log.tally.todo == {"a"} and pooled(coord) == {"w1"}
         volunteer(bus, "g1", "a", caps=("gpu",), reliability=0.1)
         coord.step(3)
         assert assignments_in(bus)[-1] == \
             {"task_id": "a", "worker_id": "g1", "attempt": 1}
-        assert todo_rows(coord) == set() and pooled(coord) == {"w1"}
+        assert bus.log.tally.todo == set() and pooled(coord) == {"w1"}
 
     def test_reentered_task_is_assigned_once_per_sweep(self):
         """Two republications while the task waits leave three heap
@@ -628,7 +619,7 @@ class TestRankedPoolProperty:
             assert pooled(coord) == idle & profiles.keys()
             assert coord.ranks == {wid: actors.rank(got)
                                    for wid, got in profiles.items()}
-            assert todo_rows(coord) == todo.keys()
+            assert bus.log.tally.todo == todo.keys()
 
 
 class TestCoordinatorUnfold:
@@ -1455,9 +1446,14 @@ class TestChecker:
     def test_duplicate_result_for_finished_task_discarded(self, tmp_path):
         bus, ws, chk = checker_rig(tmp_path)
         task = noop_task("a", outputs=("d",))
+        publish_task(bus, task)
         push_result(bus, ws, task, attempt=2)
         chk.step(0)
-        push_result(bus, ws, task, attempt=1)  # late first attempt
+        # the late first attempt's result; its task is not published
+        # again, as a finished task never moves
+        bus.publish("w1", Channel.TASKS_TO_CHECK, "result",
+                    {"task_id": "a", "worker_id": "w1", "attempt": 1,
+                     "exit_status": 0, "outputs": {}})
         chk.step(1)
         verdicts = payloads_of(bus, "verdict")
         assert len(verdicts) == 1

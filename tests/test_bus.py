@@ -4,6 +4,7 @@ format, the envelope's contract."""
 
 import copy
 import inspect
+import itertools
 import json
 
 import pytest
@@ -16,7 +17,10 @@ from pubflow import (
     Envelope,
     EventLog,
     InProcessBus,
+    LogTally,
     SchemaError,
+    StateError,
+    TaskState,
     UnknownActor,
     UnknownChannel,
     parse_log,
@@ -340,15 +344,19 @@ class TestInFlightTable:
 
     def test_an_assignment_of_an_unpublished_attempt_opens_nothing(self):
         """Attempt 3 was never released: the audit flags it, and no row
-        watches it."""
-        bus = fresh()
-        bus.publish("a", Channel.TASKS_TO_DO, "task", task_payload("t1", 2))
-        bus.publish("coordinator", Channel.TASKS_TO_DO, "assignment",
-                    {"task_id": "t1", "worker_id": "w2", "attempt": 3},
-                    to=("w2",))
-        assert bus.log.tally.inflight == {}
+        watches it.  A bus refuses such an assignment, as it skips the
+        ToDo state of attempt 3, so this is a logged record, folded."""
+        tally = LogTally()
+        for seq, (kind, payload) in enumerate(
+                [("task", task_payload("t1", 2)),
+                 ("assignment", {"task_id": "t1", "worker_id": "w2",
+                                 "attempt": 3})], start=1):
+            tally.add({"seq": seq, "ts": 0, "channel": "TasksToDo",
+                       "kind": kind, "sender": "coordinator",
+                       "payload": payload})
+        assert tally.inflight == {}
         assert "assignment for t1 attempt 3 (seq 2) without a task " \
-            "publication" in bus.log.tally.lifecycle
+            "publication" in tally.lifecycle
 
     def test_the_attempts_result_closes_it(self):
         bus = flying()
@@ -397,6 +405,96 @@ class TestInFlightTable:
                     {"task_id": "t1", "worker_id": "w2", "attempt": 3},
                     to=("w2",))
         assert bus.log.tally.inflight == {"t1": (3, 6, "w2", 6)}
+
+
+def moved(*moves):
+    """A bus on which t1 made each move, a kind with its attempt: "wait"
+    (the Broker's announcement), "todo" (a release or a republication),
+    "assign" (to w1, after its volunteer) or "verify" (an ok
+    verdict)."""
+    bus = fresh()
+    for kind, attempt in moves:
+        if kind == "wait":
+            bus.publish("broker", Channel.WAITING_TASKS, "task",
+                        task_payload("t1", attempt))
+        elif kind == "todo":
+            bus.publish("coordinator", Channel.TASKS_TO_DO, "task",
+                        {"task_id": "t1", "attempt": attempt})
+        elif kind == "assign":
+            bus.publish("w1", Channel.VOLUNTEER_WORKERS, "volunteer",
+                        {"task_id": "t1", "worker_id": "w1", "attempt": 1,
+                         "profile": {}})
+            bus.publish("coordinator", Channel.TASKS_TO_DO, "assignment",
+                        {"task_id": "t1", "worker_id": "w1",
+                         "attempt": attempt}, to=("w1",))
+        else:
+            bus.publish("checker", Channel.FINISHED_TASKS, "verdict",
+                        {"task_id": "t1", "attempt": attempt, "ok": True})
+    return bus
+
+
+class TestTaskTable:
+    def test_each_move_sets_the_tasks_row(self):
+        """The row follows WaitingTasks, TasksToDo, the assignment and a
+        republication; an ok verdict finishes it at the row's attempt, and
+        the to-do table holds the task exactly while its row is ToDo."""
+        steps = [(("wait", 1), (TaskState.WAITING, 1)),
+                 (("todo", 1), (TaskState.TODO, 1)),
+                 (("assign", 1), (TaskState.IN_PROGRESS, 1)),
+                 (("todo", 2), (TaskState.TODO, 2)),
+                 (("verify", 1), (TaskState.FINISHED, 2))]
+        for i, (_, row) in enumerate(steps, start=1):
+            tally = moved(*[move for move, _ in steps[:i]]).log.tally
+            assert tally.rows == {"t1": row}
+            assert tally.todo == ({"t1"} if row[0] is TaskState.TODO
+                                  else set())
+            assert tally.lifecycle == []
+
+    def test_a_spliced_task_goes_to_todo_without_a_waiting_row(self):
+        bus = fresh()
+        bus.publish("coordinator", Channel.TASKS_TO_DO, "task",
+                    task_payload("p/x"))
+        assert bus.log.tally.rows == {"p/x": (TaskState.TODO, 1)}
+        assert bus.log.tally.todo == {"p/x"}
+        assert bus.log.tally.lifecycle == []
+
+    @pytest.mark.parametrize("moves, channel, kind, payload, why", [
+        ([("wait", 1), ("todo", 1), ("assign", 1), ("verify", 1)],
+         "TasksToDo", "task", {"task_id": "t1", "attempt": 2},
+         "already finished"),
+        ([("wait", 1), ("todo", 1), ("verify", 1)],
+         "TasksToDo", "assignment",
+         {"task_id": "t1", "worker_id": "w1", "attempt": 1},
+         "already finished"),
+        ([("wait", 1), ("todo", 1), ("assign", 1)],
+         "TasksToDo", "task", {"task_id": "t1", "attempt": 1},
+         "backward"),
+        ([("wait", 1), ("todo", 1), ("verify", 1)],
+         "FinishedTasks", "verdict",
+         {"task_id": "t1", "attempt": 1, "ok": True},
+         "second ok verdict"),
+        ([("wait", 1), ("todo", 2)],
+         "TasksToDo", "task", {"task_id": "t1", "attempt": 1},
+         "cannot decrease"),
+        ([("wait", 1), ("todo", 1)],
+         "WaitingTasks", "task", task_payload("t1"), "backward"),
+    ])
+    def test_an_illegal_move_is_refused_and_changes_nothing(
+            self, moves, channel, kind, payload, why):
+        """check_transition refuses the move, so the publish raises
+        StateError, takes no seq, logs no line, leaves the fold as it was
+        and delivers nothing; the next publish takes the next seq."""
+        bus = moved(*moves)
+        bus.subscribe("b", channel)
+        seq, lines = bus._seq, list(bus.log.lines)
+        tally = copy.deepcopy(bus.log.tally)
+        with pytest.raises(StateError, match=why):
+            bus.publish("a", channel, kind, payload, to=("b",)
+                        if kind == "assignment" else None)
+        assert bus._seq == seq and bus.log.lines == lines
+        assert bus.log.tally == tally and "b" not in bus.mail
+        assert bus.publish("a", Channel.DLC, "dlc",
+                           {"task_id": "t1", "event": "e"}) == seq + 1
 
 
 class TestPayloadSchemas:
@@ -475,8 +573,8 @@ class TestEventLog:
         bus = fresh()
         bus.publish("a", Channel.WAITING_TASKS, "task", task_payload())
         bus.now = 7
-        bus.publish("a", Channel.TASKS_TO_DO, "task", task_payload(attempt=3))
         bus.publish("a", Channel.TASKS_TO_DO, "task", task_payload(attempt=2))
+        bus.publish("a", Channel.TASKS_TO_DO, "task", task_payload(attempt=3))
         bus.publish("a", Channel.EMERGENCY, "emergency",
                     {"reason": "failed", "batch_id": "b"})
         tally = bus.log.tally
@@ -492,19 +590,22 @@ class TestEventLog:
     def test_tally_counts_the_results_the_checker_discards(self):
         """As Checker.duplicates: every result of a task after the one it
         verified (even one logged before that verdict), up to the
-        Emergency."""
-        bus = fresh()
+        Emergency.  Folded from records: a bus refuses the second ok
+        verdict below."""
+        tally, seqs = LogTally(), itertools.count(1)
+
+        def add(sender, channel, kind, payload):
+            tally.add({"seq": next(seqs), "ts": 0, "channel": channel,
+                       "kind": kind, "sender": sender, "payload": payload})
 
         def result(tid, attempt, wid="w1"):
-            bus.publish(wid, Channel.TASKS_TO_CHECK, "result",
-                        {"task_id": tid, "worker_id": wid,
-                         "attempt": attempt, "exit_status": 0,
-                         "outputs": {}})
+            add(wid, "TasksToCheck", "result",
+                {"task_id": tid, "worker_id": wid, "attempt": attempt,
+                 "exit_status": 0, "outputs": {}})
 
         def verdict(tid, attempt, ok=True):
-            bus.publish("checker", Channel.FINISHED_TASKS, "verdict",
-                        {"task_id": tid, "attempt": attempt, "ok": ok,
-                         "outputs": {}})
+            add("checker", "FinishedTasks", "verdict",
+                {"task_id": tid, "attempt": attempt, "ok": ok})
 
         result("a", 1)            # failed its check
         result("a", 2)            # verified below
@@ -514,10 +615,10 @@ class TestEventLog:
         result("a", 3)            # discarded
         result("b", 1)            # never verified
         verdict("a", 3)           # a second ok verdict changes nothing
-        bus.publish("coordinator", Channel.EMERGENCY, "emergency",
-                    {"reason": "complete", "batch_id": "b"})
+        add("coordinator", "Emergency", "emergency",
+            {"reason": "complete", "batch_id": "b"})
         result("a", 4)            # the checker has stopped
-        assert bus.log.tally.duplicates == 2
+        assert tally.duplicates == 2
 
     def test_write_trailing_newline(self, tmp_path):
         bus = fresh()

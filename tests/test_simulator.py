@@ -39,6 +39,7 @@ from pubflow import (
     serialize_workflow,
 )
 from pubflow import actors, cli, simulator
+from pubflow import bus as bus_module
 from pubflow.bus import InProcessBus
 from pubflow.simulator import load_scenario
 
@@ -91,29 +92,6 @@ def keep(monkeypatch, *classes):
     for cls in classes:
         wrap(cls)
     return made
-
-
-def watch_tables(monkeypatch):
-    """Check the fold's to-do and verified tables against the ToDo and
-    Finished rows of the Coordinator's `status` after each of its steps
-    while the run goes on (after the Emergency it reads no further mail).
-    Returns a list that gets (tick, fold's to-do, fold's verified) for
-    each step where they differ."""
-    drift = []
-    step = actors.Coordinator.step
-
-    def checked(self, now):
-        step(self, now)
-        tally = self.bus.log.tally
-        rows = {state: set() for state in TaskState}
-        for tid, (state, _) in self.status.items():
-            rows[state].add(tid)
-        if tally.reason is None and (tally.todo, set(tally.verified)) != \
-                (rows[TaskState.TODO], rows[TaskState.FINISHED]):
-            drift.append((now, sorted(tally.todo), sorted(tally.verified)))
-
-    monkeypatch.setattr(actors.Coordinator, "step", checked)
-    return drift
 
 
 def step_every_tick(run):
@@ -246,10 +224,12 @@ def respecified(records):
 
 
 def scanned_tables(records):
-    """What the fold's in-flight rows, idle and to-do tables and spec
-    answers hold after `records`, read off them by definition instead of
-    folded: (in-flight, idle, to-do, the spec of each (task, attempt)
-    that a record names, None for an unpublished one)."""
+    """What the fold's in-flight rows, idle and to-do tables, spec
+    answers and task rows hold after `records`, read off them by
+    definition instead of folded: (in-flight, idle, to-do, the spec of
+    each (task, attempt) that a record names, None for an unpublished
+    one, task rows).  The scan does not apply check_transition: on a
+    log with no illegal move, the fold's rows are these."""
     specs = effective_specs(records)
     published, first_published = {}, {}  # (task, attempt) -> spec, index
     # worker -> the kind of its latest volunteer, result or assignment
@@ -305,22 +285,49 @@ def scanned_tables(records):
             todo.add(tid)
     named = {(r["payload"]["task_id"], r["payload"]["attempt"])
              for r in records if "attempt" in r["payload"]}
-    return inflight, idle, todo, {key: published.get(key) for key in named}
+    # a task's row: the state and attempt of its latest task record on
+    # WaitingTasks or TasksToDo or assignment, until its first ok verdict
+    # finishes it at that attempt
+    rows, states = {}, {"WaitingTasks": TaskState.WAITING,
+                        "TasksToDo": TaskState.TODO}
+    for record in records:
+        kind, payload = record["kind"], record["payload"]
+        tid = payload.get("task_id")
+        if rows.get(tid, (None,))[0] is TaskState.FINISHED:
+            continue
+        if kind == "task" and record["channel"] in states:
+            rows[tid] = (states[record["channel"]], payload["attempt"])
+        elif kind == "assignment":
+            rows[tid] = (TaskState.IN_PROGRESS, payload["attempt"])
+        elif kind == "verdict" and payload["ok"]:
+            rows[tid] = (TaskState.FINISHED,
+                         rows.get(tid, (None, payload["attempt"]))[1])
+    return inflight, idle, todo, {key: published.get(key) for key in named}, \
+        rows
+
+
+def tick_ends(records):
+    """The counts of records at which a tick's records end."""
+    return {i for i in range(1, len(records) + 1) if i == len(records)
+            or records[i]["ts"] != records[i - 1]["ts"]}
 
 
 def fold_drift(records, cuts):
     """Fold the records one by one and, at each count of records in
     `cuts`, compare the fold's tables and spec answers with
-    scanned_tables of the records so far; the counts where they
-    differ."""
+    scanned_tables of the records so far, and its verified tasks with
+    the scan's Finished rows; the counts where they differ."""
     tally, drift = LogTally(), []
     for i, record in enumerate(records, 1):
         tally.add(record)
         if i in cuts:
             scanned = scanned_tables(records[:i])
             folded = (tally.inflight, tally.idle, tally.todo,
-                      {key: tally.spec(*key) for key in scanned[3]})
-            if folded != scanned:
+                      {key: tally.spec(*key) for key in scanned[3]},
+                      tally.rows)
+            finished = {tid for tid, (state, _) in scanned[4].items()
+                        if state is TaskState.FINISHED}
+            if folded != scanned or tally.verified.keys() != finished:
                 drift.append(i)
     return drift
 
@@ -1164,7 +1171,52 @@ class TestAudits:
         verdict = next(r for r in records if r["kind"] == "verdict")
         records.append(dict(verdict))
         violations = lifecycle_audit(renumbered(records))
-        assert any("second ok verdict" in v for v in violations)
+        assert violations == [
+            f"task a received a second ok verdict (seq {len(records)})"]
+
+    @staticmethod
+    def inserted(records, after, *added):
+        """The records with `added` right after the first record for
+        which after(record) holds, and the seq of the first one added."""
+        at = next(i for i, r in enumerate(records) if after(r)) + 1
+        return records[:at] + list(added) + records[at:], at + 1
+
+    @staticmethod
+    def of_a(kind):
+        return lambda r: r["kind"] == kind and r["payload"]["task_id"] == "a"
+
+    def test_republication_of_a_verified_task_is_flagged(self):
+        _, records = chain_run()
+        records, seq = self.inserted(records, self.of_a("verdict"), {
+            "ts": 0, "channel": "TasksToDo", "kind": "task",
+            "sender": "monitor", "payload": {"task_id": "a", "attempt": 2}})
+        assert lifecycle_audit(renumbered(records)) == [
+            f"task a cannot move to TODO at attempt 2 (seq {seq}): task "
+            "already finished (attempt 1)"]
+
+    def test_assignment_of_a_finished_task_is_flagged(self):
+        """w9 volunteers, so the assignment goes to an idle worker: only
+        the move of a's row is wrong."""
+        _, records = chain_run()
+        records, seq = self.inserted(records, self.of_a("verdict"), {
+            "ts": 0, "channel": "VolunteerWorkers", "kind": "volunteer",
+            "sender": "w9", "payload": {"task_id": "a", "worker_id": "w9",
+                                        "attempt": 1, "profile": {}}}, {
+            "ts": 0, "channel": "TasksToDo", "kind": "assignment",
+            "sender": "coordinator",
+            "payload": {"task_id": "a", "worker_id": "w9", "attempt": 1}})
+        assert lifecycle_audit(renumbered(records)) == [
+            f"task a cannot move to IN_PROGRESS at attempt 1 (seq "
+            f"{seq + 1}): task already finished (attempt 1)"]
+
+    def test_republication_that_keeps_the_running_attempt_is_flagged(self):
+        _, records = chain_run()
+        records, seq = self.inserted(records, self.of_a("assignment"), {
+            "ts": 0, "channel": "TasksToDo", "kind": "task",
+            "sender": "monitor", "payload": {"task_id": "a", "attempt": 1}})
+        assert lifecycle_audit(renumbered(records)) == [
+            f"task a cannot move to TODO at attempt 1 (seq {seq}): state "
+            "cannot move backward within attempt 1: IN_PROGRESS -> TODO"]
 
     def test_assignment_to_a_worker_outside_the_pool_is_flagged(self):
         """w1 runs a, then b: without a's result, w1 is busy when b is
@@ -1390,14 +1442,15 @@ class TestGoldenBytes:
     def test_coordinator_moves_pass_check_transition(self, tmp_path,
                                                      monkeypatch):
         """The crash run's task rows change only through check_transition,
-        which passes every move, and the log bytes stay golden."""
-        moves, check = [], actors.check_transition
+        which the fold calls on every move, and which passes every move;
+        the log bytes stay golden."""
+        moves, check = [], bus_module.check_transition
 
         def spy(*args):
             moves.append(args)
             check(*args)
 
-        monkeypatch.setattr(actors, "check_transition", spy)
+        monkeypatch.setattr(bus_module, "check_transition", spy)
         batch, scenario, _ = ASSIGNMENT_GOLDEN["flat-crash"][0]()
         scenario = dataclasses.replace(scenario, volunteer_jitter=0)
         _, log = run_simulation(batch, scenario,
@@ -1980,16 +2033,20 @@ class TestSilentWorkersStayOutOfThePool:
         assert lifecycle_audit(records) == []
 
 
-def test_fold_tables_follow_the_coordinator_through_an_unfold(
-        monkeypatch):
+def test_the_fold_rows_follow_an_unfold():
     """The adapt-unfold golden splices tasks into the batch and crashes
-    a worker; the fold's to-do and verified tables equal the
-    Coordinator's ToDo and Finished rows throughout."""
-    drift = watch_tables(monkeypatch)
+    a worker.  The unfolded parent's row stays Waiting, as the parent is
+    never released; the spliced tasks reach TasksToDo with no Waiting
+    row; and every task of the final batch ends Finished."""
     batch, scenario, _ = _adapt_unfold()
     report, log = run_simulation(batch, scenario)
-    assert report.completed
-    assert drift == []
+    assert report.completed and log.tally.lifecycle == []
+    rows = log.tally.rows
+    parents = {tid.split("/")[0] for tid in rows if "/" in tid}
+    assert parents and all(rows[tid] == (TaskState.WAITING, 1)
+                           for tid in parents)
+    assert sum(state is TaskState.FINISHED for state, _ in rows.values()) \
+        == len(rows) - len(parents) == report.tasks_total
     assert any("/" in r["payload"]["task_id"] for r in records_of(log)
                if r["kind"] == "assignment")
 
@@ -2019,24 +2076,21 @@ def test_random_runs_are_clean_deterministic_and_finish(batch, scenario,
                                                          horizon, tame):
     """Random noop DAGs under random scenarios whose faults fall in the
     first 100 ticks: both audits pass (so no silent worker re-enters
-    the pool), the fold's to-do and verified tables follow the
-    Coordinator's rows (watch_tables), a second run and the reference loop give the same
-    bytes, a pool without faults finishes the batch, and a finished
+    the pool), the fold's tables equal a scan of the records after each
+    tick (fold_drift), a second run and the reference loop give the
+    same bytes, a pool without faults finishes the batch, and a finished
     batch shows no release or end lag."""
     scenario = tamed(scenario) if tame else \
         dataclasses.replace(scenario, horizon=horizon)
-    # a function-scoped monkeypatch fixture fails hypothesis's health check
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        drift = watch_tables(monkeypatch)
-        report, log = run_simulation(batch, scenario)
-    assert drift == []
+    report, log = run_simulation(batch, scenario)
+    records = records_of(log)
+    assert fold_drift(records, tick_ends(records)) == []
     _, again = run_simulation(batch, scenario)
     assert replay_check(log, again)
     ref_report, ref_log, woken = reference_run(batch, scenario)
     assert woken == []
     assert replay_check(log, ref_log)
     assert vars(ref_report) == vars(report)
-    records = records_of(log)
     assert precedence_audit(records, batch) == []
     assert lifecycle_audit(records) == []
     assert overruns(records, scenario.horizon) == []
