@@ -364,7 +364,7 @@ class Coordinator:
             _, winner = pool.pop(at)
             self.bus.publish(self.id, TASKS_TO_DO, "assignment",
                              {"task_id": tid, "worker_id": winner,
-                              "attempt": tally.attempts[tid]}, to=(winner,))
+                              "attempt": tally.rows[tid][1]}, to=(winner,))
         for tid in unplaced:
             heappush(self.queue, tid)
 

@@ -13,32 +13,32 @@ The bus's `mail` set names the actors with undrained envelopes, so a
 scheduler need not ask every actor.
 
 Counts, tables and audit violations all come from one fold of the log,
-LogTally, made as each envelope is logged or from a parsed log file;
-the actors read its tables as `bus.log.tally`.  The tables keep state
-as a compacted topic would, the latest publication winning.  The task
-table (`rows`) holds one row per task, its lifecycle state and attempt:
-a task record on WaitingTasks makes it Waiting, one on TasksToDo ToDo,
-an assignment InProgress and an ok verdict Finished, at the row's
-attempt.  Each move passes model.check_transition against the row; a
-publish whose move it refuses raises StateError, and in a log file that
-move leaves the row as it was and is a lifecycle violation.  The to-do
-table (`todo`) indexes the ToDo rows: the tasks waiting for a worker.
-The in-flight table (`inflight`) holds one row per attempt in flight: a
-task's latest assignment of an attempt published on TasksToDo, as its
-attempt, tick, worker and the tick its worker was last heard from,
-which that attempt's `started` and `heartbeat` records move.  The
+LogTally, made as each envelope is logged or from a parsed log file; the
+actors read its tables as `bus.log.tally`.  The tables keep state as a
+compacted topic would, the latest publication winning.  The task table
+(`rows`) holds one row per task, its lifecycle state and attempt: a task
+record on WaitingTasks makes it Waiting, one on TasksToDo ToDo, an
+assignment InProgress and an ok verdict Finished, at the row's attempt.
+Each move passes model.check_transition against the row; a publish whose
+move it refuses raises StateError, and in a log file that record is a
+lifecycle violation and changes no table, though it counts as a message.
+The to-do table (`todo`) indexes the ToDo rows: the tasks waiting for a
+worker.  The in-flight table (`inflight`) holds one row per attempt in
+flight: a task's latest assignment of an attempt published on TasksToDo,
+as its attempt, tick, worker and the tick its worker was last heard
+from, which that attempt's `started` and `heartbeat` records move.  The
 attempt's result, an ok verdict or the monitor's republication closes
 the row.  `spec(task, attempt)` gives a published attempt its task's
 latest spec, which no record changes once the task is released.  The
 speed table (`speeds`) holds the speed of each worker's latest
 `volunteer` profile; with a row's worker it tells the monitor when an
 attempt in flight owes its result.  The idle table (`idle`) holds each
-worker that sent a `volunteer` or a `result` since its last
-assignment.  The verified table (`verified`) holds the seq of each
-task's first ok verdict.  The coordinator keeps no task rows: it
-assigns the to-do table's tasks to the idle table's workers and reads
-the task and verified tables to release dependents and to end a
-complete batch.  A reader of the tables needs no mail.
+worker that sent a `volunteer` or a `result` since its last assignment.
+The verified table (`verified`) holds the seq of each task's first ok
+verdict.  The coordinator keeps no task rows: it assigns the to-do
+table's tasks to the idle table's workers and reads the task and
+verified tables to release dependents and to end a complete batch.  A
+reader of the tables needs no mail.
 
 The log is line-oriented JSON, one object per envelope, framed exactly
 as json.dumps(record, separators=(",", ":")) frames it:
@@ -72,7 +72,7 @@ from pathlib import Path
 from typing import NamedTuple, Optional
 
 from .errors import SchemaError, StateError, UnknownActor, UnknownChannel
-from .model import TaskState, check_transition
+from .model import _FINISHED, _IN_PROGRESS, _TODO, TaskState, check_transition
 
 
 class Channel(str, Enum):
@@ -130,11 +130,8 @@ class Envelope(NamedTuple):
     payload: dict
 
 
-# The lifecycle states, bound once, as an Enum member read off its class
-# is a descriptor call; the state a task record moves its row to, by its
-# channel.
-_WAITING, _TODO, _IN_PROGRESS, _, _FINISHED = TaskState
-_TASK_STATES = {WAITING_TASKS: _WAITING, TASKS_TO_DO: _TODO}
+# The state a task record moves its row to, by its channel.
+_TASK_STATES = {WAITING_TASKS: TaskState.WAITING, TASKS_TO_DO: _TODO}
 
 
 @dataclass
@@ -192,17 +189,18 @@ class LogTally:
     def add(self, record: dict, live: bool = False) -> None:
         """Fold one record.  A move of its task's row that check_transition
         refuses raises StateError, before anything changes, if the record
-        is `live` (being published); in a logged record it leaves the row
-        as it was and is a lifecycle violation.  So each branch moves the
-        row before it changes anything else."""
+        is `live` (being published).  In a logged record it is a lifecycle
+        violation and changes no table: the record counts only in `pairs`
+        and `makespan`, so the report counts no re-execution or timeout
+        that the audit calls illegal.  So a branch that moves a row does
+        so in its condition, and a refused move falls through them all."""
         channel, kind, ts = record["channel"], record["kind"], record["ts"]
         payload = record["payload"]
         if kind == "heartbeat":
             self._hear(payload["task_id"], payload["attempt"], ts)
-        elif kind == "task":
+        elif kind == "task" and (channel not in _TASK_STATES or self._move(
+                _TASK_STATES[channel], record, live)):
             tid, attempt = payload["task_id"], payload["attempt"]
-            if channel in _TASK_STATES:
-                self._move(tid, _TASK_STATES[channel], attempt, record, live)
             self.attempts[tid] = max(self.attempts.get(tid, 1), attempt)
             if record["sender"] == MONITOR:  # a silence timeout
                 self.timeouts += 1
@@ -217,9 +215,8 @@ class LogTally:
                 self.latest[tid] = spec
             if channel == TASKS_TO_DO and spec is not None:
                 self.published.add((tid, attempt))
-        elif kind == "assignment":
+        elif kind == "assignment" and self._move(_IN_PROGRESS, record, live):
             tid, attempt = payload["task_id"], payload["attempt"]
-            self._move(tid, _IN_PROGRESS, attempt, record, live)
             wid = payload["worker_id"]
             if (tid, attempt) in self.published:
                 self.inflight[tid] = (attempt, ts, wid, ts)
@@ -261,16 +258,15 @@ class LogTally:
             wid = payload["worker_id"]
             self.idle.add(wid)
             self.speeds[wid] = payload["profile"].get("speed")
-        elif kind == "verdict" and payload["ok"]:
+        elif kind == "verdict" and payload["ok"] and self._move(
+                _FINISHED, record, live):  # a Finished row refuses the rest
             tid = payload["task_id"]
-            self._move(tid, _FINISHED, payload["attempt"], record, live)
             self.inflight.pop(tid, None)
-            if tid not in self.verified:
-                self.verified[tid] = record["seq"]
-                seen = self.unverified.pop(tid, [])
-                if payload["attempt"] in seen:
-                    self.duplicates += \
-                        len(seen) - 1 - seen.index(payload["attempt"])
+            self.verified[tid] = record["seq"]
+            seen = self.unverified.pop(tid, [])
+            if payload["attempt"] in seen:
+                self.duplicates += \
+                    len(seen) - 1 - seen.index(payload["attempt"])
         elif kind == "emergency":
             self.reason = payload["reason"]
         pair = (channel, kind)
@@ -278,12 +274,14 @@ class LogTally:
         if ts > self.makespan:
             self.makespan = ts
 
-    def _move(self, tid: str, state: TaskState, attempt: int,
-              record: dict, live: bool) -> None:
-        """Move the task's row to `state` at `attempt`, or at the row's
-        for Finished.  A row, once there, moves only as check_transition
-        allows; add's docstring says what a refused move does.  A task
-        with no row reaches TasksToDo only if spliced."""
+    def _move(self, state: TaskState, record: dict, live: bool) -> bool:
+        """Move the row of the record's task to `state` at the record's
+        attempt, or at the row's for Finished, and say whether it moved.
+        A row, once there, moves only as check_transition allows; add's
+        docstring says what a refused move does.  A task with no row
+        reaches TasksToDo only if spliced."""
+        payload = record["payload"]
+        tid, attempt = payload["task_id"], payload["attempt"]
         row = self.rows.get(tid)
         if row is None:
             if state is _TODO and "/" not in tid:
@@ -304,12 +302,13 @@ class LogTally:
                 if live:
                     raise StateError(why) from exc
                 self.lifecycle.append(why)
-                return
+                return False
         self.rows[tid] = (state, attempt)
         if state is _TODO:
             self.todo.add(tid)
         else:
             self.todo.discard(tid)
+        return True
 
     def _hear(self, tid: str, attempt: int, ts: int) -> None:
         """A started or heartbeat moves the last heard tick of its task's

@@ -34,9 +34,11 @@ class TaskState(Enum):
     FINISHED = 4
 
 
-# Bound once: the log's fold checks every move of every task, and an
-# Enum member read off its class, or its .value, is a descriptor call.
-_TODO, _FINISHED = TaskState.TODO, TaskState.FINISHED
+# Bound once, by name: the log's fold checks every move of every task,
+# and an Enum member read off its class, or its .value, is a descriptor
+# call.
+_TODO, _IN_PROGRESS, _FINISHED = (TaskState.TODO, TaskState.IN_PROGRESS,
+                                  TaskState.FINISHED)
 
 
 def check_transition(current: TaskState, new: TaskState,

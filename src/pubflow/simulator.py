@@ -457,7 +457,7 @@ def lifecycle_audit(
         TasksToDo, an assignment, an ok verdict) passes
         model.check_transition: a Finished task is never republished,
         assigned or verified again, and a republication raises the
-        attempt of a task in progress; a refused move leaves the row as
-        it was and is one violation
+        attempt of a task in progress; a refused move is one violation,
+        and its record changes no table but the message counts
     """
     return list(_fold(log).lifecycle)

@@ -3,6 +3,7 @@ addressing, no replay, the published specs and in-flight rows, log
 format, the envelope's contract."""
 
 import copy
+import dataclasses
 import inspect
 import itertools
 import json
@@ -341,11 +342,14 @@ class TestInFlightTable:
                     {"task_id": "t1", "worker_id": "w1", "attempt": 1},
                     to=("w1",))
         assert bus.log.tally.inflight == {}
+        assert "assignment for t1 attempt 1 (seq 1) without a task " \
+            "publication" in bus.log.tally.lifecycle
 
     def test_an_assignment_of_an_unpublished_attempt_opens_nothing(self):
-        """Attempt 3 was never released: the audit flags it, and no row
-        watches it.  A bus refuses such an assignment, as it skips the
-        ToDo state of attempt 3, so this is a logged record, folded."""
+        """Attempt 3 was never released: its assignment skips the ToDo
+        state of attempt 3, so the audit flags that move, and no row
+        watches it.  A bus refuses such an assignment, so this is a logged
+        record, folded."""
         tally = LogTally()
         for seq, (kind, payload) in enumerate(
                 [("task", task_payload("t1", 2)),
@@ -355,8 +359,9 @@ class TestInFlightTable:
                        "kind": kind, "sender": "coordinator",
                        "payload": payload})
         assert tally.inflight == {}
-        assert "assignment for t1 attempt 3 (seq 2) without a task " \
-            "publication" in tally.lifecycle
+        assert tally.lifecycle[1:] == [
+            "task t1 cannot move to IN_PROGRESS at attempt 3 (seq 2): "
+            "attempt bump must reset to TODO, got IN_PROGRESS"]
 
     def test_the_attempts_result_closes_it(self):
         bus = flying()
@@ -405,6 +410,31 @@ class TestInFlightTable:
                     {"task_id": "t1", "worker_id": "w2", "attempt": 3},
                     to=("w2",))
         assert bus.log.tally.inflight == {"t1": (3, 6, "w2", 6)}
+
+
+# Moves check_transition refuses: t1's moves before (see `moved`), the
+# record and a word of the refusal.
+ILLEGAL_MOVES = [
+    ([("wait", 1), ("todo", 1), ("assign", 1), ("verify", 1)],
+     "TasksToDo", "task", {"task_id": "t1", "attempt": 2},
+     "already finished"),
+    ([("wait", 1), ("todo", 1), ("verify", 1)],
+     "TasksToDo", "assignment",
+     {"task_id": "t1", "worker_id": "w1", "attempt": 1},
+     "already finished"),
+    ([("wait", 1), ("todo", 1), ("assign", 1)],
+     "TasksToDo", "task", {"task_id": "t1", "attempt": 1},
+     "backward"),
+    ([("wait", 1), ("todo", 1), ("verify", 1)],
+     "FinishedTasks", "verdict",
+     {"task_id": "t1", "attempt": 1, "ok": True},
+     "second ok verdict"),
+    ([("wait", 1), ("todo", 2)],
+     "TasksToDo", "task", {"task_id": "t1", "attempt": 1},
+     "cannot decrease"),
+    ([("wait", 1), ("todo", 1)],
+     "WaitingTasks", "task", task_payload("t1"), "backward"),
+]
 
 
 def moved(*moves):
@@ -458,27 +488,8 @@ class TestTaskTable:
         assert bus.log.tally.todo == {"p/x"}
         assert bus.log.tally.lifecycle == []
 
-    @pytest.mark.parametrize("moves, channel, kind, payload, why", [
-        ([("wait", 1), ("todo", 1), ("assign", 1), ("verify", 1)],
-         "TasksToDo", "task", {"task_id": "t1", "attempt": 2},
-         "already finished"),
-        ([("wait", 1), ("todo", 1), ("verify", 1)],
-         "TasksToDo", "assignment",
-         {"task_id": "t1", "worker_id": "w1", "attempt": 1},
-         "already finished"),
-        ([("wait", 1), ("todo", 1), ("assign", 1)],
-         "TasksToDo", "task", {"task_id": "t1", "attempt": 1},
-         "backward"),
-        ([("wait", 1), ("todo", 1), ("verify", 1)],
-         "FinishedTasks", "verdict",
-         {"task_id": "t1", "attempt": 1, "ok": True},
-         "second ok verdict"),
-        ([("wait", 1), ("todo", 2)],
-         "TasksToDo", "task", {"task_id": "t1", "attempt": 1},
-         "cannot decrease"),
-        ([("wait", 1), ("todo", 1)],
-         "WaitingTasks", "task", task_payload("t1"), "backward"),
-    ])
+    @pytest.mark.parametrize("moves, channel, kind, payload, why",
+                             ILLEGAL_MOVES)
     def test_an_illegal_move_is_refused_and_changes_nothing(
             self, moves, channel, kind, payload, why):
         """check_transition refuses the move, so the publish raises
@@ -495,6 +506,27 @@ class TestTaskTable:
         assert bus.log.tally == tally and "b" not in bus.mail
         assert bus.publish("a", Channel.DLC, "dlc",
                            {"task_id": "t1", "event": "e"}) == seq + 1
+
+    @pytest.mark.parametrize("moves, channel, kind, payload, why",
+                             ILLEGAL_MOVES)
+    def test_an_illegal_logged_move_is_one_violation_and_changes_no_table(
+            self, moves, channel, kind, payload, why):
+        """Folded from a log file, the same record is one lifecycle
+        violation and counts as a message, but changes no other table:
+        the report counts no re-execution or timeout the audit refuses."""
+        tally = copy.deepcopy(moved(*moves).log.tally)
+        before = copy.deepcopy(tally)
+        seq = sum(before.pairs.values()) + 1
+        tally.add({"seq": seq, "ts": 9, "channel": channel, "kind": kind,
+                   "sender": "monitor", "payload": payload})
+        assert len(tally.lifecycle) == len(before.lifecycle) + 1
+        assert why in tally.lifecycle[-1] and f"(seq {seq})" \
+            in tally.lifecycle[-1]
+        assert tally.messages_total == before.messages_total + 1
+        assert tally.makespan == 9
+        assert dataclasses.replace(
+            tally, pairs=before.pairs, makespan=before.makespan,
+            lifecycle=before.lifecycle) == before
 
 
 class TestPayloadSchemas:
@@ -586,6 +618,25 @@ class TestEventLog:
         assert tally.re_executions == 2
         assert tally.makespan == 7
         assert tally.reason == "failed" and not tally.completed
+
+    def test_tally_keeps_the_highest_attempt_of_a_logged_log(self):
+        """Folded from a log file, attempt 3 then attempt 2: the decrease
+        is one violation, counts as a message and leaves attempt 3, so
+        the report counts two re-executions, not one."""
+        tally = LogTally()
+        for seq, (channel, attempt) in enumerate(
+                [("WaitingTasks", 1), ("TasksToDo", 3), ("TasksToDo", 2)],
+                start=1):
+            tally.add({"seq": seq, "ts": seq, "channel": channel,
+                       "kind": "task", "sender": "coordinator",
+                       "payload": task_payload(attempt=attempt)})
+        assert tally.attempts == {"t1": 3}
+        assert tally.re_executions == 2
+        assert tally.rows == {"t1": (TaskState.TODO, 3)}
+        assert tally.lifecycle == [
+            "task t1 cannot move to TODO at attempt 2 (seq 3): "
+            "attempt cannot decrease: 3 -> 2"]
+        assert tally.by_kind == {"task": 3} and tally.makespan == 3
 
     def test_tally_counts_the_results_the_checker_discards(self):
         """As Checker.duplicates: every result of a task after the one it

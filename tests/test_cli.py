@@ -567,6 +567,30 @@ class TestAuditCommand:
         assert run_cli("audit", str(tampered)) == 1
         assert "task a (seq 1) without a spec" in capsys.readouterr().out
 
+    def test_a_republished_verified_task_is_audited_not_reported(
+            self, tmp_path, capsys, chain_workflow):
+        """A Monitor republication of a verified task, appended with the
+        next seq: audit names the refused move, and report counts it as a
+        message but not as a re-execution or a timeout."""
+        log = self.logged_run(tmp_path, capsys, chain_workflow)
+        assert run_cli("report", "--json", str(log)) == 0
+        clean = json.loads(capsys.readouterr().out)
+        lines = log.read_text("utf-8").splitlines()
+        last = json.loads(lines[-1])
+        record = {"seq": last["seq"] + 1, "ts": last["ts"],
+                  "channel": "TasksToDo", "kind": "task", "sender": "monitor",
+                  "payload": {"task_id": "a", "attempt": 2}}
+        with log.open("a", encoding="utf-8") as out:
+            out.write(json.dumps(record, separators=(",", ":")) + "\n")
+        assert run_cli("audit", str(log)) == 1
+        assert f"task a cannot move to TODO at attempt 2 (seq {record['seq']}"\
+            "): task already finished (attempt 1)" in capsys.readouterr().out
+        assert run_cli("report", "--json", str(log)) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["re_executions"] == clean["re_executions"] == 0
+        assert doc["timeouts"] == clean["timeouts"] == 0
+        assert doc["messages_total"] == clean["messages_total"] + 1
+
     def test_truncated_log_exits_two(self, tmp_path, capsys,
                                      chain_workflow):
         log = self.logged_run(tmp_path, capsys, chain_workflow)
