@@ -66,7 +66,8 @@ that is its job's next heartbeat or its result, not the next tick: both
 are fixed when the job is assigned, past the ticks the worker is frozen
 (before its arrival and in its stall), and a job's run ticks are
 counted once, when it ends or the worker stops.  A frozen worker's mail
-waits for the tick it thaws, which is then its wake.
+waits for the tick it thaws, which is then its wake.  A service's wake
+is a function of the log's fold, so it holds until the next record.
 """
 
 from __future__ import annotations
@@ -439,6 +440,8 @@ class WorkerActor:
         if stall is not None:
             windows.append((stall[0], stall[0] + stall[1]))
         self.frozen = sorted(w for w in windows if w[0] < w[1])
+        # the end of the last window: from it on, _thaw changes no tick
+        self.frozen_until = max((hi for _, hi in self.frozen), default=0)
         self.horizon = horizon  # no job needs counting past it
         bus.register(self.id)
         bus.subscribe(self.id, TASKS_TO_DO)
@@ -464,7 +467,9 @@ class WorkerActor:
         """The heartbeat after the one at `last` (or the start) of a job
         started at `started`: a period on, or if the worker is frozen
         then, the first tick on that phase after it thaws."""
-        tick = self._thaw(last + self.heartbeat_period)
+        tick = last + self.heartbeat_period
+        if tick < self.frozen_until:
+            tick = self._thaw(tick)
         return tick + (started - tick) % self.heartbeat_period
 
     def _ran(self, job: _Job, upto: int) -> None:
@@ -477,14 +482,15 @@ class WorkerActor:
     @property
     def wake(self) -> float:  # a due offer, the job's next event or mail
         tick = math.inf if self.offer is None else self.offer[0]
-        if self.running is not None:
-            tick = min(tick, self.running.beat, self.running.done)
+        job = self.running
+        if job is not None:
+            tick = min(tick, job.beat, job.done)
         if self.id in self.bus.mail:  # only while frozen, after a step
             tick = min(tick, self.bus.now)
-        return self._thaw(tick)
+        return self._thaw(tick) if tick < self.frozen_until else tick
 
     def step(self, now: int) -> None:
-        if self._thaw(now) > now:
+        if now < self.frozen_until and self._thaw(now) > now:
             return
         # most steps are heartbeat wakes, with no mail to drain
         mail = self.bus.drain(self.id) if self.id in self.bus.mail else ()
@@ -609,8 +615,9 @@ class Monitor:
     def __init__(self, bus: InProcessBus, heartbeat_period: int,
                  timeout_multiplier: int, horizon: float = math.inf) -> None:
         self.bus = bus
-        self.heartbeat_period = heartbeat_period
-        self.timeout_multiplier = timeout_multiplier
+        # the deadline without, then with, spare capacity (see above)
+        patience = timeout_multiplier * heartbeat_period
+        self._deadlines = (patience, min(patience, heartbeat_period + 1))
         self.horizon = horizon  # no result is due past it
         bus.register(self.id)  # claims the id
         self.timeouts = 0
@@ -618,21 +625,19 @@ class Monitor:
         # due) of its row, worked out once per assignment, not per
         # heartbeat, and never kept past the attempt
         self._dues: dict[str, tuple[int, int, float]] = {}
-        self._woken: tuple[int, float] = (-1, math.inf)  # records, wake
 
-    @property
-    def spare(self) -> bool:
-        """A worker idles and no task waits for one."""
+    def _limits(self) -> tuple[int, bool]:
+        """The ticks of silence an attempt in flight is allowed now, and
+        whether the pool has spare capacity: a worker idles and no task
+        waits for one."""
         tally = self.bus.log.tally
-        return bool(tally.idle) and not tally.todo
+        spare = bool(tally.idle) and not tally.todo
+        return self._deadlines[spare], spare
 
     @property
     def deadline(self) -> int:
         """The ticks of silence an attempt in flight is allowed."""
-        patience = self.timeout_multiplier * self.heartbeat_period
-        if self.spare:
-            return min(patience, self.heartbeat_period + 1)
-        return patience
+        return self._limits()[0]
 
     def _result_due(self, tid: str, row: tuple[int, int, str, int]) -> float:
         """The tick at which the row's worker, if healthy, sends the
@@ -668,22 +673,20 @@ class Monitor:
 
     @property
     def wake(self) -> float:  # when the first attempt in flight is overdue
-        # a function of the fold alone: it holds until the next record
-        logged = len(self.bus.log.lines)
-        if logged != self._woken[0]:
-            deadline, spare = self.deadline, self.spare
-            self._woken = (logged, min(
-                [self._overdue(tid, row, deadline, spare)
-                 for tid, row in self.bus.log.tally.inflight.items()],
-                default=math.inf))
-        return self._woken[1]
+        deadline, spare = self._limits()
+        tick = math.inf
+        for tid, row in self.bus.log.tally.inflight.items():
+            due = self._overdue(tid, row, deadline, spare)
+            if due < tick:
+                tick = due
+        return tick
 
     def step(self, now: int) -> None:
         tally = self.bus.log.tally
         if tally.reason is not None:  # the run has ended
             return
         # read once: a republication puts its task on the to-do table
-        deadline, spare = self.deadline, self.spare
+        deadline, spare = self._limits()
         for tid, row in sorted(tally.inflight.items()):
             if now < self._overdue(tid, row, deadline, spare):
                 continue

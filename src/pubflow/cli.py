@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -263,7 +264,18 @@ def main(argv=None) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main(sys.argv[1:]))
+    """The `pubflow` command.  A reader that closes early, as in
+    `pubflow report LOG | head`, ends the command with exit code 1 and
+    no traceback (the SIGPIPE recipe of Python's `signal` docs)."""
+    try:
+        status = main(sys.argv[1:])
+        sys.stdout.flush()  # so a closed pipe raises here, not at exit
+    except BrokenPipeError:
+        # Python flushes stdout again at exit: point it at devnull first
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        status = 1
+    sys.exit(status)
 
 
 if __name__ == "__main__":

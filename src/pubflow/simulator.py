@@ -39,6 +39,17 @@ visits every tick.  None of this shows in the log: `_Run` sets up the
 actors for any loop, and one that steps every service and every live
 worker on every tick writes the same bytes.
 
+A visit's own bookkeeping is small next to its steps.  The loop asks
+each service for its wake once a visit, after the workers: a service's
+wake is a function of the fold, so it holds into the next visit unless
+a service steps before it there, and then the loop asks again for the
+services after that one.  It passes over the services when none has
+mail or a due wake, finds the due workers among those with a finite
+wake (and, if any actor has mail, those with mail), sorts them only
+when there are several, and opens a tick with death rolls only while a
+crash_prob worker lives.  So most of a quiet visit, a heartbeat of a
+long job, is that heartbeat's publish.
+
 All randomness flows through a single random.Random(seed), so identical
 inputs produce byte-identical event logs; the loop ends in the tick of
 the Emergency, stopping the live workers at the tick before (see 2.),
@@ -229,10 +240,11 @@ class _Run:
         for wid in self.ends.pop(now, ()):
             if wid not in self.died:
                 self._kill(wid, now)
-        for wid, first in list(self.risky.items()):
-            if now >= first and \
-                    self.rng.random() < self.roster[wid][0].crash_prob:
-                self._kill(wid, now)
+        if self.risky:  # _kill shrinks it: iterate over a copy
+            for wid, first in list(self.risky.items()):
+                if now >= first and \
+                        self.rng.random() < self.roster[wid][0].crash_prob:
+                    self._kill(wid, now)
 
     def _kill(self, wid: str, now: int) -> None:
         self.died[wid] = now
@@ -263,20 +275,30 @@ def _step_due(run: _Run) -> int:
     """Play the run, stepping only the actors with mail or a due wake and
     skipping the ticks where nothing is due; returns the last tick."""
     bus, tally, horizon = run.bus, run.bus.log.tally, run.scenario.horizon
-    roster, wake = run.roster, run.wake
+    mail, roster, wake = bus.mail, run.roster, run.wake
     services, ends, risky = run.services, run.ends, run.risky
     service_ids = {service.id for service in services}
+    # each service's wake, asked once a visit, after the workers: a
+    # service's wake is a function of the fold, so it holds into the next
+    # visit unless a service stepped before it there
+    wakes = [service.wake for service in services]
     now = 0
     while True:
         run.begin(now)
-        for service in services:
-            if service.id in bus.mail or service.wake <= now:
-                service.step(now)
+        if mail or min(wakes) <= now:  # else the visit is the workers'
+            for at, service in enumerate(services):
+                if service.id in mail or wakes[at] <= now:
+                    service.step(now)
+                    wakes[at + 1:] = [later.wake
+                                      for later in services[at + 1:]]
         if tally.reason is not None:  # the Emergency: no worker acts in it
             return now
-        due = {wid for wid in bus.mail if wid in roster}
-        due.update(wid for wid, tick in wake.items() if tick <= now)
-        for wid in sorted(due):
+        due = [wid for wid, tick in wake.items() if tick <= now]
+        if mail:  # a worker with mail is due too
+            due = sorted({*due, *(wid for wid in mail if wid in roster)})
+        elif len(due) > 1:
+            due.sort()
+        for wid in due:
             actor = roster[wid][1]
             actor.step(now)
             tick = actor.wake
@@ -286,15 +308,15 @@ def _step_due(run: _Run) -> int:
                 wake.pop(wid, None)
         if now == horizon:
             return now
-        if not bus.mail.isdisjoint(service_ids):
+        wakes = [service.wake for service in services]
+        if mail and not mail.isdisjoint(service_ids):
             now += 1
             continue
         # no service mail: jump to the next wake (a frozen worker's mail
         # is in its wake), scheduled end or horizon, or to the next tick
         # while a crash_prob worker has arrived
-        now = max(now + 1, min(
-            horizon, *ends, *wake.values(),
-            *(service.wake for service in services), *risky.values()))
+        now = max(now + 1, min(horizon, *wakes, *wake.values(), *ends,
+                               *risky.values()))
 
 
 def run_simulation(batch: WorkflowBatch, scenario: Scenario, *,

@@ -33,6 +33,7 @@ from pubflow import (
 )
 from pubflow import actors
 from pubflow.model import dump
+from test_simulator import worker_wake_from_scratch
 
 
 def noop_task(tid, deps=(), outputs=(), duration=1.0, **kw):
@@ -972,7 +973,9 @@ class TestNextEventWorker:
         it, the worker sends what the per-tick model sends, counts its
         run ticks alike, and never wakes without sending something.  The
         mail that reaches it while frozen, before its arrival or in its
-        stall, keeps no tick busy: its wake is the tick it thaws."""
+        stall, keeps no tick busy: its wake is the tick it thaws.  At each
+        visited tick the wake equals worker_wake_from_scratch, for a
+        worker with frozen windows and for one with none."""
         bus = InProcessBus()
         actor = WorkerActor(bus, profile("w1", speed=speed),
                             Workspace(tmp_path_factory.mktemp("ws")),
@@ -992,6 +995,7 @@ class TestNextEventWorker:
                 sent = len(bus.log.lines)
                 actor.step(now)
                 idle_wakes += not mail and len(bus.log.lines) == sent
+            assert actor.wake == worker_wake_from_scratch(actor)
             if now == end:
                 actor.stop(end)
                 break

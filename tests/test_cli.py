@@ -650,6 +650,26 @@ class TestEntrypoints:
         assert proc.returncode == 2, proc.stderr
         assert "error: cannot read" in proc.stderr
 
+    def test_a_reader_that_closes_at_once_gets_no_traceback(
+            self, chain_workflow, tmp_path, capsys):
+        """`pubflow report LOG | true`: stdout is a pipe whose read end
+        is closed before the command starts, so every write to it fails.
+        The command exits 1 and writes nothing to stderr."""
+        log = tmp_path / "events.jsonl"
+        assert run_cli("simulate", str(chain_workflow),
+                       str(scenario_file(tmp_path)), "--log", str(log)) == 0
+        capsys.readouterr()
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "pubflow", "report", str(log)],
+                stdout=write_end, stderr=subprocess.PIPE, text=True)
+        finally:
+            os.close(write_end)
+        assert proc.stderr == ""
+        assert proc.returncode == 1
+
     @pytest.mark.skipif(shutil.which("pubflow") is None,
                         reason="pubflow console script not installed")
     def test_installed_console_script(self, chain_workflow):

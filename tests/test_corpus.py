@@ -56,7 +56,7 @@ from pubflow import (
 from pubflow import actors
 from pubflow.bus import InProcessBus
 from test_simulator import (fold_drift, keep, lags, overruns, reference_run,
-                            respecified, tick_ends)
+                            respecified, tick_ends, wake_drift)
 
 CASES = 600
 PINNED = Path(__file__).with_name("corpus_digests.txt")
@@ -239,6 +239,14 @@ def test_the_reference_loop_writes_the_same_bytes(corpus):
         assert woken == [], f"case {case}"
         assert digest_of(log.dumps()) == digest, f"case {case}"
         assert vars(ref_report) == vars(report), f"case {case}"
+
+
+def test_every_wake_matches_a_from_scratch_reference():
+    """After every record of every case, the Monitor's wake and each
+    worker's equal their from-scratch references (wake_drift)."""
+    for case in range(CASES):
+        batch, scenario = draw_case(case)
+        assert wake_drift(batch, scenario, VALIDATORS) == [], f"case {case}"
 
 
 def test_a_verdict_acts_in_its_own_tick(corpus):

@@ -136,6 +136,73 @@ def reference_run(batch, scenario, validators=None):
         return run.report(now), run.bus.log, woken
 
 
+def monitor_wake_from_scratch(monitor, scenario):
+    """Monitor.wake worked out in full from the fold: the least, over the
+    in-flight rows, of the tick each attempt is overdue under this
+    moment's deadline (the rule of Monitor._overdue), with each due
+    result timed afresh instead of read from the Monitor's due table."""
+    tally = monitor.bus.log.tally
+    period, patience = scenario.heartbeat_period, \
+        scenario.heartbeat_period * scenario.timeout_multiplier
+    spare = bool(tally.idle) and not tally.todo
+    deadline = min(patience, period + 1) if spare else patience
+    ticks = [math.inf]
+    for tid, (attempt, assigned, wid, heard) in tally.inflight.items():
+        tick = heard + deadline + 1
+        if spare and wid in tally.speeds:
+            duration = float(tally.spec(tid, attempt)["kernel"]["duration"])
+            tick = min(tick, 1 + actors._result_tick(
+                assigned, duration, tally.speeds[wid], scenario.horizon))
+        ticks.append(tick)
+    return min(ticks)
+
+
+def worker_wake_from_scratch(actor):
+    """WorkerActor.wake worked out in full: the earliest of its due offer,
+    its job's next heartbeat and result and, with mail waiting, the bus's
+    tick, thawed past the frozen windows whether it has any or not."""
+    ticks = [math.inf]
+    if actor.offer is not None:
+        ticks.append(actor.offer[0])
+    if actor.running is not None:
+        ticks += [actor.running.beat, actor.running.done]
+    if actor.id in actor.bus.mail:
+        ticks.append(actor.bus.now)
+    return actor._thaw(min(ticks))
+
+
+def wake_drift(batch, scenario, validators=None):
+    """Play the run as run_simulation does and, once set up and then after
+    every record it logs, compare the Monitor's wake and every worker's
+    with monitor_wake_from_scratch and worker_wake_from_scratch.  Returns
+    (records logged, actor id, wake, reference) for each that differs."""
+    drift = []
+    with tempfile.TemporaryDirectory(prefix="pubflow-") as tmp:
+        run = simulator._Run(batch, scenario, SlaPolicy(), Workspace(tmp),
+                             validators)
+        monitor = next(service for service in run.services
+                       if isinstance(service, actors.Monitor))
+        log = run.bus.log
+        append = log.append
+
+        def check():
+            wakes = [(monitor, monitor_wake_from_scratch(monitor, scenario))]
+            wakes += [(actor, worker_wake_from_scratch(actor))
+                      for _, actor in run.roster.values()]
+            drift.extend((len(log.lines), actor.id, actor.wake, reference)
+                         for actor, reference in wakes
+                         if actor.wake != reference)
+
+        def checked_append(env):
+            append(env)
+            check()
+
+        check()
+        log.append = checked_append  # what bus.publish calls
+        simulator._step_due(run)
+    return drift
+
+
 def lags(records):
     """The release and end lags of a completed run's records that are not
     0.  A release lag is an attempt-1 TasksToDo task record's tick minus
@@ -1826,6 +1893,35 @@ class TestReferenceLoop:
         assert overruns(records_of(log), scenario.horizon) == []
         if report.completed:
             assert lags(records_of(log)) == {}
+
+
+class TestWakes:
+    """The wakes the loop reads, asked after every record, equal their
+    from-scratch references (wake_drift)."""
+
+    @pytest.mark.parametrize("jitter", [0, 2])
+    @pytest.mark.parametrize("case", sorted(GOLDEN_BUILDS))
+    def test_wakes_match_a_from_scratch_reference(self, case, jitter):
+        batch, scenario, validators = GOLDEN_BUILDS[case]()
+        scenario = dataclasses.replace(scenario, volunteer_jitter=jitter)
+        assert wake_drift(batch, scenario, validators) == []
+
+    def test_a_stale_monitor_wake_is_caught(self, monkeypatch):
+        """A planted bug: a Monitor that works its wake out again only
+        when an attempt opens or closes, so a heartbeat or a change of
+        the idle and to-do tables leaves it stale."""
+        fresh = actors.Monitor.wake.fget
+
+        def stale(self):
+            key = tuple(self.bus.log.tally.inflight)
+            if getattr(self, "stale", (None,))[0] != key:
+                self.stale = (key, fresh(self))
+            return self.stale[1]
+
+        monkeypatch.setattr(actors.Monitor, "wake", property(stale))
+        batch, scenario, validators = GOLDEN_BUILDS["stall-mid-job"]()
+        drift = wake_drift(batch, scenario, validators)
+        assert drift and {wid for _, wid, _, _ in drift} == {"monitor"}
 
 
 class TestFoldAgainstScan:

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from pubflow import parse_workflow, run_simulation, scenario_from_dict
+from pubflow import simulator
 
 WORKLOADS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
@@ -50,3 +51,21 @@ def test_the_workload_log_is_pinned(workloads, name, seed):
                                   scenario_from_dict(workload.scenario))
     digest = hashlib.sha256(log.dumps().encode("utf-8")).hexdigest()[:16]
     assert digest == PINNED[name, seed]
+
+
+def test_the_chain_idle_run_visits_a_pinned_count_of_ticks(workloads,
+                                                          monkeypatch):
+    """The loop opens each tick it visits with _Run.begin.  chain-idle
+    (seed 1) runs 12,373 ticks, and the loop visits 2,618 of them, most
+    for one heartbeat: a visit costs the work due in it, and the ticks it
+    skips cost nothing.  The count repeats exactly from run to run."""
+    workload = workloads.generate("chain-idle", 1)
+    visits = []
+    begin = simulator._Run.begin
+    monkeypatch.setattr(simulator._Run, "begin",
+                        lambda run, now: visits.append(now) or begin(run, now))
+    for _ in range(2):
+        report, _log = run_simulation(parse_workflow(workload.workflow_text),
+                                      scenario_from_dict(workload.scenario))
+        assert (report.makespan, len(visits)) == (12373, 2618)
+        visits.clear()
