@@ -45,11 +45,12 @@ as json.dumps(record, separators=(",", ":")) frames it:
 {"seq":...,"ts":...,"channel":...,"kind":...,"sender":...,"payload":...}
 The keys come in this order, with no whitespace; seq and ts are ints,
 and every string is pure ASCII, any other character written as its
-JSON escape.  EventLog writes the header by hand around one encode of
-the payload, so this framing is a contract of the code, not of the
-encoder.  A publish that is refused, by a check, by check_transition or
-because its payload is not JSON, takes no sequence number and leaves
-the log and its fold as they were.
+JSON escape.  EventLog writes the header and the payload's top level by
+hand, so this framing is a contract of the code, not of the encoder;
+only a nested value (a spec, a profile, outputs) or a float goes
+through the encoder.  A publish that is refused, by a check, by
+check_transition or because its payload is not JSON, takes no sequence
+number and leaves the log and its fold as they were.
 Each fact is logged once.  A `task` record carries its spec only when
 the spec differs from the task's latest one in the log: on WaitingTasks,
 and on TasksToDo for a spliced task or a dependent whose deps an unfold
@@ -356,6 +357,29 @@ class LogTally:
 _ENCODE = json.JSONEncoder(separators=(",", ":")).encode
 
 
+def _encode_payload(payload: dict) -> str:
+    """_ENCODE(payload), with its top level written by hand: each encode
+    builds a C encoder, which costs more than a flat payload's fields.
+    A str key or value, an int, true, false and null are written as json
+    writes them, any other value (a subclass too) by _ENCODE.  A payload
+    with a key that is not a str goes to _ENCODE whole, which coerces or
+    refuses it.  A value that does not encode raises what json.dumps of
+    the payload raises, a cycle through the payload included."""
+    parts = []
+    for key, value in payload.items():
+        if type(key) is not str:
+            return _ENCODE(payload)
+        cls = type(value)
+        parts.append(encode_basestring_ascii(key) + ":" + (
+            encode_basestring_ascii(value) if cls is str
+            else int.__repr__(value) if cls is int
+            else "true" if value is True
+            else "false" if value is False
+            else "null" if value is None
+            else _ENCODE(value)))
+    return "{" + ",".join(parts) + "}"
+
+
 @dataclass
 class EventLog:
     """Accumulates serialized envelopes, one JSON line each, and their
@@ -374,7 +398,7 @@ class EventLog:
                 f'"channel":{encode_basestring_ascii(channel)},'
                 f'"kind":{encode_basestring_ascii(kind)},'
                 f'"sender":{encode_basestring_ascii(sender)},'
-                f'"payload":{_ENCODE(payload)}}}')
+                f'"payload":{_encode_payload(payload)}}}')
         self.tally.add({"seq": seq, "ts": ts, "channel": channel,
                         "kind": kind, "sender": sender, "payload": payload},
                        live=True)

@@ -360,7 +360,8 @@ _DECODE = json.JSONDecoder().raw_decode
 
 
 def _check(lineno: int, what: str, obj: dict, fields: dict) -> None:
-    """Refuse `obj` unless each of `fields` is in it with exactly its type."""
+    """Refuse `obj` unless each of `fields` is in it with exactly its type,
+    naming the first field that is not."""
     for name, want in fields.items():
         if type(obj.get(name)) is not want:
             if missing := sorted(fields.keys() - obj.keys()):
@@ -373,7 +374,9 @@ def parse_log(text: str) -> list[dict]:
     """Parse a JSONL event log, checking the types of each record's keys,
     its payload's fields, a task's spec if given and that spec's deps (the
     spec key the audits read), and seq continuity.  Fields that no kind
-    declares are ignored, so an older log that carries them still reads."""
+    declares are ignored, so an older log that carries them still reads.
+    Each type is tested inline; _check words the error of a record that
+    fails."""
     records = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -385,32 +388,42 @@ def parse_log(text: str) -> list[dict]:
                 raise json.JSONDecodeError("Extra data", line, end)
         except json.JSONDecodeError as exc:
             raise MalformedLog(f"line {lineno}: not JSON ({exc})") from exc
-        if not isinstance(record, dict):
+        if type(record) is not dict:
             raise MalformedLog(f"line {lineno}: not an object")
-        _check(lineno, "record", record, _RECORD_KEYS)
+        get = record.get
+        if not (type(get("seq")) is int and type(get("ts")) is int
+                and type(get("channel")) is str and type(get("kind")) is str
+                and type(get("sender")) is str):
+            _check(lineno, "record", record, _RECORD_KEYS)
         if record["channel"] not in CHANNEL_CATALOG:
             raise MalformedLog(
                 f"line {lineno}: unknown channel {record['channel']!r}")
-        kind, payload = record["kind"], record.get("payload")
+        kind, payload = record["kind"], get("payload")
         required = KIND_FIELDS.get(kind)
         if required is None:
             raise MalformedLog(f"line {lineno}: unknown kind {kind!r}")
         if type(payload) is not dict:
             raise MalformedLog(
                 f"line {lineno}: {kind} payload must be an object")
-        _check(lineno, kind + " payload", payload, required)
+        for name, want in required.items():
+            if type(payload.get(name)) is not want:
+                _check(lineno, kind + " payload", payload, required)
         if kind == "task" and "spec" in payload:
-            _check(lineno, "task payload", payload, {"spec": dict})
-            deps = payload["spec"].get("deps", [])
+            spec = payload["spec"]
+            if type(spec) is not dict:
+                _check(lineno, "task payload", payload, {"spec": dict})
+            deps = spec.get("deps", [])
             if type(deps) is not list or not set(map(type, deps)) <= {str}:
                 raise MalformedLog(f"line {lineno}: task spec.deps must "
                                    "be a list of strings")
         records.append(record)
-    for index, record in enumerate(records, start=1):
-        if record["seq"] != index:
-            raise MalformedLog(
-                f"seq {record['seq']} at position {index}: "
-                "log is not a gap-free seq run from 1")
+    if [record["seq"] for record in records] \
+            != list(range(1, len(records) + 1)):
+        for index, record in enumerate(records, start=1):
+            if record["seq"] != index:
+                raise MalformedLog(
+                    f"seq {record['seq']} at position {index}: "
+                    "log is not a gap-free seq run from 1")
     return records
 
 

@@ -7,24 +7,32 @@ import dataclasses
 import inspect
 import itertools
 import json
+from enum import IntEnum
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pubflow.bus
 from pubflow import (
     CHANNEL_CATALOG,
     Channel,
     Envelope,
     EventLog,
     InProcessBus,
+    KernelSpec,
     LogTally,
+    Scenario,
     SchemaError,
     StateError,
+    Task,
     TaskState,
     UnknownActor,
     UnknownChannel,
+    WorkerSpec,
+    WorkflowBatch,
     parse_log,
+    run_simulation,
 )
 
 
@@ -708,13 +716,30 @@ _json = st.recursive(
     max_leaves=12)
 
 
+class Level(IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+# A payload's top-level values, which EventLog writes by hand when their
+# type is exactly str, int or bool or they are None: subclasses, big ints
+# and a negative zero beside any JSON value.
+_top = (_json | st.sampled_from(list(Channel)) | st.sampled_from(list(Level))
+        | st.integers(-10 ** 40, 10 ** 40) | st.just(-0.0))
+# Keys json coerces to strings; a payload with one is encoded whole.
+_key = (_text | st.integers() | st.booleans() | st.none()
+        | st.floats(allow_nan=True, allow_infinity=True))
+_payload = (st.dictionaries(_text, _top, max_size=5)
+            | st.dictionaries(_key, _top, max_size=5))
+
+
 @given(channel=_text, kind=_text, sender=_text, seq=st.integers(),
-       ts=st.integers(), payload=st.dictionaries(_text, _json, max_size=5))
-@settings(max_examples=200, deadline=None)
+       ts=st.integers(), payload=_payload)
+@settings(max_examples=300, deadline=None)
 def test_each_line_is_what_json_dumps_writes(channel, kind, sender, seq, ts,
                                              payload):
-    """EventLog frames the header by hand around one payload encode; the
-    line must be byte for byte the compact json.dumps of the record."""
+    """EventLog frames the header and the payload's top level by hand;
+    the line must be byte for byte the compact json.dumps of the record."""
     log = EventLog()
     log.append(Envelope(channel, kind, seq, sender, ts, payload))
     record = {"seq": seq, "ts": ts, "channel": channel, "kind": kind,
@@ -722,21 +747,87 @@ def test_each_line_is_what_json_dumps_writes(channel, kind, sender, seq, ts,
     assert log.lines == [json.dumps(record, separators=(",", ":"))]
 
 
+def dlc(**extra):
+    return {"task_id": "t", "event": "e", **extra}
+
+
+def cyclic(wrap):
+    payload = dlc()
+    payload["x"] = wrap(payload)
+    return payload
+
+
 @pytest.mark.parametrize("field,value", [
     ("channel", 5), ("kind", None), ("sender", b"w1"), ("sender", 1.5),
-    ("payload", {"x": object()}), ("payload", {"x": {1, 2}})])
+    ("payload", dlc(x=object())), ("payload", dlc(x={1, 2})),
+    ("payload", dlc(x=[1, {"y": object()}])),
+    ("payload", dlc(x={"y": {"z": {1}}}, after="a")),
+    ("payload", {"task_id": "t", 1: object(), "event": "e"}),
+    ("payload", cyclic(lambda payload: payload)),
+    ("payload", cyclic(lambda payload: [1, {"y": payload}]))])
 def test_an_envelope_that_does_not_encode_changes_nothing(field, value):
+    """A header field that is not a str or int raises TypeError; a payload
+    that does not encode raises the exception json.dumps of it raises,
+    with its message.  Either leaves the lines and the fold as they were,
+    and a publish of the payload takes no seq."""
     bus = fresh()
     bus.publish("a", Channel.WAITING_TASKS, "task", task_payload())
     log = bus.log
     lines, tally = list(log.lines), copy.deepcopy(log.tally)
     env = Envelope(**{"channel": "DLC", "kind": "dlc", "seq": 2,
-                      "sender": "monitor", "ts": 0,
-                      "payload": {"task_id": "t", "event": "e"},
+                      "sender": "monitor", "ts": 0, "payload": dlc(),
                       field: value})
-    with pytest.raises(TypeError):
+    with pytest.raises((TypeError, ValueError)) as raised:
         log.append(env)
+    if field == "payload":
+        with pytest.raises((TypeError, ValueError)) as dumped:
+            json.dumps(value, separators=(",", ":"))
+        assert raised.type is dumped.type
+        assert str(raised.value) == str(dumped.value)
+        with pytest.raises(dumped.type):
+            bus.publish("monitor", Channel.DLC, "dlc", value)
+    else:
+        assert raised.type is TypeError
     assert log.lines == lines and log.tally == tally
+    assert bus.publish("a", Channel.DLC, "dlc", dlc()) == 2
+
+
+def test_a_flat_payload_makes_no_encoder_call(monkeypatch):
+    """Only a payload's nested values go through the JSON encoder: a
+    heartbeat, started, assignment or verdict makes no call, a volunteer
+    one (its profile), a result one (its outputs) and a task record one
+    when it carries its spec."""
+    calls = []
+    encode = pubflow.bus._ENCODE
+    append = EventLog.append
+
+    def counted(value):
+        calls.append(value)
+        return encode(value)
+
+    def logged(self, env):
+        before = len(calls)
+        append(self, env)
+        made.append((env.kind, "spec" in env.payload, len(calls) - before))
+
+    made = []
+    monkeypatch.setattr(pubflow.bus, "_ENCODE", counted)
+    monkeypatch.setattr(EventLog, "append", logged)
+    kernel = KernelSpec(name="noop", params={"values": {"d": [1.0]}},
+                        outputs=("d",), declared_duration=6.0)
+    batch = WorkflowBatch(batch_id="b", tasks={
+        "a": Task(id="a", kernel=kernel),
+        "b": Task(id="b", kernel=kernel, deps=frozenset({"a"}))})
+    scenario = Scenario(seed=1, horizon=100, heartbeat_period=2,
+                        workers=(WorkerSpec(worker_id="w1"),
+                                 WorkerSpec(worker_id="w2")))
+    report, _log = run_simulation(batch, scenario)
+    assert report.completed
+    want = {"heartbeat": 0, "started": 0, "assignment": 0, "verdict": 0,
+            "volunteer": 1, "result": 1, "emergency": 0}
+    assert {kind for kind, _, _ in made} == {"task", *want}
+    for kind, spec, n in made:
+        assert n == (spec if kind == "task" else want[kind]), kind
 
 
 @pytest.mark.parametrize("sender,payload", [

@@ -54,7 +54,8 @@ from pubflow import (
     run_simulation,
 )
 from pubflow import actors
-from pubflow.bus import InProcessBus
+from pubflow.bus import CHANNEL_CATALOG, KIND_FIELDS, InProcessBus
+from pubflow.model import _SCALARS, _wrong
 from test_simulator import (fold_drift, keep, lags, overruns, reference_run,
                             respecified, tick_ends, wake_drift)
 
@@ -279,6 +280,11 @@ def test_a_released_tasks_spec_never_changes(corpus):
         assert respecified(records) == [], f"case {case}"
 
 
+def dumps(records):
+    return "".join(json.dumps(r, separators=(",", ":")) + "\n"
+                   for r in records)
+
+
 def format_1(records):
     """The records as logged before each fact was logged once: each task
     record with its spec, restored from its task's latest; each verdict
@@ -311,10 +317,8 @@ def test_a_log_with_every_fact_in_every_record_folds_the_same(corpus):
     for case, (_, records, _, _, _, live, *_) in enumerate(corpus):
         restored += sum("spec" not in r["payload"] for r in records
                         if r["kind"] == "task")
-        text = "".join(json.dumps(r, separators=(",", ":")) + "\n"
-                       for r in format_1(records))
         old = LogTally()
-        for record in parse_log(text):
+        for record in parse_log(dumps(format_1(records))):
             old.add(record)
         assert vars(old) == vars(live), f"case {case}"
     assert restored > CASES
@@ -326,14 +330,87 @@ MUTANTS = (None, True, 1.5, "x", "ghost", "w-ghost", 10 ** 30, -10 ** 30,
            -1, 0, [], ["t0"], {}, {"deps": 1})
 
 
+_RECORD_KEYS = {"seq": int, "ts": int, "channel": str, "kind": str,
+                "sender": str}
+_DECODE = json.JSONDecoder().raw_decode
+
+
+def _check(lineno, what, obj, fields):
+    for name, want in fields.items():
+        if type(obj.get(name)) is not want:
+            if missing := sorted(fields.keys() - obj.keys()):
+                raise MalformedLog(f"line {lineno}: {what} missing {missing}")
+            raise MalformedLog(str(_wrong(f"line {lineno}: {what} {name}",
+                                          _SCALARS[want][0], obj[name])))
+
+
+def reference_parse_log(text):
+    """parse_log as a loop of one _check call per record and per payload,
+    each testing field by field, and a seq test per record: the reading
+    and the wording that parse_log's inline tests must keep."""
+    records = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            record, end = _DECODE(line)
+            if end < len(line):
+                raise json.JSONDecodeError("Extra data", line, end)
+        except json.JSONDecodeError as exc:
+            raise MalformedLog(f"line {lineno}: not JSON ({exc})") from exc
+        if not isinstance(record, dict):
+            raise MalformedLog(f"line {lineno}: not an object")
+        _check(lineno, "record", record, _RECORD_KEYS)
+        if record["channel"] not in CHANNEL_CATALOG:
+            raise MalformedLog(
+                f"line {lineno}: unknown channel {record['channel']!r}")
+        kind, payload = record["kind"], record.get("payload")
+        required = KIND_FIELDS.get(kind)
+        if required is None:
+            raise MalformedLog(f"line {lineno}: unknown kind {kind!r}")
+        if type(payload) is not dict:
+            raise MalformedLog(
+                f"line {lineno}: {kind} payload must be an object")
+        _check(lineno, kind + " payload", payload, required)
+        if kind == "task" and "spec" in payload:
+            _check(lineno, "task payload", payload, {"spec": dict})
+            deps = payload["spec"].get("deps", [])
+            if type(deps) is not list or not set(map(type, deps)) <= {str}:
+                raise MalformedLog(f"line {lineno}: task spec.deps must "
+                                   "be a list of strings")
+        records.append(record)
+    for index, record in enumerate(records, start=1):
+        if record["seq"] != index:
+            raise MalformedLog(
+                f"seq {record['seq']} at position {index}: "
+                "log is not a gap-free seq run from 1")
+    return records
+
+
+def read_as_reference(text):
+    """parse_log's records, or its MalformedLog's text, once checked
+    against reference_parse_log's."""
+    try:
+        want = reference_parse_log(text)
+    except MalformedLog as exc:
+        with pytest.raises(MalformedLog) as raised:
+            parse_log(text)
+        assert str(raised.value) == str(exc)
+        return str(exc)
+    got = parse_log(text)
+    assert got == want
+    return got
+
+
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_a_mutated_record_reads_or_is_malformed(corpus, data):
     """One field of one corpus record, a key of the record, of its
     payload or one level deeper (a spec, a profile, outputs), is
-    written over.  parse_log either refuses the log with MalformedLog or
-    reads it, and then the fold, both audits and the report raise
-    nothing."""
+    written over.  parse_log reads the log as reference_parse_log does,
+    or refuses it with the same MalformedLog text.  If it reads the log,
+    the fold, both audits and the report raise nothing."""
     case = data.draw(st.integers(0, CASES - 1), label="case")
     _, records, batch, *_ = corpus[case]
     records = copy.deepcopy(records)
@@ -345,11 +422,8 @@ def test_a_mutated_record_reads_or_is_malformed(corpus, data):
         owner = owner[key]
         key = data.draw(st.sampled_from(sorted(owner)), label="inner key")
     owner[key] = data.draw(st.sampled_from(MUTANTS), label="value")
-    text = "".join(json.dumps(r, separators=(",", ":")) + "\n"
-                   for r in records)
-    try:
-        parsed = parse_log(text)
-    except MalformedLog:
+    parsed = read_as_reference(dumps(records))
+    if isinstance(parsed, str):
         return
     tally = LogTally()
     for record in parsed:
@@ -357,6 +431,27 @@ def test_a_mutated_record_reads_or_is_malformed(corpus, data):
     lifecycle_audit(tally)
     precedence_audit(tally, batch)
     Report.of(tally)
+
+
+@pytest.mark.parametrize("case", [0, 1, 2, 3])
+def test_a_seq_gap_is_worded_as_the_reference_words_it(corpus, case):
+    """A log with a seq gap reads as reference_parse_log reads it: the
+    gap is named by its first record, and a bad line after the gap is
+    named before it.  So is a repeated seq."""
+    records = corpus[case][1]
+    assert len(records) > 4, f"case {case}"
+    gapped = records[:2] + records[3:]
+    bad = copy.deepcopy(gapped)
+    del bad[-1]["payload"]["task_id" if "task_id" in bad[-1]["payload"]
+                           else "reason"]
+    repeated = records[:3] + records[2:]
+    texts = [dumps(gapped), dumps(bad), dumps(repeated)]
+    got = [read_as_reference(text) for text in texts]
+    assert got[0] == ("seq 4 at position 3: log is not a gap-free seq "
+                      "run from 1")
+    assert got[1].startswith(f"line {len(bad)}: ")
+    assert got[2] == ("seq 3 at position 4: log is not a gap-free seq "
+                      "run from 1")
 
 
 # Case 595's horizon (37) cuts the tick in which w3 sends a result for the
