@@ -154,8 +154,7 @@ class LogTally:
     reason: Optional[str] = None     # of the Emergency envelope, if any
     timeouts: int = 0                # tasks the monitor republished
     # results sent for a task after its verified result, up to the
-    # Emergency; at a horizon cut this includes the last tick's results,
-    # which the checker never reads
+    # Emergency
     duplicates: int = 0
     # task -> the attempts of its results, in log order, until its ok
     # verdict; the checker discards each one after the result it verified

@@ -9,52 +9,62 @@ releases its roots.  Then, per tick, in this exact order:
      tick (a departure at or before arrival takes effect at arrival),
      then seeded random crashes (one draw per arrived, alive at-risk
      worker, sorted by worker id)
-  2. checker, coordinator, monitor (the broker has no mail).  A broker
-     hands a message over as soon as it is published, so the checker
-     goes first: the coordinator reads a verdict in the tick it is
-     made, releases its dependents, which the workers see in that
-     tick, and publishes the Emergency in the tick of the last one.
-     The run ends here in the tick of the Emergency, which the loop
-     reads from the log's fold, and nothing is logged after it
-  3. workers, sorted by worker id (a worker before its arrival or in
+  2. passes until the bus is quiet.  A pass steps the checker, the
+     coordinator and the monitor (the broker has no mail), then the
+     workers, sorted by worker id (a worker before its arrival or in
      its stall window is frozen: its step does nothing, and its mail
-     waits for the tick it thaws)
+     waits for the tick it thaws).  While a service has mail after a
+     pass, the tick runs another.  A broker hands a message over as
+     soon as it is published, so a message takes no ticks, only work
+     does: a result is checked in the tick it is sent, the verdict
+     releases its dependents, which go to the idle workers, the sender
+     among them, in that tick, and the Emergency comes in the tick of
+     the last verdict.  The run ends in the pass of the Emergency,
+     which the loop reads from the log's fold, before its workers, and
+     nothing is logged after it
+
+The passes end.  A pass after the first runs only on service mail,
+which a record of the pass before it left, so a tick makes at most one
+pass more than the records it logs.  And those are few: a job's result
+comes at least one tick after the job starts, so a worker sends at most
+one result a tick, and an attempt assigned in a tick is not overdue in
+it.
 
 An actor is stepped only when the bus holds mail for it or its `wake`
-tick (see actors.py) has come, as any other step would do nothing; a
-dead worker leaves the bus.  So a tick costs the actors with work, not
-the size of the pool.  Nor does the loop visit a tick where nothing is
-due: after a tick that leaves a service mail it goes on to the next
-tick, and otherwise it jumps to the earliest wake, scheduled departure
-or crash, or the horizon.  A worker drains its mail in the tick it
-comes, unless it is frozen; then its wake is the tick it thaws, so a
-late arrival or a long stall costs no ticks.  A running job wakes its
-worker only for a heartbeat or its result, so a long job costs its
-heartbeats, not its ticks.  The monitor has no mail (it reads the
-fold's in-flight, idle and to-do tables), and nobody subscribes to
-TasksInProgress, so a heartbeat does not keep the loop on the next
-tick.  The exception is a live worker with a crash_prob: its death roll
-is one RNG draw per tick from its arrival on, so while it lives the loop
-visits every tick.  None of this shows in the log: `_Run` sets up the
-actors for any loop, and one that steps every service and every live
-worker on every tick writes the same bytes.
+tick (see actors.py) has come, as any other step would do nothing, but
+for one step of each service at tick 0 (see _step_due); a dead worker
+leaves the bus.  So a pass costs the actors with work, not the size of
+the pool.  Nor does the loop visit a tick where nothing is due: a
+settled tick leaves no service mail, so the loop jumps to the earliest
+wake, scheduled departure or crash, or the horizon.  A worker drains its
+mail in the pass it comes, unless it is frozen; then its wake is the
+tick it thaws, so a late arrival or a long stall costs no ticks.  A
+running job wakes its worker only for a heartbeat or its result, so a
+long job costs its heartbeats, not its ticks.  The monitor has no mail
+(it reads the fold's in-flight, idle and to-do tables), and nobody
+subscribes to TasksInProgress, so a heartbeat makes no second pass.  The
+exception is a live worker with a crash_prob: its death roll is one RNG
+draw per tick from its arrival on, so while it lives the loop visits
+every tick.  None of this shows in the log: `_Run` sets up the actors
+for any loop, and one that steps every service and every live worker in
+every pass of every tick writes the same bytes.
 
-A visit's own bookkeeping is small next to its steps.  The loop asks
-each service for its wake once a visit, after the workers: a service's
-wake is a function of the fold, so it holds into the next visit unless
+A pass's own bookkeeping is small next to its steps.  The loop asks
+each service for its wake once a pass, after the workers: a service's
+wake is a function of the fold, so it holds into the next pass unless
 a service steps before it there, and then the loop asks again for the
 services after that one.  It passes over the services when none has
 mail or a due wake, finds the due workers among those with a finite
 wake (and, if any actor has mail, those with mail), sorts them only
 when there are several, and opens a tick with death rolls only while a
 crash_prob worker lives.  So most of a quiet visit, a heartbeat of a
-long job, is that heartbeat's publish.
+long job, is one pass and that heartbeat's publish.
 
 All randomness flows through a single random.Random(seed), so identical
-inputs produce byte-identical event logs; the loop ends in the tick of
-the Emergency, stopping the live workers at the tick before (see 2.),
-or at the horizon with completed=False.  A dead worker was stopped as
-it died.
+inputs produce byte-identical event logs; the loop ends in the pass of
+the Emergency, or once the horizon's tick has settled, with
+completed=False, and stops the live workers at that tick.  A dead
+worker was stopped as it died, at the tick before.
 
 Workers join the bus at tick 0 regardless of their arrival tick; a
 worker is frozen until it arrives.  The bus does not replay, so this is
@@ -191,7 +201,7 @@ class SimReport(Report):
 
 class _Run:
     """One run's actors and population schedule, set up for a loop to
-    step: the services in the one order every tick steps them, the
+    step: the services in the one order every pass steps them, the
     workers by id, and the ticks at which workers leave or crash."""
 
     def __init__(self, batch: WorkflowBatch, scenario: Scenario,
@@ -216,7 +226,8 @@ class _Run:
                 volunteer_jitter=scenario.volunteer_jitter,
                 rng=rng, stall=ws.stall, horizon=scenario.horizon,
                 arrival=ws.arrival))
-        # the Checker first: the Coordinator acts on a verdict in its tick
+        # each pass steps the services in this order, so the Coordinator
+        # reads a verdict in the pass that makes it
         self.services = (checker, self.coordinator, monitor)
 
         broker.submit(batch)
@@ -254,12 +265,14 @@ class _Run:
         self.roster[wid][1].stop(now - 1)
 
     def report(self, now: int) -> SimReport:
-        """Stop the live workers at `now`, the loop's last tick (at the
-        tick before, if it was the Emergency's), and report the run."""
+        """Stop the live workers at `now`, the loop's last tick, and
+        report the run.  A job still running in the Emergency's tick ran
+        that tick too: the Emergency answers mail, so it comes after the
+        tick's first pass, in which the workers act."""
         tally = self.bus.log.tally
         for wid, (_, actor) in self.roster.items():
             if wid not in self.died:  # _kill stopped the dead ones
-                actor.stop(now if tally.reason is None else now - 1)
+                actor.stop(now)
         utilization = {}
         for wid, (ws, actor) in self.roster.items():
             span = max(0, self.died.get(wid, now + 1) - ws.arrival)
@@ -272,26 +285,32 @@ class _Run:
 
 
 def _step_due(run: _Run) -> int:
-    """Play the run, stepping only the actors with mail or a due wake and
-    skipping the ticks where nothing is due; returns the last tick."""
+    """Play the run, stepping only the actors with mail or a due wake,
+    settling each tick in passes and skipping the ticks where nothing is
+    due; returns the last tick."""
     bus, tally, horizon = run.bus, run.bus.log.tally, run.scenario.horizon
     mail, roster, wake = bus.mail, run.roster, run.wake
     services, ends, risky = run.services, run.ends, run.risky
     service_ids = {service.id for service in services}
-    # each service's wake, asked once a visit, after the workers: a
+    # each service's wake, asked once a pass, after the workers: a
     # service's wake is a function of the fold, so it holds into the next
-    # visit unless a service stepped before it there
-    wakes = [service.wake for service in services]
+    # pass unless a service stepped before it there
     now = 0
-    while True:
-        run.begin(now)
-        if mail or min(wakes) <= now:  # else the visit is the workers'
+    run.begin(now)
+    # each service steps once at tick 0, which logs nothing, so that every
+    # run steps it: perfbench's traced gate reads the Monitor's and the
+    # Checker's counters from the instances whose step its tracer saw
+    for service in services:
+        service.step(now)
+    wakes = [service.wake for service in services]
+    while True:  # one pass
+        if mail or min(wakes) <= now:  # else the pass is the workers'
             for at, service in enumerate(services):
                 if service.id in mail or wakes[at] <= now:
                     service.step(now)
                     wakes[at + 1:] = [later.wake
                                       for later in services[at + 1:]]
-        if tally.reason is not None:  # the Emergency: no worker acts in it
+        if tally.reason is not None:  # the Emergency: no worker acts after
             return now
         due = [wid for wid, tick in wake.items() if tick <= now]
         if mail:  # a worker with mail is due too
@@ -306,17 +325,17 @@ def _step_due(run: _Run) -> int:
                 wake[wid] = tick
             else:
                 wake.pop(wid, None)
-        if now == horizon:
-            return now
         wakes = [service.wake for service in services]
         if mail and not mail.isdisjoint(service_ids):
-            now += 1
-            continue
-        # no service mail: jump to the next wake (a frozen worker's mail
-        # is in its wake), scheduled end or horizon, or to the next tick
-        # while a crash_prob worker has arrived
+            continue  # a service has mail: the tick runs another pass
+        if now == horizon:
+            return now
+        # the tick has settled: jump to the next wake (a frozen worker's
+        # mail is in its wake), scheduled end or horizon, or to the next
+        # tick while a crash_prob worker has arrived
         now = max(now + 1, min(horizon, *wakes, *wake.values(), *ends,
                                *risky.values()))
+        run.begin(now)
 
 
 def run_simulation(batch: WorkflowBatch, scenario: Scenario, *,

@@ -925,7 +925,7 @@ class TestWorker:
 
 
 def per_tick_job(duration, speed, heartbeat, stall, arrival, assigned,
-                 emergency, end):
+                 crash, end):
     """A job's (kind, ts) events and run ticks, worked out tick by tick:
     the task waits in the queue from tick 0 and its assignment from tick
     `assigned`, and the worker is frozen before `arrival` and in its
@@ -935,12 +935,12 @@ def per_tick_job(duration, speed, heartbeat, stall, arrival, assigned,
             stall is not None and stall[0] <= t < stall[0] + stall[1])
     started = next(t for t in itertools.count(assigned) if not frozen(t))
     events = [("started", started)] if started <= end and (
-        emergency is None or started < emergency) else []
+        crash is None or started < crash) else []
     remaining, executed = duration, 0
     for t in range(started + 1, end + 1):
         if frozen(t):
             continue
-        if emergency is not None and t >= emergency:
+        if crash is not None and t >= crash:
             break
         remaining -= speed
         executed += 1
@@ -962,16 +962,16 @@ class TestNextEventWorker:
                                        st.integers(1, 30)),
            arrival=st.integers(0, 40),
            assigned=st.integers(0, 40),
-           emergency=st.none() | st.integers(1, 120),
+           crash=st.none() | st.integers(1, 120),
            end=st.integers(0, 120))
     def test_waking_for_events_matches_stepping_every_tick(
             self, tmp_path_factory, duration, speed, heartbeat, stall,
-            arrival, assigned, emergency, end):
+            arrival, assigned, crash, end):
         """Stepped only at the ticks the simulator visits (mail for the
         worker, its wake, the assignment, the end) and stopped at the
-        tick before the Emergency, where the run ends without stepping
-        it, the worker sends what the per-tick model sends, counts its
-        run ticks alike, and never wakes without sending something.  The
+        tick before its crash, where it is not stepped, the worker sends
+        what the per-tick model sends, counts its run ticks alike, and
+        never wakes without sending something.  The
         mail that reaches it while frozen, before its arrival or in its
         stall, keeps no tick busy: its wake is the tick it thaws.  At each
         visited tick the wake equals worker_wake_from_scratch, for a
@@ -985,7 +985,7 @@ class TestNextEventWorker:
         now, idle_wakes = 0, 0
         while True:
             bus.now = now
-            if now == emergency:
+            if now == crash:
                 actor.stop(now - 1)
                 break
             if now == assigned:
@@ -999,14 +999,14 @@ class TestNextEventWorker:
             if now == end:
                 actor.stop(end)
                 break
-            later = [end, actor.wake] + [tick for tick in (emergency, assigned)
+            later = [end, actor.wake] + [tick for tick in (crash, assigned)
                                          if tick is not None and tick > now]
             now = max(now + 1, min(later))
         records = [json.loads(line) for line in bus.log.lines]
         events = [(r["kind"], r["ts"]) for r in records
                   if r["kind"] in ("started", "heartbeat", "result")]
         assert (events, actor.executed_ticks) == per_tick_job(
-            duration, speed, heartbeat, stall, arrival, assigned, emergency,
+            duration, speed, heartbeat, stall, arrival, assigned, crash,
             end)
         assert idle_wakes == 0
 

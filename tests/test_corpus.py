@@ -8,15 +8,17 @@ departures, late arrivals, crash_prob, volunteer latency and jitter, and
 horizons that cut jobs) from random.Random(i).  Every run must pass both
 audits, the fold its log made as it was written must equal the fold of
 the parsed log and of that log rendered in the older format (format_1),
-its Monitor's and Checker's counters must match that fold, its task
-and in-flight rows, idle and to-do tables and spec answers must equal a
-scan of the records after each tick, every TasksToDo task record must carry (or be filled
-in with) its task's first TasksToDo spec, no actor may
+its Monitor's and Checker's counters must match that fold, its task and
+in-flight rows, idle and to-do tables and spec answers must equal a scan
+of the records after each tick, every TasksToDo task record must carry
+(or be filled in with) its task's first TasksToDo spec, no actor may
 drain an envelope it sent or one on WaitingTasks, the Monitor may drain
-nothing, the Checker nothing but results, and a worker no Emergency
-and no assignment naming another worker, the Broker's step may never
-run, an Emergency must be the last record of its log, the reference
-loop (step_every_tick) must write the same log and report, a completed
+nothing, the Checker nothing but results, and a worker no Emergency and
+no assignment naming another worker, the Broker's step may never run, an
+Emergency must be the last record of its log, the reference loop
+(step_every_tick) must write the same log and report, every verdict and
+Checker republication must come in the tick of the result it answers, no
+tick may make more passes than one plus the records it logs, a completed
 run must release each dependent and publish its Emergency in the tick of
 the verdict that allows it, no attempt may stay in flight past the tick
 after its due result while a worker idles and no task waits, and the
@@ -56,8 +58,9 @@ from pubflow import (
 from pubflow import actors
 from pubflow.bus import CHANNEL_CATALOG, KIND_FIELDS, InProcessBus
 from pubflow.model import _SCALARS, _wrong
-from test_simulator import (fold_drift, keep, lags, overruns, reference_run,
-                            respecified, tick_ends, wake_drift)
+from test_simulator import (extra_passes, fold_drift, keep, lags, overruns,
+                            passes_by_tick, record_passes, reference_run,
+                            respecified, tick_ends, unanswered, wake_drift)
 
 CASES = 600
 PINNED = Path(__file__).with_name("corpus_digests.txt")
@@ -178,15 +181,20 @@ def record_stray_mail(monkeypatch):
 
 @pytest.fixture(scope="module")
 def corpus():
-    """run_case's tuple for each case, the actors its run made and its
-    stray mail (record_stray_mail)."""
+    """run_case's tuple for each case, the actors its run made, its
+    stray mail (record_stray_mail) and its passes by tick
+    (passes_by_tick)."""
     runs = []
     with pytest.MonkeyPatch.context() as monkeypatch:
         made = keep(monkeypatch, actors.Monitor, actors.Checker)
         stray = record_stray_mail(monkeypatch)
+        ticks = record_passes(monkeypatch)
         for case in range(CASES):
-            runs.append((*run_case(case), dict(made), stray[:]))
+            run = run_case(case)
+            runs.append((*run, dict(made), stray[:],
+                         passes_by_tick(ticks, run[1])))
             stray.clear()
+            ticks.clear()
     return runs
 
 
@@ -248,6 +256,16 @@ def test_every_wake_matches_a_from_scratch_reference():
     for case in range(CASES):
         batch, scenario = draw_case(case)
         assert wake_drift(batch, scenario, VALIDATORS) == [], f"case {case}"
+
+
+def test_a_result_is_answered_in_its_tick(corpus):
+    """A tick runs passes until no service has mail: every verdict and
+    every Checker republication comes in the tick of the result it
+    answers, and no tick makes more passes than one plus the records it
+    logs."""
+    for case, (_, records, *_, passes) in enumerate(corpus):
+        assert unanswered(records) == [], f"case {case}"
+        assert extra_passes(passes, records) == [], f"case {case}"
 
 
 def test_a_verdict_acts_in_its_own_tick(corpus):
@@ -454,35 +472,26 @@ def test_a_seq_gap_is_worded_as_the_reference_words_it(corpus, case):
                       "run from 1")
 
 
-# Case 595's horizon (37) cuts the tick in which w3 sends a result for the
-# verified t0: the fold counts it as a duplicate, the Checker never reads
-# it.  Every other case's discarded results are the fold's duplicates.
-HORIZON_CUT_DUPLICATE = 595
-
-
 def test_every_delivery_is_mail_its_reader_acts_on(corpus):
-    for case, (*_, stray) in enumerate(corpus):
+    for case, (*_, stray, _) in enumerate(corpus):
         assert stray == [], f"case {case}"
 
 
 def test_the_run_ends_in_the_tick_of_its_emergency(corpus):
     """Nothing is logged after the Emergency: the coordinator reads no
     further mail, the monitor and the checker publish nothing, and no
-    worker acts in its tick."""
+    worker acts after it."""
     for case, (_, records, *_) in enumerate(corpus):
         ends = [i for i, r in enumerate(records) if r["kind"] == "emergency"]
         assert ends in ([], [len(records) - 1]), f"case {case}"
 
 
 def test_the_actor_counters_match_the_fold(corpus):
-    for case, (*_, report, _, made, _) in enumerate(corpus):
+    for case, (*_, report, _, made, _, _) in enumerate(corpus):
         assert made[actors.Monitor].timeouts == report.timeouts, \
             f"case {case}"
-        discarded = made[actors.Checker].duplicates
-        if case == HORIZON_CUT_DUPLICATE:
-            assert (discarded, report.duplicates) == (0, 1)
-        else:
-            assert discarded == report.duplicates, f"case {case}"
+        assert made[actors.Checker].duplicates == report.duplicates, \
+            f"case {case}"
 
 
 def test_the_corpus_exercises_every_fault(corpus):

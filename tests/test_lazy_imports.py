@@ -137,7 +137,7 @@ class TestAdaptWithoutNumpy:
         (tmp_path / "sc.json").write_text(json.dumps({
             "seed": 7, "horizon": 2000, "volunteer_jitter": 2,
             "workers": [{"worker_id": "w1", "speed": 2.0},
-                        {"worker_id": "w2", "crash": 30},
+                        {"worker_id": "w2", "crash": 10},
                         {"worker_id": "w3", "arrival": 5}]}), "utf-8")
         doc = fresh("""
 import io

@@ -1,5 +1,6 @@
 """Whole-protocol runs under the deterministic tick simulator."""
 
+import collections
 import dataclasses
 import hashlib
 import json
@@ -96,8 +97,9 @@ def keep(monkeypatch, *classes):
 
 def step_every_tick(run):
     """The reference loop: it steps every service and every live worker
-    (frozen until it arrives) on every tick, and always advances one
-    tick.  Returns the last tick and the (actor, tick) of each step that
+    (frozen until it arrives) in every pass of every tick, runs a tick's
+    passes until no service has mail, and always advances one tick.
+    Returns the last tick and the (actor, tick) of each step that
     published although the actor had no mail and its wake had not come.
     Those are the steps that run_simulation skips, so the list must be
     empty."""
@@ -111,9 +113,10 @@ def step_every_tick(run):
         if idle and len(bus.log.lines) != sent:
             woken.append((actor.id, now))
 
+    services = {service.id for service in run.services}
     now = 0
-    while True:
-        run.begin(now)
+    run.begin(now)
+    while True:  # one pass
         for service in run.services:
             step(service, now)
         if tally.reason is not None:
@@ -121,9 +124,12 @@ def step_every_tick(run):
         for wid, (_, actor) in run.roster.items():
             if wid not in run.died:
                 step(actor, now)
+        if not bus.mail.isdisjoint(services):
+            continue  # the tick runs another pass
         if now == horizon:
             return now, woken
         now += 1
+        run.begin(now)
 
 
 def reference_run(batch, scenario, validators=None):
@@ -223,6 +229,56 @@ def lags(records):
         elif kind == "emergency":
             lag["emergency"] = ts - max(verified.values())
     return {key: ticks for key, ticks in lag.items() if ticks}
+
+
+def unanswered(records):
+    """The seqs of the Checker's records, its verdicts and its
+    republications, not logged in the tick of the result they answer:
+    the result of their task and attempt (of the attempt before, for a
+    republication)."""
+    sent = {}
+    for record in records:
+        if record["kind"] == "result":
+            payload = record["payload"]
+            sent.setdefault((payload["task_id"], payload["attempt"]),
+                            set()).add(record["ts"])
+    return [record["seq"] for record in records
+            if record["sender"] == "checker"
+            and record["ts"] not in sent.get(
+                (record["payload"]["task_id"], record["payload"]["attempt"]
+                 - (record["kind"] == "task")), ())]
+
+
+def record_passes(monkeypatch):
+    """A list that gets the tick of each pass of the tick loop.  The loop
+    asks the Checker, its first service, for its wake once before the
+    first pass and once a pass, after the workers, but not in the pass
+    of the Emergency, where it returns: passes_by_tick counts that one."""
+    ticks = []
+
+    def wake(self):
+        ticks.append(self.bus.now)
+        return math.inf
+
+    monkeypatch.setattr(actors.Checker, "wake", property(wake))
+    return ticks
+
+
+def passes_by_tick(ticks, records):
+    """Tick -> the count of passes the loop made in it, from the ticks
+    record_passes got in a run that wrote `records`."""
+    passes = collections.Counter(ticks[1:])  # the first: before a pass
+    passes.update(r["ts"] for r in records if r["kind"] == "emergency")
+    return passes
+
+
+def extra_passes(passes, records):
+    """The (tick, passes, records) of each tick that made more passes
+    than one plus the records it logged: a pass after the first answers
+    mail that a record of the pass before it left."""
+    logged = collections.Counter(record["ts"] for record in records)
+    return [(tick, count, logged[tick]) for tick, count in
+            sorted(passes.items()) if count > 1 + logged[tick]]
 
 
 def overruns(records, horizon):
@@ -411,15 +467,15 @@ class TestSingleTaskProtocol:
             ("task", "WaitingTasks", 0),
             ("task", "TasksToDo", 0),
             ("volunteer", "VolunteerWorkers", 0),
-            ("assignment", "TasksToDo", 1),
-            ("started", "TasksInProgress", 1),
-            ("result", "TasksToCheck", 2),
-            ("verdict", "FinishedTasks", 3),
-            ("emergency", "Emergency", 3),
+            ("assignment", "TasksToDo", 0),
+            ("started", "TasksInProgress", 0),
+            ("result", "TasksToCheck", 1),
+            ("verdict", "FinishedTasks", 1),
+            ("emergency", "Emergency", 1),
         ]
         got = [(r["kind"], r["channel"], r["ts"]) for r in records_of(log)]
         assert got == expected
-        assert report.makespan == 3
+        assert report.makespan == 1
         assert report.messages_total == 8
         assert report.re_executions == 0
 
@@ -442,7 +498,7 @@ class TestSingleTaskProtocol:
         assert report.completed
         beats = [r["ts"] for r in records_of(log)
                  if r["kind"] == "heartbeat"]
-        assert beats == [6, 11]  # started at 1; every 5 ticks; done at 13
+        assert beats == [5, 10]  # started at 0; every 5 ticks; done at 12
 
 
 class TestDeterminism:
@@ -490,15 +546,15 @@ class TestCrashRecovery:
         records = records_of(log)
         beats = [r for r in records if r["kind"] == "heartbeat"
                  and r["payload"]["worker_id"] == "w1"]
-        assert [b["ts"] for b in beats] == [4, 7]  # exactly two, then death
+        assert [b["ts"] for b in beats] == [3, 6]  # exactly two, then death
         republished = [r for r in records if r["kind"] == "task"
                        and r["channel"] == "TasksToDo"
                        and r["payload"]["attempt"] == 2]
         assert len(republished) == 1
         assert republished[0]["sender"] == "monitor"
         # w2 idles and no task waits, so the deadline is one missed
-        # heartbeat, min(2*3, 3 + 1): silence noticed at 7 + 4 + 1
-        assert republished[0]["ts"] == 12
+        # heartbeat, min(2*3, 3 + 1): silence noticed at 6 + 4 + 1
+        assert republished[0]["ts"] == 11
         dlc = [r for r in records if r["kind"] == "dlc"]
         assert len(dlc) == 1
         verdicts = [r for r in records if r["kind"] == "verdict"]
@@ -507,7 +563,7 @@ class TestCrashRecovery:
         starters = [r["payload"]["worker_id"] for r in records
                     if r["kind"] == "started"]
         assert starters == ["w1", "w2"]
-        assert report.makespan == 44
+        assert report.makespan == 41
         assert precedence_audit(log, batch) == []
         assert lifecycle_audit(log) == []
 
@@ -538,7 +594,7 @@ class TestCrashRecovery:
         batch = batch_of(noop_task("t", duration=10.0))
         scenario = Scenario(
             seed=5, horizon=120, heartbeat_period=3, timeout_multiplier=2,
-            workers=(WorkerSpec(worker_id="w1", stall=(2, 6)),
+            workers=(WorkerSpec(worker_id="w1", stall=(2, 5)),
                      WorkerSpec(worker_id="w2")))
         report, log = run_simulation(batch, scenario)
         assert report.completed
@@ -860,12 +916,13 @@ def test_idle_workers_are_not_stepped(monkeypatch):
 def test_heartbeats_do_not_step_the_monitor(monkeypatch):
     """A 600-tick job with H=5 sends 119 heartbeats, but the monitor
     reads them from the fold's in-flight row and has no mail: it
-    never wakes for a timeout, so it is never stepped."""
-    steps = [0]
+    never wakes for a timeout, so it steps only at tick 0, where every
+    service steps once."""
+    steps = []
     step = actors.Monitor.step
 
     def counting_step(self, now):
-        steps[0] += 1
+        steps.append(now)
         step(self, now)
 
     monkeypatch.setattr(actors.Monitor, "step", counting_step)
@@ -876,14 +933,15 @@ def test_heartbeats_do_not_step_the_monitor(monkeypatch):
     report, log = run_simulation(batch, scenario)
     assert report.completed and report.timeouts == 0
     assert kinds_of(log).count("heartbeat") == 119
-    assert steps[0] == 0
+    assert steps == [0]
 
 
 def test_long_chain_visits_ticks_by_envelope_not_by_makespan(monkeypatch):
     """Without a crash_prob worker the loop jumps from one due tick to
-    the next: a tick where something is sent, and the tick after, when
-    its readers drain it.  A chain of three 300-tick tasks with H=20
-    takes over 900 ticks but visits about two per envelope."""
+    the next, a tick where something is sent: its readers drain it in
+    that tick.  A chain of three 300-tick tasks with H=20 takes 900
+    ticks, each task's release and start in the tick of its
+    predecessor's result, and visits only the ticks it logs in."""
     visited = []
 
     class CountingBus(InProcessBus):
@@ -903,26 +961,32 @@ def test_long_chain_visits_ticks_by_envelope_not_by_makespan(monkeypatch):
     scenario = Scenario(seed=1, horizon=2000, heartbeat_period=20,
                         workers=tuple(WorkerSpec(worker_id=f"w{i}")
                                       for i in range(8)))
-    report, _ = run_simulation(batch, scenario)
-    assert report.completed and report.makespan > 900
+    report, log = run_simulation(batch, scenario)
+    assert report.completed and report.makespan == 900
     ticks = visited[1:]  # the first is the bus's own start at 0
     assert ticks == sorted(set(ticks)) and ticks[-1] == report.makespan
-    assert len(ticks) <= 2 * report.messages_total
+    assert set(ticks) <= {record["ts"] for record in records_of(log)}
     assert len(ticks) * 5 < report.makespan
 
 
-@pytest.mark.parametrize("worker", [
-    WorkerSpec(worker_id="w1", arrival=10_000),
-    WorkerSpec(worker_id="w1", stall=(3, 10_000))],
+GPU = frozenset({"gpu"})
+
+
+@pytest.mark.parametrize("workers", [
+    (WorkerSpec(worker_id="w1", capabilities=GPU, arrival=10_000),),
+    (WorkerSpec(worker_id="w0"),
+     WorkerSpec(worker_id="w1", capabilities=GPU, stall=(1, 10_000)))],
     ids=["late-arrival", "stall-over-assignment"])
-def test_a_frozen_workers_mail_waits_without_visits(monkeypatch, worker):
+def test_a_frozen_workers_mail_waits_without_visits(monkeypatch, workers):
     """Mail for a frozen worker, before its arrival or in its stall,
-    keeps no tick busy: its wake is the tick it thaws.  A chain a -> b
-    whose one worker arrives at 10,000, or whose worker gets b at tick 3
-    and stalls until 10,003, ends at 10,005 after at most 10 loop
-    visits, and writes the bytes of the reference loop."""
-    batch = batch_of(noop_task("a"), noop_task("b", deps=["a"]))
-    scenario = Scenario(seed=1, horizon=20_000, workers=(worker,))
+    keeps no tick busy: its wake is the tick it thaws.  A chain a -> b,
+    b needing a gpu, whose one worker arrives at 10,000, or whose gpu
+    worker w1 gets b at tick 1, when w0 finishes a, and stalls until
+    10,001, ends at 10,002 after at most 10 loop visits, and writes the
+    bytes of the reference loop."""
+    batch = batch_of(noop_task("a"),
+                     noop_task("b", deps=["a"], required_caps=GPU))
+    scenario = Scenario(seed=1, horizon=20_000, workers=workers)
     ref_report, ref_log, woken = reference_run(batch, scenario)
     visits = []
     begin = simulator._Run.begin
@@ -933,7 +997,7 @@ def test_a_frozen_workers_mail_waits_without_visits(monkeypatch, worker):
 
     monkeypatch.setattr(simulator._Run, "begin", counted)
     report, log = run_simulation(batch, scenario)
-    assert report.completed and report.makespan == 10_005
+    assert report.completed and report.makespan == 10_002
     assert len(visits) <= 10
     assert woken == []
     assert log.dumps() == ref_log.dumps()
@@ -1402,16 +1466,16 @@ def _chain():
 ASSIGNMENT_GOLDEN = {
     "flat-two-stalls": (
         _flat_two_stalls,
-        "eb1a9ad77bde921e4e40fb4b5e0f0ef39bc80598bd1b71fbbabc5cca46b95f45"),
+        "4050f9c84572b3dfe355be676b7c59908de2a0ab18947c175c7c2f0adf8bf1c6"),
     "flat-crash": (
         _flat_crash,
-        "c26b3d1fc6b01efa857c8660dee0c422c8fb3e97be0797d897dcc53f90113c77"),
+        "861a7211ea4f967e2d06d85c22242c66566dfae2e783ff0780b27a9791eaa5d7"),
     "chain": (
         _chain,
-        "b23801ddd359e643fca24fb97431e1762b84c03467bb376370ddc4bdf2185a76"),
+        "3a0d8e9988dfffc0c39795d0d78e1eff55d10dad55950de52236c07307125ec7"),
     "adapt-unfold": (
         _adapt_unfold,
-        "6812abc71d7d8c523e9182ac11a7c93f6e035916d7da01f9e20e68d60d7c9552"),
+        "da82692f45b7b456cb1340a1264cb912ba38a0f2b7548dcaed265bea7e7e6ea0"),
 }
 
 
@@ -1432,30 +1496,30 @@ def offers_of(records):
 # bytes must say which bytes changed and why.
 LOG_GOLDEN = {
     ("adapt-unfold", 0):
-        "2d123a21aa37da8f2cca4451448844308a8affd87ed82feaf781d381ee91e4e7",
+        "1067f03394e25a3127ad4802660ddd90da053a71f03e97e69367c7a66515323d",
     ("adapt-unfold", 2):
-        "2d123a21aa37da8f2cca4451448844308a8affd87ed82feaf781d381ee91e4e7",
+        "1067f03394e25a3127ad4802660ddd90da053a71f03e97e69367c7a66515323d",
     ("chain", 0):
-        "a86503b1e9cf3b3d8295a2ddbb9c198017ad126a9c9f90efb070657a712ea8ac",
+        "2f0f2a609e47cf20ee2df6c61a648bde64d43443721f4f5cdc305e9eeb480bf0",
     ("chain", 2):
-        "67b2c51a103686d9be35e5de67f0c3262c831eebb4c59dc3681596b27838e1bb",
+        "a8a0ff3a429cbf4b1bd9731c31bc3086bc63bfc51fcd660e37a55094e7c4cace",
     ("flat-crash", 0):
-        "990d6e27e2b44dd06fccffd6f42b3da1c806c8fa826a280111d09ed4973ddd75",
+        "1c1eb3f692729e914aa66fc2ee23d503508a7504d169d66e90035736fd019af1",
     ("flat-crash", 2):
-        "d5ffe7bb6f7b01af38b625bea68f41bbc72147baed96c49c687ce0a4b51433d4",
+        "2e86147f9df8fae77db8aeb50f3281d7cdb61733305b269602f83f10d179b81e",
     ("flat-two-stalls", 0):
-        "8405f6a443780a6f0270385d47769fa1605bb27b8c33da4560fe752590fb1edb",
+        "3a7355bf9344ff45ff8fbf75adcc3cde70d475da65c94241e3c00dd397cfd33a",
     ("flat-two-stalls", 2):
-        "56b9c027bab235ad85f77c00151a9a62024963015cff2ff5b29c84031f48401f",
+        "1af60f0ec2af8ae172ad3c54354a29328a4d9e4f592cc880d3d8f13cef723a8a",
 }
 
 # (case, jitter) -> sha256 of the run workspace's files, see
 # workspace_digest
 WORKSPACE_GOLDEN = {
     ("adapt-unfold", 0):
-        "166e82e8282b6f4029d39d7dc1bae7fd98f5cbb423a6b210e29748d85b289fd6",
+        "8e33989b5fc554c2aa0f732d6a3ba08f600b9434d02302861ed0a4badf041d40",
     ("adapt-unfold", 2):
-        "166e82e8282b6f4029d39d7dc1bae7fd98f5cbb423a6b210e29748d85b289fd6",
+        "8e33989b5fc554c2aa0f732d6a3ba08f600b9434d02302861ed0a4badf041d40",
 }
 
 
@@ -1655,13 +1719,17 @@ def _crash_prob_and_departure():
 
 
 def _stall_over_assignment():
-    """w1 and w2 are assigned at tick 1, inside their stalls."""
-    batch = batch_of(noop_task("a", duration=4.0),
-                     noop_task("b", duration=4.0))
+    """w4 runs the root r; its dependents a and b need a gpu, which w4
+    lacks, and go to w1 and w2 at tick 1, inside their stalls."""
+    batch = batch_of(noop_task("r"),
+                     *(noop_task(tid, deps=["r"], duration=4.0,
+                                 required_caps=GPU) for tid in "ab"))
     scenario = Scenario(seed=1, horizon=200, workers=(
-        WorkerSpec(worker_id="w1", speed=2.0, stall=(1, 6)),
-        WorkerSpec(worker_id="w2", stall=(1, 3)),
-        WorkerSpec(worker_id="w3", reliability=0.5)))
+        WorkerSpec(worker_id="w1", capabilities=GPU, speed=2.0,
+                   stall=(1, 6)),
+        WorkerSpec(worker_id="w2", capabilities=GPU, stall=(1, 3)),
+        WorkerSpec(worker_id="w3", capabilities=GPU, reliability=0.5),
+        WorkerSpec(worker_id="w4", speed=4.0)))
     return batch, scenario, None
 
 
@@ -1699,10 +1767,10 @@ def _attempts_run_out():
 
 def _stall_mid_job():
     """w1 runs a at speed 0.7 and freezes from tick 4 to 8, over the
-    heartbeat ticks 5 and 7; its heartbeats resume on their phase at 9
-    and its result comes five ticks late.  w2 idles and no task waits,
-    so the missed beats time a out at 7 and w2 runs a backup, which
-    w1's result still beats."""
+    heartbeat ticks 4, 6 and 8; its heartbeats resume on their phase at
+    10 and its result comes five ticks late.  w2 idles and no task
+    waits, so the missed beats time a out at 6 and w2 runs a backup,
+    which w1's result still beats."""
     batch = batch_of(noop_task("a", duration=8.0),
                      noop_task("b", deps=["a"], duration=4.0))
     scenario = Scenario(seed=5, horizon=200, heartbeat_period=2,
@@ -1729,7 +1797,7 @@ def _emergency_while_running():
 
 def _quiet_faults():
     """Faults on quiet ticks, between heartbeats 7 ticks apart: w1's
-    crash_prob roll, w2's crash at 12 and w4's departure at 56 all
+    crash_prob roll, w2's crash at 12 and w4's departure at 41 all
     land mid-job on ticks where nothing else is due."""
     batch = batch_of(noop_task("a", duration=30.0),
                      noop_task("b", duration=30.0),
@@ -1741,12 +1809,12 @@ def _quiet_faults():
                             WorkerSpec(worker_id="w3", speed=0.9,
                                        reliability=0.8),
                             WorkerSpec(worker_id="w4", reliability=0.5,
-                                       departure=56)))
+                                       departure=41)))
     return batch, scenario, None
 
 
 def _horizon_mid_job():
-    """The horizon cuts w1's job at 20, before its next heartbeat at 28:
+    """The horizon cuts w1's job at 20, before its next heartbeat at 27:
     its utilization counts every tick it ran up to the horizon."""
     batch = batch_of(noop_task("a", duration=50.0))
     scenario = Scenario(seed=1, horizon=20, heartbeat_period=9, workers=(
@@ -1772,77 +1840,77 @@ EDGE_CASES = {
 # (case, jitter) -> (sha256 of log.dumps(), sha256 of report_fields)
 EDGE_GOLDEN = {
     ("attempts-run-out", 0): (
-        "b29c5f7313e2c81fe8cbc7f41ad660bf9c76006c43bb34e69ab76dfccb998ebb",
-        "72787f0a1c25da9107e5ec99df59f87b4bccf294f6a72c90736744c4582ec437"),
+        "3a3e42ad0a7f985067dd51e8256c4e5cce56bcd4d7d2350b53f785ea737cafaf",
+        "fae70606002deca4f56e48688f8717a43d8efce9ad32cf49b9491a8ed7304cb2"),
     ("attempts-run-out", 2): (
-        "a2d4ca66d8db54985a12eefd78570f4cd0e6632678f8df761057f0c2ed1cb593",
-        "72787f0a1c25da9107e5ec99df59f87b4bccf294f6a72c90736744c4582ec437"),
+        "52e6c370529208a0592ff90ea22f9ed6f00709d97db422317a129d7a69c6806c",
+        "fae70606002deca4f56e48688f8717a43d8efce9ad32cf49b9491a8ed7304cb2"),
     ("crash-mid-job", 0): (
-        "fdde4ed944bcda997b9d2ee6814bed3c52cf198209697e00bf1585d55ad946c8",
-        "85f889cd7640c3ff99dd2aa3611b5e4bc4f74c7da7e6f61749fc7296a3a33233"),
+        "3775d555b2200b3bd87cce9e268ef730fa47c2b741b4cab17698f41ea645b0ff",
+        "d9e6c627c0a0fc1fab1654a34875619311e4f500f692f8ee5074febda6adc9a3"),
     ("crash-mid-job", 2): (
-        "c1425d0a5539bb29e9a9b814bce36d15416da0b5f896bc3799f12cf8cae43f93",
-        "85f889cd7640c3ff99dd2aa3611b5e4bc4f74c7da7e6f61749fc7296a3a33233"),
+        "a25d6e54f586acb9c178b3b8ae4d21d721ab8369ac6c6e9ffb46d5933e2d0927",
+        "d9e6c627c0a0fc1fab1654a34875619311e4f500f692f8ee5074febda6adc9a3"),
     ("crash-prob-and-departure", 0): (
-        "20f16c204046345e324c82721220e82a117e26bf68f521109631908ff4340b9f",
-        "458bcde547cdcd61c0b8af6319550b361d05faa6908b3ae35b9b2714b6ba1de5"),
+        "794aa11129f632b5f6c6f17a4a4a819382c25bb229cd4f01ab53599a54e55419",
+        "f2b98bee5cd535e6f051ddf856c3cc68a9f5c067d2cd080935908ede72ea826e"),
     ("crash-prob-and-departure", 2): (
-        "f0e08534934e825dc8998dcdca20cccd966b513dcc7538901ab740e39226ac5c",
-        "020ec514b5bacd655ad6fb0f5029fee4cf6c85045ddfe535ab8613fe490c85e4"),
+        "e0f2904652ed46d96f8c8baf32bad82cc34dbba62198290a2618a7e864104e00",
+        "d7982e1d51aa374f2a83f388e6ff07be76db016ebd737795a0bcb0ca12888bd0"),
     ("cut-by-horizon", 0): (
-        "ed9ebe2eb102be8c5a4a3fd390d9aa3d1b5e13f8c12c9d46eb3c779ce8319e6c",
-        "76df5d3b5378909613e4475a70292263d4e7f71a7fc9d9efabc8e19d01f3d5e5"),
+        "3689b6b336b7b5a2a2f3525ca2aff430afffdafc421f26b07e612a2b368ee47e",
+        "c65215c91a2243bc5c28d68a90ae4cdff559ce94e1a12588e95fde5e87e6a467"),
     ("cut-by-horizon", 2): (
-        "7726c9da5c8f1337f546ecd58eb5f8a0b26366b22d028c35386f6b09751efa3f",
-        "76df5d3b5378909613e4475a70292263d4e7f71a7fc9d9efabc8e19d01f3d5e5"),
+        "48e8b71276d274898d7393a75cbdb0db5865cc3c433690c587131ed44ec71db4",
+        "c65215c91a2243bc5c28d68a90ae4cdff559ce94e1a12588e95fde5e87e6a467"),
     ("departure-not-after-arrival", 0): (
-        "c96ac9dc690298a682f41d886bba9efa3bb3f6c176e39fe69e7c54670b935bab",
-        "103ba8ab6624a7c82c069f9c3232efa082fc8b5ee9c2bce03abba1fc2de08764"),
+        "8cd9f450bbd3643b8f9f2b8733b5ba851d11ef2c8b73dea0f4ddb139308324e5",
+        "76b4d1ff7bc24da510d21f52f0ae3587c64ac71fd553c55364d5595066dc1c8d"),
     ("departure-not-after-arrival", 2): (
-        "c96ac9dc690298a682f41d886bba9efa3bb3f6c176e39fe69e7c54670b935bab",
-        "103ba8ab6624a7c82c069f9c3232efa082fc8b5ee9c2bce03abba1fc2de08764"),
+        "8cd9f450bbd3643b8f9f2b8733b5ba851d11ef2c8b73dea0f4ddb139308324e5",
+        "76b4d1ff7bc24da510d21f52f0ae3587c64ac71fd553c55364d5595066dc1c8d"),
     ("emergency-while-running", 0): (
-        "00b47f0e14c5b277d36ffa9b953a3e2902fd709d7052edc4d3cb0f63ecdf98d3",
-        "2176902b1f7a2c6300182034c5fb7a1e3fb99f1aa64f4444e2f7a8c7e67c53bd"),
+        "dfd16d06f01bf8fa64b74fb3960be4139dff94c7e1f6a12d3a07b1757b6243da",
+        "d925af007afc073e42d13ea6c7500a8decd89204b3667c4778e30219cb3b1b9b"),
     ("emergency-while-running", 2): (
-        "4ead124c52691bf25cb12024ebd659babb7d9768bebfab7ca2d233e34c1c7c4f",
-        "2176902b1f7a2c6300182034c5fb7a1e3fb99f1aa64f4444e2f7a8c7e67c53bd"),
+        "cb38f4d139436740a3442b1afa7debcf7a2427b75d0d4e0fff2eef8b57f12401",
+        "d925af007afc073e42d13ea6c7500a8decd89204b3667c4778e30219cb3b1b9b"),
     ("horizon-mid-job", 0): (
-        "fd2e8c461d85a2cf0395b77725a71c080448c901db9192ae1a321226da559ddb",
-        "94c06a7364a432456c83084f0db74bd6090fb5155a3bac734931334e2430eca9"),
+        "85b56761b329b3f1391eb8c7555abf233c4318d54729a3c4479a57cc9b4da01c",
+        "bd8902a2913470b597962bffac24533436cc31ac2385162146406de31dc13e12"),
     ("horizon-mid-job", 2): (
-        "fd2e8c461d85a2cf0395b77725a71c080448c901db9192ae1a321226da559ddb",
-        "94c06a7364a432456c83084f0db74bd6090fb5155a3bac734931334e2430eca9"),
+        "85b56761b329b3f1391eb8c7555abf233c4318d54729a3c4479a57cc9b4da01c",
+        "bd8902a2913470b597962bffac24533436cc31ac2385162146406de31dc13e12"),
     ("late-arrival", 0): (
-        "880e027ecfa39257731ca2a757c87c79c037bb18d9aba35b4db4af9155760573",
-        "803643aec5bf8fb223464fe73b9cad0d1b5581f9c0eda1bafdfe552a045e1c7c"),
+        "6dcdcbe5453ce76078fdc4fff40d629b764dea4f67887692930b414b789b40ae",
+        "fff267e9b0cf36bc71437c9dc652dd59de3ce81db2e2fa6b4416355c01e739d2"),
     ("late-arrival", 2): (
-        "880e027ecfa39257731ca2a757c87c79c037bb18d9aba35b4db4af9155760573",
-        "803643aec5bf8fb223464fe73b9cad0d1b5581f9c0eda1bafdfe552a045e1c7c"),
+        "6dcdcbe5453ce76078fdc4fff40d629b764dea4f67887692930b414b789b40ae",
+        "fff267e9b0cf36bc71437c9dc652dd59de3ce81db2e2fa6b4416355c01e739d2"),
     ("offers-due-while-running", 0): (
-        "5598238570b4773f66dbf1d10159539241f9422a3c9194d6c4dac5a759334935",
-        "395c82c26fd7bf1b2e3467e1012d79116f6ac4ce648b080138ac13faf3e113b4"),
+        "b6a04461c25de1261e6a5077a00d04f0239b5fa8f0fa9af8cda4bba65e24b8c3",
+        "f9eed02bbfad90b0d1a458342e20d766845f6713184b70e4511f30a759fbefe2"),
     ("offers-due-while-running", 2): (
-        "2a54906370c26f2fa5b2c6b3e72baa2787ff84daa116e10e885ea538e1827719",
-        "395c82c26fd7bf1b2e3467e1012d79116f6ac4ce648b080138ac13faf3e113b4"),
+        "55addfd28bbd7a2c193dcbeef9839c165374d21eb1d6e16bb9b28fb5cd849c7b",
+        "89a78493b22c59f88cffe37d2823bc523341d3cc326d59286e8f31244b67ec80"),
     ("quiet-faults", 0): (
-        "cccf09d6d5977d7f0e2782c16f3ca3907e80b365f63c9bde557d601e2ee045d9",
-        "7fb736a0704d127e6aa14615fa5bbc191c602d4273cbaace2f29a925d0acf295"),
+        "035f6be92e9a67a13c0750f8c50d20c5964feeb344bebc1d3914d5822cc1e1d5",
+        "2b96ff9464e65d38a20e2416212c5d268ea27793d63a0e6519021c9a9fb738e6"),
     ("quiet-faults", 2): (
-        "5b33a1e637dbf5224f32082616027181bc0b91e40410d2fd8cea88ca229e27d7",
-        "bbad0859f619abebacba1dbc29bf103bd9d955cd4909a6d812efbee1c1753b96"),
+        "16e179206aff40fd4e2d306d6b33e7e5a0610845c65616aabdff97ee94242a52",
+        "2096fa3790de9e98c56da4cb1e3b9845517d0978ad5688aa676b0b12aa9ba7c7"),
     ("stall-mid-job", 0): (
-        "6b5faeff3d81a2e895d52328e73795fba96f59117a4383e93ee7c13a694278c0",
-        "c5c1afb3bf6bb02c1480f6da1e88ea4c885e72adc9b1f0a0874d975118eedd28"),
+        "5f1bb0b4f4a65e874a4fc332fa3c4c8eb7a2836e0bc544614fd9c13f813f328c",
+        "e937f7b5666991c2e021f667e6e3667ee6b849629be6655ee61fbc94f5d11b4d"),
     ("stall-mid-job", 2): (
-        "19edd8c00dffbc9f6680eb8317be62d7133678e52339bbc0198f369ee6952aa0",
-        "0be4ee0aba824f3fc3359b017fd8e312285c0c43809a7083f79dcc1bdbc20e2e"),
+        "d45de50c9a747595a9ca5c0675ab80e81984bee8a90d2ea722f049fcf57e60c7",
+        "3881004d56ae96206237285036625671660872cd55322a58449d846e8516e2f9"),
     ("stall-over-assignment", 0): (
-        "e328e4e99aea2ad78d1d2a8b9c6580b41a1d620ee009093331fab7fcd641924c",
-        "16b0a256a58ea29e0b74e7f696c945049bd556fbc285484620a9e004edaa4972"),
+        "4a5f2846466a40657edce3c5f009fb44a0e6e2140466af15c8a45ef8f0f3e20f",
+        "564306403149073a50fdb3d6eb0feff37742143846342235b2c7ef5285468c6b"),
     ("stall-over-assignment", 2): (
-        "13a60838e0246edff0592e8b24fb111f2843d29044e93ed9b5180c350ff53ff4",
-        "89ff818657e11b54b4bff9ed87892f441e69417250d659b3544b4b6043d48731"),
+        "3e1fab5d14dcb606353058374d67a1ba11be515ad8fc8a837dce449ed0f324a9",
+        "564306403149073a50fdb3d6eb0feff37742143846342235b2c7ef5285468c6b"),
 }
 
 
@@ -1893,6 +1961,42 @@ class TestReferenceLoop:
         assert overruns(records_of(log), scenario.horizon) == []
         if report.completed:
             assert lags(records_of(log)) == {}
+
+
+class TestSettledTicks:
+    """A tick runs passes until no service has mail, so a message takes
+    no ticks; only work does."""
+
+    @pytest.mark.parametrize("jitter", [0, 2])
+    @pytest.mark.parametrize("case", sorted(GOLDEN_BUILDS))
+    def test_a_result_is_answered_in_its_tick(self, case, jitter,
+                                              monkeypatch):
+        """Every verdict and every Checker republication comes in the
+        tick of the result it answers, and no tick makes more passes than
+        one plus the records it logs."""
+        ticks = record_passes(monkeypatch)
+        batch, scenario, validators = GOLDEN_BUILDS[case]()
+        scenario = dataclasses.replace(scenario, volunteer_jitter=jitter)
+        _, log = run_simulation(batch, scenario, validators=validators)
+        records = records_of(log)
+        assert unanswered(records) == []
+        assert extra_passes(passes_by_tick(ticks, records), records) == []
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 40])
+    def test_a_chain_of_unit_tasks_takes_a_tick_a_task(self, n,
+                                                       monkeypatch):
+        """A chain of n unit tasks on one speed-1 worker ends at tick n.
+        Each tick makes two passes: in the first the worker offers itself
+        or sends a result, and in the second that message is answered,
+        the next task released and assigned, and the worker starts it."""
+        ticks = record_passes(monkeypatch)
+        batch = batch_of(*(noop_task(f"t{i:02d}",
+                                     deps=[f"t{i - 1:02d}"] if i else ())
+                           for i in range(n)))
+        report, log = run_simulation(batch, ONE_WORKER)
+        assert report.completed and report.makespan == n
+        assert passes_by_tick(ticks, records_of(log)) == \
+            {tick: 2 for tick in range(n + 1)}
 
 
 class TestWakes:
@@ -2080,16 +2184,17 @@ class TestVolunteerTraffic:
 
 
 def _flat_noop_seed_2():
-    """The benchmark's flat-noop workload at seed 2: 200 duration-1 noops
-    with random ids on 16 workers; w03 stalls while running a task."""
+    """The benchmark's flat-noop batch at seed 2, 200 duration-1 noops
+    with random ids on 16 workers, with w03 stalled from tick 10 for 24
+    ticks, inside the job it started at 9.  (The workload's own stalls,
+    at ticks 20 and 31, come after its run ends at 13.)"""
     rng = random.Random(2)
     ids = sorted(f"t{n:08x}" for n in rng.sample(range(1 << 32), 200))
     batch = batch_of(*[noop_task(tid, outputs=()) for tid in ids])
-    stalls = {"w03": (20, 24), "w06": (31, 24)}
     scenario = Scenario(seed=2, horizon=20000, heartbeat_period=5,
                         timeout_multiplier=3, workers=tuple(
                             WorkerSpec(worker_id=f"w{i:02d}",
-                                       stall=stalls.get(f"w{i:02d}"))
+                                       stall=(10, 24) if i == 3 else None)
                             for i in range(16)))
     return batch, scenario
 
@@ -2112,10 +2217,10 @@ class TestSilentWorkersStayOutOfThePool:
         w03 = [r["payload"]["task_id"] for r in records
                if r["kind"] == "assignment"
                and r["payload"]["worker_id"] == "w03"]
-        # w03 stalls from tick 20 to 44 inside its last job, which times
+        # w03 stalls from tick 10 to 34 inside its last job, which times
         # out; the batch finishes before w03 speaks again
         assert w03[-1] in timed_out
-        assert report.makespan < 44
+        assert report.makespan < 34
 
     @pytest.mark.parametrize("jitter", [0, 2])
     def test_dead_worker_wins_no_task(self, jitter):
